@@ -545,6 +545,40 @@ mod tests {
     }
 
     #[test]
+    fn sim_trace_pins_1f1b_2x2() {
+        let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
+        let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
+        assert_eq!(
+            sim_to_chrome_trace(&t),
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"F0^0","cat":"forward","ts":0.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"RA0^0<d0","cat":"recv","ts":0.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"SA0^0>d1","cat":"send","ts":1.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"F1^0","cat":"forward","ts":1.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"F0^0","cat":"forward","ts":1.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"SA1^0>d1","cat":"send","ts":2.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"RG0^0<d1","cat":"recv","ts":2.000,"dur":2.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"B0^0","cat":"backward","ts":2.000,"dur":2.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"B0^0","cat":"backward","ts":4.000,"dur":2.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"SG0^0>d0","cat":"send","ts":4.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"RA1^0<d0","cat":"recv","ts":4.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"F1^0","cat":"forward","ts":4.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"B1^0","cat":"backward","ts":5.000,"dur":2.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"RG1^0<d1","cat":"recv","ts":6.000,"dur":1.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"B1^0","cat":"backward","ts":7.000,"dur":2.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"SG1^0>d0","cat":"send","ts":7.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":1,"name":"OS","cat":"other","ts":7.000,"dur":0.000},"#,
+                r#"{"ph":"X","pid":0,"tid":0,"name":"OS","cat":"other","ts":9.000,"dur":0.000},"#,
+                r#"{"ph":"M","pid":0,"name":"process_name","args":{"name":"pipeline part 0"}},"#,
+                r#"{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"device 0"}},"#,
+                r#"{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"device 1"}}"#,
+                r#"]}"#,
+            )
+        );
+    }
+
+    #[test]
     fn document_is_structurally_sound() {
         let json = trace();
         assert!(json.starts_with('{') && json.ends_with('}'));

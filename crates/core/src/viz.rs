@@ -186,6 +186,77 @@ mod tests {
         assert!(a.contains('f'), "{a}");
     }
 
+    /// 4×4 on the unit grid, for the schemes whose glyphs the pins cover:
+    /// 1F1B (`F`/`B`) and ZB-H1 (`F`/`b`/`w`).
+    fn grid_timeline(scheme: SchemeKind) -> SimTimeline {
+        let s = generate(ScheduleConfig::new(scheme, 4, 4));
+        simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap()
+    }
+
+    /// FNV-1a over the rendered bytes: pins a long document compactly.
+    fn digest(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn ascii_pins_1f1b_and_zb_h1() {
+        let micro = VizOptions {
+            show_micro_ids: true,
+            ..Default::default()
+        };
+        let one = grid_timeline(SchemeKind::OneFOneB);
+        assert_eq!(
+            render_ascii(&one, VizOptions::default()),
+            concat!(
+                "d0: FFFF......BB.BB.BB.BB\n",
+                "d1: .FFF....BBFBB.BB.BB\n",
+                "d2: ..FF..BBFBBFBB.BB\n",
+                "d3: ...FBBFBBFBBFBB\n",
+            )
+        );
+        assert_eq!(
+            render_ascii(&one, micro),
+            concat!(
+                "d0: 0123......00.11.22.33\n",
+                "d1: .012....00311.22.33\n",
+                "d2: ..01..00211322.33\n",
+                "d3: ...000111222333\n",
+            )
+        );
+        let zb = grid_timeline(SchemeKind::ZeroBubbleH1);
+        assert_eq!(
+            render_ascii(&zb, VizOptions::default()),
+            concat!(
+                "d0: FFFF...bw.bw.bw.bw\n",
+                "d1: .FFF..bwFbw.bw.bw\n",
+                "d2: ..FF.bwFbwFbw.bw\n",
+                "d3: ...FbwFbwFbwFbw\n",
+            )
+        );
+        assert_eq!(
+            render_ascii(&zb, micro),
+            concat!(
+                "d0: 0123...00.11.22.33\n",
+                "d1: .012..00311.22.33\n",
+                "d2: ..01.00211322.33\n",
+                "d3: ...000111222333\n",
+            )
+        );
+    }
+
+    #[test]
+    fn svg_pins_1f1b_and_zb_h1() {
+        for (scheme, len, hash) in [
+            (SchemeKind::OneFOneB, 3945usize, 0xb88f_8f67_5d94_a98bu64),
+            (SchemeKind::ZeroBubbleH1, 5829, 0x0aee_82d5_d48b_fcda),
+        ] {
+            let svg = render_svg(&grid_timeline(scheme), VizOptions::default());
+            assert_eq!((svg.len(), digest(&svg)), (len, hash), "{scheme:?}: {svg}");
+        }
+    }
+
     #[test]
     fn svg_is_well_formed_enough() {
         let svg = render_svg(&timeline(), VizOptions::default());
