@@ -21,24 +21,35 @@
 
 use mario_ir::exec::MsgClass;
 use mario_ir::{
-    AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, InstrKind, LinkSendStats,
-    MemLedger, MemoryRules, Nanos, OpSpan, PerturbationProfile, Schedule, SpanGraph, Telemetry,
-    CKPT_PC,
+    AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, FastMap, Instr, InstrKind,
+    LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PerturbationProfile, Schedule, SpanGraph,
+    Telemetry, CKPT_PC,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One simulated instruction occurrence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimEvent {
     /// Executing device.
     pub device: DeviceId,
-    /// Rendered instruction.
-    pub instr: String,
+    /// The executed instruction; `None` for a model-state checkpoint
+    /// write.
+    pub instr: Option<Instr>,
     /// Earliest start (ns).
     pub start: Nanos,
     /// Finish (ns).
     pub end: Nanos,
+}
+
+impl SimEvent {
+    /// The event's display name: the instruction's compact notation
+    /// (`F3^0`, `SA3^0>d2`, …), or `CKPT` for a checkpoint write — the
+    /// names the emulators' recorded timelines carry.
+    pub fn name(&self) -> String {
+        self.instr
+            .map_or_else(|| "CKPT".to_string(), |i| i.to_string())
+    }
 }
 
 /// The simulated timeline of one iteration.
@@ -83,25 +94,14 @@ impl SimTimeline {
     }
 
     /// Total idle ("bubble") time summed over devices: device lifetime not
-    /// spent in compute. Communication waits count as bubble — they are
-    /// exactly the idle slots Mario hides recomputation in.
+    /// spent in compute, Σ_d (clock_d − compute_d). Communication waits
+    /// and serving ingress waits count as bubble — they are exactly the
+    /// idle slots Mario hides recomputation in.
     pub fn bubble_ns(&self) -> Nanos {
-        let is_compute = |i: &str| {
-            i.starts_with('F')
-                || i.starts_with("cF")
-                || i.starts_with('B')
-                || (i.starts_with('R') && !i.starts_with("RA") && !i.starts_with("RG"))
-        };
-        let mut busy: HashMap<u32, Nanos> = HashMap::new();
-        for e in &self.events {
-            if is_compute(&e.instr) {
-                *busy.entry(e.device.0).or_default() += e.end - e.start;
-            }
-        }
         self.device_clocks
             .iter()
-            .enumerate()
-            .map(|(d, &c)| c.saturating_sub(busy.get(&(d as u32)).copied().unwrap_or(0)))
+            .zip(&self.telemetry.devices)
+            .map(|(&c, t)| c.saturating_sub(t.classes.compute_ns))
             .sum()
     }
 }
@@ -297,7 +297,7 @@ impl CkptSim {
         }
         events.push(SimEvent {
             device: dev,
-            instr: "CKPT".to_string(),
+            instr: None,
             start,
             end: *clock,
         });
@@ -331,7 +331,7 @@ impl CkptSim {
         if *clock > start {
             events.push(SimEvent {
                 device: DeviceId(d as u32),
-                instr: "CKPT".to_string(),
+                instr: None,
                 start,
                 end: *clock,
             });
@@ -455,11 +455,11 @@ fn simulate_core(
     let mut clocks: Vec<Nanos> = (0..devices)
         .map(|d| startup.get(d).copied().unwrap_or(0))
         .collect();
-    let mut chans: HashMap<(u32, u32, MsgClass, u32), Channel> = HashMap::new();
+    let mut chans: FastMap<(u32, u32, MsgClass, u32), Channel> = FastMap::default();
     // Packets sent per (src, dst) pair *this iteration*, all classes and
     // parts in program order — the emulator's link-fault packet
     // numbering, which resets every iteration.
-    let mut sends_to: Vec<HashMap<u32, usize>> = vec![HashMap::new(); devices];
+    let mut sends_to: Vec<FastMap<u32, usize>> = vec![FastMap::default(); devices];
     let mut cur_iter = vec![0u32; devices];
     let mut events: Vec<SimEvent> =
         Vec::with_capacity(schedule.total_instrs() * iterations as usize);
@@ -485,8 +485,8 @@ fn simulate_core(
     let mut ledgers: Vec<MemLedger> = (0..devices)
         .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
         .collect();
-    let mut link_sends: HashMap<(u32, u32), LinkSendStats> = HashMap::new();
-    let mut recv_waits: HashMap<(u32, u32), Nanos> = HashMap::new();
+    let mut link_sends: FastMap<(u32, u32), LinkSendStats> = FastMap::default();
+    let mut recv_waits: FastMap<(u32, u32), Nanos> = FastMap::default();
 
     // The emulator runs the checkpoint boundary every iteration even for
     // a device with an empty program; the main loop below skips such
@@ -690,7 +690,7 @@ fn simulate_core(
             if fired_now {
                 events.push(SimEvent {
                     device: dev,
-                    instr: instr.to_string(),
+                    instr: Some(instr),
                     start,
                     end: clocks[d],
                 });
@@ -835,11 +835,28 @@ mod tests {
     fn bubble_accounting() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 4));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        // Each device is busy 3N units; makespan is 3(N + D - 1).
-        let expect_bubble: u64 = (0..4u64).map(|_| 3 * 3 * 1_000).sum();
-        // Devices finish at different times; bubble = sum(clock_d - busy_d).
-        assert!(t.bubble_ns() > 0);
-        assert!(t.bubble_ns() <= expect_bubble * 2);
+        // Each device is busy 3N units, and device d finishes at
+        // 3(N + D − 1) − 2d units (the drain staircase), so
+        // bubble = Σ_d (3(D − 1) − 2d) = 9 + 7 + 5 + 3 units.
+        assert_eq!(t.bubble_ns(), 24_000);
+    }
+
+    #[test]
+    fn serving_ingress_wait_counts_as_bubble() {
+        // ForwardOnly 2×3 with micros 1 and 2 held until 5 µs: stage 0
+        // runs 3 forwards by 7 µs, stage 1 by 8 µs, so
+        // bubble = (7 − 3) + (8 − 3) units — the held wait included.
+        let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 2, 3));
+        let (t, _) = simulate_timeline_serving(
+            &s,
+            &UnitCost::paper_grid(),
+            1,
+            &PerturbationProfile::identity(),
+            &[0, 5_000, 5_000],
+        )
+        .unwrap();
+        assert_eq!(t.device_clocks, vec![7_000, 8_000]);
+        assert_eq!(t.bubble_ns(), 9_000);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! only escaping required is for the quote/backslash/control classes.
 
 use crate::critpath::CritReport;
-use crate::simulator::{memory_series, SimTimeline};
+use crate::simulator::{memory_series, SimEvent, SimTimeline};
 use mario_cluster::TimelineEvent;
 use mario_ir::{CostModel, DeviceId, Nanos, PartId, Schedule, SpanGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -439,14 +439,30 @@ pub fn rich_chrome_trace_annotated<'a>(
     w.finish()
 }
 
+/// The simulated events' display names, rendered once per export: the
+/// typed events carry no text.
+fn sim_names(t: &SimTimeline) -> Vec<String> {
+    t.events.iter().map(SimEvent::name).collect()
+}
+
+/// The simulated events as [`TraceEvent`]s borrowing their `names`.
+fn sim_events<'a>(t: &SimTimeline, names: &'a [String]) -> Vec<TraceEvent<'a>> {
+    t.events
+        .iter()
+        .zip(names)
+        .map(|(e, name)| TraceEvent {
+            device: e.device.0,
+            name,
+            start: e.start,
+            end: e.end,
+        })
+        .collect()
+}
+
 /// Exports a simulated timeline.
 pub fn sim_to_chrome_trace(t: &SimTimeline) -> String {
-    to_chrome_trace(t.events.iter().map(|e| TraceEvent {
-        device: e.device.0,
-        name: &e.instr,
-        start: e.start,
-        end: e.end,
-    }))
+    let names = sim_names(t);
+    to_chrome_trace(sim_events(t, &names))
 }
 
 /// Exports an emulated timeline (requires `record_timeline: true`).
@@ -466,17 +482,8 @@ pub fn sim_to_chrome_trace_rich(
     schedule: &Schedule,
     cost: &dyn CostModel,
 ) -> String {
-    let events: Vec<TraceEvent<'_>> = t
-        .events
-        .iter()
-        .map(|e| TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        })
-        .collect();
-    rich_chrome_trace(&events, schedule, cost)
+    let names = sim_names(t);
+    rich_chrome_trace(&sim_events(t, &names), schedule, cost)
 }
 
 /// Exports a simulated timeline with the causal overlay: everything
@@ -490,16 +497,8 @@ pub fn sim_to_chrome_trace_annotated(
     report: &CritReport,
     completions: Option<&[Option<Nanos>]>,
 ) -> String {
-    let events: Vec<TraceEvent<'_>> = t
-        .events
-        .iter()
-        .map(|e| TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        })
-        .collect();
+    let names = sim_names(t);
+    let events = sim_events(t, &names);
     rich_chrome_trace_annotated(&events, schedule, cost, Some((&t.spans, report)), completions)
 }
 
@@ -689,7 +688,7 @@ mod tests {
         let sends = t
             .events
             .iter()
-            .filter(|e| e.instr.starts_with("SA") || e.instr.starts_with("SG"))
+            .filter(|e| e.instr.is_some_and(|i| i.kind.is_send()))
             .count();
         assert!(sends > 0);
         assert_eq!(json.matches("\"ph\":\"s\"").count(), sends);

@@ -4,7 +4,7 @@
 //! staring at throughput numbers.
 
 use crate::simulator::SimTimeline;
-use mario_ir::Nanos;
+use mario_ir::{Instr, InstrKind, Nanos};
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy)]
@@ -24,39 +24,31 @@ impl Default for VizOptions {
     }
 }
 
-fn glyph(instr: &str, show_micro: bool) -> Option<char> {
-    // Events are rendered from their compact notation: F3^0, cF3^0, B3^0,
-    // R3^0; comm/collective events are zero-width in the unit grid and
-    // skipped.
-    let (class, rest) = if let Some(r) = instr.strip_prefix("cF") {
-        ('f', r)
-    } else if let Some(r) = instr.strip_prefix('F') {
-        ('F', r)
-    } else if let Some(r) = instr.strip_prefix("Bi") {
-        ('b', r)
-    } else if let Some(r) = instr.strip_prefix("Bw") {
-        ('w', r)
-    } else if let Some(r) = instr.strip_prefix('B') {
-        ('B', r)
-    } else if let Some(r) = instr.strip_prefix('R') {
-        if instr.starts_with("RA") || instr.starts_with("RG") {
-            return None;
-        }
-        ('R', r)
+/// The class glyph and SVG fill of a compute instruction; communication
+/// and collectives are not drawn (zero-width in the unit grid), and
+/// neither are checkpoint writes.
+fn class_of(instr: Instr) -> Option<(char, &'static str)> {
+    Some(match instr.kind {
+        // Checkpointed forward: light blue; forward: blue.
+        InstrKind::Forward { ckpt: true } => ('f', "#7fb3d5"),
+        InstrKind::Forward { ckpt: false } => ('F', "#2e86c1"),
+        // Split backward: dark green input half, pale green weight half.
+        InstrKind::BackwardInput => ('b', "#1e8449"),
+        InstrKind::BackwardWeight => ('w', "#a9dfbf"),
+        // Backward: green; recompute: orange.
+        InstrKind::Backward => ('B', "#27ae60"),
+        InstrKind::Recompute => ('R', "#e67e22"),
+        _ => return None,
+    })
+}
+
+fn glyph(instr: Instr, show_micro: bool) -> Option<char> {
+    let (class, _) = class_of(instr)?;
+    Some(if show_micro {
+        char::from_digit(instr.micro.0 % 10, 10).unwrap()
     } else {
-        return None;
-    };
-    if show_micro {
-        let digit = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse::<u32>()
-            .ok()?;
-        Some(char::from_digit(digit % 10, 10).unwrap())
-    } else {
-        Some(class)
-    }
+        class
+    })
 }
 
 /// Renders an ASCII Gantt chart: one row per device, `.` for bubbles.
@@ -65,7 +57,7 @@ pub fn render_ascii(timeline: &SimTimeline, opts: VizOptions) -> String {
     let width = (timeline.total_ns / opts.ns_per_cell) as usize + 1;
     let mut grid = vec![vec!['.'; width]; devices];
     for e in &timeline.events {
-        let Some(g) = glyph(&e.instr, opts.show_micro_ids) else {
+        let Some(g) = e.instr.and_then(|i| glyph(i, opts.show_micro_ids)) else {
             continue;
         };
         let s = (e.start / opts.ns_per_cell) as usize;
@@ -99,20 +91,7 @@ pub fn render_svg(timeline: &SimTimeline, opts: VizOptions) -> String {
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">"#
     );
     for e in &timeline.events {
-        let color = if e.instr.starts_with("cF") {
-            "#7fb3d5" // checkpointed forward: light blue
-        } else if e.instr.starts_with('F') {
-            "#2e86c1" // forward: blue
-        } else if e.instr.starts_with("Bi") {
-            "#1e8449" // backward input half: dark green
-        } else if e.instr.starts_with("Bw") {
-            "#a9dfbf" // backward weight half: pale green
-        } else if e.instr.starts_with('B') {
-            "#27ae60" // backward: green
-        } else if e.instr.starts_with('R') && !e.instr.starts_with("RA") && !e.instr.starts_with("RG")
-        {
-            "#e67e22" // recompute: orange
-        } else {
+        let Some((_, color)) = e.instr.and_then(class_of) else {
             continue;
         };
         let x = e.start / opts.ns_per_cell + 30;
@@ -121,7 +100,7 @@ pub fn render_svg(timeline: &SimTimeline, opts: VizOptions) -> String {
         out.push_str(&format!(
             r##"<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{color}" stroke="#333" stroke-width="0.5"><title>{t}</title></rect>"##,
             h = row_h - 6,
-            t = e.instr
+            t = e.name()
         ));
     }
     for d in 0..devices {

@@ -8,9 +8,9 @@
 //! simulator-vs-real comparison (Fig. 10) measures modeling error, not
 //! bookkeeping divergence.
 
+use crate::hash::FastMap;
 use crate::ids::{MicroId, PartId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// What a dynamic allocation holds; one live allocation per key at a time.
@@ -64,7 +64,7 @@ pub struct MemLedger {
     dynamic: u64,
     peak: u64,
     capacity: Option<u64>,
-    live: HashMap<AllocKey, u64>,
+    live: FastMap<AllocKey, u64>,
 }
 
 impl MemLedger {
@@ -76,7 +76,7 @@ impl MemLedger {
             dynamic: 0,
             peak: static_bytes,
             capacity,
-            live: HashMap::new(),
+            live: FastMap::default(),
         }
     }
 
@@ -156,11 +156,9 @@ impl MemLedger {
 
     /// Frees `key` if live; returns the freed size (0 if it was not live).
     pub fn free_if_live(&mut self, key: AllocKey) -> u64 {
-        if self.is_live(key) {
-            self.free(key)
-        } else {
-            0
-        }
+        let bytes = self.live.remove(&key).unwrap_or(0);
+        self.dynamic -= bytes;
+        bytes
     }
 }
 
@@ -233,6 +231,7 @@ mod tests {
         l.alloc(key(0), 5).unwrap();
         assert_eq!(l.free_if_live(key(0)), 5);
         assert_eq!(l.live_count(), 0);
+        assert_eq!(l.dynamic(), 0);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! * [`telemetry`] — the unified time-class flight recorder (per-device
 //!   time breakdowns, per-link transfer statistics) populated with
 //!   identical arithmetic by the simulator and the emulator;
+//! * [`hash`] — the fast deterministic hasher behind the executors'
+//!   per-instruction channel, link and ledger maps;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
 //!   execution proving schedules deadlock-free under blocking p2p.
 
@@ -37,6 +39,7 @@
 pub mod checkpoint;
 pub mod cost;
 pub mod exec;
+pub mod hash;
 pub mod ids;
 pub mod instr;
 pub mod ledger;
@@ -53,6 +56,7 @@ pub mod validate;
 pub use checkpoint::{CheckpointPolicy, ShardedWrite};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
+pub use hash::FastMap;
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use instr::{Instr, InstrKind, InstrTag};
 pub use ledger::{AllocKey, MemLedger, OomError};

@@ -16,18 +16,18 @@
 //!   tensor is part of the consumer's activation accounting already).
 
 use crate::cost::CostModel;
+use crate::hash::FastSet;
 use crate::ids::DeviceId;
 use crate::instr::{Instr, InstrKind};
 use crate::ledger::{AllocKey, MemLedger, OomError};
 use crate::schedule::Schedule;
-use std::collections::HashSet;
 
 /// Precomputed per-schedule facts needed to apply memory effects.
 #[derive(Debug, Clone)]
 pub struct MemoryRules {
     /// `(device, micro, part)` triples whose forward output crosses to a
     /// different device (and therefore needs a send buffer).
-    crossing: HashSet<(u32, u32, u32)>,
+    crossing: FastSet<(u32, u32, u32)>,
     /// Forward-only (serving) lifecycle: no backward ever comes, so the
     /// full activations are released as soon as the forward completes and
     /// only the crossing send buffer outlives the instruction. Memory
@@ -38,7 +38,7 @@ pub struct MemoryRules {
 impl MemoryRules {
     /// Extracts the boundary-crossing facts from `schedule`.
     pub fn new(schedule: &Schedule) -> Self {
-        let mut crossing = HashSet::new();
+        let mut crossing = FastSet::default();
         for m in 0..schedule.micros {
             let path = schedule.forward_path_of(crate::ids::MicroId(m));
             for w in path.windows(2) {

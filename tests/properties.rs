@@ -364,13 +364,7 @@ proptest! {
             simulate_timeline_with(&s, &cost, cap, &PerturbationProfile::identity()).unwrap();
         prop_assert_eq!(&base.device_clocks, &degraded.device_clocks);
         prop_assert_eq!(base.total_ns, degraded.total_ns);
-        let flat = |t: &mario::core::SimTimeline| -> Vec<(u32, String, u64, u64)> {
-            t.events
-                .iter()
-                .map(|e| (e.device.0, e.instr.clone(), e.start, e.end))
-                .collect()
-        };
-        prop_assert_eq!(flat(&base), flat(&degraded));
+        prop_assert_eq!(&base.events, &degraded.events);
     }
 }
 
@@ -653,6 +647,7 @@ proptest! {
             iterations: iters,
             checkpoint: policy,
             record_spans: true,
+            record_timeline: true,
             ..Default::default()
         };
         let emu = mario::cluster::run(&s, &cost, cfg).expect("emulation completes");
@@ -693,6 +688,27 @@ proptest! {
         prop_assert_eq!(ev_spans, th_spans,
             "span graph diverged (event vs thread) on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
+        // Every device's typed simulated events render, in program order,
+        // to the names both emulators record (checkpoint writes as CKPT).
+        for dev in 0..d {
+            let sim_names: Vec<String> = sim
+                .events
+                .iter()
+                .filter(|e| e.device.0 == dev)
+                .map(mario::core::SimEvent::name)
+                .collect();
+            for (backend, run) in [("thread", &emu), ("event", &ev)] {
+                let recorded: Vec<&str> = run
+                    .timeline
+                    .iter()
+                    .filter(|e| e.device.0 == dev)
+                    .map(|e| e.instr.as_str())
+                    .collect();
+                prop_assert_eq!(&sim_names, &recorded,
+                    "event names diverged (sim vs {}) on {:?} D={} N={} mode {} d{}",
+                    backend, scheme, d, n, mode, dev);
+            }
+        }
         let crit = mario::core::critpath::analyze(&s, &sim.spans);
         prop_assert_eq!(crit.breakdown.total(), sim.total_ns,
             "critical path does not tile the makespan on {:?} mode {}", scheme, mode);
