@@ -13,13 +13,14 @@
 //! the cost model it was evaluated under; [`run`] executes it on the
 //! emulated cluster.
 
-use crate::passes::{run_graph_tuner, GraphTunerOptions, PassStats, PreposeOptions};
+use crate::passes::PassStats;
 use crate::simulator::{simulate, SimOptions, SimReport};
-use crate::tuner::{evaluate, tune, topology_of, Evaluation, SchemeChoice, TuneError, TunerConfig};
+use crate::tuner::{
+    admissible, build_schedule, tune, Built, Evaluation, SchemeChoice, TuneError, TunerConfig,
+};
 use mario_cluster::{EmuError, EmulatorConfig, RunReport};
 use mario_ir::Schedule;
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
-use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
 
 /// The Mario configuration (paper Listing 1).
@@ -60,13 +61,22 @@ pub struct Optimized {
     pub stats: PassStats,
     /// Wall-clock tuning time.
     pub tuning_time: std::time::Duration,
+    /// The p2p buffer depth the tuner built and evaluated the schedule
+    /// at.
+    channel_capacity: usize,
 }
 
 impl Optimized {
-    /// Re-simulates the optimized schedule (e.g. after inspecting it).
+    /// Re-simulates the optimized schedule (e.g. after inspecting it) at
+    /// the channel capacity the tuner evaluated it at, so its makespan is
+    /// the evaluation's `iter_ns`.
     pub fn simulate(&self) -> SimReport {
         let cost = AnalyticCost::new(&self.setup);
-        simulate(&self.schedule, &cost, SimOptions::default()).expect("tuned schedule simulates")
+        let opts = SimOptions {
+            channel_capacity: self.channel_capacity,
+            ..SimOptions::default()
+        };
+        simulate(&self.schedule, &cost, opts).expect("tuned schedule simulates")
     }
 }
 
@@ -87,42 +97,24 @@ pub fn optimize(
     };
     let result = tune(model_conf, gpu, &cfg)?;
     let best = result.best.clone();
-
-    // Rebuild the winning schedule (the tuner's evaluation is throwaway).
-    let cand = best.candidate;
-    let micros = crate::tuner::admissible(model_conf, &cand, cfg.gbs)
+    // Rebuild the winning schedule (the tuner's evaluation is throwaway)
+    // through the tuner's own build, so it is the schedule evaluated.
+    let micros = admissible(model_conf, &best.candidate, cfg.gbs)
         .expect("winning candidate is admissible");
-    let topo = topology_of(cand.scheme, cand.pp);
-    let setup = TrainSetup::pipeline(model_conf.clone(), gpu.clone(), topo, cand.mbs)
-        .with_dp(cand.dp);
-    let cost = AnalyticCost::new(&setup);
-    let mut schedule = generate(
-        ScheduleConfig::new(cand.scheme, cand.pp, micros).allreduce(cand.dp > 1),
-    );
-    let stats = if cand.mario {
-        run_graph_tuner(
-            &mut schedule,
-            &cost,
-            GraphTunerOptions {
-                prepose_opts: PreposeOptions {
-                    mem_capacity: Some(mario_conf.memory_per_device),
-                    ..Default::default()
-                },
-                ..GraphTunerOptions::mario()
-            },
-        )
-    } else {
-        PassStats::default()
-    };
-    // Consistency check: the rebuilt schedule must evaluate as well as the
-    // tuner promised (modulo prepose rounds).
-    debug_assert!(evaluate(model_conf, gpu, &cfg, cand).is_some());
+    let Built {
+        schedule,
+        setup,
+        cap,
+        stats,
+        ..
+    } = build_schedule(model_conf, gpu, &cfg, best.candidate, micros);
     Ok(Optimized {
         schedule,
         evaluation: best,
         setup,
         stats,
         tuning_time: result.tuning_time,
+        channel_capacity: cap,
     })
 }
 
@@ -155,9 +147,14 @@ mod tests {
         )
         .unwrap();
         assert!(report.total_ns > 0);
+        // The returned schedule is the one the tuner evaluated.
+        let cost = AnalyticCost::new(&opt.setup);
+        let sim = crate::simulator::simulate_timeline(&opt.schedule, &cost, opt.channel_capacity)
+            .unwrap();
+        assert_eq!(sim.total_ns, opt.evaluation.iter_ns);
+        assert_eq!(opt.simulate().timeline.total_ns, opt.evaluation.iter_ns);
         // The emulated iteration time should be within ~25% of the
-        // simulator's promise (prepose rounds differ between tuning and
-        // the final build).
+        // simulator's promise.
         let sim_ns = opt.evaluation.iter_ns as f64;
         let emu_ns = report.iter_ns as f64;
         let rel = (emu_ns - sim_ns).abs() / sim_ns;

@@ -17,8 +17,8 @@
 //! improves and (when a capacity is given) memory still fits — the
 //! "iteratively applied, simulator-guided" refinement of §5.3.
 
-use crate::simulator::{simulate_memory, simulate_timeline};
-use mario_ir::{CostModel, DeviceId, DeviceProgram, Instr, InstrKind, Nanos, Schedule};
+use crate::simulator::{simulate_makespan, simulate_memory};
+use mario_ir::{CostModel, DeviceId, DeviceProgram, InstrKind, PerturbationProfile, Schedule};
 
 /// Options shared by the simulator-guided passes.
 #[derive(Debug, Clone, Copy)]
@@ -107,15 +107,6 @@ fn parse_groups(prog: &DeviceProgram) -> Vec<Group> {
     groups
 }
 
-fn rebuild(prog: &DeviceProgram, groups: &[Group], order: &[usize]) -> DeviceProgram {
-    let instrs = prog.instrs();
-    let mut out: Vec<Instr> = Vec::with_capacity(instrs.len());
-    for &g in order {
-        out.extend_from_slice(&instrs[groups[g].start..groups[g].end]);
-    }
-    DeviceProgram::from_instrs(prog.device, out)
-}
-
 fn fits(schedule: &Schedule, cost: &dyn CostModel, cap: Option<u64>) -> bool {
     match cap {
         None => true,
@@ -130,9 +121,10 @@ pub fn prepose_forward(
     opts: PreposeOptions,
 ) -> usize {
     let mut accepted = 0usize;
-    let mut best: Nanos = match simulate_timeline(schedule, cost, opts.channel_capacity) {
-        Ok(t) => t.total_ns,
-        Err(_) => return 0,
+    let pristine = PerturbationProfile::identity();
+    let makespan = |s: &Schedule| simulate_makespan(s, cost, opts.channel_capacity, &pristine);
+    let Ok(mut best) = makespan(schedule) else {
+        return 0;
     };
     for _ in 0..opts.max_rounds {
         let mut improved = false;
@@ -153,15 +145,13 @@ pub fn prepose_forward(
                     ) {
                         continue;
                     }
-                    let mut order: Vec<usize> = (0..groups.len()).collect();
-                    order.swap(gi - 1, gi);
-                    let candidate_prog = rebuild(schedule.program(dev), &groups, &order);
-                    let old_prog =
-                        std::mem::replace(schedule.program_mut(dev), candidate_prog);
-                    let ok = match simulate_timeline(schedule, cost, opts.channel_capacity) {
-                        Ok(t) if t.total_ns < best => {
-                            fits(schedule, cost, opts.mem_capacity).then_some(t.total_ns)
-                        }
+                    // Swap the two groups in place; a rejected swap is
+                    // rotated back.
+                    let (start, mid, end) =
+                        (groups[gi - 1].start, groups[gi].start, groups[gi].end);
+                    schedule.program_mut(dev).rotate_left(start..end, mid - start);
+                    let ok = match makespan(schedule) {
+                        Ok(t) if t < best => fits(schedule, cost, opts.mem_capacity).then_some(t),
                         _ => None,
                     };
                     match ok {
@@ -173,7 +163,7 @@ pub fn prepose_forward(
                             break;
                         }
                         None => {
-                            *schedule.program_mut(dev) = old_prog;
+                            schedule.program_mut(dev).rotate_left(start..end, end - mid);
                         }
                     }
                 }
@@ -195,6 +185,7 @@ mod tests {
     use crate::passes::apply_checkpoint::apply_checkpoint;
     use crate::passes::overlap_recompute::overlap_recompute;
     use crate::passes::remove_redundancy::remove_redundancy;
+    use crate::simulator::simulate_timeline;
     use mario_ir::{validate, SchemeKind, UnitCost};
     use mario_schedules::{generate, ScheduleConfig};
 

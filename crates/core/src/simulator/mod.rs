@@ -9,6 +9,7 @@ pub use timeline::{
     simulate_timeline_startup,
     simulate_timeline_with, SimError, SimEvent, SimTimeline,
 };
+pub(crate) use timeline::simulate_makespan;
 
 use mario_ir::{CostModel, Schedule};
 use serde::{Deserialize, Serialize};

@@ -203,6 +203,21 @@ struct CkptSim {
     last_ck: Vec<u32>,
 }
 
+/// The span of a checkpoint write on `d` from `start` to `end`.
+fn ckpt_span(d: usize, iter: u32, start: Nanos, end: Nanos) -> OpSpan {
+    OpSpan {
+        device: DeviceId(d as u32),
+        iter,
+        pc: CKPT_PC,
+        start,
+        end,
+        work_ns: end - start,
+        sent_at: 0,
+        wire_ns: 0,
+        gate_ns: 0,
+    }
+}
+
 impl CkptSim {
     fn new(policy: CheckpointPolicy, devices: usize) -> Self {
         Self {
@@ -252,33 +267,24 @@ impl CkptSim {
 
     /// End-of-iteration checkpoint boundary — the mirror of the
     /// emulator's `checkpoint_boundary`, including the transient
-    /// serialization buffer held against `ledger` at its peak. Returns
-    /// the write time charged synchronously to the clock (the
-    /// telemetry's `ckpt_sync_ns`).
-    #[allow(clippy::too_many_arguments)]
-    fn boundary(
+    /// serialization buffer it holds at its peak. The write time charged
+    /// synchronously to the clock (the telemetry's `ckpt_sync_ns`) goes
+    /// to `rec`.
+    fn boundary<R: Recorder>(
         &mut self,
         d: usize,
         iter_idx: u32,
         cost: &dyn CostModel,
         clock: &mut Nanos,
-        ledger: &mut MemLedger,
-        events: &mut Vec<SimEvent>,
-        spans: &mut SpanGraph,
-    ) -> Nanos {
+        rec: &mut R,
+    ) {
         if !self.policy.is_boundary(iter_idx) {
-            return 0;
+            return;
         }
         let dev = DeviceId(d as u32);
         let start = *clock;
         let mut paid = self.flush_residue(d, clock);
-        // The serialization buffer counts against the peak exactly as the
-        // emulator holds it (the unchecked ledger cannot OOM — capacity
-        // enforcement is the emulator's job).
-        ledger
-            .alloc(AllocKey::Snapshot, self.policy.mem_overhead)
-            .expect("unchecked ledger never rejects the snapshot buffer");
-        ledger.free(AllocKey::Snapshot);
+        rec.snapshot(dev, self.policy.mem_overhead);
         let shard = cost.ckpt_shard_bytes(dev);
         if self.policy.async_overlap() {
             let chunks = self.policy.device_chunk_times(shard);
@@ -295,59 +301,24 @@ impl CkptSim {
             paid += write;
             self.last_ck[d] = iter_idx + 1;
         }
-        events.push(SimEvent {
-            device: dev,
-            instr: None,
-            start,
-            end: *clock,
-        });
-        spans.push(OpSpan {
-            device: dev,
-            iter: iter_idx,
-            pc: CKPT_PC,
-            start,
-            end: *clock,
-            work_ns: *clock - start,
-            sent_at: 0,
-            wire_ns: 0,
-            gate_ns: 0,
-        });
-        paid
+        rec.ckpt(ckpt_span(d, iter_idx, start, *clock), paid);
     }
 
     /// End-of-run drain: no bubbles remain, so any residue is paid
-    /// synchronously (the emulator's `drain_checkpoint`). Returns the
-    /// residue paid.
-    fn drain_end(
+    /// synchronously (the emulator's `drain_checkpoint`).
+    fn drain_end<R: Recorder>(
         &mut self,
         d: usize,
         iterations: u32,
         clock: &mut Nanos,
-        events: &mut Vec<SimEvent>,
-        spans: &mut SpanGraph,
-    ) -> Nanos {
+        rec: &mut R,
+    ) {
         let start = *clock;
         let paid = self.flush_residue(d, clock);
         if *clock > start {
-            events.push(SimEvent {
-                device: DeviceId(d as u32),
-                instr: None,
-                start,
-                end: *clock,
-            });
-            spans.push(OpSpan {
-                device: DeviceId(d as u32),
-                iter: iterations.saturating_sub(1),
-                pc: CKPT_PC,
-                start,
-                end: *clock,
-                work_ns: *clock - start,
-                sent_at: 0,
-                wire_ns: 0,
-                gate_ns: 0,
-            });
+            let span = ckpt_span(d, iterations.saturating_sub(1), start, *clock);
+            rec.ckpt(span, paid);
         }
-        paid
     }
 }
 
@@ -394,6 +365,7 @@ pub fn simulate_timeline_startup(
     checkpoint: Option<CheckpointPolicy>,
     startup: &[Nanos],
 ) -> Result<SimTimeline, SimError> {
+    let rec = Full::new(schedule, cost, channel_capacity, iterations, startup, false);
     simulate_core(
         schedule,
         cost,
@@ -403,6 +375,7 @@ pub fn simulate_timeline_startup(
         checkpoint,
         startup,
         None,
+        rec,
     )
     .map(|(t, _)| t)
 }
@@ -423,6 +396,7 @@ pub fn simulate_timeline_serving(
     profile: &PerturbationProfile,
     release: &[Nanos],
 ) -> Result<(SimTimeline, Vec<Option<Nanos>>), SimError> {
+    let rec = Full::new(schedule, cost, channel_capacity, 1, &[], true);
     simulate_core(
         schedule,
         cost,
@@ -432,11 +406,326 @@ pub fn simulate_timeline_serving(
         None,
         &[],
         Some(release),
+        rec,
     )
 }
 
+/// The makespan of one iteration of `schedule` on the cluster `profile`
+/// describes — exactly [`simulate_timeline_with`]'s `total_ns`, or its
+/// identical [`SimError`] — without recording events, spans, telemetry or
+/// memory. For callers that read nothing else: prepose trials, tuner
+/// evaluation, the degraded re-rank and the elastic re-simulation.
+pub(crate) fn simulate_makespan(
+    schedule: &Schedule,
+    cost: &dyn CostModel,
+    channel_capacity: usize,
+    profile: &PerturbationProfile,
+) -> Result<Nanos, SimError> {
+    simulate_core(
+        schedule,
+        cost,
+        channel_capacity,
+        profile,
+        1,
+        None,
+        &[],
+        None,
+        MakespanOnly,
+    )
+}
+
+/// What [`simulate_core`] records while it steps. The step arithmetic —
+/// clocks, FIFO channels and acks, profile scaling, checkpoint chunk
+/// drain, the serving gate — exists once, in `simulate_core`; a recorder
+/// only observes its results, so every recorder sees the same timeline.
+/// Every hook defaults to recording nothing.
+trait Recorder {
+    /// What a finished run returns.
+    type Output;
+
+    /// A serving ingress wait of `gap` ns before a first-stage forward,
+    /// `drained` ns of it absorbed by checkpoint chunks.
+    fn gate(&mut self, _dev: DeviceId, _gap: Nanos, _drained: Nanos) {}
+
+    /// A compute, all-reduce or optimizer step of `dur` ns ending at
+    /// `end`.
+    fn work(&mut self, _dev: DeviceId, _instr: &Instr, _dur: Nanos, _end: Nanos) {}
+
+    /// A send to `peer`: the `launch` charge, then a capacity wait of
+    /// `blocked` ns (`drained` of it absorbed by checkpoint chunks) after
+    /// which `outstanding` messages are in flight on its channel.
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        _dev: DeviceId,
+        _instr: &Instr,
+        _peer: DeviceId,
+        _launch: Nanos,
+        _blocked: Nanos,
+        _drained: Nanos,
+        _outstanding: usize,
+    ) {
+    }
+
+    /// A receive from `peer`: the `launch` charge, then a wait of `gap` ns
+    /// for the message, `drained` ns of it absorbed by checkpoint chunks.
+    fn recv(
+        &mut self,
+        _dev: DeviceId,
+        _peer: DeviceId,
+        _launch: Nanos,
+        _gap: Nanos,
+        _drained: Nanos,
+    ) {
+    }
+
+    /// `instr` fired over `span`.
+    fn fired(&mut self, _instr: Instr, _span: OpSpan) {}
+
+    /// A checkpoint's transient serialization buffer of `bytes`.
+    fn snapshot(&mut self, _dev: DeviceId, _bytes: u64) {}
+
+    /// A checkpoint write over `span`, `sync_ns` of it charged to the
+    /// device clock.
+    fn ckpt(&mut self, _span: OpSpan, _sync_ns: Nanos) {}
+
+    /// The run completed with these final device clocks.
+    fn finish(self, clocks: Vec<Nanos>, ckpt: Option<&CkptSim>) -> Self::Output;
+}
+
+/// Records nothing; a run returns its makespan.
+struct MakespanOnly;
+
+impl Recorder for MakespanOnly {
+    type Output = Nanos;
+
+    fn finish(self, clocks: Vec<Nanos>, _ckpt: Option<&CkptSim>) -> Nanos {
+        clocks.into_iter().max().unwrap_or(0)
+    }
+}
+
+/// Records the whole [`SimTimeline`]: events, spans, the flight recorder
+/// — per-device time classes, a memory ledger per device replaying the
+/// emulator's exact `apply` sequence (compute and send sites only),
+/// per-link transfer statistics — and serving completions.
+struct Full<'a> {
+    schedule: &'a Schedule,
+    cost: &'a dyn CostModel,
+    rules: MemoryRules,
+    events: Vec<SimEvent>,
+    spans: SpanGraph,
+    tel: Vec<DeviceTelemetry>,
+    ledgers: Vec<MemLedger>,
+    link_sends: FastMap<(u32, u32), LinkSendStats>,
+    recv_waits: FastMap<(u32, u32), Nanos>,
+    /// Per-micro completion board (serving mode only): earliest
+    /// last-stage forward finish — the emulator's `ServeBoard::record`
+    /// (fetch_min).
+    completions: Vec<Option<Nanos>>,
+    serving: bool,
+}
+
+impl<'a> Full<'a> {
+    fn new(
+        schedule: &'a Schedule,
+        cost: &'a dyn CostModel,
+        channel_capacity: usize,
+        iterations: u32,
+        startup: &[Nanos],
+        serving: bool,
+    ) -> Self {
+        let devices = schedule.devices() as usize;
+        Self {
+            schedule,
+            cost,
+            rules: MemoryRules::new(schedule),
+            events: Vec::with_capacity(schedule.total_instrs() * iterations as usize),
+            spans: SpanGraph::new(devices, channel_capacity),
+            tel: (0..devices)
+                .map(|d| {
+                    let mut t = DeviceTelemetry::new(DeviceId(d as u32));
+                    t.classes.reconfig_ns = startup.get(d).copied().unwrap_or(0);
+                    t
+                })
+                .collect(),
+            ledgers: (0..devices)
+                .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
+                .collect(),
+            link_sends: FastMap::default(),
+            recv_waits: FastMap::default(),
+            completions: if serving {
+                vec![None; schedule.micros as usize]
+            } else {
+                Vec::new()
+            },
+            serving,
+        }
+    }
+
+    /// Records an event and its span; `instr` is `None` for a
+    /// checkpoint write.
+    fn push(&mut self, instr: Option<Instr>, span: OpSpan) {
+        self.events.push(SimEvent {
+            device: span.device,
+            instr,
+            start: span.start,
+            end: span.end,
+        });
+        self.spans.push(span);
+    }
+
+    fn apply_mem(&mut self, dev: DeviceId, instr: &Instr) {
+        self.rules
+            .apply(&mut self.ledgers[dev.index()], self.cost, dev, instr)
+            .expect("unchecked ledger never rejects an allocation");
+    }
+}
+
+impl Recorder for Full<'_> {
+    type Output = (SimTimeline, Vec<Option<Nanos>>);
+
+    fn gate(&mut self, dev: DeviceId, gap: Nanos, drained: Nanos) {
+        self.tel[dev.index()].classes.on_recv_gap(gap, drained);
+    }
+
+    fn work(&mut self, dev: DeviceId, instr: &Instr, dur: Nanos, end: Nanos) {
+        let classes = &mut self.tel[dev.index()].classes;
+        match instr.kind {
+            InstrKind::AllReduce => classes.allreduce_ns += dur,
+            InstrKind::OptimizerStep => classes.optimizer_ns += dur,
+            _ => {
+                classes.compute_ns += dur;
+                self.apply_mem(dev, instr);
+                // Serving egress: a last-stage forward completes its
+                // micro-batch.
+                if self.serving
+                    && matches!(instr.kind, InstrKind::Forward { .. })
+                    && self.schedule.topology.is_last_stage(dev, instr.part)
+                {
+                    let slot = &mut self.completions[instr.micro.index()];
+                    *slot = Some(slot.map_or(end, |v| v.min(end)));
+                }
+            }
+        }
+    }
+
+    fn send(
+        &mut self,
+        dev: DeviceId,
+        instr: &Instr,
+        peer: DeviceId,
+        launch: Nanos,
+        blocked: Nanos,
+        drained: Nanos,
+        outstanding: usize,
+    ) {
+        let classes = &mut self.tel[dev.index()].classes;
+        classes.comm_launch_ns += launch;
+        classes.on_send_gap(blocked, drained);
+        // Bytes are counted at the send site with the sender's id — the
+        // emulator's exact accounting.
+        self.link_sends.entry((dev.0, peer.0)).or_default().on_send(
+            self.cost.boundary_bytes(dev, instr.part),
+            blocked,
+            outstanding as u32,
+        );
+        self.apply_mem(dev, instr);
+    }
+
+    fn recv(&mut self, dev: DeviceId, peer: DeviceId, launch: Nanos, gap: Nanos, drained: Nanos) {
+        let classes = &mut self.tel[dev.index()].classes;
+        classes.comm_launch_ns += launch;
+        classes.on_recv_gap(gap, drained);
+        *self.recv_waits.entry((peer.0, dev.0)).or_default() += gap;
+    }
+
+    fn fired(&mut self, instr: Instr, span: OpSpan) {
+        self.push(Some(instr), span);
+    }
+
+    fn snapshot(&mut self, dev: DeviceId, bytes: u64) {
+        // The serialization buffer counts against the peak exactly as the
+        // emulator holds it (the unchecked ledger cannot OOM — capacity
+        // enforcement is the emulator's job).
+        let ledger = &mut self.ledgers[dev.index()];
+        ledger
+            .alloc(AllocKey::Snapshot, bytes)
+            .expect("unchecked ledger never rejects the snapshot buffer");
+        ledger.free(AllocKey::Snapshot);
+    }
+
+    fn ckpt(&mut self, span: OpSpan, sync_ns: Nanos) {
+        self.tel[span.device.index()].classes.ckpt_sync_ns += sync_ns;
+        self.push(None, span);
+    }
+
+    fn finish(self, clocks: Vec<Nanos>, ckpt: Option<&CkptSim>) -> Self::Output {
+        let Full {
+            mut events,
+            mut spans,
+            mut tel,
+            ledgers,
+            link_sends,
+            recv_waits,
+            completions,
+            ..
+        } = self;
+        events.sort_by_key(|e| (e.start, e.device.0));
+        let total_ns = clocks.iter().copied().max().unwrap_or(0);
+        spans.makespan = total_ns;
+        debug_assert!(
+            spans.check_tiling(&clocks).is_ok(),
+            "span tiling violated on {:?}",
+            spans.check_tiling(&clocks)
+        );
+        let (ckpt_overhead_ns, last_checkpoint) = match ckpt {
+            Some(ck) => (
+                ck.paid.iter().sum(),
+                Some(ck.last_ck.iter().copied().min().unwrap_or(0)),
+            ),
+            None => (0, None),
+        };
+        for (t, ledger) in tel.iter_mut().zip(&ledgers) {
+            t.peak_mem = ledger.peak();
+        }
+        // Assemble through the shared constructor (same as the emulator's
+        // runner) and assert the conservation invariant: every nanosecond
+        // of every device clock is accounted to exactly one time class.
+        let telemetry = Telemetry::assemble(
+            tel,
+            link_sends
+                .into_iter()
+                .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
+            recv_waits
+                .into_iter()
+                .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
+        );
+        debug_assert!(
+            telemetry.check_conservation(&clocks).is_ok(),
+            "telemetry conservation violated: {:?}",
+            telemetry.check_conservation(&clocks)
+        );
+        debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpt_overhead_ns);
+        (
+            SimTimeline {
+                events,
+                device_clocks: clocks,
+                total_ns,
+                ckpt_overhead_ns,
+                last_checkpoint,
+                telemetry,
+                spans,
+            },
+            completions,
+        )
+    }
+}
+
+/// The DP step loop, generic over what it records: [`Full`] behind every
+/// public `simulate_timeline*`, [`MakespanOnly`] behind
+/// [`simulate_makespan`].
 #[allow(clippy::too_many_arguments)]
-fn simulate_core(
+fn simulate_core<R: Recorder>(
     schedule: &Schedule,
     cost: &dyn CostModel,
     channel_capacity: usize,
@@ -445,7 +734,8 @@ fn simulate_core(
     checkpoint: Option<CheckpointPolicy>,
     startup: &[Nanos],
     serving: Option<&[Nanos]>,
-) -> Result<(SimTimeline, Vec<Option<Nanos>>), SimError> {
+    mut rec: R,
+) -> Result<R::Output, SimError> {
     assert!(channel_capacity >= 1);
     assert!(iterations >= 1);
     let devices = schedule.devices() as usize;
@@ -461,32 +751,7 @@ fn simulate_core(
     // numbering, which resets every iteration.
     let mut sends_to: Vec<FastMap<u32, usize>> = vec![FastMap::default(); devices];
     let mut cur_iter = vec![0u32; devices];
-    let mut events: Vec<SimEvent> =
-        Vec::with_capacity(schedule.total_instrs() * iterations as usize);
-    let mut spans = SpanGraph::new(devices, channel_capacity);
-    // Per-micro completion board (serving mode): earliest last-stage
-    // forward finish — the emulator's `ServeBoard::record` (fetch_min).
-    let mut completions: Vec<Option<Nanos>> = match serving {
-        Some(_) => vec![None; schedule.micros as usize],
-        None => Vec::new(),
-    };
     let mut ckpt = checkpoint.map(|p| CkptSim::new(p, devices));
-    // The flight recorder: per-device time classes, a memory ledger per
-    // device replaying the emulator's exact `apply` sequence (compute and
-    // send sites only), and per-link transfer statistics.
-    let mut tel: Vec<DeviceTelemetry> = (0..devices)
-        .map(|d| {
-            let mut t = DeviceTelemetry::new(DeviceId(d as u32));
-            t.classes.reconfig_ns = startup.get(d).copied().unwrap_or(0);
-            t
-        })
-        .collect();
-    let rules = MemoryRules::new(schedule);
-    let mut ledgers: Vec<MemLedger> = (0..devices)
-        .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
-        .collect();
-    let mut link_sends: FastMap<(u32, u32), LinkSendStats> = FastMap::default();
-    let mut recv_waits: FastMap<(u32, u32), Nanos> = FastMap::default();
 
     // The emulator runs the checkpoint boundary every iteration even for
     // a device with an empty program; the main loop below skips such
@@ -495,8 +760,7 @@ fn simulate_core(
         for (d, clock) in clocks.iter_mut().enumerate() {
             if schedule.program(DeviceId(d as u32)).is_empty() {
                 for it in 0..iterations {
-                    tel[d].classes.ckpt_sync_ns +=
-                        ck.boundary(d, it, cost, clock, &mut ledgers[d], &mut events, &mut spans);
+                    ck.boundary(d, it, cost, clock, &mut rec);
                 }
             }
         }
@@ -548,40 +812,24 @@ fn simulate_core(
                                 Some(ck) => ck.drain(d, gap),
                                 None => 0,
                             };
-                            tel[d].classes.on_recv_gap(gap, drained);
+                            rec.gate(dev, gap, drained);
                             clocks[d] += gap;
                         }
                     }
                     let dur = profile.scaled_compute(dev, iter, lpc, cost.duration(dev, &instr));
                     sp_work = dur;
                     clocks[d] += dur;
-                    tel[d].classes.compute_ns += dur;
-                    rules
-                        .apply(&mut ledgers[d], cost, dev, &instr)
-                        .expect("unchecked ledger never rejects an allocation");
-                    // Serving egress: a last-stage forward completes its
-                    // micro-batch (observational — never read back here).
-                    if serving.is_some()
-                        && matches!(instr.kind, InstrKind::Forward { .. })
-                        && schedule.topology.is_last_stage(dev, instr.part)
-                    {
-                        let slot = &mut completions[instr.micro.index()];
-                        *slot = Some(slot.map_or(clocks[d], |v| v.min(clocks[d])));
-                    }
+                    rec.work(dev, &instr, dur, clocks[d]);
                     true
                 }
-                InstrKind::AllReduce => {
-                    let dt = cost.allreduce_time(dev);
+                InstrKind::AllReduce | InstrKind::OptimizerStep => {
+                    let dt = match instr.kind {
+                        InstrKind::AllReduce => cost.allreduce_time(dev),
+                        _ => cost.optimizer_time(dev),
+                    };
                     sp_work = dt;
                     clocks[d] += dt;
-                    tel[d].classes.allreduce_ns += dt;
-                    true
-                }
-                InstrKind::OptimizerStep => {
-                    let dt = cost.optimizer_time(dev);
-                    sp_work = dt;
-                    clocks[d] += dt;
-                    tel[d].classes.optimizer_ns += dt;
+                    rec.work(dev, &instr, dt, clocks[d]);
                     true
                 }
                 InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
@@ -623,7 +871,6 @@ fn simulate_core(
                     ch.queue.push_back((id, clocks[d] + extra));
                     ch.outstanding += 1;
                     sp_work = launch;
-                    tel[d].classes.comm_launch_ns += launch;
                     // A capacity wait is idle time exactly like a recv
                     // wait: async checkpoint chunks drain into it too —
                     // the emulator's send-side chunk flush, bit for bit.
@@ -631,17 +878,7 @@ fn simulate_core(
                         Some(ck) => ck.drain(d, blocked),
                         None => 0,
                     };
-                    tel[d].classes.on_send_gap(blocked, drained);
-                    // Bytes are counted at the send site with the sender's
-                    // id — the emulator's exact accounting.
-                    link_sends.entry((dev.0, peer.0)).or_default().on_send(
-                        cost.boundary_bytes(dev, instr.part),
-                        blocked,
-                        ch.outstanding as u32,
-                    );
-                    rules
-                        .apply(&mut ledgers[d], cost, dev, &instr)
-                        .expect("unchecked ledger never rejects an allocation");
+                    rec.send(dev, &instr, peer, launch, blocked, drained, ch.outstanding);
                     true
                 }
                 InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
@@ -676,9 +913,7 @@ fn simulate_core(
                                 Some(ck) => ck.drain(d, gap),
                                 None => 0,
                             };
-                            tel[d].classes.comm_launch_ns += launch;
-                            tel[d].classes.on_recv_gap(gap, drained);
-                            *recv_waits.entry((peer.0, dev.0)).or_default() += gap;
+                            rec.recv(dev, peer, launch, gap, drained);
                             ch.dequeues.push_back(arrival);
                             clocks[d] = arrival;
                             true
@@ -688,23 +923,20 @@ fn simulate_core(
                 }
             };
             if fired_now {
-                events.push(SimEvent {
-                    device: dev,
-                    instr: Some(instr),
-                    start,
-                    end: clocks[d],
-                });
-                spans.push(OpSpan {
-                    device: dev,
-                    iter,
-                    pc: lpc as u32,
-                    start,
-                    end: clocks[d],
-                    work_ns: sp_work,
-                    sent_at: sp_sent,
-                    wire_ns: sp_wire,
-                    gate_ns: sp_gate,
-                });
+                rec.fired(
+                    instr,
+                    OpSpan {
+                        device: dev,
+                        iter,
+                        pc: lpc as u32,
+                        start,
+                        end: clocks[d],
+                        work_ns: sp_work,
+                        sent_at: sp_sent,
+                        wire_ns: sp_wire,
+                        gate_ns: sp_gate,
+                    },
+                );
                 gpc[d] += 1;
                 fired = true;
                 // Completing the program's last instruction is the
@@ -712,15 +944,7 @@ fn simulate_core(
                 if gpc[d].is_multiple_of(len) {
                     if let Some(ck) = ckpt.as_mut() {
                         let done = (gpc[d] / len - 1) as u32;
-                        tel[d].classes.ckpt_sync_ns += ck.boundary(
-                            d,
-                            done,
-                            cost,
-                            &mut clocks[d],
-                            &mut ledgers[d],
-                            &mut events,
-                            &mut spans,
-                        );
+                        ck.boundary(d, done, cost, &mut clocks[d], &mut rec);
                     }
                 }
             }
@@ -748,59 +972,10 @@ fn simulate_core(
     // synchronously so the final checkpoint is durable when the run ends.
     if let Some(ck) = ckpt.as_mut() {
         for (d, clock) in clocks.iter_mut().enumerate() {
-            tel[d].classes.ckpt_sync_ns +=
-                ck.drain_end(d, iterations, clock, &mut events, &mut spans);
+            ck.drain_end(d, iterations, clock, &mut rec);
         }
     }
-
-    events.sort_by_key(|e| (e.start, e.device.0));
-    let total_ns = clocks.iter().copied().max().unwrap_or(0);
-    spans.makespan = total_ns;
-    debug_assert!(
-        spans.check_tiling(&clocks).is_ok(),
-        "span tiling violated on {:?}",
-        spans.check_tiling(&clocks)
-    );
-    let (ckpt_overhead_ns, last_checkpoint) = match &ckpt {
-        Some(ck) => (
-            ck.paid.iter().sum(),
-            Some(ck.last_ck.iter().copied().min().unwrap_or(0)),
-        ),
-        None => (0, None),
-    };
-    for (d, t) in tel.iter_mut().enumerate() {
-        t.peak_mem = ledgers[d].peak();
-    }
-    // Assemble through the shared constructor (same as the emulator's
-    // runner) and assert the conservation invariant: every nanosecond of
-    // every device clock is accounted to exactly one time class.
-    let telemetry = Telemetry::assemble(
-        tel,
-        link_sends
-            .into_iter()
-            .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
-        recv_waits
-            .into_iter()
-            .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
-    );
-    debug_assert!(
-        telemetry.check_conservation(&clocks).is_ok(),
-        "telemetry conservation violated: {:?}",
-        telemetry.check_conservation(&clocks)
-    );
-    debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpt_overhead_ns);
-    Ok((
-        SimTimeline {
-            events,
-            device_clocks: clocks,
-            total_ns,
-            ckpt_overhead_ns,
-            last_checkpoint,
-            telemetry,
-            spans,
-        },
-        completions,
-    ))
+    Ok(rec.finish(clocks, ckpt.as_ref()))
 }
 
 #[cfg(test)]
@@ -829,6 +1004,108 @@ mod tests {
             .push(Instr::recv_act(0u32, 0u32, DeviceId(0)));
         let err = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap_err();
         assert!(matches!(err, SimError::Deadlock(_)));
+    }
+
+    /// The makespan-only recorder returns exactly the full recorder's
+    /// `total_ns`, or the identical `SimError` (deadlock text included —
+    /// `SimError`'s equality compares it).
+    #[test]
+    fn makespan_only_matches_the_full_timeline() {
+        use crate::passes::{run_graph_tuner, GraphTunerOptions};
+        use mario_ir::{LinkSlack, Topology};
+        use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
+
+        fn check(
+            s: &Schedule,
+            cost: &dyn CostModel,
+            cap: usize,
+            profile: &PerturbationProfile,
+        ) -> bool {
+            let full = simulate_timeline_with(s, cost, cap, profile).map(|t| t.total_ns);
+            let fast = simulate_makespan(s, cost, cap, profile);
+            assert_eq!(fast, full, "{:?} at capacity {cap}", s.topology.scheme);
+            full.is_ok()
+        }
+
+        let degraded = PerturbationProfile::identity()
+            .with_straggler(DeviceId(1), 1.5)
+            .with_link_slack(LinkSlack {
+                src: DeviceId(0),
+                dst: DeviceId(1),
+                nth: None,
+                extra_ns: 700,
+                iteration: None,
+            });
+        let profiles = [PerturbationProfile::identity(), degraded];
+        let (mut ok, mut failed) = (0, 0);
+        // Every scheme the generator emits, plus a wave that needs
+        // capacity 2 (it deadlocks at 1).
+        let instances = [
+            SchemeKind::GPipe,
+            SchemeKind::OneFOneB,
+            SchemeKind::Chimera,
+            SchemeKind::Interleave { chunks: 2 },
+            SchemeKind::Wave { chunks: 2 },
+            SchemeKind::ForwardOnly,
+            SchemeKind::ZeroBubbleH1,
+            SchemeKind::ZeroBubbleV,
+        ]
+        .map(|scheme| (scheme, 4, 8));
+        let wide_wave = (SchemeKind::Wave { chunks: 2 }, 8, 16);
+        for (scheme, d, n) in instances.into_iter().chain([wide_wave]) {
+            let untuned = generate(ScheduleConfig::new(scheme, d, n));
+            let setup = TrainSetup::pipeline(
+                ModelConfig::gpt3_1_6b(),
+                GpuSpec::a100_40g(),
+                Topology::new(scheme, d),
+                1,
+            );
+            let analytic = AnalyticCost::new(&setup);
+            let unit = UnitCost::paper_grid();
+            let costs: [&dyn CostModel; 2] = [&unit, &analytic];
+            for cost in costs {
+                let mut tuned = untuned.clone();
+                run_graph_tuner(&mut tuned, cost, GraphTunerOptions::mario());
+                for s in [&untuned, &tuned] {
+                    for cap in [1, 2] {
+                        for profile in &profiles {
+                            if check(s, cost, cap, profile) {
+                                ok += 1;
+                            } else {
+                                failed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ok > 0 && failed > 0, "{ok} completed, {failed} failed");
+
+        // The `deadlock_is_reported` schedule, and a receive that finds
+        // the wrong micro-batch at the head of its channel.
+        let topo = Topology::new(SchemeKind::OneFOneB, 2);
+        let mut deadlock = Schedule::empty(topo, 1, vec![0]);
+        deadlock
+            .program_mut(DeviceId(0))
+            .push(Instr::recv_grad(0u32, 0u32, DeviceId(1)));
+        deadlock
+            .program_mut(DeviceId(1))
+            .push(Instr::recv_act(0u32, 0u32, DeviceId(0)));
+        let mut mismatch = Schedule::empty(topo, 2, vec![0, 0]);
+        for m in [0u32, 1] {
+            mismatch
+                .program_mut(DeviceId(0))
+                .push(Instr::send_act(m, 0u32, DeviceId(1)));
+        }
+        for m in [1u32, 0] {
+            mismatch
+                .program_mut(DeviceId(1))
+                .push(Instr::recv_act(m, 0u32, DeviceId(0)));
+        }
+        for profile in &profiles {
+            assert!(!check(&deadlock, &UnitCost::paper_grid(), 1, profile));
+            assert!(!check(&mismatch, &UnitCost::paper_grid(), 2, profile));
+        }
     }
 
     #[test]

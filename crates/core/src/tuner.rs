@@ -6,8 +6,8 @@
 //! milliseconds, against minutes per configuration on a real cluster.
 
 use crate::elastic::{compare_policies, plan_shrink, ElasticSetup};
-use crate::passes::{run_graph_tuner, GraphTunerOptions, PreposeOptions};
-use crate::simulator::{simulate_memory, simulate_timeline, simulate_timeline_with, SimError};
+use crate::passes::{run_graph_tuner, GraphTunerOptions, PassStats, PreposeOptions};
+use crate::simulator::{simulate_makespan, simulate_memory, simulate_timeline, SimError};
 use mario_cluster::{FaultPlan, FaultReport, RecoveryPolicy};
 use mario_ir::{
     min_channel_capacity, CheckpointPolicy, CostModel, DeviceId, PerturbationProfile, Schedule,
@@ -553,7 +553,9 @@ impl Evaluation {
         cfg: &TunerConfig,
     ) -> Option<crate::critpath::CritReport> {
         let micros = admissible(model, &self.candidate, cfg.gbs)?;
-        let (schedule, cost, cap) = build_schedule(model, gpu, cfg, self.candidate, micros);
+        let Built {
+            schedule, cost, cap, ..
+        } = build_schedule(model, gpu, cfg, self.candidate, micros);
         let timeline = simulate_timeline(&schedule, &cost, cap).ok()?;
         Some(crate::critpath::analyze(&schedule, &timeline.spans))
     }
@@ -709,20 +711,35 @@ pub fn admissible(model: &ModelConfig, cand: &Candidate, gbs: u32) -> Option<u32
     Some(micros)
 }
 
+/// One candidate's schedule as [`build_schedule`] builds it.
+pub(crate) struct Built {
+    /// The (optionally graph-tuned) schedule.
+    pub schedule: Schedule,
+    /// The training setup it was built for.
+    pub setup: TrainSetup,
+    /// The cost model over `setup`.
+    pub cost: AnalyticCost,
+    /// The effective channel capacity.
+    pub cap: usize,
+    /// What the graph tuner did.
+    pub stats: PassStats,
+}
+
 /// Builds the (optionally graph-tuned) schedule and cost model for an
 /// admissible candidate, together with the **effective channel capacity**
 /// — the single construction path shared by simulation-based evaluation,
-/// degraded re-evaluation and emulator validation, so all of them judge
-/// the exact same schedule under the exact same buffer depth. The
-/// returned capacity is the one the graph-tuner's `PreposeOptions` used;
-/// computing it anywhere else can silently diverge from it.
-fn build_schedule(
+/// degraded re-evaluation, emulator validation and `api::optimize`, so
+/// all of them judge the exact same schedule under the exact same buffer
+/// depth. The returned capacity is the one the graph-tuner's
+/// `PreposeOptions` used; computing it anywhere else can silently diverge
+/// from it.
+pub(crate) fn build_schedule(
     model: &ModelConfig,
     gpu: &GpuSpec,
     cfg: &TunerConfig,
     cand: Candidate,
     micros: u32,
-) -> (Schedule, AnalyticCost, usize) {
+) -> Built {
     let topo = topology_of(cand.scheme, cand.pp);
     let setup = TrainSetup::pipeline(model.clone(), gpu.clone(), topo, cand.mbs)
         .with_dp(cand.dp);
@@ -743,7 +760,7 @@ fn build_schedule(
         scheme_channel_capacity(cand.scheme)
     );
     let cap = cfg.channel_capacity.max(derived);
-    if cand.mario {
+    let stats = if cand.mario {
         let opts = GraphTunerOptions {
             prepose: cfg.prepose,
             prepose_opts: PreposeOptions {
@@ -753,8 +770,10 @@ fn build_schedule(
             },
             ..GraphTunerOptions::mario()
         };
-        run_graph_tuner(&mut schedule, &cost, opts);
-    }
+        run_graph_tuner(&mut schedule, &cost, opts)
+    } else {
+        PassStats::default()
+    };
     // The graph tuner must keep the schedule executable at the capacity
     // its prepose pass was given.
     debug_assert!(
@@ -762,7 +781,13 @@ fn build_schedule(
         "graph tuner raised the capacity requirement of {} above {cap}",
         cand
     );
-    (schedule, cost, cap)
+    Built {
+        schedule,
+        setup,
+        cost,
+        cap,
+        stats,
+    }
 }
 
 /// Cluster throughput (samples/s) of `cand` at iteration time `iter_ns`,
@@ -816,12 +841,15 @@ pub fn evaluate(
     cand: Candidate,
 ) -> Option<Evaluation> {
     let micros = admissible(model, &cand, cfg.gbs)?;
-    let (schedule, cost, cap) = build_schedule(model, gpu, cfg, cand, micros);
+    let Built {
+        schedule, cost, cap, ..
+    } = build_schedule(model, gpu, cfg, cand, micros);
     let mem = simulate_memory(&schedule, &cost, Some(cfg.mem_capacity));
     let oom = !mem.fits(cfg.mem_capacity);
     let peak_mem = (mem.min_peak(), mem.max_peak());
-    let (iter_ns, sim_failure) = match simulate_timeline(&schedule, &cost, cap) {
-        Ok(timeline) => (timeline.total_ns, None),
+    let pristine = PerturbationProfile::identity();
+    let (iter_ns, sim_failure) = match simulate_makespan(&schedule, &cost, cap, &pristine) {
+        Ok(t) => (t, None),
         Err(SimError::Deadlock(s)) => (0, Some(CandidateFailure::SimDeadlock(s))),
         Err(SimError::Mismatch(s)) => (0, Some(CandidateFailure::SimMismatch(s))),
     };
@@ -938,12 +966,12 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
             let Some(micros) = admissible(model, &cand, cfg.gbs) else {
                 continue;
             };
-            let (schedule, cost, cap) = build_schedule(model, gpu, cfg, cand, micros);
+            let Built {
+                schedule, cost, cap, ..
+            } = build_schedule(model, gpu, cfg, cand, micros);
             stats.degraded_evals += 1;
             stats.dp_invocations += 1;
-            if let Ok(t) = simulate_timeline_with(&schedule, &cost, cap, profile) {
-                curve[i].degraded_iter_ns = Some(t.total_ns);
-            }
+            curve[i].degraded_iter_ns = simulate_makespan(&schedule, &cost, cap, profile).ok();
         }
         // Stable sort: equal degraded times keep the fault-free order;
         // candidates whose degraded simulation failed sink to the end of
@@ -1019,9 +1047,12 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
             pp: plan.devices,
             ..best.candidate
         };
-        let (schedule, cost, cap) = build_schedule(model, gpu, cfg, shrunk, micros);
+        let Built {
+            schedule, cost, cap, ..
+        } = build_schedule(model, gpu, cfg, shrunk, micros);
         stats.dp_invocations += 1;
-        let shrunk_iter_ns = simulate_timeline(&schedule, &cost, cap).ok()?.total_ns;
+        let shrunk_iter_ns =
+            simulate_makespan(&schedule, &cost, cap, &PerturbationProfile::identity()).ok()?;
         let reconfig_ns = plan.startup_ns.iter().copied().max().unwrap_or(0);
         let cmp = compare_policies(
             best.iter_ns,
@@ -1064,7 +1095,9 @@ fn validate_candidate(
 ) -> Result<(), CandidateFailure> {
     let micros = admissible(model, &cand, cfg.gbs)
         .ok_or_else(|| CandidateFailure::Emulation("candidate became inadmissible".into()))?;
-    let (schedule, cost, cap) = build_schedule(model, gpu, cfg, cand, micros);
+    let Built {
+        schedule, cost, cap, ..
+    } = build_schedule(model, gpu, cfg, cand, micros);
     let emu_cfg = mario_cluster::EmulatorConfig {
         channel_capacity: cap,
         mem_capacity: Some(cfg.mem_capacity),
@@ -1340,7 +1373,7 @@ mod tests {
                 mario: scheme != SchemeKind::OneFOneB,
             };
             let micros = admissible(&model, &cand, 32).expect("admissible");
-            let (_, _, cap) = build_schedule(&model, &gpu, &cfg, cand, micros);
+            let cap = build_schedule(&model, &gpu, &cfg, cand, micros).cap;
             // The derivation is the single source of truth: the effective
             // capacity equals the proven minimum of this exact schedule
             // (floored by the configured depth), never above the table.
@@ -1363,7 +1396,9 @@ mod tests {
             mario: false,
         };
         let micros = admissible(&model, &cand, 32).unwrap();
-        let (schedule, cost, cap) = build_schedule(&model, &gpu, &cfg, cand, micros);
+        let Built {
+            schedule, cost, cap, ..
+        } = build_schedule(&model, &gpu, &cfg, cand, micros);
         assert_eq!(cap, 1);
         let emu = mario_cluster::run(
             &schedule,
@@ -1388,7 +1423,7 @@ mod tests {
             channel_capacity: 4,
             ..small_cfg()
         };
-        let (_, _, cap) = build_schedule(&model, &gpu, &wide, cand, micros);
+        let cap = build_schedule(&model, &gpu, &wide, cand, micros).cap;
         assert_eq!(cap, 4);
     }
 

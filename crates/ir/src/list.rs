@@ -130,6 +130,15 @@ impl DeviceProgram {
         self.instrs.insert(to, instr);
     }
 
+    /// Rotates `range` left by `mid`: the adjacent runs
+    /// `range.start..range.start + mid` and `range.start + mid..range.end`
+    /// swap places, each keeping its own order, and every instruction
+    /// outside `range` stays put. `rotate_left(range, range.len() - mid)`
+    /// undoes it.
+    pub fn rotate_left(&mut self, range: std::ops::Range<usize>, mid: usize) {
+        self.instrs[range].rotate_left(mid);
+    }
+
     /// All distinct `(micro, part)` pairs that have a forward instruction
     /// in this program, in first-appearance order.
     pub fn forward_pairs(&self) -> Vec<(MicroId, PartId)> {
@@ -240,6 +249,23 @@ mod tests {
         p.shift(2, 0);
         let s: Vec<String> = p.instrs().iter().map(|i| i.to_string()).collect();
         assert_eq!(s, vec!["B0^0", "F0^0", "F1^0", "F2^0", "B1^0", "B2^0"]);
+    }
+
+    #[test]
+    fn rotate_left_swaps_adjacent_runs_and_undoes() {
+        let mut p = sample();
+        // Swap [F1 B0] with [F2 B1]; F0 and B2 stay put.
+        p.rotate_left(1..5, 2);
+        let s: Vec<String> = p.instrs().iter().map(|i| i.to_string()).collect();
+        assert_eq!(s, vec!["F0^0", "F2^0", "B1^0", "F1^0", "B0^0", "B2^0"]);
+        p.rotate_left(1..5, 2);
+        assert_eq!(p, sample());
+        // Unequal runs: [B0] and [F2 B1] swap, and the complement undoes.
+        p.rotate_left(2..5, 1);
+        let s: Vec<String> = p.instrs().iter().map(|i| i.to_string()).collect();
+        assert_eq!(s, vec!["F0^0", "F1^0", "F2^0", "B1^0", "B0^0", "B2^0"]);
+        p.rotate_left(2..5, 2);
+        assert_eq!(p, sample());
     }
 
     #[test]
