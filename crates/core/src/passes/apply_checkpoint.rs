@@ -3,32 +3,58 @@
 //! before the corresponding backward, so only one replica of full
 //! activations is live per stage at a time.
 
-use mario_ir::{Instr, InstrKind, Schedule};
+use mario_ir::{Instr, InstrKind, InstrTag, ProgramIndex, Schedule};
 
 /// Applies checkpointing to every (micro, part) pair on every device.
 /// Returns the number of forwards converted. Idempotent.
+///
+/// A pair is converted when its first forward is plain and it has a
+/// backward on the same device; a pair without one (malformed input), or
+/// with ids outside the schedule's micro/part range, is skipped. Each
+/// device program is indexed once and rebuilt in one pass.
 pub fn apply_checkpoint(schedule: &mut Schedule) -> usize {
+    let (micros, parts) = (schedule.micros, schedule.topology.parts_per_device());
+    let mut ix = ProgramIndex::default();
     let mut converted = 0;
-    for d in 0..schedule.devices() {
-        let prog = schedule.program_mut(mario_ir::DeviceId(d));
-        let pairs = prog.forward_pairs();
-        for (m, p) in pairs {
-            let f = prog
-                .forward_pos(m, p)
-                .expect("forward_pairs returned a live pair");
-            if prog.instrs()[f].is_ckpt_forward() {
+    for prog in schedule.programs_mut() {
+        let instrs = prog.instrs();
+        ix.rebuild(instrs, micros, parts);
+        let converts = |i: &Instr| {
+            ix.first(InstrTag::Forward, i.micro, i.part)
+                .is_some_and(|f| !instrs[f].is_ckpt_forward())
+                && ix.effective_backward(i.micro, i.part).is_some()
+        };
+        let is_converted_forward = |pos: usize, i: &Instr| {
+            i.kind == InstrKind::Forward { ckpt: false }
+                && ix.first(InstrTag::Forward, i.micro, i.part) == Some(pos)
+                && converts(i)
+        };
+        let n = instrs
+            .iter()
+            .enumerate()
+            .filter(|&(pos, i)| is_converted_forward(pos, i))
+            .count();
+        if n == 0 {
+            continue;
+        }
+        let mut out = Vec::with_capacity(instrs.len() + n);
+        for (pos, &i) in instrs.iter().enumerate() {
+            if is_converted_forward(pos, &i) {
+                out.push(Instr::ckpt_forward(i.micro, i.part));
                 continue;
             }
-            let Some(b) = prog.effective_backward_pos(m, p) else {
-                // No backward on this device (malformed input) — skip.
-                continue;
-            };
-            prog.replace_kind(f, InstrKind::Forward { ckpt: true });
             // "The distance between RC_i and BW_i should be minimized":
-            // insert the recompute directly before the backward.
-            prog.insert(b, Instr::recompute(m, p));
-            converted += 1;
+            // the recompute goes directly before the backward.
+            if matches!(i.kind, InstrKind::Backward | InstrKind::BackwardInput)
+                && ix.effective_backward(i.micro, i.part) == Some(pos)
+                && converts(&i)
+            {
+                out.push(Instr::recompute(i.micro, i.part));
+            }
+            out.push(i);
         }
+        *prog = mario_ir::DeviceProgram::from_instrs(prog.device, out);
+        converted += n;
     }
     converted
 }
@@ -57,7 +83,9 @@ mod tests {
         for d in 0..4u32 {
             let prog = s.program(DeviceId(d));
             for m in 0..8u32 {
-                let rc = prog.recompute_pos(MicroId(m), PartId(0)).unwrap();
+                let rc = prog
+                    .position_of(InstrTag::Recompute, MicroId(m), PartId(0))
+                    .unwrap();
                 let bw = prog.backward_pos(MicroId(m), PartId(0)).unwrap();
                 assert_eq!(rc + 1, bw, "d{d} m{m}");
             }

@@ -13,11 +13,12 @@
 //! is full; a receive blocks until a message is available and must match
 //! the head message exactly.
 
+use crate::hash::FastMap;
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::instr::InstrKind;
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Message class carried on a channel (activation or gradient).
@@ -109,26 +110,31 @@ fn msg_of(kind: &InstrKind, micro: MicroId, part: PartId) -> Option<(MsgClass, M
 pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<usize, ExecError> {
     assert!(channel_capacity >= 1, "channels need capacity >= 1");
     let devices = schedule.devices() as usize;
+    let programs = schedule.programs();
     let mut pc = vec![0usize; devices];
-    let mut channels: HashMap<(DeviceId, DeviceId, MsgClass, PartId), VecDeque<Msg>> = HashMap::new();
+    let mut channels: FastMap<(DeviceId, DeviceId, MsgClass, PartId), VecDeque<Msg>> =
+        FastMap::default();
     let mut fired_total = 0usize;
+    let parked_at_allreduce = |d: usize, pc: usize| {
+        programs[d]
+            .get(pc)
+            .is_some_and(|i| i.kind == InstrKind::AllReduce)
+    };
+    // Devices whose next instruction is an AllReduce, kept current as
+    // program counters advance.
+    let mut parked = (0..devices).filter(|&d| parked_at_allreduce(d, 0)).count();
 
     loop {
         let mut fired = false;
         let mut all_done = true;
 
         // Barrier bookkeeping for AllReduce: every device must be parked at
-        // an AllReduce simultaneously before any may proceed.
-        let at_allreduce = (0..devices)
-            .filter(|&d| {
-                schedule.programs()[d]
-                    .get(pc[d])
-                    .is_some_and(|i| i.kind == InstrKind::AllReduce)
-            })
-            .count();
+        // an AllReduce simultaneously (at the start of the round) before any
+        // may proceed.
+        let at_allreduce = parked;
 
         for (d, pc_d) in pc.iter_mut().enumerate() {
-            let prog = &schedule.programs()[d];
+            let prog = &programs[d];
             let Some(instr) = prog.get(*pc_d) else {
                 continue;
             };
@@ -178,7 +184,9 @@ pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<
                 }
             };
             if can_fire {
+                parked -= (instr.kind == InstrKind::AllReduce) as usize;
                 *pc_d += 1;
+                parked += parked_at_allreduce(d, *pc_d) as usize;
                 fired = true;
                 fired_total += 1;
             }
@@ -192,12 +200,11 @@ pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<
             // its program (with an empty channel) can never be satisfied —
             // report it as such rather than as a generic deadlock.
             for d in 0..devices {
-                let Some(i) = schedule.programs()[d].get(pc[d]) else {
+                let Some(i) = programs[d].get(pc[d]) else {
                     continue;
                 };
                 if let InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } = i.kind {
-                    let peer_done =
-                        schedule.programs()[peer.index()].get(pc[peer.index()]).is_none();
+                    let peer_done = programs[peer.index()].get(pc[peer.index()]).is_none();
                     let (class, _) = msg_of(&i.kind, i.micro, i.part).expect("recv");
                     let empty = channels
                         .get(&(peer, DeviceId(d as u32), class, i.part))

@@ -29,6 +29,9 @@
 //! * [`telemetry`] — the unified time-class flight recorder (per-device
 //!   time breakdowns, per-link transfer statistics) populated with
 //!   identical arithmetic by the simulator and the emulator;
+//! * [`index`] — position and hop tables built once per program or
+//!   topology, so validation and the graph-tuner passes look instructions
+//!   up instead of scanning for them;
 //! * [`hash`] — the fast deterministic hasher behind the executors'
 //!   per-instruction channel, link and ledger maps;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
@@ -41,6 +44,7 @@ pub mod cost;
 pub mod exec;
 pub mod hash;
 pub mod ids;
+pub mod index;
 pub mod instr;
 pub mod ledger;
 pub mod list;
@@ -58,6 +62,7 @@ pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use hash::FastMap;
 pub use ids::{DeviceId, MicroId, PartId, StageId};
+pub use index::{ProgramIndex, RouteHops};
 pub use instr::{Instr, InstrKind, InstrTag};
 pub use ledger::{AllocKey, MemLedger, OomError};
 pub use list::DeviceProgram;

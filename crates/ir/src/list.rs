@@ -80,26 +80,9 @@ impl DeviceProgram {
         self.position(|i| i.kind.tag() == tag && i.micro == micro && i.part == part)
     }
 
-    /// Position of the forward (checkpointed or not) of `(micro, part)`.
-    pub fn forward_pos(&self, micro: MicroId, part: PartId) -> Option<usize> {
-        self.position_of(InstrTag::Forward, micro, part)
-    }
-
     /// Position of the backward of `(micro, part)`.
     pub fn backward_pos(&self, micro: MicroId, part: PartId) -> Option<usize> {
         self.position_of(InstrTag::Backward, micro, part)
-    }
-
-    /// Position of the instruction that unblocks the upstream stage: the
-    /// full backward, or the input-gradient half when split.
-    pub fn effective_backward_pos(&self, micro: MicroId, part: PartId) -> Option<usize> {
-        self.backward_pos(micro, part)
-            .or_else(|| self.position_of(InstrTag::BackwardInput, micro, part))
-    }
-
-    /// Position of the recompute of `(micro, part)`.
-    pub fn recompute_pos(&self, micro: MicroId, part: PartId) -> Option<usize> {
-        self.position_of(InstrTag::Recompute, micro, part)
     }
 
     /// Counts instructions matching `pred`.
@@ -117,17 +100,10 @@ impl DeviceProgram {
         self.instrs.insert(pos, instr);
     }
 
-    /// Removes and returns the instruction at `pos`.
-    pub fn remove(&mut self, pos: usize) -> Instr {
-        self.instrs.remove(pos)
-    }
-
-    /// Moves the instruction at `from` so that it ends up at position `to`
-    /// (interpreted against the list *after* removal), preserving the
-    /// relative order of all other instructions.
-    pub fn shift(&mut self, from: usize, to: usize) {
-        let instr = self.instrs.remove(from);
-        self.instrs.insert(to, instr);
+    /// Keeps only the instructions for which `keep` returns true, visiting
+    /// each once, in order.
+    pub fn retain(&mut self, keep: impl FnMut(&Instr) -> bool) {
+        self.instrs.retain(keep);
     }
 
     /// Rotates `range` left by `mid`: the adjacent runs
@@ -137,18 +113,6 @@ impl DeviceProgram {
     /// undoes it.
     pub fn rotate_left(&mut self, range: std::ops::Range<usize>, mid: usize) {
         self.instrs[range].rotate_left(mid);
-    }
-
-    /// All distinct `(micro, part)` pairs that have a forward instruction
-    /// in this program, in first-appearance order.
-    pub fn forward_pairs(&self) -> Vec<(MicroId, PartId)> {
-        let mut seen = Vec::new();
-        for i in &self.instrs {
-            if matches!(i.kind, InstrKind::Forward { .. }) && !seen.contains(&(i.micro, i.part)) {
-                seen.push((i.micro, i.part));
-            }
-        }
-        seen
     }
 
     /// Multiset of compute work `(tag, micro, part)` — used by tests to check
@@ -236,19 +200,11 @@ mod tests {
     #[test]
     fn position_queries() {
         let p = sample();
-        assert_eq!(p.forward_pos(MicroId(1), PartId(0)), Some(1));
+        let at = |tag, m: u32| p.position_of(tag, MicroId(m), PartId(0));
+        assert_eq!(at(InstrTag::Forward, 1), Some(1));
         assert_eq!(p.backward_pos(MicroId(1), PartId(0)), Some(4));
-        assert_eq!(p.forward_pos(MicroId(9), PartId(0)), None);
-        assert_eq!(p.recompute_pos(MicroId(0), PartId(0)), None);
-    }
-
-    #[test]
-    fn shift_preserves_other_order() {
-        let mut p = sample();
-        // Move B0 (pos 2) to the front.
-        p.shift(2, 0);
-        let s: Vec<String> = p.instrs().iter().map(|i| i.to_string()).collect();
-        assert_eq!(s, vec!["B0^0", "F0^0", "F1^0", "F2^0", "B1^0", "B2^0"]);
+        assert_eq!(at(InstrTag::Forward, 9), None);
+        assert_eq!(at(InstrTag::Recompute, 0), None);
     }
 
     #[test]
@@ -298,23 +254,6 @@ mod tests {
         assert_eq!(p.peak_on_the_fly(false), 1);
         // If we count checkpoints as full residents we'd see 4.
         assert_eq!(p.peak_on_the_fly(true), 4);
-    }
-
-    #[test]
-    fn forward_pairs_in_first_appearance_order() {
-        let mut p = DeviceProgram::new(DeviceId(1));
-        p.push(Instr::forward(1u32, 0u32));
-        p.push(Instr::forward(0u32, 1u32));
-        p.push(Instr::backward(1u32, 0u32));
-        p.push(Instr::forward(1u32, 1u32));
-        assert_eq!(
-            p.forward_pairs(),
-            vec![
-                (MicroId(1), PartId(0)),
-                (MicroId(0), PartId(1)),
-                (MicroId(1), PartId(1)),
-            ]
-        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::exec::{check_executable, ExecError};
 use crate::ids::{DeviceId, MicroId, PartId};
+use crate::index::{ProgramIndex, RouteHops};
 use crate::instr::{Instr, InstrKind, InstrTag};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
@@ -150,11 +151,10 @@ pub fn validate_with(
     opts: ValidateOptions,
 ) -> Result<(), Vec<ValidationError>> {
     let mut errors = Vec::new();
-    let _topo = &schedule.topology;
     let has_comm = schedule
         .programs()
         .iter()
-        .any(|p| p.count(|i| i.kind.is_p2p()) > 0);
+        .any(|p| p.instrs().iter().any(|i| i.kind.is_p2p()));
     let check_comm = opts.check_comm && has_comm;
     // Forward-only (serving) schedules invert the backward requirements:
     // no backward/recompute/gradient instruction may appear at all, and
@@ -163,38 +163,39 @@ pub fn validate_with(
         schedule.topology.scheme,
         crate::topology::SchemeKind::ForwardOnly
     );
+    let hops = RouteHops::new(&schedule.topology);
+    let parts = schedule.topology.parts_per_device();
+    let index: Vec<ProgramIndex> = schedule
+        .programs()
+        .iter()
+        .map(|p| ProgramIndex::new(p.instrs(), schedule.micros, parts))
+        .collect();
+    let v = Indexed { schedule, index };
 
     // -- Per (micro, hop) compute + communication requirements ------------
     for m in 0..schedule.micros {
         let micro = MicroId(m);
-        let path = schedule.forward_path_of(micro);
+        let path = hops.path(schedule.route_of(micro));
         for (hop_idx, &(dev, part)) in path.iter().enumerate() {
-            let prog = schedule.program(dev);
-            check_unique(&mut errors, prog, dev, InstrTag::Forward, micro, part);
+            let ix = v.index(dev);
+            check_unique(&mut errors, ix, dev, InstrTag::Forward, micro, part);
             if forward_only {
-                check_forward_only_hop(&mut errors, schedule, micro, &path, hop_idx, check_comm);
+                check_forward_only_hop(&mut errors, &v, micro, path, hop_idx, check_comm);
                 continue;
             }
             // Exactly one full backward XOR a split (Bi + Bw) pair.
-            let n_b = count_tag(prog, InstrTag::Backward, micro, part);
-            let n_bi = count_tag(prog, InstrTag::BackwardInput, micro, part);
-            let n_bw = count_tag(prog, InstrTag::BackwardWeight, micro, part);
+            let n_b = ix.count(InstrTag::Backward, micro, part);
+            let n_bi = ix.count(InstrTag::BackwardInput, micro, part);
+            let n_bw = ix.count(InstrTag::BackwardWeight, micro, part);
             match (n_b, n_bi, n_bw) {
                 (1, 0, 0) => {}
                 (0, 1, 1) => {
-                    let bi = prog
-                        .position_of(InstrTag::BackwardInput, micro, part)
-                        .expect("counted");
-                    let bwp = prog
-                        .position_of(InstrTag::BackwardWeight, micro, part)
-                        .expect("counted");
+                    let bi = ix.first(InstrTag::BackwardInput, micro, part);
+                    let bwp = ix.first(InstrTag::BackwardWeight, micro, part);
                     if bwp < bi {
                         errors.push(ValidationError::OrderViolation {
                             device: dev,
-                            what: format!(
-                                "Bw{m}^{} before its input-gradient half",
-                                part.0
-                            ),
+                            what: format!("Bw{m}^{} before its input-gradient half", part.0),
                         });
                     }
                 }
@@ -211,10 +212,10 @@ pub fn validate_with(
                     part,
                 }),
             }
-            let fw = prog.forward_pos(micro, part);
+            let fw = ix.first(InstrTag::Forward, micro, part);
             // Ordering and comm anchor on the instruction that unblocks the
             // upstream stage: the backward, or the Bi half when split.
-            let bw = prog.effective_backward_pos(micro, part);
+            let bw = ix.effective_backward(micro, part);
             if let (Some(fw), Some(bw)) = (fw, bw) {
                 if bw < fw {
                     errors.push(ValidationError::OrderViolation {
@@ -223,8 +224,8 @@ pub fn validate_with(
                     });
                 }
                 // Checkpoint / recompute pairing.
-                let is_ckpt = prog.instrs()[fw].is_ckpt_forward();
-                let rc = prog.recompute_pos(micro, part);
+                let is_ckpt = schedule.program(dev).instrs()[fw].is_ckpt_forward();
+                let rc = ix.first(InstrTag::Recompute, micro, part);
                 match (is_ckpt, rc) {
                     (true, None) => errors.push(ValidationError::CheckpointMismatch {
                         device: dev,
@@ -249,10 +250,7 @@ pub fn validate_with(
                                 ),
                             });
                         }
-                        let n = prog.count(|i| {
-                            i.kind == InstrKind::Recompute && i.micro == micro && i.part == part
-                        });
-                        if n > 1 {
+                        if ix.count(InstrTag::Recompute, micro, part) > 1 {
                             errors.push(ValidationError::Duplicate {
                                 device: dev,
                                 tag: InstrTag::Recompute,
@@ -265,17 +263,7 @@ pub fn validate_with(
                 }
 
                 if check_comm {
-                    check_hop_comm(
-                        &mut errors,
-                        schedule,
-                        micro,
-                        &path,
-                        hop_idx,
-                        dev,
-                        part,
-                        fw,
-                        Some(bw),
-                    );
+                    check_hop_comm(&mut errors, &v, micro, path, hop_idx, fw, Some(bw));
                 }
             }
         }
@@ -309,8 +297,10 @@ pub fn validate_with(
                     });
                     continue;
                 }
-                let path = schedule.forward_path_of(i.micro);
-                if !path.contains(&(prog.device, i.part)) {
+                if hops
+                    .hop(schedule.route_of(i.micro), prog.device, i.part)
+                    .is_none()
+                {
                     errors.push(ValidationError::Misplaced {
                         device: prog.device,
                         instr: i.to_string(),
@@ -353,25 +343,40 @@ pub fn check_deadlock_free(schedule: &Schedule, channel_capacity: usize) -> Resu
     check_executable(schedule, channel_capacity).map(|_| ())
 }
 
-fn count_tag(
-    prog: &crate::list::DeviceProgram,
-    tag: InstrTag,
-    micro: MicroId,
-    part: PartId,
-) -> usize {
-    prog.count(|i| i.kind.tag() == tag && i.micro == micro && i.part == part)
+/// A schedule with every device program indexed.
+struct Indexed<'a> {
+    schedule: &'a Schedule,
+    index: Vec<ProgramIndex>,
+}
+
+impl Indexed<'_> {
+    fn index(&self, device: DeviceId) -> &ProgramIndex {
+        &self.index[device.index()]
+    }
+
+    /// The first `tag` instruction of `(micro, part)` on `device`, with its
+    /// position.
+    fn find(
+        &self,
+        device: DeviceId,
+        tag: InstrTag,
+        micro: MicroId,
+        part: PartId,
+    ) -> Option<(usize, &Instr)> {
+        let pos = self.index(device).first(tag, micro, part)?;
+        Some((pos, &self.schedule.program(device).instrs()[pos]))
+    }
 }
 
 fn check_unique(
     errors: &mut Vec<ValidationError>,
-    prog: &crate::list::DeviceProgram,
+    ix: &ProgramIndex,
     device: DeviceId,
     tag: InstrTag,
     micro: MicroId,
     part: PartId,
 ) {
-    let n = count_tag(prog, tag, micro, part);
-    match n {
+    match ix.count(tag, micro, part) {
         0 => errors.push(ValidationError::Missing {
             device,
             tag,
@@ -394,18 +399,17 @@ fn check_unique(
 /// checked — carries only the activation half of the hop pairing.
 fn check_forward_only_hop(
     errors: &mut Vec<ValidationError>,
-    schedule: &Schedule,
+    v: &Indexed,
     micro: MicroId,
     path: &[(DeviceId, PartId)],
     hop_idx: usize,
     check_comm: bool,
 ) {
     let (dev, part) = path[hop_idx];
-    let prog = schedule.program(dev);
-    let Some(fw) = prog.forward_pos(micro, part) else {
+    let Some((fw, instr)) = v.find(dev, InstrTag::Forward, micro, part) else {
         return; // the Missing error is already recorded
     };
-    if prog.instrs()[fw].is_ckpt_forward() {
+    if instr.is_ckpt_forward() {
         errors.push(ValidationError::CheckpointMismatch {
             device: dev,
             micro,
@@ -414,31 +418,27 @@ fn check_forward_only_hop(
         });
     }
     if check_comm {
-        check_hop_comm(errors, schedule, micro, path, hop_idx, dev, part, fw, None);
+        check_hop_comm(errors, v, micro, path, hop_idx, fw, None);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn check_hop_comm(
     errors: &mut Vec<ValidationError>,
-    schedule: &Schedule,
-    micro: MicroId,
+    v: &Indexed,
+    m: MicroId,
     path: &[(DeviceId, PartId)],
     hop_idx: usize,
-    dev: DeviceId,
-    part: PartId,
     fw: usize,
     bw: Option<usize>,
 ) {
-    let prog = schedule.program(dev);
-    let m = micro;
+    let (dev, part) = path[hop_idx];
 
     // Forward-direction activation: this hop sends to the next hop (if any,
     // and if it lives on a different device — wave reflections stay local).
-    if let Some(&(next_dev, _)) = path.get(hop_idx + 1) {
+    if let Some(&(next_dev, next_part)) = path.get(hop_idx + 1) {
         if next_dev != dev {
             // SA(m, part) on this device, after the forward.
-            match find_p2p(prog, InstrTag::SendAct, m, part) {
+            match v.find(dev, InstrTag::SendAct, m, part) {
                 Some((pos, instr)) => {
                     if instr.kind.peer() != Some(next_dev) {
                         errors.push(ValidationError::WrongPeer {
@@ -463,10 +463,8 @@ fn check_hop_comm(
             }
             // RA(m, part) on the next device, before its forward. The
             // message is tagged with the *producer's* part.
-            let next_prog = schedule.program(next_dev);
-            let (_, next_part) = path[hop_idx + 1];
-            let next_fw = next_prog.forward_pos(m, next_part);
-            match find_p2p(next_prog, InstrTag::RecvAct, m, part) {
+            let next_fw = v.index(next_dev).first(InstrTag::Forward, m, next_part);
+            match v.find(next_dev, InstrTag::RecvAct, m, part) {
                 Some((pos, instr)) => {
                     if instr.kind.peer() != Some(dev) {
                         errors.push(ValidationError::WrongPeer {
@@ -504,7 +502,7 @@ fn check_hop_comm(
     if hop_idx > 0 {
         let (prev_dev, prev_part) = path[hop_idx - 1];
         if prev_dev != dev {
-            match find_p2p(prog, InstrTag::SendGrad, m, part) {
+            match v.find(dev, InstrTag::SendGrad, m, part) {
                 Some((pos, instr)) => {
                     if instr.kind.peer() != Some(prev_dev) {
                         errors.push(ValidationError::WrongPeer {
@@ -527,9 +525,8 @@ fn check_hop_comm(
                     part,
                 }),
             }
-            let prev_prog = schedule.program(prev_dev);
-            let prev_bw = prev_prog.effective_backward_pos(m, prev_part);
-            match find_p2p(prev_prog, InstrTag::RecvGrad, m, part) {
+            let prev_bw = v.index(prev_dev).effective_backward(m, prev_part);
+            match v.find(prev_dev, InstrTag::RecvGrad, m, part) {
                 Some((pos, instr)) => {
                     if instr.kind.peer() != Some(dev) {
                         errors.push(ValidationError::WrongPeer {
@@ -559,16 +556,6 @@ fn check_hop_comm(
             }
         }
     }
-}
-
-fn find_p2p(
-    prog: &crate::list::DeviceProgram,
-    tag: InstrTag,
-    micro: MicroId,
-    part: PartId,
-) -> Option<(usize, &Instr)> {
-    prog.iter()
-        .find(|(_, i)| i.kind.tag() == tag && i.micro == micro && i.part == part)
 }
 
 #[cfg(test)]
@@ -605,11 +592,8 @@ mod tests {
     #[test]
     fn missing_backward_is_reported() {
         let mut s = good();
-        let pos = s
-            .program(DeviceId(1))
-            .backward_pos(MicroId(0), PartId(0))
-            .unwrap();
-        s.program_mut(DeviceId(1)).remove(pos);
+        s.program_mut(DeviceId(1))
+            .retain(|i| !i.is_backward_of(MicroId(0), PartId(0)));
         let errs = validate(&s).unwrap_err();
         assert!(errs.iter().any(|e| matches!(
             e,
@@ -708,8 +692,10 @@ mod tests {
             .program(DeviceId(1))
             .backward_pos(MicroId(0), PartId(0))
             .unwrap();
-        s.program_mut(DeviceId(1)).remove(pos);
-        s.program_mut(DeviceId(1)).insert(pos, Instr::backward(9u32, 0u32));
+        s.program_mut(DeviceId(1))
+            .insert(pos, Instr::backward(9u32, 0u32));
+        s.program_mut(DeviceId(1))
+            .retain(|i| !i.is_backward_of(MicroId(0), PartId(0)));
         let errs = validate(&s).unwrap_err();
         assert!(errs.iter().any(|e| matches!(
             e,

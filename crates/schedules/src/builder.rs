@@ -18,7 +18,7 @@
 //! downstream stage's part for gradients — so both ends of a channel agree
 //! on the message identity.
 
-use mario_ir::{DeviceId, Instr, MicroId, PartId, Schedule};
+use mario_ir::{DeviceId, Instr, MicroId, PartId, RouteHops, Schedule};
 
 /// Options for [`insert_comm`].
 #[derive(Debug, Clone, Copy)]
@@ -38,15 +38,6 @@ impl Default for CommOptions {
     }
 }
 
-/// Hop coordinates of `(device, part)` along the route of `micro`.
-fn hop_index(schedule: &Schedule, micro: MicroId, device: DeviceId, part: PartId) -> usize {
-    schedule
-        .forward_path_of(micro)
-        .iter()
-        .position(|&(d, p)| d == device && p == part)
-        .unwrap_or_else(|| panic!("({device}, {part}) not on route of {micro}"))
-}
-
 /// Inserts communication (and optional collective) instructions into a
 /// compute-only schedule. Idempotence is not attempted: the input must not
 /// already contain p2p instructions.
@@ -59,6 +50,15 @@ pub fn insert_comm(compute: &Schedule, opts: CommOptions) -> Schedule {
         );
     }
 
+    let hops = RouteHops::new(&compute.topology);
+    // The route of `micro` and the hop index of `(device, part)` on it.
+    let hop_of = |micro: MicroId, device: DeviceId, part: PartId| {
+        let route = compute.route_of(micro);
+        let hop = hops
+            .hop(route, device, part)
+            .unwrap_or_else(|| panic!("({device}, {part}) not on route of {micro}"));
+        (hops.path(route), hop)
+    };
     let mut out = compute.clone();
     for d in 0..out.devices() {
         let dev = DeviceId(d);
@@ -67,8 +67,7 @@ pub fn insert_comm(compute: &Schedule, opts: CommOptions) -> Schedule {
         for &i in src.instrs() {
             match i.kind {
                 mario_ir::InstrKind::Forward { .. } => {
-                    let path = compute.forward_path_of(i.micro);
-                    let hop = hop_index(compute, i.micro, dev, i.part);
+                    let (path, hop) = hop_of(i.micro, dev, i.part);
                     if hop > 0 {
                         let (pd, pp) = path[hop - 1];
                         if pd != dev {
@@ -83,8 +82,7 @@ pub fn insert_comm(compute: &Schedule, opts: CommOptions) -> Schedule {
                     }
                 }
                 mario_ir::InstrKind::Backward | mario_ir::InstrKind::BackwardInput => {
-                    let path = compute.forward_path_of(i.micro);
-                    let hop = hop_index(compute, i.micro, dev, i.part);
+                    let (path, hop) = hop_of(i.micro, dev, i.part);
                     if let Some(&(nd, np)) = path.get(hop + 1) {
                         if nd != dev {
                             instrs.push(Instr::recv_grad(i.micro, np, nd));

@@ -36,7 +36,7 @@ pub fn generate_compute(devices: u32, micros: u32) -> Schedule {
 mod tests {
     use super::*;
     use crate::engine::unit_makespan;
-    use mario_ir::{validate, DeviceId, MicroId, PartId};
+    use mario_ir::{validate, DeviceId, InstrTag, MicroId, PartId};
 
     #[test]
     fn chimera_is_valid_across_sizes() {
@@ -62,10 +62,10 @@ mod tests {
     fn down_micros_start_on_device_zero_up_on_last() {
         let s = generate_compute(4, 4);
         // Micro 0 (down): forward on device 0 comes before device 3.
-        assert!(s.program(DeviceId(0)).forward_pos(MicroId(0), PartId(0)).is_some());
+        assert!(s.program(DeviceId(0)).position_of(InstrTag::Forward, MicroId(0), PartId(0)).is_some());
         // Micro 1 (up): forward happens on part 1, starting at device 3.
-        assert!(s.program(DeviceId(3)).forward_pos(MicroId(1), PartId(1)).is_some());
-        assert!(s.program(DeviceId(0)).forward_pos(MicroId(1), PartId(1)).is_some());
+        assert!(s.program(DeviceId(3)).position_of(InstrTag::Forward, MicroId(1), PartId(1)).is_some());
+        assert!(s.program(DeviceId(0)).position_of(InstrTag::Forward, MicroId(1), PartId(1)).is_some());
     }
 
     #[test]

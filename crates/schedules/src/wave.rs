@@ -29,7 +29,7 @@ pub fn generate_compute(devices: u32, micros: u32, chunks: u32) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mario_ir::{validate, DeviceId, MicroId, PartId};
+    use mario_ir::{validate, DeviceId, InstrTag, MicroId, PartId};
 
     #[test]
     fn wave_is_valid_across_sizes() {
@@ -67,7 +67,7 @@ mod tests {
                 for c in 0..2u32 {
                     assert!(
                         s.program(DeviceId(d))
-                            .forward_pos(MicroId(m), PartId(c))
+                            .position_of(InstrTag::Forward, MicroId(m), PartId(c))
                             .is_some(),
                         "missing F{m}^{c} on d{d}"
                     );

@@ -87,11 +87,11 @@ proptest! {
         // forward.
         prop_assert!(s
             .program(DeviceId(0))
-            .forward_pos(MicroId(0), PartId(0))
+            .position_of(InstrTag::Forward, MicroId(0), PartId(0))
             .is_some());
         prop_assert!(s
             .program(DeviceId(d - 1))
-            .forward_pos(MicroId(1), PartId(1))
+            .position_of(InstrTag::Forward, MicroId(1), PartId(1))
             .is_some());
     }
 
