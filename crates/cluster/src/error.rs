@@ -1,7 +1,7 @@
 //! Emulator error types.
 
 use crate::faults::FaultReport;
-use mario_ir::{DeviceId, OomError};
+use mario_ir::{AllocKey, DeviceId, OomError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -18,6 +18,19 @@ pub enum EmuError {
         instr: String,
         /// Ledger details.
         cause: OomError,
+    },
+    /// An instruction allocated a buffer that was still live: the
+    /// instruction stream violates the activation lifecycle (malformed
+    /// schedule).
+    DoubleAlloc {
+        /// The allocating device.
+        device: DeviceId,
+        /// Instruction index within the device program.
+        pc: usize,
+        /// The allocating instruction (rendered).
+        instr: String,
+        /// The buffer that was still live.
+        key: AllocKey,
     },
     /// A p2p receive got a message with the wrong identity.
     CommMismatch {
@@ -76,6 +89,7 @@ impl EmuError {
     pub fn device(&self) -> DeviceId {
         match self {
             EmuError::Oom { device, .. }
+            | EmuError::DoubleAlloc { device, .. }
             | EmuError::CommMismatch { device, .. }
             | EmuError::DeadlockSuspected { device, .. }
             | EmuError::PeerFailed { device, .. }
@@ -106,7 +120,7 @@ impl EmuError {
         match self {
             EmuError::Fault(_) => 0,
             EmuError::Oom { .. } => 1,
-            EmuError::CommMismatch { .. } => 2,
+            EmuError::DoubleAlloc { .. } | EmuError::CommMismatch { .. } => 2,
             EmuError::NoRoute { .. } => 3,
             EmuError::DeadlockSuspected { .. } => 4,
             EmuError::PeerFailed { .. } => 5,
@@ -124,6 +138,15 @@ impl fmt::Display for EmuError {
                 instr,
                 cause,
             } => write!(f, "{device} OOM at #{pc} ({instr}): {cause}"),
+            EmuError::DoubleAlloc {
+                device,
+                pc,
+                instr,
+                key,
+            } => write!(
+                f,
+                "{device} at #{pc} ({instr}): double allocation of {key:?}"
+            ),
             EmuError::CommMismatch { device, pc, detail } => {
                 write!(f, "{device} comm mismatch at #{pc}: {detail}")
             }

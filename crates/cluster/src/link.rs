@@ -1,26 +1,20 @@
-//! Virtual-time point-to-point links between device threads.
+//! The thread backend's transport: bounded point-to-point links between
+//! device threads.
 //!
-//! Each directed `(sender, receiver, message-class)` pair owns one link: a
-//! data channel carrying `(header, bytes, send-timestamp)` packets and an
-//! acknowledgement channel carrying dequeue timestamps back. The ack
-//! protocol realizes bounded-buffer blocking *in virtual time* while the
-//! threads run concurrently in real time:
-//!
-//! * the sender may have at most `capacity` un-acknowledged packets; one
-//!   more send first waits for the oldest ack and advances its virtual
-//!   clock to that dequeue time (the buffer was full until then);
-//! * the receiver stamps each packet with
-//!   `max(own clock, sent_at + transfer_time)` and acks that time.
-//!
-//! Because every clock update depends only on packet timestamps — never on
-//! real-time arrival order — the emulated timeline is deterministic under
-//! any thread interleaving (the property that makes the emulator usable as
-//! reproducible "ground truth" for Fig. 10).
+//! Each directed `(sender, receiver, class, part)` link is a data channel
+//! carrying `(header, bytes, send-timestamp)` packets and an
+//! acknowledgement channel carrying dequeue timestamps back. The sender
+//! keeps at most `capacity` packets un-acknowledged: one more send first
+//! blocks (in real time) for the oldest ack. Links only move packets and
+//! timestamps; what a timestamp does to a device clock is the
+//! [`crate::machine`]'s business, which is why the emulated timeline is
+//! deterministic under any thread interleaving.
 
+use crate::machine::{Port, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mario_ir::exec::MsgClass;
 use mario_ir::{MicroId, Nanos, PartId};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// A message header: identity checked on receive.
@@ -41,7 +35,8 @@ pub struct Packet {
     pub header: Header,
     /// Payload size (drives transfer time on the receiving side).
     pub bytes: u64,
-    /// Sender virtual clock when the send was issued.
+    /// Sender virtual clock when the packet departed (including any
+    /// injected link delay).
     pub sent_at: Nanos,
 }
 
@@ -60,36 +55,28 @@ enum Ack {
     Poison,
 }
 
-/// Decomposition of a successful receive: the arrival (the receiver's
-/// clock after the message is available) plus the two packet-side terms
-/// the span graph records — the departure timestamp and the wire time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvInfo {
-    /// `max(now, sent_at + wire_ns)` — the receiver's new clock.
-    pub arrival: Nanos,
-    /// Sender virtual clock when the packet departed (including any
-    /// injected link delay).
-    pub sent_at: Nanos,
-    /// Wire transfer duration for the packet's payload.
-    pub wire_ns: Nanos,
-}
-
-/// Outcome of a blocking link operation.
+/// Why a link operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkError {
     /// No progress within the watchdog timeout: deadlock suspected.
     Timeout,
-    /// The peer hung up (failed or finished unexpectedly).
+    /// The peer settled (failed or finished) and will never answer.
     Disconnected,
     /// Received packet identity does not match the expectation.
     Mismatch(Header),
+    /// No link was built for the port: no peer ever sends on it.
+    NoRoute,
 }
 
 /// Sending half of a link.
 pub struct SendHalf {
     data: Sender<Wire>,
     ack: Receiver<Ack>,
-    pending: VecDeque<()>,
+    /// Un-acknowledged packets in flight. It grows on a send and shrinks
+    /// only when a capacity-blocked send consumes the oldest ack, exactly
+    /// like the DP simulator's `Channel::outstanding`, so per-link
+    /// occupancy telemetry is parity-safe.
+    in_flight: usize,
     capacity: usize,
     timeout: Duration,
     poisoned: bool,
@@ -106,18 +93,18 @@ pub struct RecvHalf {
 /// Creates a link with the given buffer `capacity` and watchdog `timeout`.
 pub fn link(capacity: usize, timeout: Duration) -> (SendHalf, RecvHalf) {
     assert!(capacity >= 1);
-    // Channels sized to capacity + 1: the ack protocol guarantees at most
+    // Channels sized to capacity + 1: the ack window guarantees at most
     // `capacity` packets (and `capacity` buffered acks) are ever in
-    // flight, so sends never block in real time — all blocking is virtual
-    // (via acks) — and the extra slot is reserved for the single poison
-    // marker each half may enqueue at teardown.
+    // flight, so sends never block in real time — all blocking is on acks
+    // — and the extra slot is reserved for the single poison marker each
+    // half may enqueue at teardown.
     let (data_tx, data_rx) = bounded(capacity + 1);
     let (ack_tx, ack_rx) = bounded(capacity + 1);
     (
         SendHalf {
             data: data_tx,
             ack: ack_rx,
-            pending: VecDeque::new(),
+            in_flight: 0,
             capacity,
             timeout,
             poisoned: false,
@@ -131,67 +118,36 @@ pub fn link(capacity: usize, timeout: Duration) -> (SendHalf, RecvHalf) {
     )
 }
 
+fn wait<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, LinkError> {
+    rx.recv_timeout(timeout).map_err(|e| match e {
+        RecvTimeoutError::Timeout => LinkError::Timeout,
+        RecvTimeoutError::Disconnected => LinkError::Disconnected,
+    })
+}
+
 impl SendHalf {
-    /// Issues a send at virtual time `now`; returns the sender's clock after
-    /// the operation (delayed if the buffer was full).
-    pub fn send(&mut self, header: Header, bytes: u64, now: Nanos) -> Result<Nanos, LinkError> {
-        self.send_delayed(header, bytes, now, 0)
+    /// Frees a window slot: with `capacity` packets in flight, blocks for
+    /// the oldest ack and returns its dequeue time; otherwise returns 0.
+    pub fn reserve(&mut self) -> Result<Nanos, LinkError> {
+        if self.in_flight < self.capacity {
+            return Ok(0);
+        }
+        match wait(&self.ack, self.timeout)? {
+            Ack::At(t) => {
+                self.in_flight -= 1;
+                Ok(t)
+            }
+            Ack::Poison => Err(LinkError::Disconnected),
+        }
     }
 
-    /// Like [`SendHalf::send`], but the packet departs `delay` ns after the
-    /// send is issued (an injected link delay): the packet's timestamp is
-    /// pushed back while the sender's own clock is unaffected, exactly as
-    /// if the wire were transiently slow.
-    pub fn send_delayed(
-        &mut self,
-        header: Header,
-        bytes: u64,
-        mut now: Nanos,
-        delay: Nanos,
-    ) -> Result<Nanos, LinkError> {
-        if self.pending.len() == self.capacity {
-            let dequeued_at = match self.ack.recv_timeout(self.timeout) {
-                Ok(Ack::At(t)) => t,
-                Ok(Ack::Poison) => return Err(LinkError::Disconnected),
-                Err(RecvTimeoutError::Timeout) => return Err(LinkError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(LinkError::Disconnected),
-            };
-            self.pending.pop_front();
-            now = now.max(dequeued_at);
-        }
-        let pkt = Packet {
-            header,
-            bytes,
-            sent_at: now + delay,
-        };
+    /// Enqueues `pkt`; returns the packets in flight right after.
+    pub fn push(&mut self, pkt: Packet) -> Result<usize, LinkError> {
         self.data
             .send(Wire::Pkt(pkt))
             .map_err(|_| LinkError::Disconnected)?;
-        self.pending.push_back(());
-        Ok(now)
-    }
-
-    /// Un-acknowledged packets currently in flight. Mirrors the DP
-    /// simulator's `Channel::outstanding` counter exactly: both grow on a
-    /// send and shrink only when a capacity-blocked send consumes the
-    /// oldest ack, so per-link occupancy telemetry is parity-safe.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Drains outstanding acks at the end of an iteration so virtual time
-    /// stays consistent across iterations.
-    pub fn drain(&mut self, mut now: Nanos) -> Result<Nanos, LinkError> {
-        while self.pending.pop_front().is_some() {
-            let t = match self.ack.recv_timeout(self.timeout) {
-                Ok(Ack::At(t)) => t,
-                Ok(Ack::Poison) => return Err(LinkError::Disconnected),
-                Err(RecvTimeoutError::Timeout) => return Err(LinkError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(LinkError::Disconnected),
-            };
-            now = now.max(t);
-        }
-        Ok(now)
+        self.in_flight += 1;
+        Ok(self.in_flight)
     }
 
     /// Enqueues the poison marker behind all genuine traffic (once). A
@@ -209,49 +165,23 @@ impl SendHalf {
 }
 
 impl RecvHalf {
-    /// Blocks for the next packet, checks identity, and returns the
-    /// receiver's clock after the message is available:
-    /// `max(now, sent_at + transfer_ns(bytes))`.
-    pub fn recv(
-        &mut self,
-        expect: Header,
-        now: Nanos,
-        transfer_ns: impl Fn(u64) -> Nanos,
-    ) -> Result<Nanos, LinkError> {
-        self.recv_info(expect, now, transfer_ns).map(|i| i.arrival)
+    /// Blocks for the next packet.
+    pub fn pop(&mut self) -> Result<Packet, LinkError> {
+        match wait(&self.data, self.timeout)? {
+            Wire::Pkt(p) => Ok(p),
+            // The sender settled and will never send again: equivalent to
+            // a hang-up, but FIFO-ordered behind its genuine traffic, so
+            // the observation is deterministic.
+            Wire::Poison => Err(LinkError::Disconnected),
+        }
     }
 
-    /// [`RecvHalf::recv`], also exposing the packet's departure timestamp
-    /// and wire time — the per-receive decomposition the span graph needs.
-    pub fn recv_info(
-        &mut self,
-        expect: Header,
-        now: Nanos,
-        transfer_ns: impl Fn(u64) -> Nanos,
-    ) -> Result<RecvInfo, LinkError> {
-        let pkt = match self.data.recv_timeout(self.timeout) {
-            Ok(Wire::Pkt(p)) => p,
-            // The sender settled (finished or failed) and will never send
-            // again: equivalent to a hang-up, but FIFO-ordered behind its
-            // genuine traffic, so the observation is deterministic.
-            Ok(Wire::Poison) => return Err(LinkError::Disconnected),
-            Err(RecvTimeoutError::Timeout) => return Err(LinkError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => return Err(LinkError::Disconnected),
-        };
-        if pkt.header != expect {
-            return Err(LinkError::Mismatch(pkt.header));
-        }
-        let wire_ns = transfer_ns(pkt.bytes);
-        let arrival = now.max(pkt.sent_at + wire_ns);
+    /// Acknowledges the last packet, dequeued at `at`.
+    pub fn ack(&mut self, at: Nanos) {
         // The ack channel outsizes the in-flight ack count and the sender
         // reads one ack per extra send, so this never blocks; a sender that
         // has already finished (dropped its ack end) simply no longer cares.
-        let _ = self.ack.send(Ack::At(arrival));
-        Ok(RecvInfo {
-            arrival,
-            sent_at: pkt.sent_at,
-            wire_ns,
-        })
+        let _ = self.ack.send(Ack::At(at));
     }
 
     /// Enqueues poison on the ack channel (once): a peer blocked waiting
@@ -265,113 +195,104 @@ impl RecvHalf {
     }
 }
 
+/// One device's link halves, keyed by `(peer, class, part)`.
+#[derive(Default)]
+pub(crate) struct ThreadLinks {
+    pub out: HashMap<Port, SendHalf>,
+    pub inp: HashMap<Port, RecvHalf>,
+}
+
+impl ThreadLinks {
+    /// Poisons every half this device owns: outgoing data links and the
+    /// ack sides of incoming links. Called once the device has settled
+    /// (completed or failed), before the halves are dropped, so peers
+    /// blocked on this device observe a FIFO-ordered end-of-stream marker
+    /// instead of a real-time-racy channel teardown.
+    pub fn poison(&mut self) {
+        self.out.values_mut().for_each(SendHalf::poison);
+        self.inp.values_mut().for_each(RecvHalf::poison);
+    }
+}
+
+impl Transport for ThreadLinks {
+    fn reserve(&mut self, port: Port) -> Result<Option<Nanos>, LinkError> {
+        let half = self.out.get_mut(&port).ok_or(LinkError::NoRoute)?;
+        half.reserve().map(Some)
+    }
+
+    fn push(&mut self, port: Port, pkt: Packet) -> Result<usize, LinkError> {
+        let half = self.out.get_mut(&port).ok_or(LinkError::NoRoute)?;
+        half.push(pkt)
+    }
+
+    fn pop(&mut self, port: Port) -> Result<Option<Packet>, LinkError> {
+        let half = self.inp.get_mut(&port).ok_or(LinkError::NoRoute)?;
+        half.pop().map(Some)
+    }
+
+    fn ack(&mut self, port: Port, at: Nanos) {
+        if let Some(half) = self.inp.get_mut(&port) {
+            half.ack(at);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
 
-    fn hdr(m: u32) -> Header {
-        Header {
-            class: MsgClass::Act,
-            micro: MicroId(m),
-            part: PartId(0),
+    fn pkt(m: u32, sent_at: Nanos) -> Packet {
+        Packet {
+            header: Header {
+                class: MsgClass::Act,
+                micro: MicroId(m),
+                part: PartId(0),
+            },
+            bytes: 0,
+            sent_at,
         }
     }
 
     #[test]
-    fn virtual_time_propagates_through_transfer() {
-        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
-        let s = thread::spawn(move || {
-            let t = tx.send(hdr(0), 100, 1_000).unwrap();
-            assert_eq!(t, 1_000);
-        });
-        // Receiver is "ahead" in its own time; arrival is the max.
-        let t = rx.recv(hdr(0), 500, |b| b * 10).unwrap();
-        assert_eq!(t, 2_000); // max(500, 1000 + 100*10)
-        s.join().unwrap();
-    }
-
-    #[test]
-    fn capacity_one_delays_second_send_to_dequeue_time() {
-        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
-        let s = thread::spawn(move || {
-            let t1 = tx.send(hdr(0), 0, 100).unwrap();
-            assert_eq!(t1, 100);
-            // Second send must wait until the receiver dequeued msg 0 at
-            // t=5000.
-            let t2 = tx.send(hdr(1), 0, 200).unwrap();
-            assert_eq!(t2, 5_000);
-        });
-        let t = rx.recv(hdr(0), 5_000, |_| 0).unwrap();
-        assert_eq!(t, 5_000);
-        let t = rx.recv(hdr(1), t, |_| 0).unwrap();
-        assert_eq!(t, 5_000);
-        s.join().unwrap();
-    }
-
-    #[test]
-    fn capacity_two_allows_two_eager_sends() {
+    fn window_frees_a_slot_at_the_oldest_dequeue_time() {
         let (mut tx, mut rx) = link(2, Duration::from_secs(2));
         let s = thread::spawn(move || {
-            assert_eq!(tx.send(hdr(0), 0, 10).unwrap(), 10);
-            assert_eq!(tx.send(hdr(1), 0, 20).unwrap(), 20); // no wait
-            let t3 = tx.send(hdr(2), 0, 30).unwrap();
-            assert_eq!(t3, 1_000); // waits for first dequeue
+            // Two eager sends fit the window without waiting.
+            assert_eq!(tx.reserve().unwrap(), 0);
+            assert_eq!(tx.push(pkt(0, 10)).unwrap(), 1);
+            assert_eq!(tx.reserve().unwrap(), 0);
+            assert_eq!(tx.push(pkt(1, 20)).unwrap(), 2);
+            // The third waits for the first dequeue.
+            assert_eq!(tx.reserve().unwrap(), 500);
+            assert_eq!(tx.push(pkt(2, 500)).unwrap(), 2);
         });
-        assert_eq!(rx.recv(hdr(0), 1_000, |_| 0).unwrap(), 1_000);
-        assert_eq!(rx.recv(hdr(1), 1_000, |_| 0).unwrap(), 1_000);
-        assert_eq!(rx.recv(hdr(2), 1_000, |_| 0).unwrap(), 1_000);
+        for (m, at) in [(0, 500), (1, 900), (2, 900)] {
+            let p = rx.pop().unwrap();
+            assert_eq!(p.header.micro, MicroId(m));
+            rx.ack(at);
+        }
         s.join().unwrap();
     }
 
     #[test]
-    fn delayed_send_pushes_arrival_not_sender_clock() {
-        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
-        let s = thread::spawn(move || {
-            // Sender's own clock is unaffected by the injected delay...
-            let t = tx.send_delayed(hdr(0), 100, 1_000, 5_000).unwrap();
-            assert_eq!(t, 1_000);
-        });
-        // ...but the packet departs 5000 ns late, so arrival shifts.
-        let t = rx.recv(hdr(0), 0, |b| b * 10).unwrap();
-        assert_eq!(t, 7_000); // (1000 + 5000) + 100*10
-        s.join().unwrap();
-    }
-
-    #[test]
-    fn mismatch_is_detected() {
-        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
-        tx.send(hdr(7), 0, 0).unwrap();
-        let err = rx.recv(hdr(0), 0, |_| 0).unwrap_err();
-        assert!(matches!(err, LinkError::Mismatch(h) if h.micro == MicroId(7)));
-    }
-
-    #[test]
-    fn recv_times_out_when_nothing_is_sent() {
+    fn pop_times_out_when_nothing_is_sent() {
         let (_tx, mut rx) = link(1, Duration::from_millis(50));
-        let err = rx.recv(hdr(0), 0, |_| 0).unwrap_err();
-        assert_eq!(err, LinkError::Timeout);
+        assert_eq!(rx.pop().unwrap_err(), LinkError::Timeout);
     }
 
     #[test]
-    fn disconnect_is_reported() {
+    fn poison_and_hang_up_read_as_disconnected() {
+        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
+        tx.push(pkt(0, 0)).unwrap();
+        tx.poison();
+        // Genuine traffic first, then the end-of-stream marker.
+        assert_eq!(rx.pop().unwrap().header.micro, MicroId(0));
+        assert_eq!(rx.pop().unwrap_err(), LinkError::Disconnected);
+        rx.poison();
+        assert_eq!(tx.reserve().unwrap_err(), LinkError::Disconnected);
         let (tx, mut rx) = link(1, Duration::from_secs(2));
         drop(tx);
-        let err = rx.recv(hdr(0), 0, |_| 0).unwrap_err();
-        assert_eq!(err, LinkError::Disconnected);
-    }
-
-    #[test]
-    fn drain_collects_outstanding_acks() {
-        let (mut tx, mut rx) = link(2, Duration::from_secs(2));
-        let s = thread::spawn(move || {
-            tx.send(hdr(0), 0, 10).unwrap();
-            tx.send(hdr(1), 0, 20).unwrap();
-            let t = tx.drain(20).unwrap();
-            assert_eq!(t, 900);
-        });
-        rx.recv(hdr(0), 500, |_| 0).unwrap();
-        rx.recv(hdr(1), 900, |_| 0).unwrap();
-        s.join().unwrap();
+        assert_eq!(rx.pop().unwrap_err(), LinkError::Disconnected);
     }
 }

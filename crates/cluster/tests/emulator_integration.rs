@@ -72,20 +72,21 @@ fn timeline_events_are_causally_consistent() {
         &unit(),
         EmulatorConfig {
             channel_capacity: 2,
-            record_timeline: true,
+            record_spans: true,
             ..Default::default()
         },
     )
     .unwrap();
-    // Per device, events are strictly ordered and contiguous in time.
-    for d in 0..4u32 {
+    // Per device, spans are strictly ordered and contiguous in time.
+    let spans = r.spans.expect("spans recorded");
+    for d in 0..4usize {
         let mut last_end = 0;
-        for e in r.timeline.iter().filter(|e| e.device.0 == d) {
+        for e in &spans.per_device[d] {
             assert!(e.start >= last_end, "overlap on d{d}: {e:?}");
             assert!(e.end >= e.start);
             last_end = e.end;
         }
-        assert_eq!(last_end, r.device_clocks[d as usize]);
+        assert_eq!(last_end, r.device_clocks[d]);
     }
 }
 

@@ -22,8 +22,8 @@
 use mario_ir::exec::MsgClass;
 use mario_ir::{
     AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, FastMap, Instr, InstrKind,
-    LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PerturbationProfile, Schedule, SpanGraph,
-    Telemetry, CKPT_PC,
+    LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PendingCheckpoint, PerturbationProfile,
+    Schedule, SpanGraph, Telemetry, CKPT_PC,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -185,18 +185,13 @@ pub fn simulate_timeline_iters(
     simulate_timeline_ckpt(schedule, cost, channel_capacity, profile, iterations, None)
 }
 
-/// Per-device checkpoint-write state mirroring the emulator's
-/// `DeviceRuntime` chunk-drain bookkeeping: what is pending, what was
-/// actually paid, and which checkpoint is durable. The arithmetic below
-/// must stay literally identical to `mario-cluster::device` — the
-/// `simulator_matches_emulator` property covers both flat and
-/// sharded-async policies.
+/// Per-device checkpoint-write state: each device's write in flight
+/// (the [`PendingCheckpoint`] the emulator keeps too), what was actually
+/// paid, and which checkpoint is durable.
 struct CkptSim {
     policy: CheckpointPolicy,
-    /// Remaining chunk flush times of the in-flight async write.
-    pending: Vec<VecDeque<Nanos>>,
-    /// Iterations the in-flight write will cover once every chunk lands.
-    pending_iters: Vec<u32>,
+    /// Each device's in-flight write.
+    pending: Vec<PendingCheckpoint>,
     /// Write time charged synchronously to each device's clock.
     paid: Vec<Nanos>,
     /// Iterations covered by each device's last durable checkpoint.
@@ -222,54 +217,39 @@ impl CkptSim {
     fn new(policy: CheckpointPolicy, devices: usize) -> Self {
         Self {
             policy,
-            pending: (0..devices).map(|_| VecDeque::new()).collect(),
-            pending_iters: vec![0; devices],
+            pending: vec![PendingCheckpoint::default(); devices],
             paid: vec![0; devices],
             last_ck: vec![0; devices],
         }
     }
 
     /// Flushes whole chunks into an idle gap of `gap` ns (a blocking recv
-    /// wait or a capacity-blocked send). The checkpoint becomes durable
-    /// only when the queue empties.
-    /// Returns the flush time drained into the gap (the telemetry's
-    /// `ckpt_absorbed_ns`) — the emulator's `drain_chunks`, bit for bit.
-    fn drain(&mut self, d: usize, mut gap: Nanos) -> Nanos {
-        let mut drained = 0;
-        if self.pending[d].is_empty() {
-            return drained;
+    /// wait or a capacity-blocked send). Returns the flush time drained
+    /// into the gap (the telemetry's `ckpt_absorbed_ns`).
+    fn drain(&mut self, d: usize, gap: Nanos) -> Nanos {
+        let (drained, durable) = self.pending[d].drain(gap);
+        if let Some(covers) = durable {
+            self.last_ck[d] = covers;
         }
-        while let Some(&chunk) = self.pending[d].front() {
-            if chunk > gap {
-                return drained;
-            }
-            gap -= chunk;
-            drained += chunk;
-            self.pending[d].pop_front();
-        }
-        self.last_ck[d] = self.pending_iters[d];
         drained
     }
 
     /// Synchronously pays whatever the previous async write could not
     /// hide, advancing the device clock. Returns the residue paid.
     fn flush_residue(&mut self, d: usize, clock: &mut Nanos) -> Nanos {
-        if self.pending[d].is_empty() {
+        let Some((residue, covers)) = self.pending[d].flush_residue() else {
             return 0;
-        }
-        let residue: Nanos = self.pending[d].iter().sum();
-        self.pending[d].clear();
+        };
         *clock += residue;
         self.paid[d] += residue;
-        self.last_ck[d] = self.pending_iters[d];
+        self.last_ck[d] = covers;
         residue
     }
 
-    /// End-of-iteration checkpoint boundary — the mirror of the
-    /// emulator's `checkpoint_boundary`, including the transient
-    /// serialization buffer it holds at its peak. The write time charged
-    /// synchronously to the clock (the telemetry's `ckpt_sync_ns`) goes
-    /// to `rec`.
+    /// End-of-iteration checkpoint boundary, including the transient
+    /// serialization buffer the write holds at its peak. The write time
+    /// charged synchronously to the clock (the telemetry's
+    /// `ckpt_sync_ns`) goes to `rec`.
     fn boundary<R: Recorder>(
         &mut self,
         d: usize,
@@ -283,29 +263,20 @@ impl CkptSim {
         }
         let dev = DeviceId(d as u32);
         let start = *clock;
-        let mut paid = self.flush_residue(d, clock);
+        let residue = self.flush_residue(d, clock);
         rec.snapshot(dev, self.policy.mem_overhead);
         let shard = cost.ckpt_shard_bytes(dev);
-        if self.policy.async_overlap() {
-            let chunks = self.policy.device_chunk_times(shard);
-            if chunks.is_empty() {
-                self.last_ck[d] = iter_idx + 1;
-            } else {
-                self.pending[d] = chunks.into();
-                self.pending_iters[d] = iter_idx + 1;
-            }
-        } else {
-            let write = self.policy.device_write_ns(shard);
-            *clock += write;
-            self.paid[d] += write;
-            paid += write;
-            self.last_ck[d] = iter_idx + 1;
+        let (write, durable) = self.pending[d].begin(&self.policy, shard, iter_idx);
+        *clock += write;
+        self.paid[d] += write;
+        if let Some(covers) = durable {
+            self.last_ck[d] = covers;
         }
-        rec.ckpt(ckpt_span(d, iter_idx, start, *clock), paid);
+        rec.ckpt(ckpt_span(d, iter_idx, start, *clock), residue + write);
     }
 
     /// End-of-run drain: no bubbles remain, so any residue is paid
-    /// synchronously (the emulator's `drain_checkpoint`).
+    /// synchronously.
     fn drain_end<R: Recorder>(
         &mut self,
         d: usize,

@@ -11,6 +11,7 @@
 use crate::hash::FastMap;
 use crate::ids::{MicroId, PartId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// What a dynamic allocation holds; one live allocation per key at a time.
@@ -56,6 +57,27 @@ impl fmt::Display for OomError {
 }
 
 impl std::error::Error for OomError {}
+
+/// Why an allocation failed.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AllocError {
+    /// The allocation would exceed the device capacity.
+    Oom(OomError),
+    /// The key already holds a live allocation: the instruction stream
+    /// violated the activation lifecycle (a malformed schedule).
+    Live(AllocKey),
+}
+
+impl fmt::Display for AllocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AllocError::Oom(e) => e.fmt(f),
+            AllocError::Live(key) => write!(f, "double allocation of {key:?}"),
+        }
+    }
+}
+
+impl std::error::Error for AllocError {}
 
 /// A per-device memory ledger with peak tracking and optional capacity.
 #[derive(Debug, Clone)]
@@ -118,11 +140,13 @@ impl MemLedger {
     /// Allocates `bytes` under `key`.
     ///
     /// Zero-byte requests are recorded (so state machines stay uniform) but
-    /// cost nothing. Allocating an already-live key is a logic error.
-    pub fn alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), OomError> {
-        if let Some(prev) = self.live.insert(key, bytes) {
-            panic!("double allocation of {key:?} (previous {prev} B)");
-        }
+    /// cost nothing. Allocating an already-live key fails and leaves the
+    /// ledger unchanged.
+    pub fn alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), AllocError> {
+        match self.live.entry(key) {
+            Entry::Occupied(_) => return Err(AllocError::Live(key)),
+            Entry::Vacant(slot) => slot.insert(bytes),
+        };
         self.dynamic += bytes;
         let now = self.current();
         if let Some(cap) = self.capacity {
@@ -130,11 +154,11 @@ impl MemLedger {
                 // Roll back so the caller can report a consistent state.
                 self.live.remove(&key);
                 self.dynamic -= bytes;
-                return Err(OomError {
+                return Err(AllocError::Oom(OomError {
                     requested: bytes,
                     in_use: self.current(),
                     capacity: cap,
-                });
+                }));
             }
         }
         self.peak = self.peak.max(now);
@@ -188,7 +212,9 @@ mod tests {
     fn oom_is_detected_and_rolled_back() {
         let mut l = MemLedger::new(10, Some(100));
         l.alloc(key(0), 80).unwrap();
-        let err = l.alloc(key(1), 20).unwrap_err();
+        let Err(AllocError::Oom(err)) = l.alloc(key(1), 20) else {
+            panic!("expected an OOM");
+        };
         assert_eq!(err.requested, 20);
         assert_eq!(err.capacity, 100);
         assert_eq!(err.in_use, 90);
@@ -210,11 +236,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "double allocation")]
-    fn double_alloc_panics() {
+    fn double_alloc_fails_and_keeps_the_live_allocation() {
         let mut l = MemLedger::new(0, None);
         l.alloc(key(0), 1).unwrap();
-        let _ = l.alloc(key(0), 1);
+        assert_eq!(l.alloc(key(0), 5), Err(AllocError::Live(key(0))));
+        assert_eq!(l.current(), 1);
+        assert_eq!(l.free(key(0)), 1);
     }
 
     #[test]

@@ -57,14 +57,14 @@ pub mod text;
 pub mod topology;
 pub mod validate;
 
-pub use checkpoint::{CheckpointPolicy, ShardedWrite};
+pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use hash::FastMap;
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use index::{ProgramIndex, RouteHops};
 pub use instr::{Instr, InstrKind, InstrTag};
-pub use ledger::{AllocKey, MemLedger, OomError};
+pub use ledger::{AllocError, AllocKey, MemLedger, OomError};
 pub use list::DeviceProgram;
 pub use perturb::{LinkSlack, PerturbationProfile, SlowdownWindow};
 pub use rules::MemoryRules;

@@ -19,7 +19,7 @@ use crate::cost::CostModel;
 use crate::hash::FastSet;
 use crate::ids::DeviceId;
 use crate::instr::{Instr, InstrKind};
-use crate::ledger::{AllocKey, MemLedger, OomError};
+use crate::ledger::{AllocError, AllocKey, MemLedger};
 use crate::schedule::Schedule;
 
 /// Precomputed per-schedule facts needed to apply memory effects.
@@ -74,7 +74,7 @@ impl MemoryRules {
         cost: &dyn CostModel,
         device: DeviceId,
         instr: &Instr,
-    ) -> Result<(), OomError> {
+    ) -> Result<(), AllocError> {
         let m = instr.micro;
         let p = instr.part;
         match instr.kind {
@@ -289,7 +289,10 @@ mod tests {
         let err = rules
             .apply(&mut l, &cost, DeviceId(1), &Instr::forward(0u32, 0u32))
             .unwrap_err();
-        assert_eq!(err.capacity, 120);
+        assert!(
+            matches!(err, AllocError::Oom(ref e) if e.capacity == 120),
+            "{err}"
+        );
     }
 
     #[test]

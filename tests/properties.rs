@@ -1,6 +1,7 @@
 //! Property-based invariants spanning the whole stack: schedule
 //! generation → graph tuning → simulation → emulation.
 
+use mario::ir::{OpSpan, SpanGraph};
 use mario::prelude::*;
 use mario_core::passes::PreposeOptions;
 use proptest::prelude::*;
@@ -46,6 +47,87 @@ fn permutation(devices: u32, seed: u64) -> Vec<u32> {
         v.swap(i, j);
     }
     v
+}
+
+/// The first difference between two span graphs, named by device, span
+/// index and field with both values; `None` when the graphs are equal.
+fn first_span_divergence(a: &SpanGraph, b: &SpanGraph) -> Option<String> {
+    if a.per_device.len() != b.per_device.len() {
+        return Some(format!(
+            "device count: {} vs {}",
+            a.per_device.len(),
+            b.per_device.len()
+        ));
+    }
+    for (d, (xs, ys)) in a.per_device.iter().zip(&b.per_device).enumerate() {
+        for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+            let fields = [
+                ("device", x.device.0 as u64, y.device.0 as u64),
+                ("iter", x.iter as u64, y.iter as u64),
+                ("pc", x.pc as u64, y.pc as u64),
+                ("start", x.start, y.start),
+                ("end", x.end, y.end),
+                ("work_ns", x.work_ns, y.work_ns),
+                ("sent_at", x.sent_at, y.sent_at),
+                ("wire_ns", x.wire_ns, y.wire_ns),
+                ("gate_ns", x.gate_ns, y.gate_ns),
+            ];
+            if let Some((field, u, v)) = fields.into_iter().find(|(_, u, v)| u != v) {
+                return Some(format!("d{d} span {i} {field}: {u} vs {v}"));
+            }
+        }
+        if xs.len() != ys.len() {
+            return Some(format!("d{d} span count: {} vs {}", xs.len(), ys.len()));
+        }
+    }
+    if a.makespan != b.makespan {
+        return Some(format!("makespan: {} vs {}", a.makespan, b.makespan));
+    }
+    (a != b).then(|| {
+        format!(
+            "channel capacity: {} vs {}",
+            a.channel_capacity, b.channel_capacity
+        )
+    })
+}
+
+/// A span's instruction rendered through the schedule it executed
+/// (`CKPT` for checkpoint writes).
+fn span_name(schedule: &Schedule, span: &OpSpan) -> String {
+    if span.is_ckpt() {
+        return "CKPT".to_string();
+    }
+    schedule.program(span.device).instrs()[span.pc as usize].to_string()
+}
+
+#[test]
+fn span_divergence_names_the_first_differing_field() {
+    let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
+    let a = mario::core::simulate_timeline(&s, &UnitCost::paper_grid(), 1)
+        .unwrap()
+        .spans;
+    assert_eq!(first_span_divergence(&a, &a), None);
+    let mut b = a.clone();
+    b.per_device[1][3].end += 1;
+    b.per_device[1][4].start += 1;
+    let end = a.per_device[1][3].end;
+    assert_eq!(
+        first_span_divergence(&a, &b),
+        Some(format!("d1 span 3 end: {end} vs {}", end + 1))
+    );
+    let mut c = a.clone();
+    c.per_device[0].pop();
+    let n = a.per_device[0].len();
+    assert_eq!(
+        first_span_divergence(&a, &c),
+        Some(format!("d0 span count: {n} vs {}", n - 1))
+    );
+    let mut e = a.clone();
+    e.channel_capacity = 2;
+    assert_eq!(
+        first_span_divergence(&a, &e).as_deref(),
+        Some("channel capacity: 1 vs 2")
+    );
 }
 
 proptest! {
@@ -647,7 +729,6 @@ proptest! {
             iterations: iters,
             checkpoint: policy,
             record_spans: true,
-            record_timeline: true,
             ..Default::default()
         };
         let emu = mario::cluster::run(&s, &cost, cfg).expect("emulation completes");
@@ -682,14 +763,15 @@ proptest! {
         // critical path computed from it tiles the makespan exactly.
         let th_spans = emu.spans.as_ref().expect("thread backend recorded spans");
         let ev_spans = ev.spans.as_ref().expect("event backend recorded spans");
-        prop_assert_eq!(&sim.spans, th_spans,
+        prop_assert_eq!(first_span_divergence(&sim.spans, th_spans), None,
             "span graph diverged (sim vs thread) on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
-        prop_assert_eq!(ev_spans, th_spans,
+        prop_assert_eq!(first_span_divergence(ev_spans, th_spans), None,
             "span graph diverged (event vs thread) on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
         // Every device's typed simulated events render, in program order,
-        // to the names both emulators record (checkpoint writes as CKPT).
+        // to the names of both emulators' spans (checkpoint writes as
+        // CKPT).
         for dev in 0..d {
             let sim_names: Vec<String> = sim
                 .events
@@ -697,12 +779,10 @@ proptest! {
                 .filter(|e| e.device.0 == dev)
                 .map(mario::core::SimEvent::name)
                 .collect();
-            for (backend, run) in [("thread", &emu), ("event", &ev)] {
-                let recorded: Vec<&str> = run
-                    .timeline
+            for (backend, spans) in [("thread", th_spans), ("event", ev_spans)] {
+                let recorded: Vec<String> = spans.per_device[dev as usize]
                     .iter()
-                    .filter(|e| e.device.0 == dev)
-                    .map(|e| e.instr.as_str())
+                    .map(|sp| span_name(&s, sp))
                     .collect();
                 prop_assert_eq!(&sim_names, &recorded,
                     "event names diverged (sim vs {}) on {:?} D={} N={} mode {} d{}",
@@ -1134,9 +1214,9 @@ proptest! {
         let th_spans = tr.spans.as_ref().expect("thread serve recorded spans");
         let ev_spans = er.spans.as_ref().expect("event serve recorded spans");
         let sim_spans = sr.spans.as_ref().expect("sim serve carries spans");
-        prop_assert_eq!(ev_spans, th_spans,
+        prop_assert_eq!(first_span_divergence(ev_spans, th_spans), None,
             "serving span graph diverged (event vs thread) at p={} count={}", p, count);
-        prop_assert_eq!(sim_spans, th_spans,
+        prop_assert_eq!(first_span_divergence(sim_spans, th_spans), None,
             "serving span graph diverged (sim vs thread) at p={} count={}", p, count);
         let schedule = build(th.batches.len() as u32);
         let crit = mario::core::critpath::analyze(&schedule, sim_spans);
