@@ -1,7 +1,9 @@
 //! Sharded checkpoint-write sweep: synchronous flushes vs chunks drained
 //! into pipeline bubbles, across V/X/W. Exits non-zero unless the async
 //! overlap absorbs a strictly positive fraction of the write cost in at
-//! least one scheme. Pass `--smoke` for a single-scheme CI run and
+//! least one scheme, and the best telemetry-measured fraction (the
+//! `bubble_fraction` metric) lies strictly inside (0, 1) — which an
+//! empty sweep fails too. Pass `--smoke` for a single-scheme CI run and
 //! `--json` for a machine-readable `results/ckptshard.json`.
 fn main() {
     use mario_bench::experiments::ckptshard;
@@ -9,11 +11,11 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let rows = ckptshard::run_sweep(smoke);
     println!("{}", ckptshard::render(&rows));
+    let best = rows
+        .iter()
+        .map(|r| r.absorbed_telemetry)
+        .fold(0.0, f64::max);
     if summary::json_requested() {
-        let best = rows
-            .iter()
-            .map(|r| r.absorbed_telemetry)
-            .fold(0.0, f64::max);
         let mut s = RunSummary::new("ckptshard").metric("bubble_fraction", best);
         for r in &rows {
             s.push_row(
@@ -39,7 +41,7 @@ fn main() {
         ));
         summary::emit(&s);
     }
-    if !rows.iter().any(|r| r.absorbed > 0.0) {
+    if !(rows.iter().any(|r| r.absorbed > 0.0) && best > 0.0 && best < 1.0) {
         std::process::exit(1);
     }
 }

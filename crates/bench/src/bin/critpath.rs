@@ -4,8 +4,10 @@
 //! zero-slack set for ZB-H1), the what-if engine matches ground-truth
 //! re-simulation on a perturbation grid, 1F1B's path is `(p−1)·t` longer
 //! than ZB-H1's, and the span graph is bit-identical across all three
-//! executors. Exits non-zero on any violation. Pass `--smoke` for the
-//! trimmed CI run and `--json` for `results/critpath.json`.
+//! executors. Exits non-zero on any violation, on an empty sweep, or
+//! unless the published ZB-H1 headline path tiles its makespan and names
+//! its top ops. Pass `--smoke` for the trimmed CI run and `--json` for
+//! `results/critpath.json`.
 fn main() {
     use mario_bench::experiments::critpath;
     use mario_bench::{summary, JsonObj, RunSummary};
@@ -19,10 +21,17 @@ fn main() {
     let parity = critpath::backend_parity(smoke);
     println!("{}", critpath::render_gap(&gaps, &parity));
 
-    let all_ok = paths.iter().all(|r| r.ok)
+    let headline = mario_bench::unit_critical_path(mario_ir::SchemeKind::ZeroBubbleH1, 4, 8);
+    let all_ok = !paths.is_empty()
+        && !whatifs.is_empty()
+        && !gaps.is_empty()
+        && !parity.is_empty()
+        && paths.iter().all(|r| r.ok)
         && whatifs.iter().all(|r| r.ok)
         && gaps.iter().all(|r| r.ok)
-        && parity.iter().all(|(_, ok)| *ok);
+        && parity.iter().all(|(_, ok)| *ok)
+        && headline.breakdown.total() == headline.makespan
+        && !headline.top_path_ops(5).is_empty();
     if summary::json_requested() {
         let mut s = RunSummary::new("critpath")
             .metric("path_points", paths.len() as f64)
@@ -91,11 +100,7 @@ fn main() {
                     .bool("ok", *ok),
             );
         }
-        s.attach_critical_path(&mario_bench::unit_critical_path(
-            mario_ir::SchemeKind::ZeroBubbleH1,
-            4,
-            8,
-        ));
+        s.attach_critical_path(&headline);
         summary::emit(&s);
     }
     if !all_ok {

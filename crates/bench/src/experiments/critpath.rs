@@ -24,7 +24,7 @@
 use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_core::critpath::{analyze, whatif, CritReport, WhatIf};
-use mario_core::simulator::{simulate_timeline_ckpt, simulate_timeline_with};
+use mario_core::simulator::{simulate, simulate_timeline, SimOptions};
 use mario_ir::{
     CheckpointPolicy, DeviceId, LinkSlack, PerturbationProfile, Schedule, SchemeKind,
     ShardedWrite, SlowdownWindow, UnitCost,
@@ -44,6 +44,22 @@ const ITERS: u32 = 2;
 /// (30 µs per flush at 2000 B/µs — the `ckptshard` bench's economy).
 fn cost() -> UnitCost {
     UnitCost::paper_grid().with_shard_bytes(60_000)
+}
+
+/// A recording's simulator options: [`ITERS`] iterations at capacity
+/// `cap` on the cluster `profile` describes, under `checkpoint`.
+fn recording(
+    cap: usize,
+    profile: &PerturbationProfile,
+    checkpoint: Option<CheckpointPolicy>,
+) -> SimOptions<'_> {
+    SimOptions {
+        channel_capacity: cap,
+        profile,
+        iterations: ITERS,
+        checkpoint,
+        ..SimOptions::default()
+    }
 }
 
 /// Checkpoint modes the path sweep crosses with every scheme.
@@ -168,15 +184,9 @@ fn record(
     mode: CkptMode,
 ) -> (Schedule, mario_ir::SpanGraph, u64) {
     let s = generate(ScheduleConfig::new(scheme, DEVICES, MICROS));
-    let t = simulate_timeline_ckpt(
-        &s,
-        &cost(),
-        channel_capacity(scheme),
-        &PerturbationProfile::identity(),
-        ITERS,
-        mode.policy(),
-    )
-    .expect("schedule simulates");
+    let identity = PerturbationProfile::identity();
+    let opts = recording(channel_capacity(scheme), &identity, mode.policy());
+    let t = simulate(&s, &cost(), &opts).expect("schedule simulates");
     (s, t.spans, t.total_ns)
 }
 
@@ -313,7 +323,7 @@ pub fn whatif_grid(smoke: bool) -> Vec<WhatIfRow> {
     for &scheme in schemes {
         let cap = channel_capacity(scheme);
         let s = generate(ScheduleConfig::new(scheme, DEVICES, MICROS));
-        let t = simulate_timeline_ckpt(&s, &cost, cap, &identity, ITERS, None)
+        let t = simulate(&s, &cost, &recording(cap, &identity, None))
             .expect("schedule simulates");
         let scenarios: Vec<(String, PerturbationProfile)> = vec![
             (
@@ -356,7 +366,7 @@ pub fn whatif_grid(smoke: bool) -> Vec<WhatIfRow> {
             ),
         ];
         for (label, profile) in scenarios {
-            let truth = simulate_timeline_ckpt(&s, &cost, cap, &profile, ITERS, None)
+            let truth = simulate(&s, &cost, &recording(cap, &profile, None))
                 .expect("perturbed re-simulation completes");
             let w = whatif(&s, &t.spans, &WhatIf::perturb(&profile));
             out.push(WhatIfRow {
@@ -371,9 +381,9 @@ pub fn whatif_grid(smoke: bool) -> Vec<WhatIfRow> {
         // write, re-time with the writes zeroed, compare against the
         // checkpoint-free ground truth.
         let flat = CkptMode::Flat.policy();
-        let ck = simulate_timeline_ckpt(&s, &cost, cap, &identity, ITERS, flat)
+        let ck = simulate(&s, &cost, &recording(cap, &identity, flat))
             .expect("checkpointed run simulates");
-        let free = simulate_timeline_ckpt(&s, &cost, cap, &identity, ITERS, None)
+        let free = simulate(&s, &cost, &recording(cap, &identity, None))
             .expect("checkpoint-free run simulates");
         let w = whatif(
             &s,
@@ -401,13 +411,7 @@ pub fn closed_form_gap() -> Vec<GapRow> {
         .map(|&(p, m)| {
             let run = |scheme| {
                 let s = generate(ScheduleConfig::new(scheme, p, m));
-                let t = simulate_timeline_with(
-                    &s,
-                    &UnitCost::paper_grid(),
-                    1,
-                    &PerturbationProfile::identity(),
-                )
-                .unwrap();
+                let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
                 analyze(&s, &t.spans).breakdown.total()
             };
             let v = run(SchemeKind::OneFOneB);

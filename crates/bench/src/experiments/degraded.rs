@@ -4,16 +4,16 @@
 //! DP simulation layer. For every scheme in {V, X, W} and a range of
 //! straggler factors, one `Slowdown` fault is planned for a mid-pipeline
 //! device, translated into a [`PerturbationProfile`], and the predicted
-//! slowdown (`simulate_timeline_with` / baseline `simulate_timeline`) is
-//! tabulated against the emulated slowdown (`run_with_faults` / clean
-//! `run`) under zero jitter. The invariant checked per scenario: the
+//! slowdown (`simulate` with the plan's profile / baseline
+//! `simulate_timeline`) is tabulated against the emulated slowdown
+//! (`run_with_faults` / clean `run`) under zero jitter. The invariant checked per scenario: the
 //! degraded simulation reproduces the faulted emulation **bit for bit**
 //! (total time and every device clock), so predicted == emulated exactly.
 
 use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_cluster::{run, run_with_faults, EmulatorConfig, FaultKind, FaultPlan};
-use mario_core::simulator::{simulate_timeline, simulate_timeline_with};
+use mario_core::simulator::{simulate, simulate_timeline, SimOptions};
 use mario_ir::{DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
@@ -59,8 +59,13 @@ fn scenario(scheme: SchemeKind, factor: f64) -> Scenario {
     let cost = UnitCost::paper_grid();
 
     let sim_base = simulate_timeline(&schedule, &cost, cap).expect("valid schedule");
-    let sim_degr = simulate_timeline_with(&schedule, &cost, cap, &plan.perturbation_profile())
-        .expect("valid schedule");
+    let profile = plan.perturbation_profile();
+    let degraded = SimOptions {
+        channel_capacity: cap,
+        profile: &profile,
+        ..SimOptions::default()
+    };
+    let sim_degr = simulate(&schedule, &cost, &degraded).expect("valid schedule");
     let emu_base = run(&schedule, &cost, cfg).expect("clean run");
     let emu_degr = run_with_faults(&schedule, &cost, cfg, &plan).expect("absorbable fault");
 

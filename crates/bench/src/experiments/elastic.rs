@@ -17,9 +17,9 @@
 //! not (shrinking wins). Every scenario checks:
 //!
 //! * the DP simulator predicts both tails **bit-for-bit**
-//!   ([`simulate_timeline_ckpt`] for the full-width resume,
-//!   [`simulate_timeline_startup`] for the shrunk pipeline with its
-//!   redistribution offsets);
+//!   ([`simulate`] with the checkpoint policy for the full-width resume,
+//!   and with the redistribution offsets as `startup` for the shrunk
+//!   pipeline);
 //! * the redistribution charge is visible in the final report's
 //!   telemetry `reconfig_ns` class and the per-device time classes
 //!   conserve each device clock exactly;
@@ -32,10 +32,9 @@ use mario_cluster::{
     RecoveryPolicy,
 };
 use mario_core::{
-    compare_policies, plan_shrink, simulate_timeline_ckpt, simulate_timeline_startup,
-    ElasticSetup, LayerScaledCost,
+    compare_policies, plan_shrink, simulate, ElasticSetup, LayerScaledCost, SimOptions,
 };
-use mario_ir::{CheckpointPolicy, DeviceId, PerturbationProfile, SchemeKind, UnitCost};
+use mario_ir::{CheckpointPolicy, DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -174,24 +173,28 @@ fn sweep_scheme(scheme: SchemeKind, fault_iters: &[u32]) -> Vec<Scenario> {
     };
     let shrunk_cost =
         LayerScaledCost::new(UnitCost::paper_grid(), scheme, splan.devices, LAYERS);
-    let identity = PerturbationProfile::identity();
     let wait_tail = |r: u32| {
-        simulate_timeline_ckpt(&schedule, &cost, cap, &identity, r, Some(policy))
+        let opts = SimOptions {
+            channel_capacity: cap,
+            iterations: r,
+            checkpoint: Some(policy),
+            ..SimOptions::default()
+        };
+        simulate(&schedule, &cost, &opts)
             .expect("full-width tail simulates")
             .total_ns
     };
     let shrink_tail = |r: u32| {
-        simulate_timeline_startup(
-            &splan.schedule,
-            &shrunk_cost,
-            splan.channel_capacity,
-            &identity,
-            r,
-            Some(policy),
-            &splan.startup_ns,
-        )
-        .expect("shrunk tail simulates")
-        .total_ns
+        let opts = SimOptions {
+            channel_capacity: splan.channel_capacity,
+            iterations: r,
+            checkpoint: Some(policy),
+            startup: &splan.startup_ns,
+            ..SimOptions::default()
+        };
+        simulate(&splan.schedule, &shrunk_cost, &opts)
+            .expect("shrunk tail simulates")
+            .total_ns
     };
     // Place the replacement wait between the simulated policy gaps at
     // tails of 4 and 6 iterations: waiting then wins every longer tail,

@@ -40,7 +40,8 @@ fn t_units(s: &Schedule, cost: &UnitCost) -> u64 {
 
 fn gantt(s: &Schedule, cost: &UnitCost) -> String {
     render_ascii(
-        &simulate_timeline(s, cost, 1).unwrap(),
+        &simulate_timeline(s, cost, 1).unwrap().spans,
+        s,
         VizOptions::default(),
     )
 }

@@ -26,8 +26,7 @@ use crate::link::{LinkError, Packet};
 use crate::machine::{
     links, ChanKey, CkptBoard, DeviceReport, Machine, Port, Shared, StallTable, Stepped, Transport,
 };
-use crate::runner::{settle_report, EmulatorConfig, RunReport};
-use crate::serving::ServingHooks;
+use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
 use mario_ir::{CostModel, DeviceId, FastMap, MemoryRules, Nanos, Schedule};
 use std::collections::VecDeque;
 
@@ -192,21 +191,27 @@ pub fn run_event_ordered(
     startup: &[Nanos],
     order: &[u32],
 ) -> Result<RunReport, EmuError> {
-    run_event(schedule, cost, cfg, plan, startup, order, None)
+    let opts = RunOptions {
+        startup,
+        ..RunOptions::new(plan)
+    };
+    run_event(schedule, cost, cfg, &opts, order)
 }
 
-/// The event backend behind [`crate::run`] and friends: `startup` holds
-/// per-device startup offsets and `serving` the serving hooks (None on
-/// training runs).
+/// The event backend behind [`crate::run_with`], seeding its worklist in
+/// `order`.
 pub(crate) fn run_event(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    startup: &[Nanos],
+    opts: &RunOptions,
     order: &[u32],
-    serving: Option<ServingHooks<'_>>,
 ) -> Result<RunReport, EmuError> {
+    let RunOptions {
+        plan,
+        startup,
+        serving,
+    } = *opts;
     let devices = schedule.devices() as usize;
     let mut seen = vec![false; devices];
     for &d in order {

@@ -362,7 +362,7 @@ impl FaultPlan {
     /// plan's fault iteration, matching the emulator's per-iteration
     /// fault scoping — agreement holds for any iteration count as long
     /// as the simulator models the same number of iterations
-    /// (`simulate_timeline_iters`).
+    /// (`SimOptions::iterations` of `mario-core`'s `simulate`).
     pub fn perturbation_profile(&self) -> PerturbationProfile {
         let mut profile = PerturbationProfile::identity();
         for &fault in &self.faults {

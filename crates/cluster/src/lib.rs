@@ -42,9 +42,9 @@ pub use error::EmuError;
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
 pub use machine::{CkptBoard, DeviceReport, StallTable};
 pub use runner::{
-    effective_watchdog, run, run_serving, run_with_elastic_recovery, run_with_faults,
-    run_with_faults_startup, run_with_recovery, ElasticRun, EmulatorBackend, EmulatorConfig,
-    Reconfiguration, ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunReport,
+    effective_watchdog, run, run_with, run_with_elastic_recovery, run_with_faults,
+    run_with_recovery, ElasticRun, EmulatorBackend, EmulatorConfig, Reconfiguration,
+    ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions, RunReport,
 };
 pub use serving::{
     form_batches, poisson_arrivals, serve, serve_with, Batch, BatchPolicy, Request, RetryPolicy,

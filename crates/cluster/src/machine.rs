@@ -438,7 +438,7 @@ impl<'a> Machine<'a> {
                 let mut gate = 0;
                 if let Some(sv) = self.shared.serving {
                     if matches!(instr.kind, InstrKind::Forward { .. })
-                        && sv.topo.is_first_stage(self.device, instr.part)
+                        && self.shared.schedule.topology.is_first_stage(self.device, instr.part)
                     {
                         gate = sv.release_of(instr.micro);
                         let gap = gate.saturating_sub(self.clock);
@@ -473,7 +473,7 @@ impl<'a> Machine<'a> {
                 // micro-batch (observational write — never read here).
                 if let Some(sv) = self.shared.serving {
                     if matches!(instr.kind, InstrKind::Forward { .. })
-                        && sv.topo.is_last_stage(self.device, instr.part)
+                        && self.shared.schedule.topology.is_last_stage(self.device, instr.part)
                     {
                         sv.board.record(instr.micro, self.clock);
                     }

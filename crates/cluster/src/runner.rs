@@ -8,9 +8,10 @@
 //! buffer-order deadlocks, activation-lifecycle leaks) manifest exactly as
 //! they would on hardware, while per-instruction latencies come from the
 //! cost model. [`run_with_faults`] additionally threads a seeded
-//! [`FaultPlan`] through the devices, and [`run_with_recovery`] restarts a
-//! faulted run a bounded number of times (the checkpoint-restart loop a
-//! real fleet scheduler would drive).
+//! [`FaultPlan`] through the devices, [`run_with`] takes the plan,
+//! startup offsets and serving hooks in one [`RunOptions`], and
+//! [`run_with_recovery`] restarts a faulted run a bounded number of times
+//! (the checkpoint-restart loop a real fleet scheduler would drive).
 
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
@@ -200,74 +201,67 @@ pub fn run(
     run_with_faults(schedule, cost, cfg, &FaultPlan::none())
 }
 
-/// Runs `schedule` with the faults of `plan` injected. With an empty plan
-/// this is exactly [`run`]; with a populated plan every induced failure
-/// terminates the run with a structured [`EmuError::Fault`] naming the
-/// injected fault, the observing device, its pc and virtual time — never a
-/// hang, never a panic.
+/// Runs `schedule` with the faults of `plan` injected: [`run_with`] with
+/// no startup offsets and no serving hooks.
 pub fn run_with_faults(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
     plan: &FaultPlan,
 ) -> Result<RunReport, EmuError> {
-    run_with_faults_startup(schedule, cost, cfg, plan, &[])
+    run_with(schedule, cost, cfg, &RunOptions::new(plan))
 }
 
-/// [`run_with_faults`] with a per-device startup offset: device `d`'s
-/// clock begins at `startup[d]` ns (0 when the slice is short), charged
-/// to the `reconfig_ns` telemetry class — the state-redistribution cost
-/// an elastic reconfiguration pays before the shrunk pipeline's first
-/// instruction. The offsets propagate through blocking p2p exactly as in
-/// the DP simulator's `simulate_timeline_startup`, so zero-jitter parity
-/// holds on reconfigured runs too.
-pub fn run_with_faults_startup(
+/// What a run injects and observes beyond its [`EmulatorConfig`].
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// The faults to inject. With an empty plan the run is exactly
+    /// [`run`]; with a populated plan every induced failure terminates
+    /// the run with a structured [`EmuError::Fault`] naming the injected
+    /// fault, the observing device, its pc and virtual time — never a
+    /// hang, never a panic.
+    pub plan: &'a FaultPlan,
+    /// Per-device startup offsets: device `d`'s clock begins at
+    /// `startup[d]` ns (0 when the slice is short), charged to the
+    /// `reconfig_ns` telemetry class — the state-redistribution cost an
+    /// elastic reconfiguration pays before the shrunk pipeline's first
+    /// instruction. The offsets propagate through blocking p2p exactly
+    /// as the DP simulator's `SimOptions::startup`, so zero-jitter parity
+    /// holds on reconfigured runs too.
+    pub startup: &'a [Nanos],
+    /// Serving hooks (None on training runs): each micro-batch's
+    /// first-stage forward is gated at its release (the ingress wait
+    /// lands in the `recv_blocked_ns` class, like any other wait for
+    /// upstream data) and the last stage records completion times on the
+    /// board. The board is observational, so a run with all-zero releases
+    /// is bit-identical to one without hooks.
+    pub serving: Option<ServingHooks<'a>>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// The faults of `plan`, no startup offsets, no serving hooks.
+    pub fn new(plan: &'a FaultPlan) -> Self {
+        Self {
+            plan,
+            startup: &[],
+            serving: None,
+        }
+    }
+}
+
+/// Runs `schedule` as `opts` describes, on the backend `cfg.backend`
+/// selects.
+pub fn run_with(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    startup: &[Nanos],
-) -> Result<RunReport, EmuError> {
-    run_backend(schedule, cost, cfg, plan, startup, None)
-}
-
-/// One serving attempt: [`run_with_faults`] with serving hooks active —
-/// each micro-batch's first-stage forward is gated at `release[micro]`
-/// (the ingress wait lands in the `recv_blocked_ns` class, like any other
-/// wait for upstream data) and the last stage records completion times on
-/// `board`. The board is observational, so a run with all-zero releases is
-/// bit-identical to the un-instrumented [`run_with_faults`]. Dispatches to
-/// whichever backend `cfg` selects.
-pub fn run_serving(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    release: &[Nanos],
-    board: &crate::serving::ServeBoard,
-) -> Result<RunReport, EmuError> {
-    let hooks = ServingHooks {
-        topo: schedule.topology,
-        release,
-        board,
-    };
-    run_backend(schedule, cost, cfg, plan, &[], Some(hooks))
-}
-
-/// Runs `schedule` on the backend `cfg.backend` selects.
-fn run_backend(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    startup: &[Nanos],
-    serving: Option<ServingHooks<'_>>,
+    opts: &RunOptions,
 ) -> Result<RunReport, EmuError> {
     match cfg.backend {
-        EmulatorBackend::Thread => run_threaded(schedule, cost, cfg, plan, startup, serving),
+        EmulatorBackend::Thread => run_threaded(schedule, cost, cfg, opts),
         EmulatorBackend::Event => {
             let order: Vec<u32> = (0..schedule.devices()).collect();
-            crate::event::run_event(schedule, cost, cfg, plan, startup, &order, serving)
+            crate::event::run_event(schedule, cost, cfg, opts, &order)
         }
     }
 }
@@ -278,10 +272,13 @@ fn run_threaded(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    startup: &[Nanos],
-    serving: Option<ServingHooks<'_>>,
+    opts: &RunOptions,
 ) -> Result<RunReport, EmuError> {
+    let RunOptions {
+        plan,
+        startup,
+        serving,
+    } = *opts;
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
     let watchdog = effective_watchdog(schedule, &cfg);
@@ -736,7 +733,11 @@ pub fn run_with_elastic_recovery(
             ..cur_cfg
         };
         let attempt_cost: &dyn CostModel = cur_cost.as_deref().unwrap_or(cost);
-        match run_with_faults_startup(&cur_schedule, attempt_cost, attempt_cfg, &active, &startup) {
+        let opts = RunOptions {
+            startup: &startup,
+            ..RunOptions::new(&active)
+        };
+        match run_with(&cur_schedule, attempt_cost, attempt_cfg, &opts) {
             Ok(mut report) => {
                 let wasted: Nanos = fault_log.iter().map(|r| r.vtime).sum();
                 // Hard faults binned by site, as in `run_with_recovery`;
@@ -1329,14 +1330,12 @@ mod tests {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
         let base = run(&s, &unit(), EmulatorConfig::default()).unwrap();
         let startup = vec![5_000u64, 0, 0, 0];
-        let r = run_with_faults_startup(
-            &s,
-            &unit(),
-            EmulatorConfig::default(),
-            &FaultPlan::none(),
-            &startup,
-        )
-        .unwrap();
+        let none = FaultPlan::none();
+        let offset = RunOptions {
+            startup: &startup,
+            ..RunOptions::new(&none)
+        };
+        let r = run_with(&s, &unit(), EmulatorConfig::default(), &offset).unwrap();
         // Device 0 heads the pipeline: its 5 µs offset delays everyone.
         assert_eq!(r.total_ns, base.total_ns + 5_000);
         assert_eq!(r.telemetry.devices[0].classes.reconfig_ns, 5_000);
@@ -1344,10 +1343,8 @@ mod tests {
         // The offset is a charged class, so conservation still holds.
         assert!(r.telemetry.check_conservation(&r.device_clocks).is_ok());
         // An empty slice is bit-identical to the plain entry point.
-        let none =
-            run_with_faults_startup(&s, &unit(), EmulatorConfig::default(), &FaultPlan::none(), &[])
-                .unwrap();
-        assert_eq!(none.device_clocks, base.device_clocks);
+        let zero = run_with(&s, &unit(), EmulatorConfig::default(), &RunOptions::new(&none));
+        assert_eq!(zero.unwrap().device_clocks, base.device_clocks);
     }
 
     #[test]
@@ -1396,15 +1393,18 @@ mod tests {
         }
         // The final attempt equals a fresh startup-offset run of the
         // remaining 4 iterations on the shrunk schedule.
-        let fresh = run_with_faults_startup(
+        let none = FaultPlan::none();
+        let fresh = run_with(
             &shrunk,
             &unit(),
             EmulatorConfig {
                 iterations: 4,
                 ..cfg
             },
-            &FaultPlan::none(),
-            &startup,
+            &RunOptions {
+                startup: &startup,
+                ..RunOptions::new(&none)
+            },
         )
         .unwrap();
         assert_eq!(rec.report.device_clocks, fresh.device_clocks);

@@ -19,14 +19,14 @@
 //! `fault time + backoff` so wall-clock continuity holds across attempts.
 //!
 //! The same arithmetic runs on the thread backend, the event backend
-//! ([`crate::runner::run_serving`] dispatches) and the DP simulator
-//! (`mario-core`'s `simulate_timeline_serving`): with zero jitter all three
-//! agree bit-for-bit on every per-request completion time.
+//! ([`crate::runner::run_with`] dispatches) and the DP simulator
+//! (`mario-core`'s `simulate` with a release schedule): with zero jitter
+//! all three agree bit-for-bit on every per-request completion time.
 
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::runner::{run_serving, EmulatorConfig, RunReport};
-use mario_ir::{CostModel, MicroId, Nanos, Schedule, Topology};
+use crate::runner::{run_with, EmulatorConfig, RunOptions, RunReport};
+use mario_ir::{CostModel, MicroId, Nanos, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -86,8 +86,6 @@ impl ServeBoard {
 /// runtimes can hold it by value.
 #[derive(Clone, Copy)]
 pub struct ServingHooks<'a> {
-    /// The schedule's topology, for first/last-stage tests.
-    pub topo: Topology,
     /// Release time per micro, ns: the first-stage forward of micro `m`
     /// may not start before `release[m]` (missing entries mean 0).
     pub release: &'a [Nanos],
@@ -455,7 +453,14 @@ pub fn serve(
                 iterations: 1,
                 ..cfg.emulator
             };
-            let res = run_serving(&schedule, cost, run_cfg, &active, release, &board);
+            let opts = RunOptions {
+                serving: Some(ServingHooks {
+                    release,
+                    board: &board,
+                }),
+                ..RunOptions::new(&active)
+            };
+            let res = run_with(&schedule, cost, run_cfg, &opts);
             (res, board.completions())
         },
         |e| match e {

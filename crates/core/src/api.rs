@@ -14,7 +14,7 @@
 //! emulated cluster.
 
 use crate::passes::PassStats;
-use crate::simulator::{simulate, SimOptions, SimReport};
+use crate::simulator::{simulate_timeline, SimTimeline};
 use crate::tuner::{
     admissible, build_schedule, tune, Built, Evaluation, SchemeChoice, TuneError, TunerConfig,
 };
@@ -70,13 +70,10 @@ impl Optimized {
     /// Re-simulates the optimized schedule (e.g. after inspecting it) at
     /// the channel capacity the tuner evaluated it at, so its makespan is
     /// the evaluation's `iter_ns`.
-    pub fn simulate(&self) -> SimReport {
+    pub fn simulate(&self) -> SimTimeline {
         let cost = AnalyticCost::new(&self.setup);
-        let opts = SimOptions {
-            channel_capacity: self.channel_capacity,
-            ..SimOptions::default()
-        };
-        simulate(&self.schedule, &cost, opts).expect("tuned schedule simulates")
+        simulate_timeline(&self.schedule, &cost, self.channel_capacity)
+            .expect("tuned schedule simulates")
     }
 }
 
@@ -152,7 +149,7 @@ mod tests {
         let sim = crate::simulator::simulate_timeline(&opt.schedule, &cost, opt.channel_capacity)
             .unwrap();
         assert_eq!(sim.total_ns, opt.evaluation.iter_ns);
-        assert_eq!(opt.simulate().timeline.total_ns, opt.evaluation.iter_ns);
+        assert_eq!(opt.simulate().total_ns, opt.evaluation.iter_ns);
         // The emulated iteration time should be within ~25% of the
         // simulator's promise.
         let sim_ns = opt.evaluation.iter_ns as f64;

@@ -756,20 +756,39 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::{simulate_timeline_ckpt, simulate_timeline_serving, simulate_timeline_with};
+    use crate::simulator::{simulate, simulate_timeline, SimOptions, SimTimeline};
     use mario_ir::{CheckpointPolicy, LinkSlack, SchemeKind, SlowdownWindow, UnitCost};
     use mario_schedules::{generate, ScheduleConfig};
 
-    fn run(scheme: SchemeKind, devices: u32, micros: u32) -> (mario_ir::Schedule, crate::SimTimeline) {
+    fn run(scheme: SchemeKind, devices: u32, micros: u32) -> (mario_ir::Schedule, SimTimeline) {
         let s = generate(ScheduleConfig::new(scheme, devices, micros));
-        let t = simulate_timeline_with(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-        )
-        .unwrap();
+        let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
         (s, t)
+    }
+
+    /// The DP ground truth for one iteration on the cluster `profile`
+    /// describes.
+    fn resimulate(s: &mario_ir::Schedule, profile: &PerturbationProfile) -> SimTimeline {
+        let opts = SimOptions {
+            profile,
+            ..SimOptions::default()
+        };
+        simulate(s, &UnitCost::paper_grid(), &opts).unwrap()
+    }
+
+    /// Two iterations at capacity `cap` under `checkpoint`.
+    fn two_iters(
+        s: &mario_ir::Schedule,
+        cap: usize,
+        checkpoint: Option<CheckpointPolicy>,
+    ) -> SimTimeline {
+        let opts = SimOptions {
+            channel_capacity: cap,
+            iterations: 2,
+            checkpoint,
+            ..SimOptions::default()
+        };
+        simulate(s, &UnitCost::paper_grid(), &opts).unwrap()
     }
 
     /// The path tiles [0, makespan] exactly: contiguous, in order, and
@@ -798,15 +817,7 @@ mod tests {
             (SchemeKind::ZeroBubbleV, 2),
         ] {
             let s = generate(ScheduleConfig::new(scheme, 4, 8));
-            let t = simulate_timeline_ckpt(
-                &s,
-                &UnitCost::paper_grid(),
-                cap,
-                &PerturbationProfile::identity(),
-                2,
-                None,
-            )
-            .unwrap();
+            let t = two_iters(&s, cap, None);
             let report = analyze(&s, &t.spans);
             assert_eq!(report.makespan, t.total_ns, "{scheme:?}");
             assert_path_invariants(&report);
@@ -925,8 +936,7 @@ mod tests {
         for dev in 0..4u32 {
             let profile =
                 PerturbationProfile::identity().with_straggler(DeviceId(dev), 3.0);
-            let truth =
-                simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &profile).unwrap();
+            let truth = resimulate(&s, &profile);
             let w = whatif(&s, &t.spans, &WhatIf::perturb(&profile));
             assert_eq!(w.makespan, truth.total_ns, "straggler d{dev}");
             assert_eq!(w.device_clocks, truth.device_clocks, "straggler d{dev}");
@@ -943,7 +953,7 @@ mod tests {
             until_pc: 17,
             iteration: Some(0),
         });
-        let truth = simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &profile).unwrap();
+        let truth = resimulate(&s, &profile);
         let w = whatif(&s, &t.spans, &WhatIf::perturb(&profile));
         assert_eq!(w.makespan, truth.total_ns);
         assert_eq!(w.device_clocks, truth.device_clocks);
@@ -960,8 +970,7 @@ mod tests {
                 extra_ns: 700,
                 iteration,
             });
-            let truth =
-                simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &profile).unwrap();
+            let truth = resimulate(&s, &profile);
             let w = whatif(&s, &t.spans, &WhatIf::perturb(&profile));
             assert_eq!(w.makespan, truth.total_ns, "nth={nth:?}");
             assert_eq!(w.device_clocks, truth.device_clocks, "nth={nth:?}");
@@ -976,10 +985,8 @@ mod tests {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
         let identity = PerturbationProfile::identity();
         let policy = CheckpointPolicy::every(1).with_write_ns(5_000);
-        let ck = simulate_timeline_ckpt(&s, &UnitCost::paper_grid(), 1, &identity, 2, Some(policy))
-            .unwrap();
-        let free = simulate_timeline_ckpt(&s, &UnitCost::paper_grid(), 1, &identity, 2, None)
-            .unwrap();
+        let ck = two_iters(&s, 1, Some(policy));
+        let free = two_iters(&s, 1, None);
         let w = whatif(
             &s,
             &ck.spans,
@@ -1003,14 +1010,11 @@ mod tests {
         // still tile the makespan exactly.
         let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 4, 4));
         let release: Vec<Nanos> = vec![0, 10_000, 20_000, 30_000];
-        let (t, _done) = simulate_timeline_serving(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            &release,
-        )
-        .unwrap();
+        let opts = SimOptions {
+            release: Some(&release),
+            ..SimOptions::default()
+        };
+        let t = simulate(&s, &UnitCost::paper_grid(), &opts).unwrap();
         let report = analyze(&s, &t.spans);
         assert_path_invariants(&report);
         assert!(report.breakdown.bubble_ns > 0, "gate wait not attributed");

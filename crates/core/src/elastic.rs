@@ -21,8 +21,9 @@
 //!
 //! The runtime counterpart is `mario_cluster::run_with_elastic_recovery`,
 //! which consumes the plan as a [`Reconfiguration`]; the DP-simulator
-//! counterpart is [`crate::simulator::simulate_timeline_startup`], which
-//! predicts the shrunk topology's timeline including the startup charge.
+//! counterpart is [`crate::simulator::simulate`] with
+//! [`crate::simulator::SimOptions::startup`] set, which predicts the
+//! shrunk topology's timeline including the startup charge.
 
 use mario_cluster::{Reconfiguration, RecoveryPolicy};
 use mario_ir::{

@@ -41,16 +41,10 @@ pub use passes::{
 };
 pub use serving::simulate_serving;
 pub use simulator::{
-    memory_series, simulate, simulate_memory, simulate_timeline, simulate_timeline_ckpt,
-    simulate_timeline_iters, simulate_timeline_serving, simulate_timeline_startup,
-    simulate_timeline_with, MemReport, MemSeries, SimError, SimEvent, SimOptions, SimReport,
-    SimTimeline,
+    memory_series, simulate, simulate_memory, simulate_timeline, MemReport, MemSeries, SimError,
+    SimOptions, SimTimeline,
 };
-pub use trace::{
-    emu_to_chrome_trace, emu_to_chrome_trace_rich, rich_chrome_trace, rich_chrome_trace_annotated,
-    sim_to_chrome_trace, sim_to_chrome_trace_annotated, sim_to_chrome_trace_rich, to_chrome_trace,
-    TraceEvent, COUNTER_PID,
-};
+pub use trace::{chrome_trace, chrome_trace_annotated, chrome_trace_rich, COUNTER_PID};
 pub use tuner::{
     admissible, daly_interval, effective_write_ns, evaluate, fit_fault_rate, fit_fault_rate_on,
     tune, tune_checkpoint_interval, Candidate, CandidateFailure, CheckpointTuning, Evaluation,

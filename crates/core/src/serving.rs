@@ -4,8 +4,8 @@
 //! [`simulate_serving`] runs the *same* batching / retry / telemetry
 //! arithmetic as `mario_cluster::serving::serve`
 //! ([`mario_cluster::serve_with`] is shared verbatim), but each attempt
-//! is priced by [`simulate_timeline_serving`] instead of an emulator
-//! run. On a pristine or absorbably-degraded cluster (stragglers, slow
+//! is priced by [`simulate`] with a release schedule instead of an
+//! emulator run. On a pristine or absorbably-degraded cluster (stragglers, slow
 //! links — a [`PerturbationProfile`]) the predicted per-request
 //! completion times are bit-identical to a zero-jitter emulated serve:
 //! that is the serving extension of the simulator-accuracy story
@@ -16,7 +16,7 @@
 //! simulator models degradation, not failure, so its serve loop never
 //! retries: a [`SimError`] surfaces immediately.
 
-use crate::simulator::timeline::{simulate_timeline_serving, SimError};
+use crate::simulator::{simulate, SimError, SimOptions};
 use mario_cluster::{serve_with, BatchPolicy, Request, RetryPolicy, RunReport, ServeOutcome};
 use mario_ir::{CostModel, PerturbationProfile, Schedule};
 
@@ -44,8 +44,15 @@ pub fn simulate_serving(
         retry,
         |micros, release, _attempt| {
             let schedule = build(micros);
-            match simulate_timeline_serving(&schedule, cost, channel_capacity, profile, release) {
-                Ok((t, completions)) => {
+            let opts = SimOptions {
+                channel_capacity,
+                profile,
+                release: Some(release),
+                ..SimOptions::default()
+            };
+            match simulate(&schedule, cost, &opts) {
+                Ok(mut t) => {
+                    let completions = std::mem::take(&mut t.completions);
                     // Fabricate the emulator's report shape from the
                     // simulated timeline; the shared serve loop stamps
                     // the serving digest onto it.

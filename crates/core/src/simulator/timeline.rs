@@ -11,13 +11,14 @@
 //! (Fig. 10) isolates genuine modeling error (profiling regression,
 //! jitter).
 //!
-//! [`simulate_timeline_with`] extends the alignment to *degraded*
-//! clusters: a [`PerturbationProfile`] (stragglers, slow links) scales
-//! every instruction's duration and every packet's departure time exactly
-//! as the emulator's fault layer enforces the corresponding absorbable
-//! fault plan, so a zero-jitter faulted run and a degraded
-//! simulation still agree bit for bit — the property that lets
-//! the tuner predict a straggler's impact without paying an emulator run.
+//! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
+//! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
+//! (stragglers, slow links) scales every instruction's duration and every
+//! packet's departure time exactly as the emulator's fault layer enforces
+//! the corresponding absorbable fault plan, so a zero-jitter faulted run
+//! and a degraded simulation still agree bit for bit — the property that
+//! lets the tuner predict a straggler's impact without paying an emulator
+//! run.
 
 use mario_ir::exec::MsgClass;
 use mario_ir::{
@@ -28,44 +29,18 @@ use mario_ir::{
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// One simulated instruction occurrence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SimEvent {
-    /// Executing device.
-    pub device: DeviceId,
-    /// The executed instruction; `None` for a model-state checkpoint
-    /// write.
-    pub instr: Option<Instr>,
-    /// Earliest start (ns).
-    pub start: Nanos,
-    /// Finish (ns).
-    pub end: Nanos,
-}
-
-impl SimEvent {
-    /// The event's display name: the instruction's compact notation
-    /// (`F3^0`, `SA3^0>d2`, …), or `CKPT` for a checkpoint write — the
-    /// names the emulators' recorded timelines carry.
-    pub fn name(&self) -> String {
-        self.instr
-            .map_or_else(|| "CKPT".to_string(), |i| i.to_string())
-    }
-}
-
-/// The simulated timeline of one iteration.
+/// The simulated timeline of a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimTimeline {
-    /// Every instruction with its start/end, ordered by (start, device).
-    pub events: Vec<SimEvent>,
     /// Final clock per device.
     pub device_clocks: Vec<Nanos>,
     /// Iteration makespan (max device clock).
     pub total_ns: Nanos,
     /// Virtual time spent writing model-state checkpoints, summed across
-    /// devices, ns (0 unless a policy was passed to
-    /// [`simulate_timeline_ckpt`]). With async overlap only the residue
-    /// the bubbles could not hide is counted — the emulator's
-    /// `RunReport::ckpt_overhead_ns` semantics, bit for bit.
+    /// devices, ns (0 unless [`SimOptions::checkpoint`] was set). With
+    /// async overlap only the residue the bubbles could not hide is
+    /// counted — the emulator's `RunReport::ckpt_overhead_ns` semantics,
+    /// bit for bit.
     #[serde(default)]
     pub ckpt_overhead_ns: Nanos,
     /// Iterations covered by the last cluster-durable checkpoint (None
@@ -79,12 +54,19 @@ pub struct SimTimeline {
     /// `RunReport::telemetry`.
     #[serde(default)]
     pub telemetry: Telemetry,
-    /// The executed span graph (one [`OpSpan`] per instruction occurrence
-    /// plus checkpoint boundaries), the input to
-    /// `mario_core::critpath::analyze` — bit-identical to a zero-jitter
-    /// emulator run captured with `record_spans`.
+    /// The executed span graph: one [`OpSpan`] per instruction occurrence
+    /// plus checkpoint writes, each device's spans in program order. It is
+    /// the simulator's only per-occurrence record — the input to
+    /// `mario_core::critpath::analyze`, the Gantt charts and the Chrome
+    /// traces — and bit-identical to a zero-jitter emulator run captured
+    /// with `record_spans`.
     #[serde(default)]
     pub spans: SpanGraph,
+    /// Per-micro completion times of a serving run (the earliest
+    /// last-stage forward finish, None if it never ran); empty unless
+    /// [`SimOptions::release`] was set.
+    #[serde(default)]
+    pub completions: Vec<Option<Nanos>>,
 }
 
 impl SimTimeline {
@@ -126,6 +108,70 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// What [`simulate`] runs. The default is one iteration of a pristine
+/// cluster at channel capacity 1, with no checkpoints, startup offsets or
+/// serving gate.
+#[derive(Debug, Clone, Copy)]
+pub struct SimOptions<'a> {
+    /// p2p buffer depth per (pair, class, part) channel.
+    pub channel_capacity: usize,
+    /// The cluster's degradation: compute instructions on straggling
+    /// devices are scaled by their slowdown windows (indexed by
+    /// instruction pc, like the emulator's `Slowdown` faults) and
+    /// perturbed packets depart late by the link's extra latency while
+    /// the sender's clock is unaffected (the emulator's `LinkDelay`
+    /// semantics).
+    pub profile: &'a PerturbationProfile,
+    /// Back-to-back training iterations, mirroring the emulator's
+    /// multi-iteration runs: device clocks and channel state persist
+    /// across the iteration boundary (the next iteration's warmup
+    /// overlaps the previous flush, exactly as the threaded devices do),
+    /// while per-pair packet numbering and the profile's iteration-scoped
+    /// windows reset each iteration.
+    pub iterations: u32,
+    /// A model-state checkpointing policy: each device pays its write at
+    /// every interval boundary exactly as the cluster emulator charges it
+    /// — synchronously for flat/sharded-sync policies, or chunk-by-chunk
+    /// into the next iteration's recv bubbles when the policy asks for
+    /// async overlap (any residue is charged at the following boundary,
+    /// or at end of run).
+    pub checkpoint: Option<CheckpointPolicy>,
+    /// Per-device startup offsets: device `d`'s clock begins at
+    /// `startup[d]` (0 when the slice is short), and the offset is
+    /// recorded in the `reconfig_ns` telemetry class so Σ classes ==
+    /// device clock still holds. This models the one-time
+    /// state-redistribution cost of an elastic reconfiguration, mirroring
+    /// the emulator's startup offsets bit for bit.
+    pub startup: &'a [Nanos],
+    /// Serving mode's ingress release schedule: a first-stage `Forward`
+    /// for micro-batch `m` may not start before `release[m]` (0 when the
+    /// slice is short). The wait is recv-blocked idle time exactly like a
+    /// link wait (async checkpoint chunks drain into it), and each
+    /// micro-batch's completion is recorded in
+    /// [`SimTimeline::completions`] — bit-identical to a zero-jitter
+    /// emulator serving run on both backends.
+    pub release: Option<&'a [Nanos]>,
+}
+
+/// The profile of a pristine cluster.
+static PRISTINE: PerturbationProfile = PerturbationProfile {
+    slowdowns: Vec::new(),
+    link_slack: Vec::new(),
+};
+
+impl Default for SimOptions<'_> {
+    fn default() -> Self {
+        Self {
+            channel_capacity: 1,
+            profile: &PRISTINE,
+            iterations: 1,
+            checkpoint: None,
+            startup: &[],
+            release: None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MsgId {
     class: MsgClass,
@@ -143,46 +189,31 @@ struct Channel {
     outstanding: usize,
 }
 
-/// Simulates `schedule` under `cost` with per-class FIFO channels of
-/// `channel_capacity`, assuming a pristine cluster.
+/// Simulates one iteration of `schedule` under `cost` with per-class FIFO
+/// channels of `channel_capacity`, assuming a pristine cluster.
 pub fn simulate_timeline(
     schedule: &Schedule,
     cost: &dyn CostModel,
     channel_capacity: usize,
 ) -> Result<SimTimeline, SimError> {
-    simulate_timeline_with(schedule, cost, channel_capacity, &PerturbationProfile::identity())
+    simulate(
+        schedule,
+        cost,
+        &SimOptions {
+            channel_capacity,
+            ..SimOptions::default()
+        },
+    )
 }
 
-/// Simulates `schedule` on a *degraded* cluster described by `profile`:
-/// compute instructions on straggling devices are scaled by their
-/// slowdown windows (indexed by instruction pc, like the emulator's
-/// `Slowdown` faults) and perturbed packets depart late by the link's
-/// extra latency while the sender's clock is unaffected (the emulator's
-/// `LinkDelay` semantics). With the identity profile this is exactly
-/// [`simulate_timeline`].
-pub fn simulate_timeline_with(
+/// Simulates `schedule` under `cost` as `opts` describes, recording the
+/// whole [`SimTimeline`].
+pub fn simulate(
     schedule: &Schedule,
     cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
+    opts: &SimOptions,
 ) -> Result<SimTimeline, SimError> {
-    simulate_timeline_iters(schedule, cost, channel_capacity, profile, 1)
-}
-
-/// [`simulate_timeline_with`] over `iterations` back-to-back training
-/// iterations, mirroring the emulator's multi-iteration runs: device
-/// clocks and channel state persist across the iteration boundary (the
-/// next iteration's warmup overlaps the previous flush, exactly as the
-/// threaded devices do), while per-pair packet numbering and the
-/// profile's iteration-scoped windows reset each iteration.
-pub fn simulate_timeline_iters(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
-    iterations: u32,
-) -> Result<SimTimeline, SimError> {
-    simulate_timeline_ckpt(schedule, cost, channel_capacity, profile, iterations, None)
+    simulate_core(schedule, cost, opts, Full::new(schedule, cost, opts))
 }
 
 /// Per-device checkpoint-write state: each device's write in flight
@@ -293,116 +324,23 @@ impl CkptSim {
     }
 }
 
-/// [`simulate_timeline_iters`] with a model-state checkpointing policy:
-/// each device pays its write at every interval boundary exactly as the
-/// cluster emulator charges it — synchronously for flat/sharded-sync
-/// policies, or chunk-by-chunk into the next iteration's recv bubbles
-/// when the policy asks for async overlap (any residue is charged at the
-/// following boundary, or at end of run). With `None` this is exactly
-/// [`simulate_timeline_iters`].
-pub fn simulate_timeline_ckpt(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
-    iterations: u32,
-    checkpoint: Option<CheckpointPolicy>,
-) -> Result<SimTimeline, SimError> {
-    simulate_timeline_startup(
-        schedule,
-        cost,
-        channel_capacity,
-        profile,
-        iterations,
-        checkpoint,
-        &[],
-    )
-}
-
-/// [`simulate_timeline_ckpt`] with per-device *startup offsets*: device
-/// `d`'s clock begins at `startup[d]` (0 when the slice is short), and the
-/// offset is recorded in the `reconfig_ns` telemetry class so Σ classes ==
-/// device clock still holds. This models the one-time state-redistribution
-/// cost of an elastic reconfiguration — survivors start executing only
-/// once the layer state they did not already hold has been fetched —
-/// mirroring the emulator's `run_with_faults_startup` bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_timeline_startup(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
-    iterations: u32,
-    checkpoint: Option<CheckpointPolicy>,
-    startup: &[Nanos],
-) -> Result<SimTimeline, SimError> {
-    let rec = Full::new(schedule, cost, channel_capacity, iterations, startup, false);
-    simulate_core(
-        schedule,
-        cost,
-        channel_capacity,
-        profile,
-        iterations,
-        checkpoint,
-        startup,
-        None,
-        rec,
-    )
-    .map(|(t, _)| t)
-}
-
-/// Serving-mode simulation: one forward-only iteration under an
-/// *ingress release schedule*. A first-stage `Forward` for micro-batch
-/// `m` may not start before `release[m]` — the wait is recv-blocked idle
-/// time exactly like a link wait (async checkpoint chunks drain into it)
-/// — and each micro-batch's completion time is taken at the last-stage
-/// `Forward`'s finish. Returns the timeline plus per-micro completion
-/// times, bit-identical to a zero-jitter emulator `run_serving` on both
-/// backends (the egress record is observational: an un-gated run is
-/// bit-identical to an un-instrumented one).
-pub fn simulate_timeline_serving(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
-    release: &[Nanos],
-) -> Result<(SimTimeline, Vec<Option<Nanos>>), SimError> {
-    let rec = Full::new(schedule, cost, channel_capacity, 1, &[], true);
-    simulate_core(
-        schedule,
-        cost,
-        channel_capacity,
-        profile,
-        1,
-        None,
-        &[],
-        Some(release),
-        rec,
-    )
-}
-
 /// The makespan of one iteration of `schedule` on the cluster `profile`
-/// describes — exactly [`simulate_timeline_with`]'s `total_ns`, or its
-/// identical [`SimError`] — without recording events, spans, telemetry or
-/// memory. For callers that read nothing else: prepose trials, tuner
-/// evaluation, the degraded re-rank and the elastic re-simulation.
+/// describes — exactly [`simulate`]'s `total_ns`, or its identical
+/// [`SimError`] — without recording spans, telemetry or memory. For
+/// callers that read nothing else: prepose trials, tuner evaluation, the
+/// degraded re-rank and the elastic re-simulation.
 pub(crate) fn simulate_makespan(
     schedule: &Schedule,
     cost: &dyn CostModel,
     channel_capacity: usize,
     profile: &PerturbationProfile,
 ) -> Result<Nanos, SimError> {
-    simulate_core(
-        schedule,
-        cost,
+    let opts = SimOptions {
         channel_capacity,
         profile,
-        1,
-        None,
-        &[],
-        None,
-        MakespanOnly,
-    )
+        ..SimOptions::default()
+    };
+    simulate_core(schedule, cost, &opts, MakespanOnly)
 }
 
 /// What [`simulate_core`] records while it steps. The step arithmetic —
@@ -450,8 +388,8 @@ trait Recorder {
     ) {
     }
 
-    /// `instr` fired over `span`.
-    fn fired(&mut self, _instr: Instr, _span: OpSpan) {}
+    /// An instruction fired over `span`.
+    fn fired(&mut self, _span: OpSpan) {}
 
     /// A checkpoint's transient serialization buffer of `bytes`.
     fn snapshot(&mut self, _dev: DeviceId, _bytes: u64) {}
@@ -475,15 +413,14 @@ impl Recorder for MakespanOnly {
     }
 }
 
-/// Records the whole [`SimTimeline`]: events, spans, the flight recorder
-/// — per-device time classes, a memory ledger per device replaying the
+/// Records the whole [`SimTimeline`]: spans, the flight recorder —
+/// per-device time classes, a memory ledger per device replaying the
 /// emulator's exact `apply` sequence (compute and send sites only),
 /// per-link transfer statistics — and serving completions.
 struct Full<'a> {
     schedule: &'a Schedule,
     cost: &'a dyn CostModel,
     rules: MemoryRules,
-    events: Vec<SimEvent>,
     spans: SpanGraph,
     tel: Vec<DeviceTelemetry>,
     ledgers: Vec<MemLedger>,
@@ -497,25 +434,18 @@ struct Full<'a> {
 }
 
 impl<'a> Full<'a> {
-    fn new(
-        schedule: &'a Schedule,
-        cost: &'a dyn CostModel,
-        channel_capacity: usize,
-        iterations: u32,
-        startup: &[Nanos],
-        serving: bool,
-    ) -> Self {
+    fn new(schedule: &'a Schedule, cost: &'a dyn CostModel, opts: &SimOptions) -> Self {
         let devices = schedule.devices() as usize;
+        let serving = opts.release.is_some();
         Self {
             schedule,
             cost,
             rules: MemoryRules::new(schedule),
-            events: Vec::with_capacity(schedule.total_instrs() * iterations as usize),
-            spans: SpanGraph::new(devices, channel_capacity),
+            spans: SpanGraph::new(devices, opts.channel_capacity),
             tel: (0..devices)
                 .map(|d| {
                     let mut t = DeviceTelemetry::new(DeviceId(d as u32));
-                    t.classes.reconfig_ns = startup.get(d).copied().unwrap_or(0);
+                    t.classes.reconfig_ns = opts.startup.get(d).copied().unwrap_or(0);
                     t
                 })
                 .collect(),
@@ -533,18 +463,6 @@ impl<'a> Full<'a> {
         }
     }
 
-    /// Records an event and its span; `instr` is `None` for a
-    /// checkpoint write.
-    fn push(&mut self, instr: Option<Instr>, span: OpSpan) {
-        self.events.push(SimEvent {
-            device: span.device,
-            instr,
-            start: span.start,
-            end: span.end,
-        });
-        self.spans.push(span);
-    }
-
     fn apply_mem(&mut self, dev: DeviceId, instr: &Instr) {
         self.rules
             .apply(&mut self.ledgers[dev.index()], self.cost, dev, instr)
@@ -553,7 +471,7 @@ impl<'a> Full<'a> {
 }
 
 impl Recorder for Full<'_> {
-    type Output = (SimTimeline, Vec<Option<Nanos>>);
+    type Output = SimTimeline;
 
     fn gate(&mut self, dev: DeviceId, gap: Nanos, drained: Nanos) {
         self.tel[dev.index()].classes.on_recv_gap(gap, drained);
@@ -610,8 +528,8 @@ impl Recorder for Full<'_> {
         *self.recv_waits.entry((peer.0, dev.0)).or_default() += gap;
     }
 
-    fn fired(&mut self, instr: Instr, span: OpSpan) {
-        self.push(Some(instr), span);
+    fn fired(&mut self, span: OpSpan) {
+        self.spans.push(span);
     }
 
     fn snapshot(&mut self, dev: DeviceId, bytes: u64) {
@@ -627,12 +545,11 @@ impl Recorder for Full<'_> {
 
     fn ckpt(&mut self, span: OpSpan, sync_ns: Nanos) {
         self.tel[span.device.index()].classes.ckpt_sync_ns += sync_ns;
-        self.push(None, span);
+        self.spans.push(span);
     }
 
     fn finish(self, clocks: Vec<Nanos>, ckpt: Option<&CkptSim>) -> Self::Output {
         let Full {
-            mut events,
             mut spans,
             mut tel,
             ledgers,
@@ -641,7 +558,6 @@ impl Recorder for Full<'_> {
             completions,
             ..
         } = self;
-        events.sort_by_key(|e| (e.start, e.device.0));
         let total_ns = clocks.iter().copied().max().unwrap_or(0);
         spans.makespan = total_ns;
         debug_assert!(
@@ -677,36 +593,34 @@ impl Recorder for Full<'_> {
             telemetry.check_conservation(&clocks)
         );
         debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpt_overhead_ns);
-        (
-            SimTimeline {
-                events,
-                device_clocks: clocks,
-                total_ns,
-                ckpt_overhead_ns,
-                last_checkpoint,
-                telemetry,
-                spans,
-            },
+        SimTimeline {
+            device_clocks: clocks,
+            total_ns,
+            ckpt_overhead_ns,
+            last_checkpoint,
+            telemetry,
+            spans,
             completions,
-        )
+        }
     }
 }
 
-/// The DP step loop, generic over what it records: [`Full`] behind every
-/// public `simulate_timeline*`, [`MakespanOnly`] behind
-/// [`simulate_makespan`].
-#[allow(clippy::too_many_arguments)]
+/// The DP step loop, generic over what it records: [`Full`] behind
+/// [`simulate`], [`MakespanOnly`] behind [`simulate_makespan`].
 fn simulate_core<R: Recorder>(
     schedule: &Schedule,
     cost: &dyn CostModel,
-    channel_capacity: usize,
-    profile: &PerturbationProfile,
-    iterations: u32,
-    checkpoint: Option<CheckpointPolicy>,
-    startup: &[Nanos],
-    serving: Option<&[Nanos]>,
+    opts: &SimOptions,
     mut rec: R,
 ) -> Result<R::Output, SimError> {
+    let SimOptions {
+        channel_capacity,
+        profile,
+        iterations,
+        checkpoint,
+        startup,
+        release,
+    } = *opts;
     assert!(channel_capacity >= 1);
     assert!(iterations >= 1);
     let devices = schedule.devices() as usize;
@@ -773,7 +687,7 @@ fn simulate_core<R: Recorder>(
                     // start before its micro-batch was released. The wait
                     // is recv-blocked idle time (checkpoint chunks drain
                     // into it) — the emulator's gate, bit for bit.
-                    if let Some(release) = serving {
+                    if let Some(release) = release {
                         if matches!(instr.kind, InstrKind::Forward { .. })
                             && schedule.topology.is_first_stage(dev, instr.part)
                         {
@@ -894,20 +808,17 @@ fn simulate_core<R: Recorder>(
                 }
             };
             if fired_now {
-                rec.fired(
-                    instr,
-                    OpSpan {
-                        device: dev,
-                        iter,
-                        pc: lpc as u32,
-                        start,
-                        end: clocks[d],
-                        work_ns: sp_work,
-                        sent_at: sp_sent,
-                        wire_ns: sp_wire,
-                        gate_ns: sp_gate,
-                    },
-                );
+                rec.fired(OpSpan {
+                    device: dev,
+                    iter,
+                    pc: lpc as u32,
+                    start,
+                    end: clocks[d],
+                    work_ns: sp_work,
+                    sent_at: sp_sent,
+                    wire_ns: sp_wire,
+                    gate_ns: sp_gate,
+                });
                 gpc[d] += 1;
                 fired = true;
                 // Completing the program's last instruction is the
@@ -955,6 +866,27 @@ mod tests {
     use mario_ir::{SchemeKind, UnitCost};
     use mario_schedules::{generate, ScheduleConfig};
 
+    fn degraded(profile: &PerturbationProfile) -> SimOptions<'_> {
+        SimOptions {
+            profile,
+            ..SimOptions::default()
+        }
+    }
+
+    fn iters(iterations: u32) -> SimOptions<'static> {
+        SimOptions {
+            iterations,
+            ..SimOptions::default()
+        }
+    }
+
+    fn released(release: &[Nanos]) -> SimOptions<'_> {
+        SimOptions {
+            release: Some(release),
+            ..SimOptions::default()
+        }
+    }
+
     #[test]
     fn matches_1f1b_closed_form() {
         for (d, n) in [(2u32, 4u32), (4, 8), (8, 16)] {
@@ -992,7 +924,12 @@ mod tests {
             cap: usize,
             profile: &PerturbationProfile,
         ) -> bool {
-            let full = simulate_timeline_with(s, cost, cap, profile).map(|t| t.total_ns);
+            let opts = SimOptions {
+                channel_capacity: cap,
+                profile,
+                ..SimOptions::default()
+            };
+            let full = simulate(s, cost, &opts).map(|t| t.total_ns);
             let fast = simulate_makespan(s, cost, cap, profile);
             assert_eq!(fast, full, "{:?} at capacity {cap}", s.topology.scheme);
             full.is_ok()
@@ -1095,23 +1032,16 @@ mod tests {
         // runs 3 forwards by 7 µs, stage 1 by 8 µs, so
         // bubble = (7 − 3) + (8 − 3) units — the held wait included.
         let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 2, 3));
-        let (t, _) = simulate_timeline_serving(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            &[0, 5_000, 5_000],
-        )
-        .unwrap();
+        let t = simulate(&s, &UnitCost::paper_grid(), &released(&[0, 5_000, 5_000])).unwrap();
         assert_eq!(t.device_clocks, vec![7_000, 8_000]);
         assert_eq!(t.bubble_ns(), 9_000);
     }
 
     #[test]
-    fn event_count_matches_instruction_count() {
+    fn span_count_matches_instruction_count() {
         let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 4, 8));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        assert_eq!(t.events.len(), s.total_instrs());
+        assert_eq!(t.spans.len(), s.total_instrs());
     }
 
     #[test]
@@ -1119,11 +1049,10 @@ mod tests {
         for scheme in [SchemeKind::OneFOneB, SchemeKind::Chimera] {
             let s = generate(ScheduleConfig::new(scheme, 4, 8));
             let base = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-            let degr = simulate_timeline_with(
+            let degr = simulate(
                 &s,
                 &UnitCost::paper_grid(),
-                1,
-                &PerturbationProfile::identity(),
+                &degraded(&PerturbationProfile::identity()),
             )
             .unwrap();
             assert_eq!(base.device_clocks, degr.device_clocks, "{scheme:?}");
@@ -1136,8 +1065,7 @@ mod tests {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
         let base = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
         let profile = PerturbationProfile::identity().with_straggler(DeviceId(0), 2.0);
-        let degr =
-            simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &profile).unwrap();
+        let degr = simulate(&s, &UnitCost::paper_grid(), &degraded(&profile)).unwrap();
         // The straggling first stage gates the whole pipeline: the
         // degraded makespan must grow, and every device finishes no
         // earlier than in the pristine run.
@@ -1159,8 +1087,7 @@ mod tests {
             extra_ns: 10_000,
             iteration: None,
         });
-        let degr =
-            simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &profile).unwrap();
+        let degr = simulate(&s, &UnitCost::paper_grid(), &degraded(&profile)).unwrap();
         assert!(degr.total_ns > base.total_ns);
         // Backpressure propagates the slack upstream through the bounded
         // channel: no device finishes earlier than in the pristine run.
@@ -1186,8 +1113,8 @@ mod tests {
             extra_ns: 3_000,
             iteration: None,
         });
-        let t_all = simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &all).unwrap();
-        let t_one = simulate_timeline_with(&s, &UnitCost::paper_grid(), 1, &one).unwrap();
+        let t_all = simulate(&s, &UnitCost::paper_grid(), &degraded(&all)).unwrap();
+        let t_one = simulate(&s, &UnitCost::paper_grid(), &degraded(&one)).unwrap();
         let t_base = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
         assert!(t_one.total_ns >= t_base.total_ns);
         assert!(t_all.total_ns >= t_one.total_ns);
@@ -1197,15 +1124,8 @@ mod tests {
     fn multi_iteration_simulation_matches_single_iteration_structure() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 4));
         let one = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        let three = simulate_timeline_iters(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            3,
-        )
-        .unwrap();
-        assert_eq!(three.events.len(), 3 * s.total_instrs());
+        let three = simulate(&s, &UnitCost::paper_grid(), &iters(3)).unwrap();
+        assert_eq!(three.spans.len(), 3 * s.total_instrs());
         // Back-to-back iterations overlap across the boundary, so the
         // makespan is at least 2 but at most 3 single-iteration spans.
         assert!(three.total_ns >= 2 * one.total_ns);
@@ -1216,23 +1136,26 @@ mod tests {
     fn checkpointed_simulation_charges_writes_and_reports_durability() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
         let cost = UnitCost::paper_grid();
-        let idle = PerturbationProfile::identity();
-        let base = simulate_timeline_iters(&s, &cost, 1, &idle, 4).unwrap();
+        let checkpointed = |policy| SimOptions {
+            checkpoint: Some(policy),
+            ..iters(4)
+        };
+        let base = simulate(&s, &cost, &iters(4)).unwrap();
         assert_eq!(base.last_checkpoint, None);
         assert_eq!(base.ckpt_overhead_ns, 0);
         let policy = mario_ir::CheckpointPolicy::every(2).with_write_ns(500);
-        let ck = simulate_timeline_ckpt(&s, &cost, 1, &idle, 4, Some(policy)).unwrap();
-        // 2 writes of 500 ns on each of the 4 devices, plus a CKPT event
+        let ck = simulate(&s, &cost, &checkpointed(policy)).unwrap();
+        // 2 writes of 500 ns on each of the 4 devices, plus a CKPT span
         // per boundary per device.
         assert_eq!(ck.last_checkpoint, Some(4));
         assert_eq!(ck.ckpt_overhead_ns, 4 * 2 * 500);
         assert_eq!(ck.total_ns, base.total_ns + 2 * 500);
-        assert_eq!(ck.events.len(), base.events.len() + 4 * 2);
+        assert_eq!(ck.spans.len(), base.spans.len() + 4 * 2);
         // An async sharded policy over a zero-byte shard is free and
         // durable immediately.
         let sharded = mario_ir::CheckpointPolicy::every(2)
             .with_sharded(mario_ir::ShardedWrite::new(1, 1).with_async_overlap());
-        let free = simulate_timeline_ckpt(&s, &cost, 1, &idle, 4, Some(sharded)).unwrap();
+        let free = simulate(&s, &cost, &checkpointed(sharded)).unwrap();
         assert_eq!(free.last_checkpoint, Some(4));
         assert_eq!(free.ckpt_overhead_ns, 0);
         assert_eq!(free.device_clocks, base.device_clocks);
@@ -1245,36 +1168,23 @@ mod tests {
         // the closed form the serve bench and CI gate pin.
         for (p, m) in [(2u32, 4u32), (4, 8), (8, 3)] {
             let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, p, m));
-            let (t, done) = simulate_timeline_serving(
-                &s,
-                &UnitCost::paper_grid(),
-                1,
-                &PerturbationProfile::identity(),
-                &vec![0; m as usize],
-            )
-            .unwrap();
+            let release = vec![0; m as usize];
+            let t = simulate(&s, &UnitCost::paper_grid(), &released(&release)).unwrap();
             assert_eq!(t.total_ns, ((m + p - 1) * 1_000) as u64, "p={p} m={m}");
             for (d, &c) in t.device_clocks.iter().enumerate() {
                 assert_eq!(c, ((d as u32 + m) * 1_000) as u64, "p={p} m={m} d={d}");
             }
-            assert!(done.iter().all(|c| c.is_some()));
+            assert!(t.completions.iter().all(|c| c.is_some()));
         }
     }
 
     #[test]
     fn serving_release_gates_first_stage_forwards() {
         let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 2, 3));
-        let (t, done) = simulate_timeline_serving(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            &[0, 5_000, 5_000],
-        )
-        .unwrap();
+        let t = simulate(&s, &UnitCost::paper_grid(), &released(&[0, 5_000, 5_000])).unwrap();
         // Micro 0 flows ungated; micros 1 and 2 wait at stage 0 until
         // their release, then pipeline back to back.
-        assert_eq!(done, vec![Some(2_000), Some(7_000), Some(8_000)]);
+        assert_eq!(t.completions, vec![Some(2_000), Some(7_000), Some(8_000)]);
         assert_eq!(t.total_ns, 8_000);
         // The gate is recv-blocked idle: conservation still holds (the
         // debug_assert in simulate_core checked it), and the first
@@ -1286,31 +1196,18 @@ mod tests {
     fn empty_release_gate_is_bit_identical_to_ungated() {
         let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 4, 6));
         let base = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        let (gated, done) = simulate_timeline_serving(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            &[],
-        )
-        .unwrap();
+        let gated = simulate(&s, &UnitCost::paper_grid(), &released(&[])).unwrap();
         assert_eq!(base.device_clocks, gated.device_clocks);
         assert_eq!(base.total_ns, gated.total_ns);
-        assert_eq!(done.len(), 6);
-        assert!(done.iter().all(|c| c.is_some()));
+        assert!(base.completions.is_empty());
+        assert_eq!(gated.completions.len(), 6);
+        assert!(gated.completions.iter().all(|c| c.is_some()));
     }
 
     #[test]
     fn iteration_scoped_straggler_slows_only_its_iteration() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 4));
-        let base = simulate_timeline_iters(
-            &s,
-            &UnitCost::paper_grid(),
-            1,
-            &PerturbationProfile::identity(),
-            3,
-        )
-        .unwrap();
+        let base = simulate(&s, &UnitCost::paper_grid(), &iters(3)).unwrap();
         let scoped = PerturbationProfile::identity().with_slowdown(mario_ir::SlowdownWindow {
             device: DeviceId(0),
             factor: 3.0,
@@ -1319,10 +1216,9 @@ mod tests {
             iteration: Some(1),
         });
         let always = PerturbationProfile::identity().with_straggler(DeviceId(0), 3.0);
-        let t_scoped =
-            simulate_timeline_iters(&s, &UnitCost::paper_grid(), 1, &scoped, 3).unwrap();
-        let t_always =
-            simulate_timeline_iters(&s, &UnitCost::paper_grid(), 1, &always, 3).unwrap();
+        let over3 = |profile| SimOptions { profile, ..iters(3) };
+        let t_scoped = simulate(&s, &UnitCost::paper_grid(), &over3(&scoped)).unwrap();
+        let t_always = simulate(&s, &UnitCost::paper_grid(), &over3(&always)).unwrap();
         assert!(t_scoped.total_ns > base.total_ns);
         assert!(t_always.total_ns > t_scoped.total_ns);
     }

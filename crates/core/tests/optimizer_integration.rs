@@ -130,7 +130,7 @@ fn viz_renders_split_backward_glyphs() {
     let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 4));
     split_backward(&mut s, SplitOptions::default());
     let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-    let a = mario_core::render_ascii(&t, mario_core::VizOptions::default());
+    let a = mario_core::render_ascii(&t.spans, &s, mario_core::VizOptions::default());
     assert!(a.contains('b'), "input half missing: {a}");
     assert!(a.contains('w'), "weight half missing: {a}");
 }

@@ -23,7 +23,7 @@ fn show(scheme: SchemeKind, devices: u32, micros: u32) {
         scheme,
         t.total_ns / 1000
     );
-    println!("{}", render_ascii(&t, VizOptions::default()));
+    println!("{}", render_ascii(&t.spans, &base, VizOptions::default()));
 
     let mut mario = base.clone();
     run_graph_tuner(&mut mario, &cost, GraphTunerOptions::mario());
@@ -33,13 +33,14 @@ fn show(scheme: SchemeKind, devices: u32, micros: u32) {
         scheme,
         tm.total_ns / 1000
     );
-    println!("{}", render_ascii(&tm, VizOptions::default()));
+    println!("{}", render_ascii(&tm.spans, &mario, VizOptions::default()));
 
     let name = format!(
         "pipeline_{}_d{devices}_n{micros}.svg",
         scheme.shape_letter()
     );
-    std::fs::write(&name, render_svg(&tm, VizOptions::default())).expect("write svg");
+    let svg = render_svg(&tm.spans, &mario, VizOptions::default());
+    std::fs::write(&name, svg).expect("write svg");
     println!("(SVG written to {name})\n");
 }
 

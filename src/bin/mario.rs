@@ -195,35 +195,28 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let schedule = load_schedule(args)?;
     let cost = cost_for(args, &schedule)?;
     let cap = mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme);
-    let report = simulate(
-        &schedule,
-        &cost,
-        SimOptions {
-            channel_capacity: cap,
-            mem_capacity: None,
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let timeline = simulate_timeline(&schedule, &cost, cap).map_err(|e| e.to_string())?;
+    let memory = simulate_memory(&schedule, &cost, None);
     println!(
         "iteration: {:.3} ms  ({:.2} iterations/s)",
-        report.timeline.total_ns as f64 / 1e6,
-        1e9 / report.timeline.total_ns as f64
+        timeline.total_ns as f64 / 1e6,
+        1e9 / timeline.total_ns as f64
     );
     println!(
         "peak memory: [{:.2}, {:.2}] GB across {} devices",
-        report.memory.min_peak() as f64 / (1u64 << 30) as f64,
-        report.memory.max_peak() as f64 / (1u64 << 30) as f64,
+        memory.min_peak() as f64 / (1u64 << 30) as f64,
+        memory.max_peak() as f64 / (1u64 << 30) as f64,
         schedule.devices()
     );
     if args.has("viz") {
         let opts = mario::core::VizOptions {
-            ns_per_cell: report.timeline.total_ns / 120 + 1,
+            ns_per_cell: timeline.total_ns / 120 + 1,
             show_micro_ids: false,
         };
-        println!("{}", mario::core::render_ascii(&report.timeline, opts));
+        println!("{}", mario::core::render_ascii(&timeline.spans, &schedule, opts));
     }
     if let Some(path) = args.flags.get("trace") {
-        std::fs::write(path, mario::core::sim_to_chrome_trace(&report.timeline))
+        std::fs::write(path, mario::core::chrome_trace(&timeline.spans, &schedule))
             .map_err(|e| e.to_string())?;
         eprintln!("chrome trace written to {path}");
     }

@@ -45,9 +45,8 @@ pub mod prelude {
     pub use mario_cluster::{EmulatorBackend, EmulatorConfig, RunReport};
     pub use mario_core::{
         apply_checkpoint, optimize, overlap_recompute, prepose_forward, remove_redundancy, run,
-        run_graph_tuner, simulate, simulate_memory, simulate_timeline, simulate_timeline_ckpt,
-        simulate_timeline_iters, simulate_timeline_startup, simulate_timeline_with,
-        GraphTunerOptions, MarioConfig, SchemeChoice, SimOptions, TunerConfig,
+        run_graph_tuner, simulate, simulate_memory, simulate_timeline, GraphTunerOptions,
+        MarioConfig, SchemeChoice, SimOptions, TunerConfig,
     };
     pub use mario_ir::{
         validate, CheckpointPolicy, CostModel, DeviceId, Instr, InstrKind, MicroId, PartId,

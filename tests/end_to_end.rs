@@ -140,17 +140,19 @@ fn visualization_round_trip() {
         .unwrap();
     let sim = opt.simulate();
     let ascii = mario::core::render_ascii(
-        &sim.timeline,
+        &sim.spans,
+        &opt.schedule,
         mario::core::VizOptions {
-            ns_per_cell: sim.timeline.total_ns / 100 + 1,
+            ns_per_cell: sim.total_ns / 100 + 1,
             show_micro_ids: false,
         },
     );
     assert_eq!(ascii.lines().count() as u32, opt.evaluation.candidate.pp);
     let svg = mario::core::render_svg(
-        &sim.timeline,
+        &sim.spans,
+        &opt.schedule,
         mario::core::VizOptions {
-            ns_per_cell: sim.timeline.total_ns / 500 + 1,
+            ns_per_cell: sim.total_ns / 500 + 1,
             show_micro_ids: false,
         },
     );

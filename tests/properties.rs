@@ -1,7 +1,7 @@
 //! Property-based invariants spanning the whole stack: schedule
 //! generation → graph tuning → simulation → emulation.
 
-use mario::ir::{OpSpan, SpanGraph};
+use mario::ir::SpanGraph;
 use mario::prelude::*;
 use mario_core::passes::PreposeOptions;
 use proptest::prelude::*;
@@ -89,15 +89,6 @@ fn first_span_divergence(a: &SpanGraph, b: &SpanGraph) -> Option<String> {
             a.channel_capacity, b.channel_capacity
         )
     })
-}
-
-/// A span's instruction rendered through the schedule it executed
-/// (`CKPT` for checkpoint writes).
-fn span_name(schedule: &Schedule, span: &OpSpan) -> String {
-    if span.is_ckpt() {
-        return "CKPT".to_string();
-    }
-    schedule.program(span.device).instrs()[span.pc as usize].to_string()
 }
 
 #[test]
@@ -415,8 +406,13 @@ proptest! {
         prop_assert!(plan.is_absorbable());
 
         let profile = plan.perturbation_profile();
-        let sim = simulate_timeline_iters(&s, &cost, cap, &profile, iters)
-            .expect("degraded simulation completes");
+        let opts = SimOptions {
+            channel_capacity: cap,
+            profile: &profile,
+            iterations: iters,
+            ..SimOptions::default()
+        };
+        let sim = simulate(&s, &cost, &opts).expect("degraded simulation completes");
         let emu = mario::cluster::run_with_faults(
             &s,
             &cost,
@@ -435,18 +431,23 @@ proptest! {
 
     /// The identity profile cannot perturb the fault-free path: degraded
     /// mode with nothing to enforce reproduces the baseline simulation
-    /// bit for bit, event for event, on every scheme.
+    /// bit for bit, span for span, on every scheme.
     #[test]
     fn identity_profile_is_inert((scheme, d, n) in scheme_config()) {
         let s = generate(ScheduleConfig::new(scheme, d, n));
         let cost = UnitCost::paper_grid();
         let cap = cap_of(scheme);
         let base = simulate_timeline(&s, &cost, cap).unwrap();
-        let degraded =
-            simulate_timeline_with(&s, &cost, cap, &PerturbationProfile::identity()).unwrap();
+        let identity = PerturbationProfile::identity();
+        let opts = SimOptions {
+            channel_capacity: cap,
+            profile: &identity,
+            ..SimOptions::default()
+        };
+        let degraded = simulate(&s, &cost, &opts).unwrap();
         prop_assert_eq!(&base.device_clocks, &degraded.device_clocks);
         prop_assert_eq!(base.total_ns, degraded.total_ns);
-        prop_assert_eq!(&base.events, &degraded.events);
+        prop_assert_eq!(first_span_divergence(&base.spans, &degraded.spans), None);
     }
 }
 
@@ -592,15 +593,13 @@ proptest! {
             1 => CheckpointPolicy::every(k).with_sharded(sharded),
             _ => CheckpointPolicy::every(k).with_sharded(sharded.with_async_overlap()),
         };
-        let sim = simulate_timeline_ckpt(
-            &s,
-            &cost,
-            cap,
-            &PerturbationProfile::identity(),
-            iters,
-            Some(policy),
-        )
-        .expect("checkpointed simulation completes");
+        let opts = SimOptions {
+            channel_capacity: cap,
+            iterations: iters,
+            checkpoint: Some(policy),
+            ..SimOptions::default()
+        };
+        let sim = simulate(&s, &cost, &opts).expect("checkpointed simulation completes");
         let cfg = EmulatorConfig {
             channel_capacity: cap,
             iterations: iters,
@@ -650,15 +649,13 @@ fn checkpointed_parity_holds_on_capacity2_chimera() {
             1 => CheckpointPolicy::every(1).with_sharded(sharded),
             _ => CheckpointPolicy::every(1).with_sharded(sharded.with_async_overlap()),
         };
-        let sim = simulate_timeline_ckpt(
-            &s,
-            &cost,
-            2,
-            &PerturbationProfile::identity(),
-            3,
-            Some(policy),
-        )
-        .expect("capacity-2 checkpointed simulation completes");
+        let opts = SimOptions {
+            channel_capacity: 2,
+            iterations: 3,
+            checkpoint: Some(policy),
+            ..SimOptions::default()
+        };
+        let sim = simulate(&s, &cost, &opts).expect("capacity-2 checkpointed simulation completes");
         let cfg = EmulatorConfig {
             channel_capacity: 2,
             iterations: 3,
@@ -715,15 +712,13 @@ proptest! {
                 CheckpointPolicy::every(k).with_sharded(sharded.with_async_overlap()),
             ),
         };
-        let sim = simulate_timeline_ckpt(
-            &s,
-            &cost,
-            cap,
-            &PerturbationProfile::identity(),
-            iters,
-            policy,
-        )
-        .expect("simulation completes");
+        let opts = SimOptions {
+            channel_capacity: cap,
+            iterations: iters,
+            checkpoint: policy,
+            ..SimOptions::default()
+        };
+        let sim = simulate(&s, &cost, &opts).expect("simulation completes");
         let cfg = EmulatorConfig {
             channel_capacity: cap,
             iterations: iters,
@@ -769,25 +764,14 @@ proptest! {
         prop_assert_eq!(first_span_divergence(ev_spans, th_spans), None,
             "span graph diverged (event vs thread) on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
-        // Every device's typed simulated events render, in program order,
-        // to the names of both emulators' spans (checkpoint writes as
-        // CKPT).
-        for dev in 0..d {
-            let sim_names: Vec<String> = sim
-                .events
-                .iter()
-                .filter(|e| e.device.0 == dev)
-                .map(mario::core::SimEvent::name)
-                .collect();
-            for (backend, spans) in [("thread", th_spans), ("event", ev_spans)] {
-                let recorded: Vec<String> = spans.per_device[dev as usize]
-                    .iter()
-                    .map(|sp| span_name(&s, sp))
-                    .collect();
-                prop_assert_eq!(&sim_names, &recorded,
-                    "event names diverged (sim vs {}) on {:?} D={} N={} mode {} d{}",
-                    backend, scheme, d, n, mode, dev);
-            }
+        // The one exporter renders every executor's spans — each named
+        // through the schedule, checkpoint writes as CKPT — to the same
+        // Chrome trace.
+        let sim_trace = mario::core::chrome_trace(&sim.spans, &s);
+        for (backend, spans) in [("thread", th_spans), ("event", ev_spans)] {
+            prop_assert!(sim_trace == mario::core::chrome_trace(spans, &s),
+                "trace diverged (sim vs {}) on {:?} D={} N={} mode {}",
+                backend, scheme, d, n, mode);
         }
         let crit = mario::core::critpath::analyze(&s, &sim.spans);
         prop_assert_eq!(crit.breakdown.total(), sim.total_ns,
@@ -1003,15 +987,18 @@ proptest! {
         prop_assert!(mario::ir::validate_with(&plan.schedule, opts).is_ok(),
             "shrunk schedule invalid for {scheme:?} D={d} N={n}");
         let cost = UnitCost::paper_grid();
-        let emu = mario::cluster::run_with_faults_startup(
+        let none = mario::cluster::FaultPlan::none();
+        let emu = mario::cluster::run_with(
             &plan.schedule,
             &cost,
             EmulatorConfig {
                 channel_capacity: plan.channel_capacity,
                 ..Default::default()
             },
-            &mario::cluster::FaultPlan::none(),
-            &plan.startup_ns,
+            &mario::cluster::RunOptions {
+                startup: &plan.startup_ns,
+                ..mario::cluster::RunOptions::new(&none)
+            },
         );
         prop_assert!(emu.is_ok(), "shrunk schedule deadlocked: {:?}", emu.err());
     }
@@ -1044,17 +1031,15 @@ proptest! {
             layers,
         );
         let iterations = 2;
-        let sim = mario_core::simulate_timeline_startup(
-            &plan.schedule,
-            &cost,
-            plan.channel_capacity,
-            &PerturbationProfile::identity(),
+        let opts = SimOptions {
+            channel_capacity: plan.channel_capacity,
             iterations,
-            None,
-            &plan.startup_ns,
-        )
-        .unwrap();
-        let emu = mario::cluster::run_with_faults_startup(
+            startup: &plan.startup_ns,
+            ..SimOptions::default()
+        };
+        let sim = simulate(&plan.schedule, &cost, &opts).unwrap();
+        let none = mario::cluster::FaultPlan::none();
+        let emu = mario::cluster::run_with(
             &plan.schedule,
             &cost,
             EmulatorConfig {
@@ -1062,8 +1047,10 @@ proptest! {
                 iterations,
                 ..Default::default()
             },
-            &mario::cluster::FaultPlan::none(),
-            &plan.startup_ns,
+            &mario::cluster::RunOptions {
+                startup: &plan.startup_ns,
+                ..mario::cluster::RunOptions::new(&none)
+            },
         )
         .unwrap();
         prop_assert_eq!(&sim.device_clocks, &emu.device_clocks);
