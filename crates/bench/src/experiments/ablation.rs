@@ -2,13 +2,13 @@
 //! uniformly across stages", k ∈ {-2, -1, 0, +1, +2}, with and without
 //! Mario) and (b) per-pass contribution of the graph tuner at model scale.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_core::passes::{
     apply_checkpoint, overlap_recompute, prepose_forward, remove_redundancy, split_backward,
     PreposeOptions, SplitOptions,
 };
 use mario_core::simulator::simulate_timeline;
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{SchemeKind, Topology};
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, StagePartition, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
@@ -34,7 +34,7 @@ pub fn partition_ramp() -> Vec<RampPoint> {
     let micros = gbs / mbs;
     let scheme = SchemeKind::OneFOneB;
     let topo = Topology::new(scheme, 8);
-    let cap = channel_capacity(scheme);
+    let cap = scheme_channel_capacity(scheme);
     (-2..=2)
         .map(|k| {
             let partition = StagePartition::ramp(model.layers, 8, k);
@@ -89,7 +89,7 @@ pub fn pass_ablation() -> Vec<PassPoint> {
     let micros = gbs / mbs;
     let scheme = SchemeKind::OneFOneB;
     let topo = Topology::new(scheme, 8);
-    let cap = channel_capacity(scheme);
+    let cap = scheme_channel_capacity(scheme);
     let setup = TrainSetup::pipeline(model, gpu, topo, mbs);
     let cost = AnalyticCost::new(&setup);
     let tp = |s: &mario_ir::Schedule| {
@@ -146,7 +146,7 @@ pub fn zb_extension() -> Vec<PassPoint> {
     let micros = gbs / mbs;
     let scheme = SchemeKind::OneFOneB;
     let topo = Topology::new(scheme, 8);
-    let cap = channel_capacity(scheme);
+    let cap = scheme_channel_capacity(scheme);
     let setup = TrainSetup::pipeline(model, gpu, topo, mbs);
     let cost = AnalyticCost::new(&setup);
     let tp = |s: &mario_ir::Schedule| {

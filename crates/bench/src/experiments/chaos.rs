@@ -22,11 +22,11 @@
 //! with per-iteration checkpoints is strictly cheaper than restarting
 //! from iteration zero.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_cluster::{
     run_with_faults, run_with_recovery, EmuError, EmulatorConfig, FaultPlan,
 };
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{CheckpointPolicy, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
@@ -58,7 +58,7 @@ fn scenario(scheme: SchemeKind, seed: u64) -> Scenario {
     let plan = FaultPlan::single_random(seed, &schedule);
     let injected = plan.faults[0];
     let cfg = EmulatorConfig {
-        channel_capacity: channel_capacity(scheme),
+        channel_capacity: scheme_channel_capacity(scheme),
         // Stall scenarios must wait the watchdog out; keep that short.
         watchdog: Duration::from_millis(300),
         ..Default::default()
@@ -176,7 +176,7 @@ fn correlated_scenario(scheme: SchemeKind, seed: u64) -> CorrelatedScenario {
     let fault_iter = 1 + (seed % 3) as u32;
     let plan = FaultPlan::rack_failure(seed, &schedule).at_iteration(fault_iter);
     let cfg = EmulatorConfig {
-        channel_capacity: channel_capacity(scheme),
+        channel_capacity: scheme_channel_capacity(scheme),
         iterations: CORRELATED_ITERS,
         watchdog: Duration::from_millis(300),
         ..Default::default()
@@ -202,8 +202,8 @@ fn correlated_scenario(scheme: SchemeKind, seed: u64) -> CorrelatedScenario {
         checkpoint: Some(CheckpointPolicy::every(1).with_write_ns(50)),
         ..cfg
     };
-    let restart = run_with_recovery(&schedule, &cost, cfg, &plan, 3);
-    let resume = run_with_recovery(&schedule, &cost, ckpt_cfg, &plan, 3);
+    let restart = run_with_recovery(&schedule, &cost, cfg, &plan, 3, |_| None);
+    let resume = run_with_recovery(&schedule, &cost, ckpt_cfg, &plan, 3, |_| None);
     let (restart_ns, resume_ns, resumed_from) = match (&restart, &resume) {
         (Ok(a), Ok(b)) => {
             ok &= a.resumed_from == 0;

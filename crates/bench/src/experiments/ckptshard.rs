@@ -18,10 +18,9 @@
 //! cost of each mode into the Young/Daly tuner — cheaper effective
 //! writes justify tighter checkpoint intervals.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_cluster::{run, EmulatorConfig, RunReport};
-use mario_core::tuner::{daly_interval, effective_write_ns};
+use mario_core::tuner::{daly_interval, effective_write_ns, scheme_channel_capacity};
 use mario_ir::{CheckpointPolicy, SchemeKind, ShardedWrite, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
@@ -75,7 +74,7 @@ fn compare(scheme: SchemeKind) -> Row {
     let s = generate(ScheduleConfig::new(scheme, 4, 8));
     let cost = UnitCost::paper_grid().with_shard_bytes(SHARD_BYTES);
     let cfg = EmulatorConfig {
-        channel_capacity: channel_capacity(scheme),
+        channel_capacity: scheme_channel_capacity(scheme),
         iterations: ITERS,
         ..Default::default()
     };

@@ -21,10 +21,10 @@
 //!   ZB-H1's: the analyzer reproduces the zero-bubble headline from the
 //!   recorded graphs alone.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_core::critpath::{analyze, whatif, CritReport, WhatIf};
 use mario_core::simulator::{simulate, simulate_timeline, SimOptions};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{
     CheckpointPolicy, DeviceId, LinkSlack, PerturbationProfile, Schedule, SchemeKind,
     ShardedWrite, SlowdownWindow, UnitCost,
@@ -185,7 +185,7 @@ fn record(
 ) -> (Schedule, mario_ir::SpanGraph, u64) {
     let s = generate(ScheduleConfig::new(scheme, DEVICES, MICROS));
     let identity = PerturbationProfile::identity();
-    let opts = recording(channel_capacity(scheme), &identity, mode.policy());
+    let opts = recording(scheme_channel_capacity(scheme), &identity, mode.policy());
     let t = simulate(&s, &cost(), &opts).expect("schedule simulates");
     (s, t.spans, t.total_ns)
 }
@@ -288,7 +288,7 @@ pub fn backend_parity(smoke: bool) -> Vec<(String, bool)> {
                     &s,
                     &cost,
                     mario_cluster::EmulatorConfig {
-                        channel_capacity: channel_capacity(scheme),
+                        channel_capacity: scheme_channel_capacity(scheme),
                         iterations: ITERS,
                         jitter: 0.0,
                         checkpoint: mode.policy(),
@@ -321,7 +321,7 @@ pub fn whatif_grid(smoke: bool) -> Vec<WhatIfRow> {
     let identity = PerturbationProfile::identity();
     let mut out = Vec::new();
     for &scheme in schemes {
-        let cap = channel_capacity(scheme);
+        let cap = scheme_channel_capacity(scheme);
         let s = generate(ScheduleConfig::new(scheme, DEVICES, MICROS));
         let t = simulate(&s, &cost, &recording(cap, &identity, None))
             .expect("schedule simulates");

@@ -10,10 +10,10 @@
 //! degraded simulation reproduces the faulted emulation **bit for bit**
 //! (total time and every device clock), so predicted == emulated exactly.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_cluster::{run, run_with_faults, EmulatorConfig, FaultKind, FaultPlan};
 use mario_core::simulator::{simulate, simulate_timeline, SimOptions};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
@@ -51,7 +51,7 @@ fn scenario(scheme: SchemeKind, factor: f64) -> Scenario {
         from_pc: 0,
         until_pc: usize::MAX,
     });
-    let cap = channel_capacity(scheme);
+    let cap = scheme_channel_capacity(scheme);
     let cfg = EmulatorConfig {
         channel_capacity: cap,
         ..Default::default()

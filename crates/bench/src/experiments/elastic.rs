@@ -7,10 +7,12 @@
 //! policies answer the same fault:
 //!
 //! * **wait-and-resume** pays a replacement wait once, then re-runs the
-//!   remaining iterations at full width ([`run_with_recovery`]);
+//!   remaining iterations at full width ([`run_with_recovery`] declining
+//!   every reconfiguration);
 //! * **shrink-and-continue** re-partitions the layers onto the survivors
 //!   ([`plan_shrink`]), pays the state redistribution once, and finishes
-//!   degraded ([`run_with_elastic_recovery`]).
+//!   degraded ([`run_with_recovery`] with the planner as its
+//!   reconfiguration hook).
 //!
 //! The sweep crosses the two regimes: an early fault leaves a long tail
 //! that amortizes the replacement wait (waiting wins), a late fault does
@@ -25,12 +27,9 @@
 //!   conserve each device clock exactly;
 //! * both policies resume from the same durable checkpoint.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
-use mario_cluster::{
-    run_with_elastic_recovery, run_with_recovery, EmulatorConfig, FaultKind, FaultPlan,
-    RecoveryPolicy,
-};
+use mario_cluster::{run_with_recovery, EmulatorConfig, FaultKind, FaultPlan, RecoveryPolicy};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_core::{
     compare_policies, plan_shrink, simulate, ElasticSetup, LayerScaledCost, SimOptions,
 };
@@ -144,7 +143,7 @@ fn sweep_scheme(scheme: SchemeKind, fault_iters: &[u32]) -> Vec<Scenario> {
     // shrunk pipeline is genuinely slower per iteration (on the plain
     // unit grid shrinking would be free and the trade-off degenerate).
     let cost = LayerScaledCost::new(UnitCost::paper_grid(), scheme, DEVICES, LAYERS);
-    let cap = channel_capacity(scheme);
+    let cap = scheme_channel_capacity(scheme);
     let policy = CheckpointPolicy::every(CKPT_EVERY).with_write_ns(WRITE_NS);
     let setup = elastic_setup(scheme);
     let label = scheme.shape_letter().to_string();
@@ -240,7 +239,7 @@ fn scenario(
 ) -> Scenario {
     let cost = LayerScaledCost::new(UnitCost::paper_grid(), scheme, DEVICES, LAYERS);
     let cfg = EmulatorConfig {
-        channel_capacity: channel_capacity(scheme),
+        channel_capacity: scheme_channel_capacity(scheme),
         iterations: ITERS,
         checkpoint: Some(CheckpointPolicy::every(CKPT_EVERY).with_write_ns(WRITE_NS)),
         watchdog: Duration::from_millis(300),
@@ -265,9 +264,9 @@ fn scenario(
 
     // Policy A: plain checkpoint-restart at full width, replacement wait
     // charged on top.
-    let wait_run = run_with_recovery(schedule, &cost, cfg, &plan, 3);
+    let wait_run = run_with_recovery(schedule, &cost, cfg, &plan, 3, |_| None);
     // Policy B: tear down, re-partition onto the survivors, continue.
-    let shrink_run = run_with_elastic_recovery(schedule, &cost, cfg, &plan, 3, |report| {
+    let shrink_run = run_with_recovery(schedule, &cost, cfg, &plan, 3, |report| {
         plan_shrink(setup, &[report.fault.site()]).map(|p| {
             let degraded =
                 LayerScaledCost::new(UnitCost::paper_grid(), scheme, p.devices, LAYERS);
@@ -494,7 +493,7 @@ fn cascade_scenario(scheme: SchemeKind, first_iter: u32, second_iter: u32) -> Ca
     let schedule = generate(ScheduleConfig::new(scheme, DEVICES, MICROS));
     let cost = LayerScaledCost::new(UnitCost::paper_grid(), scheme, DEVICES, LAYERS);
     let cfg = EmulatorConfig {
-        channel_capacity: channel_capacity(scheme),
+        channel_capacity: scheme_channel_capacity(scheme),
         iterations: ITERS,
         checkpoint: Some(CheckpointPolicy::every(CKPT_EVERY).with_write_ns(WRITE_NS)),
         watchdog: Duration::from_millis(300),
@@ -528,7 +527,7 @@ fn cascade_scenario(scheme: SchemeKind, first_iter: u32, second_iter: u32) -> Ca
     // starts from the first one's survivors.
     let mut width = DEVICES;
     let mut widths = vec![DEVICES];
-    let run = run_with_elastic_recovery(&schedule, &cost, cfg, &plan, 3, |report| {
+    let run = run_with_recovery(&schedule, &cost, cfg, &plan, 3, |report| {
         let setup = ElasticSetup {
             devices: width,
             ..elastic_setup(scheme)

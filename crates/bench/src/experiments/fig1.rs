@@ -2,9 +2,9 @@
 //! relative training throughput of GPipe → 1F1B → Chimera / Interleave /
 //! wave on a common workload, plus their bubble ratios.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_core::simulator::simulate_timeline;
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{SchemeKind, Topology};
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
@@ -45,7 +45,7 @@ pub fn run() -> Vec<SchemeNumbers> {
         let setup = TrainSetup::pipeline(model.clone(), gpu.clone(), topo, mbs);
         let cost = AnalyticCost::new(&setup);
         let schedule = generate(ScheduleConfig::new(scheme, 8, micros));
-        let t = simulate_timeline(&schedule, &cost, channel_capacity(scheme)).unwrap();
+        let t = simulate_timeline(&schedule, &cost, scheme_channel_capacity(scheme)).unwrap();
         let tp = t.throughput(gbs as u64);
         if matches!(scheme, SchemeKind::GPipe) {
             gpipe_tp = tp;

@@ -5,10 +5,10 @@
 //! The paper reports MAPE 5.1% for peak memory and 9.4% for throughput,
 //! with the partial order of configurations preserved.
 
-use crate::harness::channel_capacity;
 use crate::table::{gb, Table};
 use mario_core::passes::{run_graph_tuner, GraphTunerOptions};
 use mario_core::simulator::{simulate_memory, simulate_timeline};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{SchemeKind, Topology};
 use mario_model::{
     mape, profile_and_build, AnalyticCost, GpuSpec, ModelConfig, ProfilerConfig, TrainSetup,
@@ -81,7 +81,7 @@ pub fn run() -> Accuracy {
                         },
                     );
                 }
-                let cap = channel_capacity(scheme);
+                let cap = scheme_channel_capacity(scheme);
 
                 let emu = mario_cluster::run(
                     &schedule,

@@ -15,9 +15,9 @@
 //!    `AnalyticCost` every other figure uses, comparing 1F1B, ZB-H1 and
 //!    ZB-V on throughput and measured bubble ratio.
 
-use crate::harness::channel_capacity;
 use crate::table::Table;
 use mario_core::simulator::{simulate_memory, simulate_timeline};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{Nanos, SchemeKind, Topology, UnitCost};
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
@@ -52,7 +52,7 @@ pub struct ClosedFormRow {
 
 fn unit_makespan(scheme: SchemeKind, p: u32, m: u32, cost: &UnitCost) -> Nanos {
     let s = generate(ScheduleConfig::new(scheme, p, m));
-    simulate_timeline(&s, cost, channel_capacity(scheme))
+    simulate_timeline(&s, cost, scheme_channel_capacity(scheme))
         .expect("closed-form schedule simulates")
         .total_ns
 }
@@ -124,7 +124,7 @@ pub fn run(smoke: bool) -> Vec<SchemeRow> {
         let setup = TrainSetup::pipeline(model.clone(), gpu.clone(), topo, mbs);
         let cost = AnalyticCost::new(&setup);
         let schedule = generate(ScheduleConfig::new(scheme, devices, micros));
-        let t = simulate_timeline(&schedule, &cost, channel_capacity(scheme))
+        let t = simulate_timeline(&schedule, &cost, scheme_channel_capacity(scheme))
             .expect("analytic schedule simulates");
         let mem = simulate_memory(&schedule, &cost, None);
         SchemeRow {

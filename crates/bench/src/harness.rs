@@ -7,6 +7,7 @@
 use mario_core::critpath::{analyze, CritReport};
 use mario_core::passes::{run_graph_tuner, GraphTunerOptions, PreposeOptions};
 use mario_core::simulator::{simulate_memory, simulate_timeline};
+use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{CostModel, Schedule, SchemeKind, Topology};
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
@@ -174,19 +175,6 @@ impl ConfigResult {
     }
 }
 
-/// Channel buffer depth a scheme needs under blocking p2p. The
-/// closed-form GPipe/1F1B/Interleave orders are single-buffer safe; the
-/// engine-derived bidirectional and wave orders need double buffering at
-/// larger scales (their greedy merge can hold two sends in flight on one
-/// link before the receiver drains — real Chimera/Hanayo runtimes use
-/// eager/batched p2p, which our depth-2 buffer models).
-pub fn channel_capacity(scheme: SchemeKind) -> usize {
-    match scheme {
-        SchemeKind::Wave { .. } | SchemeKind::Chimera | SchemeKind::ZeroBubbleV => 2,
-        _ => 1,
-    }
-}
-
 /// Critical-path report for an already-built schedule: simulate under
 /// `cost` and attribute every nanosecond of the makespan.
 pub fn critical_path_of(
@@ -209,7 +197,7 @@ pub fn headline_critical_path(
     cost: &dyn CostModel,
 ) -> CritReport {
     let schedule = generate(ScheduleConfig::new(scheme, devices, micros));
-    critical_path_of(&schedule, cost, channel_capacity(scheme))
+    critical_path_of(&schedule, cost, scheme_channel_capacity(scheme))
 }
 
 /// [`headline_critical_path`] on the paper's unit grid (every kernel
@@ -245,7 +233,7 @@ pub fn run_config(cfg: &ExpConfig) -> ConfigResult {
         .with_tp(cfg.tp)
         .with_dp(cfg.dp);
     let cost = AnalyticCost::new(&setup);
-    let cap = channel_capacity(cfg.scheme);
+    let cap = scheme_channel_capacity(cfg.scheme);
     let mut schedule = generate(
         ScheduleConfig::new(cfg.scheme, cfg.pp, micros).allreduce(cfg.dp > 1),
     );

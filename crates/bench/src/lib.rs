@@ -32,8 +32,8 @@ pub mod summary;
 pub mod table;
 
 pub use harness::{
-    analytic_critical_path, channel_capacity, critical_path_of, headline_critical_path,
-    run_config, unit_critical_path, ConfigResult, ExpConfig, Variant,
+    analytic_critical_path, critical_path_of, headline_critical_path, run_config,
+    unit_critical_path, ConfigResult, ExpConfig, Variant,
 };
 pub use summary::{critical_path_json, json_requested, JsonObj, RunSummary};
 pub use table::{gb, gb_range, Table};

@@ -1,11 +1,13 @@
 //! The discrete-event backend: the emulator's scale path.
 //!
 //! One thread, no watchdog, no real-time blocking: every device is a
-//! `Machine` stepped until it parks, and every link a plain queue of
-//! timestamped packets. The machine holds all instruction semantics, so
-//! this module only keeps the worklist, settlement and quiescence; with
-//! zero jitter it agrees bit-for-bit with the thread backend and the DP
-//! simulator, which the three-way parity proptests pin.
+//! `Machine` stepped until it parks, and every link a `mario_ir::Fifo`
+//! of timestamped packets — the ack window the DP simulator, the
+//! deadlock check and the what-if re-timer use too. The machine holds
+//! all instruction semantics, so this module only keeps the worklist,
+//! settlement and quiescence; with zero jitter it agrees bit-for-bit with
+//! the thread backend and the DP simulator, which the three-way parity
+//! proptests pin.
 //!
 //! Why any execution order works: each device's instruction sequence is
 //! fixed, each channel is FIFO, and every clock update depends only on
@@ -24,20 +26,18 @@ use crate::error::EmuError;
 use crate::faults::FaultPlan;
 use crate::link::{LinkError, Packet};
 use crate::machine::{
-    links, ChanKey, CkptBoard, DeviceReport, Machine, Port, Shared, StallTable, Stepped, Transport,
+    links, CkptBoard, DeviceReport, Machine, Port, Shared, StallTable, Stepped, Transport,
 };
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
-use mario_ir::{CostModel, DeviceId, FastMap, MemoryRules, Nanos, Schedule};
+use mario_ir::{ChanKey, CostModel, DeviceId, FastMap, Fifo, MemoryRules, Nanos, Schedule};
 use std::collections::VecDeque;
 
-/// One bounded-FIFO link, event-style: the data queue carries packets,
-/// `dequeues` buffers the receiver's arrival timestamps (the acks), and
-/// `outstanding` is the sender's un-acked window.
+/// One bounded-FIFO link, event-style: the shared [`Fifo`] plus whether
+/// each end has settled (an empty or full link then reads as
+/// disconnected instead of parking).
 #[derive(Debug, Default)]
 struct EventChannel {
-    queue: VecDeque<Packet>,
-    dequeues: VecDeque<Nanos>,
-    outstanding: usize,
+    fifo: Fifo<Packet>,
     sender_settled: bool,
     receiver_settled: bool,
 }
@@ -64,40 +64,29 @@ impl Transport for EventLinks<'_> {
     fn reserve(&mut self, (peer, class, part): Port) -> Result<Option<Nanos>, LinkError> {
         let capacity = self.capacity;
         let chan = self.chan((self.me, peer, class, part))?;
-        if chan.outstanding < capacity {
-            return Ok(Some(0));
-        }
-        match chan.dequeues.pop_front() {
-            Some(dequeued_at) => {
-                chan.outstanding -= 1;
-                Ok(Some(dequeued_at))
-            }
+        match chan.fifo.reserve(capacity) {
             None if chan.receiver_settled => Err(LinkError::Disconnected),
-            None => Ok(None),
+            freed => Ok(freed),
         }
     }
 
     fn push(&mut self, (peer, class, part): Port, pkt: Packet) -> Result<usize, LinkError> {
-        let chan = self.chan((self.me, peer, class, part))?;
-        chan.queue.push_back(pkt);
-        chan.outstanding += 1;
-        let occupancy = chan.outstanding;
+        let occupancy = self.chan((self.me, peer, class, part))?.fifo.push(pkt);
         self.wakes.push(peer.index());
         Ok(occupancy)
     }
 
     fn pop(&mut self, (peer, class, part): Port) -> Result<Option<Packet>, LinkError> {
         let chan = self.chan((peer, self.me, class, part))?;
-        match chan.queue.pop_front() {
-            Some(pkt) => Ok(Some(pkt)),
+        match chan.fifo.pop() {
             None if chan.sender_settled => Err(LinkError::Disconnected),
-            None => Ok(None),
+            pkt => Ok(pkt),
         }
     }
 
     fn ack(&mut self, (peer, class, part): Port, at: Nanos) {
         if let Ok(chan) = self.chan((peer, self.me, class, part)) {
-            chan.dequeues.push_back(at);
+            chan.fifo.ack(at);
         }
         self.wakes.push(peer.index());
     }

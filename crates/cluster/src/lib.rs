@@ -21,11 +21,10 @@
 //! [`run_with_faults`] enforces a [`FaultPlan`] (stragglers, crashes, link
 //! delays/stalls, memory squeezes) and converts every induced failure into
 //! a structured [`FaultReport`]; [`run_with_recovery`] layers bounded
-//! checkpoint-restart on top, and [`run_with_elastic_recovery`] extends
-//! it with mid-run teardown/rebuild: a planner-supplied
-//! [`Reconfiguration`] re-maps the model onto the surviving devices and
-//! the run continues degraded, each survivor's clock starting at its
-//! state-redistribution cost. With an empty plan the fault layer is
+//! checkpoint-restart on top, optionally with mid-run teardown/rebuild:
+//! a planner-supplied [`Reconfiguration`] re-maps the model onto the
+//! surviving devices and the run continues degraded, each survivor's
+//! clock starting at its state-redistribution cost. With an empty plan the fault layer is
 //! inert and emulation is bit-identical to the plain [`run`].
 
 #![warn(missing_docs)]
@@ -42,9 +41,9 @@ pub use error::EmuError;
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
 pub use machine::{CkptBoard, DeviceReport, StallTable};
 pub use runner::{
-    effective_watchdog, run, run_with, run_with_elastic_recovery, run_with_faults,
-    run_with_recovery, ElasticRun, EmulatorBackend, EmulatorConfig, Reconfiguration,
-    ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions, RunReport,
+    effective_watchdog, run, run_with, run_with_faults, run_with_recovery, EmulatorBackend,
+    EmulatorConfig, Reconfiguration, ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions,
+    RunReport,
 };
 pub use serving::{
     form_batches, poisson_arrivals, serve, serve_with, Batch, BatchPolicy, Request, RetryPolicy,

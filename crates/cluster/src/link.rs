@@ -2,37 +2,28 @@
 //! device threads.
 //!
 //! Each directed `(sender, receiver, class, part)` link is a data channel
-//! carrying `(header, bytes, send-timestamp)` packets and an
+//! carrying `(msg, bytes, send-timestamp)` packets and an
 //! acknowledgement channel carrying dequeue timestamps back. The sender
 //! keeps at most `capacity` packets un-acknowledged: one more send first
-//! blocks (in real time) for the oldest ack. Links only move packets and
-//! timestamps; what a timestamp does to a device clock is the
-//! [`crate::machine`]'s business, which is why the emulated timeline is
-//! deterministic under any thread interleaving.
+//! blocks (in real time) for the oldest ack. This is the ack window of
+//! `mario_ir::link::Fifo`, written a second time on purpose: the
+//! single-threaded engines share that `Fifo`, but here the two ends live
+//! on different threads, and real concurrency is the reason this backend
+//! exists. Links only move packets and timestamps; what a timestamp does
+//! to a device clock is the [`crate::machine`]'s business, which is why
+//! the emulated timeline is deterministic under any thread interleaving.
 
 use crate::machine::{Port, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use mario_ir::exec::MsgClass;
-use mario_ir::{MicroId, Nanos, PartId};
+use mario_ir::{Msg, Nanos};
 use std::collections::HashMap;
 use std::time::Duration;
-
-/// A message header: identity checked on receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
-    /// Activation or gradient.
-    pub class: MsgClass,
-    /// Micro-batch id.
-    pub micro: MicroId,
-    /// Producer-side partition id.
-    pub part: PartId,
-}
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
-    /// Identity.
-    pub header: Header,
+    /// Identity, checked on receive.
+    pub msg: Msg,
     /// Payload size (drives transfer time on the receiving side).
     pub bytes: u64,
     /// Sender virtual clock when the packet departed (including any
@@ -63,7 +54,7 @@ pub enum LinkError {
     /// The peer settled (failed or finished) and will never answer.
     Disconnected,
     /// Received packet identity does not match the expectation.
-    Mismatch(Header),
+    Mismatch(Msg),
     /// No link was built for the port: no peer ever sends on it.
     NoRoute,
 }
@@ -74,8 +65,8 @@ pub struct SendHalf {
     ack: Receiver<Ack>,
     /// Un-acknowledged packets in flight. It grows on a send and shrinks
     /// only when a capacity-blocked send consumes the oldest ack, exactly
-    /// like the DP simulator's `Channel::outstanding`, so per-link
-    /// occupancy telemetry is parity-safe.
+    /// like `Fifo`'s window, so per-link occupancy telemetry is
+    /// parity-safe.
     in_flight: usize,
     capacity: usize,
     timeout: Duration,
@@ -240,11 +231,12 @@ impl Transport for ThreadLinks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mario_ir::{MicroId, MsgClass, PartId};
     use std::thread;
 
     fn pkt(m: u32, sent_at: Nanos) -> Packet {
         Packet {
-            header: Header {
+            msg: Msg {
                 class: MsgClass::Act,
                 micro: MicroId(m),
                 part: PartId(0),
@@ -269,7 +261,7 @@ mod tests {
         });
         for (m, at) in [(0, 500), (1, 900), (2, 900)] {
             let p = rx.pop().unwrap();
-            assert_eq!(p.header.micro, MicroId(m));
+            assert_eq!(p.msg.micro, MicroId(m));
             rx.ack(at);
         }
         s.join().unwrap();
@@ -287,7 +279,7 @@ mod tests {
         tx.push(pkt(0, 0)).unwrap();
         tx.poison();
         // Genuine traffic first, then the end-of-stream marker.
-        assert_eq!(rx.pop().unwrap().header.micro, MicroId(0));
+        assert_eq!(rx.pop().unwrap().msg.micro, MicroId(0));
         assert_eq!(rx.pop().unwrap_err(), LinkError::Disconnected);
         rx.poison();
         assert_eq!(tx.reserve().unwrap_err(), LinkError::Disconnected);

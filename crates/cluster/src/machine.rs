@@ -22,14 +22,13 @@
 
 use crate::error::EmuError;
 use crate::faults::{DeviceFaults, FaultKind, FaultReport};
-use crate::link::{Header, LinkError, Packet};
+use crate::link::{LinkError, Packet};
 use crate::runner::EmulatorConfig;
 use crate::serving::ServingHooks;
-use mario_ir::exec::MsgClass;
 use mario_ir::{
-    AllocError, AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceProgram, DeviceTelemetry,
-    Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PartId,
-    PendingCheckpoint, Schedule, CKPT_PC,
+    AllocError, AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceId, DeviceProgram,
+    DeviceTelemetry, Dir, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, MsgClass,
+    Nanos, OpSpan, PartId, PendingCheckpoint, Schedule, CKPT_PC,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -183,9 +182,6 @@ impl StallTable {
 /// One end of a link as its device sees it: `(peer, class, part)`.
 pub(crate) type Port = (DeviceId, MsgClass, PartId);
 
-/// A directed link: `(sender, receiver, class, part)`.
-pub(crate) type ChanKey = (DeviceId, DeviceId, MsgClass, PartId);
-
 /// Every directed link the schedule's sends use, once each, in program
 /// order.
 pub(crate) fn links(schedule: &Schedule) -> Vec<ChanKey> {
@@ -193,12 +189,10 @@ pub(crate) fn links(schedule: &Schedule) -> Vec<ChanKey> {
     let mut keys = Vec::new();
     for prog in schedule.programs() {
         for (_, i) in prog.iter() {
-            let (peer, class) = match i.kind {
-                InstrKind::SendAct { peer } => (peer, MsgClass::Act),
-                InstrKind::SendGrad { peer } => (peer, MsgClass::Grad),
-                _ => continue,
+            let Some(p) = i.kind.p2p().filter(|p| p.dir == Dir::Send) else {
+                continue;
             };
-            let key = (prog.device, peer, class, i.part);
+            let key = p.chan(prog.device, i.part);
             if seen.insert(key) {
                 keys.push(key);
             }
@@ -256,7 +250,7 @@ enum Parked {
         pc: usize,
         start: Nanos,
         port: Port,
-        header: Header,
+        msg: Msg,
         bytes: u64,
         delay: Nanos,
     },
@@ -265,7 +259,7 @@ enum Parked {
         pc: usize,
         start: Nanos,
         port: Port,
-        expect: Header,
+        expect: Msg,
     },
 }
 
@@ -425,12 +419,8 @@ impl<'a> Machine<'a> {
             }
         }
         let start = self.clock;
-        match instr.kind {
-            InstrKind::Forward { .. }
-            | InstrKind::Backward
-            | InstrKind::BackwardInput
-            | InstrKind::BackwardWeight
-            | InstrKind::Recompute => {
+        match instr.kind.p2p() {
+            None if instr.kind.is_compute() => {
                 // Serving ingress gate: a first-stage forward may not
                 // start before its micro-batch was released. The wait is
                 // idle time exactly like a recv wait — checkpoint chunks
@@ -480,15 +470,34 @@ impl<'a> Machine<'a> {
                 }
                 self.complete(start, dur, 0, 0, gate);
             }
-            InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
-                let class = if matches!(instr.kind, InstrKind::SendAct { .. }) {
-                    MsgClass::Act
-                } else {
-                    MsgClass::Grad
+            None => {
+                let classes = &mut self.telemetry.classes;
+                let (dt, class) = match instr.kind {
+                    InstrKind::AllReduce => {
+                        (cost.allreduce_time(self.device), &mut classes.allreduce_ns)
+                    }
+                    _ => (cost.optimizer_time(self.device), &mut classes.optimizer_ns),
                 };
+                *class += dt;
+                self.clock += dt;
+                self.complete(start, dt, 0, 0, 0);
+            }
+            Some(p) => {
                 let launch = cost.p2p_launch_overhead();
                 self.clock += launch;
                 self.telemetry.classes.comm_launch_ns += launch;
+                let port = (p.peer, p.class, instr.part);
+                let msg = p.msg(instr);
+                if p.dir == Dir::Recv {
+                    self.park(Parked::Recv {
+                        pc,
+                        start,
+                        port,
+                        expect: msg,
+                    });
+                    return Ok(());
+                }
+                let peer = p.peer;
                 let nth = {
                     let c = self.sends_to.entry(peer).or_insert(0);
                     let n = *c;
@@ -518,53 +527,15 @@ impl<'a> Machine<'a> {
                     }
                     _ => 0,
                 };
-                let header = Header {
-                    class,
-                    micro: instr.micro,
-                    part: instr.part,
-                };
                 let bytes = cost.boundary_bytes(self.device, instr.part);
                 self.park(Parked::Send {
                     pc,
                     start,
-                    port: (peer, class, instr.part),
-                    header,
+                    port,
+                    msg,
                     bytes,
                     delay,
                 });
-            }
-            InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
-                let class = if matches!(instr.kind, InstrKind::RecvAct { .. }) {
-                    MsgClass::Act
-                } else {
-                    MsgClass::Grad
-                };
-                let launch = cost.p2p_launch_overhead();
-                self.clock += launch;
-                self.telemetry.classes.comm_launch_ns += launch;
-                let expect = Header {
-                    class,
-                    micro: instr.micro,
-                    part: instr.part,
-                };
-                self.park(Parked::Recv {
-                    pc,
-                    start,
-                    port: (peer, class, instr.part),
-                    expect,
-                });
-            }
-            InstrKind::AllReduce => {
-                let dt = cost.allreduce_time(self.device);
-                self.clock += dt;
-                self.telemetry.classes.allreduce_ns += dt;
-                self.complete(start, dt, 0, 0, 0);
-            }
-            InstrKind::OptimizerStep => {
-                let dt = cost.optimizer_time(self.device);
-                self.clock += dt;
-                self.telemetry.classes.optimizer_ns += dt;
-                self.complete(start, dt, 0, 0, 0);
             }
         }
         Ok(())
@@ -584,7 +555,7 @@ impl<'a> Machine<'a> {
                 pc,
                 start,
                 port,
-                header,
+                msg,
                 bytes,
                 delay,
             } => {
@@ -600,7 +571,7 @@ impl<'a> Machine<'a> {
                 // while the sender's own clock is unaffected.
                 let now = self.clock.max(freed);
                 let pkt = Packet {
-                    header,
+                    msg,
                     bytes,
                     sent_at: now + delay,
                 };
@@ -618,7 +589,7 @@ impl<'a> Machine<'a> {
                 self.clock = now;
                 // The occupancy right after the send is the un-acked
                 // window, which advances in lockstep with the simulator's
-                // `Channel::outstanding`.
+                // `Fifo`.
                 self.link_sends.entry(port.0).or_default().on_send(
                     bytes,
                     blocked,
@@ -638,9 +609,9 @@ impl<'a> Machine<'a> {
                 let Some(pkt) = pkt else {
                     return Ok(false);
                 };
-                if pkt.header != expect {
+                if pkt.msg != expect {
                     // The mismatched packet is consumed and never acked.
-                    return Err(self.link_err(LinkError::Mismatch(pkt.header), pc, port.0));
+                    return Err(self.link_err(LinkError::Mismatch(pkt.msg), pc, port.0));
                 }
                 self.shared.stalls.clear(self.device);
                 let wire_ns = self
@@ -756,7 +727,7 @@ impl<'a> Machine<'a> {
     /// and clears this device's blocked mark. Any failure on a link with
     /// an injected stall is the stall surfacing, so it is normalized to
     /// the same structured report whether it showed as a timeout, a
-    /// disconnect or a mismatched header: seeded runs reproduce identical
+    /// disconnect or a mismatched message: seeded runs reproduce identical
     /// reports on both backends.
     fn link_err(&self, e: LinkError, pc: usize, peer: DeviceId) -> EmuError {
         let device = self.device;
@@ -988,14 +959,14 @@ mod tests {
         });
         let cfg = EmulatorConfig::default();
         let mut m = Machine::new(shared, d1, &cfg, plan.for_device(d1), 500);
-        let header = Header {
+        let msg = Msg {
             class: MsgClass::Act,
             micro: MicroId(0),
             part: PartId(0),
         };
         let mut links = Script {
             inbox: Some(Packet {
-                header,
+                msg,
                 bytes: 0,
                 sent_at: 1_000,
             }),

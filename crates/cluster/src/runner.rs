@@ -487,120 +487,6 @@ pub(crate) fn settle_report(
     })
 }
 
-/// A run that survived injected faults via restarts.
-#[derive(Debug, Clone)]
-pub struct RecoveredRun {
-    /// The final, successful run (of the iterations that remained after
-    /// resuming — all of them when nothing was checkpointed).
-    pub report: RunReport,
-    /// Total attempts, including the successful one (1 = clean first try).
-    pub attempts: u32,
-    /// Structured reports of every fault that killed an attempt.
-    pub fault_log: Vec<FaultReport>,
-    /// Virtual time of the whole recovery, ns: the final run plus the
-    /// time each failed attempt burned before its fault surfaced.
-    /// `report.total_ns` alone under-reports recovery cost by exactly
-    /// that wasted work.
-    pub total_ns_with_replay: Nanos,
-    /// Iterations already covered by the checkpoint the final attempt
-    /// resumed from (0 = it restarted from scratch).
-    pub resumed_from: u32,
-    /// Iterations that completed in failed attempts but were *not*
-    /// covered by a checkpoint — executed again after the restart. This
-    /// is the work checkpointing exists to bound.
-    pub replayed_iters: u32,
-    /// Total virtual time spent writing checkpoints across all attempts,
-    /// summed over devices, ns — the overhead side of the checkpoint
-    /// trade. Failed attempts contribute every write their devices paid
-    /// for (from [`FaultReport::ckpt_paid_ns`]), not just the writes that
-    /// became cluster-durable.
-    pub ckpt_overhead_ns: Nanos,
-}
-
-/// Runs `schedule` under `plan`, restarting after each injected-fault
-/// failure — the emulator's model of checkpoint-restart recovery. With a
-/// [`EmulatorConfig::checkpoint`] policy, each restart resumes from the
-/// last cluster-durable checkpoint (the failed attempt's
-/// [`FaultReport::last_checkpoint`]) and only runs the remaining
-/// iterations; without one it restarts from iteration 0. Faults fire
-/// once; a restart re-runs without the already-fired plan (the
-/// replacement device / healed link). Non-injected errors (real OOM, real
-/// deadlock) propagate immediately: restarting cannot fix a broken
-/// schedule. At most `max_restarts` restarts are attempted.
-pub fn run_with_recovery(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    max_restarts: u32,
-) -> Result<RecoveredRun, EmuError> {
-    let mut fault_log: Vec<FaultReport> = Vec::new();
-    let mut attempts = 0;
-    let mut active = plan.clone();
-    // Iterations durably checkpointed by failed attempts: the next
-    // attempt picks up after them.
-    let mut completed: u32 = 0;
-    let mut replayed: u32 = 0;
-    let mut failed_overhead: Nanos = 0;
-    loop {
-        attempts += 1;
-        let attempt_cfg = EmulatorConfig {
-            iterations: cfg.iterations - completed,
-            ..cfg
-        };
-        match run_with_faults(schedule, cost, attempt_cfg, &active) {
-            Ok(mut report) => {
-                // Each failed attempt ran up to its fault's virtual time
-                // before being thrown away; charge that replay cost.
-                let wasted: Nanos = fault_log.iter().map(|r| r.vtime).sum();
-                // Bin the restart-forcing faults by their *site* (the
-                // faulty component, not the observing device) onto the
-                // final report's telemetry — the per-device hard-fault
-                // counts a lemon-detecting tuner consumes.
-                for r in &fault_log {
-                    let site = r.fault.site();
-                    if let Some(d) = report
-                        .telemetry
-                        .devices
-                        .iter_mut()
-                        .find(|d| d.device == site)
-                    {
-                        d.hard_faults += 1;
-                    }
-                }
-                return Ok(RecoveredRun {
-                    total_ns_with_replay: report.total_ns + wasted,
-                    ckpt_overhead_ns: failed_overhead + report.ckpt_overhead_ns,
-                    report,
-                    attempts,
-                    fault_log,
-                    resumed_from: completed,
-                    replayed_iters: replayed,
-                });
-            }
-            Err(EmuError::Fault(report)) if attempts <= max_restarts => {
-                // The attempt's durable progress survives; everything past
-                // the checkpoint is replayed by the next attempt.
-                let saved = report.last_checkpoint;
-                replayed += report.iteration.saturating_sub(saved);
-                completed += saved;
-                // Charge what the attempt's devices actually spent writing
-                // (stamped by root-cause attribution) — including writes
-                // that never became cluster-durable: that time was burned
-                // whether or not the checkpoint is resumable.
-                failed_overhead += report.ckpt_paid_ns;
-                fault_log.push(*report);
-                // The faulted component is replaced/healed — but a
-                // cascading plan may have armed a follow-up that fires
-                // on the next attempt; otherwise the rest runs
-                // fault-free.
-                active = active.take_armed();
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// How a recovery session answers a permanent device loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryPolicy {
@@ -660,68 +546,86 @@ pub struct ReconfigureEvent {
     pub devices_after: u32,
 }
 
-/// A run that survived a permanent device loss by shrinking (or, when
-/// the planner declined, by plain checkpoint-restart).
-#[derive(Debug)]
-pub struct ElasticRun {
-    /// The final, successful run — on the shrunk topology if a
-    /// reconfiguration happened.
+/// A run that survived injected faults via restarts, on the original
+/// topology or, after a reconfiguration, on a shrunk one.
+#[derive(Debug, Clone)]
+pub struct RecoveredRun {
+    /// The final, successful run (of the iterations that remained after
+    /// resuming — all of them when nothing was checkpointed), on the
+    /// shrunk topology if a reconfiguration happened.
     pub report: RunReport,
-    /// Total attempts, including the successful one.
+    /// Total attempts, including the successful one (1 = clean first try).
     pub attempts: u32,
     /// Structured reports of every fault that killed an attempt.
     pub fault_log: Vec<FaultReport>,
-    /// Every teardown/rebuild performed, in order.
+    /// Every teardown/rebuild performed, in order (empty on a plain
+    /// restart).
     pub reconfigurations: Vec<ReconfigureEvent>,
-    /// Virtual time of the whole session, ns: the final run (whose clock
+    /// Virtual time of the whole recovery, ns: the final run (whose clock
     /// already includes any redistribution charge) plus the time each
-    /// failed attempt burned before its fault surfaced.
+    /// failed attempt burned before its fault surfaced. `report.total_ns`
+    /// alone under-reports recovery cost by exactly that wasted work.
     pub total_ns_with_replay: Nanos,
     /// Iterations already covered by the checkpoint the final attempt
-    /// resumed from.
+    /// resumed from (0 = it restarted from scratch).
     pub resumed_from: u32,
-    /// Iterations completed in failed attempts but not checkpointed —
-    /// executed again after the restart.
+    /// Iterations that completed in failed attempts but were *not*
+    /// covered by a checkpoint — executed again after the restart. This
+    /// is the work checkpointing exists to bound.
     pub replayed_iters: u32,
-    /// Checkpoint write time across all attempts, summed over devices,
-    /// ns.
+    /// Total virtual time spent writing checkpoints across all attempts,
+    /// summed over devices, ns — the overhead side of the checkpoint
+    /// trade. Failed attempts contribute every write their devices paid
+    /// for (from [`FaultReport::ckpt_paid_ns`]), not just the writes that
+    /// became cluster-durable.
     pub ckpt_overhead_ns: Nanos,
     /// Total wall-clock redistribution charge across reconfigurations,
-    /// ns — also visible per device in the final report's telemetry
-    /// `reconfig_ns` class when the last attempt followed a rebuild.
+    /// ns (0 on a plain restart) — also visible per device in the final
+    /// report's telemetry `reconfig_ns` class when the last attempt
+    /// followed a rebuild.
     pub reconfig_ns: Nanos,
 }
 
-/// [`run_with_recovery`] with an elastic twist: after each fault that
-/// kills an attempt, `reconfigure` may hand back a [`Reconfiguration`] —
-/// the links and devices of the old pipeline are torn down and the next
-/// attempt runs the shrunk schedule, its devices starting at their
-/// redistribution offsets and resuming from the last cluster-durable
-/// checkpoint. When `reconfigure` returns `None` the loop behaves like
-/// plain checkpoint-restart on the current topology (the
-/// wait-and-resume policy, with any replacement wait charged by the
-/// caller). Cascading plans ([`FaultPlan::arming`]) are consumed exactly
-/// as in [`run_with_recovery`].
-pub fn run_with_elastic_recovery(
+/// Runs `schedule` under `plan`, restarting after each injected-fault
+/// failure — the emulator's model of checkpoint-restart recovery. With a
+/// [`EmulatorConfig::checkpoint`] policy, each restart resumes from the
+/// last cluster-durable checkpoint (the failed attempt's
+/// [`FaultReport::last_checkpoint`]) and only runs the remaining
+/// iterations; without one it restarts from iteration 0. Faults fire
+/// once; a restart re-runs without the already-fired plan (the
+/// replacement device / healed link), except for follow-ups a cascading
+/// plan ([`FaultPlan::arming`]) armed. Non-injected errors (real OOM,
+/// real deadlock) propagate immediately: restarting cannot fix a broken
+/// schedule. At most `max_restarts` restarts are attempted.
+///
+/// After each fault that kills an attempt, `reconfigure` may hand back a
+/// [`Reconfiguration`]: the links and devices of the old pipeline are
+/// torn down and the next attempt runs the shrunk schedule, its devices
+/// starting at their redistribution offsets. When it returns `None` (pass
+/// `|_| None` for plain checkpoint-restart) the next attempt restarts on
+/// the current topology — the wait-and-resume policy, with any
+/// replacement wait charged by the caller.
+pub fn run_with_recovery(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
     plan: &FaultPlan,
     max_restarts: u32,
     mut reconfigure: impl FnMut(&FaultReport) -> Option<Reconfiguration>,
-) -> Result<ElasticRun, EmuError> {
+) -> Result<RecoveredRun, EmuError> {
     let mut fault_log: Vec<FaultReport> = Vec::new();
     let mut reconfigurations: Vec<ReconfigureEvent> = Vec::new();
     let mut attempts = 0;
     let mut active = plan.clone();
+    // Iterations durably checkpointed by failed attempts: the next
+    // attempt picks up after them.
     let mut completed: u32 = 0;
     let mut replayed: u32 = 0;
     let mut failed_overhead: Nanos = 0;
     let mut reconfig_total: Nanos = 0;
-    // The topology the next attempt runs on: the original borrow until a
-    // reconfiguration swaps in an owned shrunk schedule + cost model.
-    let mut cur_schedule: Schedule = schedule.clone();
-    let mut cur_cost: Option<Box<dyn CostModel>> = None;
+    // The shrunk schedule and cost model the next attempt runs on, once
+    // a reconfiguration swapped them in.
+    let mut shrunk: Option<(Schedule, Box<dyn CostModel>)> = None;
     let mut cur_cfg = cfg;
     // Redistribution offsets, charged to the single attempt that follows
     // a rebuild and cleared afterwards.
@@ -732,17 +636,25 @@ pub fn run_with_elastic_recovery(
             iterations: cfg.iterations - completed,
             ..cur_cfg
         };
-        let attempt_cost: &dyn CostModel = cur_cost.as_deref().unwrap_or(cost);
+        let (attempt_schedule, attempt_cost) = match &shrunk {
+            Some((s, c)) => (s, c.as_ref()),
+            None => (schedule, cost),
+        };
         let opts = RunOptions {
             startup: &startup,
             ..RunOptions::new(&active)
         };
-        match run_with(&cur_schedule, attempt_cost, attempt_cfg, &opts) {
+        match run_with(attempt_schedule, attempt_cost, attempt_cfg, &opts) {
             Ok(mut report) => {
+                // Each failed attempt ran up to its fault's virtual time
+                // before being thrown away; charge that replay cost.
                 let wasted: Nanos = fault_log.iter().map(|r| r.vtime).sum();
-                // Hard faults binned by site, as in `run_with_recovery`;
-                // a site that no longer exists on the shrunk topology is
-                // skipped (the lemon left the fleet with its counter).
+                // Bin the restart-forcing faults by their *site* (the
+                // faulty component, not the observing device) onto the
+                // final report's telemetry — the per-device hard-fault
+                // counts a lemon-detecting tuner consumes. A site that no
+                // longer exists on a shrunk topology is skipped (the lemon
+                // left the fleet with its counter).
                 for r in &fault_log {
                     let site = r.fault.site();
                     if let Some(d) = report
@@ -754,7 +666,7 @@ pub fn run_with_elastic_recovery(
                         d.hard_faults += 1;
                     }
                 }
-                return Ok(ElasticRun {
+                return Ok(RecoveredRun {
                     total_ns_with_replay: report.total_ns + wasted,
                     ckpt_overhead_ns: failed_overhead + report.ckpt_overhead_ns,
                     report,
@@ -767,10 +679,20 @@ pub fn run_with_elastic_recovery(
                 });
             }
             Err(EmuError::Fault(report)) if attempts <= max_restarts => {
+                // The attempt's durable progress survives; everything past
+                // the checkpoint is replayed by the next attempt.
                 let saved = report.last_checkpoint;
                 replayed += report.iteration.saturating_sub(saved);
                 completed += saved;
+                // Charge what the attempt's devices actually spent writing
+                // (stamped by root-cause attribution) — including writes
+                // that never became cluster-durable: that time was burned
+                // whether or not the checkpoint is resumable.
                 failed_overhead += report.ckpt_paid_ns;
+                // The faulted component is replaced/healed — but a
+                // cascading plan may have armed a follow-up that fires
+                // on the next attempt; otherwise the rest runs
+                // fault-free.
                 active = active.take_armed();
                 match reconfigure(&report) {
                     Some(r) => {
@@ -783,13 +705,12 @@ pub fn run_with_elastic_recovery(
                             reconfig_ns,
                             devices_after: r.schedule.devices(),
                         });
-                        cur_schedule = r.schedule;
-                        cur_cost = Some(r.cost);
                         cur_cfg = EmulatorConfig {
                             channel_capacity: r.channel_capacity,
                             ..cur_cfg
                         };
                         startup = r.startup_ns;
+                        shrunk = Some((r.schedule, r.cost));
                     }
                     // Plain restart on the current topology: state is
                     // already in place, nothing to redistribute.
@@ -1070,8 +991,15 @@ mod tests {
             device: DeviceId(0),
             pc: 2,
         });
-        let rec = run_with_recovery(&s, &unit(), fast(EmulatorConfig::default()), &plan, 3)
-            .expect("recovers on restart");
+        let rec = run_with_recovery(
+            &s,
+            &unit(),
+            fast(EmulatorConfig::default()),
+            &plan,
+            3,
+            |_| None,
+        )
+        .expect("recovers on restart");
         assert_eq!(rec.attempts, 2);
         assert_eq!(rec.fault_log.len(), 1);
         assert_eq!(rec.fault_log[0].fault, plan.faults[0]);
@@ -1094,6 +1022,7 @@ mod tests {
             fast(EmulatorConfig::default()),
             &FaultPlan::none(),
             3,
+            |_| None,
         )
         .expect("clean run");
         assert_eq!(rec.attempts, 1);
@@ -1108,7 +1037,7 @@ mod tests {
             watchdog: Duration::from_millis(300),
             ..Default::default()
         };
-        let err = run_with_recovery(&s, &unit(), cfg, &FaultPlan::none(), 3).unwrap_err();
+        let err = run_with_recovery(&s, &unit(), cfg, &FaultPlan::none(), 3, |_| None).unwrap_err();
         assert!(err.is_oom(), "{err}");
     }
 
@@ -1224,7 +1153,7 @@ mod tests {
             checkpoint: Some(policy),
             ..base
         };
-        let rec = run_with_recovery(&s, &unit(), with_ck, &plan, 3).expect("recovers");
+        let rec = run_with_recovery(&s, &unit(), with_ck, &plan, 3, |_| None).expect("recovers");
         assert_eq!(rec.attempts, 2);
         assert_eq!(rec.resumed_from, 2);
         // The checkpoint covers iterations 0-1; iteration 2 completed
@@ -1249,7 +1178,7 @@ mod tests {
         // plus 2 in the final one.
         assert_eq!(rec.ckpt_overhead_ns, 4 * 3 * 500);
         // And resuming beats restarting from zero under the same plan.
-        let from_zero = run_with_recovery(&s, &unit(), base, &plan, 3).expect("recovers");
+        let from_zero = run_with_recovery(&s, &unit(), base, &plan, 3, |_| None).expect("recovers");
         assert_eq!(from_zero.resumed_from, 0);
         assert_eq!(from_zero.replayed_iters, 3);
         assert!(
@@ -1294,7 +1223,7 @@ mod tests {
         assert_eq!(report.ckpt_paid_ns, 7 * 500);
         // Recovery charges those same payments, plus the final attempt's
         // (1 remaining iteration, 4 devices).
-        let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3).expect("recovers");
+        let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).expect("recovers");
         assert_eq!(rec.resumed_from, 1);
         assert_eq!(rec.ckpt_overhead_ns, 7 * 500 + 4 * 500);
     }
@@ -1363,7 +1292,7 @@ mod tests {
         };
         let shrunk = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 3, 8));
         let startup = vec![1_000u64, 2_000, 3_000];
-        let rec = run_with_elastic_recovery(&s, &unit(), cfg, &plan, 3, |report| {
+        let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |report| {
             assert_eq!(report.fault, plan.faults[0]);
             Some(Reconfiguration {
                 schedule: shrunk.clone(),
@@ -1408,14 +1337,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rec.report.device_clocks, fresh.device_clocks);
-        // Declining every reconfiguration degrades to plain
-        // checkpoint-restart, bit for bit.
-        let plain = run_with_elastic_recovery(&s, &unit(), cfg, &plan, 3, |_| None).unwrap();
-        let classic = run_with_recovery(&s, &unit(), cfg, &plan, 3).unwrap();
-        assert_eq!(plain.report.device_clocks, classic.report.device_clocks);
-        assert_eq!(plain.total_ns_with_replay, classic.total_ns_with_replay);
+        // Declining every reconfiguration is plain checkpoint-restart on
+        // the original topology: nothing redistributed, the remaining
+        // iterations run from the last durable checkpoint.
+        let plain = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).unwrap();
         assert!(plain.reconfigurations.is_empty());
         assert_eq!(plain.reconfig_ns, 0);
+        let rest = EmulatorConfig {
+            iterations: cfg.iterations - plain.resumed_from,
+            ..cfg
+        };
+        let fresh = run_with_faults(&s, &unit(), rest, &FaultPlan::none()).unwrap();
+        assert_eq!(plain.report.device_clocks, fresh.device_clocks);
     }
 
     #[test]
@@ -1426,8 +1359,15 @@ mod tests {
                 .arming(FaultPlan::rack_failure(seed + 1, &s))
         };
         let plan = build(11);
-        let rec = run_with_recovery(&s, &unit(), fast(EmulatorConfig::default()), &plan, 3)
-            .expect("survives the cascade");
+        let rec = run_with_recovery(
+            &s,
+            &unit(),
+            fast(EmulatorConfig::default()),
+            &plan,
+            3,
+            |_| None,
+        )
+        .expect("survives the cascade");
         // Two failed attempts — the seeded trigger, then the armed rack
         // failure — and a clean third.
         assert_eq!(rec.attempts, 3);
@@ -1441,8 +1381,15 @@ mod tests {
             Some(armed.groups[0].name.as_str())
         );
         // Bit-identical replay from the seed.
-        let again =
-            run_with_recovery(&s, &unit(), fast(EmulatorConfig::default()), &build(11), 3).unwrap();
+        let again = run_with_recovery(
+            &s,
+            &unit(),
+            fast(EmulatorConfig::default()),
+            &build(11),
+            3,
+            |_| None,
+        )
+        .unwrap();
         assert_eq!(rec.fault_log, again.fault_log);
         assert_eq!(rec.report.device_clocks, again.report.device_clocks);
     }

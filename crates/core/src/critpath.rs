@@ -30,7 +30,10 @@
 //! Reconstructing capacity edges structurally (instead of recording which
 //! sends happened to block) keeps [`whatif`] sound: under a counterfactual
 //! the ack window can start binding on a send that never blocked in the
-//! recording.
+//! recording. [`whatif`] replays edges 2 and 3 through one
+//! `mario_ir::Fifo` per channel — the link rule the DP simulator and the
+//! event backend share — so a re-timed send on a full window waits for
+//! exactly the `(k − capacity)`-th re-timed arrival.
 //!
 //! # Validity domain
 //!
@@ -45,15 +48,12 @@
 //! when the factor round-trips (e.g. 2.0 on even costs). The `critpath`
 //! bench pins the exact domain against real re-simulations.
 
-use mario_ir::exec::MsgClass;
 use mario_ir::{
-    DeviceId, InstrKind, Nanos, OpSpan, PerturbationProfile, Schedule, SpanGraph, CKPT_PC,
+    ChanKey, DeviceId, Dir, FastMap, Fifo, InstrKind, Nanos, OpSpan, PerturbationProfile, Schedule,
+    SpanGraph, CKPT_PC,
 };
 use serde::Serialize;
 use std::collections::HashMap;
-
-/// A directed channel identity, matching the executors' link keying.
-type ChanKey = (u32, u32, MsgClass, u32);
 
 /// A span's position: `(device index, index within the device stream)`.
 type NodeId = (usize, usize);
@@ -245,57 +245,48 @@ struct Structure {
     kind: Vec<Vec<NodeKind>>,
 }
 
-fn class_of(kind: &InstrKind) -> MsgClass {
-    match kind {
-        InstrKind::SendAct { .. } | InstrKind::RecvAct { .. } => MsgClass::Act,
-        _ => MsgClass::Grad,
-    }
-}
-
 /// Reconstructs pairing and capacity edges from the schedule and the
 /// channel capacity. Timestamps are never consulted, except to record
 /// each send's injected-delay `delta` (an exogenous input, like costs).
 fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
-    let mut sends: HashMap<ChanKey, Vec<NodeId>> = HashMap::new();
-    let mut recvs: HashMap<ChanKey, Vec<NodeId>> = HashMap::new();
+    let mut sends: FastMap<ChanKey, Vec<NodeId>> = FastMap::default();
+    let mut recvs: FastMap<ChanKey, Vec<NodeId>> = FastMap::default();
     let mut kind: Vec<Vec<NodeKind>> = Vec::with_capacity(g.per_device.len());
     for (d, spans) in g.per_device.iter().enumerate() {
         let program = schedule.program(DeviceId(d as u32));
         let mut kinds = Vec::with_capacity(spans.len());
         for (i, s) in spans.iter().enumerate() {
-            let instr = if s.pc == CKPT_PC {
-                None
-            } else {
-                program.get(s.pc as usize)
-            };
-            let k = match instr.map(|x| x.kind) {
-                Some(ik @ (InstrKind::SendAct { peer } | InstrKind::SendGrad { peer })) => {
-                    let key = (d as u32, peer.0, class_of(&ik), instr.unwrap().part.0);
-                    let q = sends.entry(key).or_default();
-                    let ord = q.len();
-                    q.push((d, i));
-                    NodeKind::Send {
-                        key,
-                        ord,
-                        delta: 0,
-                        ack: None,
-                    }
-                }
-                Some(ik @ (InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer })) => {
-                    let key = (peer.0, d as u32, class_of(&ik), instr.unwrap().part.0);
-                    let q = recvs.entry(key).or_default();
-                    let ord = q.len();
-                    q.push((d, i));
-                    NodeKind::Recv {
-                        key,
-                        ord,
-                        send: None,
-                    }
-                }
-                Some(InstrKind::AllReduce) => NodeKind::Local(SegClass::AllReduce),
-                Some(InstrKind::OptimizerStep) => NodeKind::Local(SegClass::Optimizer),
-                Some(_) => NodeKind::Local(SegClass::Compute),
+            let instr = (s.pc != CKPT_PC).then(|| program.get(s.pc as usize));
+            let k = match instr.flatten().map(|x| (x, x.kind.p2p())) {
                 None => NodeKind::Local(SegClass::Ckpt),
+                Some((instr, Some(p))) => {
+                    let key = p.chan(DeviceId(d as u32), instr.part);
+                    let chans = match p.dir {
+                        Dir::Send => &mut sends,
+                        Dir::Recv => &mut recvs,
+                    };
+                    let q = chans.entry(key).or_default();
+                    let ord = q.len();
+                    q.push((d, i));
+                    match p.dir {
+                        Dir::Send => NodeKind::Send {
+                            key,
+                            ord,
+                            delta: 0,
+                            ack: None,
+                        },
+                        Dir::Recv => NodeKind::Recv {
+                            key,
+                            ord,
+                            send: None,
+                        },
+                    }
+                }
+                Some((instr, None)) => NodeKind::Local(match instr.kind {
+                    InstrKind::AllReduce => SegClass::AllReduce,
+                    InstrKind::OptimizerStep => SegClass::Optimizer,
+                    _ => SegClass::Compute,
+                }),
             };
             kinds.push(k);
         }
@@ -602,7 +593,7 @@ fn compute_slack(g: &SpanGraph, st: &Structure) -> SlackTables {
                 send: Some(_), ..
             } = &st.kind[d][i]
             {
-                let pair = (DeviceId(key.0), DeviceId(key.1));
+                let pair = (key.0, key.1);
                 let headroom = latest[id(d, i)].saturating_sub(s.sent_at + s.wire_ns);
                 per_link
                     .entry(pair)
@@ -661,12 +652,12 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
         .map(|d| g.per_device[d].first().map_or(0, |s| s.start))
         .collect();
     let mut next = vec![0usize; devices];
-    // Re-timed packet departures and arrivals per channel, in FIFO order.
-    let mut departures: HashMap<ChanKey, Vec<Nanos>> = HashMap::new();
-    let mut arrivals: HashMap<ChanKey, Vec<Nanos>> = HashMap::new();
+    // Re-timed packet departures per channel, in FIFO order, and the
+    // receivers' arrival acks.
+    let mut chans: FastMap<ChanKey, Fifo<Nanos>> = FastMap::default();
     // Per-iteration packet numbering per (src, dst) pair, the emulator's
     // `sends_to` counter (reset each iteration).
-    let mut nth: Vec<HashMap<u32, usize>> = vec![HashMap::new(); devices];
+    let mut nth: Vec<FastMap<DeviceId, usize>> = vec![FastMap::default(); devices];
     let mut cur_iter: Vec<u32> = vec![0; devices];
     let capacity = g.channel_capacity.max(1);
 
@@ -696,42 +687,27 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
                         // any counterfactual.
                         clock[d] = clock[d].max(s.gate_ns) + work;
                     }
-                    NodeKind::Send {
-                        key, ord, delta, ..
-                    } => {
-                        let (key, ord, delta) = (*key, *ord, *delta);
-                        // Capacity ack: the (ord - capacity)-th arrival
-                        // must exist before this send can complete.
-                        let ack = if ord >= capacity {
-                            match arrivals.get(&key).and_then(|v| v.get(ord - capacity)) {
-                                Some(&t) => t,
-                                None => break, // blocked: peer must advance
-                            }
-                        } else {
-                            0
+                    NodeKind::Send { key, delta, .. } => {
+                        let chan = chans.entry(*key).or_default();
+                        // A full window waits for the oldest arrival.
+                        let Some(freed) = chan.reserve(capacity) else {
+                            break; // blocked: peer must advance
                         };
                         let ready = clock[d] + s.work_ns;
-                        clock[d] = ready.max(ack);
+                        clock[d] = ready.max(freed);
                         let n = nth[d].entry(key.1).or_insert(0);
-                        let extra =
-                            w.profile
-                                .link_extra(DeviceId(d as u32), DeviceId(key.1), s.iter, *n);
+                        let extra = w.profile.link_extra(key.0, key.1, s.iter, *n);
                         *n += 1;
-                        let q = departures.entry(key).or_default();
-                        debug_assert_eq!(q.len(), ord);
-                        q.push(clock[d] + delta + extra);
+                        chan.push(clock[d] + delta + extra);
                     }
-                    NodeKind::Recv { key, ord, .. } => {
-                        let (key, ord) = (*key, *ord);
-                        let sent = match departures.get(&key).and_then(|v| v.get(ord)) {
-                            Some(&t) => t,
-                            None => break, // blocked: sender must advance
+                    NodeKind::Recv { key, .. } => {
+                        let chan = chans.entry(*key).or_default();
+                        let Some(sent) = chan.pop() else {
+                            break; // blocked: sender must advance
                         };
                         let ready = clock[d] + s.work_ns;
                         let arrival = ready.max(sent + s.wire_ns);
-                        let q = arrivals.entry(key).or_default();
-                        debug_assert_eq!(q.len(), ord);
-                        q.push(arrival);
+                        chan.ack(arrival);
                         clock[d] = arrival;
                     }
                 }

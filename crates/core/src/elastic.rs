@@ -19,7 +19,7 @@
 //!   and reports the crossover point where the replacement wait starts
 //!   paying for itself.
 //!
-//! The runtime counterpart is `mario_cluster::run_with_elastic_recovery`,
+//! The runtime counterpart is `mario_cluster::run_with_recovery`,
 //! which consumes the plan as a [`Reconfiguration`]; the DP-simulator
 //! counterpart is [`crate::simulator::simulate`] with
 //! [`crate::simulator::SimOptions::startup`] set, which predicts the
@@ -79,7 +79,7 @@ pub struct ElasticPlan {
 }
 
 impl ElasticPlan {
-    /// Packages the plan for `mario_cluster::run_with_elastic_recovery`,
+    /// Packages the plan for `mario_cluster::run_with_recovery`,
     /// attaching the cost model the shrunk pipeline should run under.
     pub fn into_reconfiguration(self, cost: Box<dyn CostModel>) -> Reconfiguration {
         Reconfiguration {

@@ -121,7 +121,6 @@ mod tests {
             assert!(n > 0);
             let opts = mario_ir::ValidateOptions {
                 channel_capacity: 2,
-                ..Default::default()
             };
             mario_ir::validate_with(&s, opts).unwrap_or_else(|e| panic!("{scheme:?}: {e:?}"));
             assert_eq!(s.count_tag(InstrTag::Backward), 0);
@@ -221,7 +220,6 @@ mod tests {
         split_backward(&mut s, SplitOptions::default());
         let opts = mario_ir::ValidateOptions {
             channel_capacity: 2,
-            ..Default::default()
         };
         mario_ir::validate_with(&s, opts).unwrap_or_else(|e| panic!("{e:?}"));
         assert_bw_never_crosses_foreign_recv(&s);
@@ -233,7 +231,6 @@ mod tests {
         split_backward(&mut s, SplitOptions::default());
         let opts = mario_ir::ValidateOptions {
             channel_capacity: 2,
-            ..Default::default()
         };
         mario_ir::validate_with(&s, opts).unwrap_or_else(|e| panic!("{e:?}"));
         assert_bw_never_crosses_foreign_recv(&s);

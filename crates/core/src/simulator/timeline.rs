@@ -6,10 +6,11 @@
 //! *vertical* (p2p messages between devices, per Algorithm 1's virtual
 //! pipeline). Semantics deliberately match the cluster emulator
 //! (mario-cluster) instruction for instruction — bounded per-class FIFO
-//! channels, launch overheads, transfer latency — so with zero jitter the
-//! two produce identical timelines, and the simulator-accuracy experiment
-//! (Fig. 10) isolates genuine modeling error (profiling regression,
-//! jitter).
+//! channels (the shared `mario_ir::link` rule: one [`Fifo`] per
+//! channel, the same one the event backend uses), launch overheads,
+//! transfer latency — so with zero jitter the two produce identical
+//! timelines, and the simulator-accuracy experiment (Fig. 10) isolates
+//! genuine modeling error (profiling regression, jitter).
 //!
 //! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
 //! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
@@ -20,14 +21,12 @@
 //! lets the tuner predict a straggler's impact without paying an emulator
 //! run.
 
-use mario_ir::exec::MsgClass;
 use mario_ir::{
-    AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, FastMap, Instr, InstrKind,
-    LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PendingCheckpoint, PerturbationProfile,
-    Schedule, SpanGraph, Telemetry, CKPT_PC,
+    AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, Dir, FastMap, Fifo,
+    Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, Nanos, OpSpan, P2p,
+    PendingCheckpoint, PerturbationProfile, Schedule, SpanGraph, Telemetry, CKPT_PC,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The simulated timeline of a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -170,23 +169,6 @@ impl Default for SimOptions<'_> {
             release: None,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MsgId {
-    class: MsgClass,
-    micro: u32,
-    part: u32,
-}
-
-#[derive(Debug, Default)]
-struct Channel {
-    /// In-flight messages: (identity, sent_at).
-    queue: VecDeque<(MsgId, Nanos)>,
-    /// Dequeue timestamps not yet consumed by the sender's capacity logic.
-    dequeues: VecDeque<Nanos>,
-    /// Messages sent so far minus dequeue-acks consumed by sender.
-    outstanding: usize,
 }
 
 /// Simulates one iteration of `schedule` under `cost` with per-class FIFO
@@ -630,7 +612,8 @@ fn simulate_core<R: Recorder>(
     let mut clocks: Vec<Nanos> = (0..devices)
         .map(|d| startup.get(d).copied().unwrap_or(0))
         .collect();
-    let mut chans: FastMap<(u32, u32, MsgClass, u32), Channel> = FastMap::default();
+    // In-flight messages with their departure times, per channel.
+    let mut chans: FastMap<ChanKey, Fifo<(Msg, Nanos)>> = FastMap::default();
     // Packets sent per (src, dst) pair *this iteration*, all classes and
     // parts in program order — the emulator's link-fault packet
     // numbering, which resets every iteration.
@@ -650,11 +633,6 @@ fn simulate_core<R: Recorder>(
             }
         }
     }
-
-    let class_of = |k: &InstrKind| match k {
-        InstrKind::SendAct { .. } | InstrKind::RecvAct { .. } => MsgClass::Act,
-        _ => MsgClass::Grad,
-    };
 
     loop {
         let mut fired = false;
@@ -677,12 +655,8 @@ fn simulate_core<R: Recorder>(
             let start = clocks[d];
             // Span-capture fields for this firing, filled in by the arms.
             let (mut sp_work, mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0, 0);
-            let fired_now = match instr.kind {
-                InstrKind::Forward { .. }
-                | InstrKind::Backward
-                | InstrKind::BackwardInput
-                | InstrKind::BackwardWeight
-                | InstrKind::Recompute => {
+            let fired_now = match instr.kind.p2p() {
+                None if instr.kind.is_compute() => {
                     // Serving ingress gate: a first-stage forward may not
                     // start before its micro-batch was released. The wait
                     // is recv-blocked idle time (checkpoint chunks drain
@@ -707,7 +681,7 @@ fn simulate_core<R: Recorder>(
                     rec.work(dev, &instr, dur, clocks[d]);
                     true
                 }
-                InstrKind::AllReduce | InstrKind::OptimizerStep => {
+                None => {
                     let dt = match instr.kind {
                         InstrKind::AllReduce => cost.allreduce_time(dev),
                         _ => cost.optimizer_time(dev),
@@ -717,32 +691,20 @@ fn simulate_core<R: Recorder>(
                     rec.work(dev, &instr, dt, clocks[d]);
                     true
                 }
-                InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
-                    let class = class_of(&instr.kind);
-                    let launch = cost.p2p_launch_overhead();
-                    let ch = chans.entry((dev.0, peer.0, class, instr.part.0)).or_default();
-                    let blocked;
-                    if ch.outstanding == channel_capacity {
-                        // Blocked until the receiver dequeues the oldest
-                        // in-flight message; that time is known only after
-                        // the receiver fires, so wait for it.
-                        if let Some(t) = ch.dequeues.pop_front() {
-                            ch.outstanding -= 1;
-                            let ready = clocks[d] + launch;
-                            clocks[d] = ready.max(t);
-                            blocked = clocks[d] - ready;
-                        } else {
-                            continue;
-                        }
-                    } else {
-                        clocks[d] += launch;
-                        blocked = 0;
-                    }
-                    let id = MsgId {
-                        class,
-                        micro: instr.micro.0,
-                        part: instr.part.0,
+                Some(p @ P2p { dir: Dir::Send, .. }) => {
+                    let peer = p.peer;
+                    let ch = chans.entry(p.chan(dev, instr.part)).or_default();
+                    // On a full window the send completes once the
+                    // receiver dequeued the oldest in-flight message; that
+                    // time is known only after the receiver fires, so
+                    // wait for it.
+                    let Some(freed) = ch.reserve(channel_capacity) else {
+                        continue;
                     };
+                    let launch = cost.p2p_launch_overhead();
+                    let ready = clocks[d] + launch;
+                    clocks[d] = ready.max(freed);
+                    let blocked = clocks[d] - ready;
                     // A perturbed link delays the packet's departure while
                     // the sender's own clock is unaffected, exactly like
                     // the emulator's delayed send.
@@ -753,8 +715,7 @@ fn simulate_core<R: Recorder>(
                         n
                     };
                     let extra = profile.link_extra(dev, peer, iter, nth);
-                    ch.queue.push_back((id, clocks[d] + extra));
-                    ch.outstanding += 1;
+                    let outstanding = ch.push((p.msg(&instr), clocks[d] + extra));
                     sp_work = launch;
                     // A capacity wait is idle time exactly like a recv
                     // wait: async checkpoint chunks drain into it too —
@@ -763,25 +724,21 @@ fn simulate_core<R: Recorder>(
                         Some(ck) => ck.drain(d, blocked),
                         None => 0,
                     };
-                    rec.send(dev, &instr, peer, launch, blocked, drained, ch.outstanding);
+                    rec.send(dev, &instr, peer, launch, blocked, drained, outstanding);
                     true
                 }
-                InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
-                    let class = class_of(&instr.kind);
-                    let ch = chans.entry((peer.0, dev.0, class, instr.part.0)).or_default();
-                    match ch.queue.front() {
-                        Some(&(id, sent_at)) => {
-                            let want = MsgId {
-                                class,
-                                micro: instr.micro.0,
-                                part: instr.part.0,
-                            };
-                            if id != want {
+                Some(p @ P2p { dir: Dir::Recv, .. }) => {
+                    let peer = p.peer;
+                    let ch = chans.entry(p.chan(dev, instr.part)).or_default();
+                    match ch.front() {
+                        Some(&(msg, sent_at)) => {
+                            let want = p.msg(&instr);
+                            if msg != want {
                                 return Err(SimError::Mismatch(format!(
-                                    "{dev} expected {want:?}, found {id:?}"
+                                    "{dev} expected {want:?}, found {msg:?}"
                                 )));
                             }
-                            ch.queue.pop_front();
+                            ch.pop();
                             let bytes = cost.boundary_bytes(dev, instr.part);
                             let launch = cost.p2p_launch_overhead();
                             let wire = cost.p2p_time_between(peer, dev, bytes);
@@ -799,7 +756,7 @@ fn simulate_core<R: Recorder>(
                                 None => 0,
                             };
                             rec.recv(dev, peer, launch, gap, drained);
-                            ch.dequeues.push_back(arrival);
+                            ch.ack(arrival);
                             clocks[d] = arrival;
                             true
                         }

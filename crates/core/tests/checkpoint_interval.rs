@@ -56,7 +56,7 @@ fn daly_interval_matches_the_brute_force_emulator_sweep() {
         let total: u128 = scenarios
             .iter()
             .map(|plan| {
-                run_with_recovery(&s, &cost, cfg, plan, 3)
+                run_with_recovery(&s, &cost, cfg, plan, 3, |_| None)
                     .expect("recovery completes")
                     .total_ns_with_replay as u128
             })
@@ -133,7 +133,7 @@ fn fitted_history_beats_the_plan_prior_on_a_skewed_plan() {
     let mut history = FaultHistory::default();
     for f in [3u32, 7] {
         let plan = FaultPlan::none().with(crash_at(f)).at_iteration(f);
-        let rec = run_with_recovery(&s, &cost, observe_cfg, &plan, 3).expect("recovers");
+        let rec = run_with_recovery(&s, &cost, observe_cfg, &plan, 3, |_| None).expect("recovers");
         assert_eq!(rec.fault_log.len(), 1);
         history.record(rec.fault_log, ITERS);
     }
@@ -155,7 +155,7 @@ fn fitted_history_beats_the_plan_prior_on_a_skewed_plan() {
         (0..ITERS)
             .map(|f| {
                 let plan = FaultPlan::none().with(crash_at(f)).at_iteration(f);
-                run_with_recovery(&s, &cost, cfg, &plan, 3)
+                run_with_recovery(&s, &cost, cfg, &plan, 3, |_| None)
                     .expect("recovery completes")
                     .total_ns_with_replay as u128
             })

@@ -3,43 +3,19 @@
 //! channel buffers never overflow into a cyclic wait, and the whole
 //! iteration drains without deadlock.
 //!
-//! This mirrors the blocking p2p semantics the paper's pass 4 must respect
-//! ("`SA` and `RA` must be paired to avoid deadlock", §5.1): each directed
-//! device pair owns one FIFO channel *per message class and partition*
-//! (activations and gradients of each model chunk travel on separate
-//! links, as with distinct NCCL tags / per-chunk process groups)
-//! with a small bounded capacity — one in-flight message by default, like a
-//! single pre-allocated communication buffer. A send blocks when the buffer
-//! is full; a receive blocks until a message is available and must match
-//! the head message exactly.
+//! Channels follow the one link rule in [`crate::link`]: a send fires
+//! once its channel's ack window has room, a receive must match the head
+//! message exactly and acknowledges it. Time plays no part here, so every
+//! ack is stamped 0. Compute, all-reduce and optimizer steps always fire:
+//! an all-reduce is device-local here, as in every timed executor, and
+//! `validate` checks that it follows the device's backwards.
 
 use crate::hash::FastMap;
-use crate::ids::{DeviceId, MicroId, PartId};
-use crate::instr::InstrKind;
+use crate::ids::DeviceId;
+use crate::link::{ChanKey, Dir, Fifo, Msg};
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
-
-/// Message class carried on a channel (activation or gradient).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MsgClass {
-    /// Stage-boundary activation (SA → RA).
-    Act,
-    /// Stage-boundary gradient (SG → RG).
-    Grad,
-}
-
-/// A message in flight on a directed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Msg {
-    /// Activation or gradient.
-    pub class: MsgClass,
-    /// Micro-batch id.
-    pub micro: MicroId,
-    /// Partition id (tagged with the producer-side part).
-    pub part: PartId,
-}
 
 /// Why symbolic execution failed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,15 +71,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn msg_of(kind: &InstrKind, micro: MicroId, part: PartId) -> Option<(MsgClass, Msg)> {
-    let class = match kind {
-        InstrKind::SendAct { .. } | InstrKind::RecvAct { .. } => MsgClass::Act,
-        InstrKind::SendGrad { .. } | InstrKind::RecvGrad { .. } => MsgClass::Grad,
-        _ => return None,
-    };
-    Some((class, Msg { class, micro, part }))
-}
-
 /// Symbolically executes `schedule` with per-channel FIFO buffers of
 /// `channel_capacity` messages. Returns the total number of "firings"
 /// (executed instructions) on success.
@@ -112,81 +79,49 @@ pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<
     let devices = schedule.devices() as usize;
     let programs = schedule.programs();
     let mut pc = vec![0usize; devices];
-    let mut channels: FastMap<(DeviceId, DeviceId, MsgClass, PartId), VecDeque<Msg>> =
-        FastMap::default();
+    let mut channels: FastMap<ChanKey, Fifo<Msg>> = FastMap::default();
     let mut fired_total = 0usize;
-    let parked_at_allreduce = |d: usize, pc: usize| {
-        programs[d]
-            .get(pc)
-            .is_some_and(|i| i.kind == InstrKind::AllReduce)
-    };
-    // Devices whose next instruction is an AllReduce, kept current as
-    // program counters advance.
-    let mut parked = (0..devices).filter(|&d| parked_at_allreduce(d, 0)).count();
 
     loop {
         let mut fired = false;
         let mut all_done = true;
-
-        // Barrier bookkeeping for AllReduce: every device must be parked at
-        // an AllReduce simultaneously (at the start of the round) before any
-        // may proceed.
-        let at_allreduce = parked;
-
         for (d, pc_d) in pc.iter_mut().enumerate() {
-            let prog = &programs[d];
-            let Some(instr) = prog.get(*pc_d) else {
+            let Some(instr) = programs[d].get(*pc_d) else {
                 continue;
             };
             all_done = false;
             let dev = DeviceId(d as u32);
-            let can_fire = match instr.kind {
-                InstrKind::Forward { .. }
-                | InstrKind::Backward
-                | InstrKind::BackwardInput
-                | InstrKind::BackwardWeight
-                | InstrKind::Recompute
-                | InstrKind::OptimizerStep => true,
-                InstrKind::AllReduce => at_allreduce == devices,
-                InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
-                    let (class, msg) = msg_of(&instr.kind, instr.micro, instr.part)
-                        .expect("send produces a message");
-                    let chan = channels.entry((dev, peer, class, instr.part)).or_default();
-                    if chan.len() < channel_capacity {
-                        chan.push_back(msg);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
-                    let (class, _) = msg_of(&instr.kind, instr.micro, instr.part)
-                        .expect("recv expects a message");
-                    let chan = channels.entry((peer, dev, class, instr.part)).or_default();
-                    match chan.front() {
-                        Some(&head) => {
-                            let (_, want) = msg_of(&instr.kind, instr.micro, instr.part)
-                                .expect("recv expects a message");
-                            if head == want {
-                                chan.pop_front();
+            let can_fire = match instr.kind.p2p() {
+                None => true,
+                Some(p) => {
+                    let chan = channels.entry(p.chan(dev, instr.part)).or_default();
+                    let msg = p.msg(instr);
+                    match p.dir {
+                        Dir::Send => chan
+                            .reserve(channel_capacity)
+                            .map(|_| chan.push(msg))
+                            .is_some(),
+                        Dir::Recv => match chan.front() {
+                            Some(&head) if head == msg => {
+                                chan.pop();
+                                chan.ack(0);
                                 true
-                            } else {
+                            }
+                            Some(&found) => {
                                 return Err(ExecError::MessageMismatch {
                                     device: dev,
                                     pc: *pc_d,
-                                    expected: want,
-                                    found: head,
-                                });
+                                    expected: msg,
+                                    found,
+                                })
                             }
-                        }
-                        None => false,
+                            None => false,
+                        },
                     }
                 }
             };
             if can_fire {
-                parked -= (instr.kind == InstrKind::AllReduce) as usize;
                 *pc_d += 1;
-                parked += parked_at_allreduce(d, *pc_d) as usize;
                 fired = true;
                 fired_total += 1;
             }
@@ -200,26 +135,27 @@ pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<
             // its program (with an empty channel) can never be satisfied —
             // report it as such rather than as a generic deadlock.
             for d in 0..devices {
+                let dev = DeviceId(d as u32);
                 let Some(i) = programs[d].get(pc[d]) else {
                     continue;
                 };
-                if let InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } = i.kind {
-                    let peer_done = programs[peer.index()].get(pc[peer.index()]).is_none();
-                    let (class, _) = msg_of(&i.kind, i.micro, i.part).expect("recv");
-                    let empty = channels
-                        .get(&(peer, DeviceId(d as u32), class, i.part))
-                        .is_none_or(|c| c.is_empty());
-                    if peer_done && empty {
-                        return Err(ExecError::UnmatchedRecv {
-                            device: DeviceId(d as u32),
-                            pc: pc[d],
-                        });
-                    }
+                let Some(p) = i.kind.p2p().filter(|p| p.dir == Dir::Recv) else {
+                    continue;
+                };
+                let peer_done = programs[p.peer.index()].get(pc[p.peer.index()]).is_none();
+                let empty = channels
+                    .get(&p.chan(dev, i.part))
+                    .is_none_or(|c| c.front().is_none());
+                if peer_done && empty {
+                    return Err(ExecError::UnmatchedRecv {
+                        device: dev,
+                        pc: pc[d],
+                    });
                 }
             }
             let states = (0..devices)
                 .filter_map(|d| {
-                    schedule.programs()[d]
+                    programs[d]
                         .get(pc[d])
                         .map(|i| (DeviceId(d as u32), pc[d], i.to_string()))
                 })
@@ -371,22 +307,21 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_is_a_barrier() {
+    fn allreduce_fires_locally() {
+        // No barrier: each device runs its AllReduce when it reaches it,
+        // as every timed executor does.
         let s = two_device_schedule(
             vec![Instr::forward(0u32, 0u32), Instr::all_reduce()],
             vec![Instr::all_reduce(), Instr::forward(0u32, 0u32)],
         );
-        assert!(check_executable(&s, 1).is_ok());
+        assert_eq!(check_executable(&s, 1).unwrap(), 4);
 
-        // If one device lacks the AllReduce, the other deadlocks.
+        // Uneven counts are `validate`'s to reject, not a deadlock.
         let s = two_device_schedule(
             vec![Instr::all_reduce()],
             vec![Instr::forward(0u32, 0u32)],
         );
-        assert!(matches!(
-            check_executable(&s, 1),
-            Err(ExecError::Deadlock(_))
-        ));
+        assert_eq!(check_executable(&s, 1).unwrap(), 2);
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //!   up instead of scanning for them;
 //! * [`hash`] — the fast deterministic hasher behind the executors'
 //!   per-instruction channel, link and ledger maps;
+//! * [`link`] — the bounded p2p link rule (channel keys, the p2p
+//!   classifier, the ack-window [`Fifo`]) every single-threaded engine
+//!   shares;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
 //!   execution proving schedules deadlock-free under blocking p2p.
 
@@ -47,6 +50,7 @@ pub mod ids;
 pub mod index;
 pub mod instr;
 pub mod ledger;
+pub mod link;
 pub mod list;
 pub mod perturb;
 pub mod rules;
@@ -65,6 +69,7 @@ pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use index::{ProgramIndex, RouteHops};
 pub use instr::{Instr, InstrKind, InstrTag};
 pub use ledger::{AllocError, AllocKey, MemLedger, OomError};
+pub use link::{ChanKey, Dir, Fifo, Msg, MsgClass, P2p};
 pub use list::DeviceProgram;
 pub use perturb::{LinkSlack, PerturbationProfile, SlowdownWindow};
 pub use rules::MemoryRules;

@@ -2,7 +2,7 @@
 //! virtual-pipeline topology and the per-micro-batch route assignment.
 
 use crate::ids::{DeviceId, MicroId, PartId};
-use crate::instr::{Instr, InstrKind, InstrTag};
+use crate::instr::{Instr, InstrTag};
 use crate::list::DeviceProgram;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -181,14 +181,10 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// Convenience: does `kind` represent a checkpointed forward?
-pub fn is_ckpt_kind(kind: &InstrKind) -> bool {
-    matches!(kind, InstrKind::Forward { ckpt: true })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::InstrKind;
     use crate::topology::SchemeKind;
 
     fn tiny() -> Schedule {

@@ -8,7 +8,7 @@
 //! (paper §5.1) promises to preserve across its passes, so the test suite
 //! re-validates after every transformation.
 
-use crate::exec::{check_executable, ExecError};
+use crate::exec::check_executable;
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::index::{ProgramIndex, RouteHops};
 use crate::instr::{Instr, InstrKind, InstrTag};
@@ -120,22 +120,14 @@ impl fmt::Display for ValidationError {
 /// Validation knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ValidateOptions {
-    /// Check communication instructions (presence, tagging, ordering). When
-    /// the schedule contains no p2p instructions at all this is skipped
-    /// automatically (compute-only schedules are legal for analysis).
-    pub check_comm: bool,
     /// Channel capacity used by the executability check.
     pub channel_capacity: usize,
-    /// Run the symbolic execution (deadlock) check.
-    pub check_executable: bool,
 }
 
 impl Default for ValidateOptions {
     fn default() -> Self {
         Self {
-            check_comm: true,
             channel_capacity: 1,
-            check_executable: true,
         }
     }
 }
@@ -151,11 +143,13 @@ pub fn validate_with(
     opts: ValidateOptions,
 ) -> Result<(), Vec<ValidationError>> {
     let mut errors = Vec::new();
-    let has_comm = schedule
+    // Communication is checked (presence, tagging, ordering) unless the
+    // schedule has no p2p instruction at all: compute-only schedules are
+    // legal for analysis.
+    let check_comm = schedule
         .programs()
         .iter()
         .any(|p| p.instrs().iter().any(|i| i.kind.is_p2p()));
-    let check_comm = opts.check_comm && has_comm;
     // Forward-only (serving) schedules invert the backward requirements:
     // no backward/recompute/gradient instruction may appear at all, and
     // only the activation half of the comm pairing applies.
@@ -323,8 +317,33 @@ pub fn validate_with(
         });
     }
 
+    // An all-reduce is device-local in every executor, so it is only
+    // correct once the device has produced all of its weight gradients.
+    for prog in schedule.programs() {
+        let instrs = prog.instrs();
+        let Some(ar) = instrs.iter().position(|i| i.kind == InstrKind::AllReduce) else {
+            continue;
+        };
+        let later_backward = instrs[ar..].iter().position(|i| {
+            matches!(
+                i.kind,
+                InstrKind::Backward | InstrKind::BackwardInput | InstrKind::BackwardWeight
+            )
+        });
+        if let Some(k) = later_backward {
+            errors.push(ValidationError::OrderViolation {
+                device: prog.device,
+                what: format!(
+                    "AllReduce at #{ar} before {} at #{}",
+                    instrs[ar + k],
+                    ar + k
+                ),
+            });
+        }
+    }
+
     // -- Executability ------------------------------------------------------
-    if opts.check_executable && errors.is_empty() {
+    if errors.is_empty() {
         if let Err(e) = check_executable(schedule, opts.channel_capacity) {
             errors.push(ValidationError::NotExecutable(e.to_string()));
         }
@@ -335,12 +354,6 @@ pub fn validate_with(
     } else {
         Err(errors)
     }
-}
-
-/// Executability check with a configurable channel capacity, re-exported for
-/// callers that only care about deadlock-freedom.
-pub fn check_deadlock_free(schedule: &Schedule, channel_capacity: usize) -> Result<(), ExecError> {
-    check_executable(schedule, channel_capacity).map(|_| ())
 }
 
 /// A schedule with every device program indexed.
@@ -765,6 +778,31 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ValidationError::Duplicate { .. } | ValidationError::Missing { .. })));
+    }
+
+    #[test]
+    fn allreduce_before_a_backward_is_an_order_violation() {
+        // 1F1B 2×1 with an all-reduce and optimizer step per device, then
+        // d0's AR moved to the front. Every timed executor treats AR as
+        // local and finishes this schedule; the error is the order, not a
+        // deadlock.
+        let mut s = good();
+        for d in 0..2u32 {
+            let p = s.program_mut(DeviceId(d));
+            p.push(Instr::all_reduce());
+            p.push(Instr::optimizer_step());
+        }
+        assert!(validate(&s).is_ok());
+        let d0 = s.program_mut(DeviceId(0));
+        d0.retain(|i| i.kind != InstrKind::AllReduce);
+        d0.insert(0, Instr::all_reduce());
+        assert_eq!(
+            validate(&s).unwrap_err(),
+            vec![ValidationError::OrderViolation {
+                device: DeviceId(0),
+                what: "AllReduce at #0 before B0^0 at #4".into(),
+            }]
+        );
     }
 
     #[test]

@@ -138,17 +138,6 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// A pure-pipeline layout.
-    pub fn pipeline_only(pp: u32, mbs: u32, gbs: u32) -> Self {
-        Self {
-            pp,
-            tp: 1,
-            dp: 1,
-            mbs,
-            gbs,
-        }
-    }
-
     /// Micro-batches per pipeline per iteration:
     /// `N = gbs / (dp × mbs)`.
     ///

@@ -187,21 +187,6 @@ impl AnalyticCost {
         self.topo.stage_of(device, part).index()
     }
 
-    /// Sum of forward latencies across all stages (for reference bounds).
-    pub fn total_forward_ns(&self) -> Nanos {
-        self.fwd_ns.iter().sum()
-    }
-
-    /// Per-stage forward latencies (read-only view).
-    pub fn forward_table(&self) -> &[Nanos] {
-        &self.fwd_ns
-    }
-
-    /// Per-stage full-activation bytes (read-only view).
-    pub fn activation_table(&self) -> &[u64] {
-        &self.act_bytes
-    }
-
     /// Overrides the compute tables with externally fitted values (used by
     /// the profiled cost model).
     pub fn override_compute(&mut self, fwd_ns: Vec<Nanos>, bwd_ns: Vec<Nanos>) {

@@ -79,15 +79,6 @@ impl GpuSpec {
         }
     }
 
-    /// Like [`GpuSpec::a100_40g`] but with the empirically observed
-    /// backward:forward ratio of 1.6 (§3.2, citing Korthikanti et al.).
-    pub fn a100_40g_measured_ratio() -> Self {
-        Self {
-            bwd_fwd_ratio: 1.6,
-            ..Self::a100_40g()
-        }
-    }
-
     /// Achieved efficiency at micro-batch size `mbs` for hidden size
     /// `hidden`: smaller GEMMs saturate the SMs less.
     pub fn efficiency_at(&self, mbs: u32, hidden: u32) -> f64 {
@@ -114,18 +105,6 @@ impl GpuSpec {
     pub fn p2p_time(&self, bytes: u64) -> Nanos {
         let secs = self.p2p_latency + bytes as f64 / self.p2p_bandwidth;
         (secs * 1e9).round() as Nanos
-    }
-
-    /// Wire time over intra-node NVLink, in virtual ns.
-    pub fn nvlink_time(&self, bytes: u64) -> Nanos {
-        // NVLink latency is roughly an order of magnitude below IB.
-        let secs = self.p2p_latency / 4.0 + bytes as f64 / self.nvlink_bandwidth;
-        (secs * 1e9).round() as Nanos
-    }
-
-    /// True when two pipeline devices share a node.
-    pub fn same_node(&self, a: u32, b: u32) -> bool {
-        self.gpus_per_node > 0 && a / self.gpus_per_node == b / self.gpus_per_node
     }
 
     /// Per-p2p-call launch overhead, in virtual ns.

@@ -108,7 +108,6 @@ mod tests {
                 let sched = generate(ScheduleConfig::new(s, d, n));
                 let opts = ValidateOptions {
                     channel_capacity: 2,
-                    ..Default::default()
                 };
                 validate_with(&sched, opts).unwrap_or_else(|e| {
                     panic!("{s:?} D={d} N={n}: {}", e[0])

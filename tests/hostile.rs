@@ -8,14 +8,17 @@
 //! order — and must not panic on out-of-range micro or part ids.
 //!
 //! The same mutants run through both emulator backends, which must not
-//! panic and must fail the same way.
+//! panic and must fail the same way, and through every engine that
+//! shares `mario_ir::link`'s ack-window rule, which must agree with the
+//! deadlock check on accept versus reject.
 
 use mario::cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
 use mario::core::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
+use mario::core::simulator::simulate_timeline;
 use mario::core::tuner::scheme_channel_capacity;
 use mario::ir::{
-    validate_with, DeviceId, InstrKind, MicroId, PartId, Schedule, SchemeKind, UnitCost,
-    ValidateOptions,
+    check_executable, validate_with, DeviceId, InstrKind, MicroId, PartId, Schedule, SchemeKind,
+    UnitCost, ValidateOptions, ValidationError,
 };
 use mario::schedules::{generate, ScheduleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,33 +154,64 @@ fn plain_and_checkpointed(scheme: SchemeKind) -> [Schedule; 2] {
     [base, tuned]
 }
 
+/// One mutated schedule and how it was made.
+struct Mutant {
+    scheme: SchemeKind,
+    round: usize,
+    edit: String,
+    schedule: Schedule,
+}
+
+/// Every scheme's mutants, the scheme's index seeding the generator: its
+/// plain schedule, then its checkpointed one, each taking `rounds`
+/// rounds of every mutation.
+fn mutants(rounds: usize) -> Vec<Mutant> {
+    let mut out = Vec::new();
+    for (seed, scheme) in SCHEMES.into_iter().enumerate() {
+        let mut rng = Rng(seed as u64);
+        for start in plain_and_checkpointed(scheme) {
+            for round in 0..rounds {
+                for m in MUTATIONS {
+                    let mut schedule = start.clone();
+                    let edit = mutate(&mut schedule, m, &mut rng);
+                    out.push(Mutant {
+                        scheme,
+                        round,
+                        edit,
+                        schedule,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+fn opts(scheme: SchemeKind) -> ValidateOptions {
+    ValidateOptions {
+        channel_capacity: scheme_channel_capacity(scheme),
+    }
+}
+
 #[test]
 fn validate_reports_the_same_errors_on_mutated_schedules() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut rejected = 0;
     let mut total = 0;
-    for (seed, scheme) in SCHEMES.into_iter().enumerate() {
-        let [base, tuned] = plain_and_checkpointed(scheme);
-        let opts = ValidateOptions {
-            channel_capacity: scheme_channel_capacity(scheme),
-            ..Default::default()
-        };
-        let mut rng = Rng(seed as u64);
-        for start in [&base, &tuned] {
-            for round in 0..4 {
-                for m in MUTATIONS {
-                    let mut s = start.clone();
-                    let edit = mutate(&mut s, m, &mut rng);
-                    let result = validate_with(&s, opts);
-                    rejected += result.is_err() as usize;
-                    total += 1;
-                    fnv1a(
-                        &mut h,
-                        format!("{scheme:?} {round} {edit}: {result:?}\n").as_bytes(),
-                    );
-                }
-            }
-        }
+    for Mutant {
+        scheme,
+        round,
+        edit,
+        schedule,
+    } in mutants(4)
+    {
+        let result = validate_with(&schedule, opts(scheme));
+        rejected += result.is_err() as usize;
+        total += 1;
+        fnv1a(
+            &mut h,
+            format!("{scheme:?} {round} {edit}: {result:?}\n").as_bytes(),
+        );
     }
     assert_eq!(total, 8 * 2 * 4 * 7);
     // A few mutations are harmless (e.g. swapping two independent
@@ -193,7 +227,13 @@ fn validate_reports_the_same_errors_on_mutated_schedules() {
 fn both_backends_fail_mutated_schedules_the_same_way() {
     let cost = UnitCost::paper_grid();
     let mut failed = 0;
-    for (seed, scheme) in SCHEMES.into_iter().enumerate() {
+    for Mutant {
+        scheme,
+        edit,
+        schedule: s,
+        ..
+    } in mutants(1)
+    {
         let thread = EmulatorConfig {
             channel_capacity: scheme_channel_capacity(scheme),
             iterations: 2,
@@ -204,40 +244,33 @@ fn both_backends_fail_mutated_schedules_the_same_way() {
             backend: EmulatorBackend::Event,
             ..thread
         };
-        let mut rng = Rng(seed as u64);
-        for start in plain_and_checkpointed(scheme) {
-            for m in MUTATIONS {
-                let mut s = start.clone();
-                let edit = mutate(&mut s, m, &mut rng);
-                let [th, ev] = [thread, event].map(|cfg| {
-                    catch_unwind(AssertUnwindSafe(|| run(&s, &cost, cfg)))
-                        .unwrap_or_else(|_| panic!("{scheme:?} {edit}: {:?} panicked", cfg.backend))
-                });
-                match (&th, &ev) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.device_clocks, b.device_clocks, "{scheme:?} {edit}")
-                    }
-                    (Err(a), Err(b)) => {
-                        failed += 1;
-                        assert!(
-                            !matches!(a, EmuError::WorkerPanicked { .. }),
-                            "{scheme:?} {edit}: {a}"
-                        );
-                        assert_eq!(
-                            std::mem::discriminant(a),
-                            std::mem::discriminant(b),
-                            "{scheme:?} {edit}: thread {a} vs event {b}"
-                        );
-                        // Which devices time out first is the thread
-                        // backend's real-time race, so deadlock reports
-                        // only have to agree on their kind.
-                        if !matches!(a, EmuError::DeadlockSuspected { .. }) {
-                            assert_eq!(a, b, "{scheme:?} {edit}");
-                        }
-                    }
-                    _ => panic!("{scheme:?} {edit}: thread {th:?} vs event {ev:?}"),
+        let [th, ev] = [thread, event].map(|cfg| {
+            catch_unwind(AssertUnwindSafe(|| run(&s, &cost, cfg)))
+                .unwrap_or_else(|_| panic!("{scheme:?} {edit}: {:?} panicked", cfg.backend))
+        });
+        match (&th, &ev) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.device_clocks, b.device_clocks, "{scheme:?} {edit}")
+            }
+            (Err(a), Err(b)) => {
+                failed += 1;
+                assert!(
+                    !matches!(a, EmuError::WorkerPanicked { .. }),
+                    "{scheme:?} {edit}: {a}"
+                );
+                assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "{scheme:?} {edit}: thread {a} vs event {b}"
+                );
+                // Which devices time out first is the thread backend's
+                // real-time race, so deadlock reports only have to agree
+                // on their kind.
+                if !matches!(a, EmuError::DeadlockSuspected { .. }) {
+                    assert_eq!(a, b, "{scheme:?} {edit}");
                 }
             }
+            _ => panic!("{scheme:?} {edit}: thread {th:?} vs event {ev:?}"),
         }
     }
     // Most corruptions break execution too, not just validation.
@@ -245,4 +278,45 @@ fn both_backends_fail_mutated_schedules_the_same_way() {
         failed >= SCHEMES.len() * 2 * MUTATIONS.len() / 2,
         "{failed} failed"
     );
+}
+
+#[test]
+fn every_link_engine_agrees_with_the_deadlock_check() {
+    // Mutants that pass every structural check, so only the link rule can
+    // reject them: `validate` accepts them or reports a single
+    // `NotExecutable`. The deadlock check, the DP simulator and a
+    // zero-jitter event-backend run must then accept or reject together.
+    let cost = UnitCost::paper_grid();
+    let mut qualified = 0;
+    let mut rejected = 0;
+    for Mutant {
+        scheme,
+        round,
+        edit,
+        schedule: s,
+    } in mutants(4)
+    {
+        if let Err(errors) = validate_with(&s, opts(scheme)) {
+            if !matches!(errors[..], [ValidationError::NotExecutable(_)]) {
+                continue;
+            }
+        }
+        qualified += 1;
+        let cap = scheme_channel_capacity(scheme);
+        let exec = check_executable(&s, cap);
+        let sim = simulate_timeline(&s, &cost, cap);
+        let event = EmulatorConfig {
+            channel_capacity: cap,
+            backend: EmulatorBackend::Event,
+            ..Default::default()
+        };
+        let emu = run(&s, &cost, event);
+        rejected += exec.is_err() as usize;
+        assert_eq!(
+            (sim.is_ok(), emu.is_ok()),
+            (exec.is_ok(), exec.is_ok()),
+            "{scheme:?} {round} {edit}: exec {exec:?}, sim {sim:?}, event {emu:?}"
+        );
+    }
+    assert_eq!(qualified, 50, "{rejected} of {qualified} rejected");
 }

@@ -130,7 +130,6 @@ proptest! {
         let s = generate(ScheduleConfig::new(scheme, d, n));
         let opts = mario::ir::ValidateOptions {
             channel_capacity: cap_of(scheme),
-            ..Default::default()
         };
         prop_assert!(mario::ir::validate_with(&s, opts).is_ok());
     }
@@ -157,7 +156,6 @@ proptest! {
         );
         let opts = mario::ir::ValidateOptions {
             channel_capacity: cap_of(scheme),
-            ..Default::default()
         };
         prop_assert!(mario::ir::validate_with(&tuned, opts).is_ok(),
             "tuned schedule invalid for {scheme:?} D={d} N={n}");
@@ -300,7 +298,6 @@ proptest! {
         let cap = cap_of(scheme).max(2); // deferral can deepen recv queues
         let opts = mario::ir::ValidateOptions {
             channel_capacity: cap,
-            ..Default::default()
         };
         prop_assert!(mario::ir::validate_with(&s, opts).is_ok());
         let mem = simulate_memory(&s, &cost, None);
@@ -494,9 +491,9 @@ proptest! {
             ..base
         };
 
-        let resumed = mario::cluster::run_with_recovery(&s, &cost, with_ckpt, &plan, 3)
+        let resumed = mario::cluster::run_with_recovery(&s, &cost, with_ckpt, &plan, 3, |_| None)
             .expect("checkpointed recovery completes");
-        let restarted = mario::cluster::run_with_recovery(&s, &cost, base, &plan, 3)
+        let restarted = mario::cluster::run_with_recovery(&s, &cost, base, &plan, 3, |_| None)
             .expect("checkpoint-free recovery completes");
 
         // Crash in iteration f ⇒ every live device completed 0..f, so the
@@ -909,7 +906,7 @@ proptest! {
             watchdog: std::time::Duration::from_millis(300),
             ..Default::default()
         };
-        let rec = mario::cluster::run_with_recovery(&s, &cost, cfg, &plan, 3)
+        let rec = mario::cluster::run_with_recovery(&s, &cost, cfg, &plan, 3, |_| None)
             .expect("async-checkpointed recovery completes");
 
         // Never a partial checkpoint: the resume point is a whole
@@ -982,7 +979,6 @@ proptest! {
         prop_assert_eq!(plan.survivors.len() as u32, d - 1);
         let opts = mario::ir::ValidateOptions {
             channel_capacity: plan.channel_capacity,
-            ..Default::default()
         };
         prop_assert!(mario::ir::validate_with(&plan.schedule, opts).is_ok(),
             "shrunk schedule invalid for {scheme:?} D={d} N={n}");
