@@ -16,6 +16,7 @@ use mario_ir::{
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -732,7 +733,8 @@ pub(crate) struct Built {
 /// all of them judge the exact same schedule under the exact same buffer
 /// depth. The returned capacity is the one the graph-tuner's
 /// `PreposeOptions` used; computing it anywhere else can silently diverge
-/// from it.
+/// from it. [`tune`] runs the same two steps, [`build_base`] then
+/// [`graph_tune`], but shares the base between a point's Mario twins.
 pub(crate) fn build_schedule(
     model: &ModelConfig,
     gpu: &GpuSpec,
@@ -740,54 +742,85 @@ pub(crate) fn build_schedule(
     cand: Candidate,
     micros: u32,
 ) -> Built {
+    let mut built = build_base(model, gpu, cfg, cand, micros);
+    if cand.mario {
+        built.stats = graph_tune(cfg, &mut built.schedule, &built.cost, built.cap);
+    }
+    built
+}
+
+/// The generated schedule, setup and cost model of a candidate, before
+/// graph tuning. None of them depends on `cand.mario`.
+fn generate_untuned(
+    model: &ModelConfig,
+    gpu: &GpuSpec,
+    cand: Candidate,
+    micros: u32,
+) -> (Schedule, TrainSetup, AnalyticCost) {
     let topo = topology_of(cand.scheme, cand.pp);
-    let setup = TrainSetup::pipeline(model.clone(), gpu.clone(), topo, cand.mbs)
-        .with_dp(cand.dp);
+    let setup = TrainSetup::pipeline(model.clone(), gpu.clone(), topo, cand.mbs).with_dp(cand.dp);
     let cost = AnalyticCost::new(&setup);
-    let mut schedule = generate(
-        ScheduleConfig::new(cand.scheme, cand.pp, micros).allreduce(cand.dp > 1),
-    );
+    let schedule =
+        generate(ScheduleConfig::new(cand.scheme, cand.pp, micros).allreduce(cand.dp > 1));
+    (schedule, setup, cost)
+}
+
+/// [`build_schedule`] without the graph tuning: the generated schedule and
+/// the effective channel capacity both Mario twins of a grid point use.
+fn build_base(
+    model: &ModelConfig,
+    gpu: &GpuSpec,
+    cfg: &TunerConfig,
+    cand: Candidate,
+    micros: u32,
+) -> Built {
+    let (schedule, setup, cost) = generate_untuned(model, gpu, cand, micros);
     // Minimal sufficient buffer depth, proven by symbolic execution of
     // this exact schedule (timing-independent, so it holds under any cost
     // model). The per-scheme table is the ceiling: a derivation above it
     // would mean the closed-form bound is wrong.
-    let derived = min_channel_capacity(&schedule)
-        .unwrap_or_else(|| scheme_channel_capacity(cand.scheme));
+    let derived =
+        min_channel_capacity(&schedule).unwrap_or_else(|| scheme_channel_capacity(cand.scheme));
     debug_assert!(
         derived <= scheme_channel_capacity(cand.scheme),
         "{:?}: derived capacity {derived} exceeds the scheme table's {}",
         cand.scheme,
         scheme_channel_capacity(cand.scheme)
     );
-    let cap = cfg.channel_capacity.max(derived);
-    let stats = if cand.mario {
-        let opts = GraphTunerOptions {
-            prepose: cfg.prepose,
-            prepose_opts: PreposeOptions {
-                channel_capacity: cap,
-                mem_capacity: Some(cfg.mem_capacity),
-                max_rounds: 2,
-            },
-            ..GraphTunerOptions::mario()
-        };
-        run_graph_tuner(&mut schedule, &cost, opts)
-    } else {
-        PassStats::default()
-    };
-    // The graph tuner must keep the schedule executable at the capacity
-    // its prepose pass was given.
-    debug_assert!(
-        min_channel_capacity(&schedule).is_some_and(|c| c <= cap),
-        "graph tuner raised the capacity requirement of {} above {cap}",
-        cand
-    );
     Built {
         schedule,
         setup,
         cost,
-        cap,
-        stats,
+        cap: cfg.channel_capacity.max(derived),
+        stats: PassStats::default(),
     }
+}
+
+/// Runs the graph tuner on a base schedule in place, with prepose (when
+/// `cfg` enables it) held to channel capacity `cap`.
+fn graph_tune(
+    cfg: &TunerConfig,
+    schedule: &mut Schedule,
+    cost: &AnalyticCost,
+    cap: usize,
+) -> PassStats {
+    let opts = GraphTunerOptions {
+        prepose: cfg.prepose,
+        prepose_opts: PreposeOptions {
+            channel_capacity: cap,
+            mem_capacity: Some(cfg.mem_capacity),
+            max_rounds: 2,
+        },
+        ..GraphTunerOptions::mario()
+    };
+    let stats = run_graph_tuner(schedule, cost, opts);
+    // The graph tuner must keep the schedule executable at the capacity
+    // its prepose pass was given.
+    debug_assert!(
+        min_channel_capacity(schedule).is_some_and(|c| c <= cap),
+        "graph tuner raised the capacity requirement above {cap}"
+    );
+    stats
 }
 
 /// Cluster throughput (samples/s) of `cand` at iteration time `iter_ns`,
@@ -809,13 +842,12 @@ fn throughput_of(cfg: &TunerConfig, cand: &Candidate, iter_ns: u64) -> f64 {
 /// generation, no simulation — the cheap test [`tune`] uses for
 /// [`TunerConfig::bound_prune`].
 pub fn busy_floor(model: &ModelConfig, gpu: &GpuSpec, cand: &Candidate, micros: u32) -> u64 {
-    let topo = topology_of(cand.scheme, cand.pp);
-    let setup =
-        TrainSetup::pipeline(model.clone(), gpu.clone(), topo, cand.mbs).with_dp(cand.dp);
-    let cost = AnalyticCost::new(&setup);
-    let schedule = generate(
-        ScheduleConfig::new(cand.scheme, cand.pp, micros).allreduce(cand.dp > 1),
-    );
+    let (schedule, _, cost) = generate_untuned(model, gpu, *cand, micros);
+    busy_time(&schedule, &cost)
+}
+
+/// The slowest device's summed instruction occupancy.
+fn busy_time(schedule: &Schedule, cost: &AnalyticCost) -> u64 {
     (0..schedule.devices())
         .map(|d| {
             let dev = DeviceId(d);
@@ -844,11 +876,23 @@ pub fn evaluate(
     let Built {
         schedule, cost, cap, ..
     } = build_schedule(model, gpu, cfg, cand, micros);
-    let mem = simulate_memory(&schedule, &cost, Some(cfg.mem_capacity));
+    Some(judge(cfg, cand, &schedule, &cost, cap))
+}
+
+/// Simulates one built schedule: its memory against the budget, then its
+/// makespan at channel capacity `cap`.
+fn judge(
+    cfg: &TunerConfig,
+    cand: Candidate,
+    schedule: &Schedule,
+    cost: &AnalyticCost,
+    cap: usize,
+) -> Evaluation {
+    let mem = simulate_memory(schedule, cost, Some(cfg.mem_capacity));
     let oom = !mem.fits(cfg.mem_capacity);
     let peak_mem = (mem.min_peak(), mem.max_peak());
     let pristine = PerturbationProfile::identity();
-    let (iter_ns, sim_failure) = match simulate_makespan(&schedule, &cost, cap, &pristine) {
+    let (iter_ns, sim_failure) = match simulate_makespan(schedule, cost, cap, &pristine) {
         Ok(t) => (t, None),
         Err(SimError::Deadlock(s)) => (0, Some(CandidateFailure::SimDeadlock(s))),
         Err(SimError::Mismatch(s)) => (0, Some(CandidateFailure::SimMismatch(s))),
@@ -868,7 +912,7 @@ pub fn evaluate(
     } else {
         throughput_of(cfg, &cand, iter_ns)
     };
-    Some(Evaluation {
+    Evaluation {
         candidate: cand,
         throughput,
         iter_ns,
@@ -876,7 +920,7 @@ pub fn evaluate(
         peak_mem,
         oom,
         failure,
-    })
+    }
 }
 
 /// Runs the full grid search (Equation 1).
@@ -891,7 +935,12 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
             }
             let dp = cfg.total_devices / pp;
             for &mbs in &cfg.mbs_options {
-                for &mario in &cfg.ckpt_options {
+                // The Mario twins of a grid point share one generated
+                // schedule and channel capacity. The untuned twin borrows
+                // the base; the Mario twin takes it and graph-tunes it in
+                // place, cloning it only when another twin still follows.
+                let mut shared: Option<Built> = None;
+                for (k, &mario) in cfg.ckpt_options.iter().enumerate() {
                     let cand = Candidate {
                         scheme,
                         pp,
@@ -900,6 +949,12 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
                         mario,
                     };
                     stats.generated += 1;
+                    let Some(micros) = admissible(model, &cand, cfg.gbs) else {
+                        stats.inadmissible += 1;
+                        continue;
+                    };
+                    let base =
+                        shared.get_or_insert_with(|| build_base(model, gpu, cfg, cand, micros));
                     // Busy-floor pruning: a candidate whose cheap lower
                     // bound cannot beat the incumbent is recorded and
                     // skipped without simulating it. Comparing ≤ against
@@ -913,39 +968,41 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
                             .map(|e| e.throughput)
                             .fold(0.0f64, f64::max);
                         if incumbent > 0.0 {
-                            if let Some(micros) = admissible(model, &cand, cfg.gbs) {
-                                let bound_ns = busy_floor(model, gpu, &cand, micros);
-                                if throughput_of(cfg, &cand, bound_ns) <= incumbent {
-                                    stats.pruned_bound += 1;
-                                    curve.push(Evaluation {
-                                        candidate: cand,
-                                        throughput: 0.0,
-                                        iter_ns: 0,
-                                        degraded_iter_ns: None,
-                                        peak_mem: (0, 0),
-                                        oom: false,
-                                        failure: Some(CandidateFailure::BoundPruned {
-                                            bound_ns,
-                                        }),
-                                    });
-                                    continue;
-                                }
+                            let bound_ns = busy_time(&base.schedule, &base.cost);
+                            if throughput_of(cfg, &cand, bound_ns) <= incumbent {
+                                stats.pruned_bound += 1;
+                                curve.push(Evaluation {
+                                    candidate: cand,
+                                    throughput: 0.0,
+                                    iter_ns: 0,
+                                    degraded_iter_ns: None,
+                                    peak_mem: (0, 0),
+                                    oom: false,
+                                    failure: Some(CandidateFailure::BoundPruned { bound_ns }),
+                                });
+                                continue;
                             }
                         }
                     }
-                    match evaluate(model, gpu, cfg, cand) {
-                        Some(eval) => {
-                            stats.simulated += 1;
-                            stats.dp_invocations += 1;
-                            match eval.failure {
-                                Some(CandidateFailure::Oom { .. }) => stats.pruned_oom += 1,
-                                Some(_) => stats.pruned_sim_failure += 1,
-                                None => {}
-                            }
-                            curve.push(eval);
-                        }
-                        None => stats.inadmissible += 1,
+                    let owned;
+                    let (mut schedule, cost, cap) = if k + 1 == cfg.ckpt_options.len() {
+                        owned = shared.take().expect("the base was built above");
+                        (Cow::Owned(owned.schedule), &owned.cost, owned.cap)
+                    } else {
+                        (Cow::Borrowed(&base.schedule), &base.cost, base.cap)
+                    };
+                    if mario {
+                        graph_tune(cfg, schedule.to_mut(), cost, cap);
                     }
+                    let eval = judge(cfg, cand, &schedule, cost, cap);
+                    stats.simulated += 1;
+                    stats.dp_invocations += 1;
+                    match eval.failure {
+                        Some(CandidateFailure::Oom { .. }) => stats.pruned_oom += 1,
+                        Some(_) => stats.pruned_sim_failure += 1,
+                        None => {}
+                    }
+                    curve.push(eval);
                 }
             }
         }
@@ -1670,6 +1727,26 @@ mod tests {
             .min()
             .unwrap();
         assert_eq!(r.best.degraded_iter_ns.unwrap(), best_degraded);
+    }
+
+    #[test]
+    fn shared_twin_base_matches_evaluating_each_candidate_alone() {
+        // `tune` builds one base schedule per (scheme, pp, mbs) and hands
+        // it to every Mario twin; each twin must still be judged exactly
+        // as `evaluate` judges it alone, whichever order the twins come in.
+        let model = ModelConfig::gpt3_1_6b();
+        let gpu = GpuSpec::a100_40g();
+        for ckpt_options in [vec![false, true], vec![true, false], vec![true, true]] {
+            let cfg = TunerConfig {
+                ckpt_options,
+                ..small_cfg()
+            };
+            let r = tune(&model, &gpu, &cfg).unwrap();
+            for e in &r.curve {
+                let alone = evaluate(&model, &gpu, &cfg, e.candidate).expect("admissible");
+                assert_eq!(format!("{e:?}"), format!("{alone:?}"));
+            }
+        }
     }
 
     #[test]
