@@ -76,6 +76,6 @@ pub use rules::MemoryRules;
 pub use schedule::Schedule;
 pub use span::{OpSpan, SpanGraph, CKPT_PC};
 pub use telemetry::{DeviceTelemetry, LinkSendStats, LinkTelemetry, Telemetry, TimeClasses};
-pub use text::{from_text, to_text};
+pub use text::{from_text, to_text, TextError};
 pub use topology::{SchemeKind, Topology};
 pub use validate::{validate, validate_with, ValidateOptions, ValidationError};

@@ -22,22 +22,23 @@ use crate::schedule::Schedule;
 use crate::topology::{SchemeKind, Topology};
 use std::fmt;
 
-/// Parse failure with line context.
+/// Parse failure with line context: what [`from_text`] returns for text
+/// it cannot turn into a schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+pub struct TextError {
     /// 1-based line number.
     pub line: usize,
     /// What went wrong.
     pub what: String,
 }
 
-impl fmt::Display for ParseError {
+impl fmt::Display for TextError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {}: {}", self.line, self.what)
     }
 }
 
-impl std::error::Error for ParseError {}
+impl std::error::Error for TextError {}
 
 fn scheme_token(s: SchemeKind) -> String {
     match s {
@@ -145,8 +146,13 @@ pub fn parse_instr(tok: &str) -> Option<Instr> {
 }
 
 /// Parses the v1 text format back into a schedule.
-pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
-    let err = |line: usize, what: &str| ParseError {
+///
+/// Malformed text, and a header that names an impossible topology (no
+/// devices, Chimera on an odd count, zero chunks) or a route the scheme
+/// lacks, is a [`TextError`], never a panic. Whether the instructions
+/// form a sound schedule is [`crate::validate`]'s question.
+pub fn from_text(text: &str) -> Result<Schedule, TextError> {
+    let err = |line: usize, what: &str| TextError {
         line,
         what: what.to_string(),
     };
@@ -171,21 +177,28 @@ pub fn from_text(text: &str) -> Result<Schedule, ParseError> {
         .map_err(|_| err(n + 1, "bad device count"))?;
     let micros: u32 = micros.parse().map_err(|_| err(n + 1, "bad micro count"))?;
 
+    let topo = Topology::try_new(scheme, devices).map_err(|e| err(n + 1, &e))?;
+
     let (n, routes_line) = lines.next().ok_or_else(|| err(3, "missing routes line"))?;
-    let mut routes = Vec::with_capacity(micros as usize);
+    // No capacity is reserved from the header's counts: hostile text can
+    // claim billions.
+    let mut routes = Vec::new();
     let mut toks = routes_line.split_whitespace();
     if toks.next() != Some("routes") {
         return Err(err(n + 1, "expected 'routes ...'"));
     }
     for t in toks {
-        routes.push(t.parse::<u32>().map_err(|_| err(n + 1, "bad route"))?);
+        let route = t.parse::<u32>().map_err(|_| err(n + 1, "bad route"))?;
+        if route >= topo.num_routes() {
+            return Err(err(n + 1, "route out of range for the scheme"));
+        }
+        routes.push(route);
     }
     if routes.len() != micros as usize {
         return Err(err(n + 1, "route count != micros"));
     }
 
-    let topo = Topology::new(scheme, devices);
-    let mut programs: Vec<DeviceProgram> = Vec::with_capacity(devices as usize);
+    let mut programs: Vec<DeviceProgram> = Vec::new();
     for (n, line) in lines {
         let line = line.trim();
         if line.is_empty() {

@@ -110,17 +110,24 @@ impl Topology {
     /// If `devices == 0`, if Chimera is requested with an odd device count,
     /// or if Interleave/Wave are requested with zero chunks.
     pub fn new(scheme: SchemeKind, devices: u32) -> Self {
-        assert!(devices > 0, "pipeline needs at least one device");
-        if matches!(scheme, SchemeKind::Chimera) {
-            assert!(
-                devices.is_multiple_of(2),
+        Self::try_new(scheme, devices).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Topology::new`] that reports a broken constraint instead of
+    /// panicking, for input read from outside the program.
+    pub fn try_new(scheme: SchemeKind, devices: u32) -> Result<Self, String> {
+        if devices == 0 {
+            return Err("pipeline needs at least one device".into());
+        }
+        if matches!(scheme, SchemeKind::Chimera) && !devices.is_multiple_of(2) {
+            return Err(format!(
                 "Chimera requires an even number of devices, got {devices}"
-            );
+            ));
         }
-        if let SchemeKind::Interleave { chunks } | SchemeKind::Wave { chunks } = scheme {
-            assert!(chunks > 0, "Interleave/Wave require at least one chunk");
+        if let SchemeKind::Interleave { chunks: 0 } | SchemeKind::Wave { chunks: 0 } = scheme {
+            return Err("Interleave/Wave require at least one chunk".into());
         }
-        Self { scheme, devices }
+        Ok(Self { scheme, devices })
     }
 
     /// Number of partitions each device holds.

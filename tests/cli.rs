@@ -161,3 +161,34 @@ fn bad_input_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scheme"));
 }
+
+#[test]
+fn simulate_reports_a_hostile_schedule_header_without_panicking() {
+    // Chimera on an odd device count: a header the parser must reject
+    // before it builds the topology.
+    let path = tmp("odd-chimera.txt");
+    std::fs::write(
+        &path,
+        "mario-schedule v1\nscheme X devices 3 micros 2\nroutes 0 1\nd0:\nd1:\nd2:\n",
+    )
+    .unwrap();
+    let out = mario()
+        .args([
+            "simulate",
+            "--schedule",
+            path.to_str().unwrap(),
+            "--model",
+            "gpt3-1.6b",
+            "--mbs",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("line 2: Chimera requires an even number of devices"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -11,14 +11,19 @@
 //! panic and must fail the same way, and through every engine that
 //! shares `mario_ir::link`'s ack-window rule, which must agree with the
 //! deadlock check on accept versus reject.
+//!
+//! Hostile schedule *text* must parse to a schedule or a `TextError`,
+//! never a panic: headers that would break a constructor's assertions are
+//! pinned case by case, and byte-level mutants of generated text are
+//! fuzzed with a fixed seed.
 
 use mario::cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
 use mario::core::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
 use mario::core::simulator::simulate_timeline;
 use mario::core::tuner::scheme_channel_capacity;
 use mario::ir::{
-    check_executable, validate_with, DeviceId, InstrKind, MicroId, PartId, Schedule, SchemeKind,
-    UnitCost, ValidateOptions, ValidationError,
+    check_executable, from_text, to_text, validate_with, DeviceId, InstrKind, MicroId, PartId,
+    Schedule, SchemeKind, UnitCost, ValidateOptions, ValidationError,
 };
 use mario::schedules::{generate, ScheduleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -319,4 +324,84 @@ fn every_link_engine_agrees_with_the_deadlock_check() {
         );
     }
     assert_eq!(qualified, 50, "{rejected} of {qualified} rejected");
+}
+
+#[test]
+fn from_text_rejects_headers_a_constructor_would_panic_on() {
+    // (body after the version line, line of the error, what it says)
+    let cases = [
+        (
+            "scheme V devices 0 micros 1\nroutes 0\n",
+            2,
+            "at least one device",
+        ),
+        (
+            "scheme X devices 3 micros 2\nroutes 0 1\nd0:\nd1:\nd2:\n",
+            2,
+            "even number of devices",
+        ),
+        (
+            "scheme W:0 devices 2 micros 1\nroutes 0\nd0:\nd1:\n",
+            2,
+            "at least one chunk",
+        ),
+        (
+            "scheme H:0 devices 2 micros 1\nroutes 0\nd0:\nd1:\n",
+            2,
+            "at least one chunk",
+        ),
+        (
+            "scheme V devices 2 micros 1\nroutes 1\nd0:\nd1:\n",
+            3,
+            "route out of range",
+        ),
+        (
+            "scheme X devices 2 micros 2\nroutes 0 2\nd0:\nd1:\n",
+            3,
+            "route out of range",
+        ),
+    ];
+    for (body, line, what) in cases {
+        let text = format!("mario-schedule v1\n{body}");
+        let parsed = catch_unwind(|| from_text(&text));
+        let err = parsed
+            .unwrap_or_else(|_| panic!("from_text panicked on {body:?}"))
+            .expect_err(body);
+        assert_eq!(err.line, line, "{body:?}: {err}");
+        assert!(err.what.contains(what), "{body:?}: {err}");
+    }
+}
+
+#[test]
+fn from_text_never_panics_on_byte_mutants() {
+    // 1–3 byte edits (replace, insert or delete) of the 4x8 text of each
+    // scheme, drawn from the characters the format uses.
+    const ALPHABET: &[u8] = b"0123456789 \n:^<>dFBRSAGXVWHZcirw";
+    let mut rng = Rng(0x7e57);
+    let mut parsed = 0;
+    for scheme in SCHEMES {
+        let text = to_text(&generate(ScheduleConfig::new(scheme, 4, 8)));
+        for _ in 0..500 {
+            let mut bytes = text.clone().into_bytes();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len());
+                let b = ALPHABET[rng.below(ALPHABET.len())];
+                match rng.below(3) {
+                    0 => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    _ => {
+                        bytes.remove(at);
+                    }
+                }
+            }
+            let mutant = String::from_utf8(bytes).expect("ASCII edits of ASCII text");
+            match catch_unwind(|| from_text(&mutant)) {
+                Ok(result) => parsed += result.is_ok() as usize,
+                Err(_) => panic!("from_text panicked on {scheme:?} mutant:\n{mutant}"),
+            }
+        }
+    }
+    // Some edits land in instruction tokens and still parse; validation,
+    // not the parser, rejects those.
+    assert!(parsed > 0);
 }
