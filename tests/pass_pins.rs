@@ -7,9 +7,9 @@
 //! change to where a checkpoint, recompute or revert lands changes a
 //! digest.
 //!
-//! The fig11 grid test is `#[ignore]`d because its 64-device schedules
-//! reach 1.8 M instructions; run it with
-//! `cargo test --release --test pass_pins -- --ignored`.
+//! The fig11 grid test hashes 64-device schedules of up to 1.8 M
+//! instructions; it takes a few seconds under the test profile's
+//! opt-level 2 and far longer in an unoptimised build.
 
 use mario::core::passes::{
     apply_checkpoint, overlap_recompute, remove_redundancy, run_graph_tuner, split_backward,
@@ -152,7 +152,6 @@ fn passes_match_the_sequential_edits_on_every_scheme() {
 }
 
 #[test]
-#[ignore = "fig11 grid: minutes in debug; run with --release -- --ignored"]
 fn passes_match_the_sequential_edits_on_the_fig11_grid() {
     let (h, points) = grid_digest(&fig11_config(64, 2048));
     assert_eq!(points, 180);
