@@ -2,14 +2,16 @@
 //! instruction semantics both emulator backends drive.
 //!
 //! A `Machine` walks one device's program over every iteration,
-//! advancing a virtual clock and a memory ledger, enforcing the device's
-//! injected faults (and converting every induced failure into a
-//! structured [`FaultReport`]), draining async checkpoint chunks into idle
-//! gaps, and recording telemetry and spans. All virtual-time arithmetic
-//! lives here: the launch charges, the ack window — a send on a full link
-//! completes at `max(now, dequeued_at)` of the oldest un-acked packet —
-//! the departure `now + delay`, and the arrival `max(now, sent_at + wire)`
-//! a receive completes at.
+//! advancing a memory ledger, enforcing the device's injected faults (and
+//! converting every induced failure into a structured [`FaultReport`]),
+//! and recording telemetry and spans. Its virtual time moves only through
+//! its [`DeviceClock`], the rule the DP simulator steps through too: the
+//! launch charges, the ack window — a send on a full link completes at
+//! `max(now, dequeued_at)` of the oldest un-acked packet — the arrival
+//! `max(now, sent_at + wire)` a receive completes at, checkpoint chunks
+//! draining into those waits, and the time classes. The machine adds the
+//! departure `now + delay` of a delayed packet, and publishes the clock's
+//! checkpoint state on the shared [`CkptBoard`] whenever `step` returns.
 //!
 //! Packets move through a `Transport`, the only thing the two backends
 //! supply: the event backend's in-memory FIFOs park the machine when a
@@ -26,9 +28,9 @@ use crate::link::{LinkError, Packet};
 use crate::runner::EmulatorConfig;
 use crate::serving::ServingHooks;
 use mario_ir::{
-    AllocError, AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceId, DeviceProgram,
-    DeviceTelemetry, Dir, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, MsgClass,
-    Nanos, OpSpan, PartId, PendingCheckpoint, Schedule, CKPT_PC,
+    AllocError, AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId,
+    DeviceProgram, DeviceTelemetry, Dir, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules,
+    Msg, MsgClass, Nanos, OpSpan, PartId, Schedule,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -87,20 +89,15 @@ impl CkptBoard {
         }
     }
 
-    /// Records that `device` completed a checkpoint covering the first
-    /// `saved` iterations.
-    pub fn record(&self, device: DeviceId, saved: u32) {
-        if let Some(slot) = self.saved.get(device.index()) {
-            slot.fetch_max(saved, Ordering::Relaxed);
-        }
-    }
-
-    /// Charges `ns` of checkpoint write time actually paid by `device`
-    /// (synchronous writes and residue flushes; chunks hidden in bubbles
-    /// cost nothing).
-    pub fn record_paid(&self, device: DeviceId, ns: Nanos) {
-        if let Some(slot) = self.paid.get(device.index()) {
-            slot.fetch_add(ns, Ordering::Relaxed);
+    /// Records `device`'s checkpoint state so far: its last completed
+    /// checkpoint covers the first `saved` iterations, and it paid `paid`
+    /// ns of write time on its clock (synchronous writes and residue
+    /// flushes; chunks hidden in bubbles cost nothing).
+    pub fn sync(&self, device: DeviceId, saved: u32, paid: Nanos) {
+        let d = device.index();
+        if let (Some(s), Some(p)) = (self.saved.get(d), self.paid.get(d)) {
+            s.store(saved, Ordering::Relaxed);
+            p.store(paid, Ordering::Relaxed);
         }
     }
 
@@ -277,34 +274,27 @@ impl Parked {
     }
 }
 
-/// One device's execution state: clock, ledger, faults, checkpoint
-/// write, telemetry, spans, a program counter and the parked operation,
-/// so execution can suspend and resume mid-program.
+/// One device's execution state: its [`DeviceClock`], ledger, faults,
+/// spans, a program counter and the parked operation, so execution can
+/// suspend and resume mid-program.
 pub(crate) struct Machine<'a> {
     shared: Shared<'a>,
     device: DeviceId,
     program: &'a DeviceProgram,
     ledger: MemLedger,
-    clock: Nanos,
+    time: DeviceClock,
     rng: StdRng,
     jitter: f64,
     straggler: f64,
     record_spans: bool,
     spans: Vec<OpSpan>,
     faults: DeviceFaults,
-    /// Packets sent per peer this iteration: the numbering link faults
-    /// target.
-    sends_to: HashMap<DeviceId, usize>,
     absorbed: Vec<FaultReport>,
     iteration: u32,
     iterations: u32,
     pc: usize,
     parked: Option<Parked>,
     checkpoint: Option<CheckpointPolicy>,
-    last_checkpoint: u32,
-    pending: PendingCheckpoint,
-    /// Time-class accounting: every clock advance is classified here.
-    telemetry: DeviceTelemetry,
     link_sends: HashMap<DeviceId, LinkSendStats>,
     link_recv_wait: HashMap<DeviceId, Nanos>,
 }
@@ -334,14 +324,12 @@ impl<'a> Machine<'a> {
             Some(squeezed) => Some(cfg.mem_capacity.unwrap_or(u64::MAX).min(squeezed)),
             None => cfg.mem_capacity,
         };
-        let mut telemetry = DeviceTelemetry::new(device);
-        telemetry.classes.reconfig_ns = startup_ns;
         Self {
             shared,
             device,
             program: shared.schedule.program(device),
             ledger: MemLedger::new(shared.cost.static_mem(device), capacity),
-            clock: startup_ns,
+            time: DeviceClock::new(device, startup_ns),
             rng: StdRng::seed_from_u64(
                 cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.0 as u64 + 1)),
             ),
@@ -350,25 +338,30 @@ impl<'a> Machine<'a> {
             record_spans: cfg.record_spans,
             spans: Vec::new(),
             faults,
-            sends_to: HashMap::new(),
             absorbed: Vec::new(),
             iteration: 0,
             iterations: cfg.iterations,
             pc: 0,
             parked: None,
             checkpoint: cfg.checkpoint,
-            last_checkpoint: 0,
-            pending: PendingCheckpoint::default(),
-            telemetry,
             link_sends: HashMap::new(),
             link_recv_wait: HashMap::new(),
         }
     }
 
-    /// Runs until the device blocks, finishes or fails. A parked
-    /// operation is resumed first: the one completion path for both the
-    /// first attempt and every retry.
+    /// Runs until the device blocks, finishes or fails, then publishes
+    /// its checkpoint state on the shared board.
     pub(crate) fn step<T: Transport>(&mut self, links: &mut T) -> Result<Stepped, EmuError> {
+        let stepped = self.run(links);
+        let paid = self.time.classes().ckpt_sync_ns;
+        let saved = self.time.last_checkpoint();
+        self.shared.ckpts.sync(self.device, saved, paid);
+        stepped
+    }
+
+    /// [`Machine::step`]'s loop. A parked operation is resumed first: the
+    /// one completion path for both the first attempt and every retry.
+    fn run<T: Transport>(&mut self, links: &mut T) -> Result<Stepped, EmuError> {
         loop {
             if let Some(op) = self.parked {
                 if !self.resume(op, links)? {
@@ -381,10 +374,8 @@ impl<'a> Machine<'a> {
                 // No bubbles remain past the last instruction: pay any
                 // async-checkpoint residue so the final checkpoint is
                 // durable when the run ends.
-                let start = self.clock;
-                self.flush_residue();
-                if self.clock > start {
-                    self.ckpt_span(self.iterations.saturating_sub(1), start);
+                if let Some(span) = self.time.end_run(self.iterations.saturating_sub(1)) {
+                    self.record(span);
                 }
                 return Ok(Stepped::Finished);
             }
@@ -392,10 +383,6 @@ impl<'a> Machine<'a> {
                 self.checkpoint_boundary()?;
                 self.iteration += 1;
                 self.pc = 0;
-                // Packet numbering is per-iteration (matching
-                // `send_sites` and the profile's `LinkSlack::nth`), so
-                // link faults can target packets of any iteration.
-                self.sends_to.clear();
                 continue;
             }
             self.execute()?;
@@ -418,23 +405,19 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        let start = self.clock;
+        let start = self.time.now();
         match instr.kind.p2p() {
             None if instr.kind.is_compute() => {
                 // Serving ingress gate: a first-stage forward may not
                 // start before its micro-batch was released. The wait is
-                // idle time exactly like a recv wait — checkpoint chunks
-                // drain into it, the rest is recv-blocked.
+                // idle time exactly like a recv wait.
                 let mut gate = 0;
                 if let Some(sv) = self.shared.serving {
                     if matches!(instr.kind, InstrKind::Forward { .. })
                         && self.shared.schedule.topology.is_first_stage(self.device, instr.part)
                     {
                         gate = sv.release_of(instr.micro);
-                        let gap = gate.saturating_sub(self.clock);
-                        let drained = self.drain_chunks(gap);
-                        self.telemetry.classes.on_recv_gap(gap, drained);
-                        self.clock += gap;
+                        self.time.wait_until(gate, Dir::Recv);
                     }
                 }
                 let mut dur = self.jittered(cost.duration(self.device, instr));
@@ -456,8 +439,7 @@ impl<'a> Machine<'a> {
                         }
                     }
                 }
-                self.clock += dur;
-                self.telemetry.classes.compute_ns += dur;
+                self.time.busy(instr.kind, dur);
                 self.apply_mem(pc, instr)?;
                 // Serving egress: a last-stage forward completes its
                 // micro-batch (observational write — never read here).
@@ -465,27 +447,22 @@ impl<'a> Machine<'a> {
                     if matches!(instr.kind, InstrKind::Forward { .. })
                         && self.shared.schedule.topology.is_last_stage(self.device, instr.part)
                     {
-                        sv.board.record(instr.micro, self.clock);
+                        sv.board.record(instr.micro, self.time.now());
                     }
                 }
                 self.complete(start, dur, 0, 0, gate);
             }
             None => {
-                let classes = &mut self.telemetry.classes;
-                let (dt, class) = match instr.kind {
-                    InstrKind::AllReduce => {
-                        (cost.allreduce_time(self.device), &mut classes.allreduce_ns)
-                    }
-                    _ => (cost.optimizer_time(self.device), &mut classes.optimizer_ns),
+                let dt = match instr.kind {
+                    InstrKind::AllReduce => cost.allreduce_time(self.device),
+                    _ => cost.optimizer_time(self.device),
                 };
-                *class += dt;
-                self.clock += dt;
+                self.time.busy(instr.kind, dt);
                 self.complete(start, dt, 0, 0, 0);
             }
             Some(p) => {
                 let launch = cost.p2p_launch_overhead();
-                self.clock += launch;
-                self.telemetry.classes.comm_launch_ns += launch;
+                self.time.launch(launch);
                 let port = (p.peer, p.class, instr.part);
                 let msg = p.msg(instr);
                 if p.dir == Dir::Recv {
@@ -498,12 +475,7 @@ impl<'a> Machine<'a> {
                     return Ok(());
                 }
                 let peer = p.peer;
-                let nth = {
-                    let c = self.sends_to.entry(peer).or_insert(0);
-                    let n = *c;
-                    *c += 1;
-                    n
-                };
+                let nth = self.time.next_packet(peer, self.iteration);
                 let fault = if faults_active {
                     self.faults.send_fault(self.iteration, peer, nth)
                 } else {
@@ -569,24 +541,16 @@ impl<'a> Machine<'a> {
                 // oldest packet: the send completes at that time. An
                 // injected link delay pushes the packet's departure back
                 // while the sender's own clock is unaffected.
-                let now = self.clock.max(freed);
                 let pkt = Packet {
                     msg,
                     bytes,
-                    sent_at: now + delay,
+                    sent_at: self.time.now().max(freed) + delay,
                 };
                 let occupancy = links
                     .push(port, pkt)
                     .map_err(|e| self.link_err(e, pc, port.0))?;
                 self.shared.stalls.clear(self.device);
-                // A capacity wait is idle time exactly like a recv wait:
-                // async checkpoint chunks drain into it too, and the
-                // drained slice is checkpoint time rather than
-                // backpressure bubble.
-                let blocked = now - self.clock;
-                let drained = self.drain_chunks(blocked);
-                self.telemetry.classes.on_send_gap(blocked, drained);
-                self.clock = now;
+                let blocked = self.time.wait_until(freed, Dir::Send);
                 // The occupancy right after the send is the un-acked
                 // window, which advances in lockstep with the simulator's
                 // `Fifo`.
@@ -618,16 +582,9 @@ impl<'a> Machine<'a> {
                     .shared
                     .cost
                     .p2p_time_between(port.0, self.device, pkt.bytes);
-                let arrival = self.clock.max(pkt.sent_at + wire_ns);
-                links.ack(port, arrival);
-                // The wait for this message is exactly the idle gap an
-                // async checkpoint write drains into; the drained slice is
-                // checkpoint time, the rest a genuine pipeline bubble.
-                let gap = arrival - self.clock;
-                let drained = self.drain_chunks(gap);
-                self.telemetry.classes.on_recv_gap(gap, drained);
+                let gap = self.time.wait_until(pkt.sent_at + wire_ns, Dir::Recv);
+                links.ack(port, self.time.now());
                 *self.link_recv_wait.entry(port.0).or_default() += gap;
-                self.clock = arrival;
                 self.complete(start, launch, pkt.sent_at, wire_ns, 0);
             }
         }
@@ -644,37 +601,23 @@ impl<'a> Machine<'a> {
         wire_ns: Nanos,
         gate_ns: Nanos,
     ) {
-        if self.record_spans {
-            self.spans.push(OpSpan {
-                device: self.device,
-                iter: self.iteration,
-                pc: self.pc as u32,
-                start,
-                end: self.clock,
-                work_ns,
-                sent_at,
-                wire_ns,
-                gate_ns,
-            });
-        }
+        self.record(OpSpan {
+            device: self.device,
+            iter: self.iteration,
+            pc: self.pc as u32,
+            start,
+            end: self.time.now(),
+            work_ns,
+            sent_at,
+            wire_ns,
+            gate_ns,
+        });
         self.pc += 1;
     }
 
-    /// Records a checkpoint write of iteration `iter` from `start` to the
-    /// current clock.
-    fn ckpt_span(&mut self, iter: u32, start: Nanos) {
+    fn record(&mut self, span: OpSpan) {
         if self.record_spans {
-            self.spans.push(OpSpan {
-                device: self.device,
-                iter,
-                pc: CKPT_PC,
-                start,
-                end: self.clock,
-                work_ns: self.clock - start,
-                sent_at: 0,
-                wire_ns: 0,
-                gate_ns: 0,
-            });
+            self.spans.push(span);
         }
     }
 
@@ -705,9 +648,9 @@ impl<'a> Machine<'a> {
             pc,
             instr: self.instr_name(pc),
             blocked_peer: None,
-            vtime: self.clock,
+            vtime: self.time.now(),
             iteration: self.iteration,
-            last_checkpoint: self.last_checkpoint,
+            last_checkpoint: self.time.last_checkpoint(),
             ckpt_paid_ns: 0,
             group: None,
             detail: detail.to_string(),
@@ -785,53 +728,17 @@ impl<'a> Machine<'a> {
         applied.map_err(|e| self.alloc_err(pc, e))
     }
 
-    /// Charges `ns` of checkpoint write time to the clock.
-    fn pay_ckpt(&mut self, ns: Nanos) {
-        self.clock += ns;
-        self.telemetry.classes.ckpt_sync_ns += ns;
-        self.shared.ckpts.record_paid(self.device, ns);
-    }
-
-    fn durable(&mut self, covers: u32) {
-        self.last_checkpoint = covers;
-        self.shared.ckpts.record(self.device, covers);
-    }
-
-    /// Flushes checkpoint chunks into an idle gap of `gap` ns; returns the
-    /// flush time drained (telemetry's `ckpt_absorbed_ns`).
-    fn drain_chunks(&mut self, gap: Nanos) -> Nanos {
-        let (drained, durable) = self.pending.drain(gap);
-        if let Some(covers) = durable {
-            self.durable(covers);
-        }
-        drained
-    }
-
-    /// Synchronously pays whatever the bubbles did not absorb.
-    fn flush_residue(&mut self) {
-        if let Some((residue, covers)) = self.pending.flush_residue() {
-            self.pay_ckpt(residue);
-            self.durable(covers);
-        }
-    }
-
     /// Writes the end-of-iteration model-state checkpoint when the active
-    /// policy puts a boundary here: charges the write — or, with an async
-    /// sharded policy, queues the chunk flushes to drain into the next
-    /// iteration's bubbles — holds the transient serialization buffer
-    /// against capacity, and records completed writes on the shared board.
+    /// policy puts a boundary here: pays the previous write's residue,
+    /// holds the transient serialization buffer against capacity, then
+    /// charges the write — or, with an async sharded policy, queues the
+    /// chunk flushes to drain into the next iteration's bubbles.
     fn checkpoint_boundary(&mut self) -> Result<(), EmuError> {
-        let Some(policy) = self.checkpoint else {
+        let iter = self.iteration;
+        let Some(policy) = self.checkpoint.filter(|p| p.is_boundary(iter)) else {
             return Ok(());
         };
-        let iter = self.iteration;
-        if !policy.is_boundary(iter) {
-            return Ok(());
-        }
-        let start = self.clock;
-        // Whatever the previous async write could not hide must finish
-        // before this write starts.
-        self.flush_residue();
+        let start = self.time.flush_residue();
         // The serialization buffer counts against capacity at its peak —
         // an injected squeeze can make the checkpoint itself the OOM site.
         // It is checked before any write cost is charged or durability
@@ -841,12 +748,8 @@ impl<'a> Machine<'a> {
         held.map_err(|e| self.alloc_err(self.program.len(), e))?;
         self.ledger.free(AllocKey::Snapshot);
         let shard = self.shared.cost.ckpt_shard_bytes(self.device);
-        let (write, durable) = self.pending.begin(&policy, shard, iter);
-        self.pay_ckpt(write);
-        if let Some(covers) = durable {
-            self.durable(covers);
-        }
-        self.ckpt_span(iter, start);
+        let span = self.time.write_checkpoint(start, &policy, shard, iter);
+        self.record(span);
         Ok(())
     }
 
@@ -872,24 +775,18 @@ impl<'a> Machine<'a> {
 
     /// Finishes the run and reports.
     pub(crate) fn finish(&mut self) -> DeviceReport {
-        let mut telemetry = std::mem::take(&mut self.telemetry);
-        telemetry.device = self.device;
-        telemetry.peak_mem = self.ledger.peak();
-        telemetry.absorbed_faults = self.absorbed.len() as u32;
-        // The conservation invariant: every nanosecond of the clock is
-        // accounted to exactly one time class.
-        debug_assert_eq!(
-            telemetry.classes.total(),
-            self.clock,
-            "{}: time classes do not conserve the clock",
-            self.device
-        );
+        let telemetry = DeviceTelemetry {
+            classes: *self.time.classes(),
+            peak_mem: self.ledger.peak(),
+            absorbed_faults: self.absorbed.len() as u32,
+            ..DeviceTelemetry::new(self.device)
+        };
         DeviceReport {
-            clock: self.clock,
+            clock: self.time.now(),
             peak_mem: self.ledger.peak(),
             leaked: self.ledger.live_count(),
             absorbed: std::mem::take(&mut self.absorbed),
-            last_checkpoint: self.last_checkpoint,
+            last_checkpoint: self.time.last_checkpoint(),
             telemetry,
             link_sends: std::mem::take(&mut self.link_sends),
             link_recv_wait: std::mem::take(&mut self.link_recv_wait),

@@ -1433,9 +1433,9 @@ mod tests {
             }
         };
         let ckpts = CkptBoard::new(7);
-        ckpts.record_paid(DeviceId(1), 40);
-        ckpts.record_paid(DeviceId(3), 100);
-        ckpts.record_paid(DeviceId(6), 40);
+        ckpts.sync(DeviceId(1), 0, 40);
+        ckpts.sync(DeviceId(3), 0, 100);
+        ckpts.sync(DeviceId(6), 0, 40);
         // Device 3 is critical (max clock) but sits at vector index 1;
         // a dense-id assumption would subtract device 6's paid time (or
         // index out of bounds) instead of device 3's.

@@ -655,8 +655,8 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
     // Re-timed packet departures per channel, in FIFO order, and the
     // receivers' arrival acks.
     let mut chans: FastMap<ChanKey, Fifo<Nanos>> = FastMap::default();
-    // Per-iteration packet numbering per (src, dst) pair, the emulator's
-    // `sends_to` counter (reset each iteration).
+    // Per-iteration packet numbering per (src, dst) pair, the
+    // executors' `DeviceClock::next_packet` (reset each iteration).
     let mut nth: Vec<FastMap<DeviceId, usize>> = vec![FastMap::default(); devices];
     let mut cur_iter: Vec<u32> = vec![0; devices];
     let capacity = g.channel_capacity.max(1);

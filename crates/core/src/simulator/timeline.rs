@@ -5,12 +5,17 @@
 //! *horizontal* (in-order execution within a device's instruction list) and
 //! *vertical* (p2p messages between devices, per Algorithm 1's virtual
 //! pipeline). Semantics deliberately match the cluster emulator
-//! (mario-cluster) instruction for instruction — bounded per-class FIFO
-//! channels (the shared `mario_ir::link` rule: one [`Fifo`] per
-//! channel, the same one the event backend uses), launch overheads,
-//! transfer latency — so with zero jitter the two produce identical
-//! timelines, and the simulator-accuracy experiment (Fig. 10) isolates
-//! genuine modeling error (profiling regression, jitter).
+//! (mario-cluster) instruction for instruction. Both share the bounded
+//! per-class FIFO channels (the `mario_ir::link` rule: one [`Fifo`] per
+//! channel, the same one the event backend uses) and advance every
+//! device's time through one [`DeviceClock`], the emulator machine's
+//! clock rule: launch overheads, the serving gate, ack-window and recv
+//! waits, checkpoint chunk drain and residue, the time classes and the
+//! packet numbering. This module keeps only its step loop — a
+//! round-robin sweep that fires whichever device can move — and its
+//! recorders, so with zero jitter the two produce identical timelines,
+//! and the simulator-accuracy experiment (Fig. 10) isolates genuine
+//! modeling error (profiling regression, jitter).
 //!
 //! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
 //! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
@@ -22,9 +27,9 @@
 //! run.
 
 use mario_ir::{
-    AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceId, DeviceTelemetry, Dir, FastMap, Fifo,
-    Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, Nanos, OpSpan, P2p,
-    PendingCheckpoint, PerturbationProfile, Schedule, SpanGraph, Telemetry, CKPT_PC,
+    AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId, DeviceTelemetry, Dir,
+    FastMap, Fifo, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, Nanos, OpSpan,
+    P2p, PerturbationProfile, Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -198,114 +203,6 @@ pub fn simulate(
     simulate_core(schedule, cost, opts, Full::new(schedule, cost, opts))
 }
 
-/// Per-device checkpoint-write state: each device's write in flight
-/// (the [`PendingCheckpoint`] the emulator keeps too), what was actually
-/// paid, and which checkpoint is durable.
-struct CkptSim {
-    policy: CheckpointPolicy,
-    /// Each device's in-flight write.
-    pending: Vec<PendingCheckpoint>,
-    /// Write time charged synchronously to each device's clock.
-    paid: Vec<Nanos>,
-    /// Iterations covered by each device's last durable checkpoint.
-    last_ck: Vec<u32>,
-}
-
-/// The span of a checkpoint write on `d` from `start` to `end`.
-fn ckpt_span(d: usize, iter: u32, start: Nanos, end: Nanos) -> OpSpan {
-    OpSpan {
-        device: DeviceId(d as u32),
-        iter,
-        pc: CKPT_PC,
-        start,
-        end,
-        work_ns: end - start,
-        sent_at: 0,
-        wire_ns: 0,
-        gate_ns: 0,
-    }
-}
-
-impl CkptSim {
-    fn new(policy: CheckpointPolicy, devices: usize) -> Self {
-        Self {
-            policy,
-            pending: vec![PendingCheckpoint::default(); devices],
-            paid: vec![0; devices],
-            last_ck: vec![0; devices],
-        }
-    }
-
-    /// Flushes whole chunks into an idle gap of `gap` ns (a blocking recv
-    /// wait or a capacity-blocked send). Returns the flush time drained
-    /// into the gap (the telemetry's `ckpt_absorbed_ns`).
-    fn drain(&mut self, d: usize, gap: Nanos) -> Nanos {
-        let (drained, durable) = self.pending[d].drain(gap);
-        if let Some(covers) = durable {
-            self.last_ck[d] = covers;
-        }
-        drained
-    }
-
-    /// Synchronously pays whatever the previous async write could not
-    /// hide, advancing the device clock. Returns the residue paid.
-    fn flush_residue(&mut self, d: usize, clock: &mut Nanos) -> Nanos {
-        let Some((residue, covers)) = self.pending[d].flush_residue() else {
-            return 0;
-        };
-        *clock += residue;
-        self.paid[d] += residue;
-        self.last_ck[d] = covers;
-        residue
-    }
-
-    /// End-of-iteration checkpoint boundary, including the transient
-    /// serialization buffer the write holds at its peak. The write time
-    /// charged synchronously to the clock (the telemetry's
-    /// `ckpt_sync_ns`) goes to `rec`.
-    fn boundary<R: Recorder>(
-        &mut self,
-        d: usize,
-        iter_idx: u32,
-        cost: &dyn CostModel,
-        clock: &mut Nanos,
-        rec: &mut R,
-    ) {
-        if !self.policy.is_boundary(iter_idx) {
-            return;
-        }
-        let dev = DeviceId(d as u32);
-        let start = *clock;
-        let residue = self.flush_residue(d, clock);
-        rec.snapshot(dev, self.policy.mem_overhead);
-        let shard = cost.ckpt_shard_bytes(dev);
-        let (write, durable) = self.pending[d].begin(&self.policy, shard, iter_idx);
-        *clock += write;
-        self.paid[d] += write;
-        if let Some(covers) = durable {
-            self.last_ck[d] = covers;
-        }
-        rec.ckpt(ckpt_span(d, iter_idx, start, *clock), residue + write);
-    }
-
-    /// End-of-run drain: no bubbles remain, so any residue is paid
-    /// synchronously.
-    fn drain_end<R: Recorder>(
-        &mut self,
-        d: usize,
-        iterations: u32,
-        clock: &mut Nanos,
-        rec: &mut R,
-    ) {
-        let start = *clock;
-        let paid = self.flush_residue(d, clock);
-        if *clock > start {
-            let span = ckpt_span(d, iterations.saturating_sub(1), start, *clock);
-            rec.ckpt(span, paid);
-        }
-    }
-}
-
 /// The makespan of one iteration of `schedule` on the cluster `profile`
 /// describes — exactly [`simulate`]'s `total_ns`, or its identical
 /// [`SimError`] — without recording spans, telemetry or memory. For
@@ -326,62 +223,41 @@ pub(crate) fn simulate_makespan(
 }
 
 /// What [`simulate_core`] records while it steps. The step arithmetic —
-/// clocks, FIFO channels and acks, profile scaling, checkpoint chunk
-/// drain, the serving gate — exists once, in `simulate_core`; a recorder
-/// only observes its results, so every recorder sees the same timeline.
-/// Every hook defaults to recording nothing.
+/// FIFO channels and acks, profile scaling, the serving gate — exists
+/// once, in `simulate_core`, and every clock advance goes through the
+/// devices' [`DeviceClock`]s; a recorder only observes the results, so
+/// every recorder sees the same timeline. Every hook defaults to
+/// recording nothing.
 trait Recorder {
     /// What a finished run returns.
     type Output;
 
-    /// A serving ingress wait of `gap` ns before a first-stage forward,
-    /// `drained` ns of it absorbed by checkpoint chunks.
-    fn gate(&mut self, _dev: DeviceId, _gap: Nanos, _drained: Nanos) {}
+    /// A compute step ending at `end`.
+    fn compute(&mut self, _dev: DeviceId, _instr: &Instr, _end: Nanos) {}
 
-    /// A compute, all-reduce or optimizer step of `dur` ns ending at
-    /// `end`.
-    fn work(&mut self, _dev: DeviceId, _instr: &Instr, _dur: Nanos, _end: Nanos) {}
-
-    /// A send to `peer`: the `launch` charge, then a capacity wait of
-    /// `blocked` ns (`drained` of it absorbed by checkpoint chunks) after
-    /// which `outstanding` messages are in flight on its channel.
-    #[allow(clippy::too_many_arguments)]
+    /// A send to `peer` that waited `blocked` ns for window capacity,
+    /// after which `outstanding` messages are in flight on its channel.
     fn send(
         &mut self,
         _dev: DeviceId,
         _instr: &Instr,
         _peer: DeviceId,
-        _launch: Nanos,
         _blocked: Nanos,
-        _drained: Nanos,
         _outstanding: usize,
     ) {
     }
 
-    /// A receive from `peer`: the `launch` charge, then a wait of `gap` ns
-    /// for the message, `drained` ns of it absorbed by checkpoint chunks.
-    fn recv(
-        &mut self,
-        _dev: DeviceId,
-        _peer: DeviceId,
-        _launch: Nanos,
-        _gap: Nanos,
-        _drained: Nanos,
-    ) {
-    }
+    /// A receive from `peer` that waited `gap` ns for its message.
+    fn recv(&mut self, _dev: DeviceId, _peer: DeviceId, _gap: Nanos) {}
 
-    /// An instruction fired over `span`.
+    /// An instruction or checkpoint write completed over `span`.
     fn fired(&mut self, _span: OpSpan) {}
 
     /// A checkpoint's transient serialization buffer of `bytes`.
     fn snapshot(&mut self, _dev: DeviceId, _bytes: u64) {}
 
-    /// A checkpoint write over `span`, `sync_ns` of it charged to the
-    /// device clock.
-    fn ckpt(&mut self, _span: OpSpan, _sync_ns: Nanos) {}
-
     /// The run completed with these final device clocks.
-    fn finish(self, clocks: Vec<Nanos>, ckpt: Option<&CkptSim>) -> Self::Output;
+    fn finish(self, clocks: Vec<DeviceClock>) -> Self::Output;
 }
 
 /// Records nothing; a run returns its makespan.
@@ -390,21 +266,20 @@ struct MakespanOnly;
 impl Recorder for MakespanOnly {
     type Output = Nanos;
 
-    fn finish(self, clocks: Vec<Nanos>, _ckpt: Option<&CkptSim>) -> Nanos {
-        clocks.into_iter().max().unwrap_or(0)
+    fn finish(self, clocks: Vec<DeviceClock>) -> Nanos {
+        clocks.iter().map(DeviceClock::now).max().unwrap_or(0)
     }
 }
 
 /// Records the whole [`SimTimeline`]: spans, the flight recorder —
-/// per-device time classes, a memory ledger per device replaying the
-/// emulator's exact `apply` sequence (compute and send sites only),
-/// per-link transfer statistics — and serving completions.
+/// a memory ledger per device replaying the emulator's exact `apply`
+/// sequence (compute and send sites only), per-link transfer statistics
+/// — and serving completions. The time classes come from the clocks.
 struct Full<'a> {
     schedule: &'a Schedule,
     cost: &'a dyn CostModel,
     rules: MemoryRules,
     spans: SpanGraph,
-    tel: Vec<DeviceTelemetry>,
     ledgers: Vec<MemLedger>,
     link_sends: FastMap<(u32, u32), LinkSendStats>,
     recv_waits: FastMap<(u32, u32), Nanos>,
@@ -413,6 +288,7 @@ struct Full<'a> {
     /// (fetch_min).
     completions: Vec<Option<Nanos>>,
     serving: bool,
+    checkpointing: bool,
 }
 
 impl<'a> Full<'a> {
@@ -424,13 +300,6 @@ impl<'a> Full<'a> {
             cost,
             rules: MemoryRules::new(schedule),
             spans: SpanGraph::new(devices, opts.channel_capacity),
-            tel: (0..devices)
-                .map(|d| {
-                    let mut t = DeviceTelemetry::new(DeviceId(d as u32));
-                    t.classes.reconfig_ns = opts.startup.get(d).copied().unwrap_or(0);
-                    t
-                })
-                .collect(),
             ledgers: (0..devices)
                 .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
                 .collect(),
@@ -442,6 +311,7 @@ impl<'a> Full<'a> {
                 Vec::new()
             },
             serving,
+            checkpointing: opts.checkpoint.is_some(),
         }
     }
 
@@ -455,28 +325,15 @@ impl<'a> Full<'a> {
 impl Recorder for Full<'_> {
     type Output = SimTimeline;
 
-    fn gate(&mut self, dev: DeviceId, gap: Nanos, drained: Nanos) {
-        self.tel[dev.index()].classes.on_recv_gap(gap, drained);
-    }
-
-    fn work(&mut self, dev: DeviceId, instr: &Instr, dur: Nanos, end: Nanos) {
-        let classes = &mut self.tel[dev.index()].classes;
-        match instr.kind {
-            InstrKind::AllReduce => classes.allreduce_ns += dur,
-            InstrKind::OptimizerStep => classes.optimizer_ns += dur,
-            _ => {
-                classes.compute_ns += dur;
-                self.apply_mem(dev, instr);
-                // Serving egress: a last-stage forward completes its
-                // micro-batch.
-                if self.serving
-                    && matches!(instr.kind, InstrKind::Forward { .. })
-                    && self.schedule.topology.is_last_stage(dev, instr.part)
-                {
-                    let slot = &mut self.completions[instr.micro.index()];
-                    *slot = Some(slot.map_or(end, |v| v.min(end)));
-                }
-            }
+    fn compute(&mut self, dev: DeviceId, instr: &Instr, end: Nanos) {
+        self.apply_mem(dev, instr);
+        // Serving egress: a last-stage forward completes its micro-batch.
+        if self.serving
+            && matches!(instr.kind, InstrKind::Forward { .. })
+            && self.schedule.topology.is_last_stage(dev, instr.part)
+        {
+            let slot = &mut self.completions[instr.micro.index()];
+            *slot = Some(slot.map_or(end, |v| v.min(end)));
         }
     }
 
@@ -485,14 +342,9 @@ impl Recorder for Full<'_> {
         dev: DeviceId,
         instr: &Instr,
         peer: DeviceId,
-        launch: Nanos,
         blocked: Nanos,
-        drained: Nanos,
         outstanding: usize,
     ) {
-        let classes = &mut self.tel[dev.index()].classes;
-        classes.comm_launch_ns += launch;
-        classes.on_send_gap(blocked, drained);
         // Bytes are counted at the send site with the sender's id — the
         // emulator's exact accounting.
         self.link_sends.entry((dev.0, peer.0)).or_default().on_send(
@@ -503,10 +355,7 @@ impl Recorder for Full<'_> {
         self.apply_mem(dev, instr);
     }
 
-    fn recv(&mut self, dev: DeviceId, peer: DeviceId, launch: Nanos, gap: Nanos, drained: Nanos) {
-        let classes = &mut self.tel[dev.index()].classes;
-        classes.comm_launch_ns += launch;
-        classes.on_recv_gap(gap, drained);
+    fn recv(&mut self, dev: DeviceId, peer: DeviceId, gap: Nanos) {
         *self.recv_waits.entry((peer.0, dev.0)).or_default() += gap;
     }
 
@@ -525,38 +374,37 @@ impl Recorder for Full<'_> {
         ledger.free(AllocKey::Snapshot);
     }
 
-    fn ckpt(&mut self, span: OpSpan, sync_ns: Nanos) {
-        self.tel[span.device.index()].classes.ckpt_sync_ns += sync_ns;
-        self.spans.push(span);
-    }
-
-    fn finish(self, clocks: Vec<Nanos>, ckpt: Option<&CkptSim>) -> Self::Output {
+    fn finish(self, clocks: Vec<DeviceClock>) -> Self::Output {
         let Full {
             mut spans,
-            mut tel,
             ledgers,
             link_sends,
             recv_waits,
             completions,
+            checkpointing,
             ..
         } = self;
-        let total_ns = clocks.iter().copied().max().unwrap_or(0);
+        let device_clocks: Vec<Nanos> = clocks.iter().map(DeviceClock::now).collect();
+        let total_ns = device_clocks.iter().copied().max().unwrap_or(0);
         spans.makespan = total_ns;
         debug_assert!(
-            spans.check_tiling(&clocks).is_ok(),
+            spans.check_tiling(&device_clocks).is_ok(),
             "span tiling violated on {:?}",
-            spans.check_tiling(&clocks)
+            spans.check_tiling(&device_clocks)
         );
-        let (ckpt_overhead_ns, last_checkpoint) = match ckpt {
-            Some(ck) => (
-                ck.paid.iter().sum(),
-                Some(ck.last_ck.iter().copied().min().unwrap_or(0)),
-            ),
-            None => (0, None),
-        };
-        for (t, ledger) in tel.iter_mut().zip(&ledgers) {
-            t.peak_mem = ledger.peak();
-        }
+        let last_checkpoint = checkpointing.then(|| {
+            let saved = clocks.iter().map(DeviceClock::last_checkpoint);
+            saved.min().unwrap_or(0)
+        });
+        let tel = clocks
+            .iter()
+            .zip(&ledgers)
+            .map(|(c, ledger)| DeviceTelemetry {
+                classes: *c.classes(),
+                peak_mem: ledger.peak(),
+                ..DeviceTelemetry::new(c.device())
+            })
+            .collect();
         // Assemble through the shared constructor (same as the emulator's
         // runner) and assert the conservation invariant: every nanosecond
         // of every device clock is accounted to exactly one time class.
@@ -570,21 +418,39 @@ impl Recorder for Full<'_> {
                 .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
         );
         debug_assert!(
-            telemetry.check_conservation(&clocks).is_ok(),
+            telemetry.check_conservation(&device_clocks).is_ok(),
             "telemetry conservation violated: {:?}",
-            telemetry.check_conservation(&clocks)
+            telemetry.check_conservation(&device_clocks)
         );
-        debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpt_overhead_ns);
         SimTimeline {
-            device_clocks: clocks,
+            device_clocks,
             total_ns,
-            ckpt_overhead_ns,
+            ckpt_overhead_ns: telemetry.total_ckpt_sync_ns(),
             last_checkpoint,
             telemetry,
             spans,
             completions,
         }
     }
+}
+
+/// The end-of-iteration-`iter` checkpoint boundary on `clock`'s device
+/// when `policy` puts one there, including the transient serialization
+/// buffer the write holds at its peak.
+fn boundary<R: Recorder>(
+    clock: &mut DeviceClock,
+    policy: Option<&CheckpointPolicy>,
+    iter: u32,
+    cost: &dyn CostModel,
+    rec: &mut R,
+) {
+    let Some(policy) = policy.filter(|p| p.is_boundary(iter)) else {
+        return;
+    };
+    let dev = clock.device();
+    let start = clock.flush_residue();
+    rec.snapshot(dev, policy.mem_overhead);
+    rec.fired(clock.write_checkpoint(start, policy, cost.ckpt_shard_bytes(dev), iter));
 }
 
 /// The DP step loop, generic over what it records: [`Full`] behind
@@ -606,30 +472,23 @@ fn simulate_core<R: Recorder>(
     assert!(channel_capacity >= 1);
     assert!(iterations >= 1);
     let devices = schedule.devices() as usize;
+    let policy = checkpoint.as_ref();
     // Global instruction cursor per device: local pc = gpc % len,
     // iteration = gpc / len.
     let mut gpc = vec![0usize; devices];
-    let mut clocks: Vec<Nanos> = (0..devices)
-        .map(|d| startup.get(d).copied().unwrap_or(0))
+    let mut clocks: Vec<DeviceClock> = (0..devices)
+        .map(|d| DeviceClock::new(DeviceId(d as u32), startup.get(d).copied().unwrap_or(0)))
         .collect();
     // In-flight messages with their departure times, per channel.
     let mut chans: FastMap<ChanKey, Fifo<(Msg, Nanos)>> = FastMap::default();
-    // Packets sent per (src, dst) pair *this iteration*, all classes and
-    // parts in program order — the emulator's link-fault packet
-    // numbering, which resets every iteration.
-    let mut sends_to: Vec<FastMap<u32, usize>> = vec![FastMap::default(); devices];
-    let mut cur_iter = vec![0u32; devices];
-    let mut ckpt = checkpoint.map(|p| CkptSim::new(p, devices));
 
     // The emulator runs the checkpoint boundary every iteration even for
     // a device with an empty program; the main loop below skips such
     // devices, so process their boundaries (which never block) up front.
-    if let Some(ck) = ckpt.as_mut() {
-        for (d, clock) in clocks.iter_mut().enumerate() {
-            if schedule.program(DeviceId(d as u32)).is_empty() {
-                for it in 0..iterations {
-                    ck.boundary(d, it, cost, clock, &mut rec);
-                }
+    for clock in &mut clocks {
+        if schedule.program(clock.device()).is_empty() {
+            for it in 0..iterations {
+                boundary(clock, policy, it, cost, &mut rec);
             }
         }
     }
@@ -646,53 +505,37 @@ fn simulate_core<R: Recorder>(
             }
             let lpc = gpc[d] % len;
             let iter = (gpc[d] / len) as u32;
-            if iter != cur_iter[d] {
-                cur_iter[d] = iter;
-                sends_to[d].clear();
-            }
             let &instr = &prog.instrs()[lpc];
             all_done = false;
-            let start = clocks[d];
+            let clock = &mut clocks[d];
+            let start = clock.now();
             // Span-capture fields for this firing, filled in by the arms.
-            let (mut sp_work, mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0, 0);
-            let fired_now = match instr.kind.p2p() {
-                None if instr.kind.is_compute() => {
+            let (mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0);
+            let work_ns = match instr.kind.p2p() {
+                None => {
                     // Serving ingress gate: a first-stage forward may not
-                    // start before its micro-batch was released. The wait
-                    // is recv-blocked idle time (checkpoint chunks drain
-                    // into it) — the emulator's gate, bit for bit.
+                    // start before its micro-batch was released — the
+                    // emulator's gate, bit for bit.
                     if let Some(release) = release {
                         if matches!(instr.kind, InstrKind::Forward { .. })
                             && schedule.topology.is_first_stage(dev, instr.part)
                         {
                             sp_gate = release.get(instr.micro.index()).copied().unwrap_or(0);
-                            let gap = sp_gate.saturating_sub(clocks[d]);
-                            let drained = match ckpt.as_mut() {
-                                Some(ck) => ck.drain(d, gap),
-                                None => 0,
-                            };
-                            rec.gate(dev, gap, drained);
-                            clocks[d] += gap;
+                            clock.wait_until(sp_gate, Dir::Recv);
                         }
                     }
-                    let dur = profile.scaled_compute(dev, iter, lpc, cost.duration(dev, &instr));
-                    sp_work = dur;
-                    clocks[d] += dur;
-                    rec.work(dev, &instr, dur, clocks[d]);
-                    true
-                }
-                None => {
-                    let dt = match instr.kind {
+                    let dur = match instr.kind {
                         InstrKind::AllReduce => cost.allreduce_time(dev),
-                        _ => cost.optimizer_time(dev),
+                        InstrKind::OptimizerStep => cost.optimizer_time(dev),
+                        _ => profile.scaled_compute(dev, iter, lpc, cost.duration(dev, &instr)),
                     };
-                    sp_work = dt;
-                    clocks[d] += dt;
-                    rec.work(dev, &instr, dt, clocks[d]);
-                    true
+                    clock.busy(instr.kind, dur);
+                    if instr.kind.is_compute() {
+                        rec.compute(dev, &instr, clock.now());
+                    }
+                    dur
                 }
                 Some(p @ P2p { dir: Dir::Send, .. }) => {
-                    let peer = p.peer;
                     let ch = chans.entry(p.chan(dev, instr.part)).or_default();
                     // On a full window the send completes once the
                     // receiver dequeued the oldest in-flight message; that
@@ -702,90 +545,56 @@ fn simulate_core<R: Recorder>(
                         continue;
                     };
                     let launch = cost.p2p_launch_overhead();
-                    let ready = clocks[d] + launch;
-                    clocks[d] = ready.max(freed);
-                    let blocked = clocks[d] - ready;
+                    clock.launch(launch);
+                    let blocked = clock.wait_until(freed, Dir::Send);
                     // A perturbed link delays the packet's departure while
                     // the sender's own clock is unaffected, exactly like
                     // the emulator's delayed send.
-                    let nth = {
-                        let c = sends_to[d].entry(peer.0).or_insert(0);
-                        let n = *c;
-                        *c += 1;
-                        n
-                    };
-                    let extra = profile.link_extra(dev, peer, iter, nth);
-                    let outstanding = ch.push((p.msg(&instr), clocks[d] + extra));
-                    sp_work = launch;
-                    // A capacity wait is idle time exactly like a recv
-                    // wait: async checkpoint chunks drain into it too —
-                    // the emulator's send-side chunk flush, bit for bit.
-                    let drained = match ckpt.as_mut() {
-                        Some(ck) => ck.drain(d, blocked),
-                        None => 0,
-                    };
-                    rec.send(dev, &instr, peer, launch, blocked, drained, outstanding);
-                    true
+                    let nth = clock.next_packet(p.peer, iter);
+                    let extra = profile.link_extra(dev, p.peer, iter, nth);
+                    let outstanding = ch.push((p.msg(&instr), clock.now() + extra));
+                    rec.send(dev, &instr, p.peer, blocked, outstanding);
+                    launch
                 }
                 Some(p @ P2p { dir: Dir::Recv, .. }) => {
-                    let peer = p.peer;
                     let ch = chans.entry(p.chan(dev, instr.part)).or_default();
-                    match ch.front() {
-                        Some(&(msg, sent_at)) => {
-                            let want = p.msg(&instr);
-                            if msg != want {
-                                return Err(SimError::Mismatch(format!(
-                                    "{dev} expected {want:?}, found {msg:?}"
-                                )));
-                            }
-                            ch.pop();
-                            let bytes = cost.boundary_bytes(dev, instr.part);
-                            let launch = cost.p2p_launch_overhead();
-                            let wire = cost.p2p_time_between(peer, dev, bytes);
-                            let ready = clocks[d] + launch;
-                            let arrival = ready.max(sent_at + wire);
-                            (sp_work, sp_sent, sp_wire) = (launch, sent_at, wire);
-                            // The wait for this message is exactly the
-                            // idle gap an async checkpoint write drains
-                            // into — the emulator's recv-side chunk flush.
-                            // The drained slice is checkpoint time, the
-                            // rest a genuine pipeline bubble.
-                            let gap = arrival - ready;
-                            let drained = match ckpt.as_mut() {
-                                Some(ck) => ck.drain(d, gap),
-                                None => 0,
-                            };
-                            rec.recv(dev, peer, launch, gap, drained);
-                            ch.ack(arrival);
-                            clocks[d] = arrival;
-                            true
-                        }
-                        None => false,
+                    let Some(&(msg, sent_at)) = ch.front() else {
+                        continue;
+                    };
+                    let want = p.msg(&instr);
+                    if msg != want {
+                        return Err(SimError::Mismatch(format!(
+                            "{dev} expected {want:?}, found {msg:?}"
+                        )));
                     }
+                    ch.pop();
+                    let bytes = cost.boundary_bytes(dev, instr.part);
+                    let launch = cost.p2p_launch_overhead();
+                    (sp_sent, sp_wire) = (sent_at, cost.p2p_time_between(p.peer, dev, bytes));
+                    clock.launch(launch);
+                    let gap = clock.wait_until(sent_at + sp_wire, Dir::Recv);
+                    ch.ack(clock.now());
+                    rec.recv(dev, p.peer, gap);
+                    launch
                 }
             };
-            if fired_now {
-                rec.fired(OpSpan {
-                    device: dev,
-                    iter,
-                    pc: lpc as u32,
-                    start,
-                    end: clocks[d],
-                    work_ns: sp_work,
-                    sent_at: sp_sent,
-                    wire_ns: sp_wire,
-                    gate_ns: sp_gate,
-                });
-                gpc[d] += 1;
-                fired = true;
-                // Completing the program's last instruction is the
-                // emulator's end-of-iteration checkpoint boundary.
-                if gpc[d].is_multiple_of(len) {
-                    if let Some(ck) = ckpt.as_mut() {
-                        let done = (gpc[d] / len - 1) as u32;
-                        ck.boundary(d, done, cost, &mut clocks[d], &mut rec);
-                    }
-                }
+            rec.fired(OpSpan {
+                device: dev,
+                iter,
+                pc: lpc as u32,
+                start,
+                end: clock.now(),
+                work_ns,
+                sent_at: sp_sent,
+                wire_ns: sp_wire,
+                gate_ns: sp_gate,
+            });
+            gpc[d] += 1;
+            fired = true;
+            // Completing the program's last instruction is the emulator's
+            // end-of-iteration checkpoint boundary.
+            if gpc[d].is_multiple_of(len) {
+                boundary(clock, policy, iter, cost, &mut rec);
             }
         }
         if all_done {
@@ -809,12 +618,12 @@ fn simulate_core<R: Recorder>(
 
     // No bubbles remain past the last instruction: pay any async residue
     // synchronously so the final checkpoint is durable when the run ends.
-    if let Some(ck) = ckpt.as_mut() {
-        for (d, clock) in clocks.iter_mut().enumerate() {
-            ck.drain_end(d, iterations, clock, &mut rec);
+    for clock in &mut clocks {
+        if let Some(span) = clock.end_run(iterations - 1) {
+            rec.fired(span);
         }
     }
-    Ok(rec.finish(clocks, ckpt.as_ref()))
+    Ok(rec.finish(clocks))
 }
 
 #[cfg(test)]

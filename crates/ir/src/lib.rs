@@ -23,6 +23,9 @@
 //! * [`perturb`] — degraded-cluster perturbation profiles (stragglers,
 //!   slow links), the shared vocabulary that keeps the simulator's
 //!   degraded mode and the emulator's fault layer bit-for-bit aligned;
+//! * [`clock`] — the device clock, the one rule every timed executor
+//!   advances a device's virtual time through (time classes, checkpoint
+//!   chunk drain and durability, per-iteration packet numbering);
 //! * [`checkpoint`] — the model-state checkpointing policy (periodic
 //!   checkpoint writes with explicit time and memory cost) the cluster
 //!   emulator charges and its recovery loop resumes from;
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod clock;
 pub mod cost;
 pub mod exec;
 pub mod hash;
@@ -62,6 +66,7 @@ pub mod topology;
 pub mod validate;
 
 pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
+pub use clock::DeviceClock;
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use hash::FastMap;

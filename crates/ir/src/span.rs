@@ -73,6 +73,23 @@ pub struct OpSpan {
 }
 
 impl OpSpan {
+    /// The span of a checkpoint write (a boundary or the end-of-run
+    /// residue) on `device` in iteration `iter`, busy from `start` to
+    /// `end`.
+    pub fn checkpoint(device: DeviceId, iter: u32, start: Nanos, end: Nanos) -> Self {
+        Self {
+            device,
+            iter,
+            pc: CKPT_PC,
+            start,
+            end,
+            work_ns: end - start,
+            sent_at: 0,
+            wire_ns: 0,
+            gate_ns: 0,
+        }
+    }
+
     /// True for checkpoint boundary/drain spans (no program instruction).
     pub fn is_ckpt(&self) -> bool {
         self.pc == CKPT_PC

@@ -46,22 +46,27 @@ fn parse_model(name: &str) -> Option<ModelConfig> {
     }
 }
 
-fn parse_scheme(tok: &str) -> Option<SchemeKind> {
+fn parse_scheme(tok: &str) -> Result<SchemeKind, String> {
+    let unknown = || format!("unknown scheme '{tok}'");
     match tok {
-        "G" => Some(SchemeKind::GPipe),
-        "V" => Some(SchemeKind::OneFOneB),
-        "X" => Some(SchemeKind::Chimera),
-        "F" => Some(SchemeKind::ForwardOnly),
-        "Z" => Some(SchemeKind::ZeroBubbleH1),
-        "ZV" => Some(SchemeKind::ZeroBubbleV),
+        "G" => Ok(SchemeKind::GPipe),
+        "V" => Ok(SchemeKind::OneFOneB),
+        "X" => Ok(SchemeKind::Chimera),
+        "F" => Ok(SchemeKind::ForwardOnly),
+        "Z" => Ok(SchemeKind::ZeroBubbleH1),
+        "ZV" => Ok(SchemeKind::ZeroBubbleV),
         _ => {
-            let (l, c) = tok.split_once(':')?;
-            let chunks = c.parse().ok()?;
-            match l {
-                "W" => Some(SchemeKind::Interleave { chunks }),
-                "H" => Some(SchemeKind::Wave { chunks }),
-                _ => None,
+            let (l, c) = tok.split_once(':').ok_or_else(unknown)?;
+            let chunks: u32 = c.parse().map_err(|_| unknown())?;
+            let scheme = match l {
+                "W" => SchemeKind::Interleave { chunks },
+                "H" => SchemeKind::Wave { chunks },
+                _ => return Err(unknown()),
+            };
+            if chunks == 0 {
+                return Err(format!("scheme '{tok}' needs at least one chunk"));
             }
+            Ok(scheme)
         }
     }
 }
@@ -137,13 +142,16 @@ fn cost_for(args: &Args, schedule: &Schedule) -> Result<AnalyticCost, String> {
     let model = parse_model(args.req("model")?).ok_or("unknown model")?;
     let mbs: u32 = args.num("mbs")?;
     let tp: u32 = args.opt_num("tp", 1)?;
+    if mbs == 0 || tp == 0 {
+        return Err("--mbs and --tp must be at least 1".into());
+    }
     let setup = TrainSetup::pipeline(model, GpuSpec::a100_40g(), schedule.topology, mbs)
         .with_tp(tp);
     Ok(AnalyticCost::new(&setup))
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
-    let scheme = parse_scheme(args.req("scheme")?).ok_or("unknown scheme")?;
+    let scheme = parse_scheme(args.req("scheme")?)?;
     let devices: u32 = args.num("devices")?;
     let micros: u32 = args.num("micros")?;
     if devices == 0 || micros == 0 {
@@ -169,15 +177,18 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
     let devices: u32 = args.num("devices")?;
     let gbs: u32 = args.num("gbs")?;
     let mem_gb: u64 = args.opt_num("mem-gb", 40)?;
+    let memory_per_device = mem_gb
+        .checked_mul(1 << 30)
+        .ok_or("--mem-gb is too large: the budget overflows 64-bit bytes")?;
     let scheme_choice = match args.flags.get("scheme") {
         None => SchemeChoice::Auto,
-        Some(t) => SchemeChoice::Fixed(vec![parse_scheme(t).ok_or("unknown scheme")?]),
+        Some(t) => SchemeChoice::Fixed(vec![parse_scheme(t)?]),
     };
     let conf = MarioConfig {
         pipeline_scheme: scheme_choice,
         global_batch_size: gbs,
         num_devices: devices,
-        memory_per_device: mem_gb << 30,
+        memory_per_device,
     };
     let opt = optimize(&conf, &model, &GpuSpec::a100_40g()).map_err(|e| e.to_string())?;
     eprintln!(

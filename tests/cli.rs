@@ -192,3 +192,58 @@ fn simulate_reports_a_hostile_schedule_header_without_panicking() {
     );
     assert!(!err.contains("panicked"), "{err}");
 }
+
+/// Runs `mario` with `args` and asserts it exits 1, without panicking,
+/// on an `error:` line that mentions `what`.
+fn rejects(args: &[&str], what: &str) {
+    let out = mario().args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.lines().any(|l| l.starts_with("error:") && l.contains(what)),
+        "{err}"
+    );
+}
+
+#[test]
+fn generate_rejects_zero_interleave_chunks() {
+    let args = ["generate", "--scheme", "W:0", "--devices", "2", "--micros", "4"];
+    rejects(&args, "'W:0' needs at least one chunk");
+}
+
+#[test]
+fn generate_rejects_zero_waves() {
+    let args = ["generate", "--scheme", "H:0", "--devices", "2", "--micros", "4"];
+    rejects(&args, "'H:0' needs at least one chunk");
+}
+
+#[test]
+fn simulate_and_emulate_reject_zero_tensor_parallelism() {
+    let path = tmp("tp0.txt");
+    let p = path.to_str().unwrap();
+    let gen = ["generate", "--scheme", "V", "--devices", "2", "--micros", "2", "--out", p];
+    assert!(mario().args(gen).status().unwrap().success());
+    for cmd in ["simulate", "emulate"] {
+        let args = [cmd, "--schedule", p, "--model", "gpt3-1.6b", "--mbs", "1", "--tp", "0"];
+        rejects(&args, "--tp must be at least 1");
+    }
+}
+
+#[test]
+fn simulate_rejects_a_zero_micro_batch_size() {
+    let path = tmp("mbs0.txt");
+    let p = path.to_str().unwrap();
+    let gen = ["generate", "--scheme", "V", "--devices", "2", "--micros", "2", "--out", p];
+    assert!(mario().args(gen).status().unwrap().success());
+    let args = ["simulate", "--schedule", p, "--model", "gpt3-1.6b", "--mbs", "0"];
+    rejects(&args, "--mbs and --tp must be at least 1");
+}
+
+#[test]
+fn optimize_rejects_a_memory_budget_that_overflows() {
+    let args = [
+        "optimize", "--model", "gpt3-1.6b", "--devices", "4", "--gbs", "16", "--mem-gb",
+        "17179869184",
+    ];
+    rejects(&args, "--mem-gb is too large");
+}
