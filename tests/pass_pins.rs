@@ -7,17 +7,21 @@
 //! change to where a checkpoint, recompute or revert lands changes a
 //! digest.
 //!
+//! The prepose test pins pass 4 the same way, with its `PassStats`, under
+//! the analytic cost at several memory budgets and on the unit grid.
+//!
 //! The fig11 grid test hashes 64-device schedules of up to 1.8 M
 //! instructions; it takes a few seconds under the test profile's
 //! opt-level 2 and far longer in an unoptimised build.
 
 use mario::core::passes::{
     apply_checkpoint, overlap_recompute, remove_redundancy, run_graph_tuner, split_backward,
-    GraphTunerOptions, SplitOptions,
+    GraphTunerOptions, PreposeOptions, SplitOptions,
 };
-use mario::core::tuner::{admissible, SchemeChoice, TunerConfig};
-use mario::ir::{to_text, Schedule, SchemeKind};
-use mario::model::ModelConfig;
+use mario::core::simulator::simulate_memory;
+use mario::core::tuner::{admissible, scheme_channel_capacity, SchemeChoice, TunerConfig};
+use mario::ir::{to_text, CostModel, Schedule, SchemeKind, Topology, UnitCost};
+use mario::model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario::schedules::{generate, ScheduleConfig};
 
 /// 64-bit FNV-1a.
@@ -156,4 +160,81 @@ fn passes_match_the_sequential_edits_on_the_fig11_grid() {
     let (h, points) = grid_digest(&fig11_config(64, 2048));
     assert_eq!(points, 180);
     assert_eq!(h, 0x8a57_e77c_0b9d_cb49, "fig11 grid digest {h:#018x}");
+}
+
+/// The prepose pin points: every scheme prepose has to reckon with, at
+/// two widths and two depths.
+fn prepose_points() -> Vec<(SchemeKind, u32, u32)> {
+    let mut points = Vec::new();
+    for scheme in [
+        SchemeKind::OneFOneB,
+        SchemeKind::Chimera,
+        SchemeKind::Interleave { chunks: 2 },
+    ] {
+        for d in [4u32, 8] {
+            for n in [8u32, 32] {
+                points.push((scheme, d, n));
+            }
+        }
+    }
+    points
+}
+
+/// Runs full Mario (passes 1–4) on `s` at its scheme's channel capacity
+/// under `mem_capacity`, appends the `PassStats` and the schedule text to
+/// `h`, and returns the swaps preposed.
+fn tune_and_hash(
+    h: &mut u64,
+    label: &str,
+    mut s: Schedule,
+    cost: &dyn CostModel,
+    mem_capacity: Option<u64>,
+) -> usize {
+    let opts = GraphTunerOptions {
+        prepose_opts: PreposeOptions {
+            channel_capacity: scheme_channel_capacity(s.topology.scheme),
+            mem_capacity,
+            ..PreposeOptions::default()
+        },
+        ..GraphTunerOptions::mario()
+    };
+    let stats = run_graph_tuner(&mut s, cost, opts);
+    fnv1a(h, format!("{label} {mem_capacity:?} {stats:?}").as_bytes());
+    fnv1a(h, to_text(&s).as_bytes());
+    stats.preposed
+}
+
+/// Pins what the simulator-guided pass 4 decides: every accepted swap
+/// shows in the schedule text and `PassStats`. Each point runs under
+/// GPT3-13B on A100-40G at mbs 2 uncapped, under 40 GiB (which the 4-stage
+/// pipelines already exceed), at exactly the pass-3 schedule's peak and
+/// one byte below it, where `fits` turns down every swap the makespan
+/// alone would take; the unit grid runs uncapped.
+#[test]
+fn prepose_decisions_match_on_every_scheme() {
+    let mut h = FNV_OFFSET;
+    let (mut uncapped, mut below_peak) = (0, 0);
+    for (scheme, d, n) in prepose_points() {
+        let label = format!("{scheme:?} {d}x{n}");
+        let s = generate(ScheduleConfig::new(scheme, d, n));
+        let cost = AnalyticCost::new(&TrainSetup::pipeline(
+            ModelConfig::gpt3_13b(),
+            GpuSpec::a100_40g(),
+            Topology::new(scheme, d),
+            2,
+        ));
+        let mut pass3 = s.clone();
+        passes_1_to_3(&mut pass3);
+        let peak = simulate_memory(&pass3, &cost, None).max_peak();
+        uncapped += tune_and_hash(&mut h, &label, s.clone(), &cost, None);
+        tune_and_hash(&mut h, &label, s.clone(), &cost, Some(40 << 30));
+        tune_and_hash(&mut h, &label, s.clone(), &cost, Some(peak));
+        below_peak += tune_and_hash(&mut h, &label, s.clone(), &cost, Some(peak - 1));
+        tune_and_hash(&mut h, &label, s, &UnitCost::paper_grid(), None);
+    }
+    assert!(
+        uncapped > 0 && below_peak == 0,
+        "{uncapped} uncapped, {below_peak} below peak"
+    );
+    assert_eq!(h, 0x3beb_1949_b0da_2def, "prepose digest {h:#018x}");
 }
