@@ -26,7 +26,7 @@ use crate::span::OpSpan;
 use crate::telemetry::TimeClasses;
 
 /// One device's virtual clock; see the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeviceClock {
     device: DeviceId,
     now: Nanos,
@@ -36,6 +36,32 @@ pub struct DeviceClock {
     /// Packets sent per peer in iteration `packets_iter`.
     packets: FastMap<DeviceId, usize>,
     packets_iter: u32,
+}
+
+/// Field by field, so that `clone_from` reuses the destination's buffers
+/// (the DP simulator clones paused sweeps).
+impl Clone for DeviceClock {
+    fn clone(&self) -> Self {
+        Self {
+            device: self.device,
+            now: self.now,
+            classes: self.classes,
+            pending: self.pending.clone(),
+            durable: self.durable,
+            packets: self.packets.clone(),
+            packets_iter: self.packets_iter,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.device = source.device;
+        self.now = source.now;
+        self.classes = source.classes;
+        self.pending.clone_from(&source.pending);
+        self.durable = source.durable;
+        self.packets.clone_from(&source.packets);
+        self.packets_iter = source.packets_iter;
+    }
 }
 
 impl DeviceClock {

@@ -112,7 +112,7 @@ impl P2p {
 /// window consumes the oldest ack, so it never exceeds the capacity the
 /// sender reserves with, and the `k`-th blocked send consumes exactly
 /// the `k`-th ack.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Fifo<T> {
     queue: VecDeque<T>,
     acks: VecDeque<Nanos>,
