@@ -1,7 +1,9 @@
 //! Generator-level properties: instruction counts, warmup structure,
 //! memory profiles and makespans across the whole (scheme, D, N) space.
 
-use mario_ir::{DeviceId, InstrTag, MicroId, PartId, SchemeKind};
+use mario_ir::{
+    DeviceId, Instr, InstrKind, InstrTag, MicroId, PartId, Schedule, SchemeKind, Topology,
+};
 use mario_schedules::{generate, generate_compute, unit_makespan, ScheduleConfig};
 use proptest::prelude::*;
 
@@ -128,4 +130,81 @@ proptest! {
             prop_assert!(gp[dev] >= vp[dev]);
         }
     }
+}
+
+/// Every scheme `generate` supports, at sizes each one accepts.
+fn every_generated_schedule() -> Vec<Schedule> {
+    let mut out = Vec::new();
+    for (d, n) in [(2u32, 4u32), (4, 8), (4, 16), (8, 16)] {
+        for scheme in [
+            SchemeKind::GPipe,
+            SchemeKind::OneFOneB,
+            SchemeKind::Chimera,
+            SchemeKind::Interleave { chunks: 2 },
+            SchemeKind::Interleave { chunks: 3 },
+            SchemeKind::Wave { chunks: 2 },
+            SchemeKind::ForwardOnly,
+            SchemeKind::ZeroBubbleH1,
+            SchemeKind::ZeroBubbleV,
+        ] {
+            out.push(generate(ScheduleConfig::new(scheme, d, n)));
+        }
+    }
+    out
+}
+
+/// The part of the stage an instruction runs for on `dev`. A message is
+/// tagged with its producer's part, so a receive runs for the hop after
+/// (activations) or before (gradients) its sender's; `None` when the
+/// sender's stage has no such hop on `dev`.
+fn local_part(topo: &Topology, dev: DeviceId, i: &Instr) -> Option<PartId> {
+    let hop = match i.kind {
+        InstrKind::RecvAct { peer } => topo.next_hop(peer, i.part),
+        InstrKind::RecvGrad { peer } => topo.prev_hop(peer, i.part),
+        _ => return Some(i.part),
+    };
+    hop.filter(|&(d, _)| d == dev).map(|(_, p)| p)
+}
+
+/// Asserts that no instruction of any generated schedule has a tag in
+/// `banned` on a device holding the first (or, when `first` is false, the
+/// last) stage of the part it runs for.
+fn check_stage_comm(first: bool, banned: [InstrTag; 2]) {
+    for s in every_generated_schedule() {
+        let topo = &s.topology;
+        for prog in s.programs() {
+            let dev = prog.device;
+            for (pc, i) in prog.iter() {
+                let what = format!(
+                    "{:?} {}x{}: {dev}#{pc} {i}",
+                    topo.scheme, topo.devices, s.micros
+                );
+                let part =
+                    local_part(topo, dev, i).unwrap_or_else(|| panic!("{what}: no such hop"));
+                let at_end = if first {
+                    topo.is_first_stage(dev, part)
+                } else {
+                    topo.is_last_stage(dev, part)
+                };
+                assert!(
+                    !(at_end && banned.contains(&i.kind.tag())),
+                    "{what} on an end stage"
+                );
+            }
+        }
+    }
+}
+
+/// A first stage has no upstream: it never receives an activation or
+/// sends a gradient for that part.
+#[test]
+fn first_stage_never_receives_activations_or_sends_gradients() {
+    check_stage_comm(true, [InstrTag::RecvAct, InstrTag::SendGrad]);
+}
+
+/// A last stage has no downstream: it never sends an activation or
+/// receives a gradient for that part.
+#[test]
+fn last_stage_never_sends_activations_or_receives_gradients() {
+    check_stage_comm(false, [InstrTag::SendAct, InstrTag::RecvGrad]);
 }
