@@ -26,10 +26,10 @@ use crate::error::EmuError;
 use crate::faults::FaultPlan;
 use crate::link::{LinkError, Packet};
 use crate::machine::{
-    links, CkptBoard, DeviceReport, Machine, Port, Shared, StallTable, Stepped, Transport,
+    CkptBoard, DeviceReport, Link, LinkTable, Machine, Shared, StallTable, Stepped, Transport,
 };
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
-use mario_ir::{ChanKey, CostModel, DeviceId, FastMap, Fifo, MemoryRules, Nanos, Schedule};
+use mario_ir::{CostModel, DeviceId, Dir, Fifo, MemoryRules, Nanos, Schedule};
 use std::collections::VecDeque;
 
 /// One bounded-FIFO link, event-style: the shared [`Fifo`] plus whether
@@ -42,53 +42,44 @@ struct EventChannel {
     receiver_settled: bool,
 }
 
-/// One device's view of the in-memory links: an empty or full link
+/// The in-memory links, indexed by link number: an empty or full link
 /// parks the machine, and once the peer has settled the link reads as
 /// disconnected — FIFO-ordered after all genuine traffic, the same
 /// observation the thread backend's poison markers make. Every packet
 /// and ack wakes the peer it is for.
 struct EventLinks<'s> {
-    me: DeviceId,
-    chans: &'s mut FastMap<ChanKey, EventChannel>,
+    table: &'s LinkTable,
+    chans: &'s mut [EventChannel],
     capacity: usize,
     wakes: &'s mut Vec<usize>,
 }
 
-impl EventLinks<'_> {
-    fn chan(&mut self, key: ChanKey) -> Result<&mut EventChannel, LinkError> {
-        self.chans.get_mut(&key).ok_or(LinkError::NoRoute)
-    }
-}
-
 impl Transport for EventLinks<'_> {
-    fn reserve(&mut self, (peer, class, part): Port) -> Result<Option<Nanos>, LinkError> {
-        let capacity = self.capacity;
-        let chan = self.chan((self.me, peer, class, part))?;
-        match chan.fifo.reserve(capacity) {
+    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
+        let chan = &mut self.chans[link.id];
+        match chan.fifo.reserve(self.capacity) {
             None if chan.receiver_settled => Err(LinkError::Disconnected),
             freed => Ok(freed),
         }
     }
 
-    fn push(&mut self, (peer, class, part): Port, pkt: Packet) -> Result<usize, LinkError> {
-        let occupancy = self.chan((self.me, peer, class, part))?.fifo.push(pkt);
-        self.wakes.push(peer.index());
+    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
+        let occupancy = self.chans[link.id].fifo.push(pkt);
+        self.wakes.push(self.table.key(link.id).1.index());
         Ok(occupancy)
     }
 
-    fn pop(&mut self, (peer, class, part): Port) -> Result<Option<Packet>, LinkError> {
-        let chan = self.chan((peer, self.me, class, part))?;
+    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
+        let chan = &mut self.chans[link.id];
         match chan.fifo.pop() {
             None if chan.sender_settled => Err(LinkError::Disconnected),
             pkt => Ok(pkt),
         }
     }
 
-    fn ack(&mut self, (peer, class, part): Port, at: Nanos) {
-        if let Ok(chan) = self.chan((peer, self.me, class, part)) {
-            chan.fifo.ack(at);
-        }
-        self.wakes.push(peer.index());
+    fn ack(&mut self, link: Link, at: Nanos) {
+        self.chans[link.id].fifo.ack(at);
+        self.wakes.push(self.table.key(link.id).0.index());
     }
 }
 
@@ -96,12 +87,12 @@ impl Transport for EventLinks<'_> {
 /// [`Sched::settle`].
 struct Sched<'a> {
     devs: Vec<Machine<'a>>,
-    chans: FastMap<ChanKey, EventChannel>,
+    /// The run's links and each device's ports onto them, which
+    /// settlement walks too.
+    table: &'a LinkTable,
+    /// One channel per link, indexed by link number.
+    chans: Vec<EventChannel>,
     capacity: usize,
-    /// The links each device sends on (`out`) and receives on (`inp`),
-    /// for settlement.
-    out: Vec<Vec<ChanKey>>,
-    inp: Vec<Vec<ChanKey>>,
     queue: VecDeque<usize>,
     queued: Vec<bool>,
     results: Vec<Option<Result<DeviceReport, EmuError>>>,
@@ -121,19 +112,14 @@ impl Sched<'_> {
     /// traffic (FIFO order). Wakes the affected peers.
     fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>) {
         self.results[d] = Some(result);
-        for i in 0..self.out[d].len() {
-            let key = self.out[d][i];
-            if let Some(chan) = self.chans.get_mut(&key) {
-                chan.sender_settled = true;
-            }
-            self.wake(key.1.index());
+        let (table, device) = (self.table, DeviceId(d as u32));
+        for &((peer, ..), id) in table.ports(device, Dir::Send) {
+            self.chans[id].sender_settled = true;
+            self.wake(peer.index());
         }
-        for i in 0..self.inp[d].len() {
-            let key = self.inp[d][i];
-            if let Some(chan) = self.chans.get_mut(&key) {
-                chan.receiver_settled = true;
-            }
-            self.wake(key.0.index());
+        for &((peer, ..), id) in table.ports(device, Dir::Recv) {
+            self.chans[id].receiver_settled = true;
+            self.wake(peer.index());
         }
     }
 
@@ -147,7 +133,7 @@ impl Sched<'_> {
                 continue;
             }
             let mut links = EventLinks {
-                me: DeviceId(d as u32),
+                table: self.table,
                 chans: &mut self.chans,
                 capacity: self.capacity,
                 wakes: &mut wakes,
@@ -215,12 +201,14 @@ pub(crate) fn run_event(
     );
 
     let rules = MemoryRules::new(schedule);
+    let table = LinkTable::new(schedule);
     let stalls = StallTable::new(devices);
     let ckpts = CkptBoard::new(devices);
     let shared = Shared {
         schedule,
         cost,
         rules: &rules,
+        links: &table,
         stalls: &stalls,
         ckpts: &ckpts,
         serving,
@@ -233,21 +221,13 @@ pub(crate) fn run_event(
                 Machine::new(shared, device, &cfg, plan.for_device(device), startup_ns)
             })
             .collect(),
-        chans: FastMap::default(),
+        table: &table,
+        chans: (0..table.len()).map(|_| EventChannel::default()).collect(),
         capacity: cfg.channel_capacity,
-        out: vec![Vec::new(); devices],
-        inp: vec![Vec::new(); devices],
         queue: order.iter().map(|&d| d as usize).collect(),
         queued: vec![true; devices],
         results: (0..devices).map(|_| None).collect(),
     };
-    for key in links(schedule) {
-        sched.chans.insert(key, EventChannel::default());
-        sched.out[key.0.index()].push(key);
-        if let Some(keys) = sched.inp.get_mut(key.1.index()) {
-            keys.push(key);
-        }
-    }
     sched.drain_queue();
 
     // Quiescence, phase 1: devices parked on a link with an injected

@@ -13,10 +13,9 @@
 //! to a device clock is the [`crate::machine`]'s business, which is why
 //! the emulated timeline is deterministic under any thread interleaving.
 
-use crate::machine::{Port, Transport};
+use crate::machine::{Link, LinkTable, Transport};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use mario_ir::{Msg, Nanos};
-use std::collections::HashMap;
+use mario_ir::{DeviceId, Dir, Msg, Nanos};
 use std::time::Duration;
 
 /// A packet in flight.
@@ -55,7 +54,8 @@ pub enum LinkError {
     Disconnected,
     /// Received packet identity does not match the expectation.
     Mismatch(Msg),
-    /// No link was built for the port: no peer ever sends on it.
+    /// No link was built for the port: it is not in its device's
+    /// [`LinkTable`] ports.
     NoRoute,
 }
 
@@ -186,45 +186,72 @@ impl RecvHalf {
     }
 }
 
-/// One device's link halves, keyed by `(peer, class, part)`.
-#[derive(Default)]
+/// One device's link halves, in the slot order of its [`LinkTable`]
+/// ports.
 pub(crate) struct ThreadLinks {
-    pub out: HashMap<Port, SendHalf>,
-    pub inp: HashMap<Port, RecvHalf>,
+    out: Vec<SendHalf>,
+    inp: Vec<RecvHalf>,
 }
 
 impl ThreadLinks {
+    /// Every device's halves of the links in `table`, each with the given
+    /// buffer `capacity` and watchdog `timeout`. The receiving half of a
+    /// link to a device past the count is dropped: sends on it read as
+    /// disconnected.
+    pub fn build(
+        table: &LinkTable,
+        devices: usize,
+        capacity: usize,
+        timeout: Duration,
+    ) -> Vec<Self> {
+        let mut halves: Vec<_> = (0..table.len())
+            .map(|_| {
+                let (tx, rx) = link(capacity, timeout);
+                (Some(tx), Some(rx))
+            })
+            .collect();
+        (0..devices)
+            .map(|d| {
+                let device = DeviceId(d as u32);
+                let ids = |dir| table.ports(device, dir).iter().map(|&(_, id)| id);
+                Self {
+                    out: (ids(Dir::Send))
+                        .map(|id| halves[id].0.take().expect("one sender per link"))
+                        .collect(),
+                    inp: (ids(Dir::Recv))
+                        .map(|id| halves[id].1.take().expect("one receiver per link"))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
     /// Poisons every half this device owns: outgoing data links and the
     /// ack sides of incoming links. Called once the device has settled
     /// (completed or failed), before the halves are dropped, so peers
     /// blocked on this device observe a FIFO-ordered end-of-stream marker
     /// instead of a real-time-racy channel teardown.
     pub fn poison(&mut self) {
-        self.out.values_mut().for_each(SendHalf::poison);
-        self.inp.values_mut().for_each(RecvHalf::poison);
+        self.out.iter_mut().for_each(SendHalf::poison);
+        self.inp.iter_mut().for_each(RecvHalf::poison);
     }
 }
 
 impl Transport for ThreadLinks {
-    fn reserve(&mut self, port: Port) -> Result<Option<Nanos>, LinkError> {
-        let half = self.out.get_mut(&port).ok_or(LinkError::NoRoute)?;
-        half.reserve().map(Some)
+    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
+        self.out[link.slot].reserve().map(Some)
     }
 
-    fn push(&mut self, port: Port, pkt: Packet) -> Result<usize, LinkError> {
-        let half = self.out.get_mut(&port).ok_or(LinkError::NoRoute)?;
-        half.push(pkt)
+    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
+        self.out[link.slot].push(pkt)
     }
 
-    fn pop(&mut self, port: Port) -> Result<Option<Packet>, LinkError> {
-        let half = self.inp.get_mut(&port).ok_or(LinkError::NoRoute)?;
-        half.pop().map(Some)
+    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
+        self.inp[link.slot].pop().map(Some)
     }
 
-    fn ack(&mut self, port: Port, at: Nanos) {
-        if let Some(half) = self.inp.get_mut(&port) {
-            half.ack(at);
-        }
+    fn ack(&mut self, link: Link, at: Nanos) {
+        self.inp[link.slot].ack(at);
     }
 }
 

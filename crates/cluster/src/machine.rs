@@ -14,13 +14,14 @@
 //! checkpoint state on the shared [`CkptBoard`] whenever `step` returns.
 //!
 //! Packets move through a `Transport`, the only thing the two backends
-//! supply: the event backend's in-memory FIFOs park the machine when a
-//! link is empty or full (`Machine::step` returns `Stepped::Blocked`
-//! and resumes the parked operation on the next call), while the thread
-//! backend's crossbeam links block the device's thread up to the
-//! watchdog. Every clock update depends only on packet timestamps, never
-//! on when a backend ran the machine, so both backends reach bit-identical
-//! results.
+//! supply. The machine resolves each send or recv port once, through the
+//! run's [`LinkTable`], and hands the transport the resolved [`Link`]. The
+//! event backend's in-memory FIFOs park the machine when a link is empty
+//! or full (`Machine::step` returns `Stepped::Blocked` and resumes the
+//! parked operation on the next call), while the thread backend's
+//! crossbeam links block the device's thread up to the watchdog. Every
+//! clock update depends only on packet timestamps, never on when a
+//! backend ran the machine, so both backends reach bit-identical results.
 
 use crate::error::EmuError;
 use crate::faults::{DeviceFaults, FaultKind, FaultReport};
@@ -29,13 +30,12 @@ use crate::runner::EmulatorConfig;
 use crate::serving::ServingHooks;
 use mario_ir::{
     AllocError, AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId,
-    DeviceProgram, DeviceTelemetry, Dir, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules,
-    Msg, MsgClass, Nanos, OpSpan, PartId, Schedule,
+    DeviceProgram, DeviceTelemetry, Dir, FastSet, Instr, InstrKind, LinkSendStats, MemLedger,
+    MemoryRules, Msg, MsgClass, Nanos, OpSpan, PartId, Schedule,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// What a device reports after finishing.
@@ -128,30 +128,38 @@ impl CkptBoard {
 /// about to block on and clears the entry once the operation pairs or
 /// fails. A deadlock report snapshots the table and names the wait chain
 /// — turning "2 s elapsed" into "d0 -> d2 -> d1 -> d0".
+///
+/// Each slot is one atomic, written only by its own device. A wait-chain
+/// walk reads the slots one at a time and is no consistent snapshot
+/// across them, so Release stores and Acquire loads are all it needs.
 #[derive(Debug, Default)]
 pub struct StallTable {
-    slots: Vec<Mutex<Option<DeviceId>>>,
+    slots: Vec<AtomicU64>,
 }
+
+/// The empty slot. Wider than any `DeviceId`, so every peer a schedule
+/// can name — `d4294967295` included — stays representable.
+const UNBLOCKED: u64 = u64::MAX;
 
 impl StallTable {
     /// A table for `devices` devices, all initially unblocked.
     pub fn new(devices: usize) -> Self {
         Self {
-            slots: (0..devices).map(|_| Mutex::new(None)).collect(),
+            slots: (0..devices).map(|_| AtomicU64::new(UNBLOCKED)).collect(),
         }
     }
 
     /// Marks `device` as about to block on `peer`.
     pub fn enter(&self, device: DeviceId, peer: DeviceId) {
         if let Some(slot) = self.slots.get(device.index()) {
-            *slot.lock() = Some(peer);
+            slot.store(peer.0.into(), Ordering::Release);
         }
     }
 
     /// Clears `device`'s blocked mark.
     pub fn clear(&self, device: DeviceId) {
         if let Some(slot) = self.slots.get(device.index()) {
-            *slot.lock() = None;
+            slot.store(UNBLOCKED, Ordering::Release);
         }
     }
 
@@ -162,9 +170,10 @@ impl StallTable {
         let mut chain = vec![device];
         let mut current = device;
         while let Some(slot) = self.slots.get(current.index()) {
-            let Some(next) = *slot.lock() else {
+            let Ok(next) = u32::try_from(slot.load(Ordering::Acquire)) else {
                 break;
             };
+            let next = DeviceId(next);
             let looped = chain.contains(&next);
             chain.push(next);
             if looped {
@@ -181,8 +190,8 @@ pub(crate) type Port = (DeviceId, MsgClass, PartId);
 
 /// Every directed link the schedule's sends use, once each, in program
 /// order.
-pub(crate) fn links(schedule: &Schedule) -> Vec<ChanKey> {
-    let mut seen = HashSet::new();
+fn links(schedule: &Schedule) -> Vec<ChanKey> {
+    let mut seen = FastSet::default();
     let mut keys = Vec::new();
     for prog in schedule.programs() {
         for (_, i) in prog.iter() {
@@ -198,23 +207,108 @@ pub(crate) fn links(schedule: &Schedule) -> Vec<ChanKey> {
     keys
 }
 
+/// A port resolved through the [`LinkTable`]: the link's number (its
+/// position in [`links`]) and its slot among the ports its device has in
+/// that direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    pub id: usize,
+    pub slot: usize,
+}
+
+/// Every directed link of a run, numbered by position in [`links`], and
+/// each device's sorted port table onto them: the one port lookup both
+/// transports and the event backend's settlement use. A port missing from
+/// its device's table has no link.
+#[derive(Debug)]
+pub(crate) struct LinkTable {
+    keys: Vec<ChanKey>,
+    /// Per device, its sending and its receiving ports, sorted, each with
+    /// its link number.
+    out: Vec<Vec<(Port, usize)>>,
+    inp: Vec<Vec<(Port, usize)>>,
+}
+
+impl LinkTable {
+    /// The links `schedule`'s sends use and every device's ports onto
+    /// them.
+    pub(crate) fn new(schedule: &Schedule) -> Self {
+        let keys = links(schedule);
+        let devices = schedule.devices() as usize;
+        let (mut out, mut inp) = (vec![Vec::new(); devices], vec![Vec::new(); devices]);
+        for (id, &(src, dst, class, part)) in keys.iter().enumerate() {
+            out[src.index()].push(((dst, class, part), id));
+            // A send to a device past the count has no receiving end.
+            if let Some(ports) = inp.get_mut(dst.index()) {
+                ports.push(((src, class, part), id));
+            }
+        }
+        for ports in out.iter_mut().chain(&mut inp) {
+            ports.sort_unstable();
+        }
+        Self { keys, out, inp }
+    }
+
+    /// Number of links.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The `(sender, receiver, class, part)` of link `id`.
+    pub(crate) fn key(&self, id: usize) -> ChanKey {
+        self.keys[id]
+    }
+
+    /// `device`'s ports that `dir` uses, with their link numbers, in slot
+    /// order.
+    pub(crate) fn ports(&self, device: DeviceId, dir: Dir) -> &[(Port, usize)] {
+        let table = if dir == Dir::Send {
+            &self.out
+        } else {
+            &self.inp
+        };
+        table.get(device.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The link behind `device`'s `port` in direction `dir`, if one was
+    /// built.
+    pub(crate) fn resolve(&self, device: DeviceId, dir: Dir, port: Port) -> Option<Link> {
+        let ports = self.ports(device, dir);
+        let slot = ports.binary_search_by(|&(p, _)| p.cmp(&port)).ok()?;
+        Some(Link {
+            id: ports[slot].1,
+            slot,
+        })
+    }
+}
+
 /// A device's links: moves packets and dequeue timestamps, nothing else.
 /// `Ok(None)` means the operation cannot complete yet and the machine
-/// parks; a blocking transport never returns it. A port no link was
-/// built for fails with [`LinkError::NoRoute`].
+/// parks; a blocking transport never returns it.
 pub(crate) trait Transport {
-    /// Frees a slot for one more packet on the outgoing link `port`:
-    /// returns the time the slot was freed — the dequeue time of the
-    /// oldest un-acked packet when the window is full, 0 when it has
-    /// room.
-    fn reserve(&mut self, port: Port) -> Result<Option<Nanos>, LinkError>;
-    /// Enqueues `pkt` on the outgoing link `port`; returns the un-acked
-    /// window right after the send.
-    fn push(&mut self, port: Port, pkt: Packet) -> Result<usize, LinkError>;
-    /// Dequeues the next packet of the incoming link `port`.
-    fn pop(&mut self, port: Port) -> Result<Option<Packet>, LinkError>;
-    /// Acknowledges the packet just popped from `port`, dequeued at `at`.
-    fn ack(&mut self, port: Port, at: Nanos);
+    /// Frees a slot for one more packet on the outgoing `link`: returns
+    /// the time the slot was freed — the dequeue time of the oldest
+    /// un-acked packet when the window is full, 0 when it has room.
+    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError>;
+    /// Enqueues `pkt` on the outgoing `link`; returns the un-acked window
+    /// right after the send.
+    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError>;
+    /// Dequeues the next packet of the incoming `link`.
+    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError>;
+    /// Acknowledges the packet just popped from `link`, dequeued at `at`.
+    fn ack(&mut self, link: Link, at: Nanos);
+}
+
+/// `peer`'s entry in a small per-peer vector, added on first use.
+fn per_peer<V: Default>(entries: &mut Vec<(DeviceId, V)>, peer: DeviceId) -> &mut V {
+    let i = match entries.iter().position(|e| e.0 == peer) {
+        Some(i) => i,
+        None => {
+            entries.push((peer, V::default()));
+            entries.len() - 1
+        }
+    };
+    &mut entries[i].1
 }
 
 /// What every machine of one run shares.
@@ -223,6 +317,7 @@ pub(crate) struct Shared<'a> {
     pub schedule: &'a Schedule,
     pub cost: &'a dyn CostModel,
     pub rules: &'a MemoryRules,
+    pub links: &'a LinkTable,
     pub stalls: &'a StallTable,
     pub ckpts: &'a CkptBoard,
     /// Serving-mode release gates and completion scoreboard (None on
@@ -239,7 +334,8 @@ pub(crate) enum Stepped {
     Finished,
 }
 
-/// The link operation a machine is parked on.
+/// The link operation a machine is parked on, with its port's link (none
+/// when the table has no link for it).
 #[derive(Debug, Clone, Copy)]
 enum Parked {
     /// A send waiting for a slot in the link's window.
@@ -247,6 +343,7 @@ enum Parked {
         pc: usize,
         start: Nanos,
         port: Port,
+        link: Option<Link>,
         msg: Msg,
         bytes: u64,
         delay: Nanos,
@@ -256,6 +353,7 @@ enum Parked {
         pc: usize,
         start: Nanos,
         port: Port,
+        link: Option<Link>,
         expect: Msg,
     },
 }
@@ -295,8 +393,10 @@ pub(crate) struct Machine<'a> {
     pc: usize,
     parked: Option<Parked>,
     checkpoint: Option<CheckpointPolicy>,
-    link_sends: HashMap<DeviceId, LinkSendStats>,
-    link_recv_wait: HashMap<DeviceId, Nanos>,
+    /// Send statistics and recv-wait totals per peer, in first-use order;
+    /// [`Machine::finish`] turns them into the report's maps.
+    link_sends: Vec<(DeviceId, LinkSendStats)>,
+    link_recv_wait: Vec<(DeviceId, Nanos)>,
 }
 
 impl<'a> Machine<'a> {
@@ -344,8 +444,8 @@ impl<'a> Machine<'a> {
             pc: 0,
             parked: None,
             checkpoint: cfg.checkpoint,
-            link_sends: HashMap::new(),
-            link_recv_wait: HashMap::new(),
+            link_sends: Vec::new(),
+            link_recv_wait: Vec::new(),
         }
     }
 
@@ -464,12 +564,14 @@ impl<'a> Machine<'a> {
                 let launch = cost.p2p_launch_overhead();
                 self.time.launch(launch);
                 let port = (p.peer, p.class, instr.part);
+                let link = self.shared.links.resolve(self.device, p.dir, port);
                 let msg = p.msg(instr);
                 if p.dir == Dir::Recv {
                     self.park(Parked::Recv {
                         pc,
                         start,
                         port,
+                        link,
                         expect: msg,
                     });
                     return Ok(());
@@ -504,6 +606,7 @@ impl<'a> Machine<'a> {
                     pc,
                     start,
                     port,
+                    link,
                     msg,
                     bytes,
                     delay,
@@ -527,12 +630,14 @@ impl<'a> Machine<'a> {
                 pc,
                 start,
                 port,
+                link,
                 msg,
                 bytes,
                 delay,
             } => {
+                let link = link.ok_or_else(|| self.link_err(LinkError::NoRoute, pc, port.0))?;
                 let freed = links
-                    .reserve(port)
+                    .reserve(link)
                     .map_err(|e| self.link_err(e, pc, port.0))?;
                 let Some(freed) = freed else {
                     return Ok(false);
@@ -547,18 +652,14 @@ impl<'a> Machine<'a> {
                     sent_at: self.time.now().max(freed) + delay,
                 };
                 let occupancy = links
-                    .push(port, pkt)
+                    .push(link, pkt)
                     .map_err(|e| self.link_err(e, pc, port.0))?;
                 self.shared.stalls.clear(self.device);
                 let blocked = self.time.wait_until(freed, Dir::Send);
                 // The occupancy right after the send is the un-acked
                 // window, which advances in lockstep with the simulator's
                 // `Fifo`.
-                self.link_sends.entry(port.0).or_default().on_send(
-                    bytes,
-                    blocked,
-                    occupancy as u32,
-                );
+                per_peer(&mut self.link_sends, port.0).on_send(bytes, blocked, occupancy as u32);
                 let instr = self.program.get(pc).expect("pc in range");
                 self.apply_mem(pc, instr)?;
                 self.complete(start, launch, 0, 0, 0);
@@ -567,9 +668,11 @@ impl<'a> Machine<'a> {
                 pc,
                 start,
                 port,
+                link,
                 expect,
             } => {
-                let pkt = links.pop(port).map_err(|e| self.link_err(e, pc, port.0))?;
+                let link = link.ok_or_else(|| self.link_err(LinkError::NoRoute, pc, port.0))?;
+                let pkt = links.pop(link).map_err(|e| self.link_err(e, pc, port.0))?;
                 let Some(pkt) = pkt else {
                     return Ok(false);
                 };
@@ -583,8 +686,8 @@ impl<'a> Machine<'a> {
                     .cost
                     .p2p_time_between(port.0, self.device, pkt.bytes);
                 let gap = self.time.wait_until(pkt.sent_at + wire_ns, Dir::Recv);
-                links.ack(port, self.time.now());
-                *self.link_recv_wait.entry(port.0).or_default() += gap;
+                links.ack(link, self.time.now());
+                *per_peer(&mut self.link_recv_wait, port.0) += gap;
                 self.complete(start, launch, pkt.sent_at, wire_ns, 0);
             }
         }
@@ -788,8 +891,8 @@ impl<'a> Machine<'a> {
             absorbed: std::mem::take(&mut self.absorbed),
             last_checkpoint: self.time.last_checkpoint(),
             telemetry,
-            link_sends: std::mem::take(&mut self.link_sends),
-            link_recv_wait: std::mem::take(&mut self.link_recv_wait),
+            link_sends: self.link_sends.drain(..).collect(),
+            link_recv_wait: self.link_recv_wait.drain(..).collect(),
             spans: std::mem::take(&mut self.spans),
         }
     }
@@ -812,17 +915,17 @@ mod tests {
     }
 
     impl Transport for Script {
-        fn reserve(&mut self, _: Port) -> Result<Option<Nanos>, LinkError> {
+        fn reserve(&mut self, _: Link) -> Result<Option<Nanos>, LinkError> {
             Ok(Some(self.freed))
         }
-        fn push(&mut self, _: Port, pkt: Packet) -> Result<usize, LinkError> {
+        fn push(&mut self, _: Link, pkt: Packet) -> Result<usize, LinkError> {
             self.sent.push(pkt);
             Ok(self.sent.len())
         }
-        fn pop(&mut self, _: Port) -> Result<Option<Packet>, LinkError> {
+        fn pop(&mut self, _: Link) -> Result<Option<Packet>, LinkError> {
             Ok(self.inbox.take())
         }
-        fn ack(&mut self, _: Port, at: Nanos) {
+        fn ack(&mut self, _: Link, at: Nanos) {
             self.acks.push(at);
         }
     }
@@ -831,6 +934,9 @@ mod tests {
     fn clock_rules_for_arrival_ack_window_and_departure() {
         let (d0, d1) = (DeviceId(0), DeviceId(1));
         let mut s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 2), 1, vec![0]);
+        // d0's send gives d1's receive a link; only d1 runs.
+        *s.program_mut(d0) =
+            DeviceProgram::from_instrs(d0, vec![Instr::send_act(0u32, 0u32, d1)]);
         *s.program_mut(d1) = DeviceProgram::from_instrs(
             d1,
             vec![
@@ -838,12 +944,17 @@ mod tests {
                 Instr::send_act(0u32, 0u32, d0),
             ],
         );
-        let (cost, rules) = (UnitCost::paper_grid(), MemoryRules::new(&s));
+        let (cost, rules, links) = (
+            UnitCost::paper_grid(),
+            MemoryRules::new(&s),
+            LinkTable::new(&s),
+        );
         let (stalls, ckpts) = (StallTable::new(2), CkptBoard::new(2));
         let shared = Shared {
             schedule: &s,
             cost: &cost,
             rules: &rules,
+            links: &links,
             stalls: &stalls,
             ckpts: &ckpts,
             serving: None,
@@ -901,5 +1012,48 @@ mod tests {
         let t = StallTable::new(2);
         t.enter(DeviceId(1), DeviceId(1));
         assert_eq!(t.wait_chain(DeviceId(1)), vec![DeviceId(1), DeviceId(1)]);
+    }
+
+    #[test]
+    fn wait_chain_keeps_the_largest_peer_id() {
+        let t = StallTable::new(1);
+        t.enter(DeviceId(0), DeviceId(u32::MAX));
+        assert_eq!(
+            t.wait_chain(DeviceId(0)),
+            vec![DeviceId(0), DeviceId(u32::MAX)]
+        );
+    }
+
+    #[test]
+    fn link_table_numbers_links_and_resolves_only_built_ports() {
+        let (d0, d1, far) = (DeviceId(0), DeviceId(1), DeviceId(9));
+        let mut s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 2), 1, vec![0]);
+        *s.program_mut(d0) = DeviceProgram::from_instrs(
+            d0,
+            vec![
+                Instr::send_act(0u32, 0u32, far),
+                Instr::send_act(0u32, 0u32, d1),
+                Instr::recv_grad(0u32, 0u32, d1),
+            ],
+        );
+        *s.program_mut(d1) =
+            DeviceProgram::from_instrs(d1, vec![Instr::send_grad(0u32, 0u32, d0)]);
+        let t = LinkTable::new(&s);
+        let (act, grad, p0) = (MsgClass::Act, MsgClass::Grad, PartId(0));
+        // Numbered in program order; ports sorted within each device.
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.key(0), (d0, far, act, p0));
+        let send = |port| t.resolve(d0, Dir::Send, port);
+        assert_eq!(send((d1, act, p0)), Some(Link { id: 1, slot: 0 }));
+        assert_eq!(send((far, act, p0)), Some(Link { id: 0, slot: 1 }));
+        assert_eq!(
+            t.resolve(d0, Dir::Recv, (d1, grad, p0)),
+            Some(Link { id: 2, slot: 0 })
+        );
+        // No link: a port nobody sends on, a device past the count.
+        assert_eq!(t.resolve(d1, Dir::Recv, (d0, grad, p0)), None);
+        assert_eq!(send((d1, grad, p0)), None);
+        assert_eq!(t.resolve(far, Dir::Recv, (d0, act, p0)), None);
+        assert!(t.ports(far, Dir::Send).is_empty());
     }
 }

@@ -15,8 +15,8 @@
 
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::link::{link, ThreadLinks};
-use crate::machine::{links, CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped};
+use crate::link::ThreadLinks;
+use crate::machine::{CkptBoard, DeviceReport, LinkTable, Machine, Shared, StallTable, Stepped};
 use crate::serving::ServingHooks;
 use mario_ir::{
     CheckpointPolicy, CostModel, DeviceId, MemoryRules, Nanos, Schedule, SpanGraph, Telemetry,
@@ -281,6 +281,7 @@ fn run_threaded(
     } = *opts;
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
+    let table = LinkTable::new(schedule);
     let watchdog = effective_watchdog(schedule, &cfg);
     let stalls = StallTable::new(devices);
     let ckpts = CkptBoard::new(devices);
@@ -288,18 +289,12 @@ fn run_threaded(
         schedule,
         cost,
         rules: &rules,
+        links: &table,
         stalls: &stalls,
         ckpts: &ckpts,
         serving,
     };
-    let mut ends: Vec<ThreadLinks> = (0..devices).map(|_| ThreadLinks::default()).collect();
-    for (src, dst, class, part) in links(schedule) {
-        let (tx, rx) = link(cfg.channel_capacity, watchdog);
-        ends[src.index()].out.insert((dst, class, part), tx);
-        if let Some(end) = ends.get_mut(dst.index()) {
-            end.inp.insert((src, class, part), rx);
-        }
-    }
+    let ends = ThreadLinks::build(&table, devices, cfg.channel_capacity, watchdog);
 
     // Settlement barrier for deterministic teardown: a device that has
     // finished, failed or panicked first poisons its links (a

@@ -1,8 +1,8 @@
 //! Emulator integration: determinism under stress, fault attribution,
 //! timeline consistency, straggler model.
 
-use mario_cluster::{run, EmulatorConfig};
-use mario_ir::{SchemeKind, UnitCost};
+use mario_cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
+use mario_ir::{DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use std::time::Duration;
 
@@ -132,35 +132,38 @@ fn truncated_program_is_detected_without_hanging() {
     // depending on which thread unwound first.)
     let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
     let mut kept = 0;
-    s.program_mut(mario_ir::DeviceId(1)).retain(|_| {
+    s.program_mut(DeviceId(1)).retain(|_| {
         kept += 1;
         kept <= 2
     });
-    let err = run(
-        &s,
-        &unit(),
-        EmulatorConfig {
-            watchdog: Duration::from_millis(300),
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(
+    // Both backends resolve ports through the one link table, so they
+    // name the same device, pc and peer.
+    for backend in [EmulatorBackend::Thread, EmulatorBackend::Event] {
+        let err = run(
+            &s,
+            &unit(),
+            EmulatorConfig {
+                backend,
+                watchdog: Duration::from_millis(300),
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
             err,
-            mario_cluster::EmuError::NoRoute {
-                device: mario_ir::DeviceId(0),
-                ..
-            }
-        ),
-        "{err}"
-    );
+            EmuError::NoRoute {
+                device: DeviceId(0),
+                pc: 4,
+                peer: DeviceId(1),
+            },
+            "{backend:?}: {err}"
+        );
+    }
 }
 
 #[test]
 fn deadlocked_64_device_ring_is_detected_within_budget() {
-    use mario_cluster::{EmulatorBackend, EmuError};
-    use mario_ir::{DeviceId, Instr, Schedule, Topology};
+    use mario_ir::{Instr, Schedule, Topology};
 
     // A 64-wide recv-first ring: every device waits for its successor
     // before sending to its predecessor, so nobody ever sends — a

@@ -18,7 +18,6 @@
 
 use crate::checkpoint::{CheckpointPolicy, PendingCheckpoint};
 use crate::cost::Nanos;
-use crate::hash::FastMap;
 use crate::ids::DeviceId;
 use crate::instr::InstrKind;
 use crate::link::Dir;
@@ -33,8 +32,10 @@ pub struct DeviceClock {
     classes: TimeClasses,
     pending: PendingCheckpoint,
     durable: u32,
-    /// Packets sent per peer in iteration `packets_iter`.
-    packets: FastMap<DeviceId, usize>,
+    /// Packets sent per peer in iteration `packets_iter`, in first-send
+    /// order (a device talks to a handful of peers, so a scan beats a
+    /// hash).
+    packets: Vec<(DeviceId, usize)>,
     packets_iter: u32,
 }
 
@@ -78,7 +79,7 @@ impl DeviceClock {
             },
             pending: PendingCheckpoint::default(),
             durable: 0,
-            packets: FastMap::default(),
+            packets: Vec::new(),
             packets_iter: 0,
         }
     }
@@ -151,7 +152,10 @@ impl DeviceClock {
             self.packets.clear();
             self.packets_iter = iter;
         }
-        let count = self.packets.entry(peer).or_insert(0);
+        let Some((_, count)) = self.packets.iter_mut().find(|(p, _)| *p == peer) else {
+            self.packets.push((peer, 1));
+            return 0;
+        };
         *count += 1;
         *count - 1
     }

@@ -69,7 +69,7 @@ pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
 pub use clock::DeviceClock;
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
-pub use hash::FastMap;
+pub use hash::{FastMap, FastSet};
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use index::{ProgramIndex, RouteHops};
 pub use instr::{Instr, InstrKind, InstrTag};

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Message class carried on a channel (activation or gradient).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MsgClass {
     /// Stage-boundary activation (SA → RA).
     Act,

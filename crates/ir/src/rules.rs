@@ -16,18 +16,25 @@
 //!   tensor is part of the consumer's activation accounting already).
 
 use crate::cost::CostModel;
-use crate::hash::FastSet;
 use crate::ids::DeviceId;
 use crate::instr::{Instr, InstrKind};
 use crate::ledger::{AllocError, AllocKey, MemLedger};
 use crate::schedule::Schedule;
+use crate::topology::SchemeKind;
 
 /// Precomputed per-schedule facts needed to apply memory effects.
 #[derive(Debug, Clone)]
 pub struct MemoryRules {
-    /// `(device, micro, part)` triples whose forward output crosses to a
-    /// different device (and therefore needs a send buffer).
-    crossing: FastSet<(u32, u32, u32)>,
+    /// Whether the forward output of `(device, part)` on each route
+    /// crosses to a different device (and therefore needs a send buffer),
+    /// indexed `(route × devices + device) × parts + part`. Every micro of
+    /// a route shares its forward path, so D × parts facts per route cover
+    /// every micro.
+    crossing: Vec<bool>,
+    /// Route of each of the schedule's micros.
+    routes: Vec<u32>,
+    devices: usize,
+    parts: usize,
     /// Forward-only (serving) lifecycle: no backward ever comes, so the
     /// full activations are released as soon as the forward completes and
     /// only the crossing send buffer outlives the instruction. Memory
@@ -38,32 +45,40 @@ pub struct MemoryRules {
 impl MemoryRules {
     /// Extracts the boundary-crossing facts from `schedule`.
     pub fn new(schedule: &Schedule) -> Self {
-        let mut crossing = FastSet::default();
-        for m in 0..schedule.micros {
-            let path = schedule.forward_path_of(crate::ids::MicroId(m));
-            for w in path.windows(2) {
-                let (d, p) = w[0];
-                let (nd, _) = w[1];
+        let topo = &schedule.topology;
+        let (devices, parts) = (topo.devices as usize, topo.parts_per_device() as usize);
+        let last = topo.num_routes() - 1;
+        let mut crossing = vec![false; (last as usize + 1) * devices * parts];
+        for route in 0..=last {
+            for w in topo.forward_path(route).windows(2) {
+                let ((d, p), (nd, _)) = (w[0], w[1]);
                 if nd != d {
-                    crossing.insert((d.0, m, p.0));
+                    crossing[(route as usize * devices + d.index()) * parts + p.index()] = true;
                 }
             }
         }
-        let forward_only = matches!(
-            schedule.topology.scheme,
-            crate::topology::SchemeKind::ForwardOnly
-        );
         Self {
             crossing,
-            forward_only,
+            // `forward_path` reads a route past the last as the last.
+            routes: (schedule.routes.iter().take(schedule.micros as usize))
+                .map(|&r| r.min(last))
+                .collect(),
+            devices,
+            parts,
+            forward_only: matches!(topo.scheme, SchemeKind::ForwardOnly),
         }
     }
 
     /// True if the forward of `(micro, part)` on `device` sends its output
-    /// to another device.
+    /// to another device. Ids outside the schedule never cross.
     pub fn crosses(&self, device: DeviceId, instr: &Instr) -> bool {
-        self.crossing
-            .contains(&(device.0, instr.micro.0, instr.part.0))
+        let (d, p) = (device.index(), instr.part.index());
+        let Some(&route) = self.routes.get(instr.micro.index()) else {
+            return false;
+        };
+        d < self.devices
+            && p < self.parts
+            && self.crossing[(route as usize * self.devices + d) * self.parts + p]
     }
 
     /// Applies the memory effect of `instr` (evaluated at its completion)
@@ -275,6 +290,54 @@ mod tests {
             )
             .unwrap();
         assert_eq!(l.current(), 10);
+    }
+
+    #[test]
+    fn crossing_by_route_matches_the_per_micro_definition() {
+        use crate::hash::FastSet;
+        use crate::ids::MicroId;
+        let schemes = [
+            SchemeKind::GPipe,
+            SchemeKind::OneFOneB,
+            SchemeKind::ForwardOnly,
+            SchemeKind::ZeroBubbleH1,
+            SchemeKind::ZeroBubbleV,
+            SchemeKind::Chimera,
+            SchemeKind::Interleave { chunks: 2 },
+            SchemeKind::Interleave { chunks: 3 },
+            SchemeKind::Wave { chunks: 2 },
+            SchemeKind::Wave { chunks: 3 },
+        ];
+        for scheme in schemes {
+            for (devices, micros) in [(2, 1), (4, 8), (6, 5), (8, 16)] {
+                let topo = Topology::new(scheme, devices);
+                let routes = (0..micros).map(|m| m % topo.num_routes()).collect();
+                let s = Schedule::empty(topo, micros, routes);
+                // The old rule: one (device, micro, part) fact per hop of
+                // every micro's forward path.
+                let mut reference = FastSet::default();
+                for m in 0..micros {
+                    for w in s.forward_path_of(MicroId(m)).windows(2) {
+                        if w[1].0 != w[0].0 {
+                            reference.insert((w[0].0 .0, m, w[0].1 .0));
+                        }
+                    }
+                }
+                let rules = MemoryRules::new(&s);
+                // Out-of-range devices, micros and parts included.
+                for d in 0..devices + 2 {
+                    for m in 0..micros + 2 {
+                        for p in 0..topo.parts_per_device() + 2 {
+                            assert_eq!(
+                                rules.crosses(DeviceId(d), &Instr::forward(m, p)),
+                                reference.contains(&(d, m, p)),
+                                "{scheme:?} D={devices} N={micros}: d{d} m{m} p{p}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
