@@ -679,6 +679,134 @@ fn checkpointed_parity_holds_on_capacity2_chimera() {
     }
 }
 
+/// `PerDeviceShards` with nonzero wire and launch costs and
+/// device-dependent compute, so what-if re-timing moves wire arrivals,
+/// injected delays and capacity acks, not just compute.
+struct SlowWires(PerDeviceShards);
+
+impl CostModel for SlowWires {
+    fn compute_time(&self, d: DeviceId, p: PartId, k: mario::ir::ComputeKind) -> u64 {
+        self.0.compute_time(d, p, k) + 40 * d.0 as u64 + 15 * p.0 as u64
+    }
+    fn act_full(&self, d: DeviceId, p: PartId) -> u64 {
+        self.0.act_full(d, p)
+    }
+    fn act_ckpt(&self, d: DeviceId, p: PartId) -> u64 {
+        self.0.act_ckpt(d, p)
+    }
+    fn boundary_bytes(&self, d: DeviceId, p: PartId) -> u64 {
+        self.0.boundary_bytes(d, p)
+    }
+    fn p2p_time(&self, bytes: u64) -> u64 {
+        250 + bytes
+    }
+    fn p2p_launch_overhead(&self) -> u64 {
+        30
+    }
+    fn allreduce_time(&self, d: DeviceId) -> u64 {
+        self.0.allreduce_time(d)
+    }
+    fn optimizer_time(&self, d: DeviceId) -> u64 {
+        self.0.optimizer_time(d)
+    }
+    fn static_mem(&self, d: DeviceId) -> u64 {
+        self.0.static_mem(d)
+    }
+    fn ckpt_shard_bytes(&self, d: DeviceId) -> u64 {
+        self.0.ckpt_shard_bytes(d)
+    }
+}
+
+/// The iteration scope `code` names in a run of `iters` iterations:
+/// every iteration for 0, else iteration `code - 1` wrapped to
+/// `0..=iters` (so iteration `iters`, past the run, leaves the entry
+/// inert).
+fn iteration_scope(code: u32, iters: u32) -> Option<u32> {
+    (code > 0).then(|| (code - 1) % (iters + 1))
+}
+
+// What-if exactness: re-timing a recorded run under slowdown windows and
+// link delays added on top of it gives the device clocks of a fresh DP
+// simulation under the same profile — on every scheme, at capacities 1
+// and 2, over one and two iterations, with no checkpoint, a flat write or
+// a sharded synchronous flush. Free checkpoint writes re-time to a fresh
+// run without the policy.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn whatif_clocks_match_a_fresh_simulation(
+        (scheme, d, n) in scheme_config(),
+        (extra_cap, iters, mode) in (0usize..=1, 1u32..=2, 0u8..3),
+        windows in prop::collection::vec(
+            (0u32..8, 0usize..4, 0usize..40, 1usize..40, 0u32..4), 0..3),
+        links in prop::collection::vec(
+            (0u32..8, 0u32..2, 0usize..8, 1u64..2_000, 0u32..4), 0..4),
+    ) {
+        use mario::core::critpath::{whatif, WhatIf};
+        use mario::ir::{min_channel_capacity, LinkSlack, SlowdownWindow};
+
+        let s = generate(ScheduleConfig::new(scheme, d, n));
+        let cost = SlowWires(PerDeviceShards(UnitCost::paper_grid()));
+        let cap = min_channel_capacity(&s).expect("generated schedules execute") + extra_cap;
+        let checkpoint = match mode {
+            0 => None,
+            1 => Some(CheckpointPolicy::every(1).with_write_ns(700)),
+            _ => Some(CheckpointPolicy::every(1).with_sharded(ShardedWrite::new(2_000, 600))),
+        };
+        let mut profile = PerturbationProfile::identity();
+        for &(dev, f, from_pc, len, scope) in &windows {
+            profile = profile.with_slowdown(SlowdownWindow {
+                device: DeviceId(dev % d),
+                factor: [1.25, 1.5, 2.0, 3.0][f],
+                from_pc,
+                until_pc: from_pc + len,
+                iteration: iteration_scope(scope, iters),
+            });
+        }
+        for &(src, dir, nth, extra_ns, scope) in &links {
+            let src = src % d;
+            // A neighbour on the ring, so most entries hit a real link.
+            let dst = if dir == 0 { (src + 1) % d } else { (src + d - 1) % d };
+            profile = profile.with_link_slack(LinkSlack {
+                src: DeviceId(src),
+                dst: DeviceId(dst),
+                nth: nth.checked_sub(1),
+                extra_ns,
+                iteration: iteration_scope(scope, iters),
+            });
+        }
+        let identity = PerturbationProfile::identity();
+        let run = |profile: &PerturbationProfile, checkpoint| {
+            let opts = SimOptions {
+                channel_capacity: cap,
+                iterations: iters,
+                checkpoint,
+                profile,
+                ..SimOptions::default()
+            };
+            simulate(&s, &cost, &opts).expect("simulation completes")
+        };
+        let recorded = run(&identity, checkpoint);
+        let truth = run(&profile, checkpoint);
+        let retimed = whatif(&s, &recorded.spans, &WhatIf::perturb(&profile));
+        prop_assert_eq!(&retimed.device_clocks, &truth.device_clocks,
+            "scheme {:?} D={} N={} cap {} iters {} mode {} profile {:?}",
+            scheme, d, n, cap, iters, mode, profile);
+        prop_assert_eq!(retimed.makespan, truth.total_ns);
+
+        let free = run(&profile, None);
+        let retimed = whatif(
+            &s,
+            &recorded.spans,
+            &WhatIf { profile: &profile, free_checkpoint: true },
+        );
+        prop_assert_eq!(&retimed.device_clocks, &free.device_clocks,
+            "free checkpoint: scheme {:?} D={} N={} cap {} iters {} mode {}",
+            scheme, d, n, cap, iters, mode);
+    }
+}
+
 // Flight-recorder parity: the full telemetry breakdown — per-device time
 // classes, peak memory, fault counters, and per-link transfer stats — is
 // populated by the DP simulator and the zero-jitter emulator with
