@@ -66,7 +66,7 @@ pub mod topology;
 pub mod validate;
 
 pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
-pub use clock::DeviceClock;
+pub use clock::{DeviceClock, PacketCounter};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use hash::{FastMap, FastSet};
