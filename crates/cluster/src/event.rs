@@ -25,11 +25,9 @@
 use crate::error::EmuError;
 use crate::faults::FaultPlan;
 use crate::link::{LinkError, Packet};
-use crate::machine::{
-    CkptBoard, DeviceReport, Link, LinkTable, Machine, Shared, StallTable, Stepped, Transport,
-};
+use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped, Transport};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
-use mario_ir::{CostModel, DeviceId, Dir, Fifo, MemoryRules, Nanos, Schedule};
+use mario_ir::{CostModel, DeviceId, Dir, Fifo, Link, LinkTable, MemoryRules, Nanos, Schedule};
 use std::collections::VecDeque;
 
 /// One bounded-FIFO link, event-style: the shared [`Fifo`] plus whether

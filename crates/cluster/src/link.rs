@@ -13,9 +13,9 @@
 //! to a device clock is the [`crate::machine`]'s business, which is why
 //! the emulated timeline is deterministic under any thread interleaving.
 
-use crate::machine::{Link, LinkTable, Transport};
+use crate::machine::Transport;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use mario_ir::{DeviceId, Dir, Msg, Nanos};
+use mario_ir::{DeviceId, Dir, Link, LinkTable, Msg, Nanos};
 use std::time::Duration;
 
 /// A packet in flight.

@@ -16,10 +16,11 @@
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::link::ThreadLinks;
-use crate::machine::{CkptBoard, DeviceReport, LinkTable, Machine, Shared, StallTable, Stepped};
+use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped};
 use crate::serving::ServingHooks;
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceId, MemoryRules, Nanos, Schedule, SpanGraph, Telemetry,
+    CheckpointPolicy, CostModel, DeviceId, LinkTable, MemoryRules, Nanos, Schedule, SpanGraph,
+    Telemetry,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

@@ -18,22 +18,26 @@
 //! "iteratively applied, simulator-guided" refinement of §5.3.
 //!
 //! Trials: a swap of the groups starting at pc `p` on device `d` changes
-//! nothing the DP simulator's sweep does before it first visits `d` with
-//! its cursor at `p` — up to then no device has read an instruction the
-//! swap moved. So each device scan keeps one baseline [`MakespanSweep`] of
-//! the current schedule and, walking the candidates in program order,
-//! advances it to each candidate's `(d, p)`, clones the paused sweep into
-//! the trial, swaps the groups and runs the trial to the end. The trial
-//! thus reaches exactly the state a run from time zero of the swapped
-//! schedule would reach at that visit, and continues with the same steps,
-//! so every makespan, deadlock text and accept/reject decision is the one
-//! a full re-simulation gives; only the shared prefix is simulated once
-//! instead of once per trial. An accepted swap changes the schedule, so
-//! the baseline restarts from time zero. Should the baseline fail before
-//! reaching `(d, p)`, that error is the trial's too: the prefix is shared.
+//! nothing the DP simulator's sweep does before `d` is about to read pc
+//! `p` — up to then no device has read an instruction the swap moved. So
+//! each device scan keeps one baseline [`MakespanSweep`] of the current
+//! schedule and, walking the candidates in program order, advances it to
+//! each candidate's `(d, p)`, clones the paused sweep into the trial,
+//! swaps the groups and runs the trial to the end. The paused state is
+//! one a run of the swapped schedule from time zero can reach, and any
+//! firing order from there ends the same way, so every makespan,
+//! deadlock text and accept/reject decision is the one a full
+//! re-simulation gives; only the shared prefix is simulated once instead
+//! of once per trial. A swap keeps every device's send ports, so one
+//! [`LinkTable`] serves every trial. An accepted swap changes the
+//! schedule, so the baseline restarts from time zero. Should the baseline
+//! fail before reaching `(d, p)`, that error is the trial's too: `d`
+//! stopped short of every instruction the swap moved.
 
 use crate::simulator::{simulate_memory, MakespanSweep, Run};
-use mario_ir::{CostModel, DeviceId, DeviceProgram, InstrKind, PerturbationProfile, Schedule};
+use mario_ir::{
+    CostModel, DeviceId, DeviceProgram, InstrKind, LinkTable, PerturbationProfile, Schedule,
+};
 
 /// Options shared by the simulator-guided passes.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +143,8 @@ pub fn prepose_forward(
     let pristine = PerturbationProfile::identity();
     // The state at time zero depends on no instruction, so one copy
     // serves every baseline restart.
-    let zero = MakespanSweep::makespan(schedule, cost, opts.channel_capacity, &pristine);
+    let links = LinkTable::new(schedule);
+    let zero = MakespanSweep::makespan(schedule, cost, opts.channel_capacity, &pristine, &links);
     let Ok(mut best) = zero.clone().run_to_end(schedule) else {
         return 0;
     };

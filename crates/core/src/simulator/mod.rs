@@ -6,6 +6,9 @@ pub mod timeline;
 pub use memsim::{memory_series, simulate_memory, MemReport, MemSeries, OomAt};
 pub(crate) use timeline::{simulate_makespan, MakespanSweep, Run};
 pub use timeline::{simulate, simulate_timeline, SimError, SimOptions, SimTimeline};
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub use timeline::simulate_shuffled;
 
 #[cfg(test)]
 mod tests {

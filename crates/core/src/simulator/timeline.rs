@@ -11,11 +11,12 @@
 //! device's time through one [`DeviceClock`], the emulator machine's
 //! clock rule: launch overheads, the serving gate, ack-window and recv
 //! waits, checkpoint chunk drain and residue, the time classes and the
-//! packet numbering. This module keeps only its step loop — a
-//! round-robin [`Sweep`] that fires whichever device can move — and its
-//! recorders, so with zero jitter the two produce identical timelines,
-//! and the simulator-accuracy experiment (Fig. 10) isolates genuine
-//! modeling error (profiling regression, jitter).
+//! packet numbering. This module keeps only its step loop — a [`Sweep`]
+//! that runs each device from a ready queue until it blocks, over
+//! channels numbered by one [`LinkTable`] — and its recorders, so with
+//! zero jitter the two produce identical timelines, and the
+//! simulator-accuracy experiment (Fig. 10) isolates genuine modeling
+//! error (profiling regression, jitter).
 //!
 //! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
 //! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
@@ -27,9 +28,9 @@
 //! run.
 
 use mario_ir::{
-    AllocKey, ChanKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId, DeviceTelemetry, Dir,
-    FastMap, Fifo, Instr, InstrKind, LinkSendStats, MemLedger, MemoryRules, Msg, Nanos, OpSpan,
-    P2p, PerturbationProfile, Schedule, SpanGraph, Telemetry,
+    AllocKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId, DeviceTelemetry, Dir, Fifo,
+    Instr, InstrKind, LinkSendStats, LinkTable, MemLedger, MemoryRules, Msg, Nanos, OpSpan,
+    PerturbationProfile, Ready, Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -200,7 +201,26 @@ pub fn simulate(
     cost: &dyn CostModel,
     opts: &SimOptions,
 ) -> Result<SimTimeline, SimError> {
-    Sweep::new(schedule, cost, opts, Full::new(schedule, cost, opts)).run_to_end(schedule)
+    let links = LinkTable::new(schedule);
+    let full = Full::new(schedule, cost, opts, links.len());
+    Sweep::new(schedule, cost, opts, &links, full).run_to_end(schedule)
+}
+
+/// [`simulate`] in a seeded random firing order, for the tests that hold
+/// it to the same answers.
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub fn simulate_shuffled(
+    schedule: &Schedule,
+    cost: &dyn CostModel,
+    opts: &SimOptions,
+    seed: u64,
+) -> Result<SimTimeline, SimError> {
+    let links = LinkTable::new(schedule);
+    let full = Full::new(schedule, cost, opts, links.len());
+    let mut sweep = Sweep::new(schedule, cost, opts, &links, full);
+    sweep.ready = Ready::shuffled(schedule.devices() as usize, seed);
+    sweep.run_to_end(schedule)
 }
 
 /// The makespan of one iteration of `schedule` on the cluster `profile`
@@ -214,7 +234,8 @@ pub(crate) fn simulate_makespan(
     channel_capacity: usize,
     profile: &PerturbationProfile,
 ) -> Result<Nanos, SimError> {
-    MakespanSweep::makespan(schedule, cost, channel_capacity, profile).run_to_end(schedule)
+    let links = LinkTable::new(schedule);
+    MakespanSweep::makespan(schedule, cost, channel_capacity, profile, &links).run_to_end(schedule)
 }
 
 /// What a [`Sweep`] records while it steps. The step arithmetic — FIFO
@@ -230,20 +251,20 @@ pub(crate) trait Recorder {
     /// A compute step ending at `end`.
     fn compute(&mut self, _dev: DeviceId, _instr: &Instr, _end: Nanos) {}
 
-    /// A send to `peer` that waited `blocked` ns for window capacity,
-    /// after which `outstanding` messages are in flight on its channel.
+    /// A send on link `link` that waited `blocked` ns for window
+    /// capacity, after which `outstanding` messages are in flight on it.
     fn send(
         &mut self,
         _dev: DeviceId,
         _instr: &Instr,
-        _peer: DeviceId,
+        _link: usize,
         _blocked: Nanos,
         _outstanding: usize,
     ) {
     }
 
-    /// A receive from `peer` that waited `gap` ns for its message.
-    fn recv(&mut self, _dev: DeviceId, _peer: DeviceId, _gap: Nanos) {}
+    /// A receive on link `link` that waited `gap` ns for its message.
+    fn recv(&mut self, _link: usize, _gap: Nanos) {}
 
     /// An instruction or checkpoint write completed over `span`.
     fn fired(&mut self, _span: OpSpan) {}
@@ -251,9 +272,9 @@ pub(crate) trait Recorder {
     /// A checkpoint's transient serialization buffer of `bytes`.
     fn snapshot(&mut self, _dev: DeviceId, _bytes: u64) {}
 
-    /// The run completed with these final device clocks; hands over what
-    /// was recorded.
-    fn finish(&mut self, clocks: &[DeviceClock]) -> Self::Output;
+    /// The run over `links` completed with these final device clocks;
+    /// hands over what was recorded.
+    fn finish(&mut self, clocks: &[DeviceClock], links: &LinkTable) -> Self::Output;
 }
 
 /// Records nothing; a run returns its makespan.
@@ -263,23 +284,24 @@ pub(crate) struct MakespanOnly;
 impl Recorder for MakespanOnly {
     type Output = Nanos;
 
-    fn finish(&mut self, clocks: &[DeviceClock]) -> Nanos {
+    fn finish(&mut self, clocks: &[DeviceClock], _: &LinkTable) -> Nanos {
         clocks.iter().map(DeviceClock::now).max().unwrap_or(0)
     }
 }
 
 /// Records the whole [`SimTimeline`]: spans, the flight recorder —
 /// a memory ledger per device replaying the emulator's exact `apply`
-/// sequence (compute and send sites only), per-link transfer statistics
-/// — and serving completions. The time classes come from the clocks.
+/// sequence (compute and send sites only), transfer statistics per link
+/// number — and serving completions. The time classes come from the
+/// clocks.
 struct Full<'a> {
     schedule: &'a Schedule,
     cost: &'a dyn CostModel,
     rules: MemoryRules,
     spans: SpanGraph,
     ledgers: Vec<MemLedger>,
-    link_sends: FastMap<(u32, u32), LinkSendStats>,
-    recv_waits: FastMap<(u32, u32), Nanos>,
+    link_sends: Vec<LinkSendStats>,
+    recv_waits: Vec<Nanos>,
     /// Per-micro completion board (serving mode only): earliest
     /// last-stage forward finish — the emulator's `ServeBoard::record`
     /// (fetch_min).
@@ -289,7 +311,12 @@ struct Full<'a> {
 }
 
 impl<'a> Full<'a> {
-    fn new(schedule: &'a Schedule, cost: &'a dyn CostModel, opts: &SimOptions) -> Self {
+    fn new(
+        schedule: &'a Schedule,
+        cost: &'a dyn CostModel,
+        opts: &SimOptions,
+        links: usize,
+    ) -> Self {
         let devices = schedule.devices() as usize;
         let serving = opts.release.is_some();
         Self {
@@ -300,8 +327,8 @@ impl<'a> Full<'a> {
             ledgers: (0..devices)
                 .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
                 .collect(),
-            link_sends: FastMap::default(),
-            recv_waits: FastMap::default(),
+            link_sends: vec![LinkSendStats::default(); links],
+            recv_waits: vec![0; links],
             completions: if serving {
                 vec![None; schedule.micros as usize]
             } else {
@@ -338,13 +365,13 @@ impl Recorder for Full<'_> {
         &mut self,
         dev: DeviceId,
         instr: &Instr,
-        peer: DeviceId,
+        link: usize,
         blocked: Nanos,
         outstanding: usize,
     ) {
         // Bytes are counted at the send site with the sender's id — the
         // emulator's exact accounting.
-        self.link_sends.entry((dev.0, peer.0)).or_default().on_send(
+        self.link_sends[link].on_send(
             self.cost.boundary_bytes(dev, instr.part),
             blocked,
             outstanding as u32,
@@ -352,8 +379,8 @@ impl Recorder for Full<'_> {
         self.apply_mem(dev, instr);
     }
 
-    fn recv(&mut self, dev: DeviceId, peer: DeviceId, gap: Nanos) {
-        *self.recv_waits.entry((peer.0, dev.0)).or_default() += gap;
+    fn recv(&mut self, link: usize, gap: Nanos) {
+        self.recv_waits[link] += gap;
     }
 
     fn fired(&mut self, span: OpSpan) {
@@ -371,11 +398,9 @@ impl Recorder for Full<'_> {
         ledger.free(AllocKey::Snapshot);
     }
 
-    fn finish(&mut self, clocks: &[DeviceClock]) -> Self::Output {
+    fn finish(&mut self, clocks: &[DeviceClock], links: &LinkTable) -> Self::Output {
         let mut spans = std::mem::take(&mut self.spans);
         let ledgers = std::mem::take(&mut self.ledgers);
-        let link_sends = std::mem::take(&mut self.link_sends);
-        let recv_waits = std::mem::take(&mut self.recv_waits);
         let completions = std::mem::take(&mut self.completions);
         let device_clocks: Vec<Nanos> = clocks.iter().map(DeviceClock::now).collect();
         let total_ns = device_clocks.iter().copied().max().unwrap_or(0);
@@ -399,16 +424,14 @@ impl Recorder for Full<'_> {
             })
             .collect();
         // Assemble through the shared constructor (same as the emulator's
-        // runner) and assert the conservation invariant: every nanosecond
-        // of every device clock is accounted to exactly one time class.
+        // runner), which sums the links of each device pair, and assert
+        // the conservation invariant: every nanosecond of every device
+        // clock is accounted to exactly one time class.
+        let pair = |id| (links.key(id).0, links.key(id).1);
         let telemetry = Telemetry::assemble(
             tel,
-            link_sends
-                .into_iter()
-                .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
-            recv_waits
-                .into_iter()
-                .map(|((s, r), v)| ((DeviceId(s), DeviceId(r)), v)),
+            (0..links.len()).map(|id| (pair(id), self.link_sends[id])),
+            (0..links.len()).map(|id| (pair(id), self.recv_waits[id])),
         );
         debug_assert!(
             telemetry.check_conservation(&device_clocks).is_ok(),
@@ -455,28 +478,33 @@ pub(crate) enum Run<T> {
     Done(T),
 }
 
-/// The DP step loop and everything it carries between steps: a
-/// round-robin sweep over the devices that fires whichever one can move,
-/// until every program has run or a whole round fires nothing (a
-/// deadlock). Generic over what it records: [`Full`] behind [`simulate`],
-/// [`MakespanOnly`] behind [`simulate_makespan`] and the prepose trials.
+/// The DP step loop and everything it carries between steps: each device
+/// runs from a [`Ready`] queue until it blocks on a link — a send on a
+/// full window, a receive on an empty channel or on the wrong message —
+/// and every p2p operation wakes its peer if the peer waits on that link.
+/// The queue drains when every program has run or no device can move;
+/// the answer is read from that state, which is the same in any firing
+/// order (see [`mario_ir::ready`]), so the lowest device that met a
+/// mismatch is reported, else the deadlock. Generic over what it
+/// records: [`Full`] behind [`simulate`], [`MakespanOnly`] behind
+/// [`simulate_makespan`] and the prepose trials.
 ///
-/// A sweep can stop before any visit and go on later, and a paused sweep
-/// can be cloned, so a caller can run many continuations of one shared
-/// prefix; see [`Sweep::run`].
+/// A sweep can stop before any instruction and go on later, and a paused
+/// sweep can be cloned, so a caller can run many continuations of one
+/// shared prefix; see [`Sweep::run`].
 pub(crate) struct Sweep<'a, R> {
     cost: &'a dyn CostModel,
     opts: SimOptions<'a>,
+    /// The schedule's links, which number `chans`.
+    links: &'a LinkTable,
     /// Global instruction cursor per device: local pc = gpc % len,
     /// iteration = gpc / len.
     gpc: Vec<usize>,
     clocks: Vec<DeviceClock>,
-    /// In-flight messages with their departure times, per channel.
-    chans: FastMap<ChanKey, Fifo<(Msg, Nanos)>>,
-    /// The device the current round visits next.
-    cursor: usize,
-    /// Whether any device fired so far this round.
-    fired: bool,
+    /// In-flight messages with their departure times, per link.
+    chans: Vec<Fifo<(Msg, Nanos)>>,
+    /// The devices that may move; the front one is running.
+    ready: Ready,
     rec: R,
 }
 
@@ -490,11 +518,11 @@ impl<R: Clone> Clone for Sweep<'_, R> {
         Self {
             cost: self.cost,
             opts: self.opts,
+            links: self.links,
             gpc: self.gpc.clone(),
             clocks: self.clocks.clone(),
             chans: self.chans.clone(),
-            cursor: self.cursor,
-            fired: self.fired,
+            ready: self.ready.clone(),
             rec: self.rec.clone(),
         }
     }
@@ -502,40 +530,43 @@ impl<R: Clone> Clone for Sweep<'_, R> {
     fn clone_from(&mut self, source: &Self) {
         self.cost = source.cost;
         self.opts = source.opts;
+        self.links = source.links;
         self.gpc.clone_from(&source.gpc);
         self.clocks.clone_from(&source.clocks);
         self.chans.clone_from(&source.chans);
-        self.cursor = source.cursor;
-        self.fired = source.fired;
+        self.ready.clone_from(&source.ready);
         self.rec.clone_from(&source.rec);
     }
 }
 
 impl<'a> MakespanSweep<'a> {
     /// A makespan-only sweep, at time zero, of one iteration at
-    /// `channel_capacity` on the cluster `profile` describes.
+    /// `channel_capacity` on the cluster `profile` describes, over the
+    /// schedule's `links`.
     pub(crate) fn makespan(
         schedule: &Schedule,
         cost: &'a dyn CostModel,
         channel_capacity: usize,
         profile: &'a PerturbationProfile,
+        links: &'a LinkTable,
     ) -> Self {
         let opts = SimOptions {
             channel_capacity,
             profile,
             ..SimOptions::default()
         };
-        Sweep::new(schedule, cost, &opts, MakespanOnly)
+        Sweep::new(schedule, cost, &opts, links, MakespanOnly)
     }
 }
 
 impl<'a, R: Recorder> Sweep<'a, R> {
-    /// A sweep of `schedule` under `cost` and `opts` at time zero,
-    /// recording into `rec`.
+    /// A sweep of `schedule` under `cost` and `opts` at time zero, over
+    /// the schedule's `links`, recording into `rec`.
     fn new(
         schedule: &Schedule,
         cost: &'a dyn CostModel,
         opts: &SimOptions<'a>,
+        links: &'a LinkTable,
         mut rec: R,
     ) -> Self {
         assert!(opts.channel_capacity >= 1);
@@ -561,11 +592,11 @@ impl<'a, R: Recorder> Sweep<'a, R> {
         Self {
             cost,
             opts: *opts,
+            links,
             gpc: vec![0; devices],
             clocks,
-            chans: FastMap::default(),
-            cursor: 0,
-            fired: false,
+            chans: vec![Fifo::default(); links.len()],
+            ready: Ready::fifo(devices),
             rec,
         }
     }
@@ -579,16 +610,16 @@ impl<'a, R: Recorder> Sweep<'a, R> {
     }
 
     /// Steps the sweep over `schedule` until it completes, fails, or —
-    /// given `stop = Some((d, p))` — is about to visit device `d` with its
-    /// cursor at global pc `p`; a sweep already there pauses at once. A
-    /// sweep paused in its first iteration has read nothing of `d`'s
-    /// program from `p` on, so it may be resumed (or cloned and resumed)
-    /// over a schedule that differs from the one it ran on only in `d`'s
-    /// instructions at `p` and after, program length kept, and ends
-    /// exactly as a sweep of that schedule from time zero would.
-    /// `schedule` must otherwise be the one the sweep was built for. A
-    /// sweep that failed fails the same way when run again; one that
-    /// completed must not run again.
+    /// given `stop = Some((d, p))` — device `d` is about to read global
+    /// pc `p`; a sweep already there pauses at once. A sweep paused in
+    /// its first iteration has read nothing of `d`'s program from `p` on,
+    /// so it may be resumed (or cloned and resumed) over a schedule that
+    /// differs from the one it ran on only in `d`'s instructions at `p`
+    /// and after, program length and send ports kept, and ends exactly as
+    /// a sweep of that schedule from time zero would. `schedule` must
+    /// otherwise be the one the sweep was built for. A sweep that failed
+    /// fails the same way when run again; one that completed must not run
+    /// again.
     pub(crate) fn run(
         &mut self,
         schedule: &Schedule,
@@ -603,38 +634,30 @@ impl<'a, R: Recorder> Sweep<'a, R> {
             release,
             ..
         } = self.opts;
-        // The hot loop works on slices and a local fired flag rather than
-        // through `self` (measured: about 3% of tune-32 otherwise); every
-        // return writes the cursor and the flag back.
-        let gpc = &mut self.gpc[..];
-        let clocks = &mut self.clocks[..];
-        let chans = &mut self.chans;
-        let rec = &mut self.rec;
-        let mut fired = self.fired;
+        // The hot loop works on locals rather than through `self`
+        // (measured: about 3% of tune-32 otherwise).
+        let (links, gpc, clocks) = (self.links, &mut self.gpc[..], &mut self.clocks[..]);
+        let (chans, ready, rec) = (&mut self.chans[..], &mut self.ready, &mut self.rec);
         let policy = checkpoint.as_ref();
-        let devices = gpc.len();
         let (stop_dev, stop_pc) = stop.map_or((usize::MAX, 0), |(d, p)| (d.index(), p));
-        loop {
-            // A round resumed part-way restarts at a device with work
-            // left, so the devices visited before the pause cannot make
-            // it look finished.
-            let mut all_done = true;
-            for d in self.cursor..devices {
-                let dev = DeviceId(d as u32);
-                let prog = schedule.program(dev);
-                let len = prog.len();
-                if len == 0 || gpc[d] >= len * iterations as usize {
-                    continue;
+        while let Some(d) = ready.front() {
+            let dev = DeviceId(d as u32);
+            let prog = schedule.program(dev).instrs();
+            let len = prog.len();
+            let end = len * iterations as usize;
+            let clock = &mut clocks[d];
+            let gpc = &mut gpc[d];
+            loop {
+                if *gpc >= end {
+                    ready.block(None);
+                    break;
                 }
-                all_done = false;
-                if d == stop_dev && gpc[d] == stop_pc {
-                    (self.cursor, self.fired) = (d, fired);
+                if d == stop_dev && *gpc == stop_pc {
                     return Ok(Run::Paused);
                 }
-                let lpc = gpc[d] % len;
-                let iter = (gpc[d] / len) as u32;
-                let &instr = &prog.instrs()[lpc];
-                let clock = &mut clocks[d];
+                let lpc = *gpc % len;
+                let iter = (*gpc / len) as u32;
+                let instr = prog[lpc];
                 let start = clock.now();
                 // Span-capture fields for this firing, filled in by the arms.
                 let (mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0);
@@ -662,48 +685,52 @@ impl<'a, R: Recorder> Sweep<'a, R> {
                         }
                         dur
                     }
-                    Some(p @ P2p { dir: Dir::Send, .. }) => {
-                        let ch = chans.entry(p.chan(dev, instr.part)).or_default();
-                        // On a full window the send completes once the
-                        // receiver dequeued the oldest in-flight message;
-                        // that time is known only after the receiver
-                        // fires, so wait for it.
-                        let Some(freed) = ch.reserve(channel_capacity) else {
-                            continue;
+                    Some(p) => {
+                        // A port with no link never moves.
+                        let Some(link) = links.resolve(dev, p.dir, p.port(instr.part)) else {
+                            ready.block(None);
+                            break;
                         };
+                        let ch = &mut chans[link.id];
                         let launch = cost.p2p_launch_overhead();
-                        clock.launch(launch);
-                        let blocked = clock.wait_until(freed, Dir::Send);
-                        // A perturbed link delays the packet's departure
-                        // while the sender's own clock is unaffected,
-                        // exactly like the emulator's delayed send.
-                        let nth = clock.next_packet(p.peer, iter);
-                        let extra = profile.link_extra(dev, p.peer, iter, nth);
-                        let outstanding = ch.push((p.msg(&instr), clock.now() + extra));
-                        rec.send(dev, &instr, p.peer, blocked, outstanding);
-                        launch
-                    }
-                    Some(p @ P2p { dir: Dir::Recv, .. }) => {
-                        let ch = chans.entry(p.chan(dev, instr.part)).or_default();
-                        let Some(&(msg, sent_at)) = ch.front() else {
-                            continue;
-                        };
-                        let want = p.msg(&instr);
-                        if msg != want {
-                            // Nothing moved: a second run fails here again.
-                            (self.cursor, self.fired) = (d, fired);
-                            return Err(SimError::Mismatch(format!(
-                                "{dev} expected {want:?}, found {msg:?}"
-                            )));
+                        if p.dir == Dir::Send {
+                            // On a full window the send completes once the
+                            // receiver dequeued the oldest in-flight
+                            // message; that time is known only after the
+                            // receiver fires, so wait for it.
+                            let Some(freed) = ch.reserve(channel_capacity) else {
+                                ready.block(Some(link.id));
+                                break;
+                            };
+                            clock.launch(launch);
+                            let blocked = clock.wait_until(freed, Dir::Send);
+                            // A perturbed link delays the packet's departure
+                            // while the sender's own clock is unaffected,
+                            // exactly like the emulator's delayed send.
+                            let nth = clock.next_packet(p.peer, iter);
+                            let extra = profile.link_extra(dev, p.peer, iter, nth);
+                            let outstanding = ch.push((p.msg(&instr), clock.now() + extra));
+                            rec.send(dev, &instr, link.id, blocked, outstanding);
+                        } else {
+                            // The wrong message at the head blocks the
+                            // receive for good; the mismatch is reported
+                            // once no device can move.
+                            let want = p.msg(&instr);
+                            let Some(&(_, sent_at)) = ch.front().filter(|(msg, _)| *msg == want)
+                            else {
+                                ready.block(Some(link.id));
+                                break;
+                            };
+                            ch.pop();
+                            let bytes = cost.boundary_bytes(dev, instr.part);
+                            (sp_sent, sp_wire) =
+                                (sent_at, cost.p2p_time_between(p.peer, dev, bytes));
+                            clock.launch(launch);
+                            let gap = clock.wait_until(sent_at + sp_wire, Dir::Recv);
+                            ch.ack(clock.now());
+                            rec.recv(link.id, gap);
                         }
-                        ch.pop();
-                        let bytes = cost.boundary_bytes(dev, instr.part);
-                        let launch = cost.p2p_launch_overhead();
-                        (sp_sent, sp_wire) = (sent_at, cost.p2p_time_between(p.peer, dev, bytes));
-                        clock.launch(launch);
-                        let gap = clock.wait_until(sent_at + sp_wire, Dir::Recv);
-                        ch.ack(clock.now());
-                        rec.recv(dev, p.peer, gap);
+                        ready.wake(p.peer.index(), link.id);
                         launch
                     }
                 };
@@ -718,44 +745,57 @@ impl<'a, R: Recorder> Sweep<'a, R> {
                     wire_ns: sp_wire,
                     gate_ns: sp_gate,
                 });
-                gpc[d] += 1;
-                fired = true;
+                *gpc += 1;
                 // Completing the program's last instruction is the
                 // emulator's end-of-iteration checkpoint boundary.
-                if gpc[d].is_multiple_of(len) {
+                if gpc.is_multiple_of(len) {
                     boundary(clock, policy, iter, cost, rec);
                 }
+                if ready.preempt() {
+                    break;
+                }
             }
-            self.cursor = 0;
-            if all_done {
-                break;
-            }
-            if !std::mem::take(&mut fired) {
-                self.fired = false;
-                let blocked: Vec<String> = (0..devices)
-                    .filter_map(|d| {
-                        let prog = &schedule.programs()[d];
-                        if prog.is_empty() || gpc[d] >= prog.len() * iterations as usize {
-                            return None;
-                        }
-                        let lpc = gpc[d] % prog.len();
-                        prog.get(lpc)
-                            .map(|i| format!("d{d}#{lpc} iter {}: {i}", gpc[d] / prog.len()))
-                    })
-                    .collect();
-                return Err(SimError::Deadlock(blocked.join(", ")));
-            }
+        }
+        if let Some(err) = self.stuck(schedule) {
+            return Err(err);
         }
 
         // No bubbles remain past the last instruction: pay any async
         // residue synchronously so the final checkpoint is durable when
         // the run ends.
-        for clock in clocks.iter_mut() {
+        for clock in &mut self.clocks {
             if let Some(span) = clock.end_run(iterations - 1) {
-                rec.fired(span);
+                self.rec.fired(span);
             }
         }
-        Ok(Run::Done(rec.finish(clocks)))
+        Ok(Run::Done(self.rec.finish(&self.clocks, self.links)))
+    }
+
+    /// Why a drained sweep stopped short, if it did: the lowest device
+    /// whose receive found the wrong message at its channel's head (a
+    /// stuck receive with a message waiting found the wrong one), else a
+    /// deadlock naming every unfinished device where it stands.
+    fn stuck(&self, schedule: &Schedule) -> Option<SimError> {
+        let mut blocked = Vec::new();
+        for (d, prog) in schedule.programs().iter().enumerate() {
+            let (gpc, len) = (self.gpc[d], prog.len());
+            if gpc >= len * self.opts.iterations as usize {
+                continue;
+            }
+            let (dev, lpc) = (DeviceId(d as u32), gpc % len);
+            let instr = prog.instrs()[lpc];
+            if let Some(p) = instr.kind.p2p().filter(|p| p.dir == Dir::Recv) {
+                let link = self.links.resolve(dev, p.dir, p.port(instr.part));
+                if let Some((found, _)) = link.and_then(|l| self.chans[l.id].front()) {
+                    let want = p.msg(&instr);
+                    return Some(SimError::Mismatch(format!(
+                        "{dev} expected {want:?}, found {found:?}"
+                    )));
+                }
+            }
+            blocked.push(format!("d{d}#{lpc} iter {}: {instr}", gpc / len));
+        }
+        (!blocked.is_empty()).then(|| SimError::Deadlock(blocked.join(", ")))
     }
 }
 
@@ -917,9 +957,10 @@ mod tests {
 
     /// Pausing a sweep anywhere, cloning it into a second sweep and
     /// resuming the clone ends exactly as an uninterrupted run: the same
-    /// makespan, or the same error text. Every scheme at capacities 1 and
-    /// 2, an Interleave made to deadlock by one swap, and a schedule made
-    /// to mismatch by one send's micro-batch.
+    /// makespan, or the same error text — in the first-in-first-out order
+    /// and in shuffled ones, which the clone carries on. Every scheme at
+    /// capacities 1 and 2, an Interleave made to deadlock by one swap,
+    /// and a schedule made to mismatch by one send's micro-batch.
     #[test]
     fn a_resumed_clone_matches_an_uninterrupted_run() {
         use mario_ir::{DeviceProgram, InstrTag};
@@ -927,27 +968,37 @@ mod tests {
         let cost = UnitCost::paper_grid();
         let pristine = PerturbationProfile::identity();
         let check = |s: &Schedule, cap: usize| {
-            let whole = simulate_makespan(s, &cost, cap, &pristine);
+            let links = LinkTable::new(s);
+            let sweep = |seed: Option<u64>| {
+                let mut sweep = MakespanSweep::makespan(s, &cost, cap, &pristine, &links);
+                if let Some(seed) = seed {
+                    sweep.ready = Ready::shuffled(s.devices() as usize, seed);
+                }
+                sweep
+            };
+            let whole = sweep(None).run_to_end(s);
             // A sweep with buffers of its own, so `clone_from` overwrites
             // live state rather than filling empty vectors.
-            let mut resumed = MakespanSweep::makespan(s, &cost, cap, &pristine);
+            let mut resumed = sweep(None);
             let _ = resumed.run(s, None);
             for d in 0..s.devices() {
                 for p in 0..s.program(DeviceId(d)).len() {
-                    let mut paused = MakespanSweep::makespan(s, &cost, cap, &pristine);
-                    let got = match paused.run(s, Some((DeviceId(d), p))) {
-                        Ok(Run::Paused) => {
-                            resumed.clone_from(&paused);
-                            resumed.run_to_end(s)
-                        }
-                        Ok(Run::Done(t)) => Ok(t),
-                        Err(e) => Err(e),
-                    };
-                    assert_eq!(
-                        got, whole,
-                        "{:?} cap {cap} paused at d{d}#{p}",
-                        s.topology.scheme
-                    );
+                    for seed in [None, Some((d as u64) << 32 | p as u64)] {
+                        let mut paused = sweep(seed);
+                        let got = match paused.run(s, Some((DeviceId(d), p))) {
+                            Ok(Run::Paused) => {
+                                resumed.clone_from(&paused);
+                                resumed.run_to_end(s)
+                            }
+                            Ok(Run::Done(t)) => Ok(t),
+                            Err(e) => Err(e),
+                        };
+                        assert_eq!(
+                            got, whole,
+                            "{:?} cap {cap} paused at d{d}#{p}, seed {seed:?}",
+                            s.topology.scheme
+                        );
+                    }
                 }
             }
             whole

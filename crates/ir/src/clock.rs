@@ -10,7 +10,7 @@
 //! and [`crate::LinkSlack::nth`] target.
 //!
 //! The executors keep only what differs between them: how a blocked
-//! operation waits (a round-robin sweep over [`crate::Fifo`]s, a parked
+//! operation waits (a ready queue over [`crate::Fifo`]s, a parked
 //! machine, a blocking thread), jitter and injected faults, memory
 //! ledgers and recording. They hand the clock busy durations and the
 //! times they waited for, so given the same inputs they reach the same

@@ -35,11 +35,13 @@
 //! * [`index`] — position and hop tables built once per program or
 //!   topology, so validation and the graph-tuner passes look instructions
 //!   up instead of scanning for them;
-//! * [`hash`] — the fast deterministic hasher behind the executors'
-//!   per-instruction channel, link and ledger maps;
+//! * [`hash`] — the fast deterministic hasher behind the memory rules'
+//!   and ledgers' maps;
 //! * [`link`] — the bounded p2p link rule (channel keys, the p2p
-//!   classifier, the ack-window [`Fifo`]) every single-threaded engine
-//!   shares;
+//!   classifier, the ack-window [`Fifo`]) and the [`LinkTable`] that
+//!   numbers every channel once, shared by every engine;
+//! * [`ready`] — the ready queue the single-threaded engines run each
+//!   device from until it blocks;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
 //!   execution proving schedules deadlock-free under blocking p2p.
 
@@ -57,6 +59,7 @@ pub mod ledger;
 pub mod link;
 pub mod list;
 pub mod perturb;
+pub mod ready;
 pub mod rules;
 pub mod schedule;
 pub mod span;
@@ -69,14 +72,18 @@ pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
 pub use clock::{DeviceClock, PacketCounter};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub use exec::check_executable_shuffled;
 pub use hash::{FastMap, FastSet};
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use index::{ProgramIndex, RouteHops};
 pub use instr::{Instr, InstrKind, InstrTag};
 pub use ledger::{AllocError, AllocKey, MemLedger, OomError};
-pub use link::{ChanKey, Dir, Fifo, Msg, MsgClass, P2p};
+pub use link::{ChanKey, Dir, Fifo, Link, LinkTable, Msg, MsgClass, P2p, Port};
 pub use list::DeviceProgram;
 pub use perturb::{LinkSlack, PerturbationProfile, SlowdownWindow};
+pub use ready::Ready;
 pub use rules::MemoryRules;
 pub use schedule::Schedule;
 pub use span::{OpSpan, SpanGraph, CKPT_PC};

@@ -33,6 +33,33 @@ USAGE:
 MODELS: gpt3-1.6b | gpt3-13b | llama2-3b | llama2-13b | gpt3-h<hidden>
 ";
 
+/// Why a command failed. Only a usage error is followed by the usage
+/// text; a schedule that does not load or validate, or a run that fails,
+/// is reported on its own.
+enum Failure {
+    /// The command line itself: an unknown command, flag or value.
+    Usage(String),
+    /// What the command read, ran or wrote.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Usage(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Usage(e.into())
+    }
+}
+
+/// A failure of what the command ran, not of how it was called.
+fn run_err(e: impl std::fmt::Display) -> Failure {
+    Failure::Run(e.to_string())
+}
+
 fn parse_model(name: &str) -> Option<ModelConfig> {
     match name {
         "gpt3-1.6b" => Some(ModelConfig::gpt3_1_6b()),
@@ -129,12 +156,12 @@ fn emit(schedule: &Schedule, out: Option<&String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_schedule(args: &Args) -> Result<Schedule, String> {
+fn load_schedule(args: &Args) -> Result<Schedule, Failure> {
     let path = args.req("schedule")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let schedule = mario::ir::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| run_err(format!("{path}: {e}")))?;
+    let schedule = mario::ir::from_text(&text).map_err(|e| run_err(format!("{path}: {e}")))?;
     validate(&schedule)
-        .map_err(|e| format!("{path}: schedule is not well-formed: {}", e[0]))?;
+        .map_err(|e| run_err(format!("{path}: schedule is not well-formed: {}", e[0])))?;
     Ok(schedule)
 }
 
@@ -150,7 +177,7 @@ fn cost_for(args: &Args, schedule: &Schedule) -> Result<AnalyticCost, String> {
     Ok(AnalyticCost::new(&setup))
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args) -> Result<(), Failure> {
     let scheme = parse_scheme(args.req("scheme")?)?;
     let devices: u32 = args.num("devices")?;
     let micros: u32 = args.num("micros")?;
@@ -168,11 +195,11 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         let cost = UnitCost::paper_grid();
         run_graph_tuner(&mut s, &cost, GraphTunerOptions::mario());
     }
-    validate(&s).map_err(|e| format!("generated schedule invalid: {}", e[0]))?;
-    emit(&s, args.flags.get("out"))
+    validate(&s).map_err(|e| run_err(format!("generated schedule invalid: {}", e[0])))?;
+    emit(&s, args.flags.get("out")).map_err(run_err)
 }
 
-fn cmd_optimize(args: &Args) -> Result<(), String> {
+fn cmd_optimize(args: &Args) -> Result<(), Failure> {
     let model = parse_model(args.req("model")?).ok_or("unknown model")?;
     let devices: u32 = args.num("devices")?;
     let gbs: u32 = args.num("gbs")?;
@@ -190,7 +217,7 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
         num_devices: devices,
         memory_per_device,
     };
-    let opt = optimize(&conf, &model, &GpuSpec::a100_40g()).map_err(|e| e.to_string())?;
+    let opt = optimize(&conf, &model, &GpuSpec::a100_40g()).map_err(run_err)?;
     eprintln!(
         "best: {}  ({:.2} samples/s simulated, memory [{:.2}, {:.2}] GB, tuned in {:.0} ms)",
         opt.evaluation.candidate,
@@ -199,14 +226,14 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
         opt.evaluation.peak_mem.1 as f64 / (1u64 << 30) as f64,
         opt.tuning_time.as_secs_f64() * 1e3,
     );
-    emit(&opt.schedule, args.flags.get("out"))
+    emit(&opt.schedule, args.flags.get("out")).map_err(run_err)
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
+fn cmd_simulate(args: &Args) -> Result<(), Failure> {
     let schedule = load_schedule(args)?;
     let cost = cost_for(args, &schedule)?;
     let cap = mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme);
-    let timeline = simulate_timeline(&schedule, &cost, cap).map_err(|e| e.to_string())?;
+    let timeline = simulate_timeline(&schedule, &cost, cap).map_err(run_err)?;
     let memory = simulate_memory(&schedule, &cost, None);
     println!(
         "iteration: {:.3} ms  ({:.2} iterations/s)",
@@ -228,13 +255,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = args.flags.get("trace") {
         std::fs::write(path, mario::core::chrome_trace(&timeline.spans, &schedule))
-            .map_err(|e| e.to_string())?;
+            .map_err(run_err)?;
         eprintln!("chrome trace written to {path}");
     }
     Ok(())
 }
 
-fn cmd_emulate(args: &Args) -> Result<(), String> {
+fn cmd_emulate(args: &Args) -> Result<(), Failure> {
     let schedule = load_schedule(args)?;
     let cost = cost_for(args, &schedule)?;
     let cap = mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme);
@@ -249,7 +276,9 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
     let backend = match args.flags.get("backend").map(String::as_str) {
         None | Some("thread") => EmulatorBackend::Thread,
         Some("event") => EmulatorBackend::Event,
-        Some(other) => return Err(format!("--backend must be thread or event, got '{other}'")),
+        Some(other) => {
+            return Err(format!("--backend must be thread or event, got '{other}'").into())
+        }
     };
     let report = mario::cluster::run(
         &schedule,
@@ -262,7 +291,7 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
             ..Default::default()
         },
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(run_err)?;
     println!(
         "iteration: {:.3} ms over {} emulated devices",
         report.iter_ns as f64 / 1e6,
@@ -276,7 +305,7 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run_cli(argv: Vec<String>) -> Result<(), String> {
+fn run_cli(argv: Vec<String>) -> Result<(), Failure> {
     let Some(cmd) = argv.first() else {
         return Err("no command".into());
     };
@@ -290,7 +319,7 @@ fn run_cli(argv: Vec<String>) -> Result<(), String> {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
@@ -298,9 +327,13 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run_cli(argv) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}");
             eprint!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

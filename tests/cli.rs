@@ -163,6 +163,24 @@ fn bad_input_fails_with_usage() {
 }
 
 #[test]
+fn a_schedule_that_fails_validation_is_reported_without_usage() {
+    let path = tmp("invalid.txt");
+    let p = path.to_str().unwrap();
+    let gen = ["generate", "--scheme", "V", "--devices", "2", "--micros", "2", "--out", p];
+    assert!(mario().args(gen).status().unwrap().success());
+    // Device 1 sends micro 1's gradient without running its backward.
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(" B1^0 SG1^0>d0"), "{text}");
+    std::fs::write(&path, text.replace(" B1^0 SG1^0>d0", " SG1^0>d0")).unwrap();
+    for cmd in ["simulate", "emulate"] {
+        let args = [cmd, "--schedule", p, "--model", "gpt3-1.6b", "--mbs", "1"];
+        rejects(&args, "schedule is not well-formed");
+        let err = String::from_utf8(mario().args(args).output().unwrap().stderr).unwrap();
+        assert!(!err.contains("USAGE"), "{err}");
+    }
+}
+
+#[test]
 fn simulate_reports_a_hostile_schedule_header_without_panicking() {
     // Chimera on an odd device count: a header the parser must reject
     // before it builds the topology.
