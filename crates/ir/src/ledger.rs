@@ -142,6 +142,11 @@ impl MemLedger {
     /// Zero-byte requests are recorded (so state machines stay uniform) but
     /// cost nothing. Allocating an already-live key fails and leaves the
     /// ledger unchanged.
+    // Every executor calls this once per instruction. Inline, so the map's
+    // entry lookup is inlined into it however the crate is split into
+    // codegen units: without it, adding unrelated code to this crate
+    // moved the lookup out of line and the event backend ran 7-10% slower.
+    #[inline]
     pub fn alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), AllocError> {
         match self.live.entry(key) {
             Entry::Occupied(_) => return Err(AllocError::Live(key)),
