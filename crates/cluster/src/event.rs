@@ -1,34 +1,36 @@
-//! The discrete-event backend: the emulator's scale path.
+//! The discrete-event backend: the emulator's scale path, and the DP
+//! simulator's executor (`mario-core`'s `simulate` is a zero-jitter run
+//! of it).
 //!
 //! One thread, no watchdog, no real-time blocking: every device is a
 //! `Machine` stepped until it parks, and every link a `mario_ir::Fifo`
-//! of timestamped packets — the ack window the DP simulator, the
+//! of timestamped packets — the ack window the makespan sweep, the
 //! deadlock check and the what-if re-timer use too. The machine holds
-//! all instruction semantics, so this module only keeps the worklist,
-//! settlement and quiescence; with zero jitter it agrees bit-for-bit with
-//! the thread backend and the DP simulator, which the three-way parity
-//! proptests pin.
+//! all instruction semantics, so this module only keeps settlement and
+//! quiescence; with zero jitter it agrees bit-for-bit with the thread
+//! backend, which the parity proptests pin.
 //!
-//! Why any execution order works: each device's instruction sequence is
-//! fixed, each channel is FIFO, and every clock update depends only on
-//! packet timestamps — never on when the scheduler happened to run the
-//! device. The worklist is therefore confluent: any order of ready
-//! devices reaches the same final state (a property
-//! `tests/properties.rs` checks by permuting the seed order through
-//! [`run_event_ordered`]).
+//! Devices run from a [`Ready`] queue, the scheduler the makespan sweep
+//! and the deadlock check share: a machine runs until it parks on a link,
+//! and a packet, an ack or a peer's settlement wakes it only if it waits
+//! on that link. Each device's instruction sequence is fixed, each
+//! channel is FIFO, and every clock update depends only on packet
+//! timestamps, so any firing order reaches the same final state, errors
+//! included (see [`mario_ir::ready`]); `tests/properties.rs` checks that
+//! through [`run_event_shuffled`].
 //!
-//! Deadlock needs no timer here: when the worklist drains and devices
-//! are still blocked, no event can ever wake them — that *is* the
-//! deadlock, detected in zero real time where the thread backend must
-//! wait out a watchdog.
+//! Deadlock needs no timer here: when the queue drains and devices are
+//! still blocked, no event can ever wake them — that *is* the deadlock,
+//! detected in zero real time where the thread backend must wait out a
+//! watchdog.
 
 use crate::error::EmuError;
-use crate::faults::FaultPlan;
 use crate::link::{LinkError, Packet};
 use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped, Transport};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
-use mario_ir::{CostModel, DeviceId, Dir, Fifo, Link, LinkTable, MemoryRules, Nanos, Schedule};
-use std::collections::VecDeque;
+use mario_ir::{
+    CostModel, DeviceId, Dir, Fifo, Link, LinkTable, MemoryRules, Nanos, Ready, Schedule,
+};
 
 /// One bounded-FIFO link, event-style: the shared [`Fifo`] plus whether
 /// each end has settled (an empty or full link then reads as
@@ -43,13 +45,13 @@ struct EventChannel {
 /// The in-memory links, indexed by link number: an empty or full link
 /// parks the machine, and once the peer has settled the link reads as
 /// disconnected — FIFO-ordered after all genuine traffic, the same
-/// observation the thread backend's poison markers make. Every packet
-/// and ack wakes the peer it is for.
+/// observation the thread backend's poison markers make. A packet wakes
+/// its receiver and an ack its sender, if it waits on that link.
 struct EventLinks<'s> {
     table: &'s LinkTable,
     chans: &'s mut [EventChannel],
     capacity: usize,
-    wakes: &'s mut Vec<usize>,
+    ready: &'s mut Ready,
 }
 
 impl Transport for EventLinks<'_> {
@@ -63,7 +65,7 @@ impl Transport for EventLinks<'_> {
 
     fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
         let occupancy = self.chans[link.id].fifo.push(pkt);
-        self.wakes.push(self.table.key(link.id).1.index());
+        self.ready.wake(self.table.key(link.id).1.index(), link.id);
         Ok(occupancy)
     }
 
@@ -77,11 +79,11 @@ impl Transport for EventLinks<'_> {
 
     fn ack(&mut self, link: Link, at: Nanos) {
         self.chans[link.id].fifo.ack(at);
-        self.wakes.push(self.table.key(link.id).0.index());
+        self.ready.wake(self.table.key(link.id).0.index(), link.id);
     }
 }
 
-/// Mutable scheduler state threaded through [`Sched::drain_queue`] and
+/// Mutable scheduler state threaded through [`Sched::drain`] and
 /// [`Sched::settle`].
 struct Sched<'a> {
     devs: Vec<Machine<'a>>,
@@ -91,113 +93,87 @@ struct Sched<'a> {
     /// One channel per link, indexed by link number.
     chans: Vec<EventChannel>,
     capacity: usize,
-    queue: VecDeque<usize>,
-    queued: Vec<bool>,
+    ready: Ready,
     results: Vec<Option<Result<DeviceReport, EmuError>>>,
 }
 
 impl Sched<'_> {
-    /// Enqueues `d` unless it already settled or is already queued.
-    fn wake(&mut self, d: usize) {
-        if d < self.results.len() && self.results[d].is_none() && !self.queued[d] {
-            self.queued[d] = true;
-            self.queue.push_back(d);
-        }
-    }
-
     /// Records `d`'s outcome and marks every link end it owns as settled:
     /// peers observe end-of-stream only after consuming all genuine
-    /// traffic (FIFO order). Wakes the affected peers.
+    /// traffic (FIFO order). Wakes the peers waiting on those links.
     fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>) {
         self.results[d] = Some(result);
         let (table, device) = (self.table, DeviceId(d as u32));
         for &((peer, ..), id) in table.ports(device, Dir::Send) {
             self.chans[id].sender_settled = true;
-            self.wake(peer.index());
+            self.ready.wake(peer.index(), id);
         }
         for &((peer, ..), id) in table.ports(device, Dir::Recv) {
             self.chans[id].receiver_settled = true;
-            self.wake(peer.index());
+            self.ready.wake(peer.index(), id);
         }
     }
 
-    /// Runs the worklist dry: steps every queued device, records
-    /// settlements, propagates wakes.
-    fn drain_queue(&mut self) {
-        let mut wakes = Vec::new();
-        while let Some(d) = self.queue.pop_front() {
-            self.queued[d] = false;
+    /// Runs the ready queue dry: steps each device until it parks,
+    /// finishes or fails, and settles the latter two.
+    fn drain(&mut self) {
+        while let Some(d) = self.ready.front() {
             if self.results[d].is_some() {
+                // Settled at quiescence while it waited on a link.
+                self.ready.block(None);
                 continue;
             }
             let mut links = EventLinks {
                 table: self.table,
                 chans: &mut self.chans,
                 capacity: self.capacity,
-                wakes: &mut wakes,
+                ready: &mut self.ready,
             };
-            match self.devs[d].step(&mut links) {
-                Ok(Stepped::Blocked) => {}
-                Ok(Stepped::Finished) => {
-                    let report = self.devs[d].finish();
-                    self.settle(d, Ok(report));
-                }
-                Err(e) => self.settle(d, Err(e)),
+            let stepped = self.devs[d].step(&mut links);
+            if let Ok(Stepped::Blocked(link)) = stepped {
+                self.ready.block(Some(link));
+                continue;
             }
-            for w in wakes.drain(..) {
-                self.wake(w);
-            }
+            self.ready.block(None);
+            let result = stepped.map(|_| self.devs[d].finish());
+            self.settle(d, result);
         }
     }
 }
 
-/// Runs `schedule` on the event backend with an explicit initial
-/// worklist `order`. The executor is confluent — any permutation of
-/// `order` produces a bit-identical result — and the determinism
-/// proptests exercise exactly that by permuting it.
+/// [`crate::run_with`] on the event backend with devices run in a seeded
+/// random order, for the tests that hold every order to the same
+/// answers.
+#[cfg(feature = "test-order")]
 #[doc(hidden)]
-pub fn run_event_ordered(
+pub fn run_event_shuffled(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
-    plan: &FaultPlan,
-    startup: &[Nanos],
-    order: &[u32],
+    opts: &RunOptions,
+    seed: u64,
 ) -> Result<RunReport, EmuError> {
-    let opts = RunOptions {
-        startup,
-        ..RunOptions::new(plan)
-    };
-    run_event(schedule, cost, cfg, &opts, order)
+    let ready = Ready::shuffled(schedule.devices() as usize, seed);
+    run_event(schedule, cost, cfg, opts, ready)
 }
 
-/// The event backend behind [`crate::run_with`], seeding its worklist in
-/// `order`.
+/// The event backend behind [`crate::run_with`], running devices in the
+/// order `ready` gives.
 pub(crate) fn run_event(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
     opts: &RunOptions,
-    order: &[u32],
+    ready: Ready,
 ) -> Result<RunReport, EmuError> {
     let RunOptions {
         plan,
         startup,
         serving,
+        ..
     } = *opts;
+    let profile = opts.timing();
     let devices = schedule.devices() as usize;
-    let mut seen = vec![false; devices];
-    for &d in order {
-        assert!(
-            (d as usize) < devices && !std::mem::replace(&mut seen[d as usize], true),
-            "order must be a permutation of 0..{devices}"
-        );
-    }
-    assert!(
-        seen.iter().all(|&s| s),
-        "order must cover every device 0..{devices}"
-    );
-
     let rules = MemoryRules::new(schedule);
     let table = LinkTable::new(schedule);
     let stalls = StallTable::new(devices);
@@ -205,6 +181,7 @@ pub(crate) fn run_event(
     let shared = Shared {
         schedule,
         cost,
+        profile: &profile,
         rules: &rules,
         links: &table,
         stalls: &stalls,
@@ -222,11 +199,10 @@ pub(crate) fn run_event(
         table: &table,
         chans: (0..table.len()).map(|_| EventChannel::default()).collect(),
         capacity: cfg.channel_capacity,
-        queue: order.iter().map(|&d| d as usize).collect(),
-        queued: vec![true; devices],
+        ready,
         results: (0..devices).map(|_| None).collect(),
     };
-    sched.drain_queue();
+    sched.drain();
 
     // Quiescence, phase 1: devices parked on a link with an injected
     // incoming stall are the stall surfacing — the event analogue of the
@@ -248,7 +224,7 @@ pub(crate) fn run_event(
         if !fired {
             break;
         }
-        sched.drain_queue();
+        sched.drain();
     }
 
     // Quiescence, phase 2: anything still parked can never be woken —
@@ -267,12 +243,12 @@ pub(crate) fn run_event(
         let err = sched.devs[d].deadlocked(cycle);
         sched.settle(d, Err(err));
     }
-    sched.drain_queue();
+    sched.drain();
 
     let results = sched
         .results
         .into_iter()
-        .map(|r| r.expect("every device settles before the worklist drains"))
+        .map(|r| r.expect("every device settles before the queue drains"))
         .collect();
     settle_report(results, &cfg, plan, &ckpts)
 }

@@ -350,19 +350,19 @@ impl FaultPlan {
             .map(|g| g.name.clone())
     }
 
-    /// The [`PerturbationProfile`] this plan imposes on the cluster — the
-    /// contract that lets the DP simulator predict a faulted emulator run.
+    /// The [`PerturbationProfile`] this plan imposes on the cluster: the
+    /// profile `run_with` times the plan's absorbable faults through, so
+    /// a simulation under it predicts a faulted run.
     ///
     /// Only absorbable faults (slowdowns, finite link delays) translate;
     /// hard faults (crashes, stalls, squeezes) have no timing-only
     /// equivalent and are skipped — call [`FaultPlan::is_absorbable`]
     /// first when exact agreement is required. Duplicate link delays on
-    /// the same `(src, dst, nth)` packet keep only the first, matching
-    /// the emulator's first-match enforcement. Every window carries the
-    /// plan's fault iteration, matching the emulator's per-iteration
-    /// fault scoping — agreement holds for any iteration count as long
-    /// as the simulator models the same number of iterations
-    /// (`SimOptions::iterations` of `mario-core`'s `simulate`).
+    /// the same `(src, dst, nth)` packet keep only the first, the one a
+    /// run reports. Every window carries the plan's fault iteration —
+    /// agreement holds for any iteration count as long as the simulator
+    /// models the same number of iterations (`SimOptions::iterations` of
+    /// `mario-core`'s `simulate`).
     pub fn perturbation_profile(&self) -> PerturbationProfile {
         let mut profile = PerturbationProfile::identity();
         for &fault in &self.faults {
@@ -511,13 +511,16 @@ fn send_sites(schedule: &Schedule) -> Vec<(DeviceId, DeviceId, usize)> {
     sites
 }
 
-/// The faults one device enforces while executing (a projection of the
-/// plan computed by [`FaultPlan::for_device`]).
+/// The faults one device enforces and reports while executing (a
+/// projection of the plan computed by [`FaultPlan::for_device`]). It
+/// times nothing: slowdowns and link delays take effect through the
+/// plan's [`FaultPlan::perturbation_profile`], and only decide here which
+/// faults a run reports as absorbed.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceFaults {
     /// Iteration during which transient faults fire.
     pub iteration: u32,
-    /// Active [`FaultKind::Slowdown`]s for this device.
+    /// [`FaultKind::Slowdown`]s for this device, to report.
     pub slowdowns: Vec<FaultKind>,
     /// Pending [`FaultKind::Crash`] for this device.
     pub crash: Option<FaultKind>,
@@ -546,28 +549,6 @@ impl DeviceFaults {
             Some(FaultKind::MemSqueeze { capacity, .. }) => Some(capacity),
             _ => None,
         }
-    }
-
-    /// Combined slowdown factor for instruction `pc` of iteration `iter`.
-    pub fn slow_factor(&self, iter: u32, pc: usize) -> f64 {
-        if iter != self.iteration {
-            return 1.0;
-        }
-        let mut f = 1.0;
-        for s in &self.slowdowns {
-            if let FaultKind::Slowdown {
-                factor,
-                from_pc,
-                until_pc,
-                ..
-            } = *s
-            {
-                if (from_pc..until_pc).contains(&pc) {
-                    f *= factor;
-                }
-            }
-        }
-        f
     }
 
     /// The send fault hitting the `nth` packet to `dst` in iteration
@@ -712,24 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_factor_windows() {
-        let d = DeviceId(0);
-        let plan = FaultPlan::none().with(FaultKind::Slowdown {
-            device: d,
-            factor: 10.0,
-            from_pc: 2,
-            until_pc: 5,
-        });
-        let df = plan.for_device(d);
-        assert_eq!(df.slow_factor(0, 1), 1.0);
-        assert_eq!(df.slow_factor(0, 2), 10.0);
-        assert_eq!(df.slow_factor(0, 4), 10.0);
-        assert_eq!(df.slow_factor(0, 5), 1.0);
-        // Wrong iteration: inactive.
-        assert_eq!(df.slow_factor(1, 2), 1.0);
-    }
-
-    #[test]
     fn absorbable_plans_translate_to_profiles() {
         let plan = FaultPlan::none()
             .with(FaultKind::Slowdown {
@@ -792,8 +755,8 @@ mod tests {
 
     #[test]
     fn duplicate_link_delays_keep_the_first() {
-        // The emulator enforces the first matching fault on a packet; the
-        // derived profile must not double-charge it.
+        // A run reports the first matching fault on a packet; the profile
+        // that times it must not double-charge the packet.
         let plan = FaultPlan::none()
             .with(FaultKind::LinkDelay {
                 src: DeviceId(0),

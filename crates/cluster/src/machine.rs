@@ -1,25 +1,29 @@
 //! The per-device instruction machine: the one implementation of
-//! instruction semantics both emulator backends drive.
+//! instruction semantics. Both emulator backends drive it, and so does
+//! the DP simulator (`mario-core`), which is a zero-jitter event-backend
+//! run.
 //!
 //! A `Machine` walks one device's program over every iteration,
 //! advancing a memory ledger, enforcing the device's injected faults (and
 //! converting every induced failure into a structured [`FaultReport`]),
 //! and recording telemetry and spans. Its virtual time moves only through
-//! its [`DeviceClock`], the rule the DP simulator steps through too: the
-//! launch charges, the ack window — a send on a full link completes at
-//! `max(now, dequeued_at)` of the oldest un-acked packet — the arrival
-//! `max(now, sent_at + wire)` a receive completes at, checkpoint chunks
-//! draining into those waits, and the time classes. The machine adds the
-//! departure `now + delay` of a delayed packet, and publishes the clock's
-//! checkpoint state on the shared [`CkptBoard`] whenever `step` returns.
+//! its [`DeviceClock`]: the launch charges, the ack window — a send on a
+//! full link completes at `max(now, dequeued_at)` of the oldest un-acked
+//! packet — the arrival `max(now, sent_at + wire)` a receive completes
+//! at, checkpoint chunks draining into those waits, and the time classes.
+//! Slowdowns and link delays come from the run's [`PerturbationProfile`]:
+//! a compute duration is scaled by it, and a packet departs
+//! `now + link_extra` late. The machine publishes the clock's checkpoint
+//! state on the shared [`CkptBoard`] whenever `step` returns.
 //!
 //! Packets move through a `Transport`, the only thing the two backends
 //! supply. The machine resolves each send or recv port once, through the
 //! run's [`LinkTable`], and hands the transport the resolved [`Link`]. The
 //! event backend's in-memory FIFOs park the machine when a link is empty
-//! or full (`Machine::step` returns `Stepped::Blocked` and resumes the
-//! parked operation on the next call), while the thread backend's
-//! crossbeam links block the device's thread up to the watchdog. Every
+//! or full (`Machine::step` returns `Stepped::Blocked` with the link and
+//! resumes the parked operation on the next call), while the thread
+//! backend's crossbeam links block the device's thread up to the
+//! watchdog. Every
 //! clock update depends only on packet timestamps, never on when a
 //! backend ran the machine, so both backends reach bit-identical results.
 
@@ -31,7 +35,7 @@ use crate::serving::ServingHooks;
 use mario_ir::{
     AllocError, AllocKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId, DeviceProgram,
     DeviceTelemetry, Dir, Instr, InstrKind, Link, LinkSendStats, LinkTable, MemLedger, MemoryRules,
-    Msg, Nanos, OpSpan, Port, Schedule,
+    Msg, Nanos, OpSpan, PerturbationProfile, Port, Schedule,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -219,6 +223,8 @@ fn per_peer<V: Default>(entries: &mut Vec<(DeviceId, V)>, peer: DeviceId) -> &mu
 pub(crate) struct Shared<'a> {
     pub schedule: &'a Schedule,
     pub cost: &'a dyn CostModel,
+    /// Times every slowdown and link delay.
+    pub profile: &'a PerturbationProfile,
     pub rules: &'a MemoryRules,
     pub links: &'a LinkTable,
     pub stalls: &'a StallTable,
@@ -231,8 +237,9 @@ pub(crate) struct Shared<'a> {
 /// How far [`Machine::step`] got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stepped {
-    /// Parked on a send or recv; a peer event must wake it.
-    Blocked,
+    /// Parked on a send or recv on this link number; a peer event on
+    /// it must wake the machine.
+    Blocked(usize),
     /// Ran every iteration to completion.
     Finished,
 }
@@ -367,8 +374,8 @@ impl<'a> Machine<'a> {
     fn run<T: Transport>(&mut self, links: &mut T) -> Result<Stepped, EmuError> {
         loop {
             if let Some(op) = self.parked {
-                if !self.resume(op, links)? {
-                    return Ok(Stepped::Blocked);
+                if let Some(link) = self.resume(op, links)? {
+                    return Ok(Stepped::Blocked(link));
                 }
                 self.parked = None;
                 continue;
@@ -398,7 +405,7 @@ impl<'a> Machine<'a> {
         let pc = self.pc;
         let program = self.program;
         let instr = program.get(pc).expect("pc in range");
-        let cost = self.shared.cost;
+        let (cost, profile) = (self.shared.cost, self.shared.profile);
         let faults_active = !self.faults.is_empty() && self.iteration == self.faults.iteration;
         if faults_active {
             if let Some(fault @ FaultKind::Crash { pc: at, .. }) = self.faults.crash {
@@ -423,22 +430,19 @@ impl<'a> Machine<'a> {
                         self.time.wait_until(gate, Dir::Recv);
                     }
                 }
-                let mut dur = self.jittered(cost.duration(self.device, instr));
+                let dur = self.jittered(cost.duration(self.device, instr));
+                let dur = profile.scaled_compute(self.device, self.iteration, pc, dur);
                 if faults_active {
-                    let factor = self.faults.slow_factor(self.iteration, pc);
-                    if factor != 1.0 {
-                        dur = (dur as f64 * factor).round() as Nanos;
-                        let fault = self.faults.slowdowns.iter().copied().find(|s| {
-                            matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. }
-                                if (from_pc..until_pc).contains(&pc))
-                        });
-                        // One report per fault, not one per slowed
-                        // instruction.
-                        if let Some(fault) = fault {
-                            if !self.absorbed.iter().any(|r| r.fault == fault) {
-                                let rep = self.report(fault, pc, "compute slowed");
-                                self.absorbed.push(rep);
-                            }
+                    let fault = self.faults.slowdowns.iter().copied().find(|s| {
+                        matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. }
+                            if (from_pc..until_pc).contains(&pc))
+                    });
+                    // One report per fault, not one per slowed
+                    // instruction.
+                    if let Some(fault) = fault {
+                        if !self.absorbed.iter().any(|r| r.fault == fault) {
+                            let rep = self.report(fault, pc, "compute slowed");
+                            self.absorbed.push(rep);
                         }
                     }
                 }
@@ -496,14 +500,11 @@ impl<'a> Machine<'a> {
                     self.complete(start, launch, 0, 0, 0);
                     return Ok(());
                 }
-                let delay = match fault {
-                    Some(f @ FaultKind::LinkDelay { extra_ns, .. }) => {
-                        let rep = self.report(f, pc, "packet delayed");
-                        self.absorbed.push(rep);
-                        extra_ns
-                    }
-                    _ => 0,
-                };
+                if let Some(f @ FaultKind::LinkDelay { .. }) = fault {
+                    let rep = self.report(f, pc, "packet delayed");
+                    self.absorbed.push(rep);
+                }
+                let delay = profile.link_extra(self.device, peer, self.iteration, nth);
                 let bytes = cost.boundary_bytes(self.device, instr.part);
                 self.park(Parked::Send {
                     pc,
@@ -524,9 +525,13 @@ impl<'a> Machine<'a> {
         self.parked = Some(op);
     }
 
-    /// One attempt at the parked operation: `Ok(true)` once it completed,
-    /// `Ok(false)` while the transport cannot serve it yet.
-    fn resume<T: Transport>(&mut self, op: Parked, links: &mut T) -> Result<bool, EmuError> {
+    /// One attempt at the parked operation: `Ok(None)` once it completed,
+    /// `Ok(Some(link))` while the transport cannot serve it yet.
+    fn resume<T: Transport>(
+        &mut self,
+        op: Parked,
+        links: &mut T,
+    ) -> Result<Option<usize>, EmuError> {
         let launch = self.shared.cost.p2p_launch_overhead();
         match op {
             Parked::Send {
@@ -543,7 +548,7 @@ impl<'a> Machine<'a> {
                     .reserve(link)
                     .map_err(|e| self.link_err(e, pc, port.0))?;
                 let Some(freed) = freed else {
-                    return Ok(false);
+                    return Ok(Some(link.id));
                 };
                 // The buffer was full until the receiver dequeued the
                 // oldest packet: the send completes at that time. An
@@ -577,7 +582,7 @@ impl<'a> Machine<'a> {
                 let link = link.ok_or_else(|| self.link_err(LinkError::NoRoute, pc, port.0))?;
                 let pkt = links.pop(link).map_err(|e| self.link_err(e, pc, port.0))?;
                 let Some(pkt) = pkt else {
-                    return Ok(false);
+                    return Ok(Some(link.id));
                 };
                 if pkt.msg != expect {
                     // The mismatched packet is consumed and never acked.
@@ -594,7 +599,7 @@ impl<'a> Machine<'a> {
                 self.complete(start, launch, pkt.sent_at, wire_ns, 0);
             }
         }
-        Ok(true)
+        Ok(None)
     }
 
     /// Completes the instruction at `pc`: records its span, ending at the
@@ -853,21 +858,23 @@ mod tests {
             LinkTable::new(&s),
         );
         let (stalls, ckpts) = (StallTable::new(2), CkptBoard::new(2));
-        let shared = Shared {
-            schedule: &s,
-            cost: &cost,
-            rules: &rules,
-            links: &links,
-            stalls: &stalls,
-            ckpts: &ckpts,
-            serving: None,
-        };
         let plan = FaultPlan::none().with(FaultKind::LinkDelay {
             src: d1,
             dst: d0,
             nth: 0,
             extra_ns: 7_000,
         });
+        let profile = plan.perturbation_profile();
+        let shared = Shared {
+            schedule: &s,
+            cost: &cost,
+            profile: &profile,
+            rules: &rules,
+            links: &links,
+            stalls: &stalls,
+            ckpts: &ckpts,
+            serving: None,
+        };
         let cfg = EmulatorConfig::default();
         let mut m = Machine::new(shared, d1, &cfg, plan.for_device(d1), 500);
         let msg = Msg {

@@ -8,10 +8,11 @@
 //! buffer-order deadlocks, activation-lifecycle leaks) manifest exactly as
 //! they would on hardware, while per-instruction latencies come from the
 //! cost model. [`run_with_faults`] additionally threads a seeded
-//! [`FaultPlan`] through the devices, [`run_with`] takes the plan,
-//! startup offsets and serving hooks in one [`RunOptions`], and
-//! [`run_with_recovery`] restarts a faulted run a bounded number of times
-//! (the checkpoint-restart loop a real fleet scheduler would drive).
+//! [`FaultPlan`] through the devices, [`run_with`] takes the plan, a
+//! perturbation profile, startup offsets and serving hooks in one
+//! [`RunOptions`], and [`run_with_recovery`] restarts a faulted run a
+//! bounded number of times (the checkpoint-restart loop a real fleet
+//! scheduler would drive).
 
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
@@ -19,10 +20,11 @@ use crate::link::ThreadLinks;
 use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped};
 use crate::serving::ServingHooks;
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceId, LinkTable, MemoryRules, Nanos, Schedule, SpanGraph,
-    Telemetry,
+    CheckpointPolicy, CostModel, DeviceId, LinkTable, MemoryRules, Nanos, PerturbationProfile,
+    Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::time::Duration;
 
 /// Which backend [`run`] and friends use.
@@ -220,15 +222,20 @@ pub struct RunOptions<'a> {
     /// [`run`]; with a populated plan every induced failure terminates
     /// the run with a structured [`EmuError::Fault`] naming the injected
     /// fault, the observing device, its pc and virtual time — never a
-    /// hang, never a panic.
+    /// hang, never a panic. Its absorbable faults time the run through
+    /// [`FaultPlan::perturbation_profile`], on top of `profile`.
     pub plan: &'a FaultPlan,
+    /// The cluster's degradation: compute instructions on straggling
+    /// devices are scaled by their slowdown windows (indexed by
+    /// instruction pc) and perturbed packets depart late by the link's
+    /// extra latency while the sender's clock is unaffected. Nothing is
+    /// reported for it; only the plan's faults are.
+    pub profile: &'a PerturbationProfile,
     /// Per-device startup offsets: device `d`'s clock begins at
     /// `startup[d]` ns (0 when the slice is short), charged to the
     /// `reconfig_ns` telemetry class — the state-redistribution cost an
     /// elastic reconfiguration pays before the shrunk pipeline's first
-    /// instruction. The offsets propagate through blocking p2p exactly
-    /// as the DP simulator's `SimOptions::startup`, so zero-jitter parity
-    /// holds on reconfigured runs too.
+    /// instruction. The offsets propagate through blocking p2p.
     pub startup: &'a [Nanos],
     /// Serving hooks (None on training runs): each micro-batch's
     /// first-stage forward is gated at its release (the ingress wait
@@ -240,13 +247,28 @@ pub struct RunOptions<'a> {
 }
 
 impl<'a> RunOptions<'a> {
-    /// The faults of `plan`, no startup offsets, no serving hooks.
+    /// The faults of `plan` on a pristine cluster, no startup offsets, no
+    /// serving hooks.
     pub fn new(plan: &'a FaultPlan) -> Self {
         Self {
             plan,
+            profile: PerturbationProfile::pristine(),
             startup: &[],
             serving: None,
         }
+    }
+
+    /// The profile that times the run: `profile`, followed by the
+    /// plan's absorbable faults.
+    pub(crate) fn timing(&self) -> Cow<'a, PerturbationProfile> {
+        if self.plan.is_empty() {
+            return Cow::Borrowed(self.profile);
+        }
+        let mut profile = self.profile.clone();
+        let faults = self.plan.perturbation_profile();
+        profile.slowdowns.extend(faults.slowdowns);
+        profile.link_slack.extend(faults.link_slack);
+        Cow::Owned(profile)
     }
 }
 
@@ -261,8 +283,8 @@ pub fn run_with(
     match cfg.backend {
         EmulatorBackend::Thread => run_threaded(schedule, cost, cfg, opts),
         EmulatorBackend::Event => {
-            let order: Vec<u32> = (0..schedule.devices()).collect();
-            crate::event::run_event(schedule, cost, cfg, opts, &order)
+            let ready = mario_ir::Ready::fifo(schedule.devices() as usize);
+            crate::event::run_event(schedule, cost, cfg, opts, ready)
         }
     }
 }
@@ -279,7 +301,9 @@ fn run_threaded(
         plan,
         startup,
         serving,
+        ..
     } = *opts;
+    let profile = opts.timing();
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
     let table = LinkTable::new(schedule);
@@ -289,6 +313,7 @@ fn run_threaded(
     let shared = Shared {
         schedule,
         cost,
+        profile: &profile,
         rules: &rules,
         links: &table,
         stalls: &stalls,
@@ -320,7 +345,7 @@ fn run_threaded(
                     let mut machine = Machine::new(shared, device, &cfg, faults, startup_ns);
                     match machine.step(&mut ends) {
                         Ok(Stepped::Finished) => Ok(machine.finish()),
-                        Ok(Stepped::Blocked) => unreachable!("thread links block, never park"),
+                        Ok(Stepped::Blocked(_)) => unreachable!("thread links block, never park"),
                         Err(e) => Err(e),
                     }
                 }));
@@ -450,14 +475,12 @@ pub(crate) fn settle_report(
         telemetry.check_conservation(&clocks_by_id)
     );
     debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpts.total_paid());
-    // Merge per-device span streams into one graph, keyed by each
+    // Move each device's span stream into the graph, keyed by its
     // report's own device id (gappy survivor sets included).
     let spans = if cfg.record_spans {
-        let mut graph = SpanGraph::new(0, cfg.channel_capacity);
-        for r in &reports {
-            for &s in &r.spans {
-                graph.push(s);
-            }
+        let mut graph = SpanGraph::new(clocks_by_id.len(), cfg.channel_capacity);
+        for r in &mut reports {
+            graph.per_device[r.telemetry.device.index()] = std::mem::take(&mut r.spans);
         }
         graph.makespan = total_ns;
         debug_assert!(

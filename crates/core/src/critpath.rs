@@ -31,8 +31,8 @@
 //! sends happened to block) keeps [`whatif`] sound: under a counterfactual
 //! the ack window can start binding on a send that never blocked in the
 //! recording. [`whatif`] replays edges 2 and 3 through one
-//! `mario_ir::Fifo` per channel — the link rule the DP simulator and the
-//! event backend share — so a re-timed send on a full window waits for
+//! `mario_ir::Fifo` per channel — the link rule the makespan sweep and
+//! the event backend share — so a re-timed send on a full window waits for
 //! exactly the `(k − capacity)`-th re-timed arrival.
 //!
 //! # Dense numbering, no per-span hashing

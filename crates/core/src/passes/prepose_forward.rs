@@ -18,9 +18,9 @@
 //! "iteratively applied, simulator-guided" refinement of §5.3.
 //!
 //! Trials: a swap of the groups starting at pc `p` on device `d` changes
-//! nothing the DP simulator's sweep does before `d` is about to read pc
+//! nothing the makespan sweep does before `d` is about to read pc
 //! `p` — up to then no device has read an instruction the swap moved. So
-//! each device scan keeps one baseline [`MakespanSweep`] of the current
+//! each device scan keeps one baseline makespan [`Sweep`] of the current
 //! schedule and, walking the candidates in program order, advances it to
 //! each candidate's `(d, p)`, clones the paused sweep into the trial,
 //! swaps the groups and runs the trial to the end. The paused state is
@@ -34,7 +34,7 @@
 //! fail before reaching `(d, p)`, that error is the trial's too: `d`
 //! stopped short of every instruction the swap moved.
 
-use crate::simulator::{simulate_memory, MakespanSweep, Run};
+use crate::simulator::{simulate_memory, Run, Sweep};
 use mario_ir::{
     CostModel, DeviceId, DeviceProgram, InstrKind, LinkTable, PerturbationProfile, Schedule,
 };
@@ -144,7 +144,7 @@ pub fn prepose_forward(
     // The state at time zero depends on no instruction, so one copy
     // serves every baseline restart.
     let links = LinkTable::new(schedule);
-    let zero = MakespanSweep::makespan(schedule, cost, opts.channel_capacity, &pristine, &links);
+    let zero = Sweep::new(schedule, cost, opts.channel_capacity, &pristine, 1, &links);
     let Ok(mut best) = zero.clone().run_to_end(schedule) else {
         return 0;
     };

@@ -4,7 +4,7 @@ pub mod memsim;
 pub mod timeline;
 
 pub use memsim::{memory_series, simulate_memory, MemReport, MemSeries, OomAt};
-pub(crate) use timeline::{simulate_makespan, MakespanSweep, Run};
+pub(crate) use timeline::{simulate_makespan, Run, Sweep};
 pub use timeline::{simulate, simulate_timeline, SimError, SimOptions, SimTimeline};
 #[cfg(feature = "test-order")]
 #[doc(hidden)]
@@ -28,7 +28,7 @@ mod tests {
         assert!(t.throughput(128) > 0.0);
     }
 
-    /// The headline fidelity property: with zero jitter, the DP simulator
+    /// The headline fidelity property: with zero jitter, the simulator
     /// and the threaded cluster emulator produce *identical* timelines.
     #[test]
     fn simulator_equals_emulator_without_jitter() {

@@ -1,36 +1,41 @@
-//! The dynamic-programming timeline simulator (paper §5.2).
+//! The timeline simulator (paper §5.2).
 //!
 //! Instead of hand-identifying critical paths, the simulator infers the
 //! earliest start time of every instruction from its dependencies:
 //! *horizontal* (in-order execution within a device's instruction list) and
 //! *vertical* (p2p messages between devices, per Algorithm 1's virtual
-//! pipeline). Semantics deliberately match the cluster emulator
-//! (mario-cluster) instruction for instruction. Both share the bounded
-//! per-class FIFO channels (the `mario_ir::link` rule: one [`Fifo`] per
-//! channel, the same one the event backend uses) and advance every
-//! device's time through one [`DeviceClock`], the emulator machine's
-//! clock rule: launch overheads, the serving gate, ack-window and recv
-//! waits, checkpoint chunk drain and residue, the time classes and the
-//! packet numbering. This module keeps only its step loop — a [`Sweep`]
-//! that runs each device from a ready queue until it blocks, over
-//! channels numbered by one [`LinkTable`] — and its recorders, so with
-//! zero jitter the two produce identical timelines, and the
-//! simulator-accuracy experiment (Fig. 10) isolates genuine modeling
-//! error (profiling regression, jitter).
+//! pipeline). [`simulate`] is a zero-jitter run of the cluster emulator's
+//! event backend (`mario_cluster::run_with`): one machine steps every
+//! device, so spans, memory ledgers, link statistics, serving completions
+//! and telemetry each have one definition, and this module only maps the
+//! run's report onto a [`SimTimeline`]. The simulator-accuracy experiment
+//! (Fig. 10) then isolates genuine modeling error (profiling regression,
+//! jitter).
+//!
+//! What else lives here is the makespan [`Sweep`], the step loop behind
+//! [`simulate_makespan`] and prepose's paused trials, which the tuner
+//! ranks on. It runs each device from a [`Ready`] queue until it blocks,
+//! over channels numbered by one [`LinkTable`], and times it with the
+//! machine's rules — one [`DeviceClock`] per device, one [`Fifo`] per
+//! link and the [`PerturbationProfile`] — while recording nothing. It
+//! also names [`simulate`]'s errors: a deadlock or a mismatch does not
+//! depend on timing, so the sweep meets the one the event run met.
 //!
 //! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
 //! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
 //! (stragglers, slow links) scales every instruction's duration and every
-//! packet's departure time exactly as the emulator's fault layer enforces
-//! the corresponding absorbable fault plan, so a zero-jitter faulted run
-//! and a degraded simulation still agree bit for bit — the property that
-//! lets the tuner predict a straggler's impact without paying an emulator
-//! run.
+//! packet's departure time exactly as an absorbable fault plan does in
+//! the emulator, so a zero-jitter faulted run and a degraded simulation
+//! agree bit for bit — the property that lets the tuner predict a
+//! straggler's impact without paying an emulator run.
 
+use mario_cluster::{
+    run_with, EmuError, EmulatorBackend, EmulatorConfig, FaultPlan, RunOptions, RunReport,
+    ServeBoard, ServingHooks,
+};
 use mario_ir::{
-    AllocKey, CheckpointPolicy, CostModel, DeviceClock, DeviceId, DeviceTelemetry, Dir, Fifo,
-    Instr, InstrKind, LinkSendStats, LinkTable, MemLedger, MemoryRules, Msg, Nanos, OpSpan,
-    PerturbationProfile, Ready, Schedule, SpanGraph, Telemetry,
+    CheckpointPolicy, CostModel, DeviceClock, DeviceId, Dir, Fifo, InstrKind, LinkTable, Msg,
+    Nanos, PerturbationProfile, Ready, Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -44,27 +49,24 @@ pub struct SimTimeline {
     /// Virtual time spent writing model-state checkpoints, summed across
     /// devices, ns (0 unless [`SimOptions::checkpoint`] was set). With
     /// async overlap only the residue the bubbles could not hide is
-    /// counted — the emulator's `RunReport::ckpt_overhead_ns` semantics,
-    /// bit for bit.
+    /// counted — the emulator's `RunReport::ckpt_overhead_ns`.
     #[serde(default)]
     pub ckpt_overhead_ns: Nanos,
     /// Iterations covered by the last cluster-durable checkpoint (None
     /// when no policy was active) — the emulator's
-    /// `RunReport::last_checkpoint` semantics.
+    /// `RunReport::last_checkpoint`.
     #[serde(default)]
     pub last_checkpoint: Option<u32>,
     /// The simulated flight-recorder output: per-device time-class
     /// breakdowns (conserving each device clock exactly) and per-link
-    /// transfer statistics, bit-identical to a zero-jitter emulator run's
-    /// `RunReport::telemetry`.
+    /// transfer statistics — the emulator's `RunReport::telemetry`.
     #[serde(default)]
     pub telemetry: Telemetry,
-    /// The executed span graph: one [`OpSpan`] per instruction occurrence
-    /// plus checkpoint writes, each device's spans in program order. It is
-    /// the simulator's only per-occurrence record — the input to
-    /// `mario_core::critpath::analyze`, the Gantt charts and the Chrome
-    /// traces — and bit-identical to a zero-jitter emulator run captured
-    /// with `record_spans`.
+    /// The executed span graph: one [`OpSpan`](mario_ir::OpSpan) per
+    /// instruction occurrence plus checkpoint writes, each device's spans
+    /// in program order. It is the simulator's only per-occurrence record
+    /// — the input to `mario_core::critpath::analyze`, the Gantt charts
+    /// and the Chrome traces.
     #[serde(default)]
     pub spans: SpanGraph,
     /// Per-micro completion times of a serving run (the earliest
@@ -120,55 +122,43 @@ impl std::error::Error for SimError {}
 pub struct SimOptions<'a> {
     /// p2p buffer depth per (pair, class, part) channel.
     pub channel_capacity: usize,
-    /// The cluster's degradation: compute instructions on straggling
-    /// devices are scaled by their slowdown windows (indexed by
-    /// instruction pc, like the emulator's `Slowdown` faults) and
-    /// perturbed packets depart late by the link's extra latency while
-    /// the sender's clock is unaffected (the emulator's `LinkDelay`
-    /// semantics).
+    /// The cluster's degradation (the emulator's `RunOptions::profile`):
+    /// compute instructions on straggling devices are scaled by their
+    /// slowdown windows (indexed by instruction pc) and perturbed packets
+    /// depart late by the link's extra latency while the sender's clock
+    /// is unaffected.
     pub profile: &'a PerturbationProfile,
-    /// Back-to-back training iterations, mirroring the emulator's
-    /// multi-iteration runs: device clocks and channel state persist
-    /// across the iteration boundary (the next iteration's warmup
-    /// overlaps the previous flush, exactly as the threaded devices do),
-    /// while per-pair packet numbering and the profile's iteration-scoped
-    /// windows reset each iteration.
+    /// Back-to-back training iterations: device clocks and channel state
+    /// persist across the iteration boundary (the next iteration's warmup
+    /// overlaps the previous flush), while per-pair packet numbering and
+    /// the profile's iteration-scoped windows reset each iteration.
     pub iterations: u32,
     /// A model-state checkpointing policy: each device pays its write at
-    /// every interval boundary exactly as the cluster emulator charges it
-    /// — synchronously for flat/sharded-sync policies, or chunk-by-chunk
-    /// into the next iteration's recv bubbles when the policy asks for
-    /// async overlap (any residue is charged at the following boundary,
-    /// or at end of run).
+    /// every interval boundary — synchronously for flat/sharded-sync
+    /// policies, or chunk-by-chunk into the next iteration's recv bubbles
+    /// when the policy asks for async overlap (any residue is charged at
+    /// the following boundary, or at end of run).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Per-device startup offsets: device `d`'s clock begins at
     /// `startup[d]` (0 when the slice is short), and the offset is
     /// recorded in the `reconfig_ns` telemetry class so Σ classes ==
     /// device clock still holds. This models the one-time
-    /// state-redistribution cost of an elastic reconfiguration, mirroring
-    /// the emulator's startup offsets bit for bit.
+    /// state-redistribution cost of an elastic reconfiguration.
     pub startup: &'a [Nanos],
     /// Serving mode's ingress release schedule: a first-stage `Forward`
     /// for micro-batch `m` may not start before `release[m]` (0 when the
     /// slice is short). The wait is recv-blocked idle time exactly like a
     /// link wait (async checkpoint chunks drain into it), and each
     /// micro-batch's completion is recorded in
-    /// [`SimTimeline::completions`] — bit-identical to a zero-jitter
-    /// emulator serving run on both backends.
+    /// [`SimTimeline::completions`].
     pub release: Option<&'a [Nanos]>,
 }
-
-/// The profile of a pristine cluster.
-static PRISTINE: PerturbationProfile = PerturbationProfile {
-    slowdowns: Vec::new(),
-    link_slack: Vec::new(),
-};
 
 impl Default for SimOptions<'_> {
     fn default() -> Self {
         Self {
             channel_capacity: 1,
-            profile: &PRISTINE,
+            profile: PerturbationProfile::pristine(),
             iterations: 1,
             checkpoint: None,
             startup: &[],
@@ -195,15 +185,16 @@ pub fn simulate_timeline(
 }
 
 /// Simulates `schedule` under `cost` as `opts` describes, recording the
-/// whole [`SimTimeline`].
+/// whole [`SimTimeline`]. Panics on a double allocation, like the memory
+/// simulator.
 pub fn simulate(
     schedule: &Schedule,
     cost: &dyn CostModel,
     opts: &SimOptions,
 ) -> Result<SimTimeline, SimError> {
-    let links = LinkTable::new(schedule);
-    let full = Full::new(schedule, cost, opts, links.len());
-    Sweep::new(schedule, cost, opts, &links, full).run_to_end(schedule)
+    timeline(schedule, cost, opts, None, |cfg, run| {
+        run_with(schedule, cost, cfg, run)
+    })
 }
 
 /// [`simulate`] in a seeded random firing order, for the tests that hold
@@ -216,11 +207,66 @@ pub fn simulate_shuffled(
     opts: &SimOptions,
     seed: u64,
 ) -> Result<SimTimeline, SimError> {
-    let links = LinkTable::new(schedule);
-    let full = Full::new(schedule, cost, opts, links.len());
-    let mut sweep = Sweep::new(schedule, cost, opts, &links, full);
-    sweep.ready = Ready::shuffled(schedule.devices() as usize, seed);
-    sweep.run_to_end(schedule)
+    timeline(schedule, cost, opts, Some(seed), |cfg, run| {
+        mario_cluster::event::run_event_shuffled(schedule, cost, cfg, run, seed)
+    })
+}
+
+/// [`simulate`] through `run`, a zero-jitter event-backend run with spans.
+/// A failed run takes its [`SimError`] from a makespan [`Sweep`] in the
+/// order `seed` draws, first in first out without one.
+fn timeline(
+    schedule: &Schedule,
+    cost: &dyn CostModel,
+    opts: &SimOptions,
+    seed: Option<u64>,
+    run: impl FnOnce(EmulatorConfig, &RunOptions) -> Result<RunReport, EmuError>,
+) -> Result<SimTimeline, SimError> {
+    assert!(opts.channel_capacity >= 1);
+    assert!(opts.iterations >= 1);
+    let cfg = EmulatorConfig {
+        iterations: opts.iterations,
+        channel_capacity: opts.channel_capacity,
+        record_spans: true,
+        checkpoint: opts.checkpoint,
+        backend: EmulatorBackend::Event,
+        ..EmulatorConfig::default()
+    };
+    // Empty unless serving, so `completions` is too.
+    let board = ServeBoard::new(opts.release.map_or(0, |_| schedule.micros));
+    let pristine = FaultPlan::none();
+    let run_opts = RunOptions {
+        profile: opts.profile,
+        startup: opts.startup,
+        serving: opts.release.map(|release| ServingHooks {
+            release,
+            board: &board,
+        }),
+        ..RunOptions::new(&pristine)
+    };
+    match run(cfg, &run_opts) {
+        Ok(report) => Ok(SimTimeline {
+            device_clocks: report.device_clocks,
+            total_ns: report.total_ns,
+            ckpt_overhead_ns: report.ckpt_overhead_ns,
+            last_checkpoint: report.last_checkpoint,
+            telemetry: report.telemetry,
+            spans: report.spans.expect("a simulation records spans"),
+            completions: board.completions(),
+        }),
+        Err(e @ EmuError::DoubleAlloc { .. }) => panic!("{e}"),
+        Err(_) => {
+            let links = LinkTable::new(schedule);
+            let (cap, iters) = (opts.channel_capacity, opts.iterations);
+            let mut sweep = Sweep::new(schedule, cost, cap, opts.profile, iters, &links);
+            if let Some(seed) = seed {
+                sweep.ready = Ready::shuffled(schedule.devices() as usize, seed);
+            }
+            Err(sweep
+                .run_to_end(schedule)
+                .expect_err("the sweep fails where the event run failed"))
+        }
+    }
 }
 
 /// The makespan of one iteration of `schedule` on the cluster `profile`
@@ -235,266 +281,40 @@ pub(crate) fn simulate_makespan(
     profile: &PerturbationProfile,
 ) -> Result<Nanos, SimError> {
     let links = LinkTable::new(schedule);
-    MakespanSweep::makespan(schedule, cost, channel_capacity, profile, &links).run_to_end(schedule)
-}
-
-/// What a [`Sweep`] records while it steps. The step arithmetic — FIFO
-/// channels and acks, profile scaling, the serving gate — exists once, in
-/// [`Sweep::run`], and every clock advance goes through the
-/// devices' [`DeviceClock`]s; a recorder only observes the results, so
-/// every recorder sees the same timeline. Every hook defaults to
-/// recording nothing.
-pub(crate) trait Recorder {
-    /// What a finished run returns.
-    type Output;
-
-    /// A compute step ending at `end`.
-    fn compute(&mut self, _dev: DeviceId, _instr: &Instr, _end: Nanos) {}
-
-    /// A send on link `link` that waited `blocked` ns for window
-    /// capacity, after which `outstanding` messages are in flight on it.
-    fn send(
-        &mut self,
-        _dev: DeviceId,
-        _instr: &Instr,
-        _link: usize,
-        _blocked: Nanos,
-        _outstanding: usize,
-    ) {
-    }
-
-    /// A receive on link `link` that waited `gap` ns for its message.
-    fn recv(&mut self, _link: usize, _gap: Nanos) {}
-
-    /// An instruction or checkpoint write completed over `span`.
-    fn fired(&mut self, _span: OpSpan) {}
-
-    /// A checkpoint's transient serialization buffer of `bytes`.
-    fn snapshot(&mut self, _dev: DeviceId, _bytes: u64) {}
-
-    /// The run over `links` completed with these final device clocks;
-    /// hands over what was recorded.
-    fn finish(&mut self, clocks: &[DeviceClock], links: &LinkTable) -> Self::Output;
-}
-
-/// Records nothing; a run returns its makespan.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MakespanOnly;
-
-impl Recorder for MakespanOnly {
-    type Output = Nanos;
-
-    fn finish(&mut self, clocks: &[DeviceClock], _: &LinkTable) -> Nanos {
-        clocks.iter().map(DeviceClock::now).max().unwrap_or(0)
-    }
-}
-
-/// Records the whole [`SimTimeline`]: spans, the flight recorder —
-/// a memory ledger per device replaying the emulator's exact `apply`
-/// sequence (compute and send sites only), transfer statistics per link
-/// number — and serving completions. The time classes come from the
-/// clocks.
-struct Full<'a> {
-    schedule: &'a Schedule,
-    cost: &'a dyn CostModel,
-    rules: MemoryRules,
-    spans: SpanGraph,
-    ledgers: Vec<MemLedger>,
-    link_sends: Vec<LinkSendStats>,
-    recv_waits: Vec<Nanos>,
-    /// Per-micro completion board (serving mode only): earliest
-    /// last-stage forward finish — the emulator's `ServeBoard::record`
-    /// (fetch_min).
-    completions: Vec<Option<Nanos>>,
-    serving: bool,
-    checkpointing: bool,
-}
-
-impl<'a> Full<'a> {
-    fn new(
-        schedule: &'a Schedule,
-        cost: &'a dyn CostModel,
-        opts: &SimOptions,
-        links: usize,
-    ) -> Self {
-        let devices = schedule.devices() as usize;
-        let serving = opts.release.is_some();
-        Self {
-            schedule,
-            cost,
-            rules: MemoryRules::new(schedule),
-            spans: SpanGraph::new(devices, opts.channel_capacity),
-            ledgers: (0..devices)
-                .map(|d| MemLedger::new(cost.static_mem(DeviceId(d as u32)), None))
-                .collect(),
-            link_sends: vec![LinkSendStats::default(); links],
-            recv_waits: vec![0; links],
-            completions: if serving {
-                vec![None; schedule.micros as usize]
-            } else {
-                Vec::new()
-            },
-            serving,
-            checkpointing: opts.checkpoint.is_some(),
-        }
-    }
-
-    fn apply_mem(&mut self, dev: DeviceId, instr: &Instr) {
-        self.rules
-            .apply(&mut self.ledgers[dev.index()], self.cost, dev, instr)
-            .expect("unchecked ledger never rejects an allocation");
-    }
-}
-
-impl Recorder for Full<'_> {
-    type Output = SimTimeline;
-
-    fn compute(&mut self, dev: DeviceId, instr: &Instr, end: Nanos) {
-        self.apply_mem(dev, instr);
-        // Serving egress: a last-stage forward completes its micro-batch.
-        if self.serving
-            && matches!(instr.kind, InstrKind::Forward { .. })
-            && self.schedule.topology.is_last_stage(dev, instr.part)
-        {
-            let slot = &mut self.completions[instr.micro.index()];
-            *slot = Some(slot.map_or(end, |v| v.min(end)));
-        }
-    }
-
-    fn send(
-        &mut self,
-        dev: DeviceId,
-        instr: &Instr,
-        link: usize,
-        blocked: Nanos,
-        outstanding: usize,
-    ) {
-        // Bytes are counted at the send site with the sender's id — the
-        // emulator's exact accounting.
-        self.link_sends[link].on_send(
-            self.cost.boundary_bytes(dev, instr.part),
-            blocked,
-            outstanding as u32,
-        );
-        self.apply_mem(dev, instr);
-    }
-
-    fn recv(&mut self, link: usize, gap: Nanos) {
-        self.recv_waits[link] += gap;
-    }
-
-    fn fired(&mut self, span: OpSpan) {
-        self.spans.push(span);
-    }
-
-    fn snapshot(&mut self, dev: DeviceId, bytes: u64) {
-        // The serialization buffer counts against the peak exactly as the
-        // emulator holds it (the unchecked ledger cannot OOM — capacity
-        // enforcement is the emulator's job).
-        let ledger = &mut self.ledgers[dev.index()];
-        ledger
-            .alloc(AllocKey::Snapshot, bytes)
-            .expect("unchecked ledger never rejects the snapshot buffer");
-        ledger.free(AllocKey::Snapshot);
-    }
-
-    fn finish(&mut self, clocks: &[DeviceClock], links: &LinkTable) -> Self::Output {
-        let mut spans = std::mem::take(&mut self.spans);
-        let ledgers = std::mem::take(&mut self.ledgers);
-        let completions = std::mem::take(&mut self.completions);
-        let device_clocks: Vec<Nanos> = clocks.iter().map(DeviceClock::now).collect();
-        let total_ns = device_clocks.iter().copied().max().unwrap_or(0);
-        spans.makespan = total_ns;
-        debug_assert!(
-            spans.check_tiling(&device_clocks).is_ok(),
-            "span tiling violated on {:?}",
-            spans.check_tiling(&device_clocks)
-        );
-        let last_checkpoint = self.checkpointing.then(|| {
-            let saved = clocks.iter().map(DeviceClock::last_checkpoint);
-            saved.min().unwrap_or(0)
-        });
-        let tel = clocks
-            .iter()
-            .zip(&ledgers)
-            .map(|(c, ledger)| DeviceTelemetry {
-                classes: *c.classes(),
-                peak_mem: ledger.peak(),
-                ..DeviceTelemetry::new(c.device())
-            })
-            .collect();
-        // Assemble through the shared constructor (same as the emulator's
-        // runner), which sums the links of each device pair, and assert
-        // the conservation invariant: every nanosecond of every device
-        // clock is accounted to exactly one time class.
-        let pair = |id| (links.key(id).0, links.key(id).1);
-        let telemetry = Telemetry::assemble(
-            tel,
-            (0..links.len()).map(|id| (pair(id), self.link_sends[id])),
-            (0..links.len()).map(|id| (pair(id), self.recv_waits[id])),
-        );
-        debug_assert!(
-            telemetry.check_conservation(&device_clocks).is_ok(),
-            "telemetry conservation violated: {:?}",
-            telemetry.check_conservation(&device_clocks)
-        );
-        SimTimeline {
-            device_clocks,
-            total_ns,
-            ckpt_overhead_ns: telemetry.total_ckpt_sync_ns(),
-            last_checkpoint,
-            telemetry,
-            spans,
-            completions,
-        }
-    }
-}
-
-/// The end-of-iteration-`iter` checkpoint boundary on `clock`'s device
-/// when `policy` puts one there, including the transient serialization
-/// buffer the write holds at its peak.
-fn boundary<R: Recorder>(
-    clock: &mut DeviceClock,
-    policy: Option<&CheckpointPolicy>,
-    iter: u32,
-    cost: &dyn CostModel,
-    rec: &mut R,
-) {
-    let Some(policy) = policy.filter(|p| p.is_boundary(iter)) else {
-        return;
-    };
-    let dev = clock.device();
-    let start = clock.flush_residue();
-    rec.snapshot(dev, policy.mem_overhead);
-    rec.fired(clock.write_checkpoint(start, policy, cost.ckpt_shard_bytes(dev), iter));
+    Sweep::new(schedule, cost, channel_capacity, profile, 1, &links).run_to_end(schedule)
 }
 
 /// Where [`Sweep::run`] stopped.
 #[derive(Debug)]
-pub(crate) enum Run<T> {
+pub(crate) enum Run {
     /// The sweep reached its stop point and can be resumed or cloned.
     Paused,
-    /// The sweep completed; what its recorder recorded.
-    Done(T),
+    /// The sweep completed with this makespan.
+    Done(Nanos),
 }
 
-/// The DP step loop and everything it carries between steps: each device
-/// runs from a [`Ready`] queue until it blocks on a link — a send on a
-/// full window, a receive on an empty channel or on the wrong message —
-/// and every p2p operation wakes its peer if the peer waits on that link.
-/// The queue drains when every program has run or no device can move;
-/// the answer is read from that state, which is the same in any firing
-/// order (see [`mario_ir::ready`]), so the lowest device that met a
-/// mismatch is reported, else the deadlock. Generic over what it
-/// records: [`Full`] behind [`simulate`], [`MakespanOnly`] behind
-/// [`simulate_makespan`] and the prepose trials.
+/// The makespan step loop and everything it carries between steps: each
+/// device runs from a [`Ready`] queue until it blocks on a link — a send
+/// on a full window, a receive on an empty channel or on the wrong
+/// message — and every p2p operation wakes its peer if the peer waits on
+/// that link. The queue drains when every program has run or no device
+/// can move; the answer is read from that state, which is the same in any
+/// firing order (see [`mario_ir::ready`]), so the lowest device that met
+/// a mismatch is reported, else the deadlock.
+///
+/// It times what [`simulate`] times except checkpoints, startup offsets
+/// and serving gates, which no caller of the makespan asks for; a test
+/// pins its makespan and errors to the event run's.
 ///
 /// A sweep can stop before any instruction and go on later, and a paused
 /// sweep can be cloned, so a caller can run many continuations of one
 /// shared prefix; see [`Sweep::run`].
-pub(crate) struct Sweep<'a, R> {
+pub(crate) struct Sweep<'a> {
     cost: &'a dyn CostModel,
-    opts: SimOptions<'a>,
+    /// p2p buffer depth per channel.
+    capacity: usize,
+    profile: &'a PerturbationProfile,
+    iterations: u32,
     /// The schedule's links, which number `chans`.
     links: &'a LinkTable,
     /// Global instruction cursor per device: local pc = gpc % len,
@@ -505,106 +325,73 @@ pub(crate) struct Sweep<'a, R> {
     chans: Vec<Fifo<(Msg, Nanos)>>,
     /// The devices that may move; the front one is running.
     ready: Ready,
-    rec: R,
 }
-
-/// A makespan-only sweep: the prepose trials' state.
-pub(crate) type MakespanSweep<'a> = Sweep<'a, MakespanOnly>;
 
 /// Field by field, so that `clone_from` reuses the destination's buffers:
 /// a prepose trial is a clone of its paused baseline.
-impl<R: Clone> Clone for Sweep<'_, R> {
+impl Clone for Sweep<'_> {
     fn clone(&self) -> Self {
         Self {
             cost: self.cost,
-            opts: self.opts,
+            capacity: self.capacity,
+            profile: self.profile,
+            iterations: self.iterations,
             links: self.links,
             gpc: self.gpc.clone(),
             clocks: self.clocks.clone(),
             chans: self.chans.clone(),
             ready: self.ready.clone(),
-            rec: self.rec.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.cost = source.cost;
-        self.opts = source.opts;
+        self.capacity = source.capacity;
+        self.profile = source.profile;
+        self.iterations = source.iterations;
         self.links = source.links;
         self.gpc.clone_from(&source.gpc);
         self.clocks.clone_from(&source.clocks);
         self.chans.clone_from(&source.chans);
         self.ready.clone_from(&source.ready);
-        self.rec.clone_from(&source.rec);
     }
 }
 
-impl<'a> MakespanSweep<'a> {
-    /// A makespan-only sweep, at time zero, of one iteration at
-    /// `channel_capacity` on the cluster `profile` describes, over the
-    /// schedule's `links`.
-    pub(crate) fn makespan(
+impl<'a> Sweep<'a> {
+    /// A sweep, at time zero, of `iterations` iterations of `schedule`
+    /// under `cost` at `capacity` on the cluster `profile` describes,
+    /// over the schedule's `links`.
+    pub(crate) fn new(
         schedule: &Schedule,
         cost: &'a dyn CostModel,
-        channel_capacity: usize,
+        capacity: usize,
         profile: &'a PerturbationProfile,
+        iterations: u32,
         links: &'a LinkTable,
     ) -> Self {
-        let opts = SimOptions {
-            channel_capacity,
-            profile,
-            ..SimOptions::default()
-        };
-        Sweep::new(schedule, cost, &opts, links, MakespanOnly)
-    }
-}
-
-impl<'a, R: Recorder> Sweep<'a, R> {
-    /// A sweep of `schedule` under `cost` and `opts` at time zero, over
-    /// the schedule's `links`, recording into `rec`.
-    fn new(
-        schedule: &Schedule,
-        cost: &'a dyn CostModel,
-        opts: &SimOptions<'a>,
-        links: &'a LinkTable,
-        mut rec: R,
-    ) -> Self {
-        assert!(opts.channel_capacity >= 1);
-        assert!(opts.iterations >= 1);
+        assert!(capacity >= 1);
+        assert!(iterations >= 1);
         let devices = schedule.devices() as usize;
-        let mut clocks: Vec<DeviceClock> = (0..devices)
-            .map(|d| {
-                let startup = opts.startup.get(d).copied().unwrap_or(0);
-                DeviceClock::new(DeviceId(d as u32), startup)
-            })
-            .collect();
-        // The emulator runs the checkpoint boundary every iteration even
-        // for a device with an empty program; the step loop skips such
-        // devices, so process their boundaries (which never block) up
-        // front.
-        for clock in &mut clocks {
-            if schedule.program(clock.device()).is_empty() {
-                for it in 0..opts.iterations {
-                    boundary(clock, opts.checkpoint.as_ref(), it, cost, &mut rec);
-                }
-            }
-        }
         Self {
             cost,
-            opts: *opts,
+            capacity,
+            profile,
+            iterations,
             links,
             gpc: vec![0; devices],
-            clocks,
+            clocks: (0..devices)
+                .map(|d| DeviceClock::new(DeviceId(d as u32), 0))
+                .collect(),
             chans: vec![Fifo::default(); links.len()],
             ready: Ready::fifo(devices),
-            rec,
         }
     }
 
-    /// [`Sweep::run`] with no stop point.
-    pub(crate) fn run_to_end(&mut self, schedule: &Schedule) -> Result<R::Output, SimError> {
+    /// [`Sweep::run`] with no stop point: the makespan, or why the
+    /// schedule cannot run.
+    pub(crate) fn run_to_end(&mut self, schedule: &Schedule) -> Result<Nanos, SimError> {
         match self.run(schedule, None)? {
-            Run::Done(out) => Ok(out),
+            Run::Done(makespan) => Ok(makespan),
             Run::Paused => unreachable!("a sweep without a stop point never pauses"),
         }
     }
@@ -624,27 +411,18 @@ impl<'a, R: Recorder> Sweep<'a, R> {
         &mut self,
         schedule: &Schedule,
         stop: Option<(DeviceId, usize)>,
-    ) -> Result<Run<R::Output>, SimError> {
-        let cost = self.cost;
-        let SimOptions {
-            channel_capacity,
-            profile,
-            iterations,
-            checkpoint,
-            release,
-            ..
-        } = self.opts;
+    ) -> Result<Run, SimError> {
+        let (cost, capacity, profile) = (self.cost, self.capacity, self.profile);
         // The hot loop works on locals rather than through `self`
         // (measured: about 3% of tune-32 otherwise).
         let (links, gpc, clocks) = (self.links, &mut self.gpc[..], &mut self.clocks[..]);
-        let (chans, ready, rec) = (&mut self.chans[..], &mut self.ready, &mut self.rec);
-        let policy = checkpoint.as_ref();
+        let (chans, ready) = (&mut self.chans[..], &mut self.ready);
         let (stop_dev, stop_pc) = stop.map_or((usize::MAX, 0), |(d, p)| (d.index(), p));
         while let Some(d) = ready.front() {
             let dev = DeviceId(d as u32);
             let prog = schedule.program(dev).instrs();
             let len = prog.len();
-            let end = len * iterations as usize;
+            let end = len * self.iterations as usize;
             let clock = &mut clocks[d];
             let gpc = &mut gpc[d];
             loop {
@@ -658,32 +436,14 @@ impl<'a, R: Recorder> Sweep<'a, R> {
                 let lpc = *gpc % len;
                 let iter = (*gpc / len) as u32;
                 let instr = prog[lpc];
-                let start = clock.now();
-                // Span-capture fields for this firing, filled in by the arms.
-                let (mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0);
-                let work_ns = match instr.kind.p2p() {
+                match instr.kind.p2p() {
                     None => {
-                        // Serving ingress gate: a first-stage forward may
-                        // not start before its micro-batch was released —
-                        // the emulator's gate, bit for bit.
-                        if let Some(release) = release {
-                            if matches!(instr.kind, InstrKind::Forward { .. })
-                                && schedule.topology.is_first_stage(dev, instr.part)
-                            {
-                                sp_gate = release.get(instr.micro.index()).copied().unwrap_or(0);
-                                clock.wait_until(sp_gate, Dir::Recv);
-                            }
-                        }
                         let dur = match instr.kind {
                             InstrKind::AllReduce => cost.allreduce_time(dev),
                             InstrKind::OptimizerStep => cost.optimizer_time(dev),
                             _ => profile.scaled_compute(dev, iter, lpc, cost.duration(dev, &instr)),
                         };
                         clock.busy(instr.kind, dur);
-                        if instr.kind.is_compute() {
-                            rec.compute(dev, &instr, clock.now());
-                        }
-                        dur
                     }
                     Some(p) => {
                         // A port with no link never moves.
@@ -692,25 +452,22 @@ impl<'a, R: Recorder> Sweep<'a, R> {
                             break;
                         };
                         let ch = &mut chans[link.id];
-                        let launch = cost.p2p_launch_overhead();
                         if p.dir == Dir::Send {
                             // On a full window the send completes once the
                             // receiver dequeued the oldest in-flight
                             // message; that time is known only after the
                             // receiver fires, so wait for it.
-                            let Some(freed) = ch.reserve(channel_capacity) else {
+                            let Some(freed) = ch.reserve(capacity) else {
                                 ready.block(Some(link.id));
                                 break;
                             };
-                            clock.launch(launch);
-                            let blocked = clock.wait_until(freed, Dir::Send);
+                            clock.launch(cost.p2p_launch_overhead());
+                            clock.wait_until(freed, Dir::Send);
                             // A perturbed link delays the packet's departure
-                            // while the sender's own clock is unaffected,
-                            // exactly like the emulator's delayed send.
+                            // while the sender's own clock is unaffected.
                             let nth = clock.next_packet(p.peer, iter);
                             let extra = profile.link_extra(dev, p.peer, iter, nth);
-                            let outstanding = ch.push((p.msg(&instr), clock.now() + extra));
-                            rec.send(dev, &instr, link.id, blocked, outstanding);
+                            ch.push((p.msg(&instr), clock.now() + extra));
                         } else {
                             // The wrong message at the head blocks the
                             // receive for good; the mismatch is reported
@@ -723,34 +480,15 @@ impl<'a, R: Recorder> Sweep<'a, R> {
                             };
                             ch.pop();
                             let bytes = cost.boundary_bytes(dev, instr.part);
-                            (sp_sent, sp_wire) =
-                                (sent_at, cost.p2p_time_between(p.peer, dev, bytes));
-                            clock.launch(launch);
-                            let gap = clock.wait_until(sent_at + sp_wire, Dir::Recv);
+                            let wire = cost.p2p_time_between(p.peer, dev, bytes);
+                            clock.launch(cost.p2p_launch_overhead());
+                            clock.wait_until(sent_at + wire, Dir::Recv);
                             ch.ack(clock.now());
-                            rec.recv(link.id, gap);
                         }
                         ready.wake(p.peer.index(), link.id);
-                        launch
                     }
-                };
-                rec.fired(OpSpan {
-                    device: dev,
-                    iter,
-                    pc: lpc as u32,
-                    start,
-                    end: clock.now(),
-                    work_ns,
-                    sent_at: sp_sent,
-                    wire_ns: sp_wire,
-                    gate_ns: sp_gate,
-                });
-                *gpc += 1;
-                // Completing the program's last instruction is the
-                // emulator's end-of-iteration checkpoint boundary.
-                if gpc.is_multiple_of(len) {
-                    boundary(clock, policy, iter, cost, rec);
                 }
+                *gpc += 1;
                 if ready.preempt() {
                     break;
                 }
@@ -759,16 +497,9 @@ impl<'a, R: Recorder> Sweep<'a, R> {
         if let Some(err) = self.stuck(schedule) {
             return Err(err);
         }
-
-        // No bubbles remain past the last instruction: pay any async
-        // residue synchronously so the final checkpoint is durable when
-        // the run ends.
-        for clock in &mut self.clocks {
-            if let Some(span) = clock.end_run(iterations - 1) {
-                self.rec.fired(span);
-            }
-        }
-        Ok(Run::Done(self.rec.finish(&self.clocks, self.links)))
+        Ok(Run::Done(
+            self.clocks.iter().map(DeviceClock::now).max().unwrap_or(0),
+        ))
     }
 
     /// Why a drained sweep stopped short, if it did: the lowest device
@@ -779,7 +510,7 @@ impl<'a, R: Recorder> Sweep<'a, R> {
         let mut blocked = Vec::new();
         for (d, prog) in schedule.programs().iter().enumerate() {
             let (gpc, len) = (self.gpc[d], prog.len());
-            if gpc >= len * self.opts.iterations as usize {
+            if gpc >= len * self.iterations as usize {
                 continue;
             }
             let (dev, lpc) = (DeviceId(d as u32), gpc % len);
@@ -835,6 +566,20 @@ mod tests {
         }
     }
 
+    /// `SimError` has no variant for a broken memory lifecycle, so a
+    /// schedule that allocates one activation twice panics, as the memory
+    /// simulator does.
+    #[test]
+    #[should_panic(expected = "double allocation")]
+    fn a_double_allocation_panics() {
+        use mario_ir::DeviceProgram;
+        let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
+        let mut instrs = s.program(DeviceId(0)).instrs().to_vec();
+        instrs.insert(0, instrs[0]);
+        *s.program_mut(DeviceId(0)) = DeviceProgram::from_instrs(DeviceId(0), instrs);
+        let _ = simulate_timeline(&s, &UnitCost::paper_grid(), 1);
+    }
+
     #[test]
     fn deadlock_is_reported() {
         use mario_ir::{Instr, Schedule, Topology};
@@ -848,13 +593,15 @@ mod tests {
         assert!(matches!(err, SimError::Deadlock(_)));
     }
 
-    /// The makespan-only recorder returns exactly the full recorder's
-    /// `total_ns`, or the identical `SimError` (deadlock text included —
-    /// `SimError`'s equality compares it).
+    /// The makespan sweep returns exactly the event run's `total_ns`, or
+    /// fails where it fails with the identical `SimError` (deadlock text
+    /// included — `SimError`'s equality compares it): on every scheme,
+    /// tuned and untuned, on mutants with 1–3 swaps of adjacent
+    /// instructions, over one and two iterations, pristine and degraded.
     #[test]
-    fn makespan_only_matches_the_full_timeline() {
+    fn the_makespan_sweep_matches_the_event_run() {
         use crate::passes::{run_graph_tuner, GraphTunerOptions};
-        use mario_ir::{LinkSlack, Topology};
+        use mario_ir::{Instr, LinkSlack, Topology};
         use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 
         fn check(
@@ -862,15 +609,25 @@ mod tests {
             cost: &dyn CostModel,
             cap: usize,
             profile: &PerturbationProfile,
+            iterations: u32,
         ) -> bool {
             let opts = SimOptions {
                 channel_capacity: cap,
                 profile,
+                iterations,
                 ..SimOptions::default()
             };
             let full = simulate(s, cost, &opts).map(|t| t.total_ns);
-            let fast = simulate_makespan(s, cost, cap, profile);
-            assert_eq!(fast, full, "{:?} at capacity {cap}", s.topology.scheme);
+            let links = LinkTable::new(s);
+            let fast = Sweep::new(s, cost, cap, profile, iterations, &links).run_to_end(s);
+            assert_eq!(
+                fast, full,
+                "{:?} at capacity {cap}, {iterations} iterations",
+                s.topology.scheme
+            );
+            if iterations == 1 {
+                assert_eq!(simulate_makespan(s, cost, cap, profile), full);
+            }
             full.is_ok()
         }
 
@@ -884,6 +641,15 @@ mod tests {
                 iteration: None,
             });
         let profiles = [PerturbationProfile::identity(), degraded];
+        // SplitMix64, for the swaps.
+        let mut state = 0x5eed_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
         let (mut ok, mut failed) = (0, 0);
         // Every scheme the generator emits, plus a wave that needs
         // capacity 2 (it deadlocks at 1).
@@ -913,13 +679,25 @@ mod tests {
             for cost in costs {
                 let mut tuned = untuned.clone();
                 run_graph_tuner(&mut tuned, cost, GraphTunerOptions::mario());
-                for s in [&untuned, &tuned] {
+                let mut mutants = Vec::new();
+                for _ in 0..2 {
+                    let mut m = untuned.clone();
+                    for _ in 0..1 + below(3) {
+                        let dev = DeviceId(below(d as usize) as u32);
+                        let pc = 1 + below(m.program(dev).len() - 1);
+                        m.program_mut(dev).rotate_left(pc - 1..pc + 1, 1);
+                    }
+                    mutants.push(m);
+                }
+                for s in [&untuned, &tuned].into_iter().chain(&mutants) {
                     for cap in [1, 2] {
                         for profile in &profiles {
-                            if check(s, cost, cap, profile) {
-                                ok += 1;
-                            } else {
-                                failed += 1;
+                            for iterations in [1, 2] {
+                                if check(s, cost, cap, profile, iterations) {
+                                    ok += 1;
+                                } else {
+                                    failed += 1;
+                                }
                             }
                         }
                     }
@@ -928,8 +706,10 @@ mod tests {
         }
         assert!(ok > 0 && failed > 0, "{ok} completed, {failed} failed");
 
-        // The `deadlock_is_reported` schedule, and a receive that finds
-        // the wrong micro-batch at the head of its channel.
+        // The `deadlock_is_reported` schedule, a receive that finds the
+        // wrong micro-batch at the head of its channel, and a send nobody
+        // receives, which deadlocks only once a second iteration finds
+        // the window still full.
         let topo = Topology::new(SchemeKind::OneFOneB, 2);
         let mut deadlock = Schedule::empty(topo, 1, vec![0]);
         deadlock
@@ -949,10 +729,24 @@ mod tests {
                 .program_mut(DeviceId(1))
                 .push(Instr::recv_act(m, 0u32, DeviceId(0)));
         }
+        let mut unreceived = Schedule::empty(topo, 1, vec![0]);
+        unreceived
+            .program_mut(DeviceId(0))
+            .push(Instr::send_act(0u32, 0u32, DeviceId(1)));
+        let unit = UnitCost::paper_grid();
         for profile in &profiles {
-            assert!(!check(&deadlock, &UnitCost::paper_grid(), 1, profile));
-            assert!(!check(&mismatch, &UnitCost::paper_grid(), 2, profile));
+            assert!(!check(&deadlock, &unit, 1, profile, 1));
+            assert!(!check(&mismatch, &unit, 2, profile, 1));
+            assert!(check(&unreceived, &unit, 1, profile, 1));
+            assert!(!check(&unreceived, &unit, 1, profile, 2));
         }
+        let opts = SimOptions {
+            iterations: 2,
+            ..SimOptions::default()
+        };
+        let send = unreceived.program(DeviceId(0)).instrs()[0];
+        let err = simulate(&unreceived, &unit, &opts).unwrap_err();
+        assert_eq!(err, SimError::Deadlock(format!("d0#0 iter 1: {send}")));
     }
 
     /// Pausing a sweep anywhere, cloning it into a second sweep and
@@ -970,7 +764,7 @@ mod tests {
         let check = |s: &Schedule, cap: usize| {
             let links = LinkTable::new(s);
             let sweep = |seed: Option<u64>| {
-                let mut sweep = MakespanSweep::makespan(s, &cost, cap, &pristine, &links);
+                let mut sweep = Sweep::new(s, &cost, cap, &pristine, 1, &links);
                 if let Some(seed) = seed {
                     sweep.ready = Ready::shuffled(s.devices() as usize, seed);
                 }
@@ -1228,8 +1022,8 @@ mod tests {
         assert_eq!(t.completions, vec![Some(2_000), Some(7_000), Some(8_000)]);
         assert_eq!(t.total_ns, 8_000);
         // The gate is recv-blocked idle: conservation still holds (the
-        // debug_assert in `Full::finish` checked it), and the first
-        // stage's recv_blocked class carries the 4_000 ns wait.
+        // emulator's report debug-asserts it), and the first stage's
+        // recv_blocked class carries the 4_000 ns wait.
         assert!(t.telemetry.devices[0].classes.recv_blocked_ns >= 4_000);
     }
 

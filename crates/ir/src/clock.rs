@@ -1,8 +1,9 @@
 //! The device clock: the one rule that advances a device's virtual time.
 //!
-//! Every timed executor — the DP simulator (`mario-core`) and the
-//! emulator's per-device machine (`mario-cluster`) — keeps one
-//! [`DeviceClock`] per device and moves time only through it. The clock
+//! Every timed executor — the emulator's per-device machine
+//! (`mario-cluster`), which the simulator runs, and the makespan sweep
+//! (`mario-core`) — keeps one [`DeviceClock`] per device and moves time
+//! only through it. The clock
 //! owns everything a time advance touches: the [`TimeClasses`] each
 //! nanosecond is charged to, the in-flight [`PendingCheckpoint`] whose
 //! chunks drain into idle gaps, the last durable checkpoint, and the
@@ -36,7 +37,7 @@ pub struct DeviceClock {
 }
 
 /// Field by field, so that `clone_from` reuses the destination's buffers
-/// (the DP simulator clones paused sweeps).
+/// (prepose clones paused makespan sweeps).
 impl Clone for DeviceClock {
     fn clone(&self) -> Self {
         Self {

@@ -9,8 +9,9 @@
 //! single pre-allocated communication buffer.
 //!
 //! This module holds that rule for every single-threaded engine: the
-//! symbolic deadlock check ([`crate::exec`]), the DP simulator, the
-//! emulator's event backend and the what-if re-timer. [`InstrKind::p2p`]
+//! symbolic deadlock check ([`crate::exec`]), the makespan sweep, the
+//! emulator's event backend (which the simulator runs) and the what-if
+//! re-timer. [`InstrKind::p2p`]
 //! classifies an instruction into the channel end it uses; a [`Fifo`]
 //! is one channel's state — the in-flight queue and the sender's ack
 //! window. A send may proceed once [`Fifo::reserve`] frees a slot, and

@@ -1,19 +1,19 @@
-//! Degraded-cluster perturbations shared by the DP simulator and the
-//! cluster emulator.
+//! Degraded-cluster perturbations: the one timing rule for stragglers
+//! and slow links.
 //!
 //! A [`PerturbationProfile`] describes a *known* deviation from the
 //! pristine cluster the cost model assumes: per-device compute slowdowns
 //! over instruction ranges (stragglers) and extra latency on directed
-//! links (either one specific packet or every packet of a pair). It lives
-//! next to [`crate::MemoryRules`] for the same reason: both sides of the
-//! fidelity invariant — the offline simulator (`mario-core`) and the
-//! threaded emulator (`mario-cluster`) — must consume one definition, so
-//! a zero-jitter emulator run under an absorbable fault plan and a
-//! simulation under the derived profile agree bit for bit.
+//! links (either one specific packet or every packet of a pair). The
+//! emulator's machine times every slowdown and link delay through
+//! [`PerturbationProfile::scaled_compute`] and
+//! [`PerturbationProfile::link_extra`], whether the profile came from the
+//! caller or from the absorbable faults of a fault plan, and the
+//! simulator (`mario-core`) is a zero-jitter run of that machine; the
+//! makespan sweep the tuner ranks on calls the same two functions.
 //!
-//! The arithmetic here mirrors the emulator's fault enforcement exactly:
-//! slowdown factors multiply per matching window and are applied with the
-//! same `f64` round-to-nearest; link latency shifts a packet's departure
+//! Slowdown factors multiply per matching window and are applied with an
+//! `f64` round-to-nearest; link latency shifts a packet's departure
 //! timestamp while leaving the sender's own clock untouched.
 
 use crate::cost::Nanos;
@@ -27,8 +27,7 @@ pub struct SlowdownWindow {
     /// The straggling device.
     pub device: DeviceId,
     /// Slowdown multiplier (e.g. 10.0). Factors of overlapping windows
-    /// multiply, exactly as the emulator combines overlapping
-    /// `Slowdown` faults.
+    /// multiply.
     pub factor: f64,
     /// First affected instruction index.
     pub from_pc: usize,
@@ -73,10 +72,22 @@ pub struct PerturbationProfile {
     pub link_slack: Vec<LinkSlack>,
 }
 
+/// The identity profile behind [`PerturbationProfile::pristine`].
+static PRISTINE: PerturbationProfile = PerturbationProfile {
+    slowdowns: Vec::new(),
+    link_slack: Vec::new(),
+};
+
 impl PerturbationProfile {
     /// The identity profile: nothing is perturbed.
     pub fn identity() -> Self {
         Self::default()
+    }
+
+    /// The identity profile by `'static` reference, for option defaults
+    /// that borrow a profile.
+    pub fn pristine() -> &'static Self {
+        &PRISTINE
     }
 
     /// True when this profile perturbs nothing.
@@ -111,6 +122,7 @@ impl PerturbationProfile {
     /// Combined slowdown factor for instruction `pc` of iteration `iter`
     /// on `device` (the product over matching windows; 1.0 when none
     /// match).
+    #[inline]
     pub fn compute_factor(&self, device: DeviceId, iter: u32, pc: usize) -> f64 {
         let mut f = 1.0;
         for w in &self.slowdowns {
@@ -124,9 +136,9 @@ impl PerturbationProfile {
         f
     }
 
-    /// `ns` scaled by the slowdown at `(device, iter, pc)` —
-    /// bit-identical to the emulator's enforcement: untouched when the
-    /// factor is exactly 1.0, otherwise `round(ns * factor)` in `f64`.
+    /// `ns` scaled by the slowdown at `(device, iter, pc)`: untouched when
+    /// the factor is exactly 1.0, otherwise `round(ns * factor)` in `f64`.
+    #[inline]
     pub fn scaled_compute(&self, device: DeviceId, iter: u32, pc: usize, ns: Nanos) -> Nanos {
         let factor = self.compute_factor(device, iter, pc);
         if factor == 1.0 {
@@ -138,7 +150,8 @@ impl PerturbationProfile {
 
     /// Extra departure latency for the `nth` packet of iteration `iter`
     /// sent on `src -> dst` (sum of the matching entries; `nth` counts
-    /// within the iteration, matching the emulator's numbering).
+    /// within the iteration, as `DeviceClock::next_packet` numbers them).
+    #[inline]
     pub fn link_extra(&self, src: DeviceId, dst: DeviceId, iter: u32, nth: usize) -> Nanos {
         self.link_slack
             .iter()
@@ -190,7 +203,7 @@ mod tests {
         assert_eq!(p.compute_factor(DeviceId(1), 0, 8), 1.0);
         // Other devices untouched.
         assert_eq!(p.compute_factor(DeviceId(0), 0, 5), 1.0);
-        // Rounding matches the emulator: round(1000 * 6.0).
+        // round(1000 * 6.0).
         assert_eq!(p.scaled_compute(DeviceId(1), 0, 5, 1_000), 6_000);
     }
 

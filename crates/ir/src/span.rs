@@ -12,10 +12,10 @@
 //! and the channel capacity alone and is timing-independent, so it is
 //! deliberately not captured.
 //!
-//! All three executors — the DP simulator (`mario-core`), the threaded
-//! emulator and the discrete-event emulator (`mario-cluster`) — populate
-//! the graph with identical arithmetic, extending the bit-for-bit parity
-//! invariant from clocks and telemetry down to every span field. The
+//! Both emulator backends (`mario-cluster`) populate the graph through
+//! the one machine, and the simulator (`mario-core`) is a zero-jitter
+//! event-backend run, so the bit-for-bit parity invariant extends from
+//! clocks and telemetry down to every span field. The
 //! spans are numeric-only (no rendered instruction names): the `pc`
 //! indexes the device program, so renderers resolve names through the
 //! schedule and parity comparisons stay pure integer equality.

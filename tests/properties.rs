@@ -34,21 +34,6 @@ fn cap_of(scheme: SchemeKind) -> usize {
     }
 }
 
-/// A deterministic Fisher–Yates permutation of `0..devices`, for the
-/// event executor's order-insensitivity checks.
-fn permutation(devices: u32, seed: u64) -> Vec<u32> {
-    let mut v: Vec<u32> = (0..devices).collect();
-    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    for i in (1..v.len()).rev() {
-        s = s
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let j = (s >> 33) as usize % (i + 1);
-        v.swap(i, j);
-    }
-    v
-}
-
 /// The first difference between two span graphs, named by device, span
 /// index and field with both values; `None` when the graphs are equal.
 fn first_span_divergence(a: &SpanGraph, b: &SpanGraph) -> Option<String> {
@@ -905,11 +890,12 @@ proptest! {
 }
 
 // Event-executor determinism: repeated runs are bit-identical, and the
-// result is insensitive to the worklist's tie-breaking order — any
-// permutation of the initial device order produces the same clocks,
-// telemetry and absorbed-fault reports, including under a seeded
-// absorbable fault plan (the confluence property that justifies running
-// the event core as a stand-in for the thread oracle at scale).
+// result does not depend on the order devices fire in — a seeded random
+// order produces the same clocks, telemetry and absorbed-fault reports,
+// including under a seeded absorbable fault plan, and failing runs (a
+// hard fault, a mutant with 1–3 swaps of adjacent instructions) fail with
+// the same error (the confluence property that justifies running the
+// event core as a stand-in for the thread oracle at scale).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -917,15 +903,16 @@ proptest! {
     fn event_executor_is_deterministic_and_order_insensitive(
         (scheme, d, n) in scheme_config(),
         fault_seed in 0u64..512,
-        perm_seed in 0u64..u64::MAX,
+        order_seed in 0u64..u64::MAX,
         iters in 1u32..=3,
     ) {
-        use mario::cluster::FaultPlan;
+        use mario::cluster::event::run_event_shuffled;
+        use mario::cluster::{run_with_faults, EmuError, FaultPlan, RunOptions};
 
         let s = generate(ScheduleConfig::new(scheme, d, n));
         let cost = UnitCost::paper_grid().with_ckpt_bytes(1);
-        let plan = FaultPlan::single_absorbable(fault_seed, &s)
-            .at_iteration((fault_seed % iters as u64) as u32);
+        let at = (fault_seed % iters as u64) as u32;
+        let plan = FaultPlan::single_absorbable(fault_seed, &s).at_iteration(at);
         prop_assert!(plan.is_absorbable());
         let cfg = EmulatorConfig {
             channel_capacity: cap_of(scheme),
@@ -933,27 +920,35 @@ proptest! {
             backend: EmulatorBackend::Event,
             ..Default::default()
         };
-        let base = mario::cluster::run_with_faults(&s, &cost, cfg, &plan)
+        let base = run_with_faults(&s, &cost, cfg, &plan)
             .expect("absorbable plan completes on the event backend");
         // Determinism: a second run is bit-identical.
-        let again = mario::cluster::run_with_faults(&s, &cost, cfg, &plan)
-            .expect("second run completes");
+        let again = run_with_faults(&s, &cost, cfg, &plan).expect("second run completes");
         prop_assert_eq!(&base.device_clocks, &again.device_clocks);
         prop_assert_eq!(base.total_ns, again.total_ns);
         prop_assert_eq!(&base.telemetry, &again.telemetry);
         prop_assert_eq!(&base.faults, &again.faults);
-        // Order insensitivity: seeding the worklist in any permutation of
-        // the device order changes nothing.
-        let order = permutation(d, perm_seed);
-        let shuffled = mario::cluster::event::run_event_ordered(
-            &s, &cost, cfg, &plan, &[], &order,
-        )
-        .expect("permuted worklist completes");
+        // Order insensitivity.
+        let shuffled = run_event_shuffled(&s, &cost, cfg, &RunOptions::new(&plan), order_seed)
+            .expect("shuffled run completes");
         prop_assert_eq!(&base.device_clocks, &shuffled.device_clocks,
-            "order-sensitive result on {:?} D={} N={} order {:?}", scheme, d, n, order);
+            "order-sensitive result on {:?} D={} N={} seed {}", scheme, d, n, order_seed);
         prop_assert_eq!(base.total_ns, shuffled.total_ns);
         prop_assert_eq!(&base.telemetry, &shuffled.telemetry);
         prop_assert_eq!(&base.faults, &shuffled.faults);
+
+        let hard = FaultPlan::single_crash_or_stall(fault_seed, &s).at_iteration(at);
+        let swapped = mutant(&s, 1, &mut Mix(order_seed));
+        let none = FaultPlan::none();
+        for (sched, plan) in [(&s, &hard), (&swapped, &none)] {
+            let outcome = |r: Result<RunReport, EmuError>| {
+                r.map(|r| (r.device_clocks, r.telemetry, r.faults))
+            };
+            let fifo = outcome(run_with_faults(sched, &cost, cfg, plan));
+            let shuffled = run_event_shuffled(sched, &cost, cfg, &RunOptions::new(plan), order_seed);
+            prop_assert_eq!(outcome(shuffled), fifo,
+                "{:?} D={} N={} seed {} plan {:?}", scheme, d, n, order_seed, plan.faults);
+        }
     }
 }
 
@@ -1521,8 +1516,9 @@ fn mutant(base: &Schedule, m: usize, rng: &mut Mix) -> Schedule {
 
 /// The order differential over `scheme` at `d`×`n`: the generated
 /// schedule and `mutants` mutants of it, each at capacities 1 and 2, run
-/// by the deadlock check and the full DP simulator in first-in-first-out
-/// order and in a seeded random one. The deadlock check's answer, and the
+/// by the deadlock check and by the simulator — an event-backend run,
+/// whose errors the makespan sweep names — in first-in-first-out order
+/// and in a seeded random one. The deadlock check's answer, and the
 /// simulator's whole `SimTimeline` or `SimError` under random iterations,
 /// checkpoints, perturbation and serving release gates, must render
 /// byte-identically. Returns
