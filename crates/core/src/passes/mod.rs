@@ -76,11 +76,25 @@ impl GraphTunerOptions {
 
 /// Runs the graph tuner: pass 1, then passes 2–4 iterated to a fixpoint
 /// (pass 4 is simulator-guided, so each accepted prepose can expose new
-/// overlap opportunities for pass 2).
+/// overlap opportunities for pass 2), at most `max_rounds` times. The
+/// iteration stops once prepose accepts nothing, or once prepose stopped
+/// at its own fixpoint and passes 2–3 then edited nothing: another prepose
+/// call would repeat its last scan and accept nothing.
 pub fn run_graph_tuner(
     schedule: &mut Schedule,
     cost: &dyn CostModel,
     opts: GraphTunerOptions,
+) -> PassStats {
+    graph_tuner(schedule, cost, opts, |_| ())
+}
+
+/// [`run_graph_tuner`], handing each prepose call's accepted swaps to
+/// `on_prepose`.
+pub(crate) fn graph_tuner(
+    schedule: &mut Schedule,
+    cost: &dyn CostModel,
+    opts: GraphTunerOptions,
+    mut on_prepose: impl FnMut(usize),
 ) -> PassStats {
     let mut stats = PassStats::default();
     if opts.checkpoint {
@@ -94,15 +108,20 @@ pub fn run_graph_tuner(
     }
     if opts.prepose {
         for _ in 0..opts.prepose_opts.max_rounds {
-            let moved = prepose_forward(schedule, cost, opts.prepose_opts);
+            let (moved, fixpoint) = prepose_forward::prepose(schedule, cost, opts.prepose_opts);
+            on_prepose(moved);
             stats.preposed += moved;
+            // Passes 2–3 rebuild a program only when their count is positive.
+            let (mut overlapped, mut reverted) = (0, 0);
             if opts.overlap {
-                stats.overlapped += overlap_recompute(schedule);
+                overlapped = overlap_recompute(schedule);
             }
             if opts.remove_redundant {
-                stats.reverted += remove_redundancy(schedule);
+                reverted = remove_redundancy(schedule);
             }
-            if moved == 0 {
+            stats.overlapped += overlapped;
+            stats.reverted += reverted;
+            if moved == 0 || (fixpoint && overlapped + reverted == 0) {
                 break;
             }
         }

@@ -21,6 +21,13 @@
 //! also names [`simulate`]'s errors: a deadlock or a mismatch does not
 //! depend on timing, so the sweep meets the one the event run met.
 //!
+//! A step reads an instruction's unscaled duration and its link through
+//! [`Timing`]. One-shot sweeps compute them as the step fires
+//! ([`OnTheFly`]); prepose, which re-runs one schedule hundreds of times,
+//! reads them from a table it lowers once per call and rotates with the
+//! program. Either way the step scales busy time by the profile at the pc
+//! it fires at, so there is one step loop for both.
+//!
 //! [`simulate`] takes every knob in one [`SimOptions`]. Its `profile`
 //! extends the alignment to *degraded* clusters: a [`PerturbationProfile`]
 //! (stragglers, slow links) scales every instruction's duration and every
@@ -34,8 +41,8 @@ use mario_cluster::{
     ServeBoard, ServingHooks,
 };
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceClock, DeviceId, Dir, Fifo, InstrKind, LinkTable, Msg,
-    Nanos, PerturbationProfile, Ready, Schedule, SpanGraph, Telemetry,
+    CheckpointPolicy, CostModel, DeviceClock, DeviceId, Dir, Fifo, Instr, InstrKind, LinkTable,
+    Msg, Nanos, P2p, PerturbationProfile, Ready, Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 
@@ -258,12 +265,12 @@ fn timeline(
         Err(_) => {
             let links = LinkTable::new(schedule);
             let (cap, iters) = (opts.channel_capacity, opts.iterations);
-            let mut sweep = Sweep::new(schedule, cost, cap, opts.profile, iters, &links);
+            let mut sweep = Sweep::new(schedule, &links, cap, opts.profile, iters);
             if let Some(seed) = seed {
                 sweep.ready = Ready::shuffled(schedule.devices() as usize, seed);
             }
             Err(sweep
-                .run_to_end(schedule)
+                .run_to_end(schedule, &OnTheFly::new(cost, &links))
                 .expect_err("the sweep fails where the event run failed"))
         }
     }
@@ -281,7 +288,66 @@ pub(crate) fn simulate_makespan(
     profile: &PerturbationProfile,
 ) -> Result<Nanos, SimError> {
     let links = LinkTable::new(schedule);
-    Sweep::new(schedule, cost, channel_capacity, profile, 1, &links).run_to_end(schedule)
+    Sweep::new(schedule, &links, channel_capacity, profile, 1)
+        .run_to_end(schedule, &OnTheFly::new(cost, &links))
+}
+
+/// Where a [`Sweep`] step reads what it costs: the launch charge, an
+/// instruction's unscaled busy time, a receive's wire time and a p2p
+/// operation's link. The answers depend on the device and the instruction
+/// only; `lpc`, the instruction's local pc, lets a table index them.
+pub(crate) trait Timing {
+    /// The launch charge of every p2p operation.
+    fn launch(&self) -> Nanos;
+    /// The unscaled busy time of the non-p2p `instr` at `dev`'s `lpc`.
+    fn busy(&self, dev: DeviceId, lpc: usize, instr: &Instr) -> Nanos;
+    /// The link of the p2p end `p` of `instr` at `dev`'s `lpc`, or None
+    /// for a port with no link.
+    fn link(&self, dev: DeviceId, lpc: usize, instr: &Instr, p: P2p) -> Option<usize>;
+    /// The wire time of the receive `instr`, end `p`, at `dev`'s `lpc`.
+    fn wire(&self, dev: DeviceId, lpc: usize, instr: &Instr, p: P2p) -> Nanos;
+}
+
+/// [`Timing`] computed as each step fires, from the cost model and the
+/// schedule's links: for sweeps that run a schedule once.
+pub(crate) struct OnTheFly<'a> {
+    cost: &'a dyn CostModel,
+    links: &'a LinkTable,
+}
+
+impl<'a> OnTheFly<'a> {
+    pub(crate) fn new(cost: &'a dyn CostModel, links: &'a LinkTable) -> Self {
+        Self { cost, links }
+    }
+}
+
+impl Timing for OnTheFly<'_> {
+    #[inline]
+    fn launch(&self) -> Nanos {
+        self.cost.p2p_launch_overhead()
+    }
+
+    #[inline]
+    fn busy(&self, dev: DeviceId, _: usize, instr: &Instr) -> Nanos {
+        match instr.kind {
+            InstrKind::AllReduce => self.cost.allreduce_time(dev),
+            InstrKind::OptimizerStep => self.cost.optimizer_time(dev),
+            _ => self.cost.duration(dev, instr),
+        }
+    }
+
+    #[inline]
+    fn link(&self, dev: DeviceId, _: usize, instr: &Instr, p: P2p) -> Option<usize> {
+        self.links
+            .resolve(dev, p.dir, p.port(instr.part))
+            .map(|l| l.id)
+    }
+
+    #[inline]
+    fn wire(&self, dev: DeviceId, _: usize, instr: &Instr, p: P2p) -> Nanos {
+        let bytes = self.cost.boundary_bytes(dev, instr.part);
+        self.cost.p2p_time_between(p.peer, dev, bytes)
+    }
 }
 
 /// Where [`Sweep::run`] stopped.
@@ -308,20 +374,19 @@ pub(crate) enum Run {
 ///
 /// A sweep can stop before any instruction and go on later, and a paused
 /// sweep can be cloned, so a caller can run many continuations of one
-/// shared prefix; see [`Sweep::run`].
+/// shared prefix; see [`Sweep::run`]. The schedule and its [`Timing`] are
+/// not part of it: each call reads them.
 pub(crate) struct Sweep<'a> {
-    cost: &'a dyn CostModel,
     /// p2p buffer depth per channel.
     capacity: usize,
     profile: &'a PerturbationProfile,
     iterations: u32,
-    /// The schedule's links, which number `chans`.
-    links: &'a LinkTable,
     /// Global instruction cursor per device: local pc = gpc % len,
     /// iteration = gpc / len.
     gpc: Vec<usize>,
     clocks: Vec<DeviceClock>,
-    /// In-flight messages with their departure times, per link.
+    /// In-flight messages with their departure times, per link of the
+    /// schedule's [`LinkTable`].
     chans: Vec<Fifo<(Msg, Nanos)>>,
     /// The devices that may move; the front one is running.
     ready: Ready,
@@ -332,11 +397,9 @@ pub(crate) struct Sweep<'a> {
 impl Clone for Sweep<'_> {
     fn clone(&self) -> Self {
         Self {
-            cost: self.cost,
             capacity: self.capacity,
             profile: self.profile,
             iterations: self.iterations,
-            links: self.links,
             gpc: self.gpc.clone(),
             clocks: self.clocks.clone(),
             chans: self.chans.clone(),
@@ -345,11 +408,9 @@ impl Clone for Sweep<'_> {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.cost = source.cost;
         self.capacity = source.capacity;
         self.profile = source.profile;
         self.iterations = source.iterations;
-        self.links = source.links;
         self.gpc.clone_from(&source.gpc);
         self.clocks.clone_from(&source.clocks);
         self.chans.clone_from(&source.chans);
@@ -359,25 +420,21 @@ impl Clone for Sweep<'_> {
 
 impl<'a> Sweep<'a> {
     /// A sweep, at time zero, of `iterations` iterations of `schedule`
-    /// under `cost` at `capacity` on the cluster `profile` describes,
-    /// over the schedule's `links`.
+    /// over its `links` at `capacity` on the cluster `profile` describes.
     pub(crate) fn new(
         schedule: &Schedule,
-        cost: &'a dyn CostModel,
+        links: &LinkTable,
         capacity: usize,
         profile: &'a PerturbationProfile,
         iterations: u32,
-        links: &'a LinkTable,
     ) -> Self {
         assert!(capacity >= 1);
         assert!(iterations >= 1);
         let devices = schedule.devices() as usize;
         Self {
-            cost,
             capacity,
             profile,
             iterations,
-            links,
             gpc: vec![0; devices],
             clocks: (0..devices)
                 .map(|d| DeviceClock::new(DeviceId(d as u32), 0))
@@ -389,33 +446,39 @@ impl<'a> Sweep<'a> {
 
     /// [`Sweep::run`] with no stop point: the makespan, or why the
     /// schedule cannot run.
-    pub(crate) fn run_to_end(&mut self, schedule: &Schedule) -> Result<Nanos, SimError> {
-        match self.run(schedule, None)? {
+    pub(crate) fn run_to_end(
+        &mut self,
+        schedule: &Schedule,
+        timing: &impl Timing,
+    ) -> Result<Nanos, SimError> {
+        match self.run(schedule, timing, None)? {
             Run::Done(makespan) => Ok(makespan),
             Run::Paused => unreachable!("a sweep without a stop point never pauses"),
         }
     }
 
-    /// Steps the sweep over `schedule` until it completes, fails, or —
-    /// given `stop = Some((d, p))` — device `d` is about to read global
-    /// pc `p`; a sweep already there pauses at once. A sweep paused in
-    /// its first iteration has read nothing of `d`'s program from `p` on,
-    /// so it may be resumed (or cloned and resumed) over a schedule that
-    /// differs from the one it ran on only in `d`'s instructions at `p`
-    /// and after, program length and send ports kept, and ends exactly as
-    /// a sweep of that schedule from time zero would. `schedule` must
-    /// otherwise be the one the sweep was built for. A sweep that failed
-    /// fails the same way when run again; one that completed must not run
-    /// again.
+    /// Steps the sweep over `schedule`, timed by `timing`, until it
+    /// completes, fails, or — given `stop = Some((d, p))` — device `d` is
+    /// about to read global pc `p`; a sweep already there pauses at once.
+    /// A sweep paused in its first iteration has read nothing of `d`'s
+    /// program from `p` on, so it may be resumed (or cloned and resumed)
+    /// over a schedule that differs from the one it ran on only in `d`'s
+    /// instructions at `p` and after, program length and send ports kept,
+    /// and ends exactly as a sweep of that schedule from time zero would;
+    /// `timing` must then answer for the schedule it resumes over.
+    /// `schedule` must otherwise be the one the sweep was built for. A
+    /// sweep that failed fails the same way when run again; one that
+    /// completed must not run again.
     pub(crate) fn run(
         &mut self,
         schedule: &Schedule,
+        timing: &impl Timing,
         stop: Option<(DeviceId, usize)>,
     ) -> Result<Run, SimError> {
-        let (cost, capacity, profile) = (self.cost, self.capacity, self.profile);
+        let (capacity, profile, launch) = (self.capacity, self.profile, timing.launch());
         // The hot loop works on locals rather than through `self`
         // (measured: about 3% of tune-32 otherwise).
-        let (links, gpc, clocks) = (self.links, &mut self.gpc[..], &mut self.clocks[..]);
+        let (gpc, clocks) = (&mut self.gpc[..], &mut self.clocks[..]);
         let (chans, ready) = (&mut self.chans[..], &mut self.ready);
         let (stop_dev, stop_pc) = stop.map_or((usize::MAX, 0), |(d, p)| (d.index(), p));
         while let Some(d) = ready.front() {
@@ -438,30 +501,30 @@ impl<'a> Sweep<'a> {
                 let instr = prog[lpc];
                 match instr.kind.p2p() {
                     None => {
+                        let ns = timing.busy(dev, lpc, &instr);
                         let dur = match instr.kind {
-                            InstrKind::AllReduce => cost.allreduce_time(dev),
-                            InstrKind::OptimizerStep => cost.optimizer_time(dev),
-                            _ => profile.scaled_compute(dev, iter, lpc, cost.duration(dev, &instr)),
+                            InstrKind::AllReduce | InstrKind::OptimizerStep => ns,
+                            _ => profile.scaled_compute(dev, iter, lpc, ns),
                         };
                         clock.busy(instr.kind, dur);
                     }
                     Some(p) => {
                         // A port with no link never moves.
-                        let Some(link) = links.resolve(dev, p.dir, p.port(instr.part)) else {
+                        let Some(link) = timing.link(dev, lpc, &instr, p) else {
                             ready.block(None);
                             break;
                         };
-                        let ch = &mut chans[link.id];
+                        let ch = &mut chans[link];
                         if p.dir == Dir::Send {
                             // On a full window the send completes once the
                             // receiver dequeued the oldest in-flight
                             // message; that time is known only after the
                             // receiver fires, so wait for it.
                             let Some(freed) = ch.reserve(capacity) else {
-                                ready.block(Some(link.id));
+                                ready.block(Some(link));
                                 break;
                             };
-                            clock.launch(cost.p2p_launch_overhead());
+                            clock.launch(launch);
                             clock.wait_until(freed, Dir::Send);
                             // A perturbed link delays the packet's departure
                             // while the sender's own clock is unaffected.
@@ -475,17 +538,16 @@ impl<'a> Sweep<'a> {
                             let want = p.msg(&instr);
                             let Some(&(_, sent_at)) = ch.front().filter(|(msg, _)| *msg == want)
                             else {
-                                ready.block(Some(link.id));
+                                ready.block(Some(link));
                                 break;
                             };
                             ch.pop();
-                            let bytes = cost.boundary_bytes(dev, instr.part);
-                            let wire = cost.p2p_time_between(p.peer, dev, bytes);
-                            clock.launch(cost.p2p_launch_overhead());
+                            let wire = timing.wire(dev, lpc, &instr, p);
+                            clock.launch(launch);
                             clock.wait_until(sent_at + wire, Dir::Recv);
                             ch.ack(clock.now());
                         }
-                        ready.wake(p.peer.index(), link.id);
+                        ready.wake(p.peer.index(), link);
                     }
                 }
                 *gpc += 1;
@@ -494,7 +556,7 @@ impl<'a> Sweep<'a> {
                 }
             }
         }
-        if let Some(err) = self.stuck(schedule) {
+        if let Some(err) = self.stuck(schedule, timing) {
             return Err(err);
         }
         Ok(Run::Done(
@@ -506,7 +568,7 @@ impl<'a> Sweep<'a> {
     /// whose receive found the wrong message at its channel's head (a
     /// stuck receive with a message waiting found the wrong one), else a
     /// deadlock naming every unfinished device where it stands.
-    fn stuck(&self, schedule: &Schedule) -> Option<SimError> {
+    fn stuck(&self, schedule: &Schedule, timing: &impl Timing) -> Option<SimError> {
         let mut blocked = Vec::new();
         for (d, prog) in schedule.programs().iter().enumerate() {
             let (gpc, len) = (self.gpc[d], prog.len());
@@ -516,8 +578,8 @@ impl<'a> Sweep<'a> {
             let (dev, lpc) = (DeviceId(d as u32), gpc % len);
             let instr = prog.instrs()[lpc];
             if let Some(p) = instr.kind.p2p().filter(|p| p.dir == Dir::Recv) {
-                let link = self.links.resolve(dev, p.dir, p.port(instr.part));
-                if let Some((found, _)) = link.and_then(|l| self.chans[l.id].front()) {
+                let link = timing.link(dev, lpc, &instr, p);
+                if let Some((found, _)) = link.and_then(|l| self.chans[l].front()) {
                     let want = p.msg(&instr);
                     return Some(SimError::Mismatch(format!(
                         "{dev} expected {want:?}, found {found:?}"
@@ -619,7 +681,8 @@ mod tests {
             };
             let full = simulate(s, cost, &opts).map(|t| t.total_ns);
             let links = LinkTable::new(s);
-            let fast = Sweep::new(s, cost, cap, profile, iterations, &links).run_to_end(s);
+            let fast = Sweep::new(s, &links, cap, profile, iterations)
+                .run_to_end(s, &OnTheFly::new(cost, &links));
             assert_eq!(
                 fast, full,
                 "{:?} at capacity {cap}, {iterations} iterations",
@@ -752,37 +815,42 @@ mod tests {
     /// Pausing a sweep anywhere, cloning it into a second sweep and
     /// resuming the clone ends exactly as an uninterrupted run: the same
     /// makespan, or the same error text — in the first-in-first-out order
-    /// and in shuffled ones, which the clone carries on. Every scheme at
+    /// and in shuffled ones, which the clone carries on, and over prepose's
+    /// step table as over the on-the-fly timing. Every scheme at
     /// capacities 1 and 2, an Interleave made to deadlock by one swap,
     /// and a schedule made to mismatch by one send's micro-batch.
     #[test]
     fn a_resumed_clone_matches_an_uninterrupted_run() {
+        use crate::passes::prepose_forward::StepTable;
         use mario_ir::{DeviceProgram, InstrTag};
 
-        let cost = UnitCost::paper_grid();
-        let pristine = PerturbationProfile::identity();
-        let check = |s: &Schedule, cap: usize| {
-            let links = LinkTable::new(s);
+        fn resume_everywhere(
+            s: &Schedule,
+            links: &LinkTable,
+            cap: usize,
+            timing: &impl Timing,
+        ) -> Result<Nanos, SimError> {
+            let pristine = PerturbationProfile::identity();
             let sweep = |seed: Option<u64>| {
-                let mut sweep = Sweep::new(s, &cost, cap, &pristine, 1, &links);
+                let mut sweep = Sweep::new(s, links, cap, &pristine, 1);
                 if let Some(seed) = seed {
                     sweep.ready = Ready::shuffled(s.devices() as usize, seed);
                 }
                 sweep
             };
-            let whole = sweep(None).run_to_end(s);
+            let whole = sweep(None).run_to_end(s, timing);
             // A sweep with buffers of its own, so `clone_from` overwrites
             // live state rather than filling empty vectors.
             let mut resumed = sweep(None);
-            let _ = resumed.run(s, None);
+            let _ = resumed.run(s, timing, None);
             for d in 0..s.devices() {
                 for p in 0..s.program(DeviceId(d)).len() {
                     for seed in [None, Some((d as u64) << 32 | p as u64)] {
                         let mut paused = sweep(seed);
-                        let got = match paused.run(s, Some((DeviceId(d), p))) {
+                        let got = match paused.run(s, timing, Some((DeviceId(d), p))) {
                             Ok(Run::Paused) => {
                                 resumed.clone_from(&paused);
-                                resumed.run_to_end(s)
+                                resumed.run_to_end(s, timing)
                             }
                             Ok(Run::Done(t)) => Ok(t),
                             Err(e) => Err(e),
@@ -796,6 +864,16 @@ mod tests {
                 }
             }
             whole
+        }
+
+        let cost = UnitCost::paper_grid();
+        let pristine = PerturbationProfile::identity();
+        let check = |s: &Schedule, cap: usize| {
+            let links = LinkTable::new(s);
+            let live = resume_everywhere(s, &links, cap, &OnTheFly::new(&cost, &links));
+            let table = StepTable::lower(s, &cost, &links);
+            assert_eq!(resume_everywhere(s, &links, cap, &table), live);
+            live
         };
         for scheme in [
             SchemeKind::GPipe,
@@ -1051,7 +1129,10 @@ mod tests {
             iteration: Some(1),
         });
         let always = PerturbationProfile::identity().with_straggler(DeviceId(0), 3.0);
-        let over3 = |profile| SimOptions { profile, ..iters(3) };
+        let over3 = |profile| SimOptions {
+            profile,
+            ..iters(3)
+        };
         let t_scoped = simulate(&s, &UnitCost::paper_grid(), &over3(&scoped)).unwrap();
         let t_always = simulate(&s, &UnitCost::paper_grid(), &over3(&always)).unwrap();
         assert!(t_scoped.total_ns > base.total_ns);
