@@ -141,6 +141,9 @@ impl Topology {
     /// Chimera's two routes each traverse all `D` stages (the model is split
     /// into `D` stages; both directions hold a full replica), so this is `D`
     /// for Chimera and `D × chunks` for Interleave/Wave.
+    ///
+    /// A count past `u32::MAX`, which only a hostile schedule header can
+    /// name, saturates there.
     #[inline]
     pub fn num_stages(&self) -> u32 {
         match self.scheme {
@@ -149,9 +152,9 @@ impl Topology {
             | SchemeKind::ForwardOnly
             | SchemeKind::ZeroBubbleH1
             | SchemeKind::Chimera => self.devices,
-            SchemeKind::ZeroBubbleV => self.devices * 2,
+            SchemeKind::ZeroBubbleV => self.devices.saturating_mul(2),
             SchemeKind::Interleave { chunks } | SchemeKind::Wave { chunks } => {
-                self.devices * chunks
+                self.devices.saturating_mul(chunks)
             }
         }
     }

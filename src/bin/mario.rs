@@ -172,6 +172,13 @@ fn cost_for(args: &Args, schedule: &Schedule) -> Result<AnalyticCost, String> {
     if mbs == 0 || tp == 0 {
         return Err("--mbs and --tp must be at least 1".into());
     }
+    let stages = schedule.topology.num_stages();
+    if model.layers < stages {
+        return Err(format!(
+            "{} has {} layers, too few for the schedule's {stages} stages",
+            model.name, model.layers
+        ));
+    }
     let setup = TrainSetup::pipeline(model, GpuSpec::a100_40g(), schedule.topology, mbs)
         .with_tp(tp);
     Ok(AnalyticCost::new(&setup))
