@@ -209,7 +209,7 @@ impl<'s> Net<'s> {
                     });
                 }
                 let peer = p.peer.index();
-                if programs.get(peer).is_none_or(|q| self.pc[peer] >= q.len()) {
+                if link.is_none() || programs.get(peer).is_none_or(|q| self.pc[peer] >= q.len()) {
                     unmatched.get_or_insert(ExecError::UnmatchedRecv { device, pc });
                 }
             }
@@ -289,6 +289,26 @@ mod tests {
             }
             other => panic!("expected unmatched recv, got {other}"),
         }
+    }
+
+    #[test]
+    fn recv_with_no_link_is_unmatched_while_its_peer_waits() {
+        // d1 never sends a gradient, so d0's receive has no link; d1 is
+        // still alive, blocked on the activation d0 never gets to send.
+        let s = two_device_schedule(
+            vec![
+                Instr::recv_grad(0u32, 0u32, DeviceId(1)),
+                Instr::send_act(0u32, 0u32, DeviceId(1)),
+            ],
+            vec![Instr::recv_act(0u32, 0u32, DeviceId(0))],
+        );
+        assert_eq!(
+            check_executable(&s, 1),
+            Err(ExecError::UnmatchedRecv {
+                device: DeviceId(0),
+                pc: 0
+            })
+        );
     }
 
     #[test]
