@@ -182,28 +182,8 @@ fn layers_of_device(topo: &Topology, partition: &StagePartition, d: DeviceId) ->
 /// Whether a `width`-device pipeline is structurally admissible for the
 /// setup's scheme, micro-batch count, and layer count.
 fn admissible_width(setup: &ElasticSetup, width: u32) -> bool {
-    if width == 0 {
-        return false;
-    }
-    match setup.scheme {
-        SchemeKind::Chimera => {
-            if !width.is_multiple_of(2) || !setup.micros.is_multiple_of(2) {
-                return false;
-            }
-        }
-        SchemeKind::Interleave { .. } => {
-            if !setup.micros.is_multiple_of(width) {
-                return false;
-            }
-        }
-        SchemeKind::GPipe
-        | SchemeKind::OneFOneB
-        | SchemeKind::ForwardOnly
-        | SchemeKind::ZeroBubbleH1
-        | SchemeKind::ZeroBubbleV
-        | SchemeKind::Wave { .. } => {}
-    }
-    setup.layers >= Topology::new(setup.scheme, width).num_stages()
+    ScheduleConfig::new(setup.scheme, width, setup.micros).check().is_ok()
+        && setup.layers >= Topology::new(setup.scheme, width).num_stages()
 }
 
 /// Plans the widest admissible shrunk pipeline after losing `lost`.

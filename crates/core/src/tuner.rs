@@ -682,8 +682,9 @@ pub fn scheme_channel_capacity(scheme: SchemeKind) -> usize {
     }
 }
 
-/// Checks the structural constraints of a candidate; returns the
-/// micro-batch count if admissible.
+/// Checks the structural constraints of a candidate (the scheme's own
+/// through [`ScheduleConfig::check`]); returns the micro-batch count if
+/// admissible.
 pub fn admissible(model: &ModelConfig, cand: &Candidate, gbs: u32) -> Option<u32> {
     if cand.pp * cand.dp == 0 {
         return None;
@@ -696,15 +697,7 @@ pub fn admissible(model: &ModelConfig, cand: &Candidate, gbs: u32) -> Option<u32
     if micros == 0 {
         return None;
     }
-    match cand.scheme {
-        SchemeKind::Chimera if !cand.pp.is_multiple_of(2) || !micros.is_multiple_of(2) => {
-            return None;
-        }
-        SchemeKind::Interleave { .. } if !micros.is_multiple_of(cand.pp) => {
-            return None;
-        }
-        _ => {}
-    }
+    ScheduleConfig::new(cand.scheme, cand.pp, micros).check().ok()?;
     let stages = topology_of(cand.scheme, cand.pp).num_stages();
     if model.layers < stages {
         return None;

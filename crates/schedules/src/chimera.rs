@@ -20,14 +20,10 @@ pub fn routes(micros: u32) -> Vec<u32> {
     (0..micros).map(|m| m % 2).collect()
 }
 
-/// Generates the compute-only Chimera schedule.
-///
-/// # Panics
-/// If `devices` is odd or `micros` is odd (each direction needs an equal
-/// share).
+/// Generates the compute-only Chimera schedule. `devices` and `micros`
+/// must both be even ([`crate::ScheduleConfig::check`]): each direction
+/// needs an equal share.
 pub fn generate_compute(devices: u32, micros: u32) -> Schedule {
-    assert!(devices.is_multiple_of(2), "Chimera requires even device count");
-    assert!(micros.is_multiple_of(2), "Chimera requires even micro-batch count");
     let topo = Topology::new(SchemeKind::Chimera, devices);
     derive_schedule(topo, micros, routes(micros), &EnginePolicy::chimera(devices))
 }
@@ -97,6 +93,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "even micro-batch")]
     fn rejects_odd_micros() {
-        let _ = generate_compute(4, 5);
+        let _ = crate::generate_compute(SchemeKind::Chimera, 4, 5);
     }
 }

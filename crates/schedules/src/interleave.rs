@@ -29,17 +29,10 @@ fn backward_slot(k: u32, devices: u32, chunks: u32) -> (u32, u32) {
     (micro, chunk)
 }
 
-/// Generates the compute-only interleaved schedule.
-///
-/// # Panics
-/// If `micros` is not a multiple of `devices` (Megatron's requirement) or
-/// `chunks == 0`.
+/// Generates the compute-only interleaved schedule. `micros` must be a
+/// multiple of `devices` (Megatron's requirement) and `chunks` at least 1
+/// ([`crate::ScheduleConfig::check`]).
 pub fn generate_compute(devices: u32, micros: u32, chunks: u32) -> Schedule {
-    assert!(chunks > 0, "interleave needs at least one chunk");
-    assert!(
-        micros.is_multiple_of(devices),
-        "interleaved schedule requires micros ({micros}) to be a multiple of devices ({devices})"
-    );
     let topo = Topology::new(SchemeKind::Interleave { chunks }, devices);
     let mut s = Schedule::empty(topo, micros, vec![0; micros as usize]);
     let total = micros * chunks;
@@ -122,6 +115,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of devices")]
     fn rejects_non_multiple_micros() {
-        let _ = generate_compute(4, 6, 2);
+        let _ = crate::generate_compute(SchemeKind::Interleave { chunks: 2 }, 4, 6);
     }
 }

@@ -1,7 +1,7 @@
 //! Unified entry point: pick a scheme, get a complete schedule.
 
 use crate::builder::{insert_comm, CommOptions};
-use mario_ir::{Schedule, SchemeKind};
+use mario_ir::{Schedule, SchemeKind, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Everything needed to materialize one scheme's schedule.
@@ -42,10 +42,36 @@ impl ScheduleConfig {
         self.with_allreduce = on;
         self
     }
+
+    /// Checks every constraint the scheme puts on this size, the one
+    /// place they are written: a topology [`Topology::try_new`] accepts,
+    /// an even micro-batch count for Chimera (each direction carries
+    /// half), and micro-batches a multiple of devices for Interleave
+    /// (Megatron's grouping). [`generate`] panics with this message.
+    pub fn check(&self) -> Result<(), String> {
+        let (devices, micros) = (self.devices, self.micros);
+        Topology::try_new(self.scheme, devices)?;
+        match self.scheme {
+            SchemeKind::Chimera if !micros.is_multiple_of(2) => Err(format!(
+                "Chimera requires an even micro-batch count, got {micros}"
+            )),
+            SchemeKind::Interleave { .. } if !micros.is_multiple_of(devices) => Err(format!(
+                "Interleave requires micros ({micros}) to be a multiple of devices ({devices})"
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Generates the compute-only schedule for a scheme.
+///
+/// # Panics
+/// If the size breaks one of the scheme's constraints
+/// ([`ScheduleConfig::check`]).
 pub fn generate_compute(scheme: SchemeKind, devices: u32, micros: u32) -> Schedule {
+    if let Err(e) = ScheduleConfig::new(scheme, devices, micros).check() {
+        panic!("{e}");
+    }
     match scheme {
         SchemeKind::GPipe => crate::gpipe::generate_compute(devices, micros),
         SchemeKind::OneFOneB => crate::one_f_one_b::generate_compute(devices, micros),
@@ -61,6 +87,9 @@ pub fn generate_compute(scheme: SchemeKind, devices: u32, micros: u32) -> Schedu
 }
 
 /// Generates a schedule according to `cfg`.
+///
+/// # Panics
+/// If `cfg` fails [`ScheduleConfig::check`].
 pub fn generate(cfg: ScheduleConfig) -> Schedule {
     let compute = generate_compute(cfg.scheme, cfg.devices, cfg.micros);
     if cfg.with_comm {

@@ -191,13 +191,14 @@ fn cmd_generate(args: &Args) -> Result<(), Failure> {
     if devices == 0 || micros == 0 {
         return Err("--devices and --micros must be at least 1".into());
     }
-    if matches!(scheme, SchemeKind::Chimera) && (!devices.is_multiple_of(2) || !micros.is_multiple_of(2)) {
-        return Err("Chimera (X) needs even --devices and even --micros".into());
-    }
-    if matches!(scheme, SchemeKind::Interleave { .. }) && !micros.is_multiple_of(devices) {
-        return Err("Interleave (W) needs --micros divisible by --devices".into());
-    }
-    let mut s = generate(ScheduleConfig::new(scheme, devices, micros));
+    let cfg = ScheduleConfig::new(scheme, devices, micros);
+    cfg.check().map_err(|e| {
+        format!(
+            "--scheme {} with --devices {devices} --micros {micros}: {e}",
+            scheme.shape_letter()
+        )
+    })?;
+    let mut s = generate(cfg);
     if args.has("mario") {
         let cost = UnitCost::paper_grid();
         run_graph_tuner(&mut s, &cost, GraphTunerOptions::mario());
