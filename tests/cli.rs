@@ -271,6 +271,18 @@ fn generate_rejects_zero_waves() {
 }
 
 #[test]
+fn generate_rejects_sizes_its_scheme_cannot_take() {
+    for (scheme, devices, micros, what) in [
+        ("X", "3", "4", "--devices 3 --micros 4: Chimera requires an even number of devices"),
+        ("X", "4", "3", "--devices 4 --micros 3: Chimera requires an even micro-batch count"),
+        ("W:2", "4", "6", "--devices 4 --micros 6: Interleave requires micros (6)"),
+    ] {
+        let args = ["generate", "--scheme", scheme, "--devices", devices, "--micros", micros];
+        rejects(&args, what);
+    }
+}
+
+#[test]
 fn simulate_and_emulate_reject_zero_tensor_parallelism() {
     let path = tmp("tp0.txt");
     let p = path.to_str().unwrap();
