@@ -15,6 +15,7 @@ pub use remove_redundancy::remove_redundancy;
 pub use split_backward::{split_backward, SplitOptions};
 
 use mario_ir::{CostModel, Schedule};
+use prepose_forward::Trials;
 use serde::{Deserialize, Serialize};
 
 /// What the pass pipeline did.
@@ -85,16 +86,16 @@ pub fn run_graph_tuner(
     cost: &dyn CostModel,
     opts: GraphTunerOptions,
 ) -> PassStats {
-    graph_tuner(schedule, cost, opts, |_| ())
+    graph_tuner(schedule, cost, opts, |_, _| ())
 }
 
-/// [`run_graph_tuner`], handing each prepose call's accepted swaps to
-/// `on_prepose`.
+/// [`run_graph_tuner`], handing each prepose call's accepted swaps and
+/// trial counts to `on_prepose`.
 pub(crate) fn graph_tuner(
     schedule: &mut Schedule,
     cost: &dyn CostModel,
     opts: GraphTunerOptions,
-    mut on_prepose: impl FnMut(usize),
+    mut on_prepose: impl FnMut(usize, Trials),
 ) -> PassStats {
     let mut stats = PassStats::default();
     if opts.checkpoint {
@@ -108,8 +109,9 @@ pub(crate) fn graph_tuner(
     }
     if opts.prepose {
         for _ in 0..opts.prepose_opts.max_rounds {
-            let (moved, fixpoint) = prepose_forward::prepose(schedule, cost, opts.prepose_opts);
-            on_prepose(moved);
+            let (moved, trials, fixpoint) =
+                prepose_forward::prepose(schedule, cost, opts.prepose_opts);
+            on_prepose(moved, trials);
             stats.preposed += moved;
             // Passes 2–3 rebuild a program only when their count is positive.
             let (mut overlapped, mut reverted) = (0, 0);

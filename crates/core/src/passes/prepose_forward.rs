@@ -42,17 +42,47 @@
 //! One-shot sweeps elsewhere compute the same answers as they go, so a
 //! table lives only here.
 //!
+//! Slack: most trials are rejected before they run. Under the pristine
+//! profile, in one iteration, the sweep's `DeviceClock` arithmetic makes a
+//! run a longest-path problem over three kinds of edges. An instruction
+//! finishes at the latest of its program predecessor's finish plus its own
+//! time (busy time, or a p2p launch); for the k-th receive on a link, the
+//! k-th send's finish plus the wire time; for the k-th send, the
+//! (k − capacity)-th receive's finish. The makespan `best` is the longest
+//! path. Swapping the groups in `[start, end)` at `mid` on device d
+//! removes only the three program-order edges on d that enter pcs
+//! `start`, `mid` and `end` (the run's start stands in for pc −1), and
+//! adds three others. It keeps the message order on every link when the
+//! two groups share no link, which the test checks: the moved forward
+//! group passes activations and the group it overtakes gradients, on
+//! different links. So every wire and capacity edge keeps its ends, and
+//! every weight depends on its instruction alone. If
+//! no removed edge lies on a longest path, a path of weight `best`
+//! survives the swap, and added edges only lengthen paths. The trial then
+//! ends with a makespan ≥ `best`, or in a deadlock where the swap closes
+//! a cycle, and the pass rejects both. An edge u → v lies on a longest
+//! path exactly when `finish(u) + own(v) + tail(v) == best`, where
+//! `tail(v)` is the longest path from v's finish to the end. [`Slack`]
+//! records the finish times from one sweep per schedule version (the
+//! first, then one after each accepted swap), and the tails from one pass
+//! backward over that sweep's firing order. The argument needs fixed
+//! weights, so it holds only for the pristine profile (a slowdown window
+//! indexed by pc re-times the instructions a swap moves) and one
+//! iteration, which is what prepose runs.
+//!
 //! Known answers: a trial's outcome depends only on the schedule and the
 //! best makespan so far. The device of a round's last accepted swap, and
 //! every device after it, were last scanned against the schedule and best
 //! makespan the round ends with, and found nothing. So a round that
 //! reaches that device having accepted nothing stops the pass at its
 //! fixpoint, and the graph tuner makes no further call while passes 2–3
-//! leave the schedule as prepose left it.
+//! leave the schedule as prepose left it. The slack test skips most of
+//! such a round's trials but not all: on plan-8's V schedule (8x32,
+//! GPT3-13B) the fixpoint still saves 58 simulated trials per tuning.
 
-use crate::simulator::{simulate_memory, OnTheFly, Run, Sweep, Timing};
+use crate::simulator::{simulate_memory, Observe, OnTheFly, Run, SimError, Sweep, Timing};
 use mario_ir::{
-    CostModel, DeviceId, DeviceProgram, Dir, Instr, InstrKind, LinkTable, Nanos, P2p,
+    CostModel, DeviceId, DeviceProgram, Dir, Fifo, Instr, InstrKind, LinkTable, Nanos, P2p,
     PerturbationProfile, Schedule,
 };
 use std::ops::Range;
@@ -214,6 +244,16 @@ impl StepTable {
     fn step(&self, dev: DeviceId, lpc: usize) -> Step {
         self.steps[dev.index()][lpc]
     }
+
+    /// The time `instr`, at `dev`'s `lpc`, adds to the end of the
+    /// instruction before it under the pristine profile: the launch charge
+    /// of a p2p operation, else its busy time.
+    fn own(&self, dev: DeviceId, lpc: usize, instr: &Instr) -> Nanos {
+        match instr.kind.p2p() {
+            Some(_) => self.launch,
+            None => self.step(dev, lpc).ns,
+        }
+    }
 }
 
 impl Timing for StepTable {
@@ -239,6 +279,239 @@ impl Timing for StepTable {
     }
 }
 
+/// One candidate swap of pass 4 on `device`: the backward or recompute
+/// group at pcs `start..mid` and the checkpointed-forward group at
+/// `mid..end` right after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Swap {
+    /// The device whose program the swap edits.
+    pub device: DeviceId,
+    /// First pc of the backward or recompute group.
+    pub start: usize,
+    /// First pc of the checkpointed-forward group.
+    pub mid: usize,
+    /// One past the forward group's last pc.
+    pub end: usize,
+}
+
+impl Swap {
+    /// Moves the forward group ahead of the group before it.
+    pub fn apply(self, schedule: &mut Schedule) {
+        let range = self.start..self.end;
+        schedule
+            .program_mut(self.device)
+            .rotate_left(range, self.mid - self.start);
+    }
+
+    fn undo(self, schedule: &mut Schedule) {
+        let range = self.start..self.end;
+        schedule
+            .program_mut(self.device)
+            .rotate_left(range, self.end - self.mid);
+    }
+}
+
+/// Every candidate swap in `prog`, in program order.
+fn swaps(prog: &DeviceProgram) -> Vec<Swap> {
+    parse_groups(prog)
+        .windows(2)
+        .filter(|w| {
+            w[1].kind == GroupKind::CkptForward
+                && matches!(w[0].kind, GroupKind::Backward | GroupKind::Recompute)
+        })
+        .map(|w| Swap {
+            device: prog.device,
+            start: w[0].start,
+            mid: w[1].start,
+            end: w[1].end,
+        })
+        .collect()
+}
+
+/// How one prepose call's trials ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Trials {
+    /// Simulated to a makespan below the best so far: accepted, unless
+    /// memory rejected the swap.
+    pub(crate) better: usize,
+    /// Simulated to the best makespan so far.
+    pub(crate) equal: usize,
+    /// Simulated to a longer makespan.
+    pub(crate) worse: usize,
+    /// Simulated into a deadlock.
+    pub(crate) deadlock: usize,
+    /// Rejected by the slack test without simulating.
+    pub(crate) skipped: usize,
+}
+
+impl Trials {
+    fn count(&mut self, makespan: &Result<Nanos, SimError>, best: Nanos) {
+        let outcome = match makespan {
+            Ok(t) if *t < best => &mut self.better,
+            Ok(t) if *t == best => &mut self.equal,
+            Ok(_) => &mut self.worse,
+            Err(_) => &mut self.deadlock,
+        };
+        *outcome += 1;
+    }
+}
+
+/// The critical-path slack of one schedule under the pristine profile in
+/// one iteration, taken from its [`StepTable`]; see the module docs. The
+/// buffers are reused from one schedule version to the next.
+struct Slack {
+    capacity: usize,
+    /// The makespan.
+    best: Nanos,
+    /// Per device, when each instruction finished.
+    finish: Vec<Vec<Nanos>>,
+    /// Per device, the longest path from each instruction's finish to the
+    /// end of the run.
+    tail: Vec<Vec<Nanos>>,
+    /// The device of every step, in firing order.
+    order: Vec<u32>,
+    /// The tail pass's channels, per link.
+    chans: Vec<Fifo<Nanos>>,
+}
+
+impl Observe for Slack {
+    #[inline]
+    fn fired(&mut self, dev: usize, lpc: usize, finish: Nanos) {
+        debug_assert_eq!(lpc, self.finish[dev].len());
+        self.finish[dev].push(finish);
+        self.order.push(dev as u32);
+    }
+}
+
+impl Slack {
+    /// Empty buffers for `devices` devices over `links` links at `capacity`.
+    fn new(devices: usize, links: usize, capacity: usize) -> Self {
+        Self {
+            capacity,
+            best: 0,
+            finish: vec![Vec::new(); devices],
+            tail: vec![Vec::new(); devices],
+            order: Vec::new(),
+            chans: vec![Fifo::default(); links],
+        }
+    }
+
+    /// Measures `schedule`, timed by `table`, by running `sweep`, a sweep
+    /// of it at time zero: the makespan, or why the schedule cannot run.
+    fn measure(
+        &mut self,
+        schedule: &Schedule,
+        table: &StepTable,
+        sweep: &mut Sweep,
+    ) -> Result<Nanos, SimError> {
+        self.finish.iter_mut().for_each(Vec::clear);
+        self.order.clear();
+        let Run::Done(best) = sweep.run_observed(schedule, table, None, self)? else {
+            unreachable!("a sweep without a stop point never pauses")
+        };
+        self.best = best;
+        // The tail pass walks the firing order backward, so every
+        // successor of an instruction comes before it, and runs the link
+        // rule backward: a receive, which the tail reaches before its
+        // send, enqueues its wire time plus tail for the send to dequeue,
+        // and a send hands its tail back to the receive `capacity`
+        // messages before it as that receive's window release.
+        let empty = Fifo::default();
+        self.chans.iter_mut().for_each(|ch| ch.clone_from(&empty));
+        let mut pc: Vec<usize> = self.finish.iter().map(Vec::len).collect();
+        for (tail, finish) in self.tail.iter_mut().zip(&self.finish) {
+            tail.clear();
+            tail.resize(finish.len(), 0);
+        }
+        for &d in self.order.iter().rev() {
+            let (d, dev) = (d as usize, DeviceId(d));
+            pc[d] -= 1;
+            let (lpc, prog) = (pc[d], schedule.program(dev).instrs());
+            let tail = &mut self.tail[d];
+            let mut t = match prog.get(lpc + 1) {
+                Some(next) => table.own(dev, lpc + 1, next) + tail[lpc + 1],
+                None => 0,
+            };
+            if let Some(p) = prog[lpc].kind.p2p() {
+                let step = table.step(dev, lpc);
+                let ch = &mut self.chans[step.link as usize];
+                if p.dir == Dir::Send {
+                    t = t.max(ch.pop().expect("the receive came first"));
+                    ch.ack(t);
+                } else {
+                    let released = ch.reserve(self.capacity);
+                    t = t.max(released.expect("the window's send came first"));
+                    ch.push(step.ns + t);
+                }
+            }
+            tail[lpc] = t;
+        }
+        Ok(best)
+    }
+
+    /// Whether the program-order edge into `dev`'s pc `v` lies on a
+    /// longest path: `finish(v − 1) + own(v) + tail(v)` reaches the
+    /// makespan (never more), the run's start standing in for pc −1.
+    fn critical_entry(
+        &self,
+        schedule: &Schedule,
+        table: &StepTable,
+        dev: DeviceId,
+        v: usize,
+    ) -> bool {
+        let Some(instr) = schedule.program(dev).instrs().get(v) else {
+            return false;
+        };
+        let arrive = v.checked_sub(1).map_or(0, |u| self.finish[dev.index()][u]);
+        arrive + table.own(dev, v, instr) + self.tail[dev.index()][v] >= self.best
+    }
+
+    /// Whether `swap` keeps every link's message order and removes no
+    /// longest-path edge, so that it cannot beat the makespan; see the
+    /// module docs.
+    fn rejects(&self, schedule: &Schedule, table: &StepTable, swap: Swap) -> bool {
+        let Swap {
+            device,
+            start,
+            mid,
+            end,
+        } = swap;
+        let links = |pcs: Range<usize>| {
+            pcs.map(move |pc| table.step(device, pc).link)
+                .filter(|&l| l != NO_LINK)
+        };
+        links(start..mid).all(|l| links(mid..end).all(|m| m != l))
+            && ![start, mid, end]
+                .into_iter()
+                .any(|v| self.critical_entry(schedule, table, device, v))
+    }
+}
+
+/// Every candidate swap of pass 4 on `schedule`, in the order the pass
+/// tries them, each paired with whether the slack test rejects it without
+/// simulating it, and the makespan the test reasons from; or why
+/// `schedule` cannot run at `channel_capacity`. A rejected swap ends in a
+/// makespan at least that long, or cannot run.
+pub fn slack_verdicts(
+    schedule: &Schedule,
+    cost: &dyn CostModel,
+    channel_capacity: usize,
+) -> Result<(Nanos, Vec<(Swap, bool)>), SimError> {
+    let pristine = PerturbationProfile::identity();
+    let links = LinkTable::new(schedule);
+    let table = StepTable::lower(schedule, cost, &links);
+    let mut slack = Slack::new(schedule.devices() as usize, links.len(), channel_capacity);
+    let mut sweep = Sweep::new(schedule, &links, channel_capacity, &pristine, 1);
+    let best = slack.measure(schedule, &table, &mut sweep)?;
+    let verdicts = schedule
+        .programs()
+        .iter()
+        .flat_map(swaps)
+        .map(|swap| (swap, slack.rejects(schedule, &table, swap)))
+        .collect();
+    Ok((best, verdicts))
+}
+
 /// Runs the prepose-forward pass. Returns the number of accepted swaps.
 pub fn prepose_forward(
     schedule: &mut Schedule,
@@ -248,15 +521,15 @@ pub fn prepose_forward(
     prepose(schedule, cost, opts).0
 }
 
-/// [`prepose_forward`], also telling whether the pass stopped at its
-/// fixpoint, where a further round would accept nothing, rather than at
-/// `max_rounds`.
+/// [`prepose_forward`], also counting its trials by outcome and telling
+/// whether the pass stopped at its fixpoint, where a further round would
+/// accept nothing, rather than at `max_rounds`.
 pub(crate) fn prepose(
     schedule: &mut Schedule,
     cost: &dyn CostModel,
     opts: PreposeOptions,
-) -> (usize, bool) {
-    let mut accepted = 0usize;
+) -> (usize, Trials, bool) {
+    let (mut accepted, mut trials) = (0usize, Trials::default());
     let pristine = PerturbationProfile::identity();
     // The state at time zero depends on no instruction, so one copy
     // serves every baseline restart. A swap keeps every device's send
@@ -265,10 +538,11 @@ pub(crate) fn prepose(
     let links = LinkTable::new(schedule);
     let mut table = StepTable::lower(schedule, cost, &links);
     let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine, 1);
-    let Ok(mut best) = zero.clone().run_to_end(schedule, &table) else {
-        return (0, true);
-    };
     let (mut base, mut trial) = (zero.clone(), zero.clone());
+    let mut slack = Slack::new(schedule.devices() as usize, links.len(), opts.channel_capacity);
+    let Ok(mut best) = slack.measure(schedule, &table, &mut trial) else {
+        return (0, trials, true);
+    };
     // The device of the previous round's last accepted swap. A trial's
     // outcome depends only on the schedule and `best`, and that device (in
     // its restart loop) and every device after it were last scanned
@@ -280,34 +554,24 @@ pub(crate) fn prepose(
         let mut last = None;
         for d in 0..schedule.devices() {
             if last.is_none() && settled == Some(d) {
-                return (accepted, true);
+                return (accepted, trials, true);
             }
             let dev = DeviceId(d);
-            loop {
-                let groups = parse_groups(schedule.program(dev));
+            'restart: loop {
                 // A baseline sweep of the current schedule, advanced from
                 // candidate to candidate in program order.
                 base.clone_from(&zero);
-                // Find a ckpt-forward group preceded by a backward or
-                // recompute group whose swap improves the makespan.
-                let mut applied = false;
-                for gi in 1..groups.len() {
-                    if groups[gi].kind != GroupKind::CkptForward {
-                        continue;
-                    }
-                    if !matches!(
-                        groups[gi - 1].kind,
-                        GroupKind::Backward | GroupKind::Recompute
-                    ) {
+                for swap in swaps(schedule.program(dev)) {
+                    if slack.rejects(schedule, &table, swap) {
+                        trials.skipped += 1;
                         continue;
                     }
                     // Swap the two groups in place; a rejected swap is
                     // rotated back. The trial resumes a clone of the
                     // baseline paused where the two schedules diverge.
-                    let (start, mid, end) =
-                        (groups[gi - 1].start, groups[gi].start, groups[gi].end);
+                    let Swap { start, mid, end, .. } = swap;
                     let paused = base.run(schedule, &table, Some((dev, start)));
-                    schedule.program_mut(dev).rotate_left(start..end, mid - start);
+                    swap.apply(schedule);
                     table.rotate_left(dev, start..end, mid - start);
                     let makespan = match paused {
                         Ok(Run::Paused) => {
@@ -318,35 +582,33 @@ pub(crate) fn prepose(
                         // The shared prefix fails the same way either way.
                         Err(e) => Err(e),
                     };
-                    let ok = match makespan {
-                        Ok(t) if t < best => fits(schedule, cost, opts.mem_capacity).then_some(t),
-                        _ => None,
-                    };
-                    match ok {
-                        Some(t) => {
-                            best = t;
+                    trials.count(&makespan, best);
+                    match makespan {
+                        Ok(t) if t < best && fits(schedule, cost, opts.mem_capacity) => {
+                            trial.clone_from(&zero);
+                            best = slack
+                                .measure(schedule, &table, &mut trial)
+                                .expect("the accepted trial ran");
+                            debug_assert_eq!(best, t);
                             accepted += 1;
-                            applied = true;
                             last = Some(d);
-                            break;
+                            continue 'restart;
                         }
-                        None => {
-                            schedule.program_mut(dev).rotate_left(start..end, end - mid);
+                        _ => {
+                            swap.undo(schedule);
                             table.rotate_left(dev, start..end, end - mid);
                         }
                     }
                 }
-                if !applied {
-                    break;
-                }
+                break;
             }
         }
         if last.is_none() {
-            return (accepted, true);
+            return (accepted, trials, true);
         }
         settled = last;
     }
-    (accepted, false)
+    (accepted, trials, false)
 }
 
 #[cfg(test)]
@@ -634,7 +896,7 @@ mod tests {
                             );
                             let mut got_calls = Vec::new();
                             let got_stats =
-                                graph_tuner(&mut got, cost, opts, |m| got_calls.push(m));
+                                graph_tuner(&mut got, cost, opts, |m, _| got_calls.push(m));
                             assert!(to_text(&got) == to_text(&want), "{label}");
                             assert_eq!(got_stats, want_stats, "{label}");
                             let want_calls: Vec<_> = calls.iter().map(|c| c.moved).collect();
@@ -792,6 +1054,108 @@ mod tests {
                 .flatten()
                 .any(|st| st.link == NO_LINK && st.ns == 0));
             assert!(!check(s, &table, &unit, 1, &pristine));
+        }
+    }
+
+    /// The slack pass agrees with `critpath`: on every scheme at 4x8 and
+    /// 8x16, at capacities 1 and 2, under the unit grid and GPT3-13B, its
+    /// makespan (or error) is the makespan sweep's, and `best − finish −
+    /// tail` is `critpath::analyze`'s slack of a pristine one-iteration
+    /// `simulate`, instruction by instruction. Each measurement reuses
+    /// buffers that first measured the schedule with one swap applied.
+    #[test]
+    fn the_slack_pass_matches_critpath() {
+        use crate::critpath::analyze;
+        use crate::simulator::{simulate, simulate_makespan, SimOptions};
+
+        let pristine = PerturbationProfile::identity();
+        let (mut compared, mut failed) = (0, 0);
+        for scheme in every_scheme() {
+            for (d, n) in [(4u32, 8u32), (8, 16)] {
+                let s = prepared(scheme, d, n);
+                let links = LinkTable::new(&s);
+                let mut swapped = s.clone();
+                if let Some(swap) = s.programs().iter().flat_map(swaps).next() {
+                    swap.apply(&mut swapped);
+                }
+                let (unit, analytic) = (UnitCost::paper_grid(), gpt3_13b(scheme, d));
+                let costs: [&dyn CostModel; 2] = [&unit, &analytic];
+                for cost in costs {
+                    for cap in [1, 2] {
+                        let label = format!("{scheme:?} {d}x{n} at capacity {cap}");
+                        let mut slack = Slack::new(d as usize, links.len(), cap);
+                        for m in [&swapped, &s] {
+                            let table = StepTable::lower(m, cost, &links);
+                            let mut sweep = Sweep::new(m, &links, cap, &pristine, 1);
+                            let measured = slack.measure(m, &table, &mut sweep);
+                            assert_eq!(
+                                measured,
+                                simulate_makespan(m, cost, cap, &pristine),
+                                "{label}"
+                            );
+                        }
+                        let Ok(best) = simulate_makespan(&s, cost, cap, &pristine) else {
+                            failed += 1;
+                            continue;
+                        };
+                        let opts = SimOptions {
+                            channel_capacity: cap,
+                            ..SimOptions::default()
+                        };
+                        let report = analyze(&s, &simulate(&s, cost, &opts).unwrap().spans);
+                        assert_eq!(report.makespan, best, "{label}");
+                        let ours: Vec<Vec<Nanos>> = (slack.finish.iter().zip(&slack.tail))
+                            .map(|(f, t)| f.iter().zip(t).map(|(f, t)| best - f - t).collect())
+                            .collect();
+                        assert_eq!(ours, report.slack, "{label}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            compared >= 48 && failed > 0,
+            "{compared} compared, {failed} failed"
+        );
+    }
+
+    /// Pass 4's trials by outcome in each prepose call of the graph tuner
+    /// on plan-8's schedules: V, X and W at 8x32 under GPT3-13B at mbs 2
+    /// with a 40 GiB budget. Most trials are rejected by slack unsimulated.
+    #[test]
+    fn plan_8_trial_counts_are_pinned() {
+        use crate::passes::graph_tuner;
+        use crate::tuner::scheme_channel_capacity;
+
+        let counts = |better, equal, worse, deadlock, skipped| Trials {
+            better,
+            equal,
+            worse,
+            deadlock,
+            skipped,
+        };
+        for (scheme, want) in [
+            (SchemeKind::OneFOneB, vec![(1, counts(1, 0, 29, 0, 319))]),
+            (SchemeKind::Chimera, vec![(0, counts(0, 0, 16, 0, 68))]),
+            (
+                SchemeKind::Interleave { chunks: 2 },
+                vec![(0, counts(0, 12, 0, 41, 300))],
+            ),
+        ] {
+            let mut s = generate(ScheduleConfig::new(scheme, 8, 32));
+            let opts = GraphTunerOptions {
+                prepose_opts: PreposeOptions {
+                    channel_capacity: scheme_channel_capacity(scheme),
+                    mem_capacity: Some(40 << 30),
+                    ..PreposeOptions::default()
+                },
+                ..GraphTunerOptions::mario()
+            };
+            let mut calls = Vec::new();
+            graph_tuner(&mut s, &gpt3_13b(scheme, 8), opts, |moved, trials| {
+                calls.push((moved, trials))
+            });
+            assert_eq!(calls, want, "{scheme:?}");
         }
     }
 }

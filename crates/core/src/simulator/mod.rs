@@ -4,7 +4,7 @@ pub mod memsim;
 pub mod timeline;
 
 pub use memsim::{memory_series, simulate_memory, MemReport, MemSeries, OomAt};
-pub(crate) use timeline::{simulate_makespan, OnTheFly, Run, Sweep, Timing};
+pub(crate) use timeline::{simulate_makespan, Observe, OnTheFly, Run, Sweep, Timing};
 pub use timeline::{simulate, simulate_timeline, SimError, SimOptions, SimTimeline};
 #[cfg(feature = "test-order")]
 #[doc(hidden)]

@@ -17,8 +17,9 @@
 //! ranks on. It runs each device from a [`Ready`] queue until it blocks,
 //! over channels numbered by one [`LinkTable`], and times it with the
 //! machine's rules — one [`DeviceClock`] per device, one [`Fifo`] per
-//! link and the [`PerturbationProfile`] — while recording nothing. It
-//! also names [`simulate`]'s errors: a deadlock or a mismatch does not
+//! link and the [`PerturbationProfile`] — while recording nothing; an
+//! [`Observe`] hook, a no-op everywhere but prepose's slack pass, sees
+//! each step's finish. It also names [`simulate`]'s errors: a deadlock or a mismatch does not
 //! depend on timing, so the sweep meets the one the event run met.
 //!
 //! A step reads an instruction's unscaled duration and its link through
@@ -350,6 +351,19 @@ impl Timing for OnTheFly<'_> {
     }
 }
 
+/// Told of every step a [`Sweep`] completes, in firing order. `()`
+/// observes nothing and compiles away, so the tuner and prepose's trials
+/// pay nothing for it; prepose's slack pass records finish times.
+pub(crate) trait Observe {
+    /// Device `dev` finished the instruction at local pc `lpc` at `finish`.
+    fn fired(&mut self, dev: usize, lpc: usize, finish: Nanos);
+}
+
+impl Observe for () {
+    #[inline(always)]
+    fn fired(&mut self, _: usize, _: usize, _: Nanos) {}
+}
+
 /// Where [`Sweep::run`] stopped.
 #[derive(Debug)]
 pub(crate) enum Run {
@@ -475,6 +489,17 @@ impl<'a> Sweep<'a> {
         timing: &impl Timing,
         stop: Option<(DeviceId, usize)>,
     ) -> Result<Run, SimError> {
+        self.run_observed(schedule, timing, stop, &mut ())
+    }
+
+    /// [`Sweep::run`], telling `observe` of every step it completes.
+    pub(crate) fn run_observed(
+        &mut self,
+        schedule: &Schedule,
+        timing: &impl Timing,
+        stop: Option<(DeviceId, usize)>,
+        observe: &mut impl Observe,
+    ) -> Result<Run, SimError> {
         let (capacity, profile, launch) = (self.capacity, self.profile, timing.launch());
         // The hot loop works on locals rather than through `self`
         // (measured: about 3% of tune-32 otherwise).
@@ -550,6 +575,7 @@ impl<'a> Sweep<'a> {
                         ready.wake(p.peer.index(), link);
                     }
                 }
+                observe.fired(d, lpc, clock.now());
                 *gpc += 1;
                 if ready.preempt() {
                     break;

@@ -1697,3 +1697,124 @@ fn one_run_capacity_matches_the_search() {
     assert_eq!(min_channel_capacity(&cycle), None);
     assert_eq!(capacity_by_search(&cycle), None);
 }
+
+/// GPT3-13B on `scheme` at `d` devices, mbs 2, with uneven stages: stage
+/// `s` runs its forward in `1 + 7s mod 5` ms and its backward in twice
+/// that.
+fn gpt3_13b_uneven(scheme: SchemeKind, d: u32) -> AnalyticCost {
+    let topo = Topology::new(scheme, d);
+    let stages = topo.num_stages() as u64;
+    let mut cost = AnalyticCost::new(&TrainSetup::pipeline(
+        ModelConfig::gpt3_13b(),
+        GpuSpec::a100_40g(),
+        topo,
+        2,
+    ));
+    let fwd: Vec<_> = (0..stages).map(|s| 1_000_000 * (1 + s * 7 % 5)).collect();
+    let bwd = fwd.iter().map(|f| 2 * f).collect();
+    cost.override_compute(fwd, bwd);
+    cost
+}
+
+/// Pass 4's slack test over `scheme` at `d`×`n`: the schedule passes 1–3
+/// leave, and `mutants` mutants of it with 1–3 of its candidate swaps
+/// applied, each at capacities 1 and 2 under the unit grid and GPT3-13B
+/// with uneven stages. The test reasons from the makespan a full
+/// simulation gives, and every swap it rejects unsimulated simulates, in
+/// full, to at least that makespan or to an error. Returns how many
+/// skipped swaps simulated to a makespan and how many to an error.
+fn slack_skips_are_rejections(
+    scheme: SchemeKind,
+    d: u32,
+    n: u32,
+    mutants: usize,
+    rng: &mut Mix,
+) -> (usize, usize) {
+    use mario::core::passes::prepose_forward::slack_verdicts;
+
+    let mut base = generate(ScheduleConfig::new(scheme, d, n));
+    apply_checkpoint(&mut base);
+    overlap_recompute(&mut base);
+    remove_redundancy(&mut base);
+    let (unit, uneven) = (UnitCost::paper_grid(), gpt3_13b_uneven(scheme, d));
+    let costs: [&dyn CostModel; 2] = [&unit, &uneven];
+    let (mut ran, mut failed) = (0, 0);
+    for cost in costs {
+        for cap in [1, 2] {
+            let opts = SimOptions {
+                channel_capacity: cap,
+                ..SimOptions::default()
+            };
+            let candidates = match slack_verdicts(&base, cost, cap) {
+                Ok((_, verdicts)) => verdicts,
+                Err(_) => Vec::new(),
+            };
+            for m in 0..=mutants {
+                let mut s = base.clone();
+                // Candidates never share a group, so any of them apply
+                // together.
+                for _ in 0..if m == 0 { 0 } else { 1 + rng.below(3) } {
+                    if !candidates.is_empty() {
+                        candidates[rng.below(candidates.len())].0.apply(&mut s);
+                    }
+                }
+                let label = format!("{scheme:?} {d}x{n} capacity {cap} mutant {m}");
+                let Ok((best, verdicts)) = slack_verdicts(&s, cost, cap) else {
+                    assert!(simulate(&s, cost, &opts).is_err(), "{label}");
+                    continue;
+                };
+                assert_eq!(simulate(&s, cost, &opts).unwrap().total_ns, best, "{label}");
+                for (swap, skipped) in verdicts {
+                    if !skipped {
+                        continue;
+                    }
+                    let mut trial = s.clone();
+                    swap.apply(&mut trial);
+                    match simulate(&trial, cost, &opts) {
+                        Ok(t) => {
+                            assert!(t.total_ns >= best, "{label}: {swap:?} beats {best}");
+                            ran += 1;
+                        }
+                        Err(_) => failed += 1,
+                    }
+                }
+            }
+        }
+    }
+    (ran, failed)
+}
+
+/// Every swap pass 4's slack test rejects without simulating it would be
+/// rejected by a full simulation: every scheme at 4×8 and 8×16, and 3
+/// mutants of each.
+#[test]
+fn every_slack_skipped_trial_is_rejected() {
+    let mut rng = Mix(0x51ac_c0de);
+    let (mut ran, mut failed) = (0, 0);
+    for scheme in EVERY_SCHEME {
+        for (d, n) in [(4, 8), (8, 16)] {
+            let (r, f) = slack_skips_are_rejections(scheme, d, n, 3, &mut rng);
+            ran += r;
+            failed += f;
+        }
+    }
+    assert!(ran > 0 && failed > 0, "{ran} ran, {failed} failed");
+}
+
+/// The same at scale: every scheme at three sizes up to 8×32, with 10
+/// mutants each. Run with
+/// `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "large; run in release"]
+fn every_slack_skipped_trial_is_rejected_at_scale() {
+    let mut rng = Mix(0x51ac_5ca1);
+    let (mut ran, mut failed) = (0, 0);
+    for scheme in EVERY_SCHEME {
+        for (d, n) in [(4, 8), (8, 16), (8, 32)] {
+            let (r, f) = slack_skips_are_rejections(scheme, d, n, 10, &mut rng);
+            ran += r;
+            failed += f;
+        }
+    }
+    assert!(ran > 0 && failed > 0, "{ran} ran, {failed} failed");
+}
