@@ -147,6 +147,10 @@ pub struct RunReport {
     pub device_clocks: Vec<Nanos>,
     /// Peak memory footprint per device, bytes.
     pub peak_mem: Vec<u64>,
+    /// Dynamic allocations still live per device when the run ended (0
+    /// after a clean run; nonzero only on a malformed schedule).
+    #[serde(default)]
+    pub leaked: Vec<usize>,
     /// Injected faults the run absorbed without failing (slowdowns,
     /// link delays), in device order.
     pub faults: Vec<FaultReport>,
@@ -497,6 +501,7 @@ pub(crate) fn settle_report(
         iter_ns,
         device_clocks,
         peak_mem: reports.iter().map(|r| r.peak_mem).collect(),
+        leaked: reports.iter().map(|r| r.leaked).collect(),
         faults,
         last_checkpoint: cfg.checkpoint.map(|_| ckpts.cluster_saved()),
         ckpt_overhead_ns: ckpts.total_paid(),
@@ -890,6 +895,7 @@ mod tests {
             iter_ns: 2_000_000_000,
             device_clocks: vec![],
             peak_mem: vec![10, 30, 20],
+            leaked: vec![],
             faults: vec![],
             last_checkpoint: None,
             ckpt_overhead_ns: 0,

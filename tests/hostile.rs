@@ -22,12 +22,12 @@
 
 use mario::cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
 use mario::core::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
-use mario::core::simulator::simulate_timeline;
+use mario::core::simulator::{simulate_memory, simulate_timeline};
 use mario::core::tuner::scheme_channel_capacity;
 use mario::ir::{
-    check_executable, from_text, text::parse_instr, to_text, validate_with, DeviceId, Instr,
-    InstrKind, MicroId, PartId, Schedule, SchemeKind, TextError, UnitCost, ValidateOptions,
-    ValidationError,
+    check_executable, from_text, text::parse_instr, to_text, validate_with, CheckpointPolicy,
+    ComputeKind, CostModel, DeviceId, Instr, InstrKind, MicroId, Nanos, PartId, Schedule,
+    SchemeKind, TextError, UnitCost, ValidateOptions, ValidationError,
 };
 use mario::schedules::{generate, ScheduleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,6 +169,8 @@ struct Mutant {
     round: usize,
     edit: String,
     schedule: Schedule,
+    /// The valid schedule the mutant was made from.
+    pristine: Schedule,
 }
 
 /// Every scheme's mutants, the scheme's index seeding the generator: its
@@ -188,6 +190,7 @@ fn mutants(rounds: usize) -> Vec<Mutant> {
                         round,
                         edit,
                         schedule,
+                        pristine: start.clone(),
                     });
                 }
             }
@@ -212,6 +215,7 @@ fn validate_reports_the_same_errors_on_mutated_schedules() {
         round,
         edit,
         schedule,
+        ..
     } in mutants(4)
     {
         let result = validate_with(&schedule, opts(scheme));
@@ -289,6 +293,109 @@ fn both_backends_fail_mutated_schedules_the_same_way() {
     );
 }
 
+/// The unit grid's timing with a distinct size for every (device, kind,
+/// part), zero-byte gradient stashes on even devices' part 0 included, so
+/// a size read for the wrong key moves a peak or an OOM cause.
+struct SizedCost(UnitCost);
+
+impl CostModel for SizedCost {
+    fn compute_time(&self, device: DeviceId, part: PartId, kind: ComputeKind) -> Nanos {
+        self.0.compute_time(device, part, kind)
+    }
+    fn act_full(&self, device: DeviceId, part: PartId) -> u64 {
+        100 + 10 * device.0 as u64 + part.0 as u64
+    }
+    fn act_ckpt(&self, device: DeviceId, part: PartId) -> u64 {
+        30 + 3 * device.0 as u64 + 2 * part.0 as u64
+    }
+    fn boundary_bytes(&self, device: DeviceId, part: PartId) -> u64 {
+        5 + device.0 as u64 % 3 + part.0 as u64
+    }
+    fn wgrad_stash_bytes(&self, device: DeviceId, part: PartId) -> u64 {
+        (device.0 as u64 % 2) + 7 * part.0 as u64
+    }
+    fn p2p_time(&self, bytes: u64) -> Nanos {
+        self.0.p2p_time(bytes)
+    }
+    fn allreduce_time(&self, device: DeviceId) -> Nanos {
+        self.0.allreduce_time(device)
+    }
+    fn optimizer_time(&self, device: DeviceId) -> Nanos {
+        self.0.optimizer_time(device)
+    }
+    fn static_mem(&self, device: DeviceId) -> u64 {
+        1000 + device.0 as u64
+    }
+    fn ckpt_shard_bytes(&self, _: DeviceId) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn event_backend_answers_on_mutants_are_pinned() {
+    // The event backend's full answer on every mutant: the per-device
+    // peaks, leaked allocations and clocks of a run that finishes, or the
+    // complete error (a double allocation's key, an OOM's cause). Each
+    // mutant runs with no capacity and with one between its pristine
+    // schedule's lowest and highest device peak, for one and two
+    // iterations, writing a checkpoint (a held serialization buffer)
+    // after every iteration. Out-of-range micro and part ids reach the
+    // ledger unvalidated.
+    let cost = SizedCost(UnitCost::paper_grid());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut runs, mut ooms, mut double) = (0, 0, 0);
+    for Mutant {
+        scheme,
+        round,
+        edit,
+        schedule: s,
+        pristine,
+    } in mutants(1)
+    {
+        let peaks = simulate_memory(&pristine, &cost, None);
+        let (lo, hi) = (peaks.min_peak(), peaks.max_peak());
+        assert!(lo < hi, "{scheme:?}: peaks {:?}", peaks.peak);
+        for capacity in [None, Some(lo + (hi - lo) / 2)] {
+            for iterations in [1, 2] {
+                let cfg = EmulatorConfig {
+                    backend: EmulatorBackend::Event,
+                    channel_capacity: scheme_channel_capacity(scheme),
+                    iterations,
+                    mem_capacity: capacity,
+                    checkpoint: Some(CheckpointPolicy {
+                        mem_overhead: 40,
+                        ..CheckpointPolicy::every(1)
+                    }),
+                    ..Default::default()
+                };
+                let answer = match run(&s, &cost, cfg) {
+                    Ok(r) => format!("ok {:?} {:?} {:?}", r.peak_mem, r.leaked, r.device_clocks),
+                    Err(e) => {
+                        ooms += matches!(e, EmuError::Oom { .. }) as usize;
+                        double += matches!(e, EmuError::DoubleAlloc { .. }) as usize;
+                        format!("{e:?}")
+                    }
+                };
+                runs += 1;
+                fnv1a(
+                    &mut h,
+                    format!("{scheme:?} {round} {edit} {capacity:?} {iterations}: {answer}\n")
+                        .as_bytes(),
+                );
+            }
+        }
+    }
+    assert_eq!(runs, SCHEMES.len() * 2 * MUTATIONS.len() * 4);
+    assert!(
+        ooms > 0 && double > 0,
+        "{ooms} OOMs, {double} double allocations"
+    );
+    assert_eq!(
+        h, 0x61a7_70de_c20e_34e3,
+        "event-backend mutant digest {h:#018x}"
+    );
+}
+
 #[test]
 fn every_link_engine_agrees_with_the_deadlock_check() {
     // Mutants that pass every structural check, so only the link rule can
@@ -303,6 +410,7 @@ fn every_link_engine_agrees_with_the_deadlock_check() {
         round,
         edit,
         schedule: s,
+        ..
     } in mutants(4)
     {
         if let Err(errors) = validate_with(&s, opts(scheme)) {
