@@ -338,7 +338,12 @@ impl<'a> Machine<'a> {
             shared,
             device,
             program: shared.schedule.program(device),
-            ledger: MemLedger::new(shared.cost.static_mem(device), capacity),
+            ledger: shared.rules.ledger(
+                device,
+                shared.cost,
+                shared.cost.static_mem(device),
+                capacity,
+            ),
             time: DeviceClock::new(device, startup_ns),
             rng: StdRng::seed_from_u64(
                 cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.0 as u64 + 1)),

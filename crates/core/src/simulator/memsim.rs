@@ -2,7 +2,7 @@
 //! track peak dynamic memory by walking each device's instruction list with
 //! the shared activation-lifecycle rules.
 
-use mario_ir::{CostModel, DeviceId, MemLedger, MemoryRules, Schedule};
+use mario_ir::{CostModel, DeviceId, DeviceProgram, Instr, MemLedger, MemoryRules, Schedule};
 use serde::{Deserialize, Serialize};
 
 /// Per-device peak memory, plus the first OOM if a capacity was given.
@@ -56,6 +56,26 @@ pub struct MemSeries {
     pub points: Vec<(usize, u64)>,
 }
 
+/// Walks `prog` through `rules` on a fresh ledger with no capacity,
+/// telling `each` every instruction and the footprint after it, and
+/// returns the ledger.
+fn walk(
+    rules: &MemoryRules,
+    cost: &dyn CostModel,
+    prog: &DeviceProgram,
+    mut each: impl FnMut(usize, &Instr, u64),
+) -> MemLedger {
+    let dev = prog.device;
+    let mut ledger = rules.ledger(dev, cost, cost.static_mem(dev), None);
+    for (pc, instr) in prog.iter() {
+        rules
+            .apply(&mut ledger, cost, dev, instr)
+            .expect("capacity disabled; alloc cannot fail");
+        each(pc, instr, ledger.current());
+    }
+    ledger
+}
+
 /// Computes the per-instruction memory level series for every device.
 pub fn memory_series(schedule: &Schedule, cost: &dyn CostModel) -> Vec<MemSeries> {
     let rules = MemoryRules::new(schedule);
@@ -63,19 +83,10 @@ pub fn memory_series(schedule: &Schedule, cost: &dyn CostModel) -> Vec<MemSeries
         .programs()
         .iter()
         .map(|prog| {
-            let dev = prog.device;
-            let mut ledger = MemLedger::new(cost.static_mem(dev), None);
-            let points = prog
-                .iter()
-                .map(|(pc, instr)| {
-                    rules
-                        .apply(&mut ledger, cost, dev, instr)
-                        .expect("capacity disabled");
-                    (pc, ledger.current())
-                })
-                .collect();
+            let mut points = Vec::with_capacity(prog.len());
+            walk(&rules, cost, prog, |pc, _, now| points.push((pc, now)));
             MemSeries {
-                device: dev,
+                device: prog.device,
                 points,
             }
         })
@@ -95,28 +106,22 @@ pub fn simulate_memory(
     let mut oom: Option<OomAt> = None;
     for prog in schedule.programs() {
         let dev = prog.device;
-        let mut ledger = MemLedger::new(cost.static_mem(dev), None);
-        static_bytes.push(ledger.static_bytes());
         let mut device_oom: Option<OomAt> = None;
-        for (pc, instr) in prog.iter() {
-            rules
-                .apply(&mut ledger, cost, dev, instr)
-                .expect("capacity disabled; alloc cannot fail");
-            if let Some(cap) = capacity {
-                if ledger.current() > cap && device_oom.is_none() {
-                    device_oom = Some(OomAt {
-                        device: dev,
-                        pc,
-                        instr: instr.to_string(),
-                    });
-                }
+        let ledger = walk(&rules, cost, prog, |pc, instr, now| {
+            if capacity.is_some_and(|cap| now > cap) && device_oom.is_none() {
+                device_oom = Some(OomAt {
+                    device: dev,
+                    pc,
+                    instr: instr.to_string(),
+                });
             }
-        }
+        });
         debug_assert_eq!(
             ledger.live_count(),
             0,
             "{dev}: activations leaked across the iteration"
         );
+        static_bytes.push(ledger.static_bytes());
         peak.push(ledger.peak());
         if oom.is_none() {
             oom = device_oom;

@@ -11,7 +11,6 @@
 use crate::hash::FastMap;
 use crate::ids::{MicroId, PartId};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// What a dynamic allocation holds; one live allocation per key at a time.
@@ -79,26 +78,85 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// Number of allocation kinds the dense table holds: the four the
+/// memory rules allocate per (micro, part).
+const KINDS: usize = 4;
+
+impl AllocKey {
+    /// The dense table's kind number, micro and part of a key the memory
+    /// rules allocate; `None` for `InBuf` and `Snapshot`, which stay cold.
+    #[inline]
+    fn dense(self) -> Option<(usize, MicroId, PartId)> {
+        match self {
+            AllocKey::Act(m, p) => Some((0, m, p)),
+            AllocKey::Ckpt(m, p) => Some((1, m, p)),
+            AllocKey::OutBuf(m, p) => Some((2, m, p)),
+            AllocKey::Wgrad(m, p) => Some((3, m, p)),
+            AllocKey::InBuf(..) | AllocKey::Snapshot => None,
+        }
+    }
+}
+
 /// A per-device memory ledger with peak tracking and optional capacity.
+///
+/// A ledger from [`crate::MemoryRules::ledger`] is dense: one live bit
+/// per (kind, micro, part) for the schedule's micros and the device's
+/// parts, and a size per (kind, part) fixed from the cost model when the
+/// ledger is built, so allocating or freeing such a key hashes nothing.
+/// Every other key — `InBuf`, `Snapshot`, ids outside the table, and
+/// every key of a [`MemLedger::new`] ledger — is kept in a small cold map
+/// with the size it was allocated at. A key is dense or cold by its ids
+/// alone, so the two never hold the same key and the answers are the
+/// same either way.
 #[derive(Debug, Clone)]
 pub struct MemLedger {
     static_bytes: u64,
     dynamic: u64,
     peak: u64,
     capacity: Option<u64>,
-    live: FastMap<AllocKey, u64>,
+    /// Micros and parts the dense table covers.
+    micros: usize,
+    parts: usize,
+    /// One byte per (micro, part), at `micro × parts + part`; bit `k` is
+    /// set while kind `k` is live.
+    live: Vec<u8>,
+    /// Size of each kind, per part.
+    sizes: Vec<[u64; KINDS]>,
+    /// Live allocations in the dense table.
+    dense_live: usize,
+    /// Live allocations outside the dense table.
+    cold: FastMap<AllocKey, u64>,
 }
 
 impl MemLedger {
     /// Creates a ledger with `static_bytes` permanently resident and an
     /// optional device capacity (OOM checking is disabled when `None`).
+    /// It has no dense table: every key takes the size it is allocated at.
     pub fn new(static_bytes: u64, capacity: Option<u64>) -> Self {
+        Self::dense(static_bytes, capacity, 0, Vec::new())
+    }
+
+    /// A ledger whose dense table covers micros `0..micros` and parts
+    /// `0..sizes.len()`, `sizes[part][kind]` being the size of kind
+    /// `kind` (numbered as [`AllocKey::dense`] does) on `part`.
+    pub(crate) fn dense(
+        static_bytes: u64,
+        capacity: Option<u64>,
+        micros: usize,
+        sizes: Vec<[u64; KINDS]>,
+    ) -> Self {
+        let parts = sizes.len();
         Self {
             static_bytes,
             dynamic: 0,
             peak: static_bytes,
             capacity,
-            live: FastMap::default(),
+            micros,
+            parts,
+            live: vec![0; micros * parts],
+            sizes,
+            dense_live: 0,
+            cold: FastMap::default(),
         }
     }
 
@@ -129,12 +187,24 @@ impl MemLedger {
     /// Number of live dynamic allocations.
     #[inline]
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.dense_live + self.cold.len()
+    }
+
+    /// The table cell of `key` — its byte in `live`, kind and part — or
+    /// `None` when the key is cold.
+    #[inline]
+    fn cell(&self, key: AllocKey) -> Option<(usize, usize, usize)> {
+        let (kind, m, p) = key.dense()?;
+        let (m, p) = (m.index(), p.index());
+        (m < self.micros && p < self.parts).then_some((m * self.parts + p, kind, p))
     }
 
     /// True if `key` currently holds a live allocation.
     pub fn is_live(&self, key: AllocKey) -> bool {
-        self.live.contains_key(&key)
+        match self.cell(key) {
+            Some((i, kind, _)) => self.live[i] & (1 << kind) != 0,
+            None => self.cold.contains_key(&key),
+        }
     }
 
     /// Allocates `bytes` under `key`.
@@ -142,23 +212,52 @@ impl MemLedger {
     /// Zero-byte requests are recorded (so state machines stay uniform) but
     /// cost nothing. Allocating an already-live key fails and leaves the
     /// ledger unchanged.
-    // Every executor calls this once per instruction. Inline, so the map's
-    // entry lookup is inlined into it however the crate is split into
-    // codegen units: without it, adding unrelated code to this crate
-    // moved the lookup out of line and the event backend ran 7-10% slower.
-    #[inline]
+    ///
+    /// # Panics
+    /// Panics when `key` lies in the dense table and `bytes` is not the
+    /// size the table fixed for it.
     pub fn alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), AllocError> {
-        match self.live.entry(key) {
-            Entry::Occupied(_) => return Err(AllocError::Live(key)),
-            Entry::Vacant(slot) => slot.insert(bytes),
+        if let Some((_, kind, p)) = self.cell(key) {
+            let fixed = self.sizes[p][kind];
+            assert_eq!(
+                bytes, fixed,
+                "{key:?} has size {fixed} in the ledger's table"
+            );
+        }
+        self.alloc_sized(key, || bytes)
+    }
+
+    /// Allocates `key` at the size the dense table fixes for it; a cold
+    /// key is allocated at `size()`. Otherwise as [`MemLedger::alloc`].
+    // Always inlined, so the memory rules' hot path holds no call into
+    // the ledger whatever the crate's codegen-unit split.
+    #[inline(always)]
+    pub(crate) fn alloc_sized(
+        &mut self,
+        key: AllocKey,
+        size: impl FnOnce() -> u64,
+    ) -> Result<(), AllocError> {
+        let Some((i, kind, p)) = self.cell(key) else {
+            return self.cold_alloc(key, size());
         };
-        self.dynamic += bytes;
-        let now = self.current();
+        let bit = 1 << kind;
+        if self.live[i] & bit != 0 {
+            return Err(AllocError::Live(key));
+        }
+        let bytes = self.sizes[p][kind];
+        self.charge(bytes)?;
+        self.live[i] |= bit;
+        self.dense_live += 1;
+        Ok(())
+    }
+
+    /// Adds `bytes` to the dynamic footprint, or reports the OOM with the
+    /// footprint left as it was.
+    #[inline]
+    fn charge(&mut self, bytes: u64) -> Result<(), AllocError> {
+        let now = self.current() + bytes;
         if let Some(cap) = self.capacity {
             if now > cap {
-                // Roll back so the caller can report a consistent state.
-                self.live.remove(&key);
-                self.dynamic -= bytes;
                 return Err(AllocError::Oom(OomError {
                     requested: bytes,
                     in_use: self.current(),
@@ -166,7 +265,19 @@ impl MemLedger {
                 }));
             }
         }
+        self.dynamic += bytes;
         self.peak = self.peak.max(now);
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn cold_alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), AllocError> {
+        if self.cold.contains_key(&key) {
+            return Err(AllocError::Live(key));
+        }
+        self.charge(bytes)?;
+        self.cold.insert(key, bytes);
         Ok(())
     }
 
@@ -175,19 +286,39 @@ impl MemLedger {
     /// Freeing a key that is not live is a logic error: it means the
     /// instruction stream violated the activation lifecycle.
     pub fn free(&mut self, key: AllocKey) -> u64 {
-        let bytes = self
-            .live
-            .remove(&key)
-            .unwrap_or_else(|| panic!("freeing non-live allocation {key:?}"));
-        self.dynamic -= bytes;
-        bytes
+        self.take(key)
+            .unwrap_or_else(|| panic!("freeing non-live allocation {key:?}"))
     }
 
     /// Frees `key` if live; returns the freed size (0 if it was not live).
+    #[inline]
     pub fn free_if_live(&mut self, key: AllocKey) -> u64 {
-        let bytes = self.live.remove(&key).unwrap_or(0);
+        self.take(key).unwrap_or(0)
+    }
+
+    /// Frees `key` and returns its size, or `None` if it was not live.
+    #[inline]
+    fn take(&mut self, key: AllocKey) -> Option<u64> {
+        let Some((i, kind, p)) = self.cell(key) else {
+            return self.cold_free(key);
+        };
+        let bit = 1 << kind;
+        if self.live[i] & bit == 0 {
+            return None;
+        }
+        self.live[i] &= !bit;
+        self.dense_live -= 1;
+        let bytes = self.sizes[p][kind];
         self.dynamic -= bytes;
-        bytes
+        Some(bytes)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn cold_free(&mut self, key: AllocKey) -> Option<u64> {
+        let bytes = self.cold.remove(&key)?;
+        self.dynamic -= bytes;
+        Some(bytes)
     }
 }
 
@@ -264,6 +395,62 @@ mod tests {
         assert_eq!(l.free_if_live(key(0)), 5);
         assert_eq!(l.live_count(), 0);
         assert_eq!(l.dynamic(), 0);
+    }
+
+    #[test]
+    fn in_range_keys_live_only_in_the_dense_table() {
+        // Sizes by part: Act, Ckpt, OutBuf, Wgrad.
+        let mut l = MemLedger::dense(0, None, 2, vec![[10, 2, 3, 0], [11, 4, 5, 1]]);
+        let keys = |m: u32, p: u32| {
+            let (m, p) = (MicroId(m), PartId(p));
+            [
+                AllocKey::Act(m, p),
+                AllocKey::Ckpt(m, p),
+                AllocKey::OutBuf(m, p),
+                AllocKey::Wgrad(m, p),
+            ]
+        };
+        for (m, p) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            for (key, bytes) in keys(m, p).into_iter().zip(l.sizes[p as usize]) {
+                l.alloc(key, bytes).unwrap();
+            }
+        }
+        assert!(l.cold.is_empty());
+        assert_eq!((l.live_count(), l.current()), (16, 2 * 15 + 2 * 21));
+        // Past the table, and the kinds it does not hold, are cold.
+        l.alloc(AllocKey::Act(MicroId(2), PartId(0)), 7).unwrap();
+        l.alloc(AllocKey::Ckpt(MicroId(0), PartId(u32::MAX)), 9)
+            .unwrap();
+        l.alloc(AllocKey::InBuf(MicroId(0), PartId(0)), 5).unwrap();
+        l.alloc(AllocKey::Snapshot, 0).unwrap();
+        assert_eq!((l.cold.len(), l.live_count()), (4, 20));
+        assert_eq!(l.free(AllocKey::Wgrad(MicroId(1), PartId(1))), 1);
+        assert_eq!(l.free_if_live(AllocKey::Wgrad(MicroId(1), PartId(1))), 0);
+        assert_eq!(l.free(AllocKey::Snapshot), 0);
+        assert_eq!(l.live_count(), 18);
+    }
+
+    #[test]
+    fn a_header_inflated_past_its_instructions_sizes_no_table() {
+        use crate::topology::{SchemeKind, Topology};
+        use crate::{from_text, DeviceId, MemoryRules, Schedule, UnitCost};
+        let cost = UnitCost::paper_grid();
+        let s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 2), 2, vec![0, 0]);
+        let l = MemoryRules::new(&s).ledger(DeviceId(0), &cost, 0, None);
+        assert_eq!((l.micros, l.parts), (2, 1));
+        // Two million (micro, part) cells, three instructions.
+        let text = "mario-schedule v1\nscheme W:1000000 devices 1 micros 2\n\
+                    routes 0 0\nd0: F0^0 B0^0 F1^0\n";
+        let s = from_text(text).unwrap();
+        let l = MemoryRules::new(&s).ledger(DeviceId(0), &cost, 0, None);
+        assert!(l.live.is_empty() && l.sizes.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "in the ledger's table")]
+    fn a_table_key_takes_only_its_table_size() {
+        let mut l = MemLedger::dense(0, None, 1, vec![[10, 2, 3, 0]]);
+        let _ = l.alloc(key(0), 11);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   tensor is part of the consumer's activation accounting already).
 
 use crate::cost::CostModel;
-use crate::ids::DeviceId;
+use crate::ids::{DeviceId, PartId};
 use crate::instr::{Instr, InstrKind};
 use crate::ledger::{AllocError, AllocKey, MemLedger};
 use crate::schedule::Schedule;
@@ -35,6 +35,9 @@ pub struct MemoryRules {
     routes: Vec<u32>,
     devices: usize,
     parts: usize,
+    /// Instructions in each device's program, which bound its ledger's
+    /// dense table.
+    program_lens: Vec<usize>,
     /// Forward-only (serving) lifecycle: no backward ever comes, so the
     /// full activations are released as soon as the forward completes and
     /// only the crossing send buffer outlives the instruction. Memory
@@ -65,8 +68,47 @@ impl MemoryRules {
                 .collect(),
             devices,
             parts,
+            program_lens: schedule.programs().iter().map(|p| p.len()).collect(),
             forward_only: matches!(topo.scheme, SchemeKind::ForwardOnly),
         }
+    }
+
+    /// A dense ledger for `device`'s instructions priced by `cost`: every
+    /// size the rules allocate per (micro, part) is read from `cost` here,
+    /// once, and `static_bytes` and `capacity` are as in
+    /// [`MemLedger::new`]. [`MemoryRules::apply`] must then be given the
+    /// same device and cost.
+    ///
+    /// A valid program has at least as many instructions as its table
+    /// has (micro, part) cells (a forward and a backward per micro on
+    /// each part it visits). A program with fewer, beyond a 64-cell floor
+    /// (a header inflated past its instructions), gets no dense table, so
+    /// nothing is sized by the header alone. Its answers are the same,
+    /// only slower.
+    pub fn ledger(
+        &self,
+        device: DeviceId,
+        cost: &dyn CostModel,
+        static_bytes: u64,
+        capacity: Option<u64>,
+    ) -> MemLedger {
+        let micros = self.routes.len();
+        let instrs = self.program_lens.get(device.index()).copied().unwrap_or(0);
+        if micros.saturating_mul(self.parts) > instrs.max(64) {
+            return MemLedger::new(static_bytes, capacity);
+        }
+        let sizes = (0..self.parts as u32)
+            .map(|p| {
+                let p = PartId(p);
+                [
+                    cost.act_full(device, p),
+                    cost.act_ckpt(device, p),
+                    cost.boundary_bytes(device, p),
+                    cost.wgrad_stash_bytes(device, p),
+                ]
+            })
+            .collect();
+        MemLedger::dense(static_bytes, capacity, micros, sizes)
     }
 
     /// True if the forward of `(micro, part)` on `device` sends its output
@@ -82,7 +124,8 @@ impl MemoryRules {
     }
 
     /// Applies the memory effect of `instr` (evaluated at its completion)
-    /// to `ledger`, using `cost` for sizes.
+    /// to `ledger`. Sizes come from the ledger's dense table, or from
+    /// `cost` for a key outside it.
     pub fn apply(
         &self,
         ledger: &mut MemLedger,
@@ -98,25 +141,28 @@ impl MemoryRules {
                     // Inference: the activations live only for the duration
                     // of the forward itself (they peak against capacity),
                     // then everything but the boundary output is dropped.
-                    ledger.alloc(AllocKey::Act(m, p), cost.act_full(device, p))?;
+                    ledger.alloc_sized(AllocKey::Act(m, p), || cost.act_full(device, p))?;
                     if self.crosses(device, instr) {
-                        ledger.alloc(AllocKey::OutBuf(m, p), cost.boundary_bytes(device, p))?;
+                        ledger.alloc_sized(AllocKey::OutBuf(m, p), || {
+                            cost.boundary_bytes(device, p)
+                        })?;
                     }
                     ledger.free_if_live(AllocKey::Act(m, p));
                     return Ok(());
                 }
                 if ckpt {
-                    ledger.alloc(AllocKey::Ckpt(m, p), cost.act_ckpt(device, p))?;
+                    ledger.alloc_sized(AllocKey::Ckpt(m, p), || cost.act_ckpt(device, p))?;
                 } else {
-                    ledger.alloc(AllocKey::Act(m, p), cost.act_full(device, p))?;
+                    ledger.alloc_sized(AllocKey::Act(m, p), || cost.act_full(device, p))?;
                 }
                 if self.crosses(device, instr) {
-                    ledger.alloc(AllocKey::OutBuf(m, p), cost.boundary_bytes(device, p))?;
+                    ledger
+                        .alloc_sized(AllocKey::OutBuf(m, p), || cost.boundary_bytes(device, p))?;
                 }
                 Ok(())
             }
             InstrKind::Recompute => {
-                ledger.alloc(AllocKey::Act(m, p), cost.act_full(device, p))
+                ledger.alloc_sized(AllocKey::Act(m, p), || cost.act_full(device, p))
             }
             InstrKind::Backward => {
                 ledger.free_if_live(AllocKey::Act(m, p));
@@ -129,7 +175,7 @@ impl MemoryRules {
                 // — it only adds the small per-layer gradient stash. (An
                 // earlier version freed `Act` here, under-counting every
                 // split schedule's peak between `Bi` and `Bw`.)
-                ledger.alloc(AllocKey::Wgrad(m, p), cost.wgrad_stash_bytes(device, p))
+                ledger.alloc_sized(AllocKey::Wgrad(m, p), || cost.wgrad_stash_bytes(device, p))
             }
             InstrKind::BackwardWeight => {
                 // The deferred weight half is the true end of the micro's

@@ -170,11 +170,7 @@ impl Topology {
     #[inline]
     pub fn num_stages(&self) -> u32 {
         let legs = self.parts_per_device() / self.num_routes();
-        // Widened rather than `saturating_mul`: its overflow check inlines
-        // a cold-path hint into this module, which re-splits the crate's
-        // codegen units and moves the ledger's hash-map calls out of line.
-        let stages = u64::from(self.devices) * u64::from(legs);
-        stages.min(u64::from(u32::MAX)) as u32
+        self.devices.saturating_mul(legs)
     }
 
     /// Number of distinct forward routes (see [`SchemeKind::num_routes`]).

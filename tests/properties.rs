@@ -1,7 +1,7 @@
 //! Property-based invariants spanning the whole stack: schedule
 //! generation → graph tuning → simulation → emulation.
 
-use mario::ir::SpanGraph;
+use mario::ir::{AllocError, AllocKey, MemLedger, MemoryRules, OomError, SpanGraph};
 use mario::prelude::*;
 use mario_core::passes::PreposeOptions;
 use proptest::prelude::*;
@@ -1817,4 +1817,182 @@ fn every_slack_skipped_trial_is_rejected_at_scale() {
         }
     }
     assert!(ran > 0 && failed > 0, "{ran} ran, {failed} failed");
+}
+
+/// The hash-map ledger the dense one replaced, kept as the reference:
+/// every live allocation keyed in one map with the size it was made at.
+struct MapLedger {
+    static_bytes: u64,
+    dynamic: u64,
+    peak: u64,
+    capacity: Option<u64>,
+    live: mario::ir::FastMap<AllocKey, u64>,
+}
+
+impl MapLedger {
+    fn new(static_bytes: u64, capacity: Option<u64>) -> Self {
+        MapLedger {
+            static_bytes,
+            dynamic: 0,
+            peak: static_bytes,
+            capacity,
+            live: Default::default(),
+        }
+    }
+
+    fn current(&self) -> u64 {
+        self.static_bytes + self.dynamic
+    }
+
+    fn alloc(&mut self, key: AllocKey, bytes: u64) -> Result<(), AllocError> {
+        if self.live.contains_key(&key) {
+            return Err(AllocError::Live(key));
+        }
+        self.live.insert(key, bytes);
+        self.dynamic += bytes;
+        let now = self.current();
+        if let Some(cap) = self.capacity {
+            if now > cap {
+                self.live.remove(&key);
+                self.dynamic -= bytes;
+                return Err(AllocError::Oom(OomError {
+                    requested: bytes,
+                    in_use: self.current(),
+                    capacity: cap,
+                }));
+            }
+        }
+        self.peak = self.peak.max(now);
+        Ok(())
+    }
+
+    fn free_if_live(&mut self, key: AllocKey) -> u64 {
+        let bytes = self.live.remove(&key).unwrap_or(0);
+        self.dynamic -= bytes;
+        bytes
+    }
+}
+
+/// Small sizes that differ by (device, kind, part), zero included, and
+/// stay defined at `u32::MAX`.
+struct LedgerSizes;
+
+impl CostModel for LedgerSizes {
+    fn compute_time(&self, _: DeviceId, _: PartId, _: mario::ir::ComputeKind) -> u64 {
+        1
+    }
+    fn act_full(&self, d: DeviceId, p: PartId) -> u64 {
+        8 + (d.0 as u64 + p.0 as u64) % 5
+    }
+    fn act_ckpt(&self, d: DeviceId, p: PartId) -> u64 {
+        (3 * d.0 as u64 + p.0 as u64) % 4
+    }
+    fn boundary_bytes(&self, _: DeviceId, p: PartId) -> u64 {
+        1 + p.0 as u64 % 3
+    }
+    fn wgrad_stash_bytes(&self, d: DeviceId, p: PartId) -> u64 {
+        (d.0 as u64 + p.0 as u64) % 2
+    }
+    fn p2p_time(&self, _: u64) -> u64 {
+        0
+    }
+    fn allreduce_time(&self, _: DeviceId) -> u64 {
+        0
+    }
+    fn optimizer_time(&self, _: DeviceId) -> u64 {
+        0
+    }
+    fn static_mem(&self, _: DeviceId) -> u64 {
+        0
+    }
+}
+
+/// Runs `rounds` random sequences of `steps` ledger operations on the
+/// dense ledger `MemoryRules::ledger` builds (one round in eight on a
+/// table-less `MemLedger::new`) and on the reference, over in-range,
+/// out-of-range and `u32::MAX` ids, `InBuf` and `Snapshot` keys,
+/// zero-byte sizes and a capacity in two rounds of three. Returns the
+/// (OOM, double-allocation) counts.
+fn ledger_differential(rounds: usize, steps: usize, rng: &mut Mix) -> (usize, usize) {
+    let cost = LedgerSizes;
+    let (mut ooms, mut doubles) = (0, 0);
+    for round in 0..rounds {
+        let scheme = EVERY_SCHEME[rng.below(EVERY_SCHEME.len())];
+        let (d, n) = [(2, 4), (4, 8), (4, 16)][rng.below(3)];
+        let s = generate(ScheduleConfig::new(scheme, d, n));
+        let parts = s.topology.parts_per_device();
+        let rules = MemoryRules::new(&s);
+        let device = DeviceId(rng.below(d as usize) as u32);
+        let static_bytes = rng.below(50) as u64;
+        let capacity = (rng.below(3) > 0).then(|| static_bytes + rng.below(80) as u64);
+        let mut dense = if rng.below(8) == 0 {
+            MemLedger::new(static_bytes, capacity)
+        } else {
+            rules.ledger(device, &cost, static_bytes, capacity)
+        };
+        let mut reference = MapLedger::new(static_bytes, capacity);
+        // A few in-range micros and parts, so keys collide, and the ids
+        // just past the table and at the top of the range.
+        let id = |rng: &mut Mix, count: u32| match rng.below(8) {
+            0 => count + rng.below(2) as u32,
+            1 => u32::MAX,
+            _ => rng.below(count.min(4) as usize) as u32,
+        };
+        for step in 0..steps {
+            let (m, p) = (MicroId(id(rng, n)), PartId(id(rng, parts)));
+            let (key, bytes) = match rng.below(12) {
+                0..=2 => (AllocKey::Act(m, p), cost.act_full(device, p)),
+                3..=4 => (AllocKey::Ckpt(m, p), cost.act_ckpt(device, p)),
+                5..=6 => (AllocKey::OutBuf(m, p), cost.boundary_bytes(device, p)),
+                7..=8 => (AllocKey::Wgrad(m, p), cost.wgrad_stash_bytes(device, p)),
+                9..=10 => (AllocKey::InBuf(m, p), rng.below(6) as u64),
+                _ => (AllocKey::Snapshot, rng.below(30) as u64),
+            };
+            let what = format!("round {round} step {step}: {key:?} ({bytes} B)");
+            match rng.below(3) {
+                0 | 1 => {
+                    let want = reference.alloc(key, bytes);
+                    ooms += matches!(want, Err(AllocError::Oom(_))) as usize;
+                    doubles += matches!(want, Err(AllocError::Live(_))) as usize;
+                    assert_eq!(dense.alloc(key, bytes), want, "alloc, {what}");
+                }
+                _ if reference.live.contains_key(&key) && rng.below(2) == 0 => {
+                    assert_eq!(dense.free(key), reference.free_if_live(key), "free, {what}");
+                }
+                _ => assert_eq!(
+                    dense.free_if_live(key),
+                    reference.free_if_live(key),
+                    "free_if_live, {what}"
+                ),
+            }
+            assert_eq!(
+                (dense.current(), dense.dynamic(), dense.peak()),
+                (reference.current(), reference.dynamic, reference.peak),
+                "{what}"
+            );
+            assert_eq!(dense.live_count(), reference.live.len(), "{what}");
+            assert_eq!(
+                dense.is_live(key),
+                reference.live.contains_key(&key),
+                "{what}"
+            );
+        }
+    }
+    (ooms, doubles)
+}
+
+/// The dense ledger gives the reference map ledger's every answer.
+#[test]
+fn the_dense_ledger_matches_the_map_ledger() {
+    let (ooms, doubles) = ledger_differential(64, 256, &mut Mix(0x1ed6_e500));
+    assert!(ooms > 0 && doubles > 0, "{ooms} OOMs, {doubles} doubles");
+}
+
+/// The same at scale: 4 096 sequences of 2 048 operations. Run with
+/// `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "large; run in release"]
+fn the_dense_ledger_matches_the_map_ledger_at_scale() {
+    let (ooms, doubles) = ledger_differential(4096, 2048, &mut Mix(0x1ed6_e5ca));
+    assert!(ooms > 0 && doubles > 0, "{ooms} OOMs, {doubles} doubles");
 }
