@@ -7,8 +7,8 @@
 //! injected into an emulated run. The invariant checked for every
 //! scenario:
 //!
-//! * the run **terminates** (no hang: hard faults surface before the
-//!   scaled watchdog, absorbable ones complete the run);
+//! * the run **terminates** (no hang: hard faults surface at the latest
+//!   when no device can move, absorbable ones complete the run);
 //! * a hard fault yields a structured [`EmuError::Fault`] whose report
 //!   names the injected fault — never a panic, never an unattributed
 //!   secondary error;
@@ -30,7 +30,6 @@ use mario_core::tuner::scheme_channel_capacity;
 use mario_ir::{CheckpointPolicy, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// One chaos scenario and its outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,8 +58,6 @@ fn scenario(scheme: SchemeKind, seed: u64) -> Scenario {
     let injected = plan.faults[0];
     let cfg = EmulatorConfig {
         channel_capacity: scheme_channel_capacity(scheme),
-        // Stall scenarios must wait the watchdog out; keep that short.
-        watchdog: Duration::from_millis(300),
         ..Default::default()
     };
     let cost = UnitCost::paper_grid();
@@ -178,7 +175,6 @@ fn correlated_scenario(scheme: SchemeKind, seed: u64) -> CorrelatedScenario {
     let cfg = EmulatorConfig {
         channel_capacity: scheme_channel_capacity(scheme),
         iterations: CORRELATED_ITERS,
-        watchdog: Duration::from_millis(300),
         ..Default::default()
     };
     let cost = UnitCost::paper_grid();

@@ -36,7 +36,6 @@ use mario_core::{
 use mario_ir::{CheckpointPolicy, DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Pipeline width before the fault.
 const DEVICES: u32 = 4;
@@ -242,7 +241,6 @@ fn scenario(
         channel_capacity: scheme_channel_capacity(scheme),
         iterations: ITERS,
         checkpoint: Some(CheckpointPolicy::every(CKPT_EVERY).with_write_ns(WRITE_NS)),
-        watchdog: Duration::from_millis(300),
         ..Default::default()
     };
     let plan = FaultPlan::none()
@@ -496,7 +494,6 @@ fn cascade_scenario(scheme: SchemeKind, first_iter: u32, second_iter: u32) -> Ca
         channel_capacity: scheme_channel_capacity(scheme),
         iterations: ITERS,
         checkpoint: Some(CheckpointPolicy::every(CKPT_EVERY).with_write_ns(WRITE_NS)),
-        watchdog: Duration::from_millis(300),
         ..Default::default()
     };
     let followup = FaultPlan::none()

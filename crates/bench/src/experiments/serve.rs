@@ -31,7 +31,6 @@ use mario_ir::{CostModel, DeviceId, Instr, Nanos, SchemeKind, Topology, UnitCost
 use mario_model::{AnalyticCost, GpuSpec, ModelConfig, TrainSetup};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Pipeline depth of every serving sweep point.
 pub const PP: u32 = 4;
@@ -168,9 +167,6 @@ fn scenario(scheme: SchemeKind, fault: FaultCase, rho: f64, smoke: bool) -> Serv
     let cfg = ServeConfig {
         emulator: EmulatorConfig {
             channel_capacity: 1,
-            // Rack failures include link stalls; keep their real-time
-            // watchdog wait short.
-            watchdog: Duration::from_millis(300),
             ..Default::default()
         },
         batch,

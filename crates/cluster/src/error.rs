@@ -41,8 +41,8 @@ pub enum EmuError {
         /// What was expected vs found.
         detail: String,
     },
-    /// A blocking p2p operation stalled past the watchdog — the schedule
-    /// deadlocks.
+    /// A p2p operation is parked on a link no event can ever serve: every
+    /// unfinished device is parked, so the schedule deadlocks.
     DeadlockSuspected {
         /// The blocked device.
         device: DeviceId,
@@ -115,7 +115,8 @@ impl EmuError {
 
     /// Root-cause rank used by the runner when several devices fail at
     /// once: lower wins. Injected faults outrank the secondary errors
-    /// they cascade into (peer failures, watchdog timeouts).
+    /// they cascade into (peer failures, deadlocks), and a contained
+    /// worker panic outranks the peer failures its peers then observe.
     pub(crate) fn priority(&self) -> u8 {
         match self {
             EmuError::Fault(_) => 0,
@@ -123,8 +124,8 @@ impl EmuError {
             EmuError::DoubleAlloc { .. } | EmuError::CommMismatch { .. } => 2,
             EmuError::NoRoute { .. } => 3,
             EmuError::DeadlockSuspected { .. } => 4,
-            EmuError::PeerFailed { .. } => 5,
-            EmuError::WorkerPanicked { .. } => 6,
+            EmuError::WorkerPanicked { .. } => 5,
+            EmuError::PeerFailed { .. } => 6,
         }
     }
 }

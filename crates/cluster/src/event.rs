@@ -2,13 +2,12 @@
 //! simulator's executor (`mario-core`'s `simulate` is a zero-jitter run
 //! of it).
 //!
-//! One thread, no watchdog, no real-time blocking: every device is a
-//! `Machine` stepped until it parks, and every link a `mario_ir::Fifo`
-//! of timestamped packets — the ack window the makespan sweep, the
-//! deadlock check and the what-if re-timer use too. The machine holds
-//! all instruction semantics, so this module only keeps settlement and
-//! quiescence; with zero jitter it agrees bit-for-bit with the thread
-//! backend, which the parity proptests pin.
+//! One thread: every device is a `Machine` stepped until it parks, over
+//! the `Links` both backends share. The machine holds all instruction
+//! semantics and the links the link rule, so this module only keeps the
+//! firing order and `quiesce`, the resolution of a run in which no
+//! device can move, which the thread backend calls too; with zero jitter
+//! the two backends agree bit-for-bit, which the parity proptests pin.
 //!
 //! Devices run from a [`Ready`] queue, the scheduler the makespan sweep
 //! and the deadlock check share: a machine runs until it parks on a link,
@@ -19,124 +18,87 @@
 //! included (see [`mario_ir::ready`]); `tests/properties.rs` checks that
 //! through [`run_event_shuffled`].
 //!
-//! Deadlock needs no timer here: when the queue drains and devices are
-//! still blocked, no event can ever wake them — that *is* the deadlock,
-//! detected in zero real time where the thread backend must wait out a
-//! watchdog.
+//! Deadlock needs no timer: when the queue drains and devices are still
+//! parked, no event can ever wake them — that *is* the deadlock,
+//! detected in zero real time.
 
 use crate::error::EmuError;
-use crate::link::{LinkError, Packet};
-use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped, Transport};
+use crate::link::{Links, Wake};
+use crate::machine::{CkptBoard, Machine, Shared, StallTable, Stepped};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
-use mario_ir::{
-    CostModel, DeviceId, Dir, Fifo, Link, LinkTable, MemoryRules, Nanos, Ready, Schedule,
-};
+use mario_ir::{CostModel, DeviceId, LinkTable, MemoryRules, Ready, Schedule};
 
-/// One bounded-FIFO link, event-style: the shared [`Fifo`] plus whether
-/// each end has settled (an empty or full link then reads as
-/// disconnected instead of parking).
-#[derive(Debug, Default)]
-struct EventChannel {
-    fifo: Fifo<Packet>,
-    sender_settled: bool,
-    receiver_settled: bool,
-}
-
-/// The in-memory links, indexed by link number: an empty or full link
-/// parks the machine, and once the peer has settled the link reads as
-/// disconnected — FIFO-ordered after all genuine traffic, the same
-/// observation the thread backend's poison markers make. A packet wakes
-/// its receiver and an ack its sender, if it waits on that link.
-struct EventLinks<'s> {
-    table: &'s LinkTable,
-    chans: &'s mut [EventChannel],
-    capacity: usize,
-    ready: &'s mut Ready,
-}
-
-impl Transport for EventLinks<'_> {
-    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
-        let chan = &mut self.chans[link.id];
-        match chan.fifo.reserve(self.capacity) {
-            None if chan.receiver_settled => Err(LinkError::Disconnected),
-            freed => Ok(freed),
+/// Settles a quiescent run — every unsettled device parked, none able to
+/// move — by the same rules on both backends; each settled device is
+/// woken on the link it parked on, so its driver sees the settlement.
+///
+/// Phase 1: a device parked on a link with an injected incoming stall is
+/// the stall surfacing. Settling one can cascade (peers observe the
+/// failure), so when phase 1 settles anyone this returns `true`: the
+/// backend runs the woken devices until the run is quiescent again and
+/// calls this again. Phase 2, once no stall fires: anything still parked
+/// can never be woken — a deadlock. Every wait chain is snapshot *before*
+/// anyone is settled, so the named cycles do not depend on settlement
+/// order; this returns `false` with every device settled.
+pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
+    links: &mut Links<'_, W>,
+    machine: impl Fn(usize) -> &'m Machine<'a>,
+    stalls: &StallTable,
+) -> bool {
+    let parked: Vec<usize> = (0..links.results.len())
+        .filter(|&d| links.results[d].is_none())
+        .collect();
+    let settle = |links: &mut Links<'_, W>, d: usize, err: EmuError| {
+        stalls.clear(DeviceId(d as u32));
+        links.settle(d, Err(err));
+        if let Some(link) = machine(d).parked_link() {
+            links.ready.wake(d, link);
+        }
+    };
+    let mut fired = false;
+    for &d in &parked {
+        if let Some(stall) = machine(d).stalled() {
+            settle(links, d, stall);
+            fired = true;
         }
     }
-
-    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
-        let occupancy = self.chans[link.id].fifo.push(pkt);
-        self.ready.wake(self.table.key(link.id).1.index(), link.id);
-        Ok(occupancy)
+    if fired {
+        return true;
     }
-
-    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
-        let chan = &mut self.chans[link.id];
-        match chan.fifo.pop() {
-            None if chan.sender_settled => Err(LinkError::Disconnected),
-            pkt => Ok(pkt),
-        }
+    let chains: Vec<Vec<DeviceId>> = parked
+        .iter()
+        .map(|&d| stalls.wait_chain(DeviceId(d as u32)))
+        .collect();
+    for (&d, cycle) in parked.iter().zip(chains) {
+        settle(links, d, machine(d).deadlocked(cycle));
     }
-
-    fn ack(&mut self, link: Link, at: Nanos) {
-        self.chans[link.id].fifo.ack(at);
-        self.ready.wake(self.table.key(link.id).0.index(), link.id);
-    }
+    false
 }
 
-/// Mutable scheduler state threaded through [`Sched::drain`] and
-/// [`Sched::settle`].
+/// The machines and their links.
 struct Sched<'a> {
     devs: Vec<Machine<'a>>,
-    /// The run's links and each device's ports onto them, which
-    /// settlement walks too.
-    table: &'a LinkTable,
-    /// One channel per link, indexed by link number.
-    chans: Vec<EventChannel>,
-    capacity: usize,
-    ready: Ready,
-    results: Vec<Option<Result<DeviceReport, EmuError>>>,
+    links: Links<'a, Ready>,
 }
 
 impl Sched<'_> {
-    /// Records `d`'s outcome and marks every link end it owns as settled:
-    /// peers observe end-of-stream only after consuming all genuine
-    /// traffic (FIFO order). Wakes the peers waiting on those links.
-    fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>) {
-        self.results[d] = Some(result);
-        let (table, device) = (self.table, DeviceId(d as u32));
-        for &((peer, ..), id) in table.ports(device, Dir::Send) {
-            self.chans[id].sender_settled = true;
-            self.ready.wake(peer.index(), id);
-        }
-        for &((peer, ..), id) in table.ports(device, Dir::Recv) {
-            self.chans[id].receiver_settled = true;
-            self.ready.wake(peer.index(), id);
-        }
-    }
-
     /// Runs the ready queue dry: steps each device until it parks,
     /// finishes or fails, and settles the latter two.
     fn drain(&mut self) {
-        while let Some(d) = self.ready.front() {
-            if self.results[d].is_some() {
+        while let Some(d) = self.links.ready.front() {
+            if self.links.results[d].is_some() {
                 // Settled at quiescence while it waited on a link.
-                self.ready.block(None);
+                self.links.ready.block(None);
                 continue;
             }
-            let mut links = EventLinks {
-                table: self.table,
-                chans: &mut self.chans,
-                capacity: self.capacity,
-                ready: &mut self.ready,
-            };
-            let stepped = self.devs[d].step(&mut links);
+            let stepped = self.devs[d].step(&mut self.links);
             if let Ok(Stepped::Blocked(link)) = stepped {
-                self.ready.block(Some(link));
+                self.links.ready.block(Some(link));
                 continue;
             }
-            self.ready.block(None);
+            self.links.ready.block(None);
             let result = stepped.map(|_| self.devs[d].finish());
-            self.settle(d, result);
+            self.links.settle(d, result);
         }
     }
 }
@@ -196,59 +158,20 @@ pub(crate) fn run_event(
                 Machine::new(shared, device, &cfg, plan.for_device(device), startup_ns)
             })
             .collect(),
-        table: &table,
-        chans: (0..table.len()).map(|_| EventChannel::default()).collect(),
-        capacity: cfg.channel_capacity,
-        ready,
-        results: (0..devices).map(|_| None).collect(),
+        links: Links::new(&table, devices, cfg.channel_capacity, ready),
     };
-    sched.drain();
-
-    // Quiescence, phase 1: devices parked on a link with an injected
-    // incoming stall are the stall surfacing — the event analogue of the
-    // thread backend's watchdog timeout on a stalled link. Settling one
-    // can cascade (peers observe the failure), so loop until no stall
-    // fires.
     loop {
-        let mut fired = false;
-        for d in 0..devices {
-            if sched.results[d].is_some() {
-                continue;
-            }
-            if let Some(stall) = sched.devs[d].stalled() {
-                stalls.clear(DeviceId(d as u32));
-                sched.settle(d, Err(stall));
-                fired = true;
-            }
-        }
-        if !fired {
+        sched.drain();
+        let Sched { devs, links } = &mut sched;
+        if !quiesce(links, |d| &devs[d], &stalls) {
             break;
         }
-        sched.drain();
     }
-
-    // Quiescence, phase 2: anything still parked can never be woken —
-    // that is a deadlock, detected in zero real time. Snapshot every wait
-    // chain *before* settling anyone, so the named cycles do not depend
-    // on settlement order.
-    let parked: Vec<usize> = (0..devices)
-        .filter(|&d| sched.results[d].is_none())
-        .collect();
-    let chains: Vec<Vec<DeviceId>> = parked
-        .iter()
-        .map(|&d| stalls.wait_chain(DeviceId(d as u32)))
-        .collect();
-    for (&d, cycle) in parked.iter().zip(chains) {
-        stalls.clear(DeviceId(d as u32));
-        let err = sched.devs[d].deadlocked(cycle);
-        sched.settle(d, Err(err));
-    }
-    sched.drain();
-
     let results = sched
+        .links
         .results
         .into_iter()
-        .map(|r| r.expect("every device settles before the queue drains"))
+        .map(|r| r.expect("quiescence settles every device"))
         .collect();
     settle_report(results, &cfg, plan, &ckpts)
 }

@@ -292,7 +292,7 @@ impl FaultPlan {
     /// devices into groups of `node_size`; only nodes with crossing
     /// traffic are candidates, so the plan always surfaces. No device
     /// crashes — the switch takes the links, not the hosts — and the
-    /// settle-barrier teardown stays deterministic: every induced stall
+    /// teardown stays deterministic: every induced stall
     /// is attributed to the one `switch-<n>` group. Returns the empty
     /// plan when no link crosses any node boundary (a single-node
     /// cluster). Deterministic in `seed`.

@@ -6,11 +6,11 @@
 //! memory ledger with OOM faults under the same lifecycle rules as the
 //! offline simulator ([`mario_ir::MemoryRules`]), checkpoint writes,
 //! telemetry, spans and the bounded-link send/recv clock rules. Two
-//! backends step the machines ([`EmulatorBackend`]): one OS thread per
-//! device over blocking [`link`]s with a real-time watchdog that turns
-//! stalls into deadlock reports, or the single-threaded discrete-event
-//! backend ([`event`]) that scales to thousands of devices and detects
-//! deadlock by quiescence.
+//! backends step the machines ([`EmulatorBackend`]) over one set of
+//! [`link`]s: one OS thread per device, or the single-threaded
+//! discrete-event backend ([`event`]) that scales to thousands of
+//! devices. Both detect deadlock by quiescence, with one function: when
+//! every unfinished device is parked on a link, none can ever move.
 //!
 //! Timing is *virtual*: per-instruction latencies come from a
 //! [`mario_ir::CostModel`] (optionally perturbed by seeded jitter), and all
@@ -41,9 +41,8 @@ pub use error::EmuError;
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
 pub use machine::{CkptBoard, DeviceReport, StallTable};
 pub use runner::{
-    effective_watchdog, run, run_with, run_with_faults, run_with_recovery, EmulatorBackend,
-    EmulatorConfig, Reconfiguration, ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions,
-    RunReport,
+    run, run_with, run_with_faults, run_with_recovery, EmulatorBackend, EmulatorConfig,
+    Reconfiguration, ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions, RunReport,
 };
 pub use serving::{
     form_batches, poisson_arrivals, serve, serve_with, Batch, BatchPolicy, Request, RetryPolicy,

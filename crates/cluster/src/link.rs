@@ -1,22 +1,21 @@
-//! The thread backend's transport: bounded point-to-point links between
-//! device threads.
+//! The emulator's links, once, for both backends.
 //!
-//! Each directed `(sender, receiver, class, part)` link is a data channel
-//! carrying `(msg, bytes, send-timestamp)` packets and an
-//! acknowledgement channel carrying dequeue timestamps back. The sender
-//! keeps at most `capacity` packets un-acknowledged: one more send first
-//! blocks (in real time) for the oldest ack. This is the ack window of
-//! `mario_ir::link::Fifo`, written a second time on purpose: the
-//! single-threaded engines share that `Fifo`, but here the two ends live
-//! on different threads, and real concurrency is the reason this backend
-//! exists. Links only move packets and timestamps; what a timestamp does
-//! to a device clock is the [`crate::machine`]'s business, which is why
-//! the emulated timeline is deterministic under any thread interleaving.
+//! Each directed `(sender, receiver, class, part)` link of the run's
+//! [`LinkTable`] is a `mario_ir::Fifo` of timestamped packets — the ack
+//! window the makespan sweep, the deadlock check and the what-if re-timer
+//! use too — plus whether each end has settled. An empty or full link
+//! parks the machine; once the peer has settled it reads as disconnected
+//! instead, FIFO-ordered after all genuine traffic. A packet wakes its
+//! receiver and an ack its sender, if it waits on that link, through the
+//! backend's `Wake`: the event backend's [`Ready`] queue, or the thread
+//! backend's parked threads. Links only move packets and timestamps; what
+//! a timestamp does to a device clock is the [`crate::machine`]'s
+//! business, which is why the emulated timeline is deterministic under
+//! any firing order or thread interleaving.
 
-use crate::machine::Transport;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use mario_ir::{DeviceId, Dir, Link, LinkTable, Msg, Nanos};
-use std::time::Duration;
+use crate::error::EmuError;
+use crate::machine::{DeviceReport, Transport};
+use mario_ir::{DeviceId, Dir, Fifo, Link, LinkTable, Msg, Nanos, Ready};
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy)]
@@ -30,26 +29,9 @@ pub struct Packet {
     pub sent_at: Nanos,
 }
 
-/// What travels on the data channel: a genuine packet, or the poison
-/// marker a settling device enqueues behind all its real traffic.
-#[derive(Debug, Clone, Copy)]
-enum Wire {
-    Pkt(Packet),
-    Poison,
-}
-
-/// What travels on the ack channel: a dequeue timestamp, or poison.
-#[derive(Debug, Clone, Copy)]
-enum Ack {
-    At(Nanos),
-    Poison,
-}
-
 /// Why a link operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkError {
-    /// No progress within the watchdog timeout: deadlock suspected.
-    Timeout,
     /// The peer settled (failed or finished) and will never answer.
     Disconnected,
     /// Received packet identity does not match the expectation.
@@ -59,207 +41,117 @@ pub enum LinkError {
     NoRoute,
 }
 
-/// Sending half of a link.
-pub struct SendHalf {
-    data: Sender<Wire>,
-    ack: Receiver<Ack>,
-    /// Un-acknowledged packets in flight. It grows on a send and shrinks
-    /// only when a capacity-blocked send consumes the oldest ack, exactly
-    /// like `Fifo`'s window, so per-link occupancy telemetry is
-    /// parity-safe.
-    in_flight: usize,
+/// Lets parked devices run again.
+pub(crate) trait Wake {
+    /// Lets device `d` run again if it is parked on link `link`; a device
+    /// past the count is ignored.
+    fn wake(&mut self, d: usize, link: usize);
+}
+
+impl Wake for Ready {
+    #[inline]
+    fn wake(&mut self, d: usize, link: usize) {
+        Ready::wake(self, d, link);
+    }
+}
+
+/// One bounded-FIFO link: the shared [`Fifo`] plus whether each end has
+/// settled.
+#[derive(Debug, Default)]
+struct Channel {
+    fifo: Fifo<Packet>,
+    sender_settled: bool,
+    receiver_settled: bool,
+}
+
+/// The run's links, indexed by link number, the devices that may run,
+/// and each device's outcome once it settled: everything a link
+/// operation, a settlement and quiescence touch.
+pub(crate) struct Links<'a, W> {
+    table: &'a LinkTable,
+    chans: Vec<Channel>,
     capacity: usize,
-    timeout: Duration,
-    poisoned: bool,
+    /// Which devices may run.
+    pub ready: W,
+    /// Each device's outcome, once it settled.
+    pub results: Vec<Option<Result<DeviceReport, EmuError>>>,
 }
 
-/// Receiving half of a link.
-pub struct RecvHalf {
-    data: Receiver<Wire>,
-    ack: Sender<Ack>,
-    timeout: Duration,
-    poisoned: bool,
-}
-
-/// Creates a link with the given buffer `capacity` and watchdog `timeout`.
-pub fn link(capacity: usize, timeout: Duration) -> (SendHalf, RecvHalf) {
-    assert!(capacity >= 1);
-    // Channels sized to capacity + 1: the ack window guarantees at most
-    // `capacity` packets (and `capacity` buffered acks) are ever in
-    // flight, so sends never block in real time — all blocking is on acks
-    // — and the extra slot is reserved for the single poison marker each
-    // half may enqueue at teardown.
-    let (data_tx, data_rx) = bounded(capacity + 1);
-    let (ack_tx, ack_rx) = bounded(capacity + 1);
-    (
-        SendHalf {
-            data: data_tx,
-            ack: ack_rx,
-            in_flight: 0,
+impl<'a, W: Wake> Links<'a, W> {
+    /// The links of `table` with `capacity` packets of window each, for
+    /// `devices` devices, none settled.
+    pub fn new(table: &'a LinkTable, devices: usize, capacity: usize, ready: W) -> Self {
+        Self {
+            table,
+            chans: (0..table.len()).map(|_| Channel::default()).collect(),
             capacity,
-            timeout,
-            poisoned: false,
-        },
-        RecvHalf {
-            data: data_rx,
-            ack: ack_tx,
-            timeout,
-            poisoned: false,
-        },
-    )
-}
-
-fn wait<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, LinkError> {
-    rx.recv_timeout(timeout).map_err(|e| match e {
-        RecvTimeoutError::Timeout => LinkError::Timeout,
-        RecvTimeoutError::Disconnected => LinkError::Disconnected,
-    })
-}
-
-impl SendHalf {
-    /// Frees a window slot: with `capacity` packets in flight, blocks for
-    /// the oldest ack and returns its dequeue time; otherwise returns 0.
-    pub fn reserve(&mut self) -> Result<Nanos, LinkError> {
-        if self.in_flight < self.capacity {
-            return Ok(0);
-        }
-        match wait(&self.ack, self.timeout)? {
-            Ack::At(t) => {
-                self.in_flight -= 1;
-                Ok(t)
-            }
-            Ack::Poison => Err(LinkError::Disconnected),
+            ready,
+            results: (0..devices).map(|_| None).collect(),
         }
     }
 
-    /// Enqueues `pkt`; returns the packets in flight right after.
-    pub fn push(&mut self, pkt: Packet) -> Result<usize, LinkError> {
-        self.data
-            .send(Wire::Pkt(pkt))
-            .map_err(|_| LinkError::Disconnected)?;
-        self.in_flight += 1;
-        Ok(self.in_flight)
-    }
-
-    /// Enqueues the poison marker behind all genuine traffic (once). A
-    /// settling device calls this instead of dropping the half, so a
-    /// blocked peer wakes on a FIFO-ordered event — after consuming every
-    /// real packet — rather than on the racy teardown of the channel.
-    pub fn poison(&mut self) {
-        if !self.poisoned {
-            // The reserved extra slot means this never blocks; it only
-            // errs if the peer already dropped its end (nobody listening).
-            let _ = self.data.send(Wire::Poison);
-            self.poisoned = true;
+    /// Records `d`'s outcome and marks every link end it owns as settled:
+    /// peers observe end-of-stream only after consuming all genuine
+    /// traffic (FIFO order). Wakes the peers waiting on those links.
+    pub fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>) {
+        self.results[d] = Some(result);
+        let device = DeviceId(d as u32);
+        for &((peer, ..), id) in self.table.ports(device, Dir::Send) {
+            self.chans[id].sender_settled = true;
+            self.ready.wake(peer.index(), id);
+        }
+        for &((peer, ..), id) in self.table.ports(device, Dir::Recv) {
+            self.chans[id].receiver_settled = true;
+            self.ready.wake(peer.index(), id);
         }
     }
 }
 
-impl RecvHalf {
-    /// Blocks for the next packet.
-    pub fn pop(&mut self) -> Result<Packet, LinkError> {
-        match wait(&self.data, self.timeout)? {
-            Wire::Pkt(p) => Ok(p),
-            // The sender settled and will never send again: equivalent to
-            // a hang-up, but FIFO-ordered behind its genuine traffic, so
-            // the observation is deterministic.
-            Wire::Poison => Err(LinkError::Disconnected),
-        }
-    }
-
-    /// Acknowledges the last packet, dequeued at `at`.
-    pub fn ack(&mut self, at: Nanos) {
-        // The ack channel outsizes the in-flight ack count and the sender
-        // reads one ack per extra send, so this never blocks; a sender that
-        // has already finished (dropped its ack end) simply no longer cares.
-        let _ = self.ack.send(Ack::At(at));
-    }
-
-    /// Enqueues poison on the ack channel (once): a peer blocked waiting
-    /// for an ack from this settling device wakes deterministically after
-    /// consuming every genuine ack.
-    pub fn poison(&mut self) {
-        if !self.poisoned {
-            let _ = self.ack.send(Ack::Poison);
-            self.poisoned = true;
-        }
-    }
-}
-
-/// One device's link halves, in the slot order of its [`LinkTable`]
-/// ports.
-pub(crate) struct ThreadLinks {
-    out: Vec<SendHalf>,
-    inp: Vec<RecvHalf>,
-}
-
-impl ThreadLinks {
-    /// Every device's halves of the links in `table`, each with the given
-    /// buffer `capacity` and watchdog `timeout`. The receiving half of a
-    /// link to a device past the count is dropped: sends on it read as
-    /// disconnected.
-    pub fn build(
-        table: &LinkTable,
-        devices: usize,
-        capacity: usize,
-        timeout: Duration,
-    ) -> Vec<Self> {
-        let mut halves: Vec<_> = (0..table.len())
-            .map(|_| {
-                let (tx, rx) = link(capacity, timeout);
-                (Some(tx), Some(rx))
-            })
-            .collect();
-        (0..devices)
-            .map(|d| {
-                let device = DeviceId(d as u32);
-                let ids = |dir| table.ports(device, dir).iter().map(|&(_, id)| id);
-                Self {
-                    out: (ids(Dir::Send))
-                        .map(|id| halves[id].0.take().expect("one sender per link"))
-                        .collect(),
-                    inp: (ids(Dir::Recv))
-                        .map(|id| halves[id].1.take().expect("one receiver per link"))
-                        .collect(),
-                }
-            })
-            .collect()
-    }
-
-    /// Poisons every half this device owns: outgoing data links and the
-    /// ack sides of incoming links. Called once the device has settled
-    /// (completed or failed), before the halves are dropped, so peers
-    /// blocked on this device observe a FIFO-ordered end-of-stream marker
-    /// instead of a real-time-racy channel teardown.
-    pub fn poison(&mut self) {
-        self.out.iter_mut().for_each(SendHalf::poison);
-        self.inp.iter_mut().for_each(RecvHalf::poison);
-    }
-}
-
-impl Transport for ThreadLinks {
+impl<W: Wake> Transport for Links<'_, W> {
     fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
-        self.out[link.slot].reserve().map(Some)
+        let chan = &mut self.chans[link.id];
+        match chan.fifo.reserve(self.capacity) {
+            None if chan.receiver_settled => Err(LinkError::Disconnected),
+            freed => Ok(freed),
+        }
     }
 
     fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
-        self.out[link.slot].push(pkt)
+        let occupancy = self.chans[link.id].fifo.push(pkt);
+        self.ready.wake(self.table.key(link.id).1.index(), link.id);
+        Ok(occupancy)
     }
 
     fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
-        self.inp[link.slot].pop().map(Some)
+        let chan = &mut self.chans[link.id];
+        match chan.fifo.pop() {
+            None if chan.sender_settled => Err(LinkError::Disconnected),
+            pkt => Ok(pkt),
+        }
     }
 
     fn ack(&mut self, link: Link, at: Nanos) {
-        self.inp[link.slot].ack(at);
+        self.chans[link.id].fifo.ack(at);
+        self.ready.wake(self.table.key(link.id).0.index(), link.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mario_ir::{MicroId, MsgClass, PartId};
-    use std::thread;
+    use mario_ir::{
+        DeviceProgram, Instr, MicroId, MsgClass, PartId, Schedule, SchemeKind, Topology,
+    };
+
+    /// Records every wake.
+    #[derive(Default)]
+    struct Woken(Vec<(usize, usize)>);
+
+    impl Wake for Woken {
+        fn wake(&mut self, d: usize, link: usize) {
+            self.0.push((d, link));
+        }
+    }
 
     fn pkt(m: u32, sent_at: Nanos) -> Packet {
         Packet {
@@ -274,44 +166,42 @@ mod tests {
     }
 
     #[test]
-    fn window_frees_a_slot_at_the_oldest_dequeue_time() {
-        let (mut tx, mut rx) = link(2, Duration::from_secs(2));
-        let s = thread::spawn(move || {
-            // Two eager sends fit the window without waiting.
-            assert_eq!(tx.reserve().unwrap(), 0);
-            assert_eq!(tx.push(pkt(0, 10)).unwrap(), 1);
-            assert_eq!(tx.reserve().unwrap(), 0);
-            assert_eq!(tx.push(pkt(1, 20)).unwrap(), 2);
-            // The third waits for the first dequeue.
-            assert_eq!(tx.reserve().unwrap(), 500);
-            assert_eq!(tx.push(pkt(2, 500)).unwrap(), 2);
-        });
-        for (m, at) in [(0, 500), (1, 900), (2, 900)] {
-            let p = rx.pop().unwrap();
-            assert_eq!(p.msg.micro, MicroId(m));
-            rx.ack(at);
-        }
-        s.join().unwrap();
-    }
-
-    #[test]
-    fn pop_times_out_when_nothing_is_sent() {
-        let (_tx, mut rx) = link(1, Duration::from_millis(50));
-        assert_eq!(rx.pop().unwrap_err(), LinkError::Timeout);
-    }
-
-    #[test]
-    fn poison_and_hang_up_read_as_disconnected() {
-        let (mut tx, mut rx) = link(1, Duration::from_secs(2));
-        tx.push(pkt(0, 0)).unwrap();
-        tx.poison();
-        // Genuine traffic first, then the end-of-stream marker.
-        assert_eq!(rx.pop().unwrap().msg.micro, MicroId(0));
-        assert_eq!(rx.pop().unwrap_err(), LinkError::Disconnected);
-        rx.poison();
-        assert_eq!(tx.reserve().unwrap_err(), LinkError::Disconnected);
-        let (tx, mut rx) = link(1, Duration::from_secs(2));
-        drop(tx);
-        assert_eq!(rx.pop().unwrap_err(), LinkError::Disconnected);
+    fn the_window_wakes_and_settles_in_fifo_order() {
+        let (d0, d1) = (DeviceId(0), DeviceId(1));
+        let mut s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 2), 1, vec![0]);
+        *s.program_mut(d0) = DeviceProgram::from_instrs(d0, vec![Instr::send_act(0u32, 0u32, d1)]);
+        let table = LinkTable::new(&s);
+        let link = table
+            .resolve(d0, Dir::Send, (d1, MsgClass::Act, PartId(0)))
+            .expect("d0 sends to d1");
+        let mut links = Links::new(&table, 2, 1, Woken::default());
+        // One packet fills the window; the next send waits for its ack.
+        assert_eq!(links.reserve(link), Ok(Some(0)));
+        assert_eq!(links.push(link, pkt(0, 10)), Ok(1));
+        assert_eq!(links.reserve(link), Ok(None));
+        assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(10)));
+        assert_eq!(links.pop(link).map(|p| p.is_some()), Ok(false));
+        links.ack(link, 500);
+        assert_eq!(links.reserve(link), Ok(Some(500)));
+        assert_eq!(links.push(link, pkt(1, 500)), Ok(1));
+        // A push wakes the receiver and an ack the sender.
+        assert_eq!(
+            links.ready.0,
+            vec![(1, link.id), (0, link.id), (1, link.id)]
+        );
+        // A settled sender reads as disconnected only after its genuine
+        // traffic, and its settlement wakes the receiver.
+        let failed = |device| Err(EmuError::PeerFailed { device, pc: 0 });
+        links.settle(0, failed(d0));
+        assert_eq!(links.ready.0.last(), Some(&(1, link.id)));
+        assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(500)));
+        assert_eq!(
+            links.pop(link).map(|p| p.is_some()),
+            Err(LinkError::Disconnected)
+        );
+        // A full window on a settled receiver reads as disconnected.
+        links.settle(1, failed(d1));
+        assert_eq!(links.reserve(link), Err(LinkError::Disconnected));
+        assert!(links.results.iter().all(Option::is_some));
     }
 }

@@ -16,16 +16,15 @@
 //! `now + link_extra` late. The machine publishes the clock's checkpoint
 //! state on the shared [`CkptBoard`] whenever `step` returns.
 //!
-//! Packets move through a `Transport`, the only thing the two backends
-//! supply. The machine resolves each send or recv port once, through the
-//! run's [`LinkTable`], and hands the transport the resolved [`Link`]. The
-//! event backend's in-memory FIFOs park the machine when a link is empty
-//! or full (`Machine::step` returns `Stepped::Blocked` with the link and
-//! resumes the parked operation on the next call), while the thread
-//! backend's crossbeam links block the device's thread up to the
-//! watchdog. Every
-//! clock update depends only on packet timestamps, never on when a
-//! backend ran the machine, so both backends reach bit-identical results.
+//! Packets move through a `Transport`: both backends hand the machine
+//! the same [`crate::link`]s, the thread backend behind a lock. The
+//! machine resolves each send or recv port once, through the run's
+//! [`LinkTable`], and hands the transport the resolved [`Link`]. An empty
+//! or full link parks the machine: `Machine::step` returns
+//! `Stepped::Blocked` with the link and resumes the parked operation on
+//! the next call. Every clock update depends only on packet timestamps,
+//! never on when a backend ran the machine, so both backends reach
+//! bit-identical results.
 
 use crate::error::EmuError;
 use crate::faults::{DeviceFaults, FaultKind, FaultReport};
@@ -130,12 +129,13 @@ impl CkptBoard {
 
 /// Shared table of blocked devices: each device registers the peer it is
 /// about to block on and clears the entry once the operation pairs or
-/// fails. A deadlock report snapshots the table and names the wait chain
-/// — turning "2 s elapsed" into "d0 -> d2 -> d1 -> d0".
+/// fails. A deadlock report snapshots the table and names the wait chain,
+/// such as "d0 -> d2 -> d1 -> d0".
 ///
-/// Each slot is one atomic, written only by its own device. A wait-chain
-/// walk reads the slots one at a time and is no consistent snapshot
-/// across them, so Release stores and Acquire loads are all it needs.
+/// Each slot is one atomic, written only by its own device, which on the
+/// thread backend runs outside the links' lock. Wait chains are walked
+/// only at quiescence, when no device writes, so Release stores and
+/// Acquire loads are all it needs.
 #[derive(Debug, Default)]
 pub struct StallTable {
     slots: Vec<AtomicU64>,
@@ -191,7 +191,7 @@ impl StallTable {
 
 /// A device's links: moves packets and dequeue timestamps, nothing else.
 /// `Ok(None)` means the operation cannot complete yet and the machine
-/// parks; a blocking transport never returns it.
+/// parks.
 pub(crate) trait Transport {
     /// Frees a slot for one more packet on the outgoing `link`: returns
     /// the time the slot was freed — the dequeue time of the oldest
@@ -278,6 +278,12 @@ impl Parked {
     fn peer(&self) -> DeviceId {
         match self {
             Parked::Send { port, .. } | Parked::Recv { port, .. } => port.0,
+        }
+    }
+
+    fn link(&self) -> Option<Link> {
+        match self {
+            Parked::Send { link, .. } | Parked::Recv { link, .. } => *link,
         }
     }
 }
@@ -685,20 +691,13 @@ impl<'a> Machine<'a> {
     /// Maps a failed link operation at `pc` with `peer` to the run error
     /// and clears this device's blocked mark. Any failure on a link with
     /// an injected stall is the stall surfacing, so it is normalized to
-    /// the same structured report whether it showed as a timeout, a
-    /// disconnect or a mismatched message: seeded runs reproduce identical
-    /// reports on both backends.
+    /// the same structured report whether it showed as a disconnect or a
+    /// mismatched message.
     fn link_err(&self, e: LinkError, pc: usize, peer: DeviceId) -> EmuError {
         let device = self.device;
         let err = match (e, self.stall_error(pc, peer)) {
             (LinkError::NoRoute, _) => EmuError::NoRoute { device, pc, peer },
             (_, Some(stall)) => stall,
-            (LinkError::Timeout, None) => EmuError::DeadlockSuspected {
-                device,
-                pc,
-                instr: self.instr_name(pc),
-                cycle: self.shared.stalls.wait_chain(device),
-            },
             (LinkError::Disconnected, None) => EmuError::PeerFailed { device, pc },
             (LinkError::Mismatch(h), None) => EmuError::CommMismatch {
                 device,
@@ -775,6 +774,11 @@ impl<'a> Machine<'a> {
     pub(crate) fn stalled(&self) -> Option<EmuError> {
         let op = self.parked?;
         self.stall_error(op.pc(), op.peer())
+    }
+
+    /// The link number this machine is parked on, if it is parked.
+    pub(crate) fn parked_link(&self) -> Option<usize> {
+        Some(self.parked?.link()?.id)
     }
 
     /// The deadlock report of a machine that can never be woken, naming

@@ -1,13 +1,17 @@
 //! The cluster emulator's entry points and its thread backend: one OS
 //! thread per device, virtual-time links between pipeline neighbours,
-//! deterministic timing, OOM faults and a deadlock watchdog.
+//! deterministic timing and OOM faults.
 //!
 //! This is the repository's stand-in for "real runs" on the paper's A100
 //! cluster: the same instruction lists Mario emits are executed with real
 //! concurrency and blocking p2p, so schedule bugs (mis-paired sends,
 //! buffer-order deadlocks, activation-lifecycle leaks) manifest exactly as
 //! they would on hardware, while per-instruction latencies come from the
-//! cost model. [`run_with_faults`] additionally threads a seeded
+//! cost model. The device threads share the event backend's
+//! [`crate::link`]s under one lock and park on a condition variable; the
+//! last one to park settles the run with the event backend's
+//! `event::quiesce`, so a deadlock is found when it happens, in
+//! no wall time. [`run_with_faults`] additionally threads a seeded
 //! [`FaultPlan`] through the devices, [`run_with`] takes the plan, a
 //! perturbation profile, startup offsets and serving hooks in one
 //! [`RunOptions`], and [`run_with_recovery`] restarts a faulted run a
@@ -15,35 +19,36 @@
 //! scheduler would drive).
 
 use crate::error::EmuError;
+use crate::event::quiesce;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::link::ThreadLinks;
-use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped};
+use crate::link::{LinkError, Links, Packet, Wake};
+use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped, Transport};
 use crate::serving::ServingHooks;
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceId, LinkTable, MemoryRules, Nanos, PerturbationProfile,
-    Schedule, SpanGraph, Telemetry,
+    CheckpointPolicy, CostModel, DeviceId, Link, LinkTable, MemoryRules, Nanos,
+    PerturbationProfile, Schedule, SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Which backend [`run`] and friends use.
 ///
 /// Both step the same per-device machine ([`crate::machine`]) over the
 /// same instruction lists, so they agree bit-for-bit on every clock,
 /// telemetry class and fault report (the three-way parity proptests pin
-/// this). They differ only in how packets move and how a blocked device
-/// waits.
+/// this). Both move packets over the same links and settle a run in
+/// which no device can move by the same rules; they differ only in who
+/// runs a device and how a parked device waits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EmulatorBackend {
-    /// One OS thread per device with blocking rendezvous links — the
-    /// concurrency oracle. Real blocking means schedule bugs (deadlocks,
-    /// mis-paired sends) manifest as they would on hardware, but thread
-    /// count caps it at tens of devices.
+    /// One OS thread per device over the shared links — the concurrency
+    /// oracle. Real blocking means schedule bugs (deadlocks, mis-paired
+    /// sends) manifest as they would on hardware, but thread count caps
+    /// it at tens of devices.
     #[default]
     Thread,
-    /// Single-threaded discrete-event executor — the scale path. No
-    /// threads, no watchdog, quiescence detection instead of timeouts;
+    /// Single-threaded discrete-event executor — the scale path;
     /// emulates thousands of devices in the time the thread backend
     /// needs for dozens.
     Event,
@@ -74,12 +79,6 @@ pub struct EmulatorConfig {
     /// Model-state checkpointing policy (None = no checkpoints; the run
     /// is bit-identical to a build without the checkpoint layer).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Minimum real-time watchdog for blocking ops. The effective watchdog
-    /// additionally scales with schedule size (see [`effective_watchdog`])
-    /// so big schedules on loaded machines are not misdiagnosed as
-    /// deadlocked; exceeding it means deadlock. Ignored by the event
-    /// backend, which detects deadlock by quiescence, not by time.
-    pub watchdog: Duration,
     /// Which executor to drive: the thread-per-device concurrency oracle
     /// or the single-threaded discrete-event scale path. Both produce
     /// bit-identical reports.
@@ -97,39 +96,9 @@ impl Default for EmulatorConfig {
             mem_capacity: None,
             record_spans: false,
             checkpoint: None,
-            watchdog: Duration::from_secs(2),
             backend: EmulatorBackend::Thread,
         }
     }
-}
-
-/// Real-time budget per emulated instruction used to scale the watchdog.
-const WATCHDOG_PER_INSTR: Duration = Duration::from_micros(50);
-/// Hard ceiling on the scaled watchdog.
-const WATCHDOG_CAP: Duration = Duration::from_secs(60);
-
-/// The watchdog actually armed for `schedule` under `cfg`: the configured
-/// floor, grown with the work a single device might have to wait behind
-/// (its *own* program length × iterations), capped at [`WATCHDOG_CAP`].
-/// A fixed wall-clock watchdog misfires on schedules much larger than the
-/// default was tuned for; scaling keeps "no progress" meaning "deadlock".
-///
-/// Scaling by the *per-device* instruction count, not the schedule total,
-/// matters at high device counts: devices execute concurrently, so the
-/// longest wait any one device can legitimately experience grows with its
-/// peers' program lengths, not with their number. The old total-size
-/// scaling hit [`WATCHDOG_CAP`] on wide clusters and stalled a genuine
-/// deadlock for the full ceiling before reporting it.
-pub fn effective_watchdog(schedule: &Schedule, cfg: &EmulatorConfig) -> Duration {
-    let longest = schedule
-        .programs()
-        .iter()
-        .map(|p| p.len())
-        .max()
-        .unwrap_or(0) as u32;
-    let work = longest * cfg.iterations.max(1);
-    let scaled = WATCHDOG_PER_INSTR.saturating_mul(work).min(WATCHDOG_CAP);
-    cfg.watchdog.max(scaled)
 }
 
 /// Results of an emulated run.
@@ -293,8 +262,104 @@ pub fn run_with(
     }
 }
 
+/// A device's thread is running: not parked on any link.
+const RUNNING: usize = usize::MAX;
+
+/// The thread backend's ready set: the link each device's thread is
+/// parked on, how many run, and one condition variable per device to
+/// park its thread on.
+struct Running<'a> {
+    waits: Vec<usize>,
+    /// Running devices. A device counts from the moment a wake is issued
+    /// to it, so quiescence is never seen while a woken thread has yet to
+    /// run.
+    count: usize,
+    cvars: &'a [Condvar],
+}
+
+impl Wake for Running<'_> {
+    fn wake(&mut self, d: usize, link: usize) {
+        match self.waits.get_mut(d) {
+            Some(waits) if *waits == link => *waits = RUNNING,
+            _ => return,
+        }
+        self.count += 1;
+        self.cvars[d].notify_one();
+    }
+}
+
+/// What the device threads share under one lock: the links, the ready
+/// set, the results and the machines of the parked devices, which
+/// quiescence reads.
+struct Threads<'a> {
+    links: Links<'a, Running<'a>>,
+    parked: Vec<Option<Machine<'a>>>,
+}
+
+impl Threads<'_> {
+    /// A running device stopped: it parked, settled, or saw that it was
+    /// settled while parked. The last one to stop settles the quiescent
+    /// run. `quiesce` wakes every device it settles, so a round that
+    /// settles a stall is followed by another once those devices stop.
+    fn stop(&mut self, stalls: &StallTable) {
+        self.links.ready.count -= 1;
+        if self.links.ready.count == 0 {
+            let Self { links, parked } = self;
+            quiesce(links, |d| parked[d].as_ref().expect("quiescent"), stalls);
+        }
+    }
+}
+
+/// The lock, recovered if a panic poisoned it: a device that panicked
+/// must still settle under it so its parked peers wake. Cost models run
+/// only outside the lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A device thread's transport: every link op takes the lock. An op that
+/// comes back empty keeps it, so the thread parks in the same critical
+/// section and no wake is lost.
+struct Port<'s, 'a> {
+    state: &'s Mutex<Threads<'a>>,
+    held: Option<MutexGuard<'s, Threads<'a>>>,
+}
+
+impl<'a> Port<'_, 'a> {
+    fn op<T>(
+        &mut self,
+        f: impl FnOnce(&mut Links<'a, Running<'a>>) -> Result<Option<T>, LinkError>,
+    ) -> Result<Option<T>, LinkError> {
+        let mut state = lock(self.state);
+        let done = f(&mut state.links);
+        if let Ok(None) = done {
+            self.held = Some(state);
+        }
+        done
+    }
+}
+
+impl Transport for Port<'_, '_> {
+    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
+        self.op(|links| links.reserve(link))
+    }
+
+    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
+        lock(self.state).links.push(link, pkt)
+    }
+
+    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
+        self.op(|links| links.pop(link))
+    }
+
+    fn ack(&mut self, link: Link, at: Nanos) {
+        lock(self.state).links.ack(link, at);
+    }
+}
+
 /// The thread backend: spawns one OS thread per device, each stepping
-/// its machine over blocking links, and merges the reports.
+/// its machine concurrently and parking it on its condition variable
+/// when a link op comes back empty, and merges the reports.
 fn run_threaded(
     schedule: &Schedule,
     cost: &dyn CostModel,
@@ -311,7 +376,6 @@ fn run_threaded(
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
     let table = LinkTable::new(schedule);
-    let watchdog = effective_watchdog(schedule, &cfg);
     let stalls = StallTable::new(devices);
     let ckpts = CkptBoard::new(devices);
     let shared = Shared {
@@ -324,57 +388,75 @@ fn run_threaded(
         ckpts: &ckpts,
         serving,
     };
-    let ends = ThreadLinks::build(&table, devices, cfg.channel_capacity, watchdog);
+    let cvars: Vec<Condvar> = (0..devices).map(|_| Condvar::new()).collect();
+    let ready = Running {
+        waits: vec![RUNNING; devices],
+        count: devices,
+        cvars: &cvars,
+    };
+    let state = Mutex::new(Threads {
+        links: Links::new(&table, devices, cfg.channel_capacity, ready),
+        parked: (0..devices).map(|_| None).collect(),
+    });
 
-    // Settlement barrier for deterministic teardown: a device that has
-    // finished, failed or panicked first poisons its links (a
-    // FIFO-ordered end-of-stream marker behind all genuine traffic), then
-    // parks here until every device has settled. Link halves thus stay
-    // alive for as long as any peer might still observe them, so what a
-    // blocked device sees never depends on the real-time order in which
-    // its peers unwound — the property that keeps multi-fault attribution
-    // (and the recovery accounting built on it) reproducible.
-    let settle = std::sync::Barrier::new(devices);
-
-    let mut results: Vec<Result<DeviceReport, EmuError>> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(devices);
-        for (d, mut ends) in ends.into_iter().enumerate() {
-            let settle = &settle;
+        for (d, cvar) in cvars.iter().enumerate() {
+            let (state, stalls) = (&state, &stalls);
             let device = DeviceId(d as u32);
             let faults = plan.for_device(device);
             let startup_ns = startup.get(d).copied().unwrap_or(0);
-            handles.push(scope.spawn(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scope.spawn(move || {
+                let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut machine = Machine::new(shared, device, &cfg, faults, startup_ns);
-                    match machine.step(&mut ends) {
-                        Ok(Stepped::Finished) => Ok(machine.finish()),
-                        Ok(Stepped::Blocked(_)) => unreachable!("thread links block, never park"),
-                        Err(e) => Err(e),
+                    let mut port = Port { state, held: None };
+                    loop {
+                        let link = match machine.step(&mut port) {
+                            Ok(Stepped::Blocked(link)) => link,
+                            Ok(Stepped::Finished) => return Some(Ok(machine.finish())),
+                            Err(e) => return Some(Err(e)),
+                        };
+                        let mut st = port.held.take().expect("an empty link op keeps the lock");
+                        st.parked[d] = Some(machine);
+                        st.links.ready.waits[d] = link;
+                        st.stop(stalls);
+                        while st.links.ready.waits[d] != RUNNING {
+                            st = cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
+                        }
+                        machine = st.parked[d].take().expect("its own machine");
+                        if st.links.results[d].is_some() {
+                            // Settled at quiescence while it waited.
+                            st.stop(stalls);
+                            return None;
+                        }
                     }
                 }));
-                ends.poison();
-                settle.wait();
-                outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            }));
-        }
-        for (d, h) in handles.into_iter().enumerate() {
-            // A panicking device must not take the emulator down with it:
-            // contain the panic and convert it into a structured error.
-            results.push(h.join().unwrap_or_else(|payload| {
-                let detail = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                Err(EmuError::WorkerPanicked {
-                    device: DeviceId(d as u32),
-                    detail,
-                })
-            }));
+                // A panicking device must not take the emulator down with
+                // it: contain the panic and settle it as a structured
+                // error, so its peers wake.
+                let result = match ran {
+                    Ok(None) => return,
+                    Ok(Some(result)) => result,
+                    Err(payload) => Err(EmuError::WorkerPanicked {
+                        device,
+                        detail: payload
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".into()),
+                    }),
+                };
+                let mut st = lock(state);
+                st.links.settle(d, result);
+                st.stop(stalls);
+            });
         }
     });
 
+    let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let results = (state.links.results)
+        .into_iter()
+        .map(|r| r.expect("quiescence settles every device"))
+        .collect();
     settle_report(results, &cfg, plan, &ckpts)
 }
 
@@ -402,7 +484,7 @@ pub(crate) fn settle_report(
         }
     }
     // When several devices fail at once (a crash cascades into peer
-    // failures and watchdog timeouts), report the root cause: lowest
+    // failures and deadlocks), report the root cause: lowest
     // priority rank wins, device order breaks ties — deterministic under
     // any thread interleaving.
     if let Some(root) = errors
@@ -759,13 +841,6 @@ mod tests {
         UnitCost::paper_grid()
     }
 
-    fn fast(cfg: EmulatorConfig) -> EmulatorConfig {
-        EmulatorConfig {
-            watchdog: Duration::from_millis(300),
-            ..cfg
-        }
-    }
-
     #[test]
     fn one_f_one_b_matches_closed_form_makespan() {
         // Free comm + unit grid: iteration time = 3(D-1) + 3N time units.
@@ -809,7 +884,6 @@ mod tests {
         // GPipe device 0 holds 8 activations of 1 byte each; cap at 4.
         let cfg = EmulatorConfig {
             mem_capacity: Some(4),
-            watchdog: Duration::from_millis(300),
             ..Default::default()
         };
         let err = run(&s, &unit(), cfg).unwrap_err();
@@ -909,36 +983,13 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_scales_with_schedule_size_but_never_shrinks() {
-        let small = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 2, 2));
-        let cfg = EmulatorConfig::default();
-        // Small schedule: the configured floor dominates.
-        assert_eq!(effective_watchdog(&small, &cfg), cfg.watchdog);
-        // Huge schedule: the scaled value dominates, capped.
-        let big = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 8, 64));
-        let many = EmulatorConfig {
-            iterations: 200,
-            ..cfg
-        };
-        let w = effective_watchdog(&big, &many);
-        assert!(w > cfg.watchdog, "{w:?}");
-        assert!(w <= WATCHDOG_CAP);
-        // An explicit large floor is always respected.
-        let strict = EmulatorConfig {
-            watchdog: Duration::from_secs(120),
-            ..cfg
-        };
-        assert_eq!(effective_watchdog(&small, &strict), strict.watchdog);
-    }
-
-    #[test]
     fn injected_crash_yields_structured_fault_not_hang() {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
         let plan = FaultPlan::none().with(FaultKind::Crash {
             device: DeviceId(2),
             pc: 5,
         });
-        let err = run_with_faults(&s, &unit(), fast(EmulatorConfig::default()), &plan).unwrap_err();
+        let err = run_with_faults(&s, &unit(), EmulatorConfig::default(), &plan).unwrap_err();
         let report = err.fault_report().expect("fault attribution");
         assert_eq!(report.device, DeviceId(2));
         assert_eq!(report.pc, 5);
@@ -953,7 +1004,7 @@ mod tests {
             dst: DeviceId(2),
             nth: 0,
         });
-        let err = run_with_faults(&s, &unit(), fast(EmulatorConfig::default()), &plan).unwrap_err();
+        let err = run_with_faults(&s, &unit(), EmulatorConfig::default(), &plan).unwrap_err();
         let report = err.fault_report().expect("fault attribution");
         assert_eq!(report.device, DeviceId(2));
         assert_eq!(report.blocked_peer, Some(DeviceId(1)));
@@ -997,8 +1048,8 @@ mod tests {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
         for seed in 0..16 {
             let plan = FaultPlan::single_crash_or_stall(seed, &s);
-            let a = run_with_faults(&s, &unit(), fast(EmulatorConfig::default()), &plan);
-            let b = run_with_faults(&s, &unit(), fast(EmulatorConfig::default()), &plan);
+            let a = run_with_faults(&s, &unit(), EmulatorConfig::default(), &plan);
+            let b = run_with_faults(&s, &unit(), EmulatorConfig::default(), &plan);
             let ra = a.unwrap_err();
             let rb = b.unwrap_err();
             assert_eq!(
@@ -1016,15 +1067,8 @@ mod tests {
             device: DeviceId(0),
             pc: 2,
         });
-        let rec = run_with_recovery(
-            &s,
-            &unit(),
-            fast(EmulatorConfig::default()),
-            &plan,
-            3,
-            |_| None,
-        )
-        .expect("recovers on restart");
+        let rec = run_with_recovery(&s, &unit(), EmulatorConfig::default(), &plan, 3, |_| None)
+            .expect("recovers on restart");
         assert_eq!(rec.attempts, 2);
         assert_eq!(rec.fault_log.len(), 1);
         assert_eq!(rec.fault_log[0].fault, plan.faults[0]);
@@ -1044,7 +1088,7 @@ mod tests {
         let rec = run_with_recovery(
             &s,
             &unit(),
-            fast(EmulatorConfig::default()),
+            EmulatorConfig::default(),
             &FaultPlan::none(),
             3,
             |_| None,
@@ -1059,7 +1103,6 @@ mod tests {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::GPipe, 2, 8));
         let cfg = EmulatorConfig {
             mem_capacity: Some(4),
-            watchdog: Duration::from_millis(300),
             ..Default::default()
         };
         let err = run_with_recovery(&s, &unit(), cfg, &FaultPlan::none(), 3, |_| None).unwrap_err();
@@ -1117,7 +1160,6 @@ mod tests {
             checkpoint: Some(
                 mario_ir::CheckpointPolicy::every(1).with_mem_overhead(15),
             ),
-            watchdog: Duration::from_millis(300),
             ..Default::default()
         };
         let err = run(&s, &unit(), cfg).unwrap_err();
@@ -1148,7 +1190,7 @@ mod tests {
         let cfg = EmulatorConfig {
             iterations: 6,
             checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
-            ..fast(EmulatorConfig::default())
+            ..EmulatorConfig::default()
         };
         let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
         let report = err.fault_report().expect("fault attribution");
@@ -1171,7 +1213,7 @@ mod tests {
             .at_iteration(3);
         let base = EmulatorConfig {
             iterations: 6,
-            ..fast(EmulatorConfig::default())
+            ..EmulatorConfig::default()
         };
         let policy = mario_ir::CheckpointPolicy::every(2).with_write_ns(500);
         let with_ck = EmulatorConfig {
@@ -1237,7 +1279,7 @@ mod tests {
         let cfg = EmulatorConfig {
             iterations: 2,
             checkpoint: Some(mario_ir::CheckpointPolicy::every(1).with_write_ns(500)),
-            ..fast(EmulatorConfig::default())
+            ..EmulatorConfig::default()
         };
         let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
         let report = err.fault_report().expect("fault attribution");
@@ -1270,7 +1312,7 @@ mod tests {
         let cfg = EmulatorConfig {
             iterations: 4,
             checkpoint: Some(mario_ir::CheckpointPolicy::every(1)),
-            ..fast(EmulatorConfig::default())
+            ..EmulatorConfig::default()
         };
         let r = run_with_faults(&s, &unit(), cfg, &plan).unwrap();
         assert_eq!(r.faults.len(), 1, "{:?}", r.faults);
@@ -1313,7 +1355,7 @@ mod tests {
         let cfg = EmulatorConfig {
             iterations: 6,
             checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
-            ..fast(EmulatorConfig::default())
+            ..EmulatorConfig::default()
         };
         let shrunk = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 3, 8));
         let startup = vec![1_000u64, 2_000, 3_000];
@@ -1384,15 +1426,8 @@ mod tests {
                 .arming(FaultPlan::rack_failure(seed + 1, &s))
         };
         let plan = build(11);
-        let rec = run_with_recovery(
-            &s,
-            &unit(),
-            fast(EmulatorConfig::default()),
-            &plan,
-            3,
-            |_| None,
-        )
-        .expect("survives the cascade");
+        let rec = run_with_recovery(&s, &unit(), EmulatorConfig::default(), &plan, 3, |_| None)
+            .expect("survives the cascade");
         // Two failed attempts — the seeded trigger, then the armed rack
         // failure — and a clean third.
         assert_eq!(rec.attempts, 3);
@@ -1409,7 +1444,7 @@ mod tests {
         let again = run_with_recovery(
             &s,
             &unit(),
-            fast(EmulatorConfig::default()),
+            EmulatorConfig::default(),
             &build(11),
             3,
             |_| None,
@@ -1426,7 +1461,7 @@ mod tests {
             device: DeviceId(0),
             capacity: 4,
         });
-        let err = run_with_faults(&s, &unit(), fast(EmulatorConfig::default()), &plan).unwrap_err();
+        let err = run_with_faults(&s, &unit(), EmulatorConfig::default(), &plan).unwrap_err();
         assert!(!err.is_oom());
         let report = err.fault_report().expect("fault attribution");
         assert_eq!(report.device, DeviceId(0));

@@ -10,11 +10,11 @@
 //! stage failure stranded.
 //!
 //! Error-sentinel recovery reuses the emulator's settlement machinery: when
-//! a stage crashes, its links are poisoned with a FIFO-ordered end-of-stream
-//! marker *behind* all genuine traffic, so every micro-batch already past
+//! a stage crashes, its link ends are settled, which its peers observe
+//! only *behind* all genuine traffic, so every micro-batch already past
 //! the failed stage drains through to the last stage and completes — the
 //! [`ServeBoard`] survives the failed attempt and keeps those completions —
-//! while downstream devices observe the sentinel instead of deadlocking.
+//! while downstream devices observe the settlement instead of deadlocking.
 //! Only the micro-batches that never reached the end are retried, gated at
 //! `fault time + backoff` so wall-clock continuity holds across attempts.
 //!

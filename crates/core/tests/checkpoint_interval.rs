@@ -7,22 +7,14 @@ use mario_cluster::{run, run_with_recovery, EmulatorConfig, FaultKind, FaultPlan
 use mario_core::tuner::{tune_checkpoint_interval, CheckpointTuning, FaultHistory};
 use mario_ir::{CheckpointPolicy, DeviceId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
-use std::time::Duration;
 
 const ITERS: u32 = 12;
-
-fn fast(cfg: EmulatorConfig) -> EmulatorConfig {
-    EmulatorConfig {
-        watchdog: Duration::from_millis(300),
-        ..cfg
-    }
-}
 
 #[test]
 fn daly_interval_matches_the_brute_force_emulator_sweep() {
     let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
     let cost = UnitCost::paper_grid();
-    let iter_ns = run(&s, &cost, fast(EmulatorConfig::default()))
+    let iter_ns = run(&s, &cost, EmulatorConfig::default())
         .expect("clean run")
         .total_ns;
     // One hard fault over the run (λ = 1/12) and a write cost of T/6
@@ -48,11 +40,11 @@ fn daly_interval_matches_the_brute_force_emulator_sweep() {
     // distribution the analytic model assumes).
     let mut best = (u128::MAX, 0u32);
     for k in 1..=ITERS {
-        let cfg = fast(EmulatorConfig {
+        let cfg = EmulatorConfig {
             iterations: ITERS,
             checkpoint: Some(CheckpointPolicy::every(k).with_write_ns(write_ns)),
             ..Default::default()
-        });
+        };
         let total: u128 = scenarios
             .iter()
             .map(|plan| {
@@ -90,7 +82,7 @@ fn daly_interval_matches_the_brute_force_emulator_sweep() {
 fn fitted_history_beats_the_plan_prior_on_a_skewed_plan() {
     let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
     let cost = UnitCost::paper_grid();
-    let iter_ns = run(&s, &cost, fast(EmulatorConfig::default()))
+    let iter_ns = run(&s, &cost, EmulatorConfig::default())
         .expect("clean run")
         .total_ns;
     let write_ns = iter_ns / 6;
@@ -125,11 +117,11 @@ fn fitted_history_beats_the_plan_prior_on_a_skewed_plan() {
 
     // Observed reality: two recovered runs of 12 iterations, one crash
     // each — λ fitted from the fault logs is 2/24 = 1/12.
-    let observe_cfg = fast(EmulatorConfig {
+    let observe_cfg = EmulatorConfig {
         iterations: ITERS,
         checkpoint: Some(CheckpointPolicy::every(2).with_write_ns(write_ns)),
         ..Default::default()
-    });
+    };
     let mut history = FaultHistory::default();
     for f in [3u32, 7] {
         let plan = FaultPlan::none().with(crash_at(f)).at_iteration(f);
@@ -147,11 +139,11 @@ fn fitted_history_beats_the_plan_prior_on_a_skewed_plan() {
     // run, uniform over iterations), the fitted interval is cheaper than
     // the prior's end to end.
     let sweep_cost = |k: u32| -> u128 {
-        let cfg = fast(EmulatorConfig {
+        let cfg = EmulatorConfig {
             iterations: ITERS,
             checkpoint: Some(CheckpointPolicy::every(k).with_write_ns(write_ns)),
             ..Default::default()
-        });
+        };
         (0..ITERS)
             .map(|f| {
                 let plan = FaultPlan::none().with(crash_at(f)).at_iteration(f);
@@ -175,10 +167,10 @@ fn tuned_interval_is_independent_of_checkpoint_write_folding() {
     // intervals. The reported figure must be checkpoint-free.
     let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
     let cost = UnitCost::paper_grid();
-    let base = fast(EmulatorConfig {
+    let base = EmulatorConfig {
         iterations: ITERS,
         ..Default::default()
-    });
+    };
     let clean = run(&s, &cost, base).expect("clean run");
     let noisy = run(
         &s,

@@ -145,15 +145,12 @@ pub fn links(schedule: &Schedule) -> Vec<ChanKey> {
     keys
 }
 
-/// A port resolved through the [`LinkTable`]: the link's number (its
-/// position in [`links`]) and its slot among the ports its device has in
-/// that direction.
+/// A port resolved through the [`LinkTable`]: the link's number, its
+/// position in [`links`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     /// The link's number.
     pub id: usize,
-    /// The port's position in its device's table for its direction.
-    pub slot: usize,
 }
 
 /// Every directed link of a schedule, numbered by position in [`links`],
@@ -207,8 +204,8 @@ impl LinkTable {
         self.keys[id]
     }
 
-    /// `device`'s ports that `dir` uses, with their link numbers, in slot
-    /// order.
+    /// `device`'s ports that `dir` uses, with their link numbers, sorted
+    /// by port.
     #[inline]
     pub fn ports(&self, device: DeviceId, dir: Dir) -> &[(Port, usize)] {
         let table = if dir == Dir::Send {
@@ -223,12 +220,8 @@ impl LinkTable {
     /// built. A device has a handful of ports, so a scan beats a search.
     #[inline]
     pub fn resolve(&self, device: DeviceId, dir: Dir, port: Port) -> Option<Link> {
-        let ports = self.ports(device, dir);
-        let slot = ports.iter().position(|&(p, _)| p == port)?;
-        Some(Link {
-            id: ports[slot].1,
-            slot,
-        })
+        let &(_, id) = self.ports(device, dir).iter().find(|&&(p, _)| p == port)?;
+        Some(Link { id })
     }
 }
 
@@ -396,11 +389,11 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.key(0), (d0, far, act, p0));
         let send = |port| t.resolve(d0, Dir::Send, port);
-        assert_eq!(send((d1, act, p0)), Some(Link { id: 1, slot: 0 }));
-        assert_eq!(send((far, act, p0)), Some(Link { id: 0, slot: 1 }));
+        assert_eq!(send((d1, act, p0)), Some(Link { id: 1 }));
+        assert_eq!(send((far, act, p0)), Some(Link { id: 0 }));
         assert_eq!(
             t.resolve(d0, Dir::Recv, (d1, grad, p0)),
-            Some(Link { id: 2, slot: 0 })
+            Some(Link { id: 2 })
         );
         // No link: a port nobody sends on, a device past the count.
         assert_eq!(t.resolve(d1, Dir::Recv, (d0, grad, p0)), None);

@@ -63,7 +63,6 @@ fn emulator_attributes_oom_to_the_hungriest_device() {
         &cost,
         EmulatorConfig {
             mem_capacity: Some(budget),
-            watchdog: std::time::Duration::from_millis(500),
             ..Default::default()
         },
     )

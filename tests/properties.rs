@@ -243,7 +243,6 @@ proptest! {
             &cost,
             EmulatorConfig {
                 channel_capacity: cap,
-                watchdog: std::time::Duration::from_secs(5),
                 ..Default::default()
             },
         );
@@ -325,7 +324,6 @@ proptest! {
         let cost = UnitCost::paper_grid();
         let cfg = EmulatorConfig {
             channel_capacity: cap_of(scheme),
-            watchdog: std::time::Duration::from_millis(300),
             ..Default::default()
         };
         let plan = FaultPlan::single_crash_or_stall(seed, &s);
@@ -468,7 +466,6 @@ proptest! {
         let base = EmulatorConfig {
             channel_capacity: cap_of(scheme),
             iterations: ITERS,
-            watchdog: std::time::Duration::from_millis(300),
             ..Default::default()
         };
         let with_ckpt = EmulatorConfig {
@@ -1026,7 +1023,6 @@ proptest! {
                 CheckpointPolicy::every(k)
                     .with_sharded(ShardedWrite::new(2_000, 600).with_async_overlap()),
             ),
-            watchdog: std::time::Duration::from_millis(300),
             ..Default::default()
         };
         let rec = mario::cluster::run_with_recovery(&s, &cost, cfg, &plan, 3, |_| None)
@@ -1198,10 +1194,7 @@ proptest! {
         let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, p, m));
         prop_assert!(validate(&s).is_ok());
         let cost = UnitCost::paper_grid();
-        let cfg = EmulatorConfig {
-            watchdog: std::time::Duration::from_secs(5),
-            ..Default::default()
-        };
+        let cfg = EmulatorConfig::default();
         let emu = mario::cluster::run(&s, &cost, cfg).unwrap();
         let ev = mario::cluster::run(
             &s,
@@ -1369,10 +1362,7 @@ proptest! {
             drop_missed: false,
         };
         let cfg = ServeConfig {
-            emulator: EmulatorConfig {
-                watchdog: std::time::Duration::from_millis(300),
-                ..Default::default()
-            },
+            emulator: EmulatorConfig::default(),
             batch,
             retry,
         };
