@@ -713,10 +713,21 @@ pub(crate) struct Built {
     pub setup: TrainSetup,
     /// The cost model over `setup`.
     pub cost: AnalyticCost,
-    /// The effective channel capacity.
+    /// The effective channel capacity: the configured depth, raised to
+    /// the minimal sufficient depth of the untuned schedule
+    /// ([`derived_capacity`]).
     pub cap: usize,
     /// What the graph tuner did.
     pub stats: PassStats,
+}
+
+/// A grid point's generated schedule and cost model as [`tune`] shares
+/// them between its Mario twins, with the channel capacity once a twin
+/// has settled it.
+struct Base {
+    schedule: Schedule,
+    cost: AnalyticCost,
+    cap: Option<usize>,
 }
 
 /// Builds the (optionally graph-tuned) schedule and cost model for an
@@ -726,8 +737,10 @@ pub(crate) struct Built {
 /// all of them judge the exact same schedule under the exact same buffer
 /// depth. The returned capacity is the one the graph-tuner's
 /// `PreposeOptions` used; computing it anywhere else can silently diverge
-/// from it. [`tune`] runs the same two steps, [`build_base`] then
-/// [`graph_tune`], but shares the base between a point's Mario twins.
+/// from it. [`tune`] runs the same steps but shares the generated base
+/// between a point's Mario twins, and takes the base's capacity from the
+/// untuned twin's makespan sweep when that twin is judged first
+/// ([`judge_proving_capacity`]); the two capacities are equal.
 pub(crate) fn build_schedule(
     model: &ModelConfig,
     gpu: &GpuSpec,
@@ -735,11 +748,20 @@ pub(crate) fn build_schedule(
     cand: Candidate,
     micros: u32,
 ) -> Built {
-    let mut built = build_base(model, gpu, cfg, cand, micros);
-    if cand.mario {
-        built.stats = graph_tune(cfg, &mut built.schedule, &built.cost, built.cap);
+    let (mut schedule, setup, cost) = generate_untuned(model, gpu, cand, micros);
+    let cap = derived_capacity(cfg, cand.scheme, &schedule);
+    let stats = if cand.mario {
+        graph_tune(cfg, &mut schedule, &cost, cap)
+    } else {
+        PassStats::default()
+    };
+    Built {
+        schedule,
+        setup,
+        cost,
+        cap,
+        stats,
     }
-    built
 }
 
 /// The generated schedule, setup and cost model of a candidate, before
@@ -758,35 +780,21 @@ fn generate_untuned(
     (schedule, setup, cost)
 }
 
-/// [`build_schedule`] without the graph tuning: the generated schedule and
-/// the effective channel capacity both Mario twins of a grid point use.
-fn build_base(
-    model: &ModelConfig,
-    gpu: &GpuSpec,
-    cfg: &TunerConfig,
-    cand: Candidate,
-    micros: u32,
-) -> Built {
-    let (schedule, setup, cost) = generate_untuned(model, gpu, cand, micros);
+/// The effective channel capacity of the untuned `schedule`, which both
+/// Mario twins of a grid point use: the configured depth, raised to the
+/// minimal sufficient depth.
+fn derived_capacity(cfg: &TunerConfig, scheme: SchemeKind, schedule: &Schedule) -> usize {
     // Minimal sufficient buffer depth, proven by symbolic execution of
     // this exact schedule (timing-independent, so it holds under any cost
     // model). The per-scheme table is the ceiling: a derivation above it
     // would mean the closed-form bound is wrong.
-    let derived =
-        min_channel_capacity(&schedule).unwrap_or_else(|| scheme_channel_capacity(cand.scheme));
+    let derived = min_channel_capacity(schedule).unwrap_or_else(|| scheme_channel_capacity(scheme));
     debug_assert!(
-        derived <= scheme_channel_capacity(cand.scheme),
-        "{:?}: derived capacity {derived} exceeds the scheme table's {}",
-        cand.scheme,
-        scheme_channel_capacity(cand.scheme)
+        derived <= scheme_channel_capacity(scheme),
+        "{scheme:?}: derived capacity {derived} exceeds the scheme table's {}",
+        scheme_channel_capacity(scheme)
     );
-    Built {
-        schedule,
-        setup,
-        cost,
-        cap: cfg.channel_capacity.max(derived),
-        stats: PassStats::default(),
-    }
+    cfg.channel_capacity.max(derived)
 }
 
 /// Runs the graph tuner on a base schedule in place, with prepose (when
@@ -881,11 +889,57 @@ fn judge(
     cost: &AnalyticCost,
     cap: usize,
 ) -> Evaluation {
+    let makespan = simulate_makespan(schedule, cost, cap, &PerturbationProfile::identity());
+    judge_makespan(cfg, cand, schedule, cost, makespan)
+}
+
+/// [`judge`] of an untuned base whose channel capacity is not yet known;
+/// returns the evaluation and the capacity, [`derived_capacity`]'s.
+///
+/// The makespan sweep at the configured depth `c` doubles as the capacity
+/// proof. The sweep and `min_channel_capacity` run the same FIFO-window
+/// network from a ready queue, so the sweep completes at `c` exactly when
+/// the derivation is some `k ≤ c`; the capacity is then
+/// `cfg.channel_capacity.max(k)`, which is `c`. Only a failed sweep pays
+/// for the derivation, and for one more sweep when it raises the
+/// capacity.
+fn judge_proving_capacity(
+    cfg: &TunerConfig,
+    cand: Candidate,
+    schedule: &Schedule,
+    cost: &AnalyticCost,
+) -> (Evaluation, usize) {
+    let pristine = PerturbationProfile::identity();
+    let c = cfg.channel_capacity.max(1);
+    let mut makespan = simulate_makespan(schedule, cost, c, &pristine);
+    let cap = match makespan {
+        Ok(_) => c,
+        Err(_) => derived_capacity(cfg, cand.scheme, schedule),
+    };
+    debug_assert_eq!(
+        cap,
+        derived_capacity(cfg, cand.scheme, schedule),
+        "{cand:?}: the sweep's capacity differs from the derivation"
+    );
+    if cap != c {
+        makespan = simulate_makespan(schedule, cost, cap, &pristine);
+    }
+    (judge_makespan(cfg, cand, schedule, cost, makespan), cap)
+}
+
+/// The evaluation of a schedule whose makespan sweep gave `makespan`:
+/// its memory against the budget decides first.
+fn judge_makespan(
+    cfg: &TunerConfig,
+    cand: Candidate,
+    schedule: &Schedule,
+    cost: &AnalyticCost,
+    makespan: Result<u64, SimError>,
+) -> Evaluation {
     let mem = simulate_memory(schedule, cost, Some(cfg.mem_capacity));
     let oom = !mem.fits(cfg.mem_capacity);
     let peak_mem = (mem.min_peak(), mem.max_peak());
-    let pristine = PerturbationProfile::identity();
-    let (iter_ns, sim_failure) = match simulate_makespan(schedule, cost, cap, &pristine) {
+    let (iter_ns, sim_failure) = match makespan {
         Ok(t) => (t, None),
         Err(SimError::Deadlock(s)) => (0, Some(CandidateFailure::SimDeadlock(s))),
         Err(SimError::Mismatch(s)) => (0, Some(CandidateFailure::SimMismatch(s))),
@@ -928,11 +982,11 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
             }
             let dp = cfg.total_devices / pp;
             for &mbs in &cfg.mbs_options {
-                // The Mario twins of a grid point share one generated
-                // schedule and channel capacity. The untuned twin borrows
-                // the base; the Mario twin takes it and graph-tunes it in
-                // place, cloning it only when another twin still follows.
-                let mut shared: Option<Built> = None;
+                // The Mario twins of a grid point share one base. The
+                // untuned twin borrows it; the Mario twin takes it and
+                // graph-tunes it in place, cloning it only when another
+                // twin still follows.
+                let mut shared: Option<Base> = None;
                 for (k, &mario) in cfg.ckpt_options.iter().enumerate() {
                     let cand = Candidate {
                         scheme,
@@ -946,8 +1000,14 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
                         stats.inadmissible += 1;
                         continue;
                     };
-                    let base =
-                        shared.get_or_insert_with(|| build_base(model, gpu, cfg, cand, micros));
+                    let base = shared.get_or_insert_with(|| {
+                        let (schedule, _, cost) = generate_untuned(model, gpu, cand, micros);
+                        Base {
+                            schedule,
+                            cost,
+                            cap: None,
+                        }
+                    });
                     // Busy-floor pruning: a candidate whose cheap lower
                     // bound cannot beat the incumbent is recorded and
                     // skipped without simulating it. Comparing ≤ against
@@ -984,10 +1044,24 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
                     } else {
                         (Cow::Borrowed(&base.schedule), &base.cost, base.cap)
                     };
-                    if mario {
-                        graph_tune(cfg, schedule.to_mut(), cost, cap);
+                    // The first twin judged settles the capacity: an
+                    // untuned one proves it with its own sweep, a Mario
+                    // one derives it before graph tuning.
+                    let (eval, cap) = match cap {
+                        None if !mario => judge_proving_capacity(cfg, cand, &schedule, cost),
+                        cap => {
+                            let cap = cap.unwrap_or_else(|| {
+                                derived_capacity(cfg, cand.scheme, &schedule)
+                            });
+                            if mario {
+                                graph_tune(cfg, schedule.to_mut(), cost, cap);
+                            }
+                            (judge(cfg, cand, &schedule, cost, cap), cap)
+                        }
+                    };
+                    if let Some(base) = &mut shared {
+                        base.cap = Some(cap);
                     }
-                    let eval = judge(cfg, cand, &schedule, cost, cap);
                     stats.simulated += 1;
                     stats.dp_invocations += 1;
                     match eval.failure {
@@ -1724,21 +1798,147 @@ mod tests {
 
     #[test]
     fn shared_twin_base_matches_evaluating_each_candidate_alone() {
-        // `tune` builds one base schedule per (scheme, pp, mbs) and hands
-        // it to every Mario twin; each twin must still be judged exactly
-        // as `evaluate` judges it alone, whichever order the twins come in.
+        // `tune` builds one base schedule per (scheme, pp, mbs), hands it
+        // to every Mario twin, and takes its capacity from the untuned
+        // twin's sweep when that twin comes first; each twin must still be
+        // judged exactly as `evaluate` judges it alone, whichever order
+        // the twins come in, with and without bound pruning. A two-chunk
+        // wave at 8 devices needs capacity 2: at configured depths 0 and 1
+        // its untuned twin's sweep fails and `tune` falls back to the
+        // derivation and one more sweep; at depth 2 the sweep proves it.
         let model = ModelConfig::gpt3_1_6b();
         let gpu = GpuSpec::a100_40g();
-        for ckpt_options in [vec![false, true], vec![true, false], vec![true, true]] {
-            let cfg = TunerConfig {
-                ckpt_options,
-                ..small_cfg()
+        let wave = SchemeKind::Wave { chunks: 2 };
+        let needs_two = [1, 2].into_iter().any(|mbs| {
+            let cand = Candidate {
+                scheme: wave,
+                pp: 8,
+                dp: 1,
+                mbs,
+                mario: false,
             };
-            let r = tune(&model, &gpu, &cfg).unwrap();
-            for e in &r.curve {
-                let alone = evaluate(&model, &gpu, &cfg, e.candidate).expect("admissible");
-                assert_eq!(format!("{e:?}"), format!("{alone:?}"));
+            let micros = admissible(&model, &cand, 32).expect("admissible");
+            min_channel_capacity(&generate(ScheduleConfig::new(wave, 8, micros))) == Some(2)
+        });
+        assert!(needs_two, "the wave grid holds no base that needs capacity 2");
+        let grids = [
+            (SchemeChoice::Auto, 1),
+            (SchemeChoice::Fixed(vec![wave]), 0),
+            (SchemeChoice::Fixed(vec![wave]), 1),
+            (SchemeChoice::Fixed(vec![wave]), 2),
+        ];
+        for (scheme_choice, channel_capacity) in grids {
+            for ckpt_options in [
+                vec![false, true],
+                vec![true, false],
+                vec![true, true],
+                vec![false],
+            ] {
+                for bound_prune in [false, true] {
+                    let cfg = TunerConfig {
+                        scheme_choice: scheme_choice.clone(),
+                        channel_capacity,
+                        ckpt_options: ckpt_options.clone(),
+                        bound_prune,
+                        ..small_cfg()
+                    };
+                    let r = tune(&model, &gpu, &cfg).unwrap();
+                    for e in &r.curve {
+                        if matches!(e.failure, Some(CandidateFailure::BoundPruned { .. })) {
+                            continue;
+                        }
+                        let alone = evaluate(&model, &gpu, &cfg, e.candidate);
+                        let alone = alone.expect("admissible");
+                        assert_eq!(
+                            format!("{e:?}"),
+                            format!("{alone:?}"),
+                            "{scheme_choice:?} at depth {channel_capacity}"
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    /// The fact `judge_proving_capacity` rests on: the makespan sweep at
+    /// capacity `c` completes exactly when `min_channel_capacity` proves
+    /// some `k ≤ c`. Every scheme at D 2–8 with N ∈ {D, 2D}, and mutants
+    /// of each with one p2p dropped or swapped with its successor, at
+    /// capacities 1–3.
+    #[test]
+    fn the_makespan_sweep_proves_the_channel_capacity() {
+        use mario_ir::{DeviceProgram, UnitCost};
+        let cost = UnitCost::paper_grid();
+        let pristine = PerturbationProfile::identity();
+        // SplitMix64, for picking the mutated p2p.
+        let mut state = 0x5eed_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut answers: BTreeMap<Option<usize>, usize> = BTreeMap::new();
+        for scheme in [
+            SchemeKind::GPipe,
+            SchemeKind::OneFOneB,
+            SchemeKind::Chimera,
+            SchemeKind::Interleave { chunks: 2 },
+            SchemeKind::Wave { chunks: 2 },
+            SchemeKind::ForwardOnly,
+            SchemeKind::ZeroBubbleH1,
+            SchemeKind::ZeroBubbleV,
+        ] {
+            for d in 2..=8u32 {
+                for n in [d, 2 * d] {
+                    let config = ScheduleConfig::new(scheme, d, n);
+                    if config.check().is_err() {
+                        continue;
+                    }
+                    let base = generate(config);
+                    let p2ps: Vec<(DeviceId, usize)> = (0..d)
+                        .map(DeviceId)
+                        .flat_map(|dev| {
+                            let instrs = base.program(dev).instrs();
+                            (0..instrs.len())
+                                .filter(|&pc| instrs[pc].kind.p2p().is_some())
+                                .map(move |pc| (dev, pc))
+                        })
+                        .collect();
+                    let mut schedules = vec![base.clone()];
+                    for _ in 0..2 {
+                        let (dev, pc) = p2ps[below(p2ps.len())];
+                        let mut dropped = base.clone();
+                        let mut instrs = base.program(dev).instrs().to_vec();
+                        instrs.remove(pc);
+                        *dropped.program_mut(dev) = DeviceProgram::from_instrs(dev, instrs);
+                        schedules.push(dropped);
+                        let len = base.program(dev).len();
+                        if pc + 1 < len {
+                            let mut swapped = base.clone();
+                            swapped.program_mut(dev).rotate_left(pc..pc + 2, 1);
+                            schedules.push(swapped);
+                        }
+                    }
+                    for s in &schedules {
+                        let k = min_channel_capacity(s);
+                        *answers.entry(k).or_default() += 1;
+                        for c in 1..=3 {
+                            assert_eq!(
+                                simulate_makespan(s, &cost, c, &pristine).is_ok(),
+                                k.is_some_and(|k| k <= c),
+                                "{scheme:?} {d}x{n} at capacity {c}: derived {k:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let wave = generate(ScheduleConfig::new(SchemeKind::Wave { chunks: 2 }, 8, 8));
+        assert_eq!(min_channel_capacity(&wave), Some(2));
+        for k in [Some(1), Some(2), None] {
+            assert!(answers.contains_key(&k), "no schedule derives {k:?}: {answers:?}");
         }
     }
 

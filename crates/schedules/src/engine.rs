@@ -18,30 +18,41 @@
 //! * `B(m, hop i)` is ready when both `F(m, hop i)` and `B(m, hop i+1)`
 //!   finished.
 //!
-//! Each step fires the ready item with the smallest key
-//! `(start, forward, micro, hop)`, where `start` is the later of the item's
+//! Each device fires, at each start time, the ready item with the smallest
+//! key `(forward, micro, hop)`, where an item's start is the later of its
 //! ready time and its device's clock: the earliest start wins, ties prefer
 //! backwards over forwards (the 1F1B discipline), then lower micros, then
-//! lower hops. A `(micro, hop)` pair names one device, so keys never tie
-//! across devices; the scan still lets the lowest device win a tie.
+//! lower hops.
 //!
-//! Three kinds of min-heap hold the ready items:
+//! The engine steps time one unit at a time. At time `t` every device whose
+//! clock has reached `t` fires its best available item, and the order of
+//! those firings does not matter:
 //!
-//! * per device, the *available* items, ready at or before the device's
-//!   clock, keyed `(forward, micro, hop)` — they all start at the clock;
-//! * per device, the *pending* items, ready after the clock, keyed
-//!   `(ready time, forward, micro, hop)`;
+//! * every item is ready at most `BW_T` after the firing that woke it, since
+//!   its other dependencies fired no later;
+//! * so firings at one start time commute: each readies items only at
+//!   `t + 1` or later, and un-gates only on its own device, whose clock it
+//!   has just moved past `t`.
+//!
+//! A device's pick at `t` thus depends on nothing another device fires at
+//! `t`, and each device's order is the one a global earliest-start scan
+//! would give. The state:
+//!
+//! * a ring of `BW_T + 1` time buckets: the bucket of time `t` holds the
+//!   items that become ready at `t` and the devices whose clock reaches
+//!   `t`, the only devices that can fire then;
+//! * per device, a min-heap of the *available* items, ready by its clock,
+//!   keyed `(forward, micro, hop)`;
 //! * per `(device, route)`, the *gated* first-arrival forwards that found
 //!   the in-flight limit full, keyed by micro; a finished release un-gates
-//!   the lowest micro.
+//!   the lowest micro into its device's available heap.
 //!
-//! A device's best item is the top of its available heap, or of its
-//! pending heap when nothing is available; when its clock advances, the
-//! pending items it passed move to the available heap. Dependency counts
-//! and ready times live in dense tables indexed by the micro's prefix
-//! offset, the hop and the direction. Each of the `I` items is pushed and
-//! popped a bounded number of times and each pick scans the `D` heap tops,
-//! so a derivation costs O(I·(D + log I)).
+//! Dependency counts and ready times live in dense tables indexed by the
+//! micro's prefix offset, the hop and the direction. Each of the `I` items
+//! passes through one bucket and is pushed to and popped from heaps a
+//! bounded number of times, and each time step visits only the devices its
+//! bucket names, so a derivation costs O(I·log I + T) for a makespan of `T`
+//! units.
 
 use mario_ir::{DeviceId, Instr, InstrKind, PartId, RouteHops, Schedule, Topology};
 use std::cmp::Reverse;
@@ -94,60 +105,6 @@ impl EnginePolicy {
 /// An item's tie-break key on its device: `(forward, micro, hop)`.
 type ItemKey = (bool, u32, u32);
 
-/// The available and pending heaps of every device, with its clock.
-struct ReadyQueues {
-    clocks: Vec<u64>,
-    available: Vec<BinaryHeap<Reverse<ItemKey>>>,
-    pending: Vec<BinaryHeap<Reverse<(u64, ItemKey)>>>,
-}
-
-impl ReadyQueues {
-    fn new(devices: usize) -> Self {
-        Self {
-            clocks: vec![0; devices],
-            available: vec![BinaryHeap::new(); devices],
-            pending: vec![BinaryHeap::new(); devices],
-        }
-    }
-
-    /// Queues an item that became ready at `ready` on `device`.
-    fn push(&mut self, device: usize, key: ItemKey, ready: u64) {
-        if ready <= self.clocks[device] {
-            self.available[device].push(Reverse(key));
-        } else {
-            self.pending[device].push(Reverse((ready, key)));
-        }
-    }
-
-    /// `(start, key)` of the item `device` would fire next.
-    fn best(&self, device: usize) -> Option<(u64, ItemKey)> {
-        match self.available[device].peek() {
-            Some(&Reverse(key)) => Some((self.clocks[device], key)),
-            None => self.pending[device].peek().map(|&Reverse(top)| top),
-        }
-    }
-
-    /// Removes the item [`ReadyQueues::best`] named.
-    fn pop(&mut self, device: usize) {
-        if self.available[device].pop().is_none() {
-            self.pending[device].pop();
-        }
-    }
-
-    /// Moves `device`'s clock to `t` and makes the pending items it passed
-    /// available.
-    fn advance(&mut self, device: usize, t: u64) {
-        self.clocks[device] = t;
-        while let Some(&Reverse((ready, key))) = self.pending[device].peek() {
-            if ready > t {
-                break;
-            }
-            self.pending[device].pop();
-            self.available[device].push(Reverse(key));
-        }
-    }
-}
-
 /// Derives a compute-only schedule for `topology` with `micros` micro-batches
 /// and the given per-micro `routes`, under `policy`.
 pub fn derive_schedule(
@@ -198,7 +155,11 @@ pub fn derive_schedule(
     };
     let mut remaining = vec![0u8; 2 * hops];
     let mut ready_time = vec![0u64; 2 * hops];
-    let mut queues = ReadyQueues::new(devices);
+    // `ring[t % RING]`: the items that become ready at `t`, and (keyless)
+    // the devices whose clock reaches `t`. A step at `t` files entries at
+    // most `BW_T` ahead, so the slots never collide.
+    const RING: usize = BW_T as usize + 1;
+    let mut ring: [Vec<(usize, Option<ItemKey>)>; RING] = Default::default();
     for m in 0..micros {
         let len = path_of(m).len() as u32;
         for hop in 0..len {
@@ -206,85 +167,95 @@ pub fn derive_schedule(
             remaining[slot(m, hop, false)] = if hop + 1 == len { 1 } else { 2 };
         }
         if len > 0 {
-            queues.push(path_of(m)[0].0.index(), (true, m, 0), 0);
+            ring[0].push((path_of(m)[0].0.index(), Some((true, m, 0))));
         }
     }
 
+    let mut available: Vec<BinaryHeap<Reverse<ItemKey>>> = vec![BinaryHeap::new(); devices];
+    let mut clocks = vec![0u64; devices];
     let mut gated: Vec<BinaryHeap<Reverse<u32>>> = vec![BinaryHeap::new(); devices * num_routes];
     let mut in_flight = vec![0u32; devices * num_routes];
     let mut order: Vec<Vec<Instr>> = vec![Vec::new(); devices];
     let mut done = 0usize;
+    let mut now = Vec::new();
+    let mut t = 0u64;
 
     while done < 2 * hops {
-        // The smallest (start, key) over devices; the lowest device wins
-        // a tie.
-        let mut best: Option<(u64, ItemKey, usize)> = None;
-        for d in 0..devices {
-            if let Some((start, key)) = queues.best(d) {
-                if best.is_none_or(|(bs, bk, _)| (start, key) < (bs, bk)) {
-                    best = Some((start, key, d));
+        std::mem::swap(&mut now, &mut ring[t as usize % RING]);
+        assert!(
+            !now.is_empty() || ring.iter().any(|b| !b.is_empty()),
+            "scheduler stalled: dependency cycle"
+        );
+        for &(d, key) in &now {
+            if let Some(key) = key {
+                available[d].push(Reverse(key));
+            }
+        }
+        for (d, _) in now.drain(..) {
+            // A device fires at most once per time step: after a firing its
+            // clock is past `t`.
+            while clocks[d] <= t {
+                let Some(Reverse((forward, micro, hop))) = available[d].pop() else {
+                    break;
+                };
+                let path = path_of(micro);
+                let part = path[hop as usize].1;
+
+                // Gate first-arrival forwards by the in-flight limit.
+                let route = routes[micro as usize] as usize;
+                let lane = d * num_routes + route;
+                let is_first_arrival = first_hop_on_dev[route][d] == Some(hop);
+                if forward && is_first_arrival {
+                    if in_flight[lane] >= policy.limits[d][route] {
+                        gated[lane].push(Reverse(micro));
+                        continue;
+                    }
+                    in_flight[lane] += 1;
+                }
+
+                let end = t + if forward { FW_T } else { BW_T };
+                clocks[d] = end;
+                ring[end as usize % RING].push((d, None));
+                done += 1;
+                order[d].push(if forward {
+                    Instr::forward(micro, part.0)
+                } else {
+                    Instr::backward(micro, part.0)
+                });
+
+                // Wake dependents; each is ready within `BW_T` of `t`.
+                let mut wake = |hop: u32, forward: bool| {
+                    let s = slot(micro, hop, forward);
+                    remaining[s] -= 1;
+                    ready_time[s] = ready_time[s].max(end);
+                    if remaining[s] == 0 {
+                        let entry = (path[hop as usize].0.index(), Some((forward, micro, hop)));
+                        ring[ready_time[s] as usize % RING].push(entry);
+                    }
+                };
+                if forward {
+                    if hop as usize + 1 < path.len() {
+                        wake(hop + 1, true);
+                    }
+                    wake(hop, false);
+                } else {
+                    if hop > 0 {
+                        wake(hop - 1, false);
+                    }
+                    // The backward of the micro's first-arrival hop is the
+                    // last backward this device runs for it: release the
+                    // in-flight slot and un-gate the lowest queued arrival
+                    // of the route.
+                    if is_first_arrival {
+                        in_flight[lane] -= 1;
+                        if let Some(Reverse(g)) = gated[lane].pop() {
+                            available[d].push(Reverse((true, g, hop)));
+                        }
+                    }
                 }
             }
         }
-        let (start, (forward, micro, hop), d) = best.expect("scheduler stalled: dependency cycle");
-        queues.pop(d);
-        let path = path_of(micro);
-        let part = path[hop as usize].1;
-
-        // Gate first-arrival forwards by the in-flight limit.
-        let route = routes[micro as usize] as usize;
-        let lane = d * num_routes + route;
-        let is_first_arrival = first_hop_on_dev[route][d] == Some(hop);
-        if forward && is_first_arrival {
-            if in_flight[lane] >= policy.limits[d][route] {
-                gated[lane].push(Reverse(micro));
-                continue;
-            }
-            in_flight[lane] += 1;
-        }
-
-        let end = start + if forward { FW_T } else { BW_T };
-        queues.advance(d, end);
-        done += 1;
-        order[d].push(if forward {
-            Instr::forward(micro, part.0)
-        } else {
-            Instr::backward(micro, part.0)
-        });
-
-        // Wake dependents.
-        let mut wake = |hop: u32, forward: bool| {
-            let s = slot(micro, hop, forward);
-            remaining[s] -= 1;
-            ready_time[s] = ready_time[s].max(end);
-            if remaining[s] == 0 {
-                queues.push(
-                    path[hop as usize].0.index(),
-                    (forward, micro, hop),
-                    ready_time[s],
-                );
-            }
-        };
-        if forward {
-            if hop as usize + 1 < path.len() {
-                wake(hop + 1, true);
-            }
-            wake(hop, false);
-        } else {
-            if hop > 0 {
-                wake(hop - 1, false);
-            }
-            // The backward of the micro's first-arrival hop is the last
-            // backward this device runs for it: release the in-flight slot
-            // and un-gate the lowest queued arrival of the route.
-            if is_first_arrival {
-                in_flight[lane] -= 1;
-                if let Some(Reverse(g)) = gated[lane].pop() {
-                    let s = slot(g, hop, true);
-                    queues.push(d, (true, g, hop), ready_time[s]);
-                }
-            }
-        }
+        t += 1;
     }
 
     let programs = order
