@@ -15,7 +15,7 @@ fn main() {
             .metric("pruned_oom", stats.pruned_oom as f64)
             .metric("pruned_sim_failure", stats.pruned_sim_failure as f64)
             .metric("dp_invocations", stats.dp_invocations as f64)
-            .metric("tuning_seconds", stats.wall_time.as_secs_f64());
+            .metric("tuning_seconds", result.tuning_time.as_secs_f64());
         for e in &result.curve {
             s.push_row(
                 JsonObj::new()

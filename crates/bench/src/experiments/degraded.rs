@@ -3,8 +3,8 @@
 //! Not a paper artifact — the validation harness for the degraded-mode
 //! DP simulation layer. For every scheme in {V, X, W} and a range of
 //! straggler factors, one `Slowdown` fault is planned for a mid-pipeline
-//! device, translated into a [`PerturbationProfile`], and the predicted
-//! slowdown (`simulate` with the plan's profile / baseline
+//! device, translated into a [`mario_ir::PerturbationProfile`], and the
+//! predicted slowdown (`simulate` with the plan's profile / baseline
 //! `simulate_timeline`) is tabulated against the emulated slowdown
 //! (`run_with_faults` / clean `run`) under zero jitter. The invariant checked per scenario: the
 //! degraded simulation reproduces the faulted emulation **bit for bit**

@@ -3,7 +3,7 @@
 //! Not a paper artifact — the robustness headline for the elastic
 //! recovery loop. For every scheme in {G, V, X, W, H} a 4-device pipeline
 //! loses its last device to a crash at a swept iteration, with periodic
-//! checkpoints durable every [`CKPT_EVERY`] iterations. Both recovery
+//! checkpoints durable every `CKPT_EVERY` iterations. Both recovery
 //! policies answer the same fault:
 //!
 //! * **wait-and-resume** pays a replacement wait once, then re-runs the

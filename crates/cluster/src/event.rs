@@ -16,7 +16,8 @@
 //! channel is FIFO, and every clock update depends only on packet
 //! timestamps, so any firing order reaches the same final state, errors
 //! included (see [`mario_ir::ready`]); `tests/properties.rs` checks that
-//! through [`run_event_shuffled`].
+//! through `run_event_shuffled`, built only with the `test-order`
+//! feature.
 //!
 //! Deadlock needs no timer: when the queue drains and devices are still
 //! parked, no event can ever wake them — that *is* the deadlock,
@@ -24,7 +25,7 @@
 
 use crate::error::EmuError;
 use crate::link::{Links, Wake};
-use crate::machine::{CkptBoard, Machine, Shared, StallTable, Stepped};
+use crate::machine::{Machine, Shared, Stepped};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
 use mario_ir::{CostModel, DeviceId, LinkTable, MemoryRules, Ready, Schedule};
 
@@ -37,21 +38,22 @@ use mario_ir::{CostModel, DeviceId, LinkTable, MemoryRules, Ready, Schedule};
 /// failure), so when phase 1 settles anyone this returns `true`: the
 /// backend runs the woken devices until the run is quiescent again and
 /// calls this again. Phase 2, once no stall fires: anything still parked
-/// can never be woken — a deadlock. Every wait chain is snapshot *before*
-/// anyone is settled, so the named cycles do not depend on settlement
-/// order; this returns `false` with every device settled.
+/// can never be woken — a deadlock. Every wait chain is read off the
+/// parked machines *before* anyone is settled, so the named cycles do not
+/// depend on settlement order; this returns `false` with every device
+/// settled. A settled device's checkpoint progress is read off its
+/// machine.
 pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
     links: &mut Links<'_, W>,
     machine: impl Fn(usize) -> &'m Machine<'a>,
-    stalls: &StallTable,
 ) -> bool {
     let parked: Vec<usize> = (0..links.results.len())
         .filter(|&d| links.results[d].is_none())
         .collect();
     let settle = |links: &mut Links<'_, W>, d: usize, err: EmuError| {
-        stalls.clear(DeviceId(d as u32));
-        links.settle(d, Err(err));
-        if let Some(link) = machine(d).parked_link() {
+        let m = machine(d);
+        links.settle(d, Err(err), m.ckpt());
+        if let Some(link) = m.parked_link() {
             links.ready.wake(d, link);
         }
     };
@@ -65,14 +67,37 @@ pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
     if fired {
         return true;
     }
+    let waits_on = |d: DeviceId| match links.results.get(d.index()) {
+        Some(None) => machine(d.index()).waits_on(),
+        _ => None,
+    };
     let chains: Vec<Vec<DeviceId>> = parked
         .iter()
-        .map(|&d| stalls.wait_chain(DeviceId(d as u32)))
+        .map(|&d| wait_chain(DeviceId(d as u32), waits_on))
         .collect();
     for (&d, cycle) in parked.iter().zip(chains) {
         settle(links, d, machine(d).deadlocked(cycle));
     }
     false
+}
+
+/// The wait chain from `device`: follows the peer each device waits on
+/// (`waits_on`, None for a device that is not parked or is past the
+/// device count) until a device that waits on no one or a repeat (a true
+/// cycle), such as "d0 -> d2 -> d1 -> d0". The starting device is always
+/// the first entry.
+fn wait_chain(device: DeviceId, waits_on: impl Fn(DeviceId) -> Option<DeviceId>) -> Vec<DeviceId> {
+    let mut chain = vec![device];
+    let mut current = device;
+    while let Some(next) = waits_on(current) {
+        let looped = chain.contains(&next);
+        chain.push(next);
+        if looped {
+            break;
+        }
+        current = next;
+    }
+    chain
 }
 
 /// The machines and their links.
@@ -97,8 +122,9 @@ impl Sched<'_> {
                 continue;
             }
             self.links.ready.block(None);
-            let result = stepped.map(|_| self.devs[d].finish());
-            self.links.settle(d, result);
+            let m = &mut self.devs[d];
+            let result = stepped.map(|_| m.finish());
+            self.links.settle(d, result, m.ckpt());
         }
     }
 }
@@ -138,16 +164,12 @@ pub(crate) fn run_event(
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
     let table = LinkTable::new(schedule);
-    let stalls = StallTable::new(devices);
-    let ckpts = CkptBoard::new(devices);
     let shared = Shared {
         schedule,
         cost,
         profile: &profile,
         rules: &rules,
         links: &table,
-        stalls: &stalls,
-        ckpts: &ckpts,
         serving,
     };
     let mut sched = Sched {
@@ -163,7 +185,7 @@ pub(crate) fn run_event(
     loop {
         sched.drain();
         let Sched { devs, links } = &mut sched;
-        if !quiesce(links, |d| &devs[d], &stalls) {
+        if !quiesce(links, |d| &devs[d]) {
             break;
         }
     }
@@ -173,5 +195,37 @@ pub(crate) fn run_event(
         .into_iter()
         .map(|r| r.expect("quiescence settles every device"))
         .collect();
-    settle_report(results, &cfg, plan, &ckpts)
+    settle_report(results, &cfg, plan)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The chain over a table of who waits on whom.
+    fn chain(waits: &[Option<u32>], from: u32) -> Vec<DeviceId> {
+        let waits_on = |d: DeviceId| waits.get(d.index()).copied().flatten().map(DeviceId);
+        wait_chain(DeviceId(from), waits_on)
+    }
+
+    fn ids(ids: &[u32]) -> Vec<DeviceId> {
+        ids.iter().copied().map(DeviceId).collect()
+    }
+
+    #[test]
+    fn wait_chain_names_a_cycle() {
+        assert_eq!(chain(&[Some(1), Some(2), Some(0)], 0), ids(&[0, 1, 2, 0]));
+        // Device 2 no longer waits: the chain ends there.
+        assert_eq!(chain(&[Some(1), Some(2), None], 0), ids(&[0, 1, 2]));
+    }
+
+    #[test]
+    fn wait_chain_stops_at_self_loops() {
+        assert_eq!(chain(&[None, Some(1)], 1), ids(&[1, 1]));
+    }
+
+    #[test]
+    fn wait_chain_keeps_the_largest_peer_id() {
+        assert_eq!(chain(&[Some(u32::MAX)], 0), ids(&[0, u32::MAX]));
+    }
 }

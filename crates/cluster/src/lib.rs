@@ -39,7 +39,7 @@ pub mod serving;
 
 pub use error::EmuError;
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
-pub use machine::{CkptBoard, DeviceReport, StallTable};
+pub use machine::DeviceReport;
 pub use runner::{
     run, run_with, run_with_faults, run_with_recovery, EmulatorBackend, EmulatorConfig,
     Reconfiguration, ReconfigureEvent, RecoveredRun, RecoveryPolicy, RunOptions, RunReport,

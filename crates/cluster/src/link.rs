@@ -14,7 +14,7 @@
 //! any firing order or thread interleaving.
 
 use crate::error::EmuError;
-use crate::machine::{DeviceReport, Transport};
+use crate::machine::{Ckpt, DeviceReport, Settled, Transport};
 use mario_ir::{DeviceId, Dir, Fifo, Link, LinkTable, Msg, Nanos, Ready};
 
 /// A packet in flight.
@@ -73,8 +73,8 @@ pub(crate) struct Links<'a, W> {
     capacity: usize,
     /// Which devices may run.
     pub ready: W,
-    /// Each device's outcome, once it settled.
-    pub results: Vec<Option<Result<DeviceReport, EmuError>>>,
+    /// Each device's outcome and checkpoint progress, once it settled.
+    pub results: Vec<Option<Settled>>,
 }
 
 impl<'a, W: Wake> Links<'a, W> {
@@ -90,11 +90,12 @@ impl<'a, W: Wake> Links<'a, W> {
         }
     }
 
-    /// Records `d`'s outcome and marks every link end it owns as settled:
-    /// peers observe end-of-stream only after consuming all genuine
-    /// traffic (FIFO order). Wakes the peers waiting on those links.
-    pub fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>) {
-        self.results[d] = Some(result);
+    /// Records `d`'s outcome and checkpoint progress and marks every link
+    /// end it owns as settled: peers observe end-of-stream only after
+    /// consuming all genuine traffic (FIFO order). Wakes the peers waiting
+    /// on those links.
+    pub fn settle(&mut self, d: usize, result: Result<DeviceReport, EmuError>, ckpt: Ckpt) {
+        self.results[d] = Some((result, ckpt));
         let device = DeviceId(d as u32);
         for &((peer, ..), id) in self.table.ports(device, Dir::Send) {
             self.chans[id].sender_settled = true;
@@ -192,7 +193,7 @@ mod tests {
         // A settled sender reads as disconnected only after its genuine
         // traffic, and its settlement wakes the receiver.
         let failed = |device| Err(EmuError::PeerFailed { device, pc: 0 });
-        links.settle(0, failed(d0));
+        links.settle(0, failed(d0), Ckpt::default());
         assert_eq!(links.ready.0.last(), Some(&(1, link.id)));
         assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(500)));
         assert_eq!(
@@ -200,7 +201,7 @@ mod tests {
             Err(LinkError::Disconnected)
         );
         // A full window on a settled receiver reads as disconnected.
-        links.settle(1, failed(d1));
+        links.settle(1, failed(d1), Ckpt::default());
         assert_eq!(links.reserve(link), Err(LinkError::Disconnected));
         assert!(links.results.iter().all(Option::is_some));
     }

@@ -13,8 +13,9 @@
 //! at, checkpoint chunks draining into those waits, and the time classes.
 //! Slowdowns and link delays come from the run's [`PerturbationProfile`]:
 //! a compute duration is scaled by it, and a packet departs
-//! `now + link_extra` late. The machine publishes the clock's checkpoint
-//! state on the shared [`CkptBoard`] whenever `step` returns.
+//! `now + link_extra` late. The machine publishes nothing while it runs:
+//! whoever settles it — its driver, or `event::quiesce` — reads its
+//! checkpoint progress and the peer it waits on off it.
 //!
 //! Packets move through a `Transport`: both backends hand the machine
 //! the same [`crate::link`]s, the thread backend behind a lock. The
@@ -38,8 +39,6 @@ use mario_ir::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// What a device reports after finishing.
 #[derive(Debug, Clone)]
@@ -53,141 +52,30 @@ pub struct DeviceReport {
     pub leaked: usize,
     /// Faults this device absorbed without failing (slowdowns, delays).
     pub absorbed: Vec<FaultReport>,
-    /// Iterations covered by this device's last completed checkpoint
-    /// write (0 when no policy was active or nothing was saved).
-    pub last_checkpoint: u32,
     /// Time-class breakdown of this device's clock plus counters.
     pub telemetry: DeviceTelemetry,
-    /// Send-side link statistics, keyed by receiving peer.
-    pub link_sends: HashMap<DeviceId, LinkSendStats>,
-    /// Total recv-wait time per sending peer, ns.
-    pub link_recv_wait: HashMap<DeviceId, Nanos>,
+    /// Send-side link statistics per receiving peer, in first-use order.
+    pub link_sends: Vec<(DeviceId, LinkSendStats)>,
+    /// Total recv-wait time per sending peer, ns, in first-use order.
+    pub link_recv_wait: Vec<(DeviceId, Nanos)>,
     /// Executed spans (execution order), if span recording was enabled.
     pub spans: Vec<OpSpan>,
 }
 
-/// Shared scoreboard of completed checkpoint writes: each device records
-/// the number of iterations its latest checkpoint covers, and the
-/// cluster-durable checkpoint is the minimum across devices — a model
-/// checkpoint only exists once *every* shard of it was written, exactly
-/// like a real distributed snapshot. A sharded write becomes durable only
-/// once its last chunk flushed, so a crash mid-flush leaves the in-flight
-/// checkpoint invisible to [`CkptBoard::cluster_saved`].
-///
-/// The board also tracks the virtual time each device actually *paid* on
-/// the critical path writing checkpoints — the measured overhead the run
-/// report exposes.
-#[derive(Debug, Default)]
-pub struct CkptBoard {
-    saved: Vec<AtomicU32>,
-    paid: Vec<AtomicU64>,
+/// A device's checkpoint progress, read off its machine when it
+/// settles: the iterations its last completed checkpoint write covers (a
+/// sharded write counts only once its last chunk flushed, so a crash
+/// mid-flush leaves it out) and the write time it paid on its clock
+/// (synchronous writes and residue flushes; chunks hidden in bubbles cost
+/// nothing).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ckpt {
+    pub saved: u32,
+    pub paid_ns: Nanos,
 }
 
-impl CkptBoard {
-    /// A board for `devices` devices, nothing saved yet.
-    pub fn new(devices: usize) -> Self {
-        Self {
-            saved: (0..devices).map(|_| AtomicU32::new(0)).collect(),
-            paid: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records `device`'s checkpoint state so far: its last completed
-    /// checkpoint covers the first `saved` iterations, and it paid `paid`
-    /// ns of write time on its clock (synchronous writes and residue
-    /// flushes; chunks hidden in bubbles cost nothing).
-    pub fn sync(&self, device: DeviceId, saved: u32, paid: Nanos) {
-        let d = device.index();
-        if let (Some(s), Some(p)) = (self.saved.get(d), self.paid.get(d)) {
-            s.store(saved, Ordering::Relaxed);
-            p.store(paid, Ordering::Relaxed);
-        }
-    }
-
-    /// Checkpoint write time `device` paid on its critical path, ns.
-    pub fn paid_of(&self, device: DeviceId) -> Nanos {
-        self.paid
-            .get(device.index())
-            .map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-
-    /// Checkpoint write time paid across all devices, ns.
-    pub fn total_paid(&self) -> Nanos {
-        self.paid.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Iterations covered by the last checkpoint *every* device
-    /// completed (the only checkpoint a resume can trust).
-    pub fn cluster_saved(&self) -> u32 {
-        self.saved
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-/// Shared table of blocked devices: each device registers the peer it is
-/// about to block on and clears the entry once the operation pairs or
-/// fails. A deadlock report snapshots the table and names the wait chain,
-/// such as "d0 -> d2 -> d1 -> d0".
-///
-/// Each slot is one atomic, written only by its own device, which on the
-/// thread backend runs outside the links' lock. Wait chains are walked
-/// only at quiescence, when no device writes, so Release stores and
-/// Acquire loads are all it needs.
-#[derive(Debug, Default)]
-pub struct StallTable {
-    slots: Vec<AtomicU64>,
-}
-
-/// The empty slot. Wider than any `DeviceId`, so every peer a schedule
-/// can name — `d4294967295` included — stays representable.
-const UNBLOCKED: u64 = u64::MAX;
-
-impl StallTable {
-    /// A table for `devices` devices, all initially unblocked.
-    pub fn new(devices: usize) -> Self {
-        Self {
-            slots: (0..devices).map(|_| AtomicU64::new(UNBLOCKED)).collect(),
-        }
-    }
-
-    /// Marks `device` as about to block on `peer`.
-    pub fn enter(&self, device: DeviceId, peer: DeviceId) {
-        if let Some(slot) = self.slots.get(device.index()) {
-            slot.store(peer.0.into(), Ordering::Release);
-        }
-    }
-
-    /// Clears `device`'s blocked mark.
-    pub fn clear(&self, device: DeviceId) {
-        if let Some(slot) = self.slots.get(device.index()) {
-            slot.store(UNBLOCKED, Ordering::Release);
-        }
-    }
-
-    /// The wait chain starting at `device`: follows blocked-on edges until
-    /// an unblocked device or a repeat (a true cycle). The starting device
-    /// is always the first entry.
-    pub fn wait_chain(&self, device: DeviceId) -> Vec<DeviceId> {
-        let mut chain = vec![device];
-        let mut current = device;
-        while let Some(slot) = self.slots.get(current.index()) {
-            let Ok(next) = u32::try_from(slot.load(Ordering::Acquire)) else {
-                break;
-            };
-            let next = DeviceId(next);
-            let looped = chain.contains(&next);
-            chain.push(next);
-            if looped {
-                break;
-            }
-            current = next;
-        }
-        chain
-    }
-}
+/// A settled device: its outcome and its checkpoint progress.
+pub(crate) type Settled = (Result<DeviceReport, EmuError>, Ckpt);
 
 /// A device's links: moves packets and dequeue timestamps, nothing else.
 /// `Ok(None)` means the operation cannot complete yet and the machine
@@ -227,8 +115,6 @@ pub(crate) struct Shared<'a> {
     pub profile: &'a PerturbationProfile,
     pub rules: &'a MemoryRules,
     pub links: &'a LinkTable,
-    pub stalls: &'a StallTable,
-    pub ckpts: &'a CkptBoard,
     /// Serving-mode release gates and completion scoreboard (None on
     /// training runs).
     pub serving: Option<ServingHooks<'a>>,
@@ -309,8 +195,7 @@ pub(crate) struct Machine<'a> {
     pc: usize,
     parked: Option<Parked>,
     checkpoint: Option<CheckpointPolicy>,
-    /// Send statistics and recv-wait totals per peer, in first-use order;
-    /// [`Machine::finish`] turns them into the report's maps.
+    /// Send statistics and recv-wait totals per peer, in first-use order.
     link_sends: Vec<(DeviceId, LinkSendStats)>,
     link_recv_wait: Vec<(DeviceId, Nanos)>,
 }
@@ -370,19 +255,10 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Runs until the device blocks, finishes or fails, then publishes
-    /// its checkpoint state on the shared board.
+    /// Runs until the device blocks, finishes or fails. A parked
+    /// operation is resumed first: the one completion path for both the
+    /// first attempt and every retry.
     pub(crate) fn step<T: Transport>(&mut self, links: &mut T) -> Result<Stepped, EmuError> {
-        let stepped = self.run(links);
-        let paid = self.time.classes().ckpt_sync_ns;
-        let saved = self.time.last_checkpoint();
-        self.shared.ckpts.sync(self.device, saved, paid);
-        stepped
-    }
-
-    /// [`Machine::step`]'s loop. A parked operation is resumed first: the
-    /// one completion path for both the first attempt and every retry.
-    fn run<T: Transport>(&mut self, links: &mut T) -> Result<Stepped, EmuError> {
         loop {
             if let Some(op) = self.parked {
                 if let Some(link) = self.resume(op, links)? {
@@ -485,7 +361,7 @@ impl<'a> Machine<'a> {
                 let link = self.shared.links.resolve(self.device, p.dir, port);
                 let msg = p.msg(instr);
                 if p.dir == Dir::Recv {
-                    self.park(Parked::Recv {
+                    self.parked = Some(Parked::Recv {
                         pc,
                         start,
                         port,
@@ -517,7 +393,7 @@ impl<'a> Machine<'a> {
                 }
                 let delay = profile.link_extra(self.device, peer, self.iteration, nth);
                 let bytes = cost.boundary_bytes(self.device, instr.part);
-                self.park(Parked::Send {
+                self.parked = Some(Parked::Send {
                     pc,
                     start,
                     port,
@@ -529,11 +405,6 @@ impl<'a> Machine<'a> {
             }
         }
         Ok(())
-    }
-
-    fn park(&mut self, op: Parked) {
-        self.shared.stalls.enter(self.device, op.peer());
-        self.parked = Some(op);
     }
 
     /// One attempt at the parked operation: `Ok(None)` once it completed,
@@ -573,7 +444,6 @@ impl<'a> Machine<'a> {
                 let occupancy = links
                     .push(link, pkt)
                     .map_err(|e| self.link_err(e, pc, port.0))?;
-                self.shared.stalls.clear(self.device);
                 let blocked = self.time.wait_until(freed, Dir::Send);
                 // The occupancy right after the send is the un-acked
                 // window, which advances in lockstep with the simulator's
@@ -599,7 +469,6 @@ impl<'a> Machine<'a> {
                     // The mismatched packet is consumed and never acked.
                     return Err(self.link_err(LinkError::Mismatch(pkt.msg), pc, port.0));
                 }
-                self.shared.stalls.clear(self.device);
                 let wire_ns = self
                     .shared
                     .cost
@@ -688,14 +557,14 @@ impl<'a> Machine<'a> {
         Some(EmuError::Fault(Box::new(report)))
     }
 
-    /// Maps a failed link operation at `pc` with `peer` to the run error
-    /// and clears this device's blocked mark. Any failure on a link with
+    /// Maps a failed link operation at `pc` with `peer` to the run error.
+    /// Any failure on a link with
     /// an injected stall is the stall surfacing, so it is normalized to
     /// the same structured report whether it showed as a disconnect or a
     /// mismatched message.
     fn link_err(&self, e: LinkError, pc: usize, peer: DeviceId) -> EmuError {
         let device = self.device;
-        let err = match (e, self.stall_error(pc, peer)) {
+        match (e, self.stall_error(pc, peer)) {
             (LinkError::NoRoute, _) => EmuError::NoRoute { device, pc, peer },
             (_, Some(stall)) => stall,
             (LinkError::Disconnected, None) => EmuError::PeerFailed { device, pc },
@@ -704,9 +573,7 @@ impl<'a> Machine<'a> {
                 pc,
                 detail: format!("expected {}, got {h:?}", self.instr_name(pc)),
             },
-        };
-        self.shared.stalls.clear(device);
-        err
+        }
     }
 
     /// An allocation failure at `pc`. OOM under an injected capacity
@@ -776,6 +643,12 @@ impl<'a> Machine<'a> {
         self.stall_error(op.pc(), op.peer())
     }
 
+    /// The peer this machine is parked on a send to or a recv from, if it
+    /// is parked.
+    pub(crate) fn waits_on(&self) -> Option<DeviceId> {
+        Some(self.parked?.peer())
+    }
+
     /// The link number this machine is parked on, if it is parked.
     pub(crate) fn parked_link(&self) -> Option<usize> {
         Some(self.parked?.link()?.id)
@@ -793,6 +666,14 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// The checkpoint progress this machine has made so far.
+    pub(crate) fn ckpt(&self) -> Ckpt {
+        Ckpt {
+            saved: self.time.last_checkpoint(),
+            paid_ns: self.time.classes().ckpt_sync_ns,
+        }
+    }
+
     /// Finishes the run and reports.
     pub(crate) fn finish(&mut self) -> DeviceReport {
         let telemetry = DeviceTelemetry {
@@ -806,10 +687,9 @@ impl<'a> Machine<'a> {
             peak_mem: self.ledger.peak(),
             leaked: self.ledger.live_count(),
             absorbed: std::mem::take(&mut self.absorbed),
-            last_checkpoint: self.time.last_checkpoint(),
             telemetry,
-            link_sends: self.link_sends.drain(..).collect(),
-            link_recv_wait: self.link_recv_wait.drain(..).collect(),
+            link_sends: std::mem::take(&mut self.link_sends),
+            link_recv_wait: std::mem::take(&mut self.link_recv_wait),
             spans: std::mem::take(&mut self.spans),
         }
     }
@@ -866,7 +746,6 @@ mod tests {
             MemoryRules::new(&s),
             LinkTable::new(&s),
         );
-        let (stalls, ckpts) = (StallTable::new(2), CkptBoard::new(2));
         let plan = FaultPlan::none().with(FaultKind::LinkDelay {
             src: d1,
             dst: d0,
@@ -880,8 +759,6 @@ mod tests {
             profile: &profile,
             rules: &rules,
             links: &links,
-            stalls: &stalls,
-            ckpts: &ckpts,
             serving: None,
         };
         let cfg = EmulatorConfig::default();
@@ -907,39 +784,5 @@ mod tests {
         // later while the sender's clock stays put.
         assert_eq!(links.sent[0].sent_at, 4_000 + 7_000);
         assert_eq!(m.finish().clock, 4_000);
-    }
-
-    #[test]
-    fn wait_chain_names_a_cycle() {
-        let t = StallTable::new(3);
-        t.enter(DeviceId(0), DeviceId(1));
-        t.enter(DeviceId(1), DeviceId(2));
-        t.enter(DeviceId(2), DeviceId(0));
-        assert_eq!(
-            t.wait_chain(DeviceId(0)),
-            vec![DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(0)]
-        );
-        t.clear(DeviceId(2));
-        assert_eq!(
-            t.wait_chain(DeviceId(0)),
-            vec![DeviceId(0), DeviceId(1), DeviceId(2)]
-        );
-    }
-
-    #[test]
-    fn wait_chain_stops_at_self_loops() {
-        let t = StallTable::new(2);
-        t.enter(DeviceId(1), DeviceId(1));
-        assert_eq!(t.wait_chain(DeviceId(1)), vec![DeviceId(1), DeviceId(1)]);
-    }
-
-    #[test]
-    fn wait_chain_keeps_the_largest_peer_id() {
-        let t = StallTable::new(1);
-        t.enter(DeviceId(0), DeviceId(u32::MAX));
-        assert_eq!(
-            t.wait_chain(DeviceId(0)),
-            vec![DeviceId(0), DeviceId(u32::MAX)]
-        );
     }
 }

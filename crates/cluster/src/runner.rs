@@ -22,7 +22,7 @@ use crate::error::EmuError;
 use crate::event::quiesce;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::link::{LinkError, Links, Packet, Wake};
-use crate::machine::{CkptBoard, DeviceReport, Machine, Shared, StallTable, Stepped, Transport};
+use crate::machine::{Ckpt, Machine, Settled, Shared, Stepped, Transport};
 use crate::serving::ServingHooks;
 use mario_ir::{
     CheckpointPolicy, CostModel, DeviceId, Link, LinkTable, MemoryRules, Nanos,
@@ -301,11 +301,11 @@ impl Threads<'_> {
     /// settled while parked. The last one to stop settles the quiescent
     /// run. `quiesce` wakes every device it settles, so a round that
     /// settles a stall is followed by another once those devices stop.
-    fn stop(&mut self, stalls: &StallTable) {
+    fn stop(&mut self) {
         self.links.ready.count -= 1;
         if self.links.ready.count == 0 {
             let Self { links, parked } = self;
-            quiesce(links, |d| parked[d].as_ref().expect("quiescent"), stalls);
+            quiesce(links, |d| parked[d].as_ref().expect("quiescent"));
         }
     }
 }
@@ -376,16 +376,12 @@ fn run_threaded(
     let devices = schedule.devices() as usize;
     let rules = MemoryRules::new(schedule);
     let table = LinkTable::new(schedule);
-    let stalls = StallTable::new(devices);
-    let ckpts = CkptBoard::new(devices);
     let shared = Shared {
         schedule,
         cost,
         profile: &profile,
         rules: &rules,
         links: &table,
-        stalls: &stalls,
-        ckpts: &ckpts,
         serving,
     };
     let cvars: Vec<Condvar> = (0..devices).map(|_| Condvar::new()).collect();
@@ -401,16 +397,21 @@ fn run_threaded(
 
     std::thread::scope(|scope| {
         for (d, cvar) in cvars.iter().enumerate() {
-            let (state, stalls) = (&state, &stalls);
+            let state = &state;
             let device = DeviceId(d as u32);
             let faults = plan.for_device(device);
             let startup_ns = startup.get(d).copied().unwrap_or(0);
             scope.spawn(move || {
+                // The checkpoint progress after the last completed step: a
+                // panic settles with it.
+                let mut ckpt = Ckpt::default();
                 let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut machine = Machine::new(shared, device, &cfg, faults, startup_ns);
                     let mut port = Port { state, held: None };
                     loop {
-                        let link = match machine.step(&mut port) {
+                        let stepped = machine.step(&mut port);
+                        ckpt = machine.ckpt();
+                        let link = match stepped {
                             Ok(Stepped::Blocked(link)) => link,
                             Ok(Stepped::Finished) => return Some(Ok(machine.finish())),
                             Err(e) => return Some(Err(e)),
@@ -418,14 +419,14 @@ fn run_threaded(
                         let mut st = port.held.take().expect("an empty link op keeps the lock");
                         st.parked[d] = Some(machine);
                         st.links.ready.waits[d] = link;
-                        st.stop(stalls);
+                        st.stop();
                         while st.links.ready.waits[d] != RUNNING {
                             st = cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
                         }
                         machine = st.parked[d].take().expect("its own machine");
                         if st.links.results[d].is_some() {
                             // Settled at quiescence while it waited.
-                            st.stop(stalls);
+                            st.stop();
                             return None;
                         }
                     }
@@ -446,8 +447,8 @@ fn run_threaded(
                     }),
                 };
                 let mut st = lock(state);
-                st.links.settle(d, result);
-                st.stop(stalls);
+                st.links.settle(d, result, ckpt);
+                st.stop();
             });
         }
     });
@@ -457,7 +458,7 @@ fn run_threaded(
         .into_iter()
         .map(|r| r.expect("quiescence settles every device"))
         .collect();
-    settle_report(results, &cfg, plan, &ckpts)
+    settle_report(results, &cfg, plan)
 }
 
 /// Merges per-device outcomes into a [`RunReport`] (or the run's
@@ -470,14 +471,20 @@ fn run_threaded(
 /// below keys by each report's own device id, never by its position in
 /// the vector.
 pub(crate) fn settle_report(
-    results: Vec<Result<DeviceReport, EmuError>>,
+    results: Vec<Settled>,
     cfg: &EmulatorConfig,
     plan: &FaultPlan,
-    ckpts: &CkptBoard,
 ) -> Result<RunReport, EmuError> {
+    // A model checkpoint exists only once *every* shard of it was
+    // written, like a real distributed snapshot: the cluster-durable one
+    // is the minimum across devices. The write time is what every device
+    // paid, durable or not. Both come from the settlements alone, on the
+    // fault path and the success path.
+    let saved = results.iter().map(|(_, c)| c.saved).min().unwrap_or(0);
+    let paid_ns = results.iter().map(|(_, c)| c.paid_ns).sum();
     let mut reports = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
-    for r in results {
+    for (r, _) in results {
         match r {
             Ok(rep) => reports.push(rep),
             Err(e) => errors.push(e),
@@ -496,8 +503,8 @@ pub(crate) fn settle_report(
         // would restart, and which correlated group (if any) the fault
         // belongs to.
         if let EmuError::Fault(report) = &mut root {
-            report.last_checkpoint = ckpts.cluster_saved();
-            report.ckpt_paid_ns = ckpts.total_paid();
+            report.last_checkpoint = saved;
+            report.ckpt_paid_ns = paid_ns;
             report.group = plan.group_of(&report.fault);
         }
         return Err(root);
@@ -509,14 +516,12 @@ pub(crate) fn settle_report(
     // interval tuner, both of which want the schedule's compute/comm time
     // with the checkpoint writes factored *out*: subtract what the
     // critical-path device actually paid writing checkpoints, then round
-    // to nearest instead of truncating. The critical device is named by
-    // its report's id, not its vector position — the two differ on a
-    // gappy survivor set.
-    let critical = reports
+    // to nearest instead of truncating.
+    let critical_paid = reports
         .iter()
         .max_by_key(|r| r.clock)
-        .map_or(DeviceId(0), |r| r.telemetry.device);
-    let ckpt_free_ns = total_ns.saturating_sub(ckpts.paid_of(critical));
+        .map_or(0, |r| r.telemetry.classes.ckpt_sync_ns);
+    let ckpt_free_ns = total_ns.saturating_sub(critical_paid);
     let iters = cfg.iterations.max(1) as u64;
     let iter_ns = (ckpt_free_ns + iters / 2) / iters;
     let faults: Vec<FaultReport> = reports
@@ -533,11 +538,13 @@ pub(crate) fn settle_report(
         reports.iter().map(|r| r.telemetry.clone()).collect(),
         reports.iter().flat_map(|r| {
             let src = r.telemetry.device;
-            r.link_sends.iter().map(move |(&dst, &s)| ((src, dst), s))
+            r.link_sends.iter().map(move |&(dst, s)| ((src, dst), s))
         }),
         reports.iter().flat_map(|r| {
             let dst = r.telemetry.device;
-            r.link_recv_wait.iter().map(move |(&src, &ns)| ((src, dst), ns))
+            r.link_recv_wait
+                .iter()
+                .map(move |&(src, ns)| ((src, dst), ns))
         }),
     );
     // Conservation is checked against clocks keyed by device *id* (the
@@ -555,12 +562,16 @@ pub(crate) fn settle_report(
         }
         v
     };
+    debug_assert_eq!(
+        telemetry.total_ckpt_sync_ns(),
+        paid_ns,
+        "the reports' checkpoint time disagrees with the settlements'"
+    );
     debug_assert!(
         telemetry.check_conservation(&clocks_by_id).is_ok(),
         "telemetry conservation violated: {:?}",
         telemetry.check_conservation(&clocks_by_id)
     );
-    debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpts.total_paid());
     // Move each device's span stream into the graph, keyed by its
     // report's own device id (gappy survivor sets included).
     let spans = if cfg.record_spans {
@@ -585,8 +596,8 @@ pub(crate) fn settle_report(
         peak_mem: reports.iter().map(|r| r.peak_mem).collect(),
         leaked: reports.iter().map(|r| r.leaked).collect(),
         faults,
-        last_checkpoint: cfg.checkpoint.map(|_| ckpts.cluster_saved()),
-        ckpt_overhead_ns: ckpts.total_paid(),
+        last_checkpoint: cfg.checkpoint.map(|_| saved),
+        ckpt_overhead_ns: paid_ns,
         telemetry,
         serving: None,
         spans,
@@ -835,7 +846,6 @@ mod tests {
     use crate::faults::FaultKind;
     use mario_ir::UnitCost;
     use mario_schedules::{generate, ScheduleConfig};
-    use std::collections::HashMap;
 
     fn unit() -> UnitCost {
         UnitCost::paper_grid()
@@ -1178,6 +1188,10 @@ mod tests {
         assert_eq!(ok.max_peak_mem(), 15);
     }
 
+    /// Both backends: each settles a device's checkpoint progress on its
+    /// own path.
+    const BACKENDS: [EmulatorBackend; 2] = [EmulatorBackend::Thread, EmulatorBackend::Event];
+
     #[test]
     fn crash_report_names_the_last_cluster_checkpoint() {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
@@ -1187,19 +1201,54 @@ mod tests {
                 pc: 5,
             })
             .at_iteration(3);
-        let cfg = EmulatorConfig {
-            iterations: 6,
-            checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
-            ..EmulatorConfig::default()
-        };
-        let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
-        let report = err.fault_report().expect("fault attribution");
-        assert_eq!(report.iteration, 3);
-        // Every device completed iterations 0..=2 before the crash could
-        // block it, so the end-of-iteration-1 checkpoint (covering 2
-        // iterations) is durable cluster-wide; the end-of-iteration-3
-        // write never completed anywhere.
-        assert_eq!(report.last_checkpoint, 2);
+        for backend in BACKENDS {
+            let cfg = EmulatorConfig {
+                iterations: 6,
+                checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
+                backend,
+                ..EmulatorConfig::default()
+            };
+            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+            let report = err.fault_report().expect("fault attribution");
+            assert_eq!(report.iteration, 3, "{backend:?}");
+            // Every device completed iterations 0..=2 before the crash
+            // could block it, so the end-of-iteration-1 checkpoint
+            // (covering 2 iterations) is durable cluster-wide; the
+            // end-of-iteration-3 write never completed anywhere.
+            assert_eq!(report.last_checkpoint, 2, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn stall_report_names_the_last_cluster_checkpoint() {
+        // Dropping device 1's last activation to device 2 in iteration 3
+        // leaves both parked on each other, so `quiesce`, not a driver,
+        // settles device 2 with the stall and reads its checkpoint
+        // progress off its machine.
+        let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
+        let plan = FaultPlan::none()
+            .with(FaultKind::LinkStall {
+                src: DeviceId(1),
+                dst: DeviceId(2),
+                nth: 7,
+            })
+            .at_iteration(3);
+        for backend in BACKENDS {
+            let cfg = EmulatorConfig {
+                iterations: 6,
+                checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
+                backend,
+                ..EmulatorConfig::default()
+            };
+            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+            let report = err.fault_report().expect("fault attribution");
+            assert_eq!(report.device, DeviceId(2), "{backend:?}");
+            assert_eq!(report.blocked_peer, Some(DeviceId(1)), "{backend:?}");
+            // No device gets past iteration 3, so each paid exactly the
+            // end-of-iteration-1 write, which covers 2 iterations.
+            assert_eq!(report.last_checkpoint, 2, "{backend:?}");
+            assert_eq!(report.ckpt_paid_ns, 4 * 500, "{backend:?}");
+        }
     }
 
     #[test]
@@ -1276,23 +1325,28 @@ mod tests {
                 pc: last_pc,
             })
             .at_iteration(1);
-        let cfg = EmulatorConfig {
-            iterations: 2,
-            checkpoint: Some(mario_ir::CheckpointPolicy::every(1).with_write_ns(500)),
-            ..EmulatorConfig::default()
-        };
-        let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
-        let report = err.fault_report().expect("fault attribution");
-        // Only the end-of-iteration-0 checkpoint is durable cluster-wide…
-        assert_eq!(report.last_checkpoint, 1);
-        // …but the attempt paid 4 writes for it plus the three orphaned
-        // end-of-iteration-1 writes: 7 × 500, not `overhead_ns(1) = 500`.
-        assert_eq!(report.ckpt_paid_ns, 7 * 500);
-        // Recovery charges those same payments, plus the final attempt's
-        // (1 remaining iteration, 4 devices).
-        let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).expect("recovers");
-        assert_eq!(rec.resumed_from, 1);
-        assert_eq!(rec.ckpt_overhead_ns, 7 * 500 + 4 * 500);
+        for backend in BACKENDS {
+            let cfg = EmulatorConfig {
+                iterations: 2,
+                checkpoint: Some(mario_ir::CheckpointPolicy::every(1).with_write_ns(500)),
+                backend,
+                ..EmulatorConfig::default()
+            };
+            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+            let report = err.fault_report().expect("fault attribution");
+            // Only the end-of-iteration-0 checkpoint is durable
+            // cluster-wide…
+            assert_eq!(report.last_checkpoint, 1, "{backend:?}");
+            // …but the attempt paid 4 writes for it plus the three
+            // orphaned end-of-iteration-1 writes: 7 × 500, not
+            // `overhead_ns(1) = 500`.
+            assert_eq!(report.ckpt_paid_ns, 7 * 500, "{backend:?}");
+            // Recovery charges those same payments, plus the final
+            // attempt's (1 remaining iteration, 4 devices).
+            let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).expect("recovers");
+            assert_eq!(rec.resumed_from, 1, "{backend:?}");
+            assert_eq!(rec.ckpt_overhead_ns, 7 * 500 + 4 * 500, "{backend:?}");
+        }
     }
 
     #[test]
@@ -1474,43 +1528,42 @@ mod tests {
         // original 7-device pipeline: report order no longer coincides
         // with device id, and neither the critical-device selection nor
         // the conservation bookkeeping may index reports by position.
+        use crate::machine::DeviceReport;
         use mario_ir::DeviceTelemetry;
-        let mk = |id: u32, clock: Nanos, ckpt: Nanos| {
+        let mk = |id: u32, clock: Nanos, ckpt: Nanos| -> Settled {
             let mut telemetry = DeviceTelemetry::new(DeviceId(id));
             telemetry.classes.compute_ns = clock - ckpt;
             telemetry.classes.ckpt_sync_ns = ckpt;
             telemetry.peak_mem = 10 + id as u64;
-            DeviceReport {
+            let report = DeviceReport {
                 clock,
                 peak_mem: 10 + id as u64,
                 leaked: 0,
                 absorbed: Vec::new(),
-                last_checkpoint: 0,
                 telemetry,
-                link_sends: HashMap::new(),
-                link_recv_wait: HashMap::new(),
+                link_sends: Vec::new(),
+                link_recv_wait: Vec::new(),
                 spans: Vec::new(),
-            }
+            };
+            let progress = Ckpt {
+                saved: 0,
+                paid_ns: ckpt,
+            };
+            (Ok(report), progress)
         };
-        let ckpts = CkptBoard::new(7);
-        ckpts.sync(DeviceId(1), 0, 40);
-        ckpts.sync(DeviceId(3), 0, 100);
-        ckpts.sync(DeviceId(6), 0, 40);
         // Device 3 is critical (max clock) but sits at vector index 1;
         // a dense-id assumption would subtract device 6's paid time (or
-        // index out of bounds) instead of device 3's.
-        let results = vec![
-            Ok(mk(1, 500, 40)),
-            Ok(mk(3, 900, 100)),
-            Ok(mk(6, 700, 40)),
-        ];
+        // index out of bounds) instead of device 3's. Each settlement's
+        // paid time matches its report's, as a real driver's does.
+        let results = [mk(1, 500, 40), mk(3, 900, 100), mk(6, 700, 40)].into();
         let cfg = EmulatorConfig {
             iterations: 2,
             ..Default::default()
         };
-        let report = settle_report(results, &cfg, &FaultPlan::none(), &ckpts).unwrap();
+        let report = settle_report(results, &cfg, &FaultPlan::none()).unwrap();
         assert_eq!(report.total_ns, 900);
-        // (900 - paid_of(critical=3)) / 2 iterations, rounded to nearest.
+        // (900 - the critical device 3's paid time) / 2 iterations,
+        // rounded to nearest.
         assert_eq!(report.iter_ns, 400);
         // Clocks and peaks stay in report (survivor) order.
         assert_eq!(report.device_clocks, vec![500, 900, 700]);

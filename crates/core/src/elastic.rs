@@ -192,7 +192,7 @@ fn admissible_width(setup: &ElasticSetup, width: u32) -> bool {
 /// lost, or the scheme's structural constraints cannot be met by any
 /// survivor subset — e.g. Chimera with one survivor).
 ///
-/// The emitted schedule is checked with [`mario_ir::validate`]; the
+/// The emitted schedule is checked with [`mario_ir::validate()`]; the
 /// channel capacity is derived per schedule via
 /// [`mario_ir::min_channel_capacity`], falling back to the per-scheme
 /// closed-form ceiling.

@@ -20,7 +20,7 @@
 //! Trials: a swap of the groups starting at pc `p` on device `d` changes
 //! nothing the makespan sweep does before `d` is about to read pc
 //! `p` — up to then no device has read an instruction the swap moved. So
-//! each device scan keeps one baseline makespan [`Sweep`] of the current
+//! each device scan keeps one baseline makespan `Sweep` of the current
 //! schedule and, walking the candidates in program order, advances it to
 //! each candidate's `(d, p)`, clones the paused sweep into the trial,
 //! swaps the groups and runs the trial to the end. The paused state is
@@ -35,7 +35,7 @@
 //! stopped short of every instruction the swap moved.
 //!
 //! Lowering: the sweeps read each instruction's unscaled duration and
-//! link from a [`StepTable`] lowered once per call, not from the cost
+//! link from a `StepTable` lowered once per call, not from the cost
 //! model and the port tables. A trial rotates the table with the program,
 //! and a rejected one rotates both back, so the table always matches the
 //! schedule; the profile still scales busy time at the pc a step fires at.
@@ -62,7 +62,7 @@
 //! ends with a makespan ≥ `best`, or in a deadlock where the swap closes
 //! a cycle, and the pass rejects both. An edge u → v lies on a longest
 //! path exactly when `finish(u) + own(v) + tail(v) == best`, where
-//! `tail(v)` is the longest path from v's finish to the end. [`Slack`]
+//! `tail(v)` is the longest path from v's finish to the end. `Slack`
 //! records the finish times from one sweep per schedule version (the
 //! first, then one after each accepted swap), and the tails from one pass
 //! backward over that sweep's firing order. The argument needs fixed

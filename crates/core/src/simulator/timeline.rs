@@ -12,19 +12,19 @@
 //! (Fig. 10) then isolates genuine modeling error (profiling regression,
 //! jitter).
 //!
-//! What else lives here is the makespan [`Sweep`], the step loop behind
-//! [`simulate_makespan`] and prepose's paused trials, which the tuner
+//! What else lives here is the makespan `Sweep`, the step loop behind
+//! `simulate_makespan` and prepose's paused trials, which the tuner
 //! ranks on. It runs each device from a [`Ready`] queue until it blocks,
 //! over channels numbered by one [`LinkTable`], and times it with the
 //! machine's rules — one [`DeviceClock`] per device, one [`Fifo`] per
 //! link and the [`PerturbationProfile`] — while recording nothing; an
-//! [`Observe`] hook, a no-op everywhere but prepose's slack pass, sees
+//! `Observe` hook, a no-op everywhere but prepose's slack pass, sees
 //! each step's finish. It also names [`simulate`]'s errors: a deadlock or a mismatch does not
 //! depend on timing, so the sweep meets the one the event run met.
 //!
 //! A step reads an instruction's unscaled duration and its link through
-//! [`Timing`]. One-shot sweeps compute them as the step fires
-//! ([`OnTheFly`]); prepose, which re-runs one schedule hundreds of times,
+//! `Timing`. One-shot sweeps compute them as the step fires
+//! (`OnTheFly`); prepose, which re-runs one schedule hundreds of times,
 //! reads them from a table it lowers once per call and rotates with the
 //! program. Either way the step scales busy time by the profile at the pc
 //! it fires at, so there is one step loop for both.

@@ -7,8 +7,8 @@
 //! Three tiers of export:
 //!
 //! * [`chrome_trace`] — slices grouped into one process per pipeline
-//!   *part* (parsed from the `F0^1`-style instruction notation, so
-//!   Chimera's up and down pipelines land in separate process groups),
+//!   *part* (the part each instruction acts on, so Chimera's up and down
+//!   pipelines land in separate process groups),
 //!   with `process_name`/`thread_name` metadata;
 //! * [`chrome_trace_rich`] — additionally emits flow arrows connecting
 //!   every send slice to its matching recv slice, per-device live-memory
@@ -24,7 +24,9 @@
 
 use crate::critpath::CritReport;
 use crate::simulator::memory_series;
-use mario_ir::{CostModel, DeviceId, Instr, Nanos, OpSpan, PartId, Schedule, SpanGraph};
+use mario_ir::{
+    CostModel, DeviceId, Dir, Instr, InstrKind, Msg, Nanos, OpSpan, PartId, Schedule, SpanGraph,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// The synthetic process id counter tracks are parented under, so memory
@@ -43,71 +45,26 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-fn category(name: &str) -> &'static str {
-    if name.starts_with("cF") {
-        "ckpt-forward"
-    } else if name.starts_with('F') {
-        "forward"
-    } else if name.starts_with("Bi") {
-        "backward-input"
-    } else if name.starts_with("Bw") {
-        "backward-weight"
-    } else if name.starts_with('B') {
-        "backward"
-    } else if name.starts_with("RA") || name.starts_with("RG") {
-        "recv"
-    } else if name.starts_with('R') {
-        "recompute"
-    } else if name.starts_with("SA") || name.starts_with("SG") {
-        "send"
-    } else {
-        "other"
+/// The trace category of an instruction; `other` for collectives and
+/// checkpoint writes (`None`).
+fn category(instr: Option<Instr>) -> &'static str {
+    match instr.map(|i| i.kind) {
+        Some(InstrKind::Forward { ckpt: true }) => "ckpt-forward",
+        Some(InstrKind::Forward { ckpt: false }) => "forward",
+        Some(InstrKind::BackwardInput) => "backward-input",
+        Some(InstrKind::BackwardWeight) => "backward-weight",
+        Some(InstrKind::Backward) => "backward",
+        Some(InstrKind::RecvAct { .. } | InstrKind::RecvGrad { .. }) => "recv",
+        Some(InstrKind::Recompute) => "recompute",
+        Some(InstrKind::SendAct { .. } | InstrKind::SendGrad { .. }) => "send",
+        _ => "other",
     }
 }
 
-/// The pipeline part encoded in the instruction notation (`F3^1` → 1),
-/// used as the Perfetto process id so each part renders as its own group.
-/// Part-free instructions (`AR`, `OS`, `CKPT`) and foreign names fall back
-/// to part 0.
-fn part_of(name: &str) -> u32 {
-    let Some(caret) = name.find('^') else {
-        return 0;
-    };
-    let digits: String = name[caret + 1..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().unwrap_or(0)
-}
-
-/// Identity of one logical transfer: `(activation?, micro, part, src,
-/// dst)`. A send and its matching recv parse to the same key; repeated
-/// iterations repeat keys and are paired FIFO.
-type XferKey = (bool, u32, u32, u32, u32);
-
-fn xfer_key(device: u32, name: &str, send: bool) -> Option<XferKey> {
-    let (prefix_act, prefix_grad, sep) = if send {
-        ("SA", "SG", '>')
-    } else {
-        ("RA", "RG", '<')
-    };
-    let act = if name.starts_with(prefix_act) {
-        true
-    } else if name.starts_with(prefix_grad) {
-        false
-    } else {
-        return None;
-    };
-    let (mp, peer) = name[2..].split_once(sep)?;
-    let (m, p) = mp.split_once('^')?;
-    let peer: u32 = peer.strip_prefix('d')?.parse().ok()?;
-    let (m, p) = (m.parse().ok()?, p.parse().ok()?);
-    Some(if send {
-        (act, m, p, device, peer)
-    } else {
-        (act, m, p, peer, device)
-    })
-}
+/// Identity of one logical transfer: the message and its `(src, dst)`.
+/// A send and its matching recv share it; repeated iterations repeat
+/// keys and are paired FIFO.
+type XferKey = (Msg, u32, u32);
 
 /// Incremental Trace Event Format writer.
 struct Writer {
@@ -130,28 +87,22 @@ impl Writer {
         self.first = false;
     }
 
-    /// A slice with optional causal annotation: `Some((on_path, slack))`
-    /// stamps `args.cp` / `args.slack_ns`, and critical-path slices get a
+    /// A slice in its part's process and its device's thread, with
+    /// optional causal annotation: `Some((on_path, slack))` stamps
+    /// `args.cp` / `args.slack_ns`, and critical-path slices get a
     /// reserved color name so the path pops visually in the viewer.
-    fn slice_annotated(
-        &mut self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        start: Nanos,
-        end: Nanos,
-        annot: Option<(bool, Nanos)>,
-    ) {
+    fn slice_annotated(&mut self, s: &Slice, annot: Option<(bool, Nanos)>) {
+        let (pid, tid, span) = (s.pid(), s.span.device.0, s.span);
         self.open();
         self.out
             .push_str(&format!("{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\""));
-        escape(name, &mut self.out);
+        escape(&s.name, &mut self.out);
         self.out.push_str("\",\"cat\":\"");
-        self.out.push_str(category(name));
+        self.out.push_str(category(s.instr));
         self.out.push_str(&format!(
             "\",\"ts\":{:.3},\"dur\":{:.3}",
-            start as f64 / 1e3,
-            (end - start) as f64 / 1e3
+            span.start as f64 / 1e3,
+            (span.end - span.start) as f64 / 1e3
         ));
         if let Some((cp, slack)) = annot {
             if cp {
@@ -232,11 +183,36 @@ pub(crate) fn span_instr(schedule: &Schedule, span: &OpSpan) -> Option<Instr> {
 }
 
 /// One trace slice: a span, its index in its device's span list (the
-/// index a [`CritReport`] uses) and its display name.
+/// index a [`CritReport`] uses), the instruction it executed (None for a
+/// checkpoint write) and its display name.
 struct Slice<'a> {
     span: &'a OpSpan,
     idx: usize,
+    instr: Option<Instr>,
     name: String,
+}
+
+impl Slice<'_> {
+    /// The pipeline part the slice acts on, used as the Perfetto process
+    /// id so each part renders as its own group. Part-free slices (`AR`,
+    /// `OS`, `CKPT`) land in part 0.
+    fn pid(&self) -> u32 {
+        match self.instr {
+            Some(i) if !matches!(i.kind, InstrKind::AllReduce | InstrKind::OptimizerStep) => {
+                i.part.0
+            }
+            _ => 0,
+        }
+    }
+
+    /// The transfer a send or recv slice takes part in, with its
+    /// direction.
+    fn xfer(&self) -> Option<(Dir, XferKey)> {
+        let instr = self.instr?;
+        let p = instr.kind.p2p()?;
+        let (src, dst, ..) = p.chan(self.span.device, instr.part);
+        Some((p.dir, (p.msg(&instr), src.0, dst.0)))
+    }
 }
 
 /// Every span in timeline order — stably sorted by `(start, device)`, so
@@ -247,10 +223,14 @@ fn slices<'a>(spans: &'a SpanGraph, schedule: &Schedule) -> Vec<Slice<'a>> {
         .per_device
         .iter()
         .flat_map(|ops| ops.iter().enumerate())
-        .map(|(idx, span)| Slice {
-            span,
-            idx,
-            name: span_instr(schedule, span).map_or_else(|| "CKPT".to_string(), |i| i.to_string()),
+        .map(|(idx, span)| {
+            let instr = span_instr(schedule, span);
+            Slice {
+                span,
+                idx,
+                instr,
+                name: instr.map_or_else(|| "CKPT".to_string(), |i| i.to_string()),
+            }
         })
         .collect();
     all.sort_by_key(|s| (s.span.start, s.span.device.0));
@@ -269,11 +249,11 @@ fn write_slices(
     // (part → devices) seen, for the metadata pass.
     let mut groups: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     for s in slices {
-        let (pid, device) = (part_of(&s.name), s.span.device);
+        let (pid, device) = (s.pid(), s.span.device);
         groups.entry(pid).or_default().insert(device.0);
         let annot =
             report.map(|r| (r.on_path[device.index()][s.idx], r.slack[device.index()][s.idx]));
-        w.slice_annotated(pid, device.0, &s.name, s.span.start, s.span.end, annot);
+        w.slice_annotated(s, annot);
     }
     for (pid, devices) in groups {
         w.metadata(pid, None, "process_name", &format!("pipeline part {pid}"));
@@ -373,22 +353,22 @@ fn rich(
     // Queue-depth deltas per directed link: +1 at send end, −1 at recv end.
     let mut depth: BTreeMap<(u32, u32), Vec<(Nanos, i64)>> = BTreeMap::new();
     for s in &slices {
-        if let Some(key) = xfer_key(s.span.device.0, &s.name, true) {
+        if let Some((Dir::Send, key)) = s.xfer() {
             pending.entry(key).or_default().push_back(s);
-            depth.entry((key.3, key.4)).or_default().push((s.span.end, 1));
+            depth.entry((key.1, key.2)).or_default().push((s.span.end, 1));
         }
     }
     for r in &slices {
-        if let Some(key) = xfer_key(r.span.device.0, &r.name, false) {
+        if let Some((Dir::Recv, key)) = r.xfer() {
             if let Some(send) = pending.get_mut(&key).and_then(VecDeque::pop_front) {
                 w.flow(
                     next_id,
-                    (part_of(&send.name), send.span.device.0, send.span.start),
-                    (part_of(&r.name), r.span.device.0, r.span.end),
+                    (send.pid(), send.span.device.0, send.span.start),
+                    (r.pid(), r.span.device.0, r.span.end),
                 );
                 next_id += 1;
             }
-            depth.entry((key.3, key.4)).or_default().push((r.span.end, -1));
+            depth.entry((key.1, key.2)).or_default().push((r.span.end, -1));
         }
     }
 
@@ -403,7 +383,7 @@ fn rich(
         }
         let name = format!("mem d{}", d.0);
         let mut i = 0usize;
-        for s in slices.iter().filter(|s| s.span.device == d && s.name != "CKPT") {
+        for s in slices.iter().filter(|s| s.span.device == d && s.instr.is_some()) {
             w.counter(COUNTER_PID, &name, s.span.end, "bytes", series.points[i].1);
             i = (i + 1) % series.points.len();
         }
@@ -500,19 +480,24 @@ mod tests {
     }
 
     #[test]
-    fn categories_cover_every_notation() {
-        for (name, cat) in [
-            ("F0^0", "forward"),
-            ("cF0^0", "ckpt-forward"),
-            ("B0^0", "backward"),
-            ("Bi0^0", "backward-input"),
-            ("Bw0^0", "backward-weight"),
-            ("R0^0", "recompute"),
-            ("SA0^0>d1", "send"),
-            ("RG0^0<d1", "recv"),
-            ("AR", "other"),
+    fn categories_cover_every_kind() {
+        let d1 = DeviceId(1);
+        for (instr, cat) in [
+            (Some(Instr::forward(0u32, 0u32)), "forward"),
+            (Some(Instr::ckpt_forward(0u32, 0u32)), "ckpt-forward"),
+            (Some(Instr::backward(0u32, 0u32)), "backward"),
+            (Some(Instr::backward_input(0u32, 0u32)), "backward-input"),
+            (Some(Instr::backward_weight(0u32, 0u32)), "backward-weight"),
+            (Some(Instr::recompute(0u32, 0u32)), "recompute"),
+            (Some(Instr::send_act(0u32, 0u32, d1)), "send"),
+            (Some(Instr::send_grad(0u32, 0u32, d1)), "send"),
+            (Some(Instr::recv_act(0u32, 0u32, d1)), "recv"),
+            (Some(Instr::recv_grad(0u32, 0u32, d1)), "recv"),
+            (Some(Instr::all_reduce()), "other"),
+            (Some(Instr::optimizer_step()), "other"),
+            (None, "other"),
         ] {
-            assert_eq!(category(name), cat, "{name}");
+            assert_eq!(category(instr), cat, "{instr:?}");
         }
     }
 
@@ -673,28 +658,6 @@ mod tests {
         assert!(json.contains("pipeline part 0"));
         assert!(json.contains("pipeline part 1"));
         assert!(json.contains("\"pid\":1,"));
-    }
-
-    #[test]
-    fn part_parsing_handles_every_notation() {
-        assert_eq!(part_of("F3^1"), 1);
-        assert_eq!(part_of("SA0^12>d1"), 12);
-        assert_eq!(part_of("AR"), 0);
-        assert_eq!(part_of("CKPT"), 0);
-        assert_eq!(part_of("we^ird"), 0);
-    }
-
-    #[test]
-    fn transfer_keys_pair_sends_with_recvs() {
-        // d0 sends act (micro 0, part 1) to d2; d2 receives it.
-        assert_eq!(xfer_key(0, "SA0^1>d2", true), Some((true, 0, 1, 0, 2)));
-        assert_eq!(xfer_key(2, "RA0^1<d0", false), Some((true, 0, 1, 0, 2)));
-        // Gradients pair too, and directions are distinct keys.
-        assert_eq!(xfer_key(2, "SG0^0>d1", true), Some((false, 0, 0, 2, 1)));
-        assert_eq!(xfer_key(1, "RG0^0<d2", false), Some((false, 0, 0, 2, 1)));
-        // Non-transfers parse to nothing.
-        assert_eq!(xfer_key(0, "F0^0", true), None);
-        assert_eq!(xfer_key(0, "AR", false), None);
     }
 
     #[test]

@@ -257,56 +257,49 @@ impl FaultHistory {
     /// site of its first report. This is the device-binning hook for
     /// fitting per-device fault rates from a shared history.
     pub fn hard_faults_by_device(&self) -> Vec<(DeviceId, u64)> {
-        let mut seen_groups: Vec<&str> = Vec::new();
-        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-        for r in &self.reports {
-            if r.fault.is_absorbable() {
-                continue;
-            }
-            if let Some(g) = r.group.as_deref() {
-                if seen_groups.contains(&g) {
-                    continue;
-                }
-                seen_groups.push(g);
-            }
-            *counts.entry(r.fault.site().0).or_default() += 1;
+        let mut counts: BTreeMap<DeviceId, u64> = BTreeMap::new();
+        for site in restart_sites(&self.reports) {
+            *counts.entry(site).or_default() += 1;
         }
-        counts.into_iter().map(|(d, n)| (DeviceId(d), n)).collect()
+        counts.into_iter().collect()
     }
+}
+
+/// The site of each restart-forcing event in `reports`, in report order:
+/// absorbable faults never force a restart and are skipped, and reports
+/// sharing a correlated group are one event, at its first report's site
+/// (`FaultKind::site`, the faulty component's device).
+fn restart_sites(reports: &[FaultReport]) -> impl Iterator<Item = DeviceId> + '_ {
+    let mut seen_groups: Vec<&str> = Vec::new();
+    reports.iter().filter_map(move |r| {
+        if r.fault.is_absorbable() {
+            return None;
+        }
+        if let Some(g) = r.group.as_deref() {
+            if seen_groups.contains(&g) {
+                return None;
+            }
+            seen_groups.push(g);
+        }
+        Some(r.fault.site())
+    })
+}
+
+/// `events` per iteration; `None` with no iterations or no event.
+fn rate(events: usize, iterations: u64) -> Option<f64> {
+    (iterations > 0 && events > 0).then(|| events as f64 / iterations as f64)
 }
 
 /// Fits a hard-fault rate (failures per iteration) to observed fault
 /// reports: restart-forcing events over iterations observed. Absorbable
 /// faults (slowdowns, link delays) never force a restart and are
-/// ignored; reports sharing a correlated [`FaultGroup`]
-/// (`mario_cluster::FaultGroup`) count as ONE event — a rack failure is
+/// ignored; reports sharing a correlated group
+/// ([`mario_cluster::FaultGroup`]) count as ONE event — a rack failure is
 /// one restart no matter how many crash-and-stall reports it spawned.
 /// `None` when nothing was observed (no iterations, or no hard fault) —
 /// the caller falls back to its prior.
 pub fn fit_fault_rate(reports: &[FaultReport], iterations: u64) -> Option<f64> {
-    if iterations == 0 {
-        return None;
-    }
-    let mut seen_groups: Vec<&str> = Vec::new();
-    let mut events = 0u64;
-    for r in reports {
-        if r.fault.is_absorbable() {
-            continue;
-        }
-        match r.group.as_deref() {
-            Some(g) => {
-                if !seen_groups.contains(&g) {
-                    seen_groups.push(g);
-                    events += 1;
-                }
-            }
-            None => events += 1,
-        }
-    }
-    if events == 0 {
-        return None;
-    }
-    Some(events as f64 / iterations as f64)
+    rate(restart_sites(reports).count(), iterations)
 }
 
 /// [`fit_fault_rate`] scoped to a device subset: only restart-forcing
@@ -322,33 +315,11 @@ pub fn fit_fault_rate_on(
     iterations: u64,
     devices: &[DeviceId],
 ) -> Option<f64> {
-    if iterations == 0 {
-        return None;
-    }
-    let mut seen_groups: Vec<&str> = Vec::new();
-    let mut events = 0u64;
-    for r in reports {
-        if r.fault.is_absorbable() {
-            continue;
-        }
-        // Group dedup must consume the group *before* the site filter:
-        // a correlated event is attributed to its first report's site
-        // only, even when later members of the group sit on in-scope
-        // devices.
-        if let Some(g) = r.group.as_deref() {
-            if seen_groups.contains(&g) {
-                continue;
-            }
-            seen_groups.push(g);
-        }
-        if devices.contains(&r.fault.site()) {
-            events += 1;
-        }
-    }
-    if events == 0 {
-        return None;
-    }
-    Some(events as f64 / iterations as f64)
+    // The site filter runs after group dedup: a correlated event is
+    // attributed to its first report's site only, even when later
+    // members of the group sit on in-scope devices.
+    let events = restart_sites(reports).filter(|d| devices.contains(d)).count();
+    rate(events, iterations)
 }
 
 /// The effective per-checkpoint write cost a run actually exhibited: its
@@ -596,9 +567,6 @@ pub struct SearchStats {
     /// candidate plus one per degraded re-evaluation; prepose-internal
     /// simulations are not counted).
     pub dp_invocations: u64,
-    /// Wall-clock time of the search (equals
-    /// [`TuneResult::tuning_time`]).
-    pub wall_time: Duration,
 }
 
 /// The outcome of a grid search.
@@ -666,7 +634,7 @@ pub fn topology_of(scheme: SchemeKind, pp: u32) -> Topology {
 
 /// Channel buffer depth a scheme is known to need under blocking p2p, as
 /// a closed-form **upper bound** per scheme family. The tuner no longer
-/// uses this table directly — [`build_schedule`] derives the minimal
+/// uses this table directly — `build_schedule` derives the minimal
 /// sufficient capacity from the concrete schedule's send/recv order
 /// (`mario_ir::min_channel_capacity`), which can be smaller (e.g. small
 /// Chimera instances run at capacity 1) — but the table is kept as the
@@ -1196,7 +1164,6 @@ pub fn tune(model: &ModelConfig, gpu: &GpuSpec, cfg: &TunerConfig) -> Result<Tun
         })
     });
     let tuning_time = started.elapsed();
-    stats.wall_time = tuning_time;
     Ok(TuneResult {
         best,
         curve,
@@ -1975,7 +1942,6 @@ mod tests {
         assert_eq!(s.dp_invocations, s.simulated);
         assert_eq!(s.degraded_evals, 0);
         assert_eq!(s.emulator_runs, 0);
-        assert_eq!(s.wall_time, r.tuning_time);
 
         // Degraded re-evaluation and emulator validation add their bounded
         // extra effort to the ledger.

@@ -42,8 +42,9 @@
 //!   numbers every channel once, shared by every engine;
 //! * [`ready`] — the ready queue the single-threaded engines run each
 //!   device from until it blocks;
-//! * [`validate`] / [`exec`] — structural validation plus symbolic
-//!   execution proving schedules deadlock-free under blocking p2p.
+//! * [`validate`](mod@validate) / [`exec`] — structural validation plus
+//!   symbolic execution proving schedules deadlock-free under blocking
+//!   p2p.
 
 #![warn(missing_docs)]
 

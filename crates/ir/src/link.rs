@@ -43,7 +43,7 @@ pub enum MsgClass {
 }
 
 /// A message in flight on a directed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Msg {
     /// Activation or gradient.
     pub class: MsgClass,

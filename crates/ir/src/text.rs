@@ -304,7 +304,7 @@ enum Shape {
 /// Malformed text, and a header that names an impossible topology (no
 /// devices, Chimera on an odd count, zero chunks) or a route the scheme
 /// lacks, is a [`TextError`], never a panic. Whether the instructions
-/// form a sound schedule is [`crate::validate`]'s question. The grammar
+/// form a sound schedule is [`crate::validate()`]'s question. The grammar
 /// is in the [module documentation](self).
 pub fn from_text(text: &str) -> Result<Schedule, TextError> {
     let err = |line: usize, what: &str| TextError {
