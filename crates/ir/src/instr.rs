@@ -298,26 +298,123 @@ impl Instr {
     }
 }
 
+/// What the notation writes after a kind's prefix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tail {
+    /// Nothing (`AR`, `OS`).
+    Bare,
+    /// `<micro>^<part>`.
+    Ids,
+    /// `<micro>^<part>`, the separator byte, `d` and the peer.
+    Peer(u8, DeviceId),
+}
+
+impl InstrKind {
+    /// The notation table: each kind's prefix and what follows it. It is
+    /// the one definition of the notation; [`Instr::encode`], and through
+    /// it both `Display`s and [`crate::to_text`], write from it.
+    #[inline]
+    pub(crate) fn notation(self) -> (&'static str, Tail) {
+        match self {
+            InstrKind::Forward { ckpt: false } => ("F", Tail::Ids),
+            InstrKind::Forward { ckpt: true } => ("cF", Tail::Ids),
+            InstrKind::Backward => ("B", Tail::Ids),
+            InstrKind::BackwardInput => ("Bi", Tail::Ids),
+            InstrKind::BackwardWeight => ("Bw", Tail::Ids),
+            InstrKind::Recompute => ("R", Tail::Ids),
+            InstrKind::SendAct { peer } => ("SA", Tail::Peer(b'>', peer)),
+            InstrKind::RecvAct { peer } => ("RA", Tail::Peer(b'<', peer)),
+            InstrKind::SendGrad { peer } => ("SG", Tail::Peer(b'>', peer)),
+            InstrKind::RecvGrad { peer } => ("RG", Tail::Peer(b'<', peer)),
+            InstrKind::AllReduce => ("AR", Tail::Bare),
+            InstrKind::OptimizerStep => ("OS", Tail::Bare),
+        }
+    }
+}
+
+/// The longest notation: a two-byte prefix, a `u32`, `^`, a `u32`, `>d`
+/// and a `u32`.
+const NOTATION_MAX: usize = 2 + 10 + 1 + 10 + 2 + 10;
+
+/// `n`'s decimal digits, written at the end of `buf`.
+#[inline]
+pub(crate) fn decimal(n: u32, buf: &mut [u8; 10]) -> &[u8] {
+    let mut n = n;
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
+/// The number of decimal digits of `n`.
+#[inline]
+pub(crate) fn decimal_len(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |l| l as usize + 1)
+}
+
+/// Copies `bytes` into `out` at `at` and returns the index after them.
+#[inline]
+pub(crate) fn put(out: &mut [u8], at: usize, bytes: &[u8]) -> usize {
+    let end = at + bytes.len();
+    out[at..end].copy_from_slice(bytes);
+    end
+}
+
+/// Writes `n` in decimal into `out` at `at` and returns the index after it.
+#[inline]
+pub(crate) fn put_u32(out: &mut [u8], at: usize, n: u32) -> usize {
+    put(out, at, decimal(n, &mut [0; 10]))
+}
+
+impl Instr {
+    /// The length in bytes of the notation [`Instr::encode`] writes.
+    #[inline]
+    pub(crate) fn encoded_len(&self) -> usize {
+        let (prefix, tail) = self.kind.notation();
+        let ids = decimal_len(self.micro.0) + 1 + decimal_len(self.part.0);
+        prefix.len()
+            + match tail {
+                Tail::Bare => 0,
+                Tail::Ids => ids,
+                Tail::Peer(_, peer) => ids + 2 + decimal_len(peer.0),
+            }
+    }
+
+    /// Writes the notation into `out` at `at` and returns the index after
+    /// it; `out` must hold [`Instr::encoded_len`] bytes from `at`.
+    #[inline]
+    pub(crate) fn encode(&self, out: &mut [u8], at: usize) -> usize {
+        let (prefix, tail) = self.kind.notation();
+        let at = put(out, at, prefix.as_bytes());
+        let ids = |out: &mut [u8], at| {
+            let at = put_u32(out, at, self.micro.0);
+            let at = put(out, at, b"^");
+            put_u32(out, at, self.part.0)
+        };
+        match tail {
+            Tail::Bare => at,
+            Tail::Ids => ids(out, at),
+            Tail::Peer(sep, peer) => {
+                let at = ids(out, at);
+                let at = put(out, at, &[sep, b'd']);
+                put_u32(out, at, peer.0)
+            }
+        }
+    }
+}
+
 impl fmt::Display for Instr {
     /// Compact notation mirroring the paper: `F3^0`, `cF3^0`, `B3^0`,
     /// `R3^0`, `SA3^0>d2`, `RA3^0<d0`, `AR`, `OS`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = self.micro.0;
-        let p = self.part.0;
-        match self.kind {
-            InstrKind::Forward { ckpt: false } => write!(f, "F{m}^{p}"),
-            InstrKind::Forward { ckpt: true } => write!(f, "cF{m}^{p}"),
-            InstrKind::Backward => write!(f, "B{m}^{p}"),
-            InstrKind::BackwardInput => write!(f, "Bi{m}^{p}"),
-            InstrKind::BackwardWeight => write!(f, "Bw{m}^{p}"),
-            InstrKind::Recompute => write!(f, "R{m}^{p}"),
-            InstrKind::SendAct { peer } => write!(f, "SA{m}^{p}>{peer}"),
-            InstrKind::RecvAct { peer } => write!(f, "RA{m}^{p}<{peer}"),
-            InstrKind::SendGrad { peer } => write!(f, "SG{m}^{p}>{peer}"),
-            InstrKind::RecvGrad { peer } => write!(f, "RG{m}^{p}<{peer}"),
-            InstrKind::AllReduce => write!(f, "AR"),
-            InstrKind::OptimizerStep => write!(f, "OS"),
-        }
+        let mut buf = [0; NOTATION_MAX];
+        let len = self.encode(&mut buf, 0);
+        f.write_str(std::str::from_utf8(&buf[..len]).expect("the notation is ASCII"))
     }
 }
 

@@ -9,7 +9,7 @@
 //! edits.
 
 use crate::ids::{DeviceId, MicroId, PartId};
-use crate::instr::{Instr, InstrKind, InstrTag};
+use crate::instr::{decimal_len, put, put_u32, Instr, InstrKind, InstrTag};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -164,13 +164,35 @@ impl DeviceProgram {
     }
 }
 
+impl DeviceProgram {
+    /// The length in bytes of the line [`DeviceProgram::encode_line`]
+    /// writes.
+    pub(crate) fn line_len(&self) -> usize {
+        let instrs: usize = self.instrs.iter().map(|i| 1 + i.encoded_len()).sum();
+        2 + decimal_len(self.device.0) + instrs
+    }
+
+    /// Writes the program's line, `dK:` and a space before each
+    /// instruction's notation, into `out` at `at` and returns the index
+    /// after it; `out` must hold [`DeviceProgram::line_len`] bytes from
+    /// `at`.
+    pub(crate) fn encode_line(&self, out: &mut [u8], at: usize) -> usize {
+        let at = put(out, at, b"d");
+        let at = put_u32(out, at, self.device.0);
+        let mut at = put(out, at, b":");
+        for i in &self.instrs {
+            at = put(out, at, b" ");
+            at = i.encode(out, at);
+        }
+        at
+    }
+}
+
 impl fmt::Display for DeviceProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:", self.device)?;
-        for i in &self.instrs {
-            write!(f, " {i}")?;
-        }
-        Ok(())
+        let mut line = vec![0; self.line_len()];
+        self.encode_line(&mut line, 0);
+        f.write_str(std::str::from_utf8(&line).expect("the notation is ASCII"))
     }
 }
 

@@ -12,8 +12,9 @@
 //! d1: RA0^0<d0 F0^0 B0^0 SG0^0>d0 ...
 //! ```
 //!
-//! Instructions use the same compact notation as their `Display` impl, so
-//! dumps are directly diffable against visualizations and logs.
+//! Instructions use the same compact notation as their `Display` impl,
+//! written by the same encoder, so dumps are directly diffable against
+//! visualizations and logs.
 //!
 //! # Accepted grammar
 //!
@@ -38,12 +39,24 @@
 //! `u32::from_str` and `str::split_whitespace`, so a reader built on them
 //! accepts exactly the same texts.
 //!
-//! [`from_text`] reads the text in one pass: a cursor walks each line's
-//! bytes, matches the instruction prefix and accumulates digits in
-//! place, and each device program is allocated at its exact length.
+//! [`to_text`] writes bytes: it sizes the output to the text's exact
+//! length, then writes the header and each program's line into it. Every
+//! instruction is written from one per-kind notation table
+//! ([`InstrKind`]'s prefix and p2p separator), the table `Instr`'s and
+//! `DeviceProgram`'s `Display` also write from, so the notation is
+//! defined in one place; each number goes through a small stack digit
+//! buffer.
+//!
+//! [`from_text`] reads the text in one pass over its bytes. The header's
+//! three lines are read token by token. Each device line is read with a
+//! local index: one two-byte match decodes an instruction's prefix and
+//! kind, digits accumulate in place, and each device program is
+//! allocated at its exact length. [`parse_instr`] calls the same
+//! decoder. A byte past ASCII goes to one Unicode White_Space rule,
+//! which the header and the device lines share.
 
 use crate::ids::{DeviceId, MicroId, PartId};
-use crate::instr::{Instr, InstrKind};
+use crate::instr::{decimal, put, Instr, InstrKind, Tail};
 use crate::list::DeviceProgram;
 use crate::schedule::Schedule;
 use crate::topology::{SchemeKind, Topology};
@@ -67,18 +80,20 @@ impl fmt::Display for TextError {
 
 impl std::error::Error for TextError {}
 
-fn scheme_token(s: SchemeKind) -> String {
+/// The scheme's token: a name, and for the chunked schemes `:` and the
+/// chunk count.
+fn scheme_token(s: SchemeKind) -> (&'static str, Option<u32>) {
     match s {
-        SchemeKind::GPipe => "G".into(),
-        SchemeKind::OneFOneB => "V".into(),
-        SchemeKind::Chimera => "X".into(),
-        SchemeKind::Interleave { chunks } => format!("W:{chunks}"),
-        SchemeKind::Wave { chunks } => format!("H:{chunks}"),
-        SchemeKind::ForwardOnly => "F".into(),
+        SchemeKind::GPipe => ("G", None),
+        SchemeKind::OneFOneB => ("V", None),
+        SchemeKind::Chimera => ("X", None),
+        SchemeKind::Interleave { chunks } => ("W:", Some(chunks)),
+        SchemeKind::Wave { chunks } => ("H:", Some(chunks)),
+        SchemeKind::ForwardOnly => ("F", None),
         // "F" is taken by ForwardOnly and "B"/"Bi"/"Bw" by the instruction
         // notation, so the ZB family gets "Z"-prefixed tokens.
-        SchemeKind::ZeroBubbleH1 => "Z".into(),
-        SchemeKind::ZeroBubbleV => "ZV".into(),
+        SchemeKind::ZeroBubbleH1 => ("Z", None),
+        SchemeKind::ZeroBubbleV => ("ZV", None),
     }
 }
 
@@ -104,199 +119,186 @@ fn parse_scheme(tok: &str) -> Option<SchemeKind> {
 
 /// Serializes a schedule to the v1 text format.
 pub fn to_text(s: &Schedule) -> String {
-    let mut out = String::from("mario-schedule v1\n");
-    out.push_str(&format!(
-        "scheme {} devices {} micros {}\n",
-        scheme_token(s.topology.scheme),
-        s.topology.devices,
-        s.micros
-    ));
-    out.push_str("routes");
-    for r in &s.routes {
-        out.push_str(&format!(" {r}"));
+    let mut head = Vec::new();
+    let push_u32 = |head: &mut Vec<u8>, n| head.extend_from_slice(decimal(n, &mut [0; 10]));
+    let (scheme, chunks) = scheme_token(s.topology.scheme);
+    head.extend_from_slice(b"mario-schedule v1\nscheme ");
+    head.extend_from_slice(scheme.as_bytes());
+    if let Some(chunks) = chunks {
+        push_u32(&mut head, chunks);
     }
-    out.push('\n');
+    head.extend_from_slice(b" devices ");
+    push_u32(&mut head, s.topology.devices);
+    head.extend_from_slice(b" micros ");
+    push_u32(&mut head, s.micros);
+    head.extend_from_slice(b"\nroutes");
+    for &r in &s.routes {
+        head.push(b' ');
+        push_u32(&mut head, r);
+    }
+    head.push(b'\n');
+
+    let len = head.len() + s.programs().iter().map(|p| p.line_len() + 1).sum::<usize>();
+    let mut out = vec![0; len];
+    let mut at = put(&mut out, 0, &head);
     for p in s.programs() {
-        out.push_str(&p.to_string());
-        out.push('\n');
+        at = p.encode_line(&mut out, at);
+        at = put(&mut out, at, b"\n");
     }
-    out
+    assert_eq!(at, len, "to_text sized its output exactly");
+    String::from_utf8(out).expect("the notation is ASCII")
 }
 
 /// Parses one instruction token (the `Display` notation).
 pub fn parse_instr(tok: &str) -> Option<Instr> {
-    let mut c = Cursor::new(tok);
-    let instr = c.instr()?;
-    c.at_end().then_some(instr)
+    match decode(tok.as_bytes(), 0) {
+        Some((instr, end)) if end == tok.len() => Some(instr),
+        _ => None,
+    }
 }
 
 /// A whole token read as a number.
 fn number(tok: &str) -> Option<u32> {
-    let mut c = Cursor::new(tok);
-    let n = c.number()?;
-    c.at_end().then_some(n)
+    match number_at(tok.as_bytes(), 0) {
+        Some((n, end)) if end == tok.len() => Some(n),
+        _ => None,
+    }
 }
 
-/// A position in the text. It only ever stops on a character boundary:
-/// it steps over ASCII bytes it matched and over whole characters.
-struct Cursor<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    /// Steps over `b` if it is next.
-    #[inline]
-    fn eat(&mut self, b: u8) -> bool {
-        let next = self.peek() == Some(b);
-        self.pos += usize::from(next);
-        next
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.text.len()
-    }
-
-    /// At the end of a line: a `\n` or the end of the text.
-    #[inline]
-    fn at_line_end(&self) -> bool {
-        matches!(self.peek(), None | Some(b'\n'))
-    }
-
-    /// Byte length of the white-space character next, 0 if there is
-    /// none. `\n` ends the line instead.
-    #[inline]
-    fn space_len(&self) -> usize {
-        match self.peek() {
-            Some(b'\t' | 0x0B | 0x0C | b'\r' | b' ') => 1,
-            Some(0x80..) => self.text[self.pos..]
-                .chars()
-                .next()
-                .filter(|c| c.is_whitespace())
-                .map_or(0, char::len_utf8),
-            _ => 0,
-        }
-    }
-
-    /// Steps over white space within the line.
-    #[inline]
-    fn skip_space(&mut self) {
-        loop {
-            let n = self.space_len();
-            if n == 0 {
-                return;
-            }
-            self.pos += n;
-        }
-    }
-
-    /// Where a token ends: white space or the end of the line.
-    #[inline]
-    fn at_token_end(&self) -> bool {
-        self.at_line_end() || self.space_len() > 0
-    }
-
-    /// The next white-space-separated token of the line.
-    fn token(&mut self) -> Option<&'a str> {
-        self.skip_space();
-        let start = self.pos;
-        while !self.at_token_end() {
-            self.pos += self.text[self.pos..]
-                .chars()
-                .next()
-                .map_or(1, char::len_utf8);
-        }
-        (self.pos > start).then(|| &self.text[start..self.pos])
-    }
-
-    /// Whether `b` occurs before the end of the line.
-    fn line_has(&self, b: u8) -> bool {
-        self.text.as_bytes()[self.pos..]
-            .iter()
-            .take_while(|&&x| x != b'\n')
-            .any(|&x| x == b)
-    }
-
-    /// Steps past the end of the line.
-    fn next_line(&mut self) {
-        let rest = &self.text.as_bytes()[self.pos..];
-        self.pos += rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(rest.len(), |i| i + 1);
-    }
-
-    /// A number: an optional `+`, then ASCII digits up to the first other
-    /// byte, with a value that fits in a `u32`.
-    #[inline]
-    fn number(&mut self) -> Option<u32> {
-        self.eat(b'+');
-        let start = self.pos;
-        let mut n = 0u32;
-        while let Some(d @ b'0'..=b'9') = self.peek() {
-            n = n.checked_mul(10)?.checked_add(u32::from(d - b'0'))?;
-            self.pos += 1;
-        }
-        (self.pos > start).then_some(n)
-    }
-
-    /// An instruction in the `Display` notation, up to where it ends; the
-    /// caller checks what follows.
-    #[inline]
-    fn instr(&mut self) -> Option<Instr> {
-        // Compute: cF3^0 / F3^0 / B3^0 / Bi3^0 / Bw3^0 / R3^0; P2P:
-        // SA3^1>d2 / RG0^0<d1.
-        let first = self.peek()?;
-        self.pos += 1;
-        let shape = match first {
-            b'F' => Shape::Compute(InstrKind::Forward { ckpt: false }),
-            b'c' if self.eat(b'F') => Shape::Compute(InstrKind::Forward { ckpt: true }),
-            b'B' if self.eat(b'i') => Shape::Compute(InstrKind::BackwardInput),
-            b'B' if self.eat(b'w') => Shape::Compute(InstrKind::BackwardWeight),
-            b'B' => Shape::Compute(InstrKind::Backward),
-            b'R' if self.eat(b'A') => Shape::P2p(b'<', |peer| InstrKind::RecvAct { peer }),
-            b'R' if self.eat(b'G') => Shape::P2p(b'<', |peer| InstrKind::RecvGrad { peer }),
-            b'R' => Shape::Compute(InstrKind::Recompute),
-            b'S' if self.eat(b'A') => Shape::P2p(b'>', |peer| InstrKind::SendAct { peer }),
-            b'S' if self.eat(b'G') => Shape::P2p(b'>', |peer| InstrKind::SendGrad { peer }),
-            b'A' => return self.eat(b'R').then(Instr::all_reduce),
-            b'O' => return self.eat(b'S').then(Instr::optimizer_step),
-            _ => return None,
-        };
-        let micro = MicroId(self.number()?);
-        if !self.eat(b'^') {
+/// The number at `at`, and the index after it: an optional `+`, then
+/// ASCII digits up to the first other byte, with a value that fits in a
+/// `u32`.
+#[inline(always)]
+fn number_at(b: &[u8], at: usize) -> Option<(u32, usize)> {
+    let start = at + usize::from(b.get(at) == Some(&b'+'));
+    let mut at = start;
+    let mut n = 0u64;
+    while let Some(&d @ b'0'..=b'9') = b.get(at) {
+        n = n * 10 + u64::from(d - b'0');
+        if n > u64::from(u32::MAX) {
             return None;
         }
-        let part = PartId(self.number()?);
-        let kind = match shape {
-            Shape::Compute(kind) => kind,
-            Shape::P2p(sep, kind) => {
-                if !(self.eat(sep) && self.eat(b'd')) {
-                    return None;
-                }
-                kind(DeviceId(self.number()?))
-            }
-        };
-        Some(Instr { kind, micro, part })
+        at += 1;
+    }
+    if at == start {
+        return None;
+    }
+    Some((u32::try_from(n).ok()?, at))
+}
+
+/// The instruction at `at` in the `Display` notation, and the index after
+/// it; the caller checks what follows.
+#[inline(always)]
+fn decode(b: &[u8], at: usize) -> Option<(Instr, usize)> {
+    // No prefix has a NUL byte, so 0 stands in for a missing second one.
+    let second = b.get(at + 1).copied().unwrap_or(0);
+    let no_peer = DeviceId(0);
+    let (mut kind, at) = match [*b.get(at)?, second] {
+        [b'F', _] => (InstrKind::Forward { ckpt: false }, at + 1),
+        [b'c', b'F'] => (InstrKind::Forward { ckpt: true }, at + 2),
+        [b'B', b'i'] => (InstrKind::BackwardInput, at + 2),
+        [b'B', b'w'] => (InstrKind::BackwardWeight, at + 2),
+        [b'B', _] => (InstrKind::Backward, at + 1),
+        [b'R', b'A'] => (InstrKind::RecvAct { peer: no_peer }, at + 2),
+        [b'R', b'G'] => (InstrKind::RecvGrad { peer: no_peer }, at + 2),
+        [b'R', _] => (InstrKind::Recompute, at + 1),
+        [b'S', b'A'] => (InstrKind::SendAct { peer: no_peer }, at + 2),
+        [b'S', b'G'] => (InstrKind::SendGrad { peer: no_peer }, at + 2),
+        [b'A', b'R'] => return Some((Instr::all_reduce(), at + 2)),
+        [b'O', b'S'] => return Some((Instr::optimizer_step(), at + 2)),
+        _ => return None,
+    };
+    let (micro, at) = number_at(b, at)?;
+    if b.get(at) != Some(&b'^') {
+        return None;
+    }
+    let (part, mut at) = number_at(b, at + 1)?;
+    if let Tail::Peer(sep, _) = kind.notation().1 {
+        if b.get(at) != Some(&sep) || b.get(at + 1) != Some(&b'd') {
+            return None;
+        }
+        let (n, end) = number_at(b, at + 2)?;
+        if let InstrKind::SendAct { peer }
+        | InstrKind::RecvAct { peer }
+        | InstrKind::SendGrad { peer }
+        | InstrKind::RecvGrad { peer } = &mut kind
+        {
+            *peer = DeviceId(n);
+        }
+        at = end;
+    }
+    let instr = Instr {
+        kind,
+        micro: MicroId(micro),
+        part: PartId(part),
+    };
+    Some((instr, at))
+}
+
+/// Byte length of the white-space character at `at`, 0 if there is none.
+/// `\n` ends the line instead.
+#[inline(always)]
+fn space_len(text: &str, at: usize) -> usize {
+    match text.as_bytes().get(at) {
+        Some(b'\t' | 0x0B | 0x0C | b'\r' | b' ') => 1,
+        Some(0x80..) => wide_space_len(text, at),
+        _ => 0,
     }
 }
 
-/// An instruction's kind as its prefix names it.
-enum Shape {
-    /// A compute kind, followed by `<micro>^<part>`.
-    Compute(InstrKind),
-    /// A p2p kind made from its peer, followed by `<micro>^<part>`, the
-    /// separator byte, `d` and the peer.
-    P2p(u8, fn(DeviceId) -> InstrKind),
+/// The Unicode White_Space rule for the character at `at`, which starts
+/// past ASCII: its byte length if it is white space, else 0.
+#[cold]
+fn wide_space_len(text: &str, at: usize) -> usize {
+    text[at..]
+        .chars()
+        .next()
+        .filter(|c| c.is_whitespace())
+        .map_or(0, char::len_utf8)
+}
+
+/// The index past the white space at `at`, within the line.
+#[inline(always)]
+fn skip_space(text: &str, mut at: usize) -> usize {
+    loop {
+        let n = space_len(text, at);
+        if n == 0 {
+            return at;
+        }
+        at += n;
+    }
+}
+
+/// Whether `at` is at the end of a line: a `\n` or the end of the text.
+#[inline(always)]
+fn at_line_end(b: &[u8], at: usize) -> bool {
+    matches!(b.get(at), None | Some(b'\n'))
+}
+
+/// Whether a token ends at `at`: white space or the end of the line.
+#[inline(always)]
+fn at_token_end(text: &str, at: usize) -> bool {
+    at_line_end(text.as_bytes(), at) || space_len(text, at) > 0
+}
+
+/// The index past the end of the line that `at` is on.
+fn next_line(b: &[u8], at: usize) -> usize {
+    b[at..]
+        .iter()
+        .position(|&x| x == b'\n')
+        .map_or(b.len(), |i| at + i + 1)
+}
+
+/// The next white-space-separated token of the line at `*at`, stepping
+/// past it.
+fn token<'a>(text: &'a str, at: &mut usize) -> Option<&'a str> {
+    let start = skip_space(text, *at);
+    let mut end = start;
+    while !at_token_end(text, end) {
+        end += text[end..].chars().next().map_or(1, char::len_utf8);
+    }
+    *at = end;
+    (end > start).then(|| &text[start..end])
 }
 
 /// Parses the v1 text format back into a schedule.
@@ -311,29 +313,28 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
         line,
         what: what.to_string(),
     };
-    let mut c = Cursor::new(text);
+    let b = text.as_bytes();
 
-    if c.at_end() {
+    if b.is_empty() {
         return Err(err(1, "empty input"));
     }
-    c.skip_space();
     let version = "mario-schedule v1";
-    if !text[c.pos..].starts_with(version) {
+    let mut at = skip_space(text, 0);
+    if !text[at..].starts_with(version) {
         return Err(err(1, "expected header 'mario-schedule v1'"));
     }
-    c.pos += version.len();
-    c.skip_space();
-    if !c.at_line_end() {
+    at = skip_space(text, at + version.len());
+    if !at_line_end(b, at) {
         return Err(err(1, "expected header 'mario-schedule v1'"));
     }
-    c.next_line();
+    at = next_line(b, at);
 
-    if c.at_end() {
+    if at == b.len() {
         return Err(err(2, "missing scheme line"));
     }
     let mut toks = [""; 6];
     let mut n = 0;
-    while let Some(t) = c.token() {
+    while let Some(t) = token(text, &mut at) {
         if n == toks.len() {
             n += 1;
             break;
@@ -349,18 +350,18 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
     let devices = number(devices).ok_or_else(|| err(2, "bad device count"))?;
     let micros = number(micros).ok_or_else(|| err(2, "bad micro count"))?;
     let topo = Topology::try_new(scheme, devices).map_err(|e| err(2, &e))?;
-    c.next_line();
+    at = next_line(b, at);
 
-    if c.at_end() {
+    if at == b.len() {
         return Err(err(3, "missing routes line"));
     }
-    if c.token() != Some("routes") {
+    if token(text, &mut at) != Some("routes") {
         return Err(err(3, "expected 'routes ...'"));
     }
     // No capacity is reserved from the header's counts: hostile text can
     // claim billions.
     let mut routes = Vec::new();
-    while let Some(t) = c.token() {
+    while let Some(t) = token(text, &mut at) {
         let route = number(t).ok_or_else(|| err(3, "bad route"))?;
         if route >= topo.num_routes() {
             return Err(err(3, "route out of range for the scheme"));
@@ -370,41 +371,51 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
     if routes.len() != micros as usize {
         return Err(err(3, "route count != micros"));
     }
-    c.next_line();
+    at = next_line(b, at);
 
-    // One buffer collects each line's instructions, and each program is
-    // copied out of it at its exact length.
     let mut line = 3;
-    let mut instrs = Vec::new();
     let mut programs: Vec<DeviceProgram> = Vec::new();
-    while !c.at_end() {
+    // Each line's instructions go into a vector sized like the previous
+    // line's, and are trimmed to their exact length.
+    let mut guess = 0;
+    while at < b.len() {
         line += 1;
-        c.skip_space();
-        if c.at_line_end() {
-            c.next_line();
+        at = skip_space(text, at);
+        if at_line_end(b, at) {
+            at = next_line(b, at);
             continue;
         }
-        let dev = match c.eat(b'd').then(|| c.number()).flatten() {
-            Some(dev) if c.eat(b':') => dev,
-            _ if c.line_has(b':') => return Err(err(line, "bad device tag")),
+        let dev = match (b[at] == b'd').then(|| number_at(b, at + 1)).flatten() {
+            Some((dev, end)) if b.get(end) == Some(&b':') => {
+                at = end + 1;
+                dev
+            }
+            _ if b[at..next_line(b, at)].contains(&b':') => {
+                return Err(err(line, "bad device tag"))
+            }
             _ => return Err(err(line, "expected 'dK: <instrs>'")),
         };
         if dev as usize != programs.len() {
             return Err(err(line, "device lines out of order"));
         }
+        let mut instrs = Vec::with_capacity(guess);
         loop {
-            c.skip_space();
-            if c.at_line_end() {
+            at = skip_space(text, at);
+            if at_line_end(b, at) {
                 break;
             }
-            match c.instr() {
-                Some(i) if c.at_token_end() => instrs.push(i),
+            match decode(b, at) {
+                Some((i, end)) if at_token_end(text, end) => {
+                    instrs.push(i);
+                    at = end;
+                }
                 _ => return Err(err(line, "unparseable instruction")),
             }
         }
-        programs.push(DeviceProgram::from_instrs(DeviceId(dev), instrs.to_vec()));
-        instrs.clear();
-        c.next_line();
+        instrs.shrink_to_fit();
+        guess = instrs.len();
+        programs.push(DeviceProgram::from_instrs(DeviceId(dev), instrs));
+        at = next_line(b, at);
     }
     if programs.len() != devices as usize {
         return Err(err(line + 1, "wrong number of device lines"));
@@ -489,16 +500,22 @@ mod tests {
         ]
     }
 
+    /// The scheme's token as `to_text` writes it.
+    fn scheme_text(s: SchemeKind) -> String {
+        let (name, chunks) = scheme_token(s);
+        name.to_string() + &chunks.map_or(String::new(), |c| c.to_string())
+    }
+
     #[test]
     fn scheme_tokens_round_trip() {
         for s in all_schemes() {
-            assert_eq!(parse_scheme(&scheme_token(s)), Some(s));
+            assert_eq!(parse_scheme(&scheme_text(s)), Some(s));
         }
     }
 
     #[test]
     fn scheme_tokens_are_pairwise_distinct() {
-        let tokens: Vec<String> = all_schemes().iter().map(|&s| scheme_token(s)).collect();
+        let tokens: Vec<String> = all_schemes().iter().map(|&s| scheme_text(s)).collect();
         for (i, a) in tokens.iter().enumerate() {
             for b in &tokens[i + 1..] {
                 assert_ne!(a, b, "scheme token collision");

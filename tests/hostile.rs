@@ -17,11 +17,15 @@
 //! pinned case by case, and byte-level mutants of generated text, drawn
 //! with a fixed seed, pin every answer by digest. The `str`-method parser
 //! the byte-level one replaced is kept here as the oracle for a large
-//! differential. A header that claims more forwards than its
-//! instructions hold must not make `validate` size anything by it.
+//! differential, and the `Display`-based writer the byte writer replaced
+//! as the oracle `to_text` must match byte for byte. A header that claims
+//! more forwards than its instructions hold must not make `validate`
+//! size anything by it.
 
 use mario::cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
-use mario::core::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
+use mario::core::passes::{
+    apply_checkpoint, overlap_recompute, remove_redundancy, split_backward, SplitOptions,
+};
 use mario::core::simulator::{simulate_memory, simulate_timeline};
 use mario::core::tuner::scheme_channel_capacity;
 use mario::ir::{
@@ -526,15 +530,20 @@ const TEXT_ALPHABET: &[u8] = b"0123456789 \n:^<>dFBRSAGXVWHZcirw+\t\r\x0B";
 
 /// Non-ASCII characters mutants insert whole: two spaces that split
 /// tokens (no-break and ideographic) and a letter that does not.
-const TEXT_WIDE: [char; 3] = ['\u{A0}', '\u{3000}', '\u{e9}'];
+const TEXT_WIDE: &[char] = &['\u{A0}', '\u{3000}', '\u{e9}'];
+
+/// The oracle differential's wider alphabets: `TEXT_ALPHABET` and form
+/// feed, and `TEXT_WIDE` and NEL (U+0085, whose lead byte 0xC2 also
+/// starts non-space letters).
+const TEXT_ALPHABET_FF: &[u8] = b"0123456789 \n:^<>dFBRSAGXVWHZcirw+\t\r\x0B\x0C";
+const TEXT_WIDE_NEL: &[char] = &['\u{A0}', '\u{3000}', '\u{e9}', '\u{85}'];
 
 /// Hands `each` `count` mutants of the `devices`×`micros` text of each
 /// scheme, seeded by `seed`. A mutant makes 1–3 edits: replace, insert
-/// or delete one character of `TEXT_ALPHABET`, or insert one of
-/// `TEXT_WIDE`.
+/// or delete one character of `alphabet`, or insert one of `wide`.
 fn text_mutants(
-    devices: u32,
-    micros: u32,
+    (devices, micros): (u32, u32),
+    (alphabet, wide): (&[u8], &[char]),
     seed: u64,
     count: usize,
     mut each: impl FnMut(SchemeKind, &str),
@@ -548,14 +557,14 @@ fn text_mutants(
             let mut chars = text.clone();
             for _ in 0..1 + rng.below(3) {
                 let at = rng.below(chars.len());
-                let c = TEXT_ALPHABET[rng.below(TEXT_ALPHABET.len())] as char;
+                let c = alphabet[rng.below(alphabet.len())] as char;
                 match rng.below(4) {
                     0 => chars[at] = c,
                     1 => chars.insert(at, c),
                     2 => {
                         chars.remove(at);
                     }
-                    _ => chars.insert(at, TEXT_WIDE[rng.below(TEXT_WIDE.len())]),
+                    _ => chars.insert(at, wide[rng.below(wide.len())]),
                 }
             }
             each(scheme, &chars.into_iter().collect::<String>());
@@ -564,10 +573,71 @@ fn text_mutants(
 }
 
 /// The `str`-method parser `from_text` replaced, kept as the oracle the
-/// byte-level cursor must agree with on every input: the same schedule,
-/// or the same error on the same line.
+/// byte-level reader must agree with on every input: the same schedule,
+/// or the same error on the same line. And the `Display`-based writer
+/// `to_text` replaced, which the byte writer must match byte for byte.
 mod oracle {
-    use mario::ir::{DeviceId, DeviceProgram, Instr, Schedule, SchemeKind, TextError, Topology};
+    use mario::ir::{
+        DeviceId, DeviceProgram, Instr, InstrKind, Schedule, SchemeKind, TextError, Topology,
+    };
+
+    fn scheme_token(s: SchemeKind) -> String {
+        match s {
+            SchemeKind::GPipe => "G".into(),
+            SchemeKind::OneFOneB => "V".into(),
+            SchemeKind::Chimera => "X".into(),
+            SchemeKind::Interleave { chunks } => format!("W:{chunks}"),
+            SchemeKind::Wave { chunks } => format!("H:{chunks}"),
+            SchemeKind::ForwardOnly => "F".into(),
+            SchemeKind::ZeroBubbleH1 => "Z".into(),
+            SchemeKind::ZeroBubbleV => "ZV".into(),
+        }
+    }
+
+    /// The previous `Instr` `Display`.
+    fn instr(i: &Instr) -> String {
+        let m = i.micro.0;
+        let p = i.part.0;
+        match i.kind {
+            InstrKind::Forward { ckpt: false } => format!("F{m}^{p}"),
+            InstrKind::Forward { ckpt: true } => format!("cF{m}^{p}"),
+            InstrKind::Backward => format!("B{m}^{p}"),
+            InstrKind::BackwardInput => format!("Bi{m}^{p}"),
+            InstrKind::BackwardWeight => format!("Bw{m}^{p}"),
+            InstrKind::Recompute => format!("R{m}^{p}"),
+            InstrKind::SendAct { peer } => format!("SA{m}^{p}>d{}", peer.0),
+            InstrKind::RecvAct { peer } => format!("RA{m}^{p}<d{}", peer.0),
+            InstrKind::SendGrad { peer } => format!("SG{m}^{p}>d{}", peer.0),
+            InstrKind::RecvGrad { peer } => format!("RG{m}^{p}<d{}", peer.0),
+            InstrKind::AllReduce => "AR".into(),
+            InstrKind::OptimizerStep => "OS".into(),
+        }
+    }
+
+    /// The previous `to_text`, with the previous `DeviceProgram` `Display`
+    /// inlined.
+    pub fn to_text(s: &Schedule) -> String {
+        let mut out = String::from("mario-schedule v1\n");
+        out.push_str(&format!(
+            "scheme {} devices {} micros {}\n",
+            scheme_token(s.topology.scheme),
+            s.topology.devices,
+            s.micros
+        ));
+        out.push_str("routes");
+        for r in &s.routes {
+            out.push_str(&format!(" {r}"));
+        }
+        out.push('\n');
+        for p in s.programs() {
+            out.push_str(&format!("d{}:", p.device.0));
+            for i in p.instrs() {
+                out.push_str(&format!(" {}", instr(i)));
+            }
+            out.push('\n');
+        }
+        out
+    }
 
     fn parse_scheme(tok: &str) -> Option<SchemeKind> {
         match tok {
@@ -723,15 +793,19 @@ fn from_text_never_panics_on_byte_mutants() {
     // result, the parsed schedule or the error with its line.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut parsed = 0;
-    text_mutants(4, 8, 0x7e57, 500, |scheme, mutant| {
-        match catch_unwind(|| from_text(mutant)) {
+    text_mutants(
+        (4, 8),
+        (TEXT_ALPHABET, TEXT_WIDE),
+        0x7e57,
+        500,
+        |scheme, mutant| match catch_unwind(|| from_text(mutant)) {
             Ok(result) => {
                 parsed += result.is_ok() as usize;
                 fnv1a(&mut h, format!("{scheme:?}: {result:?}\n").as_bytes());
             }
             Err(_) => panic!("from_text panicked on {scheme:?} mutant:\n{mutant}"),
-        }
-    });
+        },
+    );
     // Some edits land in instruction tokens and still parse; validation,
     // not the parser, rejects those.
     assert!(parsed > 0);
@@ -774,21 +848,62 @@ fn from_text_reads_edge_tokens_as_the_grammar_says() {
         ("CRLF", text.replace('\n', "\r\n")),
         ("tab", spaced("\t")),
         ("VT", spaced("\x0B")),
+        ("FF", spaced("\x0C")),
+        ("NEL", spaced("\u{85}")),
+        ("line separator", spaced("\u{2028}")),
         ("NBSP", spaced("\u{A0}")),
         ("ideographic space", spaced("\u{3000}")),
         ("trailing CR", text.trim_end().to_string() + "\r"),
+        ("NEL before LF", text.replace('\n', "\u{85}\n")),
+        ("LS before LF", text.replace('\n', "\u{2028}\n")),
+        (
+            "a line of Unicode blanks",
+            text.replacen("\nd1:", "\n\u{85}\u{2028}\u{A0}\u{3000}\nd1:", 1),
+        ),
     ] {
         assert!(from_text(&edited) == Ok(s.clone()), "{what}");
-    }
-    // A non-ASCII letter is no separator.
-    let glued = text.replacen(" SA", "\u{e9}SA", 1);
-    assert_eq!(
-        from_text(&glued).unwrap_err(),
-        TextError {
-            line: 4,
-            what: "unparseable instruction".into()
+        // `parse_instr` reads every instruction token as `from_text` did.
+        let lines = edited.lines().skip(3).filter(|l| !l.trim().is_empty());
+        for (line, p) in lines.zip(s.programs()) {
+            let tokens: Vec<_> = line.split_whitespace().skip(1).map(parse_instr).collect();
+            let want: Vec<_> = p.instrs().iter().copied().map(Some).collect();
+            assert_eq!(tokens, want, "{what}: {line:?}");
         }
-    );
+    }
+    // A non-ASCII character that is no white space is no separator, also
+    // where its lead byte is that of one (0xC2 of NEL, 0xE2 of U+2028):
+    // glued to a token's last digit, or to a device tag's colon.
+    let at = text
+        .match_indices('\n')
+        .nth(2)
+        .expect("three header lines")
+        .0;
+    let (head, body) = text.split_at(at);
+    for (glue, from, to, error) in [
+        ("\u{e9}", " SA", "{}SA", "unparseable instruction"),
+        ("\u{e9}", "^0 ", "^0{} ", "unparseable instruction"),
+        ("\u{a1}", "^0 ", "^0{} ", "unparseable instruction"),
+        ("\u{20ac}", "^0 ", "^0{} ", "unparseable instruction"),
+        ("\u{a1}", ": ", ":{} ", "unparseable instruction"),
+        ("\u{20ac}", ":", "{}:", "bad device tag"),
+    ] {
+        let glued = head.to_string() + &body.replacen(from, &to.replace("{}", glue), 1);
+        assert_eq!(
+            from_text(&glued).unwrap_err(),
+            TextError {
+                line: 4,
+                what: error.into()
+            },
+            "{glue:?} in {to:?}"
+        );
+        let line = glued.lines().nth(3).expect("a first device line");
+        let bad = line
+            .split_whitespace()
+            .find(|t| t.contains(glue))
+            .expect("the glued token");
+        assert_eq!(parse_instr(bad), None, "{bad:?}");
+        assert_eq!(oracle::parse_instr(bad), None, "{bad:?}");
+    }
     // Signs and leading zeros are read wherever a number is.
     let signed = text
         .replace("devices 4", "devices +4")
@@ -809,7 +924,8 @@ fn from_text_reads_edge_tokens_as_the_grammar_says() {
 #[ignore = "50 000 mutants parsed both ways; CI runs it in release"]
 fn from_text_matches_the_oracle_on_byte_mutants_at_scale() {
     let (mut mutants, mut parsed) = (0, 0);
-    text_mutants(8, 16, 0x0dd5, 6250, |scheme, mutant| {
+    let alphabet = (TEXT_ALPHABET_FF, TEXT_WIDE_NEL);
+    text_mutants((8, 16), alphabet, 0x0dd5, 6250, |scheme, mutant| {
         let got = from_text(mutant);
         let want = oracle::from_text(mutant);
         assert!(
@@ -826,4 +942,85 @@ fn from_text_matches_the_oracle_on_byte_mutants_at_scale() {
     });
     assert_eq!(mutants, SCHEMES.len() * 6250);
     assert!(parsed > 0);
+}
+
+/// The schedules whose text the writer differential compares: every
+/// scheme's plain and checkpointed (passes 1–3) `devices`×`micros`
+/// schedule, with and without an all-reduce, a split-backward one, and
+/// a hand-built program at `u32::MAX`.
+fn writer_cases(devices: u32, micros: u32) -> Vec<(String, Schedule)> {
+    let mut out = Vec::new();
+    for scheme in SCHEMES {
+        let base = generate(ScheduleConfig::new(scheme, devices, micros));
+        let mut tuned = base.clone();
+        apply_checkpoint(&mut tuned);
+        overlap_recompute(&mut tuned);
+        remove_redundancy(&mut tuned);
+        let reduced = generate(ScheduleConfig::new(scheme, devices, micros).allreduce(true));
+        out.push((format!("{scheme:?}"), base));
+        out.push((format!("{scheme:?} passes 1-3"), tuned));
+        out.push((format!("{scheme:?} all-reduce"), reduced));
+    }
+    let mut split = generate(ScheduleConfig::new(SchemeKind::OneFOneB, devices, micros));
+    apply_checkpoint(&mut split);
+    split_backward(&mut split, SplitOptions::default());
+    out.push(("split backward".into(), split));
+
+    let max = u32::MAX;
+    let peer = DeviceId(max);
+    let topo = mario::ir::Topology::new(SchemeKind::Interleave { chunks: max }, 2);
+    let mut edge = Schedule::empty(topo, 1, vec![0]);
+    for i in [
+        Instr::forward(max, max),
+        Instr::ckpt_forward(max, max),
+        Instr::backward(max, max),
+        Instr::backward_input(max, max),
+        Instr::backward_weight(max, max),
+        Instr::recompute(max, max),
+        Instr::send_act(max, max, peer),
+        Instr::recv_act(max, max, peer),
+        Instr::send_grad(max, max, peer),
+        Instr::recv_grad(max, max, peer),
+        Instr::all_reduce(),
+        Instr::optimizer_step(),
+        Instr::forward(0u32, 0u32),
+    ] {
+        edge.program_mut(DeviceId(1)).push(i);
+    }
+    out.push(("u32::MAX ids".into(), edge));
+    out
+}
+
+/// `to_text` writes what the `Display`-based writer wrote, and
+/// `from_text` reads it back to the same schedule.
+fn writer_matches_the_oracle(devices: u32, micros: u32) {
+    let cases = writer_cases(devices, micros);
+    // The generated schedules hold every kind, checkpointed forwards too.
+    let kinds: std::collections::HashSet<_> = cases
+        .iter()
+        .filter(|(what, _)| what != "u32::MAX ids")
+        .flat_map(|(_, s)| s.programs().iter().flat_map(|p| p.instrs()))
+        .map(|i| (i.kind.tag(), i.is_ckpt_forward()))
+        .collect();
+    assert_eq!(kinds.len(), 12, "{kinds:?}");
+    for (what, s) in &cases {
+        let got = to_text(s);
+        assert!(got == oracle::to_text(s), "{what}: to_text moved a byte");
+        assert!(from_text(&got).as_ref() == Ok(s), "{what}: no round trip");
+        for (line, p) in got.lines().skip(3).zip(s.programs()) {
+            assert_eq!(line, p.to_string(), "{what}: {}", p.device);
+        }
+    }
+}
+
+#[test]
+fn to_text_matches_the_oracle_writer() {
+    writer_matches_the_oracle(4, 8);
+}
+
+#[test]
+#[ignore = "every case at 8x16 and 32x64; CI runs it in release"]
+fn to_text_matches_the_oracle_writer_at_scale() {
+    writer_matches_the_oracle(8, 16);
+    writer_matches_the_oracle(32, 64);
 }
