@@ -195,7 +195,7 @@ pub(crate) fn run_event(
         .into_iter()
         .map(|r| r.expect("quiescence settles every device"))
         .collect();
-    settle_report(results, &cfg, plan)
+    settle_report(results, &cfg, plan, &table)
 }
 
 #[cfg(test)]

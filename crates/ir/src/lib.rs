@@ -87,7 +87,7 @@ pub use perturb::{LinkSlack, PerturbationProfile, SlowdownWindow};
 pub use ready::Ready;
 pub use rules::MemoryRules;
 pub use schedule::Schedule;
-pub use span::{OpSpan, SpanGraph, CKPT_PC};
+pub use span::{LinkEnd, OpSpan, SpanGraph, CKPT_PC};
 pub use telemetry::{DeviceTelemetry, LinkSendStats, LinkTelemetry, Telemetry, TimeClasses};
 pub use text::{from_text, to_text, TextError};
 pub use topology::{SchemeKind, Topology};

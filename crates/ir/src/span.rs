@@ -5,10 +5,13 @@
 //! classes summing to the clock); the span graph says *why*: one
 //! [`OpSpan`] per executed instruction occurrence records when the device
 //! reached it, when it completed, how much intrinsic busy time it
-//! charged, and — for receives — when the matching packet departed its
-//! sender and how long the wire took. Everything else a critical-path
-//! analyzer needs (program order, FIFO send/recv pairing, the bounded
-//! channel's capacity acks) is *structural*: it follows from the schedule
+//! charged, which end of which link a send or receive used ([`LinkEnd`],
+//! the link the executor already resolved through its `LinkTable`), and
+//! — for receives — when the matching packet departed its sender and how
+//! long the wire took. The graph carries every link's `(src, dst)` by
+//! link number. Everything else a critical-path analyzer needs (program
+//! order, FIFO send/recv pairing, the bounded channel's capacity acks)
+//! is *structural*: it follows from the recorded link ends, program order
 //! and the channel capacity alone and is timing-independent, so it is
 //! deliberately not captured.
 //!
@@ -22,12 +25,44 @@
 
 use crate::cost::Nanos;
 use crate::ids::DeviceId;
+use crate::link::Dir;
 use serde::{Deserialize, Serialize};
 
 /// The `pc` recorded on spans that do not correspond to a program
 /// instruction: end-of-iteration checkpoint-boundary writes (`CKPT`) and
 /// the end-of-run residue drain.
 pub const CKPT_PC: u32 = u32::MAX;
+
+/// The end of a link a span used: none, the send end of link `k` or the
+/// receive end of link `k`, where `k` numbers the run's `LinkTable`.
+/// Packed as `2k + (1 for a receive)`, with `u32::MAX` for none, so it
+/// fits the four padding bytes of [`OpSpan`]. The direction is recorded,
+/// not inferred from the link's endpoints: a device that sends to itself
+/// owns both ends of one link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(transparent)]
+pub struct LinkEnd(u32);
+
+impl LinkEnd {
+    /// No link: a compute, collective or checkpoint span.
+    pub const NONE: Self = Self(u32::MAX);
+
+    /// The `dir` end of link `link`.
+    #[inline]
+    pub fn new(dir: Dir, link: usize) -> Self {
+        debug_assert!(link < (u32::MAX >> 1) as usize, "link number {link} overflows");
+        Self((link as u32) << 1 | (dir == Dir::Recv) as u32)
+    }
+
+    /// The direction and link number, or `None`.
+    #[inline]
+    pub fn get(self) -> Option<(Dir, usize)> {
+        (self != Self::NONE).then(|| {
+            let dir = if self.0 & 1 == 0 { Dir::Send } else { Dir::Recv };
+            (dir, (self.0 >> 1) as usize)
+        })
+    }
+}
 
 /// One executed instruction occurrence.
 ///
@@ -52,6 +87,9 @@ pub struct OpSpan {
     /// Index into the device program, or [`CKPT_PC`] for checkpoint
     /// boundary/drain spans.
     pub pc: u32,
+    /// Sends and receives: the link end the executor resolved.
+    /// [`LinkEnd::NONE`] otherwise.
+    pub link: LinkEnd,
     /// Device clock when the instruction was reached.
     pub start: Nanos,
     /// Device clock when it completed.
@@ -81,6 +119,7 @@ impl OpSpan {
             device,
             iter,
             pc: CKPT_PC,
+            link: LinkEnd::NONE,
             start,
             end,
             work_ns: end - start,
@@ -107,14 +146,21 @@ impl OpSpan {
     }
 }
 
+// Four `u32`s and six `Nanos`: the link end lives in what would be
+// padding. A span per executed instruction occurrence adds up.
+const _: () = assert!(std::mem::size_of::<OpSpan>() == 64);
+
 /// The executed span graph of one run: per-device spans in execution
-/// (= program) order, plus the two run-level constants structural edge
-/// reconstruction needs.
+/// (= program) order, the endpoints of every link the spans name, and
+/// the run-level constants structural edge reconstruction needs.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanGraph {
     /// `spans[d]` — device `d`'s spans in execution order, tiling
     /// `[startup_offset, device_clock]`.
     pub per_device: Vec<Vec<OpSpan>>,
+    /// `links[k]` — the `(src, dst)` of link `k`, the number a span's
+    /// [`LinkEnd`] names.
+    pub links: Vec<(DeviceId, DeviceId)>,
     /// The bounded-channel depth the run executed under (capacity acks:
     /// the `k`-th send on a channel waits for the `(k - capacity)`-th
     /// receive's arrival).
@@ -128,6 +174,7 @@ impl SpanGraph {
     pub fn new(devices: usize, channel_capacity: usize) -> Self {
         Self {
             per_device: vec![Vec::new(); devices],
+            links: Vec::new(),
             channel_capacity,
             makespan: 0,
         }
@@ -184,6 +231,7 @@ mod tests {
             device: DeviceId(device),
             iter: 0,
             pc: 0,
+            link: LinkEnd::NONE,
             start,
             end,
             work_ns: end - start,
@@ -226,5 +274,16 @@ mod tests {
         assert!(!s.is_ckpt());
         s.pc = CKPT_PC;
         assert!(s.is_ckpt());
+    }
+
+    #[test]
+    fn link_ends_round_trip() {
+        assert_eq!(LinkEnd::NONE.get(), None);
+        for k in [0, 1, 7, (u32::MAX >> 1) as usize - 1] {
+            for dir in [Dir::Send, Dir::Recv] {
+                assert_eq!(LinkEnd::new(dir, k).get(), Some((dir, k)));
+            }
+        }
+        assert_ne!(LinkEnd::new(Dir::Send, 3), LinkEnd::new(Dir::Recv, 3));
     }
 }
