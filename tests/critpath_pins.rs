@@ -7,13 +7,19 @@
 //! `Debug` rendering of `analyze`'s `CritReport` on every recording,
 //! followed by the `WhatIfResult` of straggler, windowed-slowdown,
 //! link-delay (whole-link and `nth`-scoped) and `free_checkpoint`
-//! queries, and compares the digest per scheme with one recorded from the
-//! hashed, two-pass implementation of `critpath`. Any change to a slack,
-//! a path segment, a link headroom or a re-timed clock changes a digest.
+//! queries, and compares the digest per scheme with a pinned one. The
+//! `CritReport` part was recorded from the hashed, two-pass
+//! implementation of `critpath`; the what-if part since slowdowns stopped
+//! scaling all-reduce and optimizer spans. Any change to a slack, a path
+//! segment, a link headroom or a re-timed clock changes a digest, and
+//! every what-if answer must also equal the device clocks of a fresh
+//! simulation under its counterfactual, so a pin can only move towards
+//! the ground truth.
 //!
-//! The cost model gives wires, launches and checkpoint shards nonzero,
-//! device-dependent costs, so wire segments, injected delays and
-//! capacity acks all reach the pinned output.
+//! The cost model gives wires, launches, all-reduce, the optimizer step
+//! and checkpoint shards nonzero, mostly device-dependent costs, so wire
+//! segments, injected delays, capacity acks and unscaled collectives all
+//! reach the pinned output.
 
 use mario::core::critpath::{analyze, whatif, WhatIf};
 use mario::core::simulator::{simulate, SimOptions};
@@ -173,6 +179,17 @@ fn scheme_digest(scheme: SchemeKind, devices: u32, micros: u32) -> (u64, usize) 
                     ..SimOptions::default()
                 };
                 let t = simulate(&s, &cost, &opts).expect("recording completes");
+                let truth = |profile: &PerturbationProfile, free_checkpoint: bool| {
+                    let checkpoint = if free_checkpoint { None } else { checkpoint };
+                    let opts = SimOptions {
+                        channel_capacity: cap,
+                        iterations: iters,
+                        checkpoint,
+                        profile,
+                        ..SimOptions::default()
+                    };
+                    simulate(&s, &cost, &opts).expect("ground truth completes")
+                };
                 let label = format!("{scheme:?} {devices}x{micros} cap{cap} it{iters} {ck_label}");
                 fnv1a(&mut h, label.as_bytes());
                 fnv1a(&mut h, format!("{:?}", analyze(&s, &t.spans)).as_bytes());
@@ -184,6 +201,11 @@ fn scheme_digest(scheme: SchemeKind, devices: u32, micros: u32) -> (u64, usize) 
                             profile: &profile,
                             free_checkpoint,
                         },
+                    );
+                    assert_eq!(
+                        w.device_clocks,
+                        truth(&profile, free_checkpoint).device_clocks,
+                        "{label} {q}: what-if disagrees with a fresh simulation"
                     );
                     fnv1a(&mut h, q.as_bytes());
                     fnv1a(&mut h, format!("{w:?}").as_bytes());
@@ -219,14 +241,14 @@ fn critpath_matches_the_pins_at_4x8() {
         4,
         8,
         [
-            0xea5e_4980_213c_18b1,
-            0xedb5_5d8d_8d06_47bf,
-            0xe888_48d6_8edf_8771,
-            0x8529_1f52_07aa_fe02,
-            0x201c_f9f3_3252_0fcc,
+            0x1d43_22c9_4d9b_64f8,
+            0x8f17_9c37_de46_601b,
+            0xbdc4_72d9_b6e2_c15f,
+            0x2bfa_22da_b46b_0bf6,
+            0xbc48_4c78_b71b_e670,
             0x68b4_dd62_ebf4_6974,
-            0x684f_d0e7_f3ac_2adc,
-            0x8bb7_9560_65b3_e8c9,
+            0x5a3e_af3c_c126_4e78,
+            0x78f9_14be_b0b9_f02f,
         ],
     );
 }
@@ -237,14 +259,14 @@ fn critpath_matches_the_pins_at_8x16() {
         8,
         16,
         [
-            0x964c_b384_e86f_ed6b,
-            0x5c03_2b44_f50e_3672,
-            0xc6c8_70f4_a415_1ad8,
-            0xf76a_8491_a524_da9b,
-            0x5531_83d1_3b16_adc5,
+            0xd4fe_9e2e_49fb_9bd8,
+            0x52b8_6220_4247_181a,
+            0xb746_b1a0_9d81_8d7e,
+            0x2a3d_dcf6_2229_c23d,
+            0xf38f_9329_82aa_902d,
             0xd815_17ac_89da_e455,
-            0xb45d_bd4e_8552_be69,
-            0x5d3c_c2c7_d09f_0b81,
+            0x8e4d_5a41_2289_e90b,
+            0x3cfd_eab9_9d7f_aa3f,
         ],
     );
 }
