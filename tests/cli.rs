@@ -181,6 +181,33 @@ fn a_schedule_that_fails_validation_is_reported_without_usage() {
 }
 
 #[test]
+fn simulate_names_every_blocked_device_of_a_schedule_that_deadlocks() {
+    // d0 waits for micro 0's gradient before sending its activation: a
+    // well-formed schedule that only the deadlock check rejects.
+    let text = "mario-schedule v1\nscheme V devices 2 micros 2\nroutes 0 0\n\
+                d0: F0^0 RG0^0<d1 SA0^0>d1 F1^0 SA1^0>d1 B0^0 RG1^0<d1 B1^0 OS\n\
+                d1: RA0^0<d0 F0^0 B0^0 SG0^0>d0 RA1^0<d0 F1^0 B1^0 SG1^0>d0 OS\n";
+    let errors = mario::ir::validate(&mario::ir::from_text(text).unwrap()).unwrap_err();
+    assert!(
+        matches!(errors[..], [mario::ir::ValidationError::NotExecutable(_)]),
+        "{errors:?}"
+    );
+    let path = tmp("deadlock.txt");
+    std::fs::write(&path, text).unwrap();
+    let p = path.to_str().unwrap();
+    let args = ["simulate", "--schedule", p, "--model", "gpt3-1.6b", "--mbs", "1"];
+    let out = mario().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        format!(
+            "error: {p}: schedule is not well-formed: schedule not executable: deadlock; \
+             blocked devices: [d0 at #1: RG0^0<d1] [d1 at #0: RA0^0<d0]\n"
+        )
+    );
+}
+
+#[test]
 fn simulate_reports_a_hostile_schedule_header_without_panicking() {
     // Chimera on an odd device count: a header the parser must reject
     // before it builds the topology.
