@@ -27,7 +27,7 @@
 //! stable bucketing by micro restores that order, so a valid schedule
 //! pays nothing for it.
 
-use crate::exec::check_executable;
+use crate::exec::{check_executable, ExecError};
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::index::{ProgramIndex, RouteHops};
 use crate::instr::{Instr, InstrKind, InstrTag};
@@ -96,7 +96,7 @@ pub enum ValidationError {
         expected: DeviceId,
     },
     /// Symbolic execution failed (deadlock or message mismatch).
-    NotExecutable(String),
+    NotExecutable(ExecError),
     /// The schedule has fewer instructions than the forwards its header
     /// needs, one per (micro, stage); checked before anything is sized
     /// by the header's counts.
@@ -253,7 +253,7 @@ pub fn validate_with(
     // -- Executability ------------------------------------------------------
     if errors.is_empty() {
         if let Err(e) = check_executable(schedule, opts.channel_capacity) {
-            errors.push(ValidationError::NotExecutable(e.to_string()));
+            errors.push(ValidationError::NotExecutable(e));
         }
     }
 

@@ -8,6 +8,8 @@ use mario::prelude::*;
 use mario_core::passes::PreposeOptions;
 use proptest::prelude::*;
 
+mod common;
+
 /// Strategy: a scheme with compatible (devices, micros).
 fn scheme_config() -> impl Strategy<Value = (SchemeKind, u32, u32)> {
     prop_oneof![
@@ -1609,7 +1611,8 @@ fn mutant(base: &Schedule, m: usize, rng: &mut Mix) -> Schedule {
 /// and in a seeded random one. The deadlock check's answer, and the
 /// simulator's whole `SimTimeline` or `SimError` under random iterations,
 /// checkpoints, perturbation and serving release gates, must render
-/// byte-identically. Returns
+/// byte-identically, and on a single iteration the two must name the
+/// same stuck state (`common::same_answer`). Returns
 /// how many (schedule, capacity) pairs ran and how many the check
 /// rejected.
 fn order_differential(
@@ -1635,11 +1638,11 @@ fn order_differential(
         for cap in [1, 2] {
             let seed = rng.next();
             let what = format!("{scheme:?} {d}x{n} mutant {m} cap {cap} seed {seed:#x}");
-            let fifo = check_executable(&s, cap);
+            let exec = check_executable(&s, cap);
             let shuffled = check_executable_shuffled(&s, cap, seed);
-            assert_eq!(format!("{shuffled:?}"), format!("{fifo:?}"), "{what}");
+            assert_eq!(format!("{shuffled:?}"), format!("{exec:?}"), "{what}");
             pairs += 1;
-            rejected += fifo.is_err() as usize;
+            rejected += exec.is_err() as usize;
 
             let checkpoint = match rng.below(4) {
                 0 => None,
@@ -1681,6 +1684,10 @@ fn order_differential(
                 "{what}, {} iterations, {checkpoint:?}, {profile:?}",
                 opts.iterations
             );
+            if opts.iterations == 1 {
+                let sim = fifo.map(|t| t.total_ns);
+                assert!(common::same_answer(&exec, &sim), "{what}: {exec:?}, {sim:?}");
+            }
         }
     }
     (pairs, rejected)
