@@ -26,7 +26,7 @@
 //! swaps the groups and runs the trial to the end. The paused state is
 //! one a run of the swapped schedule from time zero can reach, and any
 //! firing order from there ends the same way, so every makespan,
-//! deadlock text and accept/reject decision is the one a full
+//! deadlock and accept/reject decision is the one a full
 //! re-simulation gives; only the shared prefix is simulated once instead
 //! of once per trial. A swap keeps every device's send ports, so one
 //! [`LinkTable`] serves every trial. An accepted swap changes the
@@ -934,8 +934,8 @@ mod tests {
     }
 
     /// A sweep over the step table, lowered once and rotated with the
-    /// program, gives the on-the-fly sweep's makespan or its `SimError`
-    /// text: every scheme under the unit grid and GPT3-13B at capacities 1
+    /// program, gives the on-the-fly sweep's makespan or its `SimError`:
+    /// every scheme under the unit grid and GPT3-13B at capacities 1
     /// and 2, pristine and with a straggler on device 1's middle third of
     /// pcs, on mutants with 1–3 rotations of 2–4 instructions. The
     /// straggler's window is indexed by pc, so a table that scaled busy
