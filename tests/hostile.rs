@@ -27,7 +27,7 @@
 //! more forwards than its instructions hold must not make `validate`
 //! size anything by it.
 
-use mario::cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
+use mario::cluster::{run, run_with_faults, EmuError, EmulatorBackend, EmulatorConfig, FaultPlan};
 use mario::core::passes::{
     apply_checkpoint, overlap_recompute, remove_redundancy, split_backward, SplitOptions,
 };
@@ -430,6 +430,49 @@ fn event_backend_answers_on_mutants_are_pinned() {
             "{backend:?} mutant digest {h:#018x}"
         );
     }
+}
+
+#[test]
+fn event_backend_fault_answers_are_pinned() {
+    // The event backend's full answer under one random fault per seed
+    // on V, X and W at 8×16: the complete `EmuError` of a crash, a stall
+    // or a squeezed OOM, or the `FaultReport`s a run absorbed from a
+    // slowdown or a link delay. Every failure report is built off the
+    // machine's hot path, so moving that code must not move the digest.
+    let cost = UnitCost::paper_grid();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut failed, mut absorbed) = (0, 0);
+    for scheme in [
+        SchemeKind::OneFOneB,
+        SchemeKind::Chimera,
+        SchemeKind::Interleave { chunks: 2 },
+    ] {
+        let s = generate(ScheduleConfig::new(scheme, 8, 16));
+        let cfg = EmulatorConfig {
+            backend: EmulatorBackend::Event,
+            channel_capacity: scheme_channel_capacity(scheme),
+            ..Default::default()
+        };
+        for seed in 0..40 {
+            let plan = FaultPlan::single_random(seed, &s);
+            let answer = match run_with_faults(&s, &cost, cfg, &plan) {
+                Ok(r) => {
+                    absorbed += !r.faults.is_empty() as usize;
+                    format!("ok {} {:?}", r.total_ns, r.faults)
+                }
+                Err(e) => {
+                    failed += 1;
+                    format!("{e:?}")
+                }
+            };
+            fnv1a(&mut h, format!("{scheme:?} {seed}: {answer}\n").as_bytes());
+        }
+    }
+    assert!(
+        failed > 0 && absorbed > 0,
+        "{failed} failed, {absorbed} absorbed"
+    );
+    assert_eq!(h, 0x0df3_8a35_df6d_58af, "fault digest {h:#018x}");
 }
 
 #[test]
