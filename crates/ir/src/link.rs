@@ -126,23 +126,33 @@ impl P2p {
 
 /// Every directed link `schedule`'s sends use, once each, in program
 /// order. A link's sender is the device whose send names it, so each
-/// device's links are deduplicated on their own; a device sends on a
-/// handful of links, so a scan beats a hash.
+/// device's links are deduplicated on their own, by their sending port
+/// packed whole into one word; a device sends on a handful of links, so a
+/// scan beats a hash.
 pub fn links(schedule: &Schedule) -> Vec<ChanKey> {
     let mut keys: Vec<ChanKey> = Vec::new();
+    let mut mine: Vec<u128> = Vec::new();
     for (d, prog) in schedule.programs().iter().enumerate() {
-        let mine = keys.len();
+        mine.clear();
         for (_, i) in prog.iter() {
             let Some(p) = i.kind.p2p().filter(|p| p.dir == Dir::Send) else {
                 continue;
             };
-            let key = p.chan(DeviceId(d as u32), i.part);
-            if !keys[mine..].contains(&key) {
-                keys.push(key);
+            let port = packed(p.port(i.part));
+            if !mine.contains(&port) {
+                mine.push(port);
+                keys.push(p.chan(DeviceId(d as u32), i.part));
             }
         }
     }
     keys
+}
+
+/// `port` as one word, every id at full width: the peer, the part and
+/// the class, in bits 64–95, 1–32 and 0.
+#[inline]
+fn packed((peer, class, part): Port) -> u128 {
+    (peer.0 as u128) << 64 | (part.0 as u128) << 1 | class as u128
 }
 
 /// A port resolved through the [`LinkTable`]: the link's number, its
@@ -400,5 +410,38 @@ mod tests {
         assert_eq!(send((d1, grad, p0)), None);
         assert_eq!(t.resolve(far, Dir::Recv, (d0, act, p0)), None);
         assert!(t.ports(far, Dir::Send).is_empty());
+    }
+
+    #[test]
+    fn links_keep_sends_apart_by_every_bit_of_their_key() {
+        // Sends from one device to one peer that differ only in class, or
+        // only in a part id's high bit, travel on links of their own.
+        let (d0, d1, high) = (DeviceId(0), DeviceId(1), 1u32 << 31);
+        let mut s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 2), 1, vec![0]);
+        *s.program_mut(d0) = DeviceProgram::from_instrs(
+            d0,
+            vec![
+                Instr::send_act(0u32, 0u32, d1),
+                Instr::send_grad(0u32, 0u32, d1),
+                Instr::send_act(0u32, high, d1),
+                Instr::send_act(1u32, 0u32, d1),
+                Instr::send_grad(1u32, high, d1),
+                Instr::send_grad(2u32, high, d1),
+            ],
+        );
+        let (act, grad, p0, ph) = (MsgClass::Act, MsgClass::Grad, PartId(0), PartId(high));
+        let keys = [
+            (d0, d1, act, p0),
+            (d0, d1, grad, p0),
+            (d0, d1, act, ph),
+            (d0, d1, grad, ph),
+        ];
+        assert_eq!(links(&s), keys);
+        let t = LinkTable::new(&s);
+        assert_eq!(t.len(), 4);
+        for (id, &(_, peer, class, part)) in keys.iter().enumerate() {
+            assert_eq!(t.resolve(d0, Dir::Send, (peer, class, part)), Some(Link { id }));
+            assert_eq!(t.resolve(d1, Dir::Recv, (d0, class, part)), Some(Link { id }));
+        }
     }
 }
