@@ -109,6 +109,7 @@ impl<'a, W: Wake> Links<'a, W> {
 }
 
 impl<W: Wake> Transport for Links<'_, W> {
+    #[inline]
     fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
         let chan = &mut self.chans[link.id];
         match chan.fifo.reserve(self.capacity) {
@@ -117,12 +118,14 @@ impl<W: Wake> Transport for Links<'_, W> {
         }
     }
 
-    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
+    #[inline]
+    fn push(&mut self, link: Link, pkt: Packet) -> usize {
         let occupancy = self.chans[link.id].fifo.push(pkt);
         self.ready.wake(self.table.key(link.id).1.index(), link.id);
-        Ok(occupancy)
+        occupancy
     }
 
+    #[inline]
     fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
         let chan = &mut self.chans[link.id];
         match chan.fifo.pop() {
@@ -131,6 +134,7 @@ impl<W: Wake> Transport for Links<'_, W> {
         }
     }
 
+    #[inline]
     fn ack(&mut self, link: Link, at: Nanos) {
         self.chans[link.id].fifo.ack(at);
         self.ready.wake(self.table.key(link.id).0.index(), link.id);
@@ -178,13 +182,13 @@ mod tests {
         let mut links = Links::new(&table, 2, 1, Woken::default());
         // One packet fills the window; the next send waits for its ack.
         assert_eq!(links.reserve(link), Ok(Some(0)));
-        assert_eq!(links.push(link, pkt(0, 10)), Ok(1));
+        assert_eq!(links.push(link, pkt(0, 10)), 1);
         assert_eq!(links.reserve(link), Ok(None));
         assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(10)));
         assert_eq!(links.pop(link).map(|p| p.is_some()), Ok(false));
         links.ack(link, 500);
         assert_eq!(links.reserve(link), Ok(Some(500)));
-        assert_eq!(links.push(link, pkt(1, 500)), Ok(1));
+        assert_eq!(links.push(link, pkt(1, 500)), 1);
         // A push wakes the receiver and an ack the sender.
         assert_eq!(
             links.ready.0,

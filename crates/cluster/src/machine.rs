@@ -27,6 +27,11 @@
 //! the next call. Every clock update depends only on packet timestamps,
 //! never on when a backend ran the machine, so both backends reach
 //! bit-identical results.
+//!
+//! The hot path does no error work. Link and ledger results are matched
+//! where they are read, and every [`EmuError`] and [`FaultReport`] is
+//! built out of line, in `#[cold]` helpers that only a failure, or a run
+//! with faults active in the current iteration, reaches.
 
 use crate::error::EmuError;
 use crate::faults::{DeviceFaults, FaultKind, FaultReport};
@@ -86,9 +91,9 @@ pub(crate) trait Transport {
     /// the time the slot was freed — the dequeue time of the oldest
     /// un-acked packet when the window is full, 0 when it has room.
     fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError>;
-    /// Enqueues `pkt` on the outgoing `link`; returns the un-acked window
-    /// right after the send.
-    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError>;
+    /// Enqueues `pkt` on the outgoing `link`, which `reserve` freed a slot
+    /// on; returns the un-acked window right after the send.
+    fn push(&mut self, link: Link, pkt: Packet) -> usize;
     /// Dequeues the next packet of the incoming `link`.
     fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError>;
     /// Acknowledges the packet just popped from `link`, dequeued at `at`.
@@ -191,6 +196,8 @@ pub(crate) struct Machine<'a> {
     shared: Shared<'a>,
     device: DeviceId,
     program: &'a DeviceProgram,
+    /// The cost model's p2p launch charge, read once.
+    launch: Nanos,
     ledger: MemLedger,
     time: DeviceClock,
     rng: StdRng,
@@ -239,6 +246,7 @@ impl<'a> Machine<'a> {
             shared,
             device,
             program: shared.schedule.program(device),
+            launch: shared.cost.p2p_launch_overhead(),
             ledger: shared.rules.ledger(
                 device,
                 shared.cost,
@@ -305,11 +313,8 @@ impl<'a> Machine<'a> {
         let (cost, profile) = (self.shared.cost, self.shared.profile);
         let faults_active = !self.faults.is_empty() && self.iteration == self.faults.iteration;
         if faults_active {
-            if let Some(fault @ FaultKind::Crash { pc: at, .. }) = self.faults.crash {
-                if at == pc {
-                    let report = self.report(fault, pc, "device crashed");
-                    return Err(EmuError::Fault(Box::new(report)));
-                }
+            if let Some(crash) = self.crash_at(pc) {
+                return Err(crash);
             }
         }
         let start = self.time.now();
@@ -330,18 +335,7 @@ impl<'a> Machine<'a> {
                 let dur = self.jittered(cost.duration(self.device, instr));
                 let dur = profile.scaled_compute(self.device, self.iteration, pc, dur);
                 if faults_active {
-                    let fault = self.faults.slowdowns.iter().copied().find(|s| {
-                        matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. }
-                            if (from_pc..until_pc).contains(&pc))
-                    });
-                    // One report per fault, not one per slowed
-                    // instruction.
-                    if let Some(fault) = fault {
-                        if !self.absorbed.iter().any(|r| r.fault == fault) {
-                            let rep = self.report(fault, pc, "compute slowed");
-                            self.absorbed.push(rep);
-                        }
-                    }
+                    self.absorb_slowdown(pc);
                 }
                 self.time.busy(instr.kind, dur);
                 self.apply_mem(pc, instr)?;
@@ -365,7 +359,7 @@ impl<'a> Machine<'a> {
                 self.complete(start, dt, 0, 0, 0);
             }
             Some(p) => {
-                let launch = cost.p2p_launch_overhead();
+                let launch = self.launch;
                 self.time.launch(launch);
                 let port = (p.peer, p.class, instr.part);
                 let link = self.shared.links.resolve(self.device, p.dir, port);
@@ -382,27 +376,14 @@ impl<'a> Machine<'a> {
                 }
                 let peer = p.peer;
                 let nth = self.time.next_packet(peer, self.iteration);
-                let fault = if faults_active {
-                    self.faults.send_fault(self.iteration, peer, nth)
-                } else {
-                    None
-                };
-                if let Some(stall @ FaultKind::LinkStall { .. }) = fault {
-                    // Drop the packet: the receiver's pairing recv can
-                    // never complete and reports the stall. The send side
-                    // absorbs it (buffers freed as usual).
-                    let rep = self.report(stall, pc, "packet dropped");
-                    self.absorbed.push(rep);
+                if faults_active && self.absorb_send_fault(pc, peer, nth) {
+                    // The packet was dropped; the send side frees its
+                    // buffers as usual. Never parked, so its span names
+                    // no link: nothing went onto one, and the run fails
+                    // at the receiver, so the span never reaches a graph.
                     self.apply_mem(pc, instr)?;
-                    // Never parked, so its span names no link: nothing
-                    // went onto one, and the run fails at the receiver,
-                    // so the span never reaches a graph.
                     self.complete(start, launch, 0, 0, 0);
                     return Ok(());
-                }
-                if let Some(f @ FaultKind::LinkDelay { .. }) = fault {
-                    let rep = self.report(f, pc, "packet delayed");
-                    self.absorbed.push(rep);
                 }
                 let delay = profile.link_extra(self.device, peer, self.iteration, nth);
                 let bytes = cost.boundary_bytes(self.device, instr.part);
@@ -427,7 +408,7 @@ impl<'a> Machine<'a> {
         op: Parked,
         links: &mut T,
     ) -> Result<Option<usize>, EmuError> {
-        let launch = self.shared.cost.p2p_launch_overhead();
+        let launch = self.launch;
         match op {
             Parked::Send {
                 pc,
@@ -438,12 +419,13 @@ impl<'a> Machine<'a> {
                 bytes,
                 delay,
             } => {
-                let link = link.ok_or_else(|| self.link_err(LinkError::NoRoute, pc, port.0))?;
-                let freed = links
-                    .reserve(link)
-                    .map_err(|e| self.link_err(e, pc, port.0))?;
-                let Some(freed) = freed else {
-                    return Ok(Some(link.id));
+                let Some(link) = link else {
+                    return Err(self.link_err(LinkError::NoRoute, pc, port.0));
+                };
+                let freed = match links.reserve(link) {
+                    Ok(Some(freed)) => freed,
+                    Ok(None) => return Ok(Some(link.id)),
+                    Err(e) => return Err(self.link_err(e, pc, port.0)),
                 };
                 // The buffer was full until the receiver dequeued the
                 // oldest packet: the send completes at that time. An
@@ -454,9 +436,7 @@ impl<'a> Machine<'a> {
                     bytes,
                     sent_at: self.time.now().max(freed) + delay,
                 };
-                let occupancy = links
-                    .push(link, pkt)
-                    .map_err(|e| self.link_err(e, pc, port.0))?;
+                let occupancy = links.push(link, pkt);
                 let blocked = self.time.wait_until(freed, Dir::Send);
                 // The occupancy right after the send is the un-acked
                 // window, which advances in lockstep with the simulator's
@@ -473,10 +453,13 @@ impl<'a> Machine<'a> {
                 link,
                 expect,
             } => {
-                let link = link.ok_or_else(|| self.link_err(LinkError::NoRoute, pc, port.0))?;
-                let pkt = links.pop(link).map_err(|e| self.link_err(e, pc, port.0))?;
-                let Some(pkt) = pkt else {
-                    return Ok(Some(link.id));
+                let Some(link) = link else {
+                    return Err(self.link_err(LinkError::NoRoute, pc, port.0));
+                };
+                let pkt = match links.pop(link) {
+                    Ok(Some(pkt)) => pkt,
+                    Ok(None) => return Ok(Some(link.id)),
+                    Err(e) => return Err(self.link_err(e, pc, port.0)),
                 };
                 if pkt.msg != expect {
                     // The mismatched packet is consumed and never acked.
@@ -549,6 +532,8 @@ impl<'a> Machine<'a> {
             .map_or_else(|| "CKPT".to_string(), Instr::to_string)
     }
 
+    #[cold]
+    #[inline(never)]
     fn report(&self, fault: FaultKind, pc: usize, detail: &str) -> FaultReport {
         FaultReport {
             fault,
@@ -565,8 +550,56 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// The crash injected at `pc`, if there is one.
+    #[cold]
+    #[inline(never)]
+    fn crash_at(&self, pc: usize) -> Option<EmuError> {
+        match self.faults.crash {
+            Some(fault @ FaultKind::Crash { pc: at, .. }) if at == pc => Some(EmuError::Fault(
+                Box::new(self.report(fault, pc, "device crashed")),
+            )),
+            _ => None,
+        }
+    }
+
+    /// Reports the injected slowdown whose window holds `pc`, once per
+    /// fault, not once per slowed instruction.
+    #[cold]
+    #[inline(never)]
+    fn absorb_slowdown(&mut self, pc: usize) {
+        let fault = self.faults.slowdowns.iter().copied().find(|s| {
+            matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. }
+                if (from_pc..until_pc).contains(&pc))
+        });
+        if let Some(fault) = fault {
+            if !self.absorbed.iter().any(|r| r.fault == fault) {
+                let rep = self.report(fault, pc, "compute slowed");
+                self.absorbed.push(rep);
+            }
+        }
+    }
+
+    /// Reports the injected fault on the `nth` packet to `peer`, sent at
+    /// `pc`, if there is one. True when it is a stall, which drops the
+    /// packet: the receiver's pairing recv can never complete and reports
+    /// the stall, while the send side absorbs it.
+    #[cold]
+    #[inline(never)]
+    fn absorb_send_fault(&mut self, pc: usize, peer: DeviceId, nth: usize) -> bool {
+        let (fault, detail) = match self.faults.send_fault(self.iteration, peer, nth) {
+            Some(f @ FaultKind::LinkStall { .. }) => (f, "packet dropped"),
+            Some(f @ FaultKind::LinkDelay { .. }) => (f, "packet delayed"),
+            _ => return false,
+        };
+        let rep = self.report(fault, pc, detail);
+        self.absorbed.push(rep);
+        matches!(fault, FaultKind::LinkStall { .. })
+    }
+
     /// The injected stall of the incoming link from `peer`, reported as
     /// surfacing at `pc`, if there is one.
+    #[cold]
+    #[inline(never)]
     fn stall_error(&self, pc: usize, peer: DeviceId) -> Option<EmuError> {
         let fault = self.faults.recv_stall_from(peer)?;
         let mut report = self.report(fault, pc, "incoming link stalled");
@@ -579,6 +612,8 @@ impl<'a> Machine<'a> {
     /// an injected stall is the stall surfacing, so it is normalized to
     /// the same structured report whether it showed as a disconnect or a
     /// mismatched message.
+    #[cold]
+    #[inline(never)]
     fn link_err(&self, e: LinkError, pc: usize, peer: DeviceId) -> EmuError {
         let device = self.device;
         match (e, self.stall_error(pc, peer)) {
@@ -596,6 +631,8 @@ impl<'a> Machine<'a> {
     /// An allocation failure at `pc`. OOM under an injected capacity
     /// squeeze is the squeeze surfacing: it is reported as the structured
     /// fault.
+    #[cold]
+    #[inline(never)]
     fn alloc_err(&self, pc: usize, e: AllocError) -> EmuError {
         let (device, instr) = (self.device, self.instr_name(pc));
         match (e, self.faults.squeeze) {
@@ -619,12 +656,13 @@ impl<'a> Machine<'a> {
         }
     }
 
+    #[inline]
     fn apply_mem(&mut self, pc: usize, instr: &Instr) -> Result<(), EmuError> {
-        let applied =
-            self.shared
-                .rules
-                .apply(&mut self.ledger, self.shared.cost, self.device, instr);
-        applied.map_err(|e| self.alloc_err(pc, e))
+        let Shared { rules, cost, .. } = self.shared;
+        match rules.apply(&mut self.ledger, cost, self.device, instr) {
+            Ok(()) => Ok(()),
+            Err(e) => Err(self.alloc_err(pc, e)),
+        }
     }
 
     /// Writes the end-of-iteration model-state checkpoint when the active
@@ -643,8 +681,9 @@ impl<'a> Machine<'a> {
         // It is checked before any write cost is charged or durability
         // recorded: a snapshot that cannot even be serialized never
         // becomes a resume point.
-        let held = self.ledger.alloc(AllocKey::Snapshot, policy.mem_overhead);
-        held.map_err(|e| self.alloc_err(self.program.len(), e))?;
+        if let Err(e) = self.ledger.alloc(AllocKey::Snapshot, policy.mem_overhead) {
+            return Err(self.alloc_err(self.program.len(), e));
+        }
         self.ledger.free(AllocKey::Snapshot);
         let shard = self.shared.cost.ckpt_shard_bytes(self.device);
         let span = self.time.write_checkpoint(start, &policy, shard, iter);
@@ -732,9 +771,9 @@ mod tests {
         fn reserve(&mut self, _: Link) -> Result<Option<Nanos>, LinkError> {
             Ok(Some(self.freed))
         }
-        fn push(&mut self, _: Link, pkt: Packet) -> Result<usize, LinkError> {
+        fn push(&mut self, _: Link, pkt: Packet) -> usize {
             self.sent.push(pkt);
-            Ok(self.sent.len())
+            self.sent.len()
         }
         fn pop(&mut self, _: Link) -> Result<Option<Packet>, LinkError> {
             Ok(self.inbox.take())

@@ -344,7 +344,7 @@ impl Transport for Port<'_, '_> {
         self.op(|links| links.reserve(link))
     }
 
-    fn push(&mut self, link: Link, pkt: Packet) -> Result<usize, LinkError> {
+    fn push(&mut self, link: Link, pkt: Packet) -> usize {
         lock(self.state).links.push(link, pkt)
     }
 

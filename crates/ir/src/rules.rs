@@ -113,6 +113,7 @@ impl MemoryRules {
 
     /// True if the forward of `(micro, part)` on `device` sends its output
     /// to another device. Ids outside the schedule never cross.
+    #[inline]
     pub fn crosses(&self, device: DeviceId, instr: &Instr) -> bool {
         let (d, p) = (device.index(), instr.part.index());
         let Some(&route) = self.routes.get(instr.micro.index()) else {
@@ -126,6 +127,7 @@ impl MemoryRules {
     /// Applies the memory effect of `instr` (evaluated at its completion)
     /// to `ledger`. Sizes come from the ledger's dense table, or from
     /// `cost` for a key outside it.
+    #[inline]
     pub fn apply(
         &self,
         ledger: &mut MemLedger,
