@@ -156,11 +156,25 @@ fn emit(schedule: &Schedule, out: Option<&String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The channel capacity the CLI runs `schedule` at.
+fn capacity(schedule: &Schedule) -> usize {
+    mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme)
+}
+
+/// Validates `schedule` with its executability checked at the capacity
+/// it runs at.
+fn check(schedule: &Schedule) -> Result<(), Vec<mario::ir::ValidationError>> {
+    let opts = mario::ir::ValidateOptions {
+        channel_capacity: capacity(schedule),
+    };
+    mario::ir::validate_with(schedule, opts)
+}
+
 fn load_schedule(args: &Args) -> Result<Schedule, Failure> {
     let path = args.req("schedule")?;
     let text = std::fs::read_to_string(path).map_err(|e| run_err(format!("{path}: {e}")))?;
     let schedule = mario::ir::from_text(&text).map_err(|e| run_err(format!("{path}: {e}")))?;
-    validate(&schedule)
+    check(&schedule)
         .map_err(|e| run_err(format!("{path}: schedule is not well-formed: {}", e[0])))?;
     Ok(schedule)
 }
@@ -203,7 +217,7 @@ fn cmd_generate(args: &Args) -> Result<(), Failure> {
         let cost = UnitCost::paper_grid();
         run_graph_tuner(&mut s, &cost, GraphTunerOptions::mario());
     }
-    validate(&s).map_err(|e| run_err(format!("generated schedule invalid: {}", e[0])))?;
+    check(&s).map_err(|e| run_err(format!("generated schedule invalid: {}", e[0])))?;
     emit(&s, args.flags.get("out")).map_err(run_err)
 }
 
@@ -240,8 +254,7 @@ fn cmd_optimize(args: &Args) -> Result<(), Failure> {
 fn cmd_simulate(args: &Args) -> Result<(), Failure> {
     let schedule = load_schedule(args)?;
     let cost = cost_for(args, &schedule)?;
-    let cap = mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme);
-    let timeline = simulate_timeline(&schedule, &cost, cap).map_err(run_err)?;
+    let timeline = simulate_timeline(&schedule, &cost, capacity(&schedule)).map_err(run_err)?;
     let memory = simulate_memory(&schedule, &cost, None);
     println!(
         "iteration: {:.3} ms  ({:.2} iterations/s)",
@@ -272,7 +285,6 @@ fn cmd_simulate(args: &Args) -> Result<(), Failure> {
 fn cmd_emulate(args: &Args) -> Result<(), Failure> {
     let schedule = load_schedule(args)?;
     let cost = cost_for(args, &schedule)?;
-    let cap = mario::core::tuner::scheme_channel_capacity(schedule.topology.scheme);
     let jitter: f64 = args.opt_num("jitter", 0.0)?;
     if !(0.0..=0.25).contains(&jitter) {
         return Err("--jitter must be in [0, 0.25]".into());
@@ -292,7 +304,7 @@ fn cmd_emulate(args: &Args) -> Result<(), Failure> {
         &schedule,
         &cost,
         EmulatorConfig {
-            channel_capacity: cap,
+            channel_capacity: capacity(&schedule),
             jitter,
             iterations,
             backend,

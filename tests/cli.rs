@@ -98,6 +98,24 @@ fn generate_simulate_emulate_round_trip() {
 }
 
 #[test]
+fn wave_schedules_validate_at_the_capacity_they_run_at() {
+    // Wave at 8×16 deadlocks at channel capacity 1 and runs at its
+    // scheme's capacity 2: every command checks it at the latter.
+    let path = tmp("wave.txt");
+    let p = path.to_str().unwrap();
+    let gen = ["generate", "--scheme", "H:2", "--devices", "8", "--micros", "16"];
+    let out = mario().args(gen).args(["--out", p]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let run = ["--schedule", p, "--model", "gpt3-1.6b", "--mbs", "1"];
+    for cmd in ["simulate", "emulate"] {
+        let out = mario().arg(cmd).args(run).output().unwrap();
+        assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.starts_with("iteration: "), "{cmd}: {text}");
+    }
+}
+
+#[test]
 fn simulate_writes_chrome_traces() {
     let sched = tmp("trace-sched.txt");
     let trace = tmp("trace.json");
