@@ -1152,4 +1152,36 @@ mod tests {
         assert!(t_scoped.total_ns > base.total_ns);
         assert!(t_always.total_ns > t_scoped.total_ns);
     }
+
+    /// How much more wall time the event backend takes than the makespan
+    /// sweep on the same schedule, which both run in the same firing
+    /// order: 1F1B at 512×128 on the unit grid. Prints the median of the
+    /// per-iteration ratios. Release only:
+    /// `cargo test --release -p mario-core --lib event_to_sweep -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn event_to_sweep_wall_time_ratio() {
+        use std::time::Instant;
+        let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 512, 128));
+        let cost = UnitCost::paper_grid();
+        let cfg = EmulatorConfig {
+            backend: EmulatorBackend::Event,
+            ..EmulatorConfig::default()
+        };
+        let pristine = PerturbationProfile::identity();
+        let mut ratios: Vec<f64> = (0..15)
+            .map(|_| {
+                let t = Instant::now();
+                let event = mario_cluster::run(&s, &cost, cfg).expect("1F1B runs");
+                let event_s = t.elapsed().as_secs_f64();
+                let t = Instant::now();
+                let sweep = simulate_makespan(&s, &cost, 1, &pristine).expect("1F1B sweeps");
+                let sweep_s = t.elapsed().as_secs_f64();
+                assert_eq!(event.total_ns, sweep);
+                event_s / sweep_s
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        println!("event / sweep wall time: median {:.2}", ratios[ratios.len() / 2]);
+    }
 }
