@@ -278,6 +278,35 @@ impl<T> Default for Fifo<T> {
 }
 
 impl<T> Fifo<T> {
+    /// The channel after `sent` sends, each reserved at `capacity`, and
+    /// `received` receives: send `j` pushed `packet(j)` and receive `j`
+    /// acknowledged at `ack(j)`. Only what a later call can read is asked
+    /// for: the packets `received..sent` still in flight and the acks of
+    /// receives `sent - capacity..received`, which no send has consumed.
+    ///
+    /// # Panics
+    ///
+    /// Unless `sent - capacity <= received <= sent`, the states a channel
+    /// reaches: a receive pops a sent packet, and send `j ≥ capacity`
+    /// consumes the ack of receive `j - capacity`.
+    pub fn after(
+        capacity: usize,
+        sent: usize,
+        received: usize,
+        packet: impl FnMut(usize) -> T,
+        ack: impl FnMut(usize) -> Nanos,
+    ) -> Self {
+        assert!(
+            received <= sent && sent - received <= capacity,
+            "no channel at capacity {capacity} reaches {sent} sends and {received} receives"
+        );
+        Self {
+            queue: (received..sent).map(packet).collect(),
+            acks: (sent.saturating_sub(capacity)..received).map(ack).collect(),
+            outstanding: sent.min(capacity),
+        }
+    }
+
     /// Frees a slot for one more send: `Some(0)` while the window has
     /// room; on a full window, consumes the oldest ack and returns its
     /// dequeue time; `None` when the window is full and no ack is queued
@@ -354,6 +383,53 @@ mod tests {
         assert_eq!(f.reserve(2), Some(700));
         assert_eq!(f.push(3), 2);
         assert_eq!(f.reserve(2), None);
+    }
+
+    #[test]
+    fn a_channel_built_after_its_traffic_answers_as_one_driven_through_it() {
+        // Send j carries j and receive j acks at a time of its own, so a
+        // wrong packet or a wrong ack shows in the next answers.
+        let at = |j: usize| 1_000 + 7 * j as Nanos;
+        for capacity in 1usize..=3 {
+            for sent in 0usize..=8 {
+                for received in sent.saturating_sub(capacity)..=sent {
+                    let mut driven: Fifo<usize> = Fifo::default();
+                    for j in 0..sent {
+                        // Receive j - capacity must precede send j.
+                        if let Some(r) = j.checked_sub(capacity) {
+                            assert_eq!(driven.pop(), Some(r));
+                            driven.ack(at(r));
+                        }
+                        assert!(driven.reserve(capacity).is_some());
+                        driven.push(j);
+                    }
+                    for r in sent.saturating_sub(capacity)..received {
+                        assert_eq!(driven.pop(), Some(r));
+                        driven.ack(at(r));
+                    }
+                    let mut built = Fifo::after(capacity, sent, received, |j| j, at);
+                    let case = format!("capacity {capacity}, {sent} sent, {received} received");
+                    // The next reserve and the next pop.
+                    let next = |f: &Fifo<usize>| (f.clone().reserve(capacity), f.clone().pop());
+                    assert_eq!(next(&built), next(&driven), "{case}");
+                    // Then the same traffic on both: receive everything in
+                    // flight, send one, until every held ack is consumed.
+                    let (mut s, mut r) = (sent, received);
+                    for _ in 0..=capacity {
+                        for f in [&mut built, &mut driven] {
+                            for j in r..s {
+                                assert_eq!(f.pop(), Some(j), "{case}");
+                                f.ack(at(j));
+                            }
+                        }
+                        r = s;
+                        assert_eq!(built.reserve(capacity), driven.reserve(capacity), "{case}");
+                        assert_eq!(built.push(s), driven.push(s), "{case}");
+                        s += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]
