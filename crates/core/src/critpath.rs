@@ -44,13 +44,46 @@
 //! entry point decodes an instruction or numbers a channel. [`whatif`]
 //! has no structure pass at all. It steps the devices over their
 //! recorded spans, keeps one FIFO per link in a `Vec` sized up front,
-//! and numbers packets with the executors' own
-//! [`mario_ir::PacketCounter`]. Each packet carries its send's recorded
-//! end through the FIFO, so the receiver adds the recorded injected delay
-//! (`sent_at` minus that end) without pairing sends and receives
-//! beforehand. [`analyze`] groups sends and receives by link number over
-//! flattened node ids, reads the program only for the attribution class
-//! of local spans, and its slack pass runs Kahn over one CSR edge array.
+//! and, only when the profile delays links, numbers packets with the
+//! executors' own [`mario_ir::PacketCounter`]. Each packet carries its
+//! send's recorded end through the FIFO, so the receiver adds the
+//! recorded injected delay (`sent_at` minus that end) without pairing
+//! sends and receives beforehand. Before the cut (next section) it only
+//! counts each link's sends and receives and keeps its last `capacity`
+//! receive ends in a ring. [`analyze`] groups sends and receives by link
+//! number over flattened node ids, reads the program only for the
+//! attribution class of local spans, and its slack pass runs Kahn over
+//! one CSR edge array.
+//!
+//! # Re-timing from the cut
+//!
+//! A counterfactual touches the recording at a point: the earliest
+//! recorded start `T` of a span it re-times — a compute span whose charge
+//! a slowdown window changes, or a send a link delay hits (numbered as
+//! the replay numbers packets). Only the devices the profile names are
+//! scanned for it; `free_checkpoint` keeps `T = 0`. Every span that ended
+//! before `T` keeps its recorded times: its program predecessor, its
+//! receive's send (`end ≤ sent_at ≤` the receive's end) and its send's
+//! freeing receive (whose end the send's end bounds) all ended no later,
+//! so none of them is re-timed, and a replay of unperturbed spans
+//! reproduces the recording (async-overlap checkpoints included: a
+//! drained chunk never moves a recorded end, and the residue is a span).
+//! Those spans are closed under the replay's dependences, so the state
+//! after them is a state the replay from time zero passes through, and
+//! Kahn determinacy makes the rest of the replay reach the same answer.
+//!
+//! [`whatif`] therefore resumes each device at its first span ending at
+//! or after `T` (a `partition_point`, since spans tile the clock), with
+//! its clock at the previous span's end. One pass over the spans before
+//! the cut rebuilds each link with [`mario_ir::Fifo::after`]: after `S`
+//! sends and `R` receives at capacity `c`, the `S − R` packets in flight
+//! (whose receivers read their own recorded `sent_at`), `min(S, c)`
+//! outstanding, and as acks the ends of receives `S − c..R`. The same
+//! pass advances each device's packet counter over its sends. The
+//! round-robin replay then re-times the rest. Outside the exact domain
+//! below the answer is still the replay from time zero's, byte for byte
+//! (`tests/properties.rs` holds the two to each other on every scheme
+//! and checkpoint mode), not a re-simulation's.
 //!
 //! # Validity domain
 //!
@@ -658,23 +691,151 @@ pub struct WhatIfResult {
 /// executor: one forward max-plus replay over the recorded spans with
 /// the executors' exact arithmetic (same launch charges, same
 /// `arrival = max(ready, sent_at + wire)`, same ack-window blocking,
-/// same `round(ns × factor)` scaling, same packet numbering). See the
-/// module docs for the domain on which this equals a ground-truth
-/// re-simulation.
+/// same `round(ns × factor)` scaling, same packet numbering), resumed
+/// at the cut before the first span `w` re-times. See the module docs
+/// for why the cut is exact and for the domain on which this equals a
+/// ground-truth re-simulation.
 pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResult {
+    replay(schedule, g, w, first_retimed(schedule, g, w))
+}
+
+/// [`whatif`] replayed from time zero, for the tests that hold the cut
+/// to it.
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub fn whatif_from_zero(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResult {
+    replay(schedule, g, w, 0)
+}
+
+/// The busy time `w` charges local span `s` of `dev`. Slowdowns scale
+/// compute only, as the machine does: all-reduce and optimizer time hold.
+#[inline]
+fn busy(w: &WhatIf<'_>, program: &DeviceProgram, dev: DeviceId, s: &OpSpan) -> Nanos {
+    let pc = s.pc as usize;
+    if s.pc == CKPT_PC {
+        if w.free_checkpoint {
+            0
+        } else {
+            s.work_ns
+        }
+    } else if w.profile.compute_factor(dev, s.iter, pc) == 1.0
+        || !program.get(pc).is_some_and(|x| x.kind.is_compute())
+    {
+        s.work_ns
+    } else {
+        w.profile.scaled_compute(dev, s.iter, pc, s.work_ns)
+    }
+}
+
+/// The earliest recorded start of a span `w` re-times: a compute span
+/// whose charge a slowdown changes, or a send a link delay hits, found
+/// on the devices the profile names alone. 0 under `free_checkpoint`;
+/// `Nanos::MAX` when `w` re-times nothing.
+fn first_retimed(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> Nanos {
+    if w.free_checkpoint {
+        return 0;
+    }
+    let p = w.profile;
+    let slack = !p.link_slack.is_empty();
+    let mut named: Vec<DeviceId> = p.slowdowns.iter().map(|s| s.device).collect();
+    named.extend(p.link_slack.iter().map(|l| l.src));
+    named.sort_unstable();
+    named.dedup();
+    let mut first = Nanos::MAX;
+    for dev in named {
+        let Some(spans) = g.per_device.get(dev.index()) else {
+            continue;
+        };
+        let program = schedule.program(dev);
+        let mut packets = PacketCounter::default();
+        for s in spans.iter().take_while(|s| s.start < first) {
+            let hit = match s.link.get() {
+                None => busy(w, program, dev, s) != s.work_ns,
+                // Numbered as the replay numbers them.
+                Some((Dir::Send, k)) if slack => {
+                    let peer = g.links[k].1;
+                    p.link_extra(dev, peer, s.iter, packets.next(peer, s.iter)) != 0
+                }
+                Some(_) => false,
+            };
+            if hit {
+                first = s.start;
+                break;
+            }
+        }
+    }
+    first
+}
+
+/// One link's traffic before the cut: sends, receives, and the slot in
+/// the link's ring of receive ends that the next receive fills.
+#[derive(Clone, Copy, Default)]
+struct Prefix {
+    sent: usize,
+    received: usize,
+    slot: usize,
+}
+
+/// [`whatif`] from the cut at `cut`: every span that ended before it
+/// keeps its recorded times, and the replay re-times the rest.
+fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> WhatIfResult {
     let devices = g.per_device.len();
-    let mut clock: Vec<Nanos> = g
-        .per_device
-        .iter()
-        .map(|spans| spans.first().map_or(0, |s| s.start))
-        .collect();
+    let capacity = g.channel_capacity.max(1);
+    let slack = !w.profile.link_slack.is_empty();
+    let mut clock = vec![0; devices];
     let mut next = vec![0usize; devices];
+    let mut packets = vec![PacketCounter::default(); devices];
+    // Per link, its traffic before the cut and the ends of its last
+    // `capacity` receives there, which hold every ack no send consumed.
+    let mut prefix = vec![Prefix::default(); g.links.len()];
+    let mut ring: Vec<Nanos> = vec![0; g.links.len() * capacity];
+    for (d, spans) in g.per_device.iter().enumerate() {
+        // Spans tile the clock, so their ends ascend.
+        let resume = spans.partition_point(|s| s.end < cut);
+        (clock[d], next[d]) = match resume {
+            0 => (spans.first().map_or(0, |s| s.start), 0),
+            i => (spans[i - 1].end, i),
+        };
+        for s in &spans[..resume] {
+            match s.link.get() {
+                None => {}
+                Some((Dir::Send, k)) => {
+                    prefix[k].sent += 1;
+                    if slack {
+                        packets[d].next(g.links[k].1, s.iter);
+                    }
+                }
+                Some((Dir::Recv, k)) => {
+                    let l = &mut prefix[k];
+                    ring[k * capacity + l.slot] = s.end;
+                    l.slot += 1;
+                    if l.slot == capacity {
+                        l.slot = 0;
+                    }
+                    l.received += 1;
+                }
+            }
+        }
+    }
     // Per link, in FIFO order: each packet's re-timed departure before
     // the recorded injected delay, and the recorded end of its send, from
-    // which the receiver measures that delay.
-    let mut fifos: Vec<Fifo<(Nanos, Nanos)>> = g.links.iter().map(|_| Fifo::default()).collect();
-    let mut packets = vec![PacketCounter::default(); devices];
-    let capacity = g.channel_capacity.max(1);
+    // which the receiver measures that delay. A packet sent before the
+    // cut departed at its send's recorded end, so its receiver reads its
+    // own recorded `sent_at`: `(0, 0)` stands for any such pair.
+    let mut fifos: Vec<Fifo<(Nanos, Nanos)>> = prefix
+        .iter()
+        .enumerate()
+        .map(|(k, l)| {
+            let ring = &ring[k * capacity..(k + 1) * capacity];
+            Fifo::after(
+                capacity,
+                l.sent,
+                l.received,
+                |_| (0, 0),
+                |j| ring[j % capacity],
+            )
+        })
+        .collect();
 
     loop {
         let mut progressed = false;
@@ -685,27 +846,9 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
             let (mut t, mut i) = (clock[d], next[d]);
             while let Some(s) = spans.get(i) {
                 match s.link.get() {
-                    None => {
-                        let pc = s.pc as usize;
-                        let work = if s.pc == CKPT_PC {
-                            if w.free_checkpoint {
-                                0
-                            } else {
-                                s.work_ns
-                            }
-                        } else if w.profile.compute_factor(dev, s.iter, pc) == 1.0
-                            || !program.get(pc).is_some_and(|x| x.kind.is_compute())
-                        {
-                            // Slowdowns scale compute only, as the machine
-                            // does: all-reduce and optimizer time hold.
-                            s.work_ns
-                        } else {
-                            w.profile.scaled_compute(dev, s.iter, pc, s.work_ns)
-                        };
-                        // The serving gate is exogenous: it holds under
-                        // any counterfactual.
-                        t = t.max(s.gate_ns) + work;
-                    }
+                    // The serving gate is exogenous: it holds under any
+                    // counterfactual.
+                    None => t = t.max(s.gate_ns) + busy(w, program, dev, s),
                     Some((Dir::Send, k)) => {
                         let chan = &mut fifos[k];
                         // A full window waits for the oldest arrival.
@@ -713,9 +856,13 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
                             break; // blocked: peer must advance
                         };
                         t = (t + s.work_ns).max(freed);
-                        let peer = g.links[k].1;
-                        let nth = packets[d].next(peer, s.iter);
-                        let extra = w.profile.link_extra(dev, peer, s.iter, nth);
+                        let extra = if slack {
+                            let peer = g.links[k].1;
+                            let nth = packets[d].next(peer, s.iter);
+                            w.profile.link_extra(dev, peer, s.iter, nth)
+                        } else {
+                            0
+                        };
                         chan.push((t + extra, s.end));
                     }
                     Some((Dir::Recv, k)) => {
@@ -914,18 +1061,205 @@ mod tests {
         assert!(checked > 0, "no backfilled Bw found in ZB-H1");
     }
 
+    /// The premise of the cut: an unperturbed replay from time zero
+    /// reproduces the recording, whatever shaped it.
     #[test]
     fn whatif_identity_reproduces_the_recording() {
+        use mario_cluster::{
+            run_with_faults, EmulatorBackend, EmulatorConfig, FaultKind, FaultPlan,
+        };
+        use mario_ir::ShardedWrite;
+
+        let sim = |s: &mario_ir::Schedule, cost: &UnitCost, opts: &SimOptions| {
+            let t = simulate(s, cost, opts).unwrap();
+            (t.spans, t.device_clocks, t.total_ns)
+        };
+        let grid = UnitCost::paper_grid();
+        let one_f_one_b = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
+        let mut recordings = Vec::new();
         for scheme in [SchemeKind::OneFOneB, SchemeKind::ZeroBubbleH1] {
-            let (s, t) = run(scheme, 4, 8);
-            let w = whatif(
-                &s,
-                &t.spans,
-                &WhatIf::perturb(&PerturbationProfile::identity()),
-            );
-            assert_eq!(w.makespan, t.total_ns, "{scheme:?}");
-            assert_eq!(w.device_clocks, t.device_clocks, "{scheme:?}");
+            let s = generate(ScheduleConfig::new(scheme, 4, 8));
+            let recorded = sim(&s, &grid, &SimOptions::default());
+            recordings.push((format!("{scheme:?}"), s, recorded));
         }
+        // Checkpoint chunks drained into two iterations' bubbles.
+        let shards = grid.with_shard_bytes(60_000);
+        let overlap = CheckpointPolicy::every(1)
+            .with_sharded(ShardedWrite::new(2_000, 500).with_async_overlap());
+        let opts = SimOptions {
+            iterations: 2,
+            checkpoint: Some(overlap),
+            ..SimOptions::default()
+        };
+        let t = simulate(&one_f_one_b, &shards, &opts).unwrap();
+        assert!(t.telemetry.total_ckpt_absorbed_ns() > 0, "no chunk drained");
+        let recorded = (t.spans, t.device_clocks, t.total_ns);
+        recordings.push(("async overlap".into(), one_f_one_b.clone(), recorded));
+        // Startup offsets, as an elastic reconfiguration charges them.
+        let startup = [3_000, 0, 1_500, 7_000];
+        let opts = SimOptions {
+            startup: &startup,
+            ..SimOptions::default()
+        };
+        let recorded = sim(&one_f_one_b, &grid, &opts);
+        recordings.push(("startup offsets".into(), one_f_one_b.clone(), recorded));
+        // Serving release gates.
+        let serving = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 4, 4));
+        let release = [0, 10_000, 20_000, 30_000];
+        let opts = SimOptions {
+            release: Some(&release),
+            ..SimOptions::default()
+        };
+        let recorded = sim(&serving, &grid, &opts);
+        recordings.push(("serving gates".into(), serving, recorded));
+        // A straggler and a late packet, absorbed by the run.
+        let plan = FaultPlan::none()
+            .with(FaultKind::Slowdown {
+                device: DeviceId(1),
+                factor: 2.5,
+                from_pc: 4,
+                until_pc: 20,
+            })
+            .with(FaultKind::LinkDelay {
+                src: DeviceId(2),
+                dst: DeviceId(1),
+                nth: 3,
+                extra_ns: 900,
+            });
+        let cfg = EmulatorConfig {
+            iterations: 2,
+            backend: EmulatorBackend::Event,
+            record_spans: true,
+            ..EmulatorConfig::default()
+        };
+        let r = run_with_faults(&one_f_one_b, &grid, cfg, &plan).unwrap();
+        assert_eq!(r.faults.len(), 2, "both faults absorbed");
+        let recorded = (r.spans.unwrap(), r.device_clocks, r.total_ns);
+        recordings.push(("absorbed faults".into(), one_f_one_b, recorded));
+
+        let identity = WhatIf::perturb(PerturbationProfile::pristine());
+        for (name, s, (g, clocks, makespan)) in &recordings {
+            for w in [replay(s, g, &identity, 0), whatif(s, g, &identity)] {
+                assert_eq!(&w.device_clocks, clocks, "{name}");
+                assert_eq!(w.makespan, *makespan, "{name}");
+            }
+        }
+    }
+
+    /// How much less wall time the cut takes than the replay from time
+    /// zero, on the perf benchmark's whatif-64 recording (1F1B at 64×32
+    /// after passes 1–3, two event-backend iterations with a sharded
+    /// synchronous checkpoint) under its query mix: a slowdown over a
+    /// window of one device's program, or one late packet between
+    /// neighbours, each scoped to one iteration. Asserts equal answers and
+    /// prints the median of the per-op ratios (16 queries an op) and the
+    /// mean share of spans that end before the cut. Release only:
+    /// `cargo test --release -p mario-core --lib whatif_cut -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn whatif_cut_to_zero_wall_time_ratio() {
+        use crate::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
+        use mario_cluster::{
+            run_with_faults, EmulatorBackend, EmulatorConfig, FaultKind, FaultPlan,
+        };
+        use mario_ir::{min_channel_capacity, ShardedWrite};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::time::Instant;
+
+        let (devices, micros, iters) = (64u32, 32u32, 2u32);
+        let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, devices, micros));
+        apply_checkpoint(&mut s);
+        overlap_recompute(&mut s);
+        remove_redundancy(&mut s);
+        let cfg = EmulatorConfig {
+            iterations: iters,
+            channel_capacity: min_channel_capacity(&s).unwrap_or(1),
+            checkpoint: Some(
+                CheckpointPolicy::every(1).with_sharded(ShardedWrite::new(2_000, 500)),
+            ),
+            backend: EmulatorBackend::Event,
+            record_spans: true,
+            ..EmulatorConfig::default()
+        };
+        let cost = UnitCost::paper_grid().with_shard_bytes(60_000);
+        let recording = run_with_faults(&s, &cost, cfg, &FaultPlan::none()).expect("1F1B runs");
+        let g = recording.spans.as_ref().expect("spans recorded");
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut skipped = 0.0;
+        let mut ratios: Vec<f64> = (0..31)
+            .map(|op| {
+                let profiles: Vec<_> = (0..16)
+                    .map(|_| {
+                        let fault = if rng.gen_bool(0.5) {
+                            let device = DeviceId(rng.gen_range(0..devices));
+                            let len = s.program(device).len();
+                            let from_pc = rng.gen_range(0..len);
+                            FaultKind::Slowdown {
+                                device,
+                                factor: [1.25, 1.5, 2.0, 3.0][rng.gen_range(0..4usize)],
+                                from_pc,
+                                until_pc: rng.gen_range(from_pc + 1..=len),
+                            }
+                        } else {
+                            let a = rng.gen_range(0..devices - 1);
+                            let (src, dst) = if rng.gen_bool(0.5) {
+                                (a, a + 1)
+                            } else {
+                                (a + 1, a)
+                            };
+                            FaultKind::LinkDelay {
+                                src: DeviceId(src),
+                                dst: DeviceId(dst),
+                                nth: rng.gen_range(0..micros as usize),
+                                extra_ns: 100 * rng.gen_range(1..=50u64),
+                            }
+                        };
+                        let plan = FaultPlan::none().with(fault);
+                        plan.at_iteration(rng.gen_range(0..iters))
+                            .perturbation_profile()
+                    })
+                    .collect();
+                let time = |cut: bool| {
+                    let t = Instant::now();
+                    let answers: Vec<_> = profiles
+                        .iter()
+                        .map(|p| {
+                            let w = WhatIf::perturb(p);
+                            if cut {
+                                whatif(&s, g, &w)
+                            } else {
+                                replay(&s, g, &w, 0)
+                            }
+                        })
+                        .collect();
+                    (t.elapsed().as_secs_f64(), answers)
+                };
+                let total = g.len() as f64;
+                skipped += profiles
+                    .iter()
+                    .map(|p| {
+                        let cut = first_retimed(&s, g, &WhatIf::perturb(p));
+                        let before = |spans: &Vec<OpSpan>| spans.partition_point(|x| x.end < cut);
+                        g.per_device.iter().map(before).sum::<usize>() as f64 / total
+                    })
+                    .sum::<f64>();
+                // Alternate which side runs first.
+                let ((cut_s, cut), (zero_s, zero)) = if op % 2 == 0 {
+                    (time(true), time(false))
+                } else {
+                    let zero = time(false);
+                    (time(true), zero)
+                };
+                assert_eq!(cut, zero, "op {op}");
+                cut_s / zero_s
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        println!(
+            "what-if cut / zero wall time: median {:.2}; {:.0}% of spans before the cut",
+            ratios[ratios.len() / 2],
+            100.0 * skipped / (31.0 * 16.0)
+        );
     }
 
     #[test]

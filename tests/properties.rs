@@ -889,6 +889,114 @@ proptest! {
     }
 }
 
+/// The cut differential over `scheme` at `d`×`n`: the generated schedule
+/// recorded at its least channel capacity and one more, under each of
+/// the four checkpoint modes (none, flat, sharded synchronous, sharded
+/// overlapped into the bubbles) over 1–3 iterations, then `queries`
+/// random what-ifs of each recording: slowdown windows with factors
+/// below and above 1, link delays and free checkpoint writes, each
+/// scoped to one iteration, every iteration or none. `whatif`, which
+/// resumes from the cut, must give what the replay from time zero gives.
+/// Returns how many queries ran.
+fn cut_differential(scheme: SchemeKind, d: u32, n: u32, queries: usize, rng: &mut Mix) -> usize {
+    use mario::core::critpath::{whatif, whatif_from_zero, WhatIf};
+    use mario::ir::{min_channel_capacity, LinkSlack, SlowdownWindow};
+
+    let s = generate(ScheduleConfig::new(scheme, d, n));
+    let cost = SlowWires(PerDeviceShards(UnitCost::paper_grid()));
+    let least = min_channel_capacity(&s).expect("generated schedules execute");
+    let longest = (0..d)
+        .map(|dev| s.program(DeviceId(dev)).len())
+        .max()
+        .unwrap_or(1);
+    let mut ran = 0;
+    for cap in [least, least + 1] {
+        for mode in 0..4 {
+            let checkpoint = match mode {
+                0 => None,
+                1 => Some(CheckpointPolicy::every(1).with_write_ns(700)),
+                2 => Some(CheckpointPolicy::every(1).with_sharded(ShardedWrite::new(2_000, 600))),
+                _ => Some(
+                    CheckpointPolicy::every(1)
+                        .with_sharded(ShardedWrite::new(2_000, 600).with_async_overlap()),
+                ),
+            };
+            let iters = 1 + rng.below(3) as u32;
+            let opts = SimOptions {
+                channel_capacity: cap,
+                iterations: iters,
+                checkpoint,
+                ..SimOptions::default()
+            };
+            let recorded = simulate(&s, &cost, &opts).expect("simulation completes");
+            for _ in 0..queries {
+                let scope =
+                    |rng: &mut Mix| iteration_scope(rng.below(iters as usize + 2) as u32, iters);
+                let mut profile = PerturbationProfile::identity();
+                for _ in 0..rng.below(3) {
+                    let from_pc = rng.below(longest);
+                    profile = profile.with_slowdown(SlowdownWindow {
+                        device: DeviceId(rng.below(d as usize) as u32),
+                        factor: [0.5, 0.8, 1.25, 2.0, 3.0][rng.below(5)],
+                        from_pc,
+                        until_pc: from_pc + 1 + rng.below(longest),
+                        iteration: scope(rng),
+                    });
+                }
+                for _ in 0..rng.below(3) {
+                    let src = rng.below(d as usize) as u32;
+                    profile = profile.with_link_slack(LinkSlack {
+                        src: DeviceId(src),
+                        dst: DeviceId(rng.below(d as usize) as u32),
+                        nth: rng.below(n as usize + 1).checked_sub(1),
+                        extra_ns: 1 + rng.below(3_000) as u64,
+                        iteration: scope(rng),
+                    });
+                }
+                let w = WhatIf {
+                    profile: &profile,
+                    free_checkpoint: rng.below(4) == 0,
+                };
+                assert_eq!(
+                    whatif(&s, &recorded.spans, &w),
+                    whatif_from_zero(&s, &recorded.spans, &w),
+                    "{scheme:?} {d}x{n} cap {cap} mode {mode} iters {iters} {w:?}"
+                );
+                ran += 1;
+            }
+        }
+    }
+    ran
+}
+
+/// Re-timing from the cut changes no what-if answer: on every scheme, in
+/// every checkpoint mode, at two capacities.
+#[test]
+fn whatif_from_the_cut_matches_the_replay_from_zero() {
+    let mut rng = Mix(0xc0_7c07);
+    let ran: usize = EVERY_SCHEME
+        .iter()
+        .map(|&scheme| cut_differential(scheme, 4, 8, 12, &mut rng))
+        .sum();
+    assert_eq!(ran, EVERY_SCHEME.len() * 2 * 4 * 12);
+}
+
+/// The same differential at scale: every scheme at four sizes, 150
+/// queries per recording — 38 400 queries. Run with
+/// `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "large; run in release"]
+fn whatif_from_the_cut_matches_the_replay_from_zero_at_scale() {
+    let mut rng = Mix(0x0c07_0c07);
+    let mut ran = 0;
+    for scheme in EVERY_SCHEME {
+        for (d, n) in [(2, 4), (4, 8), (6, 12), (8, 16)] {
+            ran += cut_differential(scheme, d, n, 150, &mut rng);
+        }
+    }
+    assert_eq!(ran, EVERY_SCHEME.len() * 4 * 2 * 4 * 150);
+}
+
 // Flight-recorder parity: the full telemetry breakdown — per-device time
 // classes, peak memory, fault counters, and per-link transfer stats — is
 // populated by the DP simulator and the zero-jitter emulator with
