@@ -3,8 +3,8 @@
 //! makespan bit for bit, on-path ops have zero slack (exactly the
 //! zero-slack set for ZB-H1), the what-if engine matches ground-truth
 //! re-simulation on a perturbation grid, 1F1B's path is `(p−1)·t` longer
-//! than ZB-H1's, and the span graph is bit-identical across all three
-//! executors. Exits non-zero on any violation, on an empty sweep, or
+//! than ZB-H1's, and the span graph is bit-identical between the DP
+//! simulator and the emulator. Exits non-zero on any violation, on an empty sweep, or
 //! unless the published ZB-H1 headline path tiles its makespan and names
 //! its top ops. Pass `--smoke` for the trimmed CI run and `--json` for
 //! `results/critpath.json`.

@@ -1,9 +1,8 @@
-//! Event-backend scaling sweep: 512–4096-device rack-aware clusters the
-//! thread-per-device backend cannot spawn. Exits non-zero unless every
-//! point matches the 1F1B closed form, the rack wires strictly lengthen
-//! the makespan and the sweep reaches 512 devices. Pass `--smoke` for the
-//! 512-device CI point and `--json` for a machine-readable
-//! `results/scale.json`.
+//! Emulator scaling sweep: 512–4096-device rack-aware clusters. Exits
+//! non-zero unless every point matches the 1F1B closed form, the rack
+//! wires strictly lengthen the makespan and the sweep reaches 512
+//! devices. Pass `--smoke` for the 512-device CI point and `--json` for
+//! a machine-readable `results/scale.json`.
 fn main() {
     use mario_bench::experiments::scale;
     use mario_bench::{summary, JsonObj, RunSummary};

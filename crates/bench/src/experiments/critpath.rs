@@ -8,8 +8,8 @@
 //!   the unit grid: the critical path must tile `[0, makespan]` bit for
 //!   bit (`path_ns == makespan_ns`), every on-path op must have zero
 //!   slack, and for selected points the span graph the analyzer consumed
-//!   must be bit-identical across all three executors (DP simulator,
-//!   thread emulator, event emulator). Zero-slack ops form a *superset*
+//!   must be bit-identical between the DP simulator and the emulator.
+//!   Zero-slack ops form a *superset*
 //!   of the walked path in general (cost ties create parallel critical
 //!   paths); ZB-H1's unit-grid path is unique, so there the two sets are
 //!   pinned equal.
@@ -264,9 +264,9 @@ pub fn path_sweep(smoke: bool) -> Vec<PathRow> {
     out
 }
 
-/// Three-way executor check: the span graph the analyzer consumes is
-/// bit-identical whether recorded by the DP simulator, the thread
-/// emulator, or the event emulator. Returns `(point label, ok)` pairs.
+/// Executor check: the span graph the analyzer consumes is bit-identical
+/// whether recorded by the DP simulator or the emulator. Returns
+/// `(point label, ok)` pairs.
 pub fn backend_parity(smoke: bool) -> Vec<(String, bool)> {
     let points: &[(SchemeKind, CkptMode)] = if smoke {
         &[(SchemeKind::OneFOneB, CkptMode::None)]
@@ -283,27 +283,22 @@ pub fn backend_parity(smoke: bool) -> Vec<(String, bool)> {
         .map(|&(scheme, mode)| {
             let (s, sim_spans, _) = record(scheme, mode);
             let cost = cost();
-            let emu = |backend| {
-                mario_cluster::run(
-                    &s,
-                    &cost,
-                    mario_cluster::EmulatorConfig {
-                        channel_capacity: scheme_channel_capacity(scheme),
-                        iterations: ITERS,
-                        jitter: 0.0,
-                        checkpoint: mode.policy(),
-                        record_spans: true,
-                        backend,
-                        ..Default::default()
-                    },
-                )
-                .expect("emulated run completes")
-                .spans
-                .expect("spans recorded")
-            };
-            let thread = emu(mario_cluster::EmulatorBackend::Thread);
-            let event = emu(mario_cluster::EmulatorBackend::Event);
-            let ok = sim_spans == thread && thread == event;
+            let event = mario_cluster::run(
+                &s,
+                &cost,
+                mario_cluster::EmulatorConfig {
+                    channel_capacity: scheme_channel_capacity(scheme),
+                    iterations: ITERS,
+                    jitter: 0.0,
+                    checkpoint: mode.policy(),
+                    record_spans: true,
+                    ..Default::default()
+                },
+            )
+            .expect("emulated run completes")
+            .spans
+            .expect("spans recorded");
+            let ok = sim_spans == event;
             (format!("{scheme:?}/{}", mode.label()), ok)
         })
         .collect()
@@ -469,7 +464,7 @@ pub fn render_whatif(rows: &[WhatIfRow]) -> String {
     format!("what-if re-timing vs ground-truth re-simulation:\n{}", t.render())
 }
 
-/// Renders the closed-form gap table and the backend parity checks.
+/// Renders the closed-form gap table and the sim/event parity checks.
 pub fn render_gap(gaps: &[GapRow], parity: &[(String, bool)]) -> String {
     let mut t = Table::new(&["p", "m", "1F1B path", "ZB-H1 path", "gap", "(p-1)t", "ok"]);
     for r in gaps {
@@ -484,7 +479,7 @@ pub fn render_gap(gaps: &[GapRow], parity: &[(String, bool)]) -> String {
         ]);
     }
     let mut out = format!("1F1B vs ZB-H1 closed-form path gap:\n{}", t.render());
-    out.push_str("\nthree-way span-graph parity (sim / thread / event):\n");
+    out.push_str("\nspan-graph parity (sim / event):\n");
     for (label, ok) in parity {
         out.push_str(&format!("  {label}: {}\n", if *ok { "identical" } else { "DIVERGED" }));
     }

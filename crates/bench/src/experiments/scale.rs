@@ -1,11 +1,9 @@
-//! Event-backend scaling sweep: rack-aware clusters far past the thread
-//! backend's reach.
+//! Emulator scaling sweep: rack-aware clusters of thousands of devices.
 //!
 //! Not a paper artifact — the capability demonstration for the
-//! discrete-event executor. The thread backend spawns one OS thread per
-//! device and tops out in the tens of devices; the event backend walks
-//! the same instruction lists single-threaded and emulates thousands.
-//! Each sweep point runs a 1F1B pipeline twice:
+//! discrete-event driver, which walks the instruction lists
+//! single-threaded and emulates thousands of devices. Each sweep point
+//! runs a 1F1B pipeline twice:
 //!
 //! * **flat** — the free-communication unit grid, whose makespan has the
 //!   closed form `3(D−1) + 3N` time units: a bit-exact correctness pin
@@ -18,7 +16,7 @@
 //! count, and the wall-clock rate (million instructions per second).
 
 use crate::table::Table;
-use mario_cluster::{run, EmulatorBackend, EmulatorConfig};
+use mario_cluster::{run, EmulatorConfig};
 use mario_ir::{ComputeKind, CostModel, DeviceId, Nanos, PartId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
 use serde::{Deserialize, Serialize};
@@ -126,17 +124,13 @@ pub struct Row {
     pub mi_per_s: f64,
 }
 
-/// Emulates one `devices`-wide 1F1B pipeline on the event backend, flat
-/// and rack-aware.
+/// Emulates one `devices`-wide 1F1B pipeline, flat and rack-aware.
 pub fn run_point(devices: u32) -> Row {
     let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, devices, MICROS));
     let instrs: u64 = (0..devices)
         .map(|d| s.program(DeviceId(d)).len() as u64)
         .sum();
-    let cfg = EmulatorConfig {
-        backend: EmulatorBackend::Event,
-        ..Default::default()
-    };
+    let cfg = EmulatorConfig::default();
     let grid = UnitCost::paper_grid();
     let start = Instant::now();
     let flat = run(&s, &grid, cfg).expect("flat run completes");
@@ -205,49 +199,7 @@ mod tests {
     #[test]
     fn closed_form_holds_at_a_small_scale_point() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 64, 16));
-        let cfg = EmulatorConfig {
-            backend: EmulatorBackend::Event,
-            ..Default::default()
-        };
-        let flat = run(&s, &UnitCost::paper_grid(), cfg).unwrap();
+        let flat = run(&s, &UnitCost::paper_grid(), EmulatorConfig::default()).unwrap();
         assert_eq!(flat.total_ns, (3 * 63 + 3 * 16) * 1_000);
-    }
-
-    #[test]
-    fn rack_costs_agree_between_thread_and_event_backends() {
-        // 64 devices is exactly where the two backends still overlap: the
-        // thread oracle can just spawn it, the event backend is already in
-        // its scaling regime — rack-aware wire arithmetic must agree
-        // bit-for-bit.
-        let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 64, 8));
-        let cost = RackCost::cluster();
-        let thread = run(&s, &cost, EmulatorConfig::default()).unwrap();
-        let event = run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(thread.device_clocks, event.device_clocks);
-        assert_eq!(thread.total_ns, event.total_ns);
-        assert_eq!(thread.telemetry, event.telemetry);
-        // Two racks of 32: the cross-rack boundary pays the slow wire.
-        let rack32 = RackCost {
-            rack: 32,
-            ..RackCost::cluster()
-        };
-        let split = run(
-            &s,
-            &rack32,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(split.total_ns > event.total_ns);
     }
 }

@@ -64,13 +64,9 @@ pub struct ExpConfig {
     pub variant: Variant,
     /// Per-device memory, bytes.
     pub mem_capacity: u64,
-    /// Execute on the threaded emulator when the config fits (otherwise
+    /// Execute on the cluster emulator when the config fits (otherwise
     /// always simulate).
     pub use_emulator: bool,
-    /// Which emulator backend executes the "real run". Thread is the
-    /// default oracle; Event produces bit-identical numbers and scales to
-    /// device counts a thread per device cannot reach.
-    pub backend: mario_cluster::EmulatorBackend,
     /// Emulator kernel jitter.
     pub jitter: f64,
     /// Run the simulator-guided prepose pass for `Ovlp`/`Lmbs`.
@@ -94,7 +90,6 @@ impl ExpConfig {
             variant: Variant::Base,
             mem_capacity,
             use_emulator: true,
-            backend: mario_cluster::EmulatorBackend::default(),
             jitter: 0.02,
             prepose: true,
         }
@@ -103,12 +98,6 @@ impl ExpConfig {
     /// Sets the variant.
     pub fn variant(mut self, v: Variant) -> Self {
         self.variant = v;
-        self
-    }
-
-    /// Sets the emulator backend for the "real run".
-    pub fn backend(mut self, backend: mario_cluster::EmulatorBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -273,7 +262,6 @@ pub fn run_config(cfg: &ExpConfig) -> ConfigResult {
                 channel_capacity: cap,
                 jitter: cfg.jitter,
                 mem_capacity: Some(cfg.mem_capacity),
-                backend: cfg.backend,
                 ..Default::default()
             },
         )
@@ -329,19 +317,6 @@ mod tests {
         assert!(omax < bmax, "ovlp {omax} vs base {bmax}");
         // Imbalance shrinks dramatically.
         assert!((omax - omin) < (bmax - bmin));
-    }
-
-    #[test]
-    fn event_backend_reproduces_the_thread_run() {
-        // Same point, same jitter seed, different executor: the numbers
-        // the tables print must not depend on the backend flag.
-        let thread = run_config(&tiny(Variant::Ovlp));
-        let event =
-            run_config(&tiny(Variant::Ovlp).backend(mario_cluster::EmulatorBackend::Event));
-        assert_eq!(thread.iter_ns, event.iter_ns);
-        assert_eq!(thread.throughput, event.throughput);
-        assert_eq!(thread.per_device_peak, event.per_device_peak);
-        assert!(!event.estimated);
     }
 
     #[test]

@@ -75,13 +75,6 @@ pub enum EmuError {
     /// Boxed: the report is by far the largest payload, and `Result`s
     /// carrying this enum travel through every hot emulator path.
     Fault(Box<FaultReport>),
-    /// A device thread panicked; the panic was contained and converted.
-    WorkerPanicked {
-        /// The panicking device.
-        device: DeviceId,
-        /// Panic payload, if it was a string.
-        detail: String,
-    },
 }
 
 impl EmuError {
@@ -93,8 +86,7 @@ impl EmuError {
             | EmuError::CommMismatch { device, .. }
             | EmuError::DeadlockSuspected { device, .. }
             | EmuError::PeerFailed { device, .. }
-            | EmuError::NoRoute { device, .. }
-            | EmuError::WorkerPanicked { device, .. } => *device,
+            | EmuError::NoRoute { device, .. } => *device,
             EmuError::Fault(report) => report.device,
         }
     }
@@ -115,8 +107,7 @@ impl EmuError {
 
     /// Root-cause rank used by the runner when several devices fail at
     /// once: lower wins. Injected faults outrank the secondary errors
-    /// they cascade into (peer failures, deadlocks), and a contained
-    /// worker panic outranks the peer failures its peers then observe.
+    /// they cascade into (peer failures, deadlocks).
     pub(crate) fn priority(&self) -> u8 {
         match self {
             EmuError::Fault(_) => 0,
@@ -124,8 +115,7 @@ impl EmuError {
             EmuError::DoubleAlloc { .. } | EmuError::CommMismatch { .. } => 2,
             EmuError::NoRoute { .. } => 3,
             EmuError::DeadlockSuspected { .. } => 4,
-            EmuError::WorkerPanicked { .. } => 5,
-            EmuError::PeerFailed { .. } => 6,
+            EmuError::PeerFailed { .. } => 5,
         }
     }
 }
@@ -171,9 +161,6 @@ impl fmt::Display for EmuError {
                 write!(f, "{device} at #{pc}: no link to {peer}")
             }
             EmuError::Fault(report) => write!(f, "injected fault: {report}"),
-            EmuError::WorkerPanicked { device, detail } => {
-                write!(f, "{device} worker panicked: {detail}")
-            }
         }
     }
 }

@@ -1,13 +1,11 @@
-//! The discrete-event backend: the emulator's scale path, and the DP
+//! The discrete-event driver: the emulator's only driver, and the DP
 //! simulator's executor (`mario-core`'s `simulate` is a zero-jitter run
 //! of it).
 //!
 //! One thread: every device is a `Machine` stepped until it parks, over
-//! the `Links` both backends share. The machine holds all instruction
-//! semantics and the links the link rule, so this module only keeps the
-//! firing order and `quiesce`, the resolution of a run in which no
-//! device can move, which the thread backend calls too; with zero jitter
-//! the two backends agree bit-for-bit, which the parity proptests pin.
+//! the run's `Links`. The machine holds all instruction semantics and the
+//! links the link rule, so this module only keeps the firing order and
+//! `quiesce`, the resolution of a run in which no device can move.
 //!
 //! Devices run from a [`Ready`] queue, the scheduler the makespan sweep
 //! and the deadlock check share: a machine runs until it parks on a link,
@@ -15,43 +13,41 @@
 //! on that link. Each device's instruction sequence is fixed, each
 //! channel is FIFO, and every clock update depends only on packet
 //! timestamps, so any firing order reaches the same final state, errors
-//! included (see [`mario_ir::ready`]); `tests/properties.rs` checks that
-//! through `run_event_shuffled`, built only with the `test-order`
-//! feature.
+//! included (see [`mario_ir::ready`]); `tests/properties.rs` and
+//! `tests/hostile.rs` check that through `run_event_shuffled`, built only
+//! with the `test-order` feature. One driver therefore answers for every
+//! order a concurrent runtime could take.
 //!
 //! Deadlock needs no timer: when the queue drains and devices are still
 //! parked, no event can ever wake them — that *is* the deadlock,
 //! detected in zero real time.
 
 use crate::error::EmuError;
-use crate::link::{Links, Wake};
+use crate::link::Links;
 use crate::machine::{Machine, Shared, Stepped};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
 use mario_ir::{CostModel, DeviceId, LinkTable, MemoryRules, Ready, Schedule};
 
 /// Settles a quiescent run — every unsettled device parked, none able to
-/// move — by the same rules on both backends; each settled device is
-/// woken on the link it parked on, so its driver sees the settlement.
+/// move; each settled device is woken on the link it parked on, so the
+/// driver sees the settlement.
 ///
 /// Phase 1: a device parked on a link with an injected incoming stall is
 /// the stall surfacing. Settling one can cascade (peers observe the
 /// failure), so when phase 1 settles anyone this returns `true`: the
-/// backend runs the woken devices until the run is quiescent again and
+/// driver runs the woken devices until the run is quiescent again and
 /// calls this again. Phase 2, once no stall fires: anything still parked
 /// can never be woken — a deadlock. Every wait chain is read off the
 /// parked machines *before* anyone is settled, so the named cycles do not
 /// depend on settlement order; this returns `false` with every device
 /// settled. A settled device's checkpoint progress is read off its
 /// machine.
-pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
-    links: &mut Links<'_, W>,
-    machine: impl Fn(usize) -> &'m Machine<'a>,
-) -> bool {
+fn quiesce(links: &mut Links<'_>, devs: &[Machine<'_>]) -> bool {
     let parked: Vec<usize> = (0..links.results.len())
         .filter(|&d| links.results[d].is_none())
         .collect();
-    let settle = |links: &mut Links<'_, W>, d: usize, err: EmuError| {
-        let m = machine(d);
+    let settle = |links: &mut Links<'_>, d: usize, err: EmuError| {
+        let m = &devs[d];
         links.settle(d, Err(err), m.ckpt());
         if let Some(link) = m.parked_link() {
             links.ready.wake(d, link);
@@ -59,7 +55,7 @@ pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
     };
     let mut fired = false;
     for &d in &parked {
-        if let Some(stall) = machine(d).stalled() {
+        if let Some(stall) = devs[d].stalled() {
             settle(links, d, stall);
             fired = true;
         }
@@ -68,7 +64,7 @@ pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
         return true;
     }
     let waits_on = |d: DeviceId| match links.results.get(d.index()) {
-        Some(None) => machine(d.index()).waits_on(),
+        Some(None) => devs[d.index()].waits_on(),
         _ => None,
     };
     let chains: Vec<Vec<DeviceId>> = parked
@@ -76,7 +72,7 @@ pub(crate) fn quiesce<'m, 'a: 'm, W: Wake>(
         .map(|&d| wait_chain(DeviceId(d as u32), waits_on))
         .collect();
     for (&d, cycle) in parked.iter().zip(chains) {
-        settle(links, d, machine(d).deadlocked(cycle));
+        settle(links, d, devs[d].deadlocked(cycle));
     }
     false
 }
@@ -103,7 +99,7 @@ fn wait_chain(device: DeviceId, waits_on: impl Fn(DeviceId) -> Option<DeviceId>)
 /// The machines and their links.
 struct Sched<'a> {
     devs: Vec<Machine<'a>>,
-    links: Links<'a, Ready>,
+    links: Links<'a>,
 }
 
 impl Sched<'_> {
@@ -129,9 +125,8 @@ impl Sched<'_> {
     }
 }
 
-/// [`crate::run_with`] on the event backend with devices run in a seeded
-/// random order, for the tests that hold every order to the same
-/// answers.
+/// [`crate::run_with`] with devices run in a seeded random order, for
+/// the tests that hold every order to the same answers.
 #[cfg(feature = "test-order")]
 #[doc(hidden)]
 pub fn run_event_shuffled(
@@ -145,8 +140,8 @@ pub fn run_event_shuffled(
     run_event(schedule, cost, cfg, opts, ready)
 }
 
-/// The event backend behind [`crate::run_with`], running devices in the
-/// order `ready` gives.
+/// The driver behind [`crate::run_with`], running devices in the order
+/// `ready` gives.
 pub(crate) fn run_event(
     schedule: &Schedule,
     cost: &dyn CostModel,
@@ -185,7 +180,7 @@ pub(crate) fn run_event(
     loop {
         sched.drain();
         let Sched { devs, links } = &mut sched;
-        if !quiesce(links, |d| &devs[d]) {
+        if !quiesce(links, devs) {
             break;
         }
     }

@@ -5,17 +5,16 @@
 //! the single implementation of instruction semantics — virtual clock,
 //! memory ledger with OOM faults under the same lifecycle rules as the
 //! offline simulator ([`mario_ir::MemoryRules`]), checkpoint writes,
-//! telemetry, spans and the bounded-link send/recv clock rules. Two
-//! backends step the machines ([`EmulatorBackend`]) over one set of
-//! [`link`]s: one OS thread per device, or the single-threaded
-//! discrete-event backend ([`event`]) that scales to thousands of
-//! devices. Both detect deadlock by quiescence, with one function: when
-//! every unfinished device is parked on a link, none can ever move.
+//! telemetry, spans and the bounded-link send/recv clock rules. One
+//! single-threaded discrete-event driver ([`event`]) steps the machines
+//! over the run's [`link`]s and scales to thousands of devices. It
+//! detects deadlock by quiescence: when every unfinished device is parked
+//! on a link, none can ever move.
 //!
 //! Timing is *virtual*: per-instruction latencies come from a
 //! [`mario_ir::CostModel`] (optionally perturbed by seeded jitter), and all
 //! clock arithmetic depends only on message timestamps, so results are
-//! bit-identical across thread interleavings and across the two backends.
+//! bit-identical under every firing order of the devices.
 //!
 //! The [`faults`] module adds seeded, deterministic fault injection on top:
 //! [`run_with_faults`] enforces a [`FaultPlan`] (stragglers, crashes, link

@@ -1,4 +1,4 @@
-//! The emulator's links, once, for both backends.
+//! The emulator's links.
 //!
 //! Each directed `(sender, receiver, class, part)` link of the run's
 //! [`LinkTable`] is a `mario_ir::Fifo` of timestamped packets — the ack
@@ -6,12 +6,11 @@
 //! use too — plus whether each end has settled. An empty or full link
 //! parks the machine; once the peer has settled it reads as disconnected
 //! instead, FIFO-ordered after all genuine traffic. A packet wakes its
-//! receiver and an ack its sender, if it waits on that link, through the
-//! backend's `Wake`: the event backend's [`Ready`] queue, or the thread
-//! backend's parked threads. Links only move packets and timestamps; what
-//! a timestamp does to a device clock is the [`crate::machine`]'s
+//! receiver and an ack its sender in the driver's [`Ready`] queue, if it
+//! waits on that link. Links only move packets and timestamps; what a
+//! timestamp does to a device clock is the [`crate::machine`]'s
 //! business, which is why the emulated timeline is deterministic under
-//! any firing order or thread interleaving.
+//! any firing order.
 
 use crate::error::EmuError;
 use crate::machine::{Ckpt, DeviceReport, Settled, Transport};
@@ -41,20 +40,6 @@ pub enum LinkError {
     NoRoute,
 }
 
-/// Lets parked devices run again.
-pub(crate) trait Wake {
-    /// Lets device `d` run again if it is parked on link `link`; a device
-    /// past the count is ignored.
-    fn wake(&mut self, d: usize, link: usize);
-}
-
-impl Wake for Ready {
-    #[inline]
-    fn wake(&mut self, d: usize, link: usize) {
-        Ready::wake(self, d, link);
-    }
-}
-
 /// One bounded-FIFO link: the shared [`Fifo`] plus whether each end has
 /// settled.
 #[derive(Debug, Default)]
@@ -67,20 +52,20 @@ struct Channel {
 /// The run's links, indexed by link number, the devices that may run,
 /// and each device's outcome once it settled: everything a link
 /// operation, a settlement and quiescence touch.
-pub(crate) struct Links<'a, W> {
+pub(crate) struct Links<'a> {
     table: &'a LinkTable,
     chans: Vec<Channel>,
     capacity: usize,
     /// Which devices may run.
-    pub ready: W,
+    pub ready: Ready,
     /// Each device's outcome and checkpoint progress, once it settled.
     pub results: Vec<Option<Settled>>,
 }
 
-impl<'a, W: Wake> Links<'a, W> {
+impl<'a> Links<'a> {
     /// The links of `table` with `capacity` packets of window each, for
     /// `devices` devices, none settled.
-    pub fn new(table: &'a LinkTable, devices: usize, capacity: usize, ready: W) -> Self {
+    pub fn new(table: &'a LinkTable, devices: usize, capacity: usize, ready: Ready) -> Self {
         Self {
             table,
             chans: (0..table.len()).map(|_| Channel::default()).collect(),
@@ -108,7 +93,7 @@ impl<'a, W: Wake> Links<'a, W> {
     }
 }
 
-impl<W: Wake> Transport for Links<'_, W> {
+impl Transport for Links<'_> {
     #[inline]
     fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
         let chan = &mut self.chans[link.id];
@@ -148,16 +133,6 @@ mod tests {
         DeviceProgram, Instr, MicroId, MsgClass, PartId, Schedule, SchemeKind, Topology,
     };
 
-    /// Records every wake.
-    #[derive(Default)]
-    struct Woken(Vec<(usize, usize)>);
-
-    impl Wake for Woken {
-        fn wake(&mut self, d: usize, link: usize) {
-            self.0.push((d, link));
-        }
-    }
-
     fn pkt(m: u32, sent_at: Nanos) -> Packet {
         Packet {
             msg: Msg {
@@ -170,6 +145,17 @@ mod tests {
         }
     }
 
+    /// The devices queued since the last call, in order; each parks on
+    /// `link` again, so the next operation on it wakes it anew.
+    fn woken(ready: &mut Ready, link: usize) -> Vec<usize> {
+        let mut woken = Vec::new();
+        while let Some(d) = ready.front() {
+            woken.push(d);
+            ready.block(Some(link));
+        }
+        woken
+    }
+
     #[test]
     fn the_window_wakes_and_settles_in_fifo_order() {
         let (d0, d1) = (DeviceId(0), DeviceId(1));
@@ -179,33 +165,36 @@ mod tests {
         let link = table
             .resolve(d0, Dir::Send, (d1, MsgClass::Act, PartId(0)))
             .expect("d0 sends to d1");
-        let mut links = Links::new(&table, 2, 1, Woken::default());
+        let mut links = Links::new(&table, 2, 1, Ready::fifo(2));
+        assert_eq!(woken(&mut links.ready, link.id), vec![0, 1]);
         // One packet fills the window; the next send waits for its ack.
+        // A push wakes the receiver and an ack the sender.
         assert_eq!(links.reserve(link), Ok(Some(0)));
         assert_eq!(links.push(link, pkt(0, 10)), 1);
+        assert_eq!(woken(&mut links.ready, link.id), vec![1]);
         assert_eq!(links.reserve(link), Ok(None));
         assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(10)));
         assert_eq!(links.pop(link).map(|p| p.is_some()), Ok(false));
+        assert!(woken(&mut links.ready, link.id).is_empty());
         links.ack(link, 500);
+        assert_eq!(woken(&mut links.ready, link.id), vec![0]);
         assert_eq!(links.reserve(link), Ok(Some(500)));
         assert_eq!(links.push(link, pkt(1, 500)), 1);
-        // A push wakes the receiver and an ack the sender.
-        assert_eq!(
-            links.ready.0,
-            vec![(1, link.id), (0, link.id), (1, link.id)]
-        );
+        assert_eq!(woken(&mut links.ready, link.id), vec![1]);
         // A settled sender reads as disconnected only after its genuine
         // traffic, and its settlement wakes the receiver.
         let failed = |device| Err(EmuError::PeerFailed { device, pc: 0 });
         links.settle(0, failed(d0), Ckpt::default());
-        assert_eq!(links.ready.0.last(), Some(&(1, link.id)));
+        assert_eq!(woken(&mut links.ready, link.id), vec![1]);
         assert_eq!(links.pop(link).map(|p| p.map(|p| p.sent_at)), Ok(Some(500)));
         assert_eq!(
             links.pop(link).map(|p| p.is_some()),
             Err(LinkError::Disconnected)
         );
-        // A full window on a settled receiver reads as disconnected.
+        // A full window on a settled receiver reads as disconnected, and
+        // the receiver's settlement wakes the sender.
         links.settle(1, failed(d1), Ckpt::default());
+        assert_eq!(woken(&mut links.ready, link.id), vec![0]);
         assert_eq!(links.reserve(link), Err(LinkError::Disconnected));
         assert!(links.results.iter().all(Option::is_some));
     }

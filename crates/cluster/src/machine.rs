@@ -1,7 +1,7 @@
 //! The per-device instruction machine: the one implementation of
-//! instruction semantics. Both emulator backends drive it, and so does
-//! the DP simulator (`mario-core`), which is a zero-jitter event-backend
-//! run.
+//! instruction semantics. The emulator's driver ([`crate::event`]) steps
+//! it, and so does the DP simulator (`mario-core`), which is a
+//! zero-jitter emulator run.
 //!
 //! A `Machine` walks one device's program over every iteration,
 //! advancing a memory ledger, enforcing the device's injected faults (and
@@ -17,16 +17,16 @@
 //! whoever settles it — its driver, or `event::quiesce` — reads its
 //! checkpoint progress and the peer it waits on off it.
 //!
-//! Packets move through a `Transport`: both backends hand the machine
-//! the same [`crate::link`]s, the thread backend behind a lock. The
+//! Packets move through a `Transport`: the driver hands the machine the
+//! run's [`crate::link`]s, and unit tests a scripted stand-in. The
 //! machine resolves each send or recv port once, through the run's
 //! [`LinkTable`], hands the transport the resolved [`Link`] and records
 //! its end on the instruction's span ([`LinkEnd`]). An empty
 //! or full link parks the machine: `Machine::step` returns
 //! `Stepped::Blocked` with the link and resumes the parked operation on
 //! the next call. Every clock update depends only on packet timestamps,
-//! never on when a backend ran the machine, so both backends reach
-//! bit-identical results.
+//! never on when the driver ran the machine, so every firing order
+//! reaches bit-identical results.
 //!
 //! The hot path does no error work. Link and ledger results are matched
 //! where they are read, and every [`EmuError`] and [`FaultReport`] is

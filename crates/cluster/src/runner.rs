@@ -1,17 +1,15 @@
-//! The cluster emulator's entry points and its thread backend: one OS
-//! thread per device, virtual-time links between pipeline neighbours,
-//! deterministic timing and OOM faults.
+//! The cluster emulator's entry points: virtual-time links between
+//! pipeline neighbours, deterministic timing and OOM faults.
 //!
 //! This is the repository's stand-in for "real runs" on the paper's A100
-//! cluster: the same instruction lists Mario emits are executed with real
-//! concurrency and blocking p2p, so schedule bugs (mis-paired sends,
-//! buffer-order deadlocks, activation-lifecycle leaks) manifest exactly as
-//! they would on hardware, while per-instruction latencies come from the
-//! cost model. The device threads share the event backend's
-//! [`crate::link`]s under one lock and park on a condition variable; the
-//! last one to park settles the run with the event backend's
-//! `event::quiesce`, so a deadlock is found when it happens, in
-//! no wall time. [`run_with_faults`] additionally threads a seeded
+//! cluster: the same instruction lists Mario emits are executed under
+//! blocking p2p, so schedule bugs (mis-paired sends, buffer-order
+//! deadlocks, activation-lifecycle leaks) manifest as they would on
+//! hardware, while per-instruction latencies come from the cost model.
+//! Every entry point steps the devices with the discrete-event driver
+//! ([`crate::event`]); any firing order gives the same answers, so one
+//! driver checks them all, and a deadlock is the run going quiescent,
+//! found in no wall time. [`run_with_faults`] additionally threads a seeded
 //! [`FaultPlan`] through the devices, [`run_with`] takes the plan, a
 //! perturbation profile, startup offsets and serving hooks in one
 //! [`RunOptions`], and [`run_with_recovery`] restarts a faulted run a
@@ -19,38 +17,27 @@
 //! scheduler would drive).
 
 use crate::error::EmuError;
-use crate::event::quiesce;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::link::{LinkError, Links, Packet, Wake};
-use crate::machine::{Ckpt, Machine, Settled, Shared, Stepped, Transport};
+use crate::machine::Settled;
 use crate::serving::ServingHooks;
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceId, Link, LinkTable, MemoryRules, Nanos,
-    PerturbationProfile, Schedule, SpanGraph, Telemetry,
+    CheckpointPolicy, CostModel, DeviceId, LinkTable, Nanos, PerturbationProfile, Schedule,
+    SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Which backend [`run`] and friends use.
+/// The emulator's driver, of which there is one.
 ///
-/// Both step the same per-device machine ([`crate::machine`]) over the
-/// same instruction lists, so they agree bit-for-bit on every clock,
-/// telemetry class and fault report (the three-way parity proptests pin
-/// this). Both move packets over the same links and settle a run in
-/// which no device can move by the same rules; they differ only in who
-/// runs a device and how a parked device waits.
+/// It selects nothing: every run steps its machines with the
+/// discrete-event driver ([`crate::event`]). The type is kept only so
+/// the `perf/` benchmark harness, which names `EmulatorBackend::Event`,
+/// still compiles; the next change to that harness deletes it together
+/// with [`EmulatorConfig::backend`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EmulatorBackend {
-    /// One OS thread per device over the shared links — the concurrency
-    /// oracle. Real blocking means schedule bugs (deadlocks, mis-paired
-    /// sends) manifest as they would on hardware, but thread count caps
-    /// it at tens of devices.
+    /// The single-threaded discrete-event driver.
     #[default]
-    Thread,
-    /// Single-threaded discrete-event executor — the scale path;
-    /// emulates thousands of devices in the time the thread backend
-    /// needs for dozens.
     Event,
 }
 
@@ -73,15 +60,15 @@ pub struct EmulatorConfig {
     /// Per-device memory capacity in bytes (None disables OOM checking).
     pub mem_capacity: Option<u64>,
     /// Record the executed span graph ([`mario_ir::SpanGraph`]) — the
-    /// input to critical-path analysis. Bit-identical across both
-    /// backends and the DP simulator on a zero-jitter run.
+    /// input to critical-path analysis. Bit-identical to the DP
+    /// simulator's on a zero-jitter run.
     pub record_spans: bool,
     /// Model-state checkpointing policy (None = no checkpoints; the run
     /// is bit-identical to a build without the checkpoint layer).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Which executor to drive: the thread-per-device concurrency oracle
-    /// or the single-threaded discrete-event scale path. Both produce
-    /// bit-identical reports.
+    /// Selects nothing: [`EmulatorBackend`] has one variant. Kept only
+    /// so the `perf/` benchmark harness compiles, and deleted with the
+    /// type.
     pub backend: EmulatorBackend,
 }
 
@@ -96,7 +83,7 @@ impl Default for EmulatorConfig {
             mem_capacity: None,
             record_spans: false,
             checkpoint: None,
-            backend: EmulatorBackend::Thread,
+            backend: EmulatorBackend::Event,
         }
     }
 }
@@ -245,226 +232,20 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// Runs `schedule` as `opts` describes, on the backend `cfg.backend`
-/// selects.
+/// Runs `schedule` as `opts` describes.
 pub fn run_with(
     schedule: &Schedule,
     cost: &dyn CostModel,
     cfg: EmulatorConfig,
     opts: &RunOptions,
 ) -> Result<RunReport, EmuError> {
-    match cfg.backend {
-        EmulatorBackend::Thread => run_threaded(schedule, cost, cfg, opts),
-        EmulatorBackend::Event => {
-            let ready = mario_ir::Ready::fifo(schedule.devices() as usize);
-            crate::event::run_event(schedule, cost, cfg, opts, ready)
-        }
-    }
-}
-
-/// A device's thread is running: not parked on any link.
-const RUNNING: usize = usize::MAX;
-
-/// The thread backend's ready set: the link each device's thread is
-/// parked on, how many run, and one condition variable per device to
-/// park its thread on.
-struct Running<'a> {
-    waits: Vec<usize>,
-    /// Running devices. A device counts from the moment a wake is issued
-    /// to it, so quiescence is never seen while a woken thread has yet to
-    /// run.
-    count: usize,
-    cvars: &'a [Condvar],
-}
-
-impl Wake for Running<'_> {
-    fn wake(&mut self, d: usize, link: usize) {
-        match self.waits.get_mut(d) {
-            Some(waits) if *waits == link => *waits = RUNNING,
-            _ => return,
-        }
-        self.count += 1;
-        self.cvars[d].notify_one();
-    }
-}
-
-/// What the device threads share under one lock: the links, the ready
-/// set, the results and the machines of the parked devices, which
-/// quiescence reads.
-struct Threads<'a> {
-    links: Links<'a, Running<'a>>,
-    parked: Vec<Option<Machine<'a>>>,
-}
-
-impl Threads<'_> {
-    /// A running device stopped: it parked, settled, or saw that it was
-    /// settled while parked. The last one to stop settles the quiescent
-    /// run. `quiesce` wakes every device it settles, so a round that
-    /// settles a stall is followed by another once those devices stop.
-    fn stop(&mut self) {
-        self.links.ready.count -= 1;
-        if self.links.ready.count == 0 {
-            let Self { links, parked } = self;
-            quiesce(links, |d| parked[d].as_ref().expect("quiescent"));
-        }
-    }
-}
-
-/// The lock, recovered if a panic poisoned it: a device that panicked
-/// must still settle under it so its parked peers wake. Cost models run
-/// only outside the lock.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A device thread's transport: every link op takes the lock. An op that
-/// comes back empty keeps it, so the thread parks in the same critical
-/// section and no wake is lost.
-struct Port<'s, 'a> {
-    state: &'s Mutex<Threads<'a>>,
-    held: Option<MutexGuard<'s, Threads<'a>>>,
-}
-
-impl<'a> Port<'_, 'a> {
-    fn op<T>(
-        &mut self,
-        f: impl FnOnce(&mut Links<'a, Running<'a>>) -> Result<Option<T>, LinkError>,
-    ) -> Result<Option<T>, LinkError> {
-        let mut state = lock(self.state);
-        let done = f(&mut state.links);
-        if let Ok(None) = done {
-            self.held = Some(state);
-        }
-        done
-    }
-}
-
-impl Transport for Port<'_, '_> {
-    fn reserve(&mut self, link: Link) -> Result<Option<Nanos>, LinkError> {
-        self.op(|links| links.reserve(link))
-    }
-
-    fn push(&mut self, link: Link, pkt: Packet) -> usize {
-        lock(self.state).links.push(link, pkt)
-    }
-
-    fn pop(&mut self, link: Link) -> Result<Option<Packet>, LinkError> {
-        self.op(|links| links.pop(link))
-    }
-
-    fn ack(&mut self, link: Link, at: Nanos) {
-        lock(self.state).links.ack(link, at);
-    }
-}
-
-/// The thread backend: spawns one OS thread per device, each stepping
-/// its machine concurrently and parking it on its condition variable
-/// when a link op comes back empty, and merges the reports.
-fn run_threaded(
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    cfg: EmulatorConfig,
-    opts: &RunOptions,
-) -> Result<RunReport, EmuError> {
-    let RunOptions {
-        plan,
-        startup,
-        serving,
-        ..
-    } = *opts;
-    let profile = opts.timing();
-    let devices = schedule.devices() as usize;
-    let rules = MemoryRules::new(schedule);
-    let table = LinkTable::new(schedule);
-    let shared = Shared {
-        schedule,
-        cost,
-        profile: &profile,
-        rules: &rules,
-        links: &table,
-        serving,
-    };
-    let cvars: Vec<Condvar> = (0..devices).map(|_| Condvar::new()).collect();
-    let ready = Running {
-        waits: vec![RUNNING; devices],
-        count: devices,
-        cvars: &cvars,
-    };
-    let state = Mutex::new(Threads {
-        links: Links::new(&table, devices, cfg.channel_capacity, ready),
-        parked: (0..devices).map(|_| None).collect(),
-    });
-
-    std::thread::scope(|scope| {
-        for (d, cvar) in cvars.iter().enumerate() {
-            let state = &state;
-            let device = DeviceId(d as u32);
-            let faults = plan.for_device(device);
-            let startup_ns = startup.get(d).copied().unwrap_or(0);
-            scope.spawn(move || {
-                // The checkpoint progress after the last completed step: a
-                // panic settles with it.
-                let mut ckpt = Ckpt::default();
-                let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut machine = Machine::new(shared, device, &cfg, faults, startup_ns);
-                    let mut port = Port { state, held: None };
-                    loop {
-                        let stepped = machine.step(&mut port);
-                        ckpt = machine.ckpt();
-                        let link = match stepped {
-                            Ok(Stepped::Blocked(link)) => link,
-                            Ok(Stepped::Finished) => return Some(Ok(machine.finish())),
-                            Err(e) => return Some(Err(e)),
-                        };
-                        let mut st = port.held.take().expect("an empty link op keeps the lock");
-                        st.parked[d] = Some(machine);
-                        st.links.ready.waits[d] = link;
-                        st.stop();
-                        while st.links.ready.waits[d] != RUNNING {
-                            st = cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
-                        }
-                        machine = st.parked[d].take().expect("its own machine");
-                        if st.links.results[d].is_some() {
-                            // Settled at quiescence while it waited.
-                            st.stop();
-                            return None;
-                        }
-                    }
-                }));
-                // A panicking device must not take the emulator down with
-                // it: contain the panic and settle it as a structured
-                // error, so its peers wake.
-                let result = match ran {
-                    Ok(None) => return,
-                    Ok(Some(result)) => result,
-                    Err(payload) => Err(EmuError::WorkerPanicked {
-                        device,
-                        detail: payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into()),
-                    }),
-                };
-                let mut st = lock(state);
-                st.links.settle(d, result, ckpt);
-                st.stop();
-            });
-        }
-    });
-
-    let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let results = (state.links.results)
-        .into_iter()
-        .map(|r| r.expect("quiescence settles every device"))
-        .collect();
-    settle_report(results, &cfg, plan, &table)
+    let ready = mario_ir::Ready::fifo(schedule.devices() as usize);
+    crate::event::run_event(schedule, cost, cfg, opts, ready)
 }
 
 /// Merges per-device outcomes into a [`RunReport`] (or the run's
-/// root-cause error). Shared by the thread and event backends so
-/// root-cause selection, critical-path arithmetic and telemetry assembly
-/// cannot drift between them.
+/// root-cause error): root-cause selection, critical-path arithmetic and
+/// telemetry assembly, once.
 ///
 /// Reports may carry *any* device ids — they need not be contiguous or
 /// dense (an elastic shrink's survivor set, for instance): everything
@@ -494,7 +275,7 @@ pub(crate) fn settle_report(
     // When several devices fail at once (a crash cascades into peer
     // failures and deadlocks), report the root cause: lowest
     // priority rank wins, device order breaks ties — deterministic under
-    // any thread interleaving.
+    // any firing order.
     if let Some(root) = errors
         .iter()
         .min_by_key(|e| (e.priority(), e.device().index()))
@@ -852,6 +633,7 @@ pub fn run_with_recovery(
 mod tests {
     use super::*;
     use crate::faults::FaultKind;
+    use crate::machine::Ckpt;
     use mario_ir::UnitCost;
     use mario_schedules::{generate, ScheduleConfig};
 
@@ -1196,10 +978,6 @@ mod tests {
         assert_eq!(ok.max_peak_mem(), 15);
     }
 
-    /// Both backends: each settles a device's checkpoint progress on its
-    /// own path.
-    const BACKENDS: [EmulatorBackend; 2] = [EmulatorBackend::Thread, EmulatorBackend::Event];
-
     #[test]
     fn crash_report_names_the_last_cluster_checkpoint() {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
@@ -1209,22 +987,19 @@ mod tests {
                 pc: 5,
             })
             .at_iteration(3);
-        for backend in BACKENDS {
-            let cfg = EmulatorConfig {
-                iterations: 6,
-                checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
-                backend,
-                ..EmulatorConfig::default()
-            };
-            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
-            let report = err.fault_report().expect("fault attribution");
-            assert_eq!(report.iteration, 3, "{backend:?}");
-            // Every device completed iterations 0..=2 before the crash
-            // could block it, so the end-of-iteration-1 checkpoint
-            // (covering 2 iterations) is durable cluster-wide; the
-            // end-of-iteration-3 write never completed anywhere.
-            assert_eq!(report.last_checkpoint, 2, "{backend:?}");
-        }
+        let cfg = EmulatorConfig {
+            iterations: 6,
+            checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
+            ..EmulatorConfig::default()
+        };
+        let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+        let report = err.fault_report().expect("fault attribution");
+        assert_eq!(report.iteration, 3);
+        // Every device completed iterations 0..=2 before the crash
+        // could block it, so the end-of-iteration-1 checkpoint
+        // (covering 2 iterations) is durable cluster-wide; the
+        // end-of-iteration-3 write never completed anywhere.
+        assert_eq!(report.last_checkpoint, 2);
     }
 
     #[test]
@@ -1241,22 +1016,19 @@ mod tests {
                 nth: 7,
             })
             .at_iteration(3);
-        for backend in BACKENDS {
-            let cfg = EmulatorConfig {
-                iterations: 6,
-                checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
-                backend,
-                ..EmulatorConfig::default()
-            };
-            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
-            let report = err.fault_report().expect("fault attribution");
-            assert_eq!(report.device, DeviceId(2), "{backend:?}");
-            assert_eq!(report.blocked_peer, Some(DeviceId(1)), "{backend:?}");
-            // No device gets past iteration 3, so each paid exactly the
-            // end-of-iteration-1 write, which covers 2 iterations.
-            assert_eq!(report.last_checkpoint, 2, "{backend:?}");
-            assert_eq!(report.ckpt_paid_ns, 4 * 500, "{backend:?}");
-        }
+        let cfg = EmulatorConfig {
+            iterations: 6,
+            checkpoint: Some(mario_ir::CheckpointPolicy::every(2).with_write_ns(500)),
+            ..EmulatorConfig::default()
+        };
+        let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+        let report = err.fault_report().expect("fault attribution");
+        assert_eq!(report.device, DeviceId(2));
+        assert_eq!(report.blocked_peer, Some(DeviceId(1)));
+        // No device gets past iteration 3, so each paid exactly the
+        // end-of-iteration-1 write, which covers 2 iterations.
+        assert_eq!(report.last_checkpoint, 2);
+        assert_eq!(report.ckpt_paid_ns, 4 * 500);
     }
 
     #[test]
@@ -1333,28 +1105,25 @@ mod tests {
                 pc: last_pc,
             })
             .at_iteration(1);
-        for backend in BACKENDS {
-            let cfg = EmulatorConfig {
-                iterations: 2,
-                checkpoint: Some(mario_ir::CheckpointPolicy::every(1).with_write_ns(500)),
-                backend,
-                ..EmulatorConfig::default()
-            };
-            let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
-            let report = err.fault_report().expect("fault attribution");
-            // Only the end-of-iteration-0 checkpoint is durable
-            // cluster-wide…
-            assert_eq!(report.last_checkpoint, 1, "{backend:?}");
-            // …but the attempt paid 4 writes for it plus the three
-            // orphaned end-of-iteration-1 writes: 7 × 500, not
-            // `overhead_ns(1) = 500`.
-            assert_eq!(report.ckpt_paid_ns, 7 * 500, "{backend:?}");
-            // Recovery charges those same payments, plus the final
-            // attempt's (1 remaining iteration, 4 devices).
-            let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).expect("recovers");
-            assert_eq!(rec.resumed_from, 1, "{backend:?}");
-            assert_eq!(rec.ckpt_overhead_ns, 7 * 500 + 4 * 500, "{backend:?}");
-        }
+        let cfg = EmulatorConfig {
+            iterations: 2,
+            checkpoint: Some(mario_ir::CheckpointPolicy::every(1).with_write_ns(500)),
+            ..EmulatorConfig::default()
+        };
+        let err = run_with_faults(&s, &unit(), cfg, &plan).unwrap_err();
+        let report = err.fault_report().expect("fault attribution");
+        // Only the end-of-iteration-0 checkpoint is durable
+        // cluster-wide…
+        assert_eq!(report.last_checkpoint, 1);
+        // …but the attempt paid 4 writes for it plus the three
+        // orphaned end-of-iteration-1 writes: 7 × 500, not
+        // `overhead_ns(1) = 500`.
+        assert_eq!(report.ckpt_paid_ns, 7 * 500);
+        // Recovery charges those same payments, plus the final
+        // attempt's (1 remaining iteration, 4 devices).
+        let rec = run_with_recovery(&s, &unit(), cfg, &plan, 3, |_| None).expect("recovers");
+        assert_eq!(rec.resumed_from, 1);
+        assert_eq!(rec.ckpt_overhead_ns, 7 * 500 + 4 * 500);
     }
 
     #[test]

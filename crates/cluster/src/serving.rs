@@ -18,10 +18,10 @@
 //! Only the micro-batches that never reached the end are retried, gated at
 //! `fault time + backoff` so wall-clock continuity holds across attempts.
 //!
-//! The same arithmetic runs on the thread backend, the event backend
-//! ([`crate::runner::run_with`] dispatches) and the DP simulator
-//! (`mario-core`'s `simulate` with a release schedule): with zero jitter
-//! all three agree bit-for-bit on every per-request completion time.
+//! The same arithmetic runs on the emulator ([`crate::runner::run_with`])
+//! and the DP simulator (`mario-core`'s `simulate` with a release
+//! schedule): with zero jitter the two agree bit-for-bit on every
+//! per-request completion time.
 
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
@@ -114,7 +114,7 @@ pub struct Request {
 /// A seeded open-loop Poisson arrival trace: `count` requests with
 /// exponential inter-arrival gaps of mean `mean_gap_ns`, each carrying an
 /// absolute deadline `slo_ns` past its arrival. Deterministic given the
-/// seed — the same trace drives the simulator and both emulator backends.
+/// seed — the same trace drives the simulator and the emulator.
 pub fn poisson_arrivals(seed: u64, count: u32, mean_gap_ns: Nanos, slo_ns: Nanos) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t: Nanos = 0;
@@ -166,7 +166,7 @@ pub struct Batch {
 /// `max_batch`-th request arrives (released at that arrival) or when
 /// `max_wait_ns` elapses (released at `open + max_wait_ns` — the batcher
 /// waited that long hoping to fill up). Pure integer arithmetic, so every
-/// backend derives identical batches.
+/// executor derives identical batches.
 pub fn form_batches(requests: &[Request], policy: BatchPolicy) -> Vec<Batch> {
     let max_batch = policy.max_batch.max(1) as usize;
     let mut batches = Vec::new();
@@ -267,8 +267,8 @@ pub struct ServeOutcome {
 }
 
 /// The serving attempt loop, generic over the executor so the simulator
-/// and both emulator backends share the batching, retry, backoff and
-/// telemetry arithmetic verbatim.
+/// and the emulator share the batching, retry, backoff and telemetry
+/// arithmetic verbatim.
 ///
 /// `run(micros, release, attempt)` executes one pipeline attempt over
 /// `micros` micro-batches whose first-stage forwards are gated at
@@ -413,7 +413,7 @@ pub fn serve_with<E>(
 /// Serving knobs for the emulator-backed [`serve`] loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
-    /// Emulator knobs (backend, jitter, seed, capacity; `iterations` is
+    /// Emulator knobs (jitter, seed, capacity; `iterations` is
     /// forced to 1 — a serving attempt is one pass of the schedule).
     pub emulator: EmulatorConfig,
     /// How queued requests fold into micro-batches.

@@ -1,9 +1,11 @@
 //! Emulator integration: determinism under stress, fault attribution,
 //! timeline consistency, straggler model.
 
-use mario_cluster::{run, EmuError, EmulatorBackend, EmulatorConfig};
+use mario_cluster::{run, EmuError, EmulatorConfig};
 use mario_ir::{ComputeKind, CostModel, DeviceId, Nanos, PartId, SchemeKind, UnitCost};
 use mario_schedules::{generate, ScheduleConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn unit() -> UnitCost {
@@ -12,8 +14,8 @@ fn unit() -> UnitCost {
 
 #[test]
 fn sixteen_device_run_is_deterministic_under_contention() {
-    // More device threads than cores forces heavy preemption; virtual time
-    // must not care.
+    // Sixteen devices contend for every link; re-runs must give the same
+    // virtual time.
     let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 16, 32));
     let a = run(&s, &unit(), EmulatorConfig::default()).unwrap();
     for _ in 0..3 {
@@ -128,28 +130,18 @@ fn truncated_program_is_detected_without_hanging() {
         kept += 1;
         kept <= 2
     });
-    // Both backends resolve ports through the one link table, so they
-    // name the same device, pc and peer.
-    for backend in [EmulatorBackend::Thread, EmulatorBackend::Event] {
-        let err = run(
-            &s,
-            &unit(),
-            EmulatorConfig {
-                backend,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            EmuError::NoRoute {
-                device: DeviceId(0),
-                pc: 4,
-                peer: DeviceId(1),
-            },
-            "{backend:?}: {err}"
-        );
-    }
+    // Ports resolve through the run's link table, which names the
+    // device, pc and peer.
+    let err = run(&s, &unit(), EmulatorConfig::default()).unwrap_err();
+    assert_eq!(
+        err,
+        EmuError::NoRoute {
+            device: DeviceId(0),
+            pc: 4,
+            peer: DeviceId(1),
+        },
+        "{err}"
+    );
 }
 
 #[test]
@@ -169,26 +161,13 @@ fn deadlocked_64_device_ring_is_detected_within_budget() {
         p.push(Instr::recv_act(0u32, 0u32, next));
         p.push(Instr::send_act(0u32, 0u32, prev));
     }
-    let run_on = |backend| {
-        run(
-            &s,
-            &unit(),
-            EmulatorConfig {
-                backend,
-                ..Default::default()
-            },
-        )
-        .unwrap_err()
-    };
-    // The last device to park settles the run at once, so the thread
-    // backend's report comes back in well under the budget; a lost wake
-    // would hang here instead.
+    // The run is settled the moment its ready queue drains, so the
+    // report comes back in well under the budget.
     let t0 = Instant::now();
-    let thread = run_on(EmulatorBackend::Thread);
+    let err = run(&s, &unit(), EmulatorConfig::default()).unwrap_err();
     let elapsed = t0.elapsed();
     assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
-    let event = run_on(EmulatorBackend::Event);
-    match &event {
+    match &err {
         EmuError::DeadlockSuspected { device, cycle, .. } => {
             assert_eq!(*device, DeviceId(0));
             // The chain walks the whole ring and closes on the start.
@@ -197,9 +176,6 @@ fn deadlocked_64_device_ring_is_detected_within_budget() {
         }
         e => panic!("expected deadlock, got {e}"),
     }
-    // Both backends settle the quiescent run with the same code, so they
-    // name the same device and the same ring.
-    assert_eq!(thread, event);
 }
 
 #[test]
@@ -253,17 +229,25 @@ impl CostModel for PanicsOnD1 {
 }
 
 #[test]
-fn a_panicking_worker_is_the_root_cause() {
-    // d1 panics; its peers then find its links settled. The run must end
-    // (the panicking device settles, so the parked peers wake) and blame
-    // the panic, not a peer that observed it.
-    let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
-    let err = run(&s, &PanicsOnD1(unit()), EmulatorConfig::default()).unwrap_err();
-    match err {
-        EmuError::WorkerPanicked { device, detail } => {
-            assert_eq!(device, DeviceId(1));
-            assert!(detail.contains("cost model failure"), "{detail}");
-        }
-        e => panic!("expected a contained panic, got {e}"),
-    }
+fn a_panicking_cost_model_unwinds_to_the_caller() {
+    // The driver contains no panic: d1's cost-model panic unwinds out of
+    // `run` with its payload, and the call returns rather than hanging.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 4, 8));
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run(&s, &PanicsOnD1(unit()), EmulatorConfig::default())
+        }));
+        tx.send(ran.map(drop)).unwrap();
+    });
+    let ran = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the call returns");
+    let payload = ran.expect_err("the panic reaches the caller");
+    let detail = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(detail.contains("cost model failure"), "{detail:?}");
 }

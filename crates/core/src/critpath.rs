@@ -1065,9 +1065,7 @@ mod tests {
     /// reproduces the recording, whatever shaped it.
     #[test]
     fn whatif_identity_reproduces_the_recording() {
-        use mario_cluster::{
-            run_with_faults, EmulatorBackend, EmulatorConfig, FaultKind, FaultPlan,
-        };
+        use mario_cluster::{run_with_faults, EmulatorConfig, FaultKind, FaultPlan};
         use mario_ir::ShardedWrite;
 
         let sim = |s: &mario_ir::Schedule, cost: &UnitCost, opts: &SimOptions| {
@@ -1128,7 +1126,6 @@ mod tests {
             });
         let cfg = EmulatorConfig {
             iterations: 2,
-            backend: EmulatorBackend::Event,
             record_spans: true,
             ..EmulatorConfig::default()
         };
@@ -1159,9 +1156,7 @@ mod tests {
     #[ignore]
     fn whatif_cut_to_zero_wall_time_ratio() {
         use crate::passes::{apply_checkpoint, overlap_recompute, remove_redundancy};
-        use mario_cluster::{
-            run_with_faults, EmulatorBackend, EmulatorConfig, FaultKind, FaultPlan,
-        };
+        use mario_cluster::{run_with_faults, EmulatorConfig, FaultKind, FaultPlan};
         use mario_ir::{min_channel_capacity, ShardedWrite};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use std::time::Instant;
@@ -1177,7 +1172,6 @@ mod tests {
             checkpoint: Some(
                 CheckpointPolicy::every(1).with_sharded(ShardedWrite::new(2_000, 500)),
             ),
-            backend: EmulatorBackend::Event,
             record_spans: true,
             ..EmulatorConfig::default()
         };

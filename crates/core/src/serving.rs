@@ -9,8 +9,8 @@
 //! links — a [`PerturbationProfile`]) the predicted per-request
 //! completion times are bit-identical to a zero-jitter emulated serve:
 //! that is the serving extension of the simulator-accuracy story
-//! (paper Fig. 10), and `tests/properties.rs` enforces it three ways
-//! (simulator / thread emulator / event emulator).
+//! (paper Fig. 10), and `tests/properties.rs` enforces it (simulator
+//! against emulator).
 //!
 //! Hard faults (crashes, rack failures) are the emulator's domain — the
 //! simulator models degradation, not failure, so its serve loop never

@@ -29,7 +29,7 @@ mod tests {
     }
 
     /// The headline fidelity property: with zero jitter, the simulator
-    /// and the threaded cluster emulator produce *identical* timelines.
+    /// and the cluster emulator produce *identical* timelines.
     #[test]
     fn simulator_equals_emulator_without_jitter() {
         for scheme in [

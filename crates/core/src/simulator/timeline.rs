@@ -4,8 +4,8 @@
 //! earliest start time of every instruction from its dependencies:
 //! *horizontal* (in-order execution within a device's instruction list) and
 //! *vertical* (p2p messages between devices, per Algorithm 1's virtual
-//! pipeline). [`simulate`] is a zero-jitter run of the cluster emulator's
-//! event backend (`mario_cluster::run_with`): one machine steps every
+//! pipeline). [`simulate`] is a zero-jitter run of the cluster emulator
+//! (`mario_cluster::run_with`): one machine steps every
 //! device, so spans, memory ledgers, link statistics, serving completions
 //! and telemetry each have one definition, and this module only maps the
 //! run's report onto a [`SimTimeline`]. The simulator-accuracy experiment
@@ -40,8 +40,7 @@
 //! straggler's impact without paying an emulator run.
 
 use mario_cluster::{
-    run_with, EmuError, EmulatorBackend, EmulatorConfig, FaultPlan, RunOptions, RunReport,
-    ServeBoard, ServingHooks,
+    run_with, EmuError, EmulatorConfig, FaultPlan, RunOptions, RunReport, ServeBoard, ServingHooks,
 };
 use mario_ir::exec::stuck;
 use mario_ir::{
@@ -241,7 +240,6 @@ fn timeline(
         channel_capacity: opts.channel_capacity,
         record_spans: true,
         checkpoint: opts.checkpoint,
-        backend: EmulatorBackend::Event,
         ..EmulatorConfig::default()
     };
     // Empty unless serving, so `completions` is too.
@@ -1164,10 +1162,7 @@ mod tests {
         use std::time::Instant;
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 512, 128));
         let cost = UnitCost::paper_grid();
-        let cfg = EmulatorConfig {
-            backend: EmulatorBackend::Event,
-            ..EmulatorConfig::default()
-        };
+        let cfg = EmulatorConfig::default();
         let pristine = PerturbationProfile::identity();
         let mut ratios: Vec<f64> = (0..15)
             .map(|_| {

@@ -526,7 +526,7 @@ mod tests {
 
     #[test]
     fn emu_traces_pin_checkpointed_chimera_2x2() {
-        use mario_cluster::{EmulatorBackend, EmulatorConfig};
+        use mario_cluster::EmulatorConfig;
         use mario_ir::{CheckpointPolicy, ShardedWrite};
         let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 2, 2));
         let cost = UnitCost::paper_grid().with_shard_bytes(60_000);
@@ -540,23 +540,21 @@ mod tests {
             record_spans: true,
             ..Default::default()
         };
-        for backend in [EmulatorBackend::Thread, EmulatorBackend::Event] {
-            let r = mario_cluster::run(&s, &cost, EmulatorConfig { backend, ..cfg }).unwrap();
-            let spans = r.spans.expect("spans recorded");
-            let plain = chrome_trace(&spans, &s);
-            let rich = chrome_trace_rich(&spans, &s, &cost);
-            assert!(plain.contains("\"name\":\"CKPT\""), "{backend:?}");
-            assert_eq!(
-                (plain.len(), digest(&plain)),
-                (3862, 0xfc39_9961_2e7f_0f12),
-                "{backend:?} plain trace"
-            );
-            assert_eq!(
-                (rich.len(), digest(&rich)),
-                (8883, 0xe70a_d613_7f54_e525),
-                "{backend:?} rich trace"
-            );
-        }
+        let r = mario_cluster::run(&s, &cost, cfg).unwrap();
+        let spans = r.spans.expect("spans recorded");
+        let plain = chrome_trace(&spans, &s);
+        let rich = chrome_trace_rich(&spans, &s, &cost);
+        assert!(plain.contains("\"name\":\"CKPT\""));
+        assert_eq!(
+            (plain.len(), digest(&plain)),
+            (3862, 0xfc39_9961_2e7f_0f12),
+            "plain trace"
+        );
+        assert_eq!(
+            (rich.len(), digest(&rich)),
+            (8883, 0xe70a_d613_7f54_e525),
+            "rich trace"
+        );
     }
 
     /// The checkpointed DP run the pins below render: Chimera 2×2 at
@@ -601,7 +599,7 @@ mod tests {
     /// run of the same schedule to the same bytes.
     #[test]
     fn dp_and_event_backend_traces_are_byte_identical() {
-        use mario_cluster::{EmulatorBackend, EmulatorConfig};
+        use mario_cluster::EmulatorConfig;
         let (s, cost, t) = ckpt_chimera_2x2();
         let cfg = EmulatorConfig {
             channel_capacity: 2,
@@ -612,7 +610,6 @@ mod tests {
                 ),
             ),
             record_spans: true,
-            backend: EmulatorBackend::Event,
             ..Default::default()
         };
         let r = mario_cluster::run(&s, &cost, cfg).unwrap();

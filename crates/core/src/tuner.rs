@@ -88,11 +88,6 @@ pub struct TunerConfig {
     /// accepting it, falling back to the next-best candidate when
     /// validation fails (at most [`MAX_VALIDATION_RUNS`] emulator runs).
     pub validate_on_emulator: bool,
-    /// Which emulator backend validation runs on. Both agree bit-for-bit
-    /// (the parity proptests pin it); the event backend validates
-    /// candidates at device counts where a thread per device cannot even
-    /// spawn.
-    pub validation_backend: mario_cluster::EmulatorBackend,
     /// Known cluster degradation (stragglers, slow links). When set, the
     /// tuner re-simulates its top-[`MAX_DEGRADED_EVALS`] candidates under
     /// this profile, records the degraded iteration time next to the
@@ -145,7 +140,6 @@ impl TunerConfig {
             dp_efficiency: 0.97,
             prepose: true,
             validate_on_emulator: false,
-            validation_backend: mario_cluster::EmulatorBackend::default(),
             perturbation: None,
             checkpoint: None,
             recovery: None,
@@ -1257,9 +1251,9 @@ pub(crate) fn tune_on(
     })
 }
 
-/// Replays one candidate's exact schedule on the cluster emulator (real
-/// threads, blocking p2p, memory ledger) and reports the structured cause
-/// when the run fails.
+/// Replays one candidate's exact schedule on the cluster emulator
+/// (blocking p2p, memory ledger) and reports the structured cause when
+/// the run fails.
 fn validate_candidate(
     model: &ModelConfig,
     gpu: &GpuSpec,
@@ -1275,7 +1269,6 @@ fn validate_candidate(
     let emu_cfg = mario_cluster::EmulatorConfig {
         channel_capacity: cap,
         mem_capacity: Some(cfg.mem_capacity),
-        backend: cfg.validation_backend,
         ..Default::default()
     };
     mario_cluster::run(&schedule, &cost, emu_cfg)
@@ -1568,37 +1561,6 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_validation_selects_the_same_candidate() {
-        // Backend parity holds on the exact schedules the tuner replays,
-        // so routing validation through the event executor must change
-        // nothing about the outcome — only how far it can scale.
-        let model = ModelConfig::gpt3_1_6b();
-        let gpu = GpuSpec::a100_40g();
-        let thread = tune(
-            &model,
-            &gpu,
-            &TunerConfig {
-                validate_on_emulator: true,
-                ..small_cfg()
-            },
-        )
-        .unwrap();
-        let event = tune(
-            &model,
-            &gpu,
-            &TunerConfig {
-                validate_on_emulator: true,
-                validation_backend: mario_cluster::EmulatorBackend::Event,
-                ..small_cfg()
-            },
-        )
-        .unwrap();
-        assert_eq!(thread.best.candidate, event.best.candidate);
-        assert_eq!(thread.best.iter_ns, event.best.iter_ns);
-        assert!(event.rejected.is_empty(), "{:?}", event.rejected);
-    }
-
-    #[test]
     fn parallel_validation_is_deterministic() {
         let cfg = TunerConfig {
             validate_on_emulator: true,
@@ -1656,7 +1618,7 @@ mod tests {
         }
         // The derivation can beat the table: this Chimera instance proves
         // executable at depth 1 even though the closed-form bound says 2 —
-        // and the threaded emulator agrees, completing at the derived
+        // and the emulator agrees, completing at the derived
         // depth. The table survives only as the derivation's ceiling.
         let cand = Candidate {
             scheme: SchemeKind::Chimera,

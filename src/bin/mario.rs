@@ -4,13 +4,14 @@
 //! mario generate --scheme V --devices 4 --micros 8 [--mario] [--out s.txt]
 //! mario optimize --model gpt3-1.6b --devices 8 --gbs 128 [--mem-gb 40] [--out s.txt]
 //! mario simulate --schedule s.txt --model gpt3-1.6b --mbs 2 [--viz] [--trace t.json]
-//! mario emulate  --schedule s.txt --model gpt3-1.6b --mbs 2 [--jitter 0.02] [--backend event]
+//! mario emulate  --schedule s.txt --model gpt3-1.6b --mbs 2 [--jitter 0.02]
 //! ```
 //!
 //! Schedules travel in the `mario-schedule v1` text format
 //! (`mario_ir::text`), so the output of `generate`/`optimize` feeds
 //! straight into `simulate`/`emulate` — the AOT workflow of the paper's
-//! Listing 1.
+//! Listing 1. Each command reads only its own flags; any other flag is a
+//! usage error, so a typo never runs with a default in its place.
 
 use mario::prelude::*;
 use std::collections::HashMap;
@@ -28,7 +29,6 @@ USAGE:
                  [--tp <T>] [--viz] [--trace <file>]
   mario emulate  --schedule <file> --model <name> --mbs <M>
                  [--tp <T>] [--jitter <f>] [--iterations <k>]
-                 [--backend <thread|event>]
 
 MODELS: gpt3-1.6b | gpt3-13b | llama2-3b | llama2-13b | gpt3-h<hidden>
 ";
@@ -104,19 +104,27 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Reads `argv` for a command that takes the flags `flag_names`, each
+    /// followed by a value, and the switches `switch_names`; any other
+    /// flag is an error.
+    fn parse(argv: &[String], flag_names: &[&str], switch_names: &[&str]) -> Result<Self, String> {
         let mut flags = HashMap::new();
         let mut switches = Vec::new();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    flags.insert(name.to_string(), it.next().unwrap().clone());
-                }
-                _ => switches.push(name.to_string()),
+            if switch_names.contains(&name) {
+                switches.push(name.to_string());
+            } else if flag_names.contains(&name) {
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("missing value for --{name}"))?;
+                flags.insert(name.to_string(), value.clone());
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         }
         Ok(Self { flags, switches })
@@ -293,13 +301,6 @@ fn cmd_emulate(args: &Args) -> Result<(), Failure> {
     if iterations == 0 {
         return Err("--iterations must be at least 1".into());
     }
-    let backend = match args.flags.get("backend").map(String::as_str) {
-        None | Some("thread") => EmulatorBackend::Thread,
-        Some("event") => EmulatorBackend::Event,
-        Some(other) => {
-            return Err(format!("--backend must be thread or event, got '{other}'").into())
-        }
-    };
     let report = mario::cluster::run(
         &schedule,
         &cost,
@@ -307,7 +308,6 @@ fn cmd_emulate(args: &Args) -> Result<(), Failure> {
             channel_capacity: capacity(&schedule),
             jitter,
             iterations,
-            backend,
             ..Default::default()
         },
     )
@@ -329,18 +329,36 @@ fn run_cli(argv: Vec<String>) -> Result<(), Failure> {
     let Some(cmd) = argv.first() else {
         return Err("no command".into());
     };
-    let args = Args::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "optimize" => cmd_optimize(&args),
-        "simulate" => cmd_simulate(&args),
-        "emulate" => cmd_emulate(&args),
+    // Each command with the flags it reads and its switches.
+    type Command = fn(&Args) -> Result<(), Failure>;
+    let (command, flags, switches): (Command, &[&str], &[&str]) = match cmd.as_str() {
+        "generate" => (
+            cmd_generate,
+            &["scheme", "devices", "micros", "out"],
+            &["mario"],
+        ),
+        "optimize" => (
+            cmd_optimize,
+            &["model", "devices", "gbs", "mem-gb", "scheme", "out"],
+            &[],
+        ),
+        "simulate" => (
+            cmd_simulate,
+            &["schedule", "model", "mbs", "tp", "trace"],
+            &["viz"],
+        ),
+        "emulate" => (
+            cmd_emulate,
+            &["schedule", "model", "mbs", "tp", "jitter", "iterations"],
+            &[],
+        ),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command '{other}'").into()),
-    }
+        other => return Err(format!("unknown command '{other}'").into()),
+    };
+    command(&Args::parse(&argv[1..], flags, switches)?)
 }
 
 fn main() -> ExitCode {

@@ -42,7 +42,7 @@ pub use mario_schedules as schedules;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use mario_cluster::{EmulatorBackend, EmulatorConfig, RunReport};
+    pub use mario_cluster::{EmulatorConfig, RunReport};
     pub use mario_core::{
         apply_checkpoint, optimize, overlap_recompute, prepose_forward, remove_redundancy, run,
         run_graph_tuner, simulate, simulate_memory, simulate_timeline, GraphTunerOptions,

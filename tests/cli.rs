@@ -357,3 +357,24 @@ fn optimize_rejects_a_memory_budget_that_overflows() {
     ];
     rejects(&args, "--mem-gb is too large");
 }
+
+#[test]
+fn commands_reject_flags_they_do_not_read() {
+    // A misspelt or retired flag must not run with a default in its
+    // place: `--jiter` is not `--jitter`, and the emulator has one driver.
+    let path = tmp("flags.txt");
+    let p = path.to_str().unwrap();
+    let gen = ["generate", "--scheme", "V", "--devices", "2", "--micros", "2", "--out", p];
+    assert!(mario().args(gen).status().unwrap().success());
+    let run = ["--schedule", p, "--model", "gpt3-1.6b", "--mbs", "1"];
+    for (cmd, flag, value) in [("emulate", "backend", "event"), ("simulate", "jiter", "0.02")] {
+        let args: Vec<&str> = [cmd].iter().chain(&run).copied().collect();
+        let out = mario().args(&args).output().unwrap();
+        assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        let dashed = format!("--{flag}");
+        let args = [&args[..], &[dashed.as_str(), value]].concat();
+        rejects(&args, &format!("unknown flag --{flag}"));
+        let err = String::from_utf8(mario().args(&args).output().unwrap().stderr).unwrap();
+        assert!(err.contains("USAGE"), "{err}");
+    }
+}

@@ -11,8 +11,9 @@
 //! came to carry the deadlock check's `ExecError` rather than its text,
 //! and only the `Debug` digest was re-pinned.
 //!
-//! The same mutants run through both emulator backends, which must not
-//! panic and must fail the same way, and through every engine that
+//! The same mutants run through the emulator in FIFO and shuffled firing
+//! orders, which must not panic and must fail the same way, and through
+//! every engine that
 //! shares `mario_ir::link`'s ack-window rule, which must agree with the
 //! deadlock check on accept versus reject; the DP simulator must also
 //! name the same mismatch or blocked devices, by value.
@@ -27,7 +28,8 @@
 //! more forwards than its instructions hold must not make `validate`
 //! size anything by it.
 
-use mario::cluster::{run, run_with_faults, EmuError, EmulatorBackend, EmulatorConfig, FaultPlan};
+use mario::cluster::event::run_event_shuffled;
+use mario::cluster::{run, run_with_faults, EmuError, EmulatorConfig, FaultPlan, RunOptions};
 use mario::core::passes::{
     apply_checkpoint, overlap_recompute, remove_redundancy, split_backward, SplitOptions,
 };
@@ -276,8 +278,9 @@ fn validate_texts_on_mutated_schedules_are_pinned() {
 }
 
 #[test]
-fn both_backends_fail_mutated_schedules_the_same_way() {
+fn every_firing_order_fails_mutated_schedules_the_same_way() {
     let cost = UnitCost::paper_grid();
+    let none = FaultPlan::none();
     let mut failed = 0;
     for Mutant {
         scheme,
@@ -286,35 +289,29 @@ fn both_backends_fail_mutated_schedules_the_same_way() {
         ..
     } in mutants(1)
     {
-        let thread = EmulatorConfig {
+        let cfg = EmulatorConfig {
             channel_capacity: scheme_channel_capacity(scheme),
             iterations: 2,
             ..Default::default()
         };
-        let event = EmulatorConfig {
-            backend: EmulatorBackend::Event,
-            ..thread
-        };
-        let [th, ev] = [thread, event].map(|cfg| {
-            catch_unwind(AssertUnwindSafe(|| run(&s, &cost, cfg)))
-                .unwrap_or_else(|_| panic!("{scheme:?} {edit}: {:?} panicked", cfg.backend))
-        });
-        match (&th, &ev) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.device_clocks, b.device_clocks, "{scheme:?} {edit}")
+        let fifo = catch_unwind(AssertUnwindSafe(|| run(&s, &cost, cfg)))
+            .unwrap_or_else(|_| panic!("{scheme:?} {edit}: panicked"));
+        for seed in 0..4 {
+            let shuffled = catch_unwind(AssertUnwindSafe(|| {
+                run_event_shuffled(&s, &cost, cfg, &RunOptions::new(&none), seed)
+            }))
+            .unwrap_or_else(|_| panic!("{scheme:?} {edit}: order {seed} panicked"));
+            // Deadlocks included: every order reaches the same quiescent
+            // state, and `quiesce` reads its wait chains before settling.
+            match (&fifo, &shuffled) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.device_clocks, b.device_clocks, "{scheme:?} {edit} {seed}")
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{scheme:?} {edit} {seed}: {a} vs {b}"),
+                _ => panic!("{scheme:?} {edit} {seed}: {fifo:?} vs {shuffled:?}"),
             }
-            (Err(a), Err(b)) => {
-                failed += 1;
-                assert!(
-                    !matches!(a, EmuError::WorkerPanicked { .. }),
-                    "{scheme:?} {edit}: {a}"
-                );
-                // Deadlocks included: both backends settle a quiescent
-                // run with the same code.
-                assert_eq!(a, b, "{scheme:?} {edit}: thread {a} vs event {b}");
-            }
-            _ => panic!("{scheme:?} {edit}: thread {th:?} vs event {ev:?}"),
         }
+        failed += fifo.is_err() as usize;
     }
     // Most corruptions break execution too, not just validation.
     assert!(
@@ -363,73 +360,66 @@ impl CostModel for SizedCost {
 
 #[test]
 fn event_backend_answers_on_mutants_are_pinned() {
-    // Each backend's full answer on every mutant: the per-device
+    // The emulator's full answer on every mutant: the per-device
     // peaks, leaked allocations and clocks of a run that finishes, or the
     // complete error (a double allocation's key, an OOM's cause). Each
     // mutant runs with no capacity and with one between its pristine
     // schedule's lowest and highest device peak, for one and two
     // iterations, writing a checkpoint (a held serialization buffer)
     // after every iteration. Out-of-range micro and part ids reach the
-    // ledger unvalidated. The digest was recorded on the event backend;
-    // the thread backend must give the same answers.
+    // ledger unvalidated.
     let cost = SizedCost(UnitCost::paper_grid());
     let mutants = mutants(1);
-    for backend in [EmulatorBackend::Event, EmulatorBackend::Thread] {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let (mut runs, mut ooms, mut double) = (0, 0, 0);
-        for Mutant {
-            scheme,
-            round,
-            edit,
-            schedule: s,
-            pristine,
-        } in &mutants
-        {
-            let peaks = simulate_memory(pristine, &cost, None);
-            let (lo, hi) = (peaks.min_peak(), peaks.max_peak());
-            assert!(lo < hi, "{scheme:?}: peaks {:?}", peaks.peak);
-            for capacity in [None, Some(lo + (hi - lo) / 2)] {
-                for iterations in [1, 2] {
-                    let cfg = EmulatorConfig {
-                        backend,
-                        channel_capacity: scheme_channel_capacity(*scheme),
-                        iterations,
-                        mem_capacity: capacity,
-                        checkpoint: Some(CheckpointPolicy {
-                            mem_overhead: 40,
-                            ..CheckpointPolicy::every(1)
-                        }),
-                        ..Default::default()
-                    };
-                    let answer = match run(s, &cost, cfg) {
-                        Ok(r) => {
-                            format!("ok {:?} {:?} {:?}", r.peak_mem, r.leaked, r.device_clocks)
-                        }
-                        Err(e) => {
-                            ooms += matches!(e, EmuError::Oom { .. }) as usize;
-                            double += matches!(e, EmuError::DoubleAlloc { .. }) as usize;
-                            format!("{e:?}")
-                        }
-                    };
-                    runs += 1;
-                    fnv1a(
-                        &mut h,
-                        format!("{scheme:?} {round} {edit} {capacity:?} {iterations}: {answer}\n")
-                            .as_bytes(),
-                    );
-                }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let (mut runs, mut ooms, mut double) = (0, 0, 0);
+    for Mutant {
+        scheme,
+        round,
+        edit,
+        schedule: s,
+        pristine,
+    } in &mutants
+    {
+        let peaks = simulate_memory(pristine, &cost, None);
+        let (lo, hi) = (peaks.min_peak(), peaks.max_peak());
+        assert!(lo < hi, "{scheme:?}: peaks {:?}", peaks.peak);
+        for capacity in [None, Some(lo + (hi - lo) / 2)] {
+            for iterations in [1, 2] {
+                let cfg = EmulatorConfig {
+                    channel_capacity: scheme_channel_capacity(*scheme),
+                    iterations,
+                    mem_capacity: capacity,
+                    checkpoint: Some(CheckpointPolicy {
+                        mem_overhead: 40,
+                        ..CheckpointPolicy::every(1)
+                    }),
+                    ..Default::default()
+                };
+                let answer = match run(s, &cost, cfg) {
+                    Ok(r) => {
+                        format!("ok {:?} {:?} {:?}", r.peak_mem, r.leaked, r.device_clocks)
+                    }
+                    Err(e) => {
+                        ooms += matches!(e, EmuError::Oom { .. }) as usize;
+                        double += matches!(e, EmuError::DoubleAlloc { .. }) as usize;
+                        format!("{e:?}")
+                    }
+                };
+                runs += 1;
+                fnv1a(
+                    &mut h,
+                    format!("{scheme:?} {round} {edit} {capacity:?} {iterations}: {answer}\n")
+                        .as_bytes(),
+                );
             }
         }
-        assert_eq!(runs, SCHEMES.len() * 2 * MUTATIONS.len() * 4);
-        assert!(
-            ooms > 0 && double > 0,
-            "{backend:?}: {ooms} OOMs, {double} double allocations"
-        );
-        assert_eq!(
-            h, 0x61a7_70de_c20e_34e3,
-            "{backend:?} mutant digest {h:#018x}"
-        );
     }
+    assert_eq!(runs, SCHEMES.len() * 2 * MUTATIONS.len() * 4);
+    assert!(
+        ooms > 0 && double > 0,
+        "{ooms} OOMs, {double} double allocations"
+    );
+    assert_eq!(h, 0x61a7_70de_c20e_34e3, "mutant digest {h:#018x}");
 }
 
 #[test]
@@ -449,7 +439,6 @@ fn event_backend_fault_answers_are_pinned() {
     ] {
         let s = generate(ScheduleConfig::new(scheme, 8, 16));
         let cfg = EmulatorConfig {
-            backend: EmulatorBackend::Event,
             channel_capacity: scheme_channel_capacity(scheme),
             ..Default::default()
         };
@@ -504,7 +493,6 @@ fn every_link_engine_agrees_with_the_deadlock_check() {
         let sim = simulate_timeline(&s, &cost, cap);
         let event = EmulatorConfig {
             channel_capacity: cap,
-            backend: EmulatorBackend::Event,
             ..Default::default()
         };
         let emu = run(&s, &cost, event);

@@ -130,8 +130,8 @@ fn span_divergence_names_the_first_differing_field() {
     );
 }
 
-/// Every scheme at 4×8, recorded by `simulate`, the thread backend and
-/// the event backend: each send or receive span names the end of the
+/// Every scheme at 4×8, recorded by `simulate` and the emulator: each
+/// send or receive span names the end of the
 /// link the run's `LinkTable` resolves for its instruction's port and
 /// direction, every other span names none, and the graph's link table
 /// holds each link's endpoints by number.
@@ -160,23 +160,15 @@ fn spans_name_the_link_end_the_table_resolves() {
             ..SimOptions::default()
         };
         let sim = simulate(&s, &cost, &opts).expect("simulation completes").spans;
-        let emulate = |backend| {
-            let cfg = EmulatorConfig {
-                channel_capacity: cap,
-                iterations: 2,
-                checkpoint,
-                record_spans: true,
-                backend,
-                ..Default::default()
-            };
-            let report = mario::cluster::run(&s, &cost, cfg).expect("emulation completes");
-            report.spans.expect("spans recorded")
+        let cfg = EmulatorConfig {
+            channel_capacity: cap,
+            iterations: 2,
+            checkpoint,
+            record_spans: true,
+            ..Default::default()
         };
-        let runs = [
-            ("simulate", sim),
-            ("thread", emulate(EmulatorBackend::Thread)),
-            ("event", emulate(EmulatorBackend::Event)),
-        ];
+        let report = mario::cluster::run(&s, &cost, cfg).expect("emulation completes");
+        let runs = [("simulate", sim), ("event", report.spans.expect("spans recorded"))];
         for (run, g) in runs {
             let endpoints: Vec<(DeviceId, DeviceId)> = (0..table.len())
                 .map(|k| (table.key(k).0, table.key(k).1))
@@ -251,9 +243,8 @@ proptest! {
         );
     }
 
-    /// Three-way parity: the DP simulator, the threaded emulator and the
-    /// discrete-event executor agree exactly when jitter is zero — on
-    /// timing and on peak memory.
+    /// Parity: the DP simulator and the emulator agree exactly when
+    /// jitter is zero — on timing and on peak memory.
     #[test]
     fn simulator_matches_emulator((scheme, d, n) in scheme_config()) {
         let s = generate(ScheduleConfig::new(scheme, d, n));
@@ -266,21 +257,10 @@ proptest! {
             ..Default::default()
         };
         let emu = mario::cluster::run(&s, &cost, cfg).unwrap();
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .unwrap();
-        prop_assert_eq!(&sim.device_clocks, &emu.device_clocks);
+        prop_assert_eq!(&sim.device_clocks, &emu.device_clocks,
+            "emulator diverged on {:?} D={} N={}", scheme, d, n);
         prop_assert_eq!(&mem.peak, &emu.peak_mem);
-        prop_assert_eq!(&ev.device_clocks, &emu.device_clocks,
-            "event backend diverged on {:?} D={} N={}", scheme, d, n);
-        prop_assert_eq!(&ev.peak_mem, &emu.peak_mem);
-        prop_assert_eq!(ev.total_ns, emu.total_ns);
+        prop_assert_eq!(sim.total_ns, emu.total_ns);
     }
 
     /// Mario never increases the simulated makespan relative to naive
@@ -365,8 +345,8 @@ proptest! {
     }
 
     /// The split-backward memory lifecycle (activations stay live until
-    /// `Bw`) is charged identically by the DP simulator and both emulator
-    /// backends: peak memory agrees bit-for-bit on split schedules.
+    /// `Bw`) is charged identically by the memory simulator and the
+    /// emulator: peak memory agrees bit-for-bit on split schedules.
     #[test]
     fn split_backward_peak_memory_matches_three_ways((scheme, d, n) in scheme_config()) {
         let mut s = generate(ScheduleConfig::new(scheme, d, n));
@@ -388,19 +368,8 @@ proptest! {
             ..Default::default()
         };
         let emu = mario::cluster::run(&s, &cost, cfg).unwrap();
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .unwrap();
         prop_assert_eq!(&mem.peak, &emu.peak_mem,
-            "sim vs thread peak diverged on split {:?} D={} N={}", scheme, d, n);
-        prop_assert_eq!(&ev.peak_mem, &emu.peak_mem,
-            "event vs thread peak diverged on split {:?} D={} N={}", scheme, d, n);
+            "sim vs emulator peak diverged on split {:?} D={} N={}", scheme, d, n);
     }
 }
 
@@ -685,15 +654,6 @@ proptest! {
         };
         let emu = mario::cluster::run(&s, &cost, cfg)
             .expect("checkpointed emulation completes");
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .expect("checkpointed event emulation completes");
         prop_assert_eq!(&sim.device_clocks, &emu.device_clocks,
             "scheme {:?} D={} N={} mode {} k={} iters {}", scheme, d, n, mode, k, iters);
         prop_assert_eq!(sim.total_ns, emu.total_ns);
@@ -701,20 +661,14 @@ proptest! {
             "paid-write accounting diverged on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
         prop_assert_eq!(sim.last_checkpoint, emu.last_checkpoint);
-        prop_assert_eq!(&ev.device_clocks, &emu.device_clocks,
-            "event backend diverged on {:?} D={} N={} mode {} k={} iters {}",
-            scheme, d, n, mode, k, iters);
-        prop_assert_eq!(ev.total_ns, emu.total_ns);
-        prop_assert_eq!(ev.ckpt_overhead_ns, emu.ckpt_overhead_ns);
-        prop_assert_eq!(ev.last_checkpoint, emu.last_checkpoint);
     }
 }
 
-// The send-blocked drain fix, pinned three ways at channel capacity 2:
-// Chimera's bidirectional pipelines at capacity 2 produce genuine
-// capacity-blocked sends, so an async sharded write that only drained
-// into recv gaps would leave residue here. The DP simulator, the thread
-// emulator and the event executor must agree on every checkpoint mode.
+// The send-blocked drain fix, pinned at channel capacity 2: Chimera's
+// bidirectional pipelines at capacity 2 produce genuine capacity-blocked
+// sends, so an async sharded write that only drained into recv gaps
+// would leave residue here. The DP simulator and the emulator must agree
+// on every checkpoint mode.
 #[test]
 fn checkpointed_parity_holds_on_capacity2_chimera() {
     let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 4, 8));
@@ -741,21 +695,9 @@ fn checkpointed_parity_holds_on_capacity2_chimera() {
         };
         let emu = mario::cluster::run(&s, &cost, cfg)
             .expect("capacity-2 checkpointed emulation completes");
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .expect("capacity-2 checkpointed event emulation completes");
         assert_eq!(sim.device_clocks, emu.device_clocks, "mode {mode}");
         assert_eq!(sim.ckpt_overhead_ns, emu.ckpt_overhead_ns, "mode {mode}");
         assert_eq!(sim.telemetry, emu.telemetry, "mode {mode}");
-        assert_eq!(ev.device_clocks, emu.device_clocks, "mode {mode} (event)");
-        assert_eq!(ev.ckpt_overhead_ns, emu.ckpt_overhead_ns, "mode {mode} (event)");
-        assert_eq!(ev.telemetry, emu.telemetry, "mode {mode} (event)");
     }
 }
 
@@ -1042,22 +984,10 @@ proptest! {
             ..Default::default()
         };
         let emu = mario::cluster::run(&s, &cost, cfg).expect("emulation completes");
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .expect("event emulation completes");
         prop_assert_eq!(&sim.telemetry, &emu.telemetry,
             "telemetry diverged on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
-        prop_assert_eq!(&ev.telemetry, &emu.telemetry,
-            "event telemetry diverged on {:?} D={} N={} mode {} k={} iters {}",
-            scheme, d, n, mode, k, iters);
-        prop_assert_eq!(&ev.device_clocks, &emu.device_clocks);
+        prop_assert_eq!(&sim.device_clocks, &emu.device_clocks);
         prop_assert!(sim.telemetry.check_conservation(&sim.device_clocks).is_ok(),
             "{:?}", sim.telemetry.check_conservation(&sim.device_clocks));
         prop_assert!(emu.telemetry.check_conservation(&emu.device_clocks).is_ok(),
@@ -1069,25 +999,18 @@ proptest! {
         let bf = emu.telemetry.bubble_fraction(&emu.device_clocks);
         prop_assert!((0.0..=1.0).contains(&bf), "bubble fraction {bf}");
         // The executed span graph — every op's extent, work, and message
-        // timing — is identical across all three backends, and the
-        // critical path computed from it tiles the makespan exactly.
-        let th_spans = emu.spans.as_ref().expect("thread backend recorded spans");
-        let ev_spans = ev.spans.as_ref().expect("event backend recorded spans");
-        prop_assert_eq!(first_span_divergence(&sim.spans, th_spans), None,
-            "span graph diverged (sim vs thread) on {:?} D={} N={} mode {} k={} iters {}",
+        // timing — is identical on both sides, and the critical path
+        // computed from it tiles the makespan exactly.
+        let emu_spans = emu.spans.as_ref().expect("the emulator recorded spans");
+        prop_assert_eq!(first_span_divergence(&sim.spans, emu_spans), None,
+            "span graph diverged (sim vs emulator) on {:?} D={} N={} mode {} k={} iters {}",
             scheme, d, n, mode, k, iters);
-        prop_assert_eq!(first_span_divergence(ev_spans, th_spans), None,
-            "span graph diverged (event vs thread) on {:?} D={} N={} mode {} k={} iters {}",
-            scheme, d, n, mode, k, iters);
-        // The one exporter renders every executor's spans — each named
+        // The one exporter renders both executors' spans — each named
         // through the schedule, checkpoint writes as CKPT — to the same
         // Chrome trace.
-        let sim_trace = mario::core::chrome_trace(&sim.spans, &s);
-        for (backend, spans) in [("thread", th_spans), ("event", ev_spans)] {
-            prop_assert!(sim_trace == mario::core::chrome_trace(spans, &s),
-                "trace diverged (sim vs {}) on {:?} D={} N={} mode {}",
-                backend, scheme, d, n, mode);
-        }
+        prop_assert!(
+            mario::core::chrome_trace(&sim.spans, &s) == mario::core::chrome_trace(emu_spans, &s),
+            "trace diverged (sim vs emulator) on {:?} D={} N={} mode {}", scheme, d, n, mode);
         let crit = mario::core::critpath::analyze(&s, &sim.spans);
         prop_assert_eq!(crit.breakdown.total(), sim.total_ns,
             "critical path does not tile the makespan on {:?} mode {}", scheme, mode);
@@ -1099,8 +1022,8 @@ proptest! {
 // order produces the same clocks, telemetry and absorbed-fault reports,
 // including under a seeded absorbable fault plan, and failing runs (a
 // hard fault, a mutant with 1–3 swaps of adjacent instructions) fail with
-// the same error (the confluence property that justifies running the
-// event core as a stand-in for the thread oracle at scale).
+// the same error (the confluence property that lets one driver answer
+// for every order a concurrent runtime could take).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1122,11 +1045,10 @@ proptest! {
         let cfg = EmulatorConfig {
             channel_capacity: cap_of(scheme),
             iterations: iters,
-            backend: EmulatorBackend::Event,
             ..Default::default()
         };
         let base = run_with_faults(&s, &cost, cfg, &plan)
-            .expect("absorbable plan completes on the event backend");
+            .expect("absorbable plan completes");
         // Determinism: a second run is bit-identical.
         let again = run_with_faults(&s, &cost, cfg, &plan).expect("second run completes");
         prop_assert_eq!(&base.device_clocks, &again.device_clocks);
@@ -1389,13 +1311,13 @@ proptest! {
 }
 
 // Serving mode: forward-only fill–drain pipelines under open-loop load.
-// Structural validity, the closed-form makespan, three-way parity of the
-// whole serving loop, and sentinel-drained crash recovery.
+// Structural validity, the closed-form makespan, simulator/emulator
+// parity of the whole serving loop, and sentinel-drained crash recovery.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Forward-only schedules validate at capacity 1 and execute
-    /// deadlock-free under both backends' blocking p2p, landing exactly
+    /// deadlock-free under the emulator's blocking p2p, landing exactly
     /// on the fill–drain closed form `(m+p-1)·F`.
     #[test]
     fn forward_only_schedules_validate_and_execute(p in 2u32..=8, m in 1u32..=12) {
@@ -1404,28 +1326,17 @@ proptest! {
         let cost = UnitCost::paper_grid();
         let cfg = EmulatorConfig::default();
         let emu = mario::cluster::run(&s, &cost, cfg).unwrap();
-        let ev = mario::cluster::run(
-            &s,
-            &cost,
-            EmulatorConfig {
-                backend: EmulatorBackend::Event,
-                ..cfg
-            },
-        )
-        .unwrap();
         let expect = (m as u64 + p as u64 - 1) * 1_000;
-        prop_assert_eq!(emu.total_ns, expect, "thread makespan off at p={} m={}", p, m);
-        prop_assert_eq!(ev.total_ns, expect, "event makespan off at p={} m={}", p, m);
-        prop_assert_eq!(&ev.device_clocks, &emu.device_clocks);
+        prop_assert_eq!(emu.total_ns, expect, "makespan off at p={} m={}", p, m);
     }
 }
 
 // The whole serving loop — Poisson arrivals, greedy batching, release
 // gating, deadline accounting, the latency digest — agrees bit-for-bit
-// between the DP simulator, the thread emulator and the event executor,
-// pristine or under seeded absorbable degradation (the emulators run the
-// fault plan itself, the simulator runs the derived perturbation
-// profile), across pipeline depths and batching policies.
+// between the DP simulator and the emulator, pristine or under seeded
+// absorbable degradation (the emulator runs the fault plan itself, the
+// simulator runs the derived perturbation profile), across pipeline
+// depths and batching policies.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1470,21 +1381,7 @@ proptest! {
                 ..Default::default()
             },
         };
-        let th = serve(build, &cost, &cfg, &plan, &requests).unwrap();
-        let ev = serve(
-            build,
-            &cost,
-            &ServeConfig {
-                emulator: EmulatorConfig {
-                    backend: EmulatorBackend::Event,
-                    ..cfg.emulator
-                },
-                ..cfg
-            },
-            &plan,
-            &requests,
-        )
-        .unwrap();
+        let ev = serve(build, &cost, &cfg, &plan, &requests).unwrap();
         let sim = mario::core::simulate_serving(
             build,
             &cost,
@@ -1498,49 +1395,35 @@ proptest! {
 
         // Absorbable degradation never costs an attempt, and every
         // request completes.
-        prop_assert!(th.fault_log.is_empty());
-        prop_assert!(th.completions.iter().all(|c| c.is_some()));
-        prop_assert_eq!(&th.completions, &ev.completions,
-            "event serve diverged at p={} count={} batch={:?} fault={:?}",
-            p, count, batch, plan.faults);
-        prop_assert_eq!(&th.completions, &sim.completions,
+        prop_assert!(ev.fault_log.is_empty());
+        prop_assert!(ev.completions.iter().all(|c| c.is_some()));
+        prop_assert_eq!(&ev.completions, &sim.completions,
             "simulated serve diverged at p={} count={} batch={:?} fault={:?}",
             p, count, batch, plan.faults);
-        prop_assert_eq!(&th.serving, &ev.serving);
-        prop_assert_eq!(&th.serving, &sim.serving);
-        let (tr, er, sr) = (
-            th.report.unwrap(),
-            ev.report.unwrap(),
-            sim.report.unwrap(),
-        );
-        prop_assert_eq!(&tr.device_clocks, &er.device_clocks);
-        prop_assert_eq!(&tr.device_clocks, &sr.device_clocks);
-        // The final attempt's span graph agrees three ways under the
-        // serving ingress gate, and the attributed critical path tiles
-        // its makespan (release waits surface as exogenous bubbles).
-        let th_spans = tr.spans.as_ref().expect("thread serve recorded spans");
-        let ev_spans = er.spans.as_ref().expect("event serve recorded spans");
+        prop_assert_eq!(&ev.serving, &sim.serving);
+        let (er, sr) = (ev.report.unwrap(), sim.report.unwrap());
+        prop_assert_eq!(&er.device_clocks, &sr.device_clocks);
+        // The final attempt's span graph agrees under the serving ingress
+        // gate, and the attributed critical path tiles its makespan
+        // (release waits surface as exogenous bubbles).
+        let ev_spans = er.spans.as_ref().expect("emulated serve recorded spans");
         let sim_spans = sr.spans.as_ref().expect("sim serve carries spans");
-        prop_assert_eq!(first_span_divergence(ev_spans, th_spans), None,
-            "serving span graph diverged (event vs thread) at p={} count={}", p, count);
-        prop_assert_eq!(first_span_divergence(sim_spans, th_spans), None,
-            "serving span graph diverged (sim vs thread) at p={} count={}", p, count);
-        let schedule = build(th.batches.len() as u32);
+        prop_assert_eq!(first_span_divergence(sim_spans, ev_spans), None,
+            "serving span graph diverged (sim vs emulator) at p={} count={}", p, count);
+        let schedule = build(ev.batches.len() as u32);
         let crit = mario::core::critpath::analyze(&schedule, sim_spans);
-        prop_assert_eq!(crit.breakdown.total(), tr.total_ns);
+        prop_assert_eq!(crit.breakdown.total(), er.total_ns);
     }
 }
 
 // Error-sentinel recovery: an injected mid-serve crash drains the pipe
-// with no deadlock on both emulator backends, both attribute the failure
-// to the same fault at the same virtual time, and the stranded requests
-// are retried to completion within policy with identical completion
-// times and digests.
+// with no deadlock, the failure is attributed to the injected fault, and
+// the stranded requests are retried to completion within policy.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn crash_sentinel_serving_matches_across_backends(
+    fn crash_sentinel_serving_retries_stranded_requests(
         p in 2u32..=6,
         count in 2u32..=12,
         trace_seed in 0u64..256,
@@ -1574,35 +1457,18 @@ proptest! {
             batch,
             retry,
         };
-        let th = serve(build, &cost, &cfg, &plan, &requests).unwrap();
-        let ev = serve(
-            build,
-            &cost,
-            &ServeConfig {
-                emulator: EmulatorConfig {
-                    backend: EmulatorBackend::Event,
-                    ..cfg.emulator
-                },
-                ..cfg
-            },
-            &plan,
-            &requests,
-        )
-        .unwrap();
+        let ev = serve(build, &cost, &cfg, &plan, &requests).unwrap();
 
-        prop_assert!(!th.fault_log.is_empty(),
+        prop_assert!(!ev.fault_log.is_empty(),
             "crash at pc {} on {:?} never fired (p={} count={})",
             ((site * 7) % len) as usize, device, p, count);
-        prop_assert_eq!(&th.fault_log, &ev.fault_log,
+        prop_assert_eq!(&ev.fault_log[0].fault, &plan.faults[0],
             "fault attribution diverged at p={} count={} site={}", p, count, site);
-        prop_assert!(th.completions.iter().all(|c| c.is_some()),
+        prop_assert!(ev.completions.iter().all(|c| c.is_some()),
             "stranded request not retried to completion at p={} count={} site={}",
             p, count, site);
-        prop_assert_eq!(&th.completions, &ev.completions,
-            "post-recovery completions diverged at p={} count={} site={}", p, count, site);
-        prop_assert_eq!(&th.serving, &ev.serving);
-        prop_assert_eq!(th.serving.completed, count);
-        prop_assert!(th.serving.attempts <= 1 + retry.max_retries);
+        prop_assert_eq!(ev.serving.completed, count);
+        prop_assert!(ev.serving.attempts <= 1 + retry.max_retries);
     }
 }
 
