@@ -90,5 +90,11 @@ pub use schedule::Schedule;
 pub use span::{LinkEnd, OpSpan, SpanGraph, CKPT_PC};
 pub use telemetry::{DeviceTelemetry, LinkSendStats, LinkTelemetry, Telemetry, TimeClasses};
 pub use text::{from_text, to_text, TextError};
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub use text::from_text_in_parts;
 pub use topology::{SchemeKind, Topology};
 pub use validate::{validate, validate_with, ValidateOptions, ValidationError};
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub use validate::validate_speculatively;

@@ -54,6 +54,18 @@
 //! allocated at its exact length. [`parse_instr`] calls the same
 //! decoder. A byte past ASCII goes to one Unicode White_Space rule,
 //! which the header and the device lines share.
+//!
+//! Device lines parse independently of one another, so a large text's
+//! device-line region is cut at line breaks into `min(cores, bytes /
+//! MIN_PART_BYTES)` contiguous parts, each read by the same line reader
+//! on a scoped thread of its own (the caller reads the first). The merge
+//! gives the one-part answer: the first error in line order wins; a
+//! part's first device line must carry the tag that counts the programs
+//! before it, or it is "device lines out of order" at that line, also
+//! when blank lines open the part; a line number counts the header, every
+//! earlier part's lines and the line's place in its part; and a missing
+//! device line is still reported one past the last line. One part is the
+//! serial reader, and `taskset -c 0` gives it.
 
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::instr::{decimal, put, Instr, InstrKind, Tail};
@@ -61,6 +73,8 @@ use crate::list::DeviceProgram;
 use crate::schedule::Schedule;
 use crate::topology::{SchemeKind, Topology};
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::thread;
 
 /// Parse failure with line context: what [`from_text`] returns for text
 /// it cannot turn into a schedule.
@@ -301,6 +315,16 @@ fn token<'a>(text: &'a str, at: &mut usize) -> Option<&'a str> {
     (end > start).then(|| &text[start..end])
 }
 
+/// The least bytes of device lines per part. Measured on a 2-vCPU Xeon
+/// (1F1B texts, medians of 301 alternated calls, one part against two):
+/// two parts cost as much as one or more up to about 52 KiB of device
+/// lines (32×32, 0.9–1.3×), where starting and joining a scoped thread
+/// costs what half the parse saves; they took a quarter off at 105 KiB
+/// (32×64, 0.70–0.76×) and half at 445 KiB (64×128). So a region splits
+/// from twice this, 128 KiB, up: plan-8's 8×32 texts (11–24 KiB) and
+/// every test text stay in one part, and 1F1B 512×128 (3.8 MB) splits.
+const MIN_PART_BYTES: usize = 64 << 10;
+
 /// Parses the v1 text format back into a schedule.
 ///
 /// Malformed text, and a header that names an impossible topology (no
@@ -308,11 +332,34 @@ fn token<'a>(text: &'a str, at: &mut usize) -> Option<&'a str> {
 /// lacks, is a [`TextError`], never a panic. Whether the instructions
 /// form a sound schedule is [`crate::validate()`]'s question. The grammar
 /// is in the [module documentation](self).
+///
+/// A large text's device lines are parsed in parts, at most one per core
+/// the process may run on; the answer is the one-part answer (see the
+/// [module documentation](self)).
 pub fn from_text(text: &str) -> Result<Schedule, TextError> {
-    let err = |line: usize, what: &str| TextError {
+    read(text, None)
+}
+
+/// [`from_text`] with its device lines parsed in exactly `parts` parts,
+/// whatever their size, for the tests that hold every split to the
+/// one-part answer.
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub fn from_text_in_parts(text: &str, parts: usize) -> Result<Schedule, TextError> {
+    read(text, Some(parts.max(1)))
+}
+
+fn err(line: usize, what: &str) -> TextError {
+    TextError {
         line,
         what: what.to_string(),
-    };
+    }
+}
+
+/// Reads the three header lines serially, then the device lines in
+/// `parts` parts, or in as many as the region's size and the cores allow;
+/// the module docs give the split and the merge.
+fn read(text: &str, parts: Option<usize>) -> Result<Schedule, TextError> {
     let b = text.as_bytes();
 
     if b.is_empty() {
@@ -373,13 +420,97 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
     }
     at = next_line(b, at);
 
+    let parts = parts.unwrap_or_else(|| match (b.len() - at) / MIN_PART_BYTES {
+        0 | 1 => 1,
+        n => n.min(thread::available_parallelism().map_or(1, NonZeroUsize::get)),
+    });
     let mut line = 3;
     let mut programs: Vec<DeviceProgram> = Vec::new();
+    for part in parse_parts(text, &cuts(b, at, parts)) {
+        if let Some((tag, first)) = part.first {
+            if tag as usize != programs.len() {
+                return Err(err(line + first, "device lines out of order"));
+            }
+        }
+        if let Some(e) = part.err {
+            return Err(TextError {
+                line: line + e.line,
+                ..e
+            });
+        }
+        programs.extend(part.programs);
+        line += part.lines;
+    }
+    if programs.len() != devices as usize {
+        return Err(err(line + 1, "wrong number of device lines"));
+    }
+    Ok(Schedule::from_programs(topo, micros, routes, programs))
+}
+
+/// The bounds of `parts` contiguous parts of `b[start..]`, each cut at
+/// the first line start at or after an even share of the bytes; a part
+/// may be empty.
+fn cuts(b: &[u8], start: usize, parts: usize) -> Vec<usize> {
+    let len = b.len() - start;
+    let mut cuts: Vec<usize> = (0..parts)
+        .map(|k| match start + len * k / parts {
+            at if at == start => start,
+            at => next_line(b, at - 1),
+        })
+        .collect();
+    cuts.push(b.len());
+    cuts
+}
+
+/// Parses each part between consecutive `cuts`: the first on the calling
+/// thread, every other on a scoped thread of its own.
+fn parse_parts(text: &str, cuts: &[usize]) -> Vec<Lines> {
+    thread::scope(|s| {
+        let rest: Vec<_> = cuts[1..]
+            .windows(2)
+            .map(|w| s.spawn(move || device_lines(text, w[0], w[1])))
+            .collect();
+        let first = device_lines(text, cuts[0], cuts[1]);
+        std::iter::once(first)
+            .chain(rest.into_iter().map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }))
+            .collect()
+    })
+}
+
+/// What one part of the device-line region reads to, with line numbers
+/// counted from the part's first line.
+struct Lines {
+    /// The programs of its device lines, in order.
+    programs: Vec<DeviceProgram>,
+    /// How many lines it holds.
+    lines: usize,
+    /// The tag of its first device line, and that line's number: the
+    /// merge checks the tag against the programs before the part.
+    first: Option<(u32, usize)>,
+    /// Its first error; the part stops there.
+    err: Option<TextError>,
+}
+
+/// Reads the device lines in `text[at..stop]`, where `at` and `stop` are
+/// line starts (or the end of the text). Each later device line must
+/// carry the tag after its predecessor's.
+fn device_lines(text: &str, mut at: usize, stop: usize) -> Lines {
+    let b = text.as_bytes();
+    let mut part = Lines {
+        programs: Vec::new(),
+        lines: 0,
+        first: None,
+        err: None,
+    };
     // Each line's instructions go into a vector sized like the previous
     // line's, and are trimmed to their exact length.
     let mut guess = 0;
-    while at < b.len() {
-        line += 1;
+    while at < stop {
+        part.lines += 1;
+        let line = part.lines;
         at = skip_space(text, at);
         if at_line_end(b, at) {
             at = next_line(b, at);
@@ -391,12 +522,18 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
                 dev
             }
             _ if b[at..next_line(b, at)].contains(&b':') => {
-                return Err(err(line, "bad device tag"))
+                part.err = Some(err(line, "bad device tag"));
+                return part;
             }
-            _ => return Err(err(line, "expected 'dK: <instrs>'")),
+            _ => {
+                part.err = Some(err(line, "expected 'dK: <instrs>'"));
+                return part;
+            }
         };
-        if dev as usize != programs.len() {
-            return Err(err(line, "device lines out of order"));
+        let (first, _) = *part.first.get_or_insert((dev, line));
+        if dev as usize != first as usize + part.programs.len() {
+            part.err = Some(err(line, "device lines out of order"));
+            return part;
         }
         let mut instrs = Vec::with_capacity(guess);
         loop {
@@ -409,18 +546,19 @@ pub fn from_text(text: &str) -> Result<Schedule, TextError> {
                     instrs.push(i);
                     at = end;
                 }
-                _ => return Err(err(line, "unparseable instruction")),
+                _ => {
+                    part.err = Some(err(line, "unparseable instruction"));
+                    return part;
+                }
             }
         }
         instrs.shrink_to_fit();
         guess = instrs.len();
-        programs.push(DeviceProgram::from_instrs(DeviceId(dev), instrs));
+        part.programs
+            .push(DeviceProgram::from_instrs(DeviceId(dev), instrs));
         at = next_line(b, at);
     }
-    if programs.len() != devices as usize {
-        return Err(err(line + 1, "wrong number of device lines"));
-    }
-    Ok(Schedule::from_programs(topo, micros, routes, programs))
+    part
 }
 
 /// Convenience check used by tests: an instruction survives the notation
@@ -550,6 +688,117 @@ mod tests {
     fn rejects_out_of_order_device_lines() {
         let text = "mario-schedule v1\nscheme V devices 2 micros 1\nroutes 0\nd1: F0^0\nd0: F0^0\n";
         assert!(from_text(text).unwrap_err().what.contains("out of order"));
+    }
+
+    /// `text` read in every part count from 2 to 8, each held to the
+    /// one-part answer, which is returned.
+    fn every_split_agrees(text: &str) -> Result<Schedule, TextError> {
+        let serial = read(text, Some(1));
+        for parts in 2..=8 {
+            assert_eq!(read(text, Some(parts)), serial, "{parts} parts:\n{text}");
+        }
+        serial
+    }
+
+    /// The line each part after the first starts on, for `parts` parts.
+    fn part_lines(text: &str, parts: usize) -> Vec<usize> {
+        let b = text.as_bytes();
+        let start = (0..3).fold(0, |at, _| next_line(b, at));
+        let cuts = cuts(b, start, parts);
+        let line_of = |at: usize| 1 + b[..at].iter().filter(|&&c| c == b'\n').count();
+        cuts[1..parts].iter().map(|&at| line_of(at)).collect()
+    }
+
+    /// A 1F1B-like header and `lines` as the device lines.
+    fn text_of(devices: u32, lines: &[&str]) -> String {
+        let mut text =
+            format!("mario-schedule v1\nscheme V devices {devices} micros 1\nroutes 0\n");
+        for l in lines {
+            text += l;
+            text += "\n";
+        }
+        text
+    }
+
+    #[test]
+    fn an_out_of_order_tag_opening_a_part_is_reported_at_its_line() {
+        let lines = ["d0: F0^0", "d1: F0^0", "d3: F0^0", "d3: F0^0"];
+        let text = text_of(4, &lines);
+        // Two parts: the second opens with the wrong tag, which only the
+        // merge can see.
+        assert_eq!(part_lines(&text, 2), vec![6]);
+        let e = every_split_agrees(&text).unwrap_err();
+        assert_eq!((e.line, e.what.as_str()), (6, "device lines out of order"));
+        // Also when blank lines open the part, and when the line after the
+        // tag holds an unparseable instruction.
+        let blank = text_of(
+            4,
+            &["d0: F0^0", "d1: F0^0", " \r", "", "d3: F0^0 QQ", "d3: F0^0"],
+        );
+        assert_eq!(part_lines(&blank, 2), vec![7]);
+        let e = every_split_agrees(&blank).unwrap_err();
+        assert_eq!((e.line, e.what.as_str()), (8, "device lines out of order"));
+    }
+
+    #[test]
+    fn blank_lines_and_crlf_straddling_a_cut_read_as_in_one_part() {
+        let mut lines = vec!["d0: F0^0 B0^0"];
+        lines.extend(["\r", " \t\r", "\u{3000}\r"].repeat(8));
+        lines.push("d1: F0^0 B0^0\r");
+        let text = text_of(2, &lines).replace("d0: F0^0 B0^0\n", "d0: F0^0 B0^0\r\n");
+        // The cut falls inside the blank run, with blank lines either side.
+        let cut = part_lines(&text, 2)[0];
+        assert!((6..4 + lines.len() - 1).contains(&cut), "{cut}");
+        let s = every_split_agrees(&text).unwrap();
+        assert_eq!(s.total_instrs(), 4);
+        // A missing device line after the run is reported past the last line.
+        let short = text_of(3, &lines);
+        let e = every_split_agrees(&short).unwrap_err();
+        assert_eq!(
+            (e.line, e.what.as_str()),
+            (4 + lines.len(), "wrong number of device lines")
+        );
+    }
+
+    #[test]
+    fn a_giant_line_holding_the_midpoint_stays_whole() {
+        let giant = format!("d1:{}", " F0^0".repeat(2000));
+        let text = text_of(3, &["d0: F0^0", &giant, "d2: F0^0"]);
+        // The cut moves past the giant line's end.
+        assert_eq!(part_lines(&text, 2), vec![6]);
+        let s = every_split_agrees(&text).unwrap();
+        assert_eq!(s.program(DeviceId(1)).len(), 2000);
+        // An error at the giant line's end keeps its line number.
+        let bad = text.replace("F0^0\nd2:", "F0^0 QQ\nd2:");
+        let e = every_split_agrees(&bad).unwrap_err();
+        assert_eq!((e.line, e.what.as_str()), (5, "unparseable instruction"));
+    }
+
+    #[test]
+    fn a_missing_last_device_line_is_reported_after_the_last_part() {
+        let text = text_of(4, &["d0: F0^0", "d1: F0^0", "d2: F0^0"]);
+        let e = every_split_agrees(&text).unwrap_err();
+        assert_eq!(
+            (e.line, e.what.as_str()),
+            (7, "wrong number of device lines")
+        );
+        let e = every_split_agrees(text.trim_end()).unwrap_err();
+        assert_eq!(
+            (e.line, e.what.as_str()),
+            (7, "wrong number of device lines")
+        );
+    }
+
+    #[test]
+    fn more_parts_than_device_lines_leave_some_parts_empty() {
+        let text = text_of(2, &["d0: F0^0", "d1: F0^0"]);
+        let mut starts = part_lines(&text, 8);
+        starts.dedup();
+        assert!(starts.len() < 7, "{starts:?}");
+        assert_eq!(every_split_agrees(&text).unwrap().total_instrs(), 2);
+        for parts in [1, 2, 5, 64] {
+            assert_eq!(read(&text, Some(parts)), read(&text, Some(1)), "{parts}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`ir`] — instruction IR, virtual pipeline, validation;
 //! * [`schedules`] — schedule generators for the supported schemes;
 //! * [`model`] — transformer cost model, A100 hardware model, profiling;
-//! * [`cluster`] — the threaded virtual-time cluster emulator;
+//! * [`cluster`] — the virtual-time cluster emulator, one single-threaded
+//!   event driver;
 //! * [`core`] — graph-tuner passes, DP simulator, schedule tuner, the
 //!   `optimize`/`run` API and visualization.
 //!

@@ -36,9 +36,10 @@ use mario::core::passes::{
 use mario::core::simulator::{simulate_memory, simulate_timeline};
 use mario::core::tuner::scheme_channel_capacity;
 use mario::ir::{
-    check_executable, from_text, text::parse_instr, to_text, validate_with, CheckpointPolicy,
-    ComputeKind, CostModel, DeviceId, Instr, InstrKind, MicroId, Nanos, PartId, Schedule,
-    SchemeKind, TextError, UnitCost, ValidateOptions, ValidationError,
+    check_executable, from_text, from_text_in_parts, text::parse_instr, to_text,
+    validate_speculatively, validate_with, CheckpointPolicy, ComputeKind, CostModel, DeviceId,
+    Instr, InstrKind, MicroId, Nanos, PartId, Schedule, SchemeKind, TextError, UnitCost,
+    ValidateOptions, ValidationError,
 };
 use mario::schedules::{generate, ScheduleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -274,6 +275,42 @@ fn validate_texts_on_mutated_schedules_are_pinned() {
     assert_eq!(
         h, 0x8dcf_89a7_4c62_f11e,
         "mutated-validate text digest {h:#018x}"
+    );
+}
+
+/// The deadlock check run speculatively beside the structural checks
+/// gives the serial path's `Result`, errors and their order included, on
+/// every mutant at capacities 1 and 2.
+#[test]
+fn the_speculative_deadlock_check_answers_as_the_serial_path() {
+    let (mut valid, mut not_executable) = (0, 0);
+    for Mutant {
+        scheme,
+        edit,
+        schedule,
+        ..
+    } in mutants(4)
+    {
+        for channel_capacity in [1, 2] {
+            let opts = ValidateOptions { channel_capacity };
+            // The 4x8 mutants are far below the size that speculates.
+            let serial = validate_with(&schedule, opts);
+            let speculative = validate_speculatively(&schedule, opts);
+            assert_eq!(
+                speculative, serial,
+                "{scheme:?} {edit} at {channel_capacity}"
+            );
+            valid += serial.is_ok() as usize;
+            not_executable += matches!(
+                serial.as_ref().map_err(Vec::as_slice),
+                Err([ValidationError::NotExecutable(_)])
+            ) as usize;
+        }
+    }
+    // Both uses of the speculative answer are exercised.
+    assert!(
+        valid > 0 && not_executable > 0,
+        "{valid} valid, {not_executable} not executable"
     );
 }
 
@@ -881,6 +918,55 @@ fn from_text_never_panics_on_byte_mutants() {
     );
 }
 
+/// `from_text`'s answer at 1, 2, 3 and 5 parts: the same schedule, or
+/// the same error on the same line.
+fn every_split_agrees(scheme: SchemeKind, text: &str) {
+    let want = from_text(text);
+    for parts in [1, 2, 3, 5] {
+        let got = from_text_in_parts(text, parts);
+        assert!(
+            got == want,
+            "{scheme:?} at {parts} parts: {:?} vs {:?}\n{text}",
+            got.as_ref().err(),
+            want.as_ref().err()
+        );
+    }
+}
+
+#[test]
+fn the_split_parser_answers_as_one_part_on_byte_mutants() {
+    for scheme in SCHEMES {
+        let text = to_text(&generate(ScheduleConfig::new(scheme, 8, 16)));
+        every_split_agrees(scheme, &text);
+        // Each device line's tag in turn, one too high: some split opens
+        // a part on it, where only the merge sees the tag out of order.
+        let lines: Vec<&str> = text.lines().collect();
+        for k in 3..lines.len() {
+            let mut bumped: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            bumped[k] = bumped[k].replacen(&format!("d{}:", k - 3), &format!("d{}:", k - 2), 1);
+            let bumped = bumped.join("\n") + "\n";
+            let e = from_text(&bumped).unwrap_err();
+            assert_eq!(
+                (e.line, e.what.as_str()),
+                (k + 1, "device lines out of order")
+            );
+            every_split_agrees(scheme, &bumped);
+        }
+    }
+    let mut mutants = 0;
+    text_mutants(
+        (8, 16),
+        (TEXT_ALPHABET_FF, TEXT_WIDE_NEL),
+        0x5917,
+        63,
+        |scheme, mutant| {
+            every_split_agrees(scheme, mutant);
+            mutants += 1;
+        },
+    );
+    assert_eq!(mutants, SCHEMES.len() * 63);
+}
+
 #[test]
 fn from_text_reads_edge_tokens_as_the_grammar_says() {
     let d2 = DeviceId(2);
@@ -992,14 +1078,21 @@ fn from_text_matches_the_oracle_on_byte_mutants_at_scale() {
     let (mut mutants, mut parsed) = (0, 0);
     let alphabet = (TEXT_ALPHABET_FF, TEXT_WIDE_NEL);
     text_mutants((8, 16), alphabet, 0x0dd5, 6250, |scheme, mutant| {
-        let got = from_text(mutant);
         let want = oracle::from_text(mutant);
-        assert!(
-            got == want,
-            "{scheme:?} mutant: {:?} vs {:?}\n{mutant}",
-            got.as_ref().err(),
-            want.as_ref().err()
-        );
+        let got = from_text(mutant);
+        // The text is small, so `from_text` reads it in one part.
+        for (parts, got) in [
+            (1, got.clone()),
+            (2, from_text_in_parts(mutant, 2)),
+            (3, from_text_in_parts(mutant, 3)),
+        ] {
+            assert!(
+                got == want,
+                "{scheme:?} mutant at {parts} parts: {:?} vs {:?}\n{mutant}",
+                got.as_ref().err(),
+                want.as_ref().err()
+            );
+        }
         for tok in mutant.split_whitespace() {
             assert_eq!(parse_instr(tok), oracle::parse_instr(tok), "{tok:?}");
         }
