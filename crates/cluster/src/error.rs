@@ -1,7 +1,7 @@
 //! Emulator error types.
 
 use crate::faults::FaultReport;
-use mario_ir::{AllocKey, DeviceId, OomError};
+use mario_ir::{AllocKey, Deadlock, DeviceId, Instr, Mismatch, OomError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -14,8 +14,8 @@ pub enum EmuError {
         device: DeviceId,
         /// Instruction index within the device program.
         pc: usize,
-        /// The failing instruction (rendered).
-        instr: String,
+        /// The failing instruction; `None` at the checkpoint boundary.
+        instr: Option<Instr>,
         /// Ledger details.
         cause: OomError,
     },
@@ -27,50 +27,16 @@ pub enum EmuError {
         device: DeviceId,
         /// Instruction index within the device program.
         pc: usize,
-        /// The allocating instruction (rendered).
-        instr: String,
+        /// The allocating instruction; `None` at the checkpoint boundary.
+        instr: Option<Instr>,
         /// The buffer that was still live.
         key: AllocKey,
     },
     /// A p2p receive got a message with the wrong identity.
-    CommMismatch {
-        /// The receiving device.
-        device: DeviceId,
-        /// Instruction index within the device program.
-        pc: usize,
-        /// What was expected vs found.
-        detail: String,
-    },
-    /// A p2p operation is parked on a link no event can ever serve: every
-    /// unfinished device is parked, so the schedule deadlocks.
-    DeadlockSuspected {
-        /// The blocked device.
-        device: DeviceId,
-        /// Instruction index within the device program.
-        pc: usize,
-        /// The blocked instruction (rendered).
-        instr: String,
-        /// The wait chain starting at `device`: each entry is blocked on
-        /// the next; a repeated first entry names a true cycle.
-        cycle: Vec<DeviceId>,
-    },
-    /// A peer device aborted, closing its channels.
-    PeerFailed {
-        /// The device observing the failure.
-        device: DeviceId,
-        /// Instruction index within the device program.
-        pc: usize,
-    },
-    /// An instruction names a peer no link was built for (malformed
-    /// schedule).
-    NoRoute {
-        /// The device missing the link.
-        device: DeviceId,
-        /// Instruction index within the device program.
-        pc: usize,
-        /// The unreachable peer.
-        peer: DeviceId,
-    },
+    Mismatch(Mismatch),
+    /// No device can move: every unfinished device, where it stands, as
+    /// [`mario_ir::exec::stuck`] reads the run.
+    Deadlock(Deadlock),
     /// An injected fault terminated the run (structured attribution).
     /// Boxed: the report is by far the largest payload, and `Result`s
     /// carrying this enum travel through every hot emulator path.
@@ -78,15 +44,13 @@ pub enum EmuError {
 }
 
 impl EmuError {
-    /// The device that raised the error.
+    /// The device that raised the error; for a deadlock, the lowest
+    /// blocked one.
     pub fn device(&self) -> DeviceId {
         match self {
-            EmuError::Oom { device, .. }
-            | EmuError::DoubleAlloc { device, .. }
-            | EmuError::CommMismatch { device, .. }
-            | EmuError::DeadlockSuspected { device, .. }
-            | EmuError::PeerFailed { device, .. }
-            | EmuError::NoRoute { device, .. } => *device,
+            EmuError::Oom { device, .. } | EmuError::DoubleAlloc { device, .. } => *device,
+            EmuError::Mismatch(m) => m.recv.device,
+            EmuError::Deadlock(d) => d.0[0].device,
             EmuError::Fault(report) => report.device,
         }
     }
@@ -106,16 +70,27 @@ impl EmuError {
     }
 
     /// Root-cause rank used by the runner when several devices fail at
-    /// once: lower wins. Injected faults outrank the secondary errors
-    /// they cascade into (peer failures, deadlocks).
+    /// once: lower wins. Injected faults outrank the deadlocks they leave
+    /// behind.
     pub(crate) fn priority(&self) -> u8 {
         match self {
             EmuError::Fault(_) => 0,
             EmuError::Oom { .. } => 1,
-            EmuError::DoubleAlloc { .. } | EmuError::CommMismatch { .. } => 2,
-            EmuError::NoRoute { .. } => 3,
-            EmuError::DeadlockSuspected { .. } => 4,
-            EmuError::PeerFailed { .. } => 5,
+            EmuError::DoubleAlloc { .. } | EmuError::Mismatch(_) => 2,
+            EmuError::Deadlock(_) => 3,
+        }
+    }
+}
+
+/// An instruction as the error text names it: `CKPT` for the checkpoint
+/// boundary.
+struct Step<'a>(&'a Option<Instr>);
+
+impl fmt::Display for Step<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(instr) => write!(f, "{instr}"),
+            None => f.write_str("CKPT"),
         }
     }
 }
@@ -128,7 +103,7 @@ impl fmt::Display for EmuError {
                 pc,
                 instr,
                 cause,
-            } => write!(f, "{device} OOM at #{pc} ({instr}): {cause}"),
+            } => write!(f, "{device} OOM at #{pc} ({}): {cause}", Step(instr)),
             EmuError::DoubleAlloc {
                 device,
                 pc,
@@ -136,30 +111,11 @@ impl fmt::Display for EmuError {
                 key,
             } => write!(
                 f,
-                "{device} at #{pc} ({instr}): double allocation of {key:?}"
+                "{device} at #{pc} ({}): double allocation of {key:?}",
+                Step(instr)
             ),
-            EmuError::CommMismatch { device, pc, detail } => {
-                write!(f, "{device} comm mismatch at #{pc}: {detail}")
-            }
-            EmuError::DeadlockSuspected {
-                device,
-                pc,
-                instr,
-                cycle,
-            } => {
-                write!(f, "{device} blocked at #{pc} ({instr}): deadlock suspected")?;
-                if !cycle.is_empty() {
-                    let chain: Vec<String> = cycle.iter().map(|d| d.to_string()).collect();
-                    write!(f, " [wait chain: {}]", chain.join(" -> "))?;
-                }
-                Ok(())
-            }
-            EmuError::PeerFailed { device, pc } => {
-                write!(f, "{device} at #{pc}: peer device failed")
-            }
-            EmuError::NoRoute { device, pc, peer } => {
-                write!(f, "{device} at #{pc}: no link to {peer}")
-            }
+            EmuError::Mismatch(m) => write!(f, "comm mismatch at #{}: {m}", m.recv.pc),
+            EmuError::Deadlock(d) => write!(f, "deadlock: {d}"),
             EmuError::Fault(report) => write!(f, "injected fault: {report}"),
         }
     }
@@ -172,12 +128,21 @@ mod tests {
     use super::*;
     use crate::faults::FaultKind;
 
+    fn deadlock() -> EmuError {
+        EmuError::Deadlock(Deadlock(vec![mario_ir::Blocked {
+            device: DeviceId(1),
+            pc: 4,
+            iteration: 0,
+            instr: Instr::recv_act(1u32, 0u32, DeviceId(0)),
+        }]))
+    }
+
     #[test]
     fn oom_classification() {
         let e = EmuError::Oom {
             device: DeviceId(3),
             pc: 7,
-            instr: "F0^0".into(),
+            instr: Some(Instr::forward(0u32, 0u32)),
             cause: OomError {
                 requested: 10,
                 in_use: 95,
@@ -186,27 +151,41 @@ mod tests {
         };
         assert!(e.is_oom());
         assert_eq!(e.device(), DeviceId(3));
-        assert!(e.to_string().contains("OOM"));
-        let d = EmuError::DeadlockSuspected {
-            device: DeviceId(0),
-            pc: 0,
-            instr: "RA0^0<d1".into(),
-            cycle: vec![],
-        };
-        assert!(!d.is_oom());
+        assert!(!deadlock().is_oom());
+        assert_eq!(deadlock().device(), DeviceId(1));
     }
 
     #[test]
-    fn deadlock_display_names_the_wait_chain() {
-        let d = EmuError::DeadlockSuspected {
-            device: DeviceId(0),
-            pc: 4,
-            instr: "RA1^0<d1".into(),
-            cycle: vec![DeviceId(0), DeviceId(1), DeviceId(0)],
+    fn errors_name_the_instruction_or_the_checkpoint_boundary() {
+        let oom = |instr| EmuError::Oom {
+            device: DeviceId(3),
+            pc: 7,
+            instr,
+            cause: OomError {
+                requested: 10,
+                in_use: 95,
+                capacity: 100,
+            },
         };
-        let s = d.to_string();
-        assert!(s.contains("wait chain"), "{s}");
-        assert!(s.contains("d0 -> d1 -> d0"), "{s}");
+        assert_eq!(
+            oom(Some(Instr::forward(0u32, 0u32))).to_string(),
+            "d3 OOM at #7 (F0^0): out of memory: requested 10 B with 95 B in use of 100 B capacity"
+        );
+        assert_eq!(
+            oom(None).to_string(),
+            "d3 OOM at #7 (CKPT): out of memory: requested 10 B with 95 B in use of 100 B capacity"
+        );
+        let double = EmuError::DoubleAlloc {
+            device: DeviceId(0),
+            pc: 2,
+            instr: None,
+            key: AllocKey::Snapshot,
+        };
+        assert_eq!(
+            double.to_string(),
+            "d0 at #2 (CKPT): double allocation of Snapshot"
+        );
+        assert_eq!(deadlock().to_string(), "deadlock: d1#4 iter 0: RA1^0<d0");
     }
 
     #[test]
@@ -230,7 +209,7 @@ mod tests {
         let e = EmuError::Fault(Box::new(report.clone()));
         assert_eq!(e.device(), DeviceId(2));
         assert_eq!(e.fault_report(), Some(&report));
-        assert!(e.priority() < EmuError::PeerFailed { device: DeviceId(0), pc: 0 }.priority());
+        assert!(e.priority() < deadlock().priority());
         assert!(e.to_string().contains("crash"), "{e}");
     }
 }

@@ -5,122 +5,73 @@
 //! One thread: every device is a `Machine` stepped until it parks, over
 //! the run's `Links`. The machine holds all instruction semantics and the
 //! links the link rule, so this module only keeps the firing order and
-//! `quiesce`, the resolution of a run in which no device can move.
+//! `quiesce`, the reading of a run in which no device can move.
 //!
 //! Devices run from a [`Ready`] queue, the scheduler the makespan sweep
 //! and the deadlock check share: a machine runs until it parks on a link,
-//! and a packet, an ack or a peer's settlement wakes it only if it waits
-//! on that link. Each device's instruction sequence is fixed, each
-//! channel is FIFO, and every clock update depends only on packet
-//! timestamps, so any firing order reaches the same final state, errors
-//! included (see [`mario_ir::ready`]); `tests/properties.rs` and
-//! `tests/hostile.rs` check that through `run_event_shuffled`, built only
-//! with the `test-order` feature. One driver therefore answers for every
-//! order a concurrent runtime could take.
+//! and a packet or an ack wakes it only if it waits on that link. Each
+//! device's instruction sequence is fixed, each channel is FIFO, and
+//! every clock update depends only on packet timestamps, so any firing
+//! order reaches the same final state, errors included (see
+//! [`mario_ir::ready`]); `tests/properties.rs` and `tests/hostile.rs`
+//! check that through `run_event_shuffled`, built only with the
+//! `test-order` feature. One driver therefore answers for every order a
+//! concurrent runtime could take.
 //!
 //! Deadlock needs no timer: when the queue drains and devices are still
 //! parked, no event can ever wake them — that *is* the deadlock,
-//! detected in zero real time.
+//! detected in zero real time, and read by [`stuck`] as the makespan
+//! sweep and the deadlock check read theirs.
 
 use crate::error::EmuError;
 use crate::link::Links;
-use crate::machine::{Machine, Shared, Stepped};
+use crate::machine::{DeviceReport, Machine, Shared, Stepped};
 use crate::runner::{settle_report, EmulatorConfig, RunOptions, RunReport};
+use mario_ir::exec::stuck;
 use mario_ir::{CostModel, DeviceId, LinkTable, MemoryRules, Ready, Schedule};
 
-/// Settles a quiescent run — every unsettled device parked, none able to
-/// move; each settled device is woken on the link it parked on, so the
-/// driver sees the settlement.
-///
-/// Phase 1: a device parked on a link with an injected incoming stall is
-/// the stall surfacing. Settling one can cascade (peers observe the
-/// failure), so when phase 1 settles anyone this returns `true`: the
-/// driver runs the woken devices until the run is quiescent again and
-/// calls this again. Phase 2, once no stall fires: anything still parked
-/// can never be woken — a deadlock. Every wait chain is read off the
-/// parked machines *before* anyone is settled, so the named cycles do not
-/// depend on settlement order; this returns `false` with every device
-/// settled. A settled device's checkpoint progress is read off its
-/// machine.
-fn quiesce(links: &mut Links<'_>, devs: &[Machine<'_>]) -> bool {
-    let parked: Vec<usize> = (0..links.results.len())
-        .filter(|&d| links.results[d].is_none())
-        .collect();
-    let settle = |links: &mut Links<'_>, d: usize, err: EmuError| {
-        let m = &devs[d];
-        links.settle(d, Err(err), m.ckpt());
-        if let Some(link) = m.parked_link() {
-            links.ready.wake(d, link);
-        }
-    };
-    let mut fired = false;
-    for &d in &parked {
-        if let Some(stall) = devs[d].stalled() {
-            settle(links, d, stall);
-            fired = true;
-        }
-    }
-    if fired {
-        return true;
-    }
-    let waits_on = |d: DeviceId| match links.results.get(d.index()) {
-        Some(None) => devs[d.index()].waits_on(),
-        _ => None,
-    };
-    let chains: Vec<Vec<DeviceId>> = parked
-        .iter()
-        .map(|&d| wait_chain(DeviceId(d as u32), waits_on))
-        .collect();
-    for (&d, cycle) in parked.iter().zip(chains) {
-        settle(links, d, devs[d].deadlocked(cycle));
-    }
-    false
-}
-
-/// The wait chain from `device`: follows the peer each device waits on
-/// (`waits_on`, None for a device that is not parked or is past the
-/// device count) until a device that waits on no one or a repeat (a true
-/// cycle), such as "d0 -> d2 -> d1 -> d0". The starting device is always
-/// the first entry.
-fn wait_chain(device: DeviceId, waits_on: impl Fn(DeviceId) -> Option<DeviceId>) -> Vec<DeviceId> {
-    let mut chain = vec![device];
-    let mut current = device;
-    while let Some(next) = waits_on(current) {
-        let looped = chain.contains(&next);
-        chain.push(next);
-        if looped {
-            break;
-        }
-        current = next;
-    }
-    chain
-}
-
-/// The machines and their links.
+/// The machines, their links and each device's outcome once it
+/// finished or failed.
 struct Sched<'a> {
     devs: Vec<Machine<'a>>,
     links: Links<'a>,
+    outcomes: Vec<Option<Result<DeviceReport, EmuError>>>,
 }
 
 impl Sched<'_> {
     /// Runs the ready queue dry: steps each device until it parks,
-    /// finishes or fails, and settles the latter two.
+    /// finishes or fails, and records the latter two.
     fn drain(&mut self) {
         while let Some(d) = self.links.ready.front() {
-            if self.links.results[d].is_some() {
-                // Settled at quiescence while it waited on a link.
-                self.links.ready.block(None);
-                continue;
-            }
             let stepped = self.devs[d].step(&mut self.links);
             if let Ok(Stepped::Blocked(link)) = stepped {
-                self.links.ready.block(Some(link));
+                self.links.ready.block(link);
                 continue;
             }
             self.links.ready.block(None);
             let m = &mut self.devs[d];
-            let result = stepped.map(|_| m.finish());
-            self.links.settle(d, result, m.ckpt());
+            self.outcomes[d] = Some(stepped.map(|_| m.finish()));
+        }
+    }
+
+    /// Reads the drained run, in which every device with no outcome is
+    /// parked for good: nothing it waits on can happen, since a device
+    /// that finishes or fails wakes no one. A device parked on a link
+    /// with an injected incoming stall is the stall surfacing, and fails
+    /// with it. Every other parked device stands where the makespan sweep
+    /// and the deadlock check block, and [`stuck`] reads the run as it
+    /// reads theirs; that reading is the run's answer only when no device
+    /// failed, since a failure outranks a deadlock.
+    fn quiesce(&mut self, schedule: &Schedule, iterations: u32) -> Option<EmuError> {
+        for (m, outcome) in self.devs.iter().zip(&mut self.outcomes) {
+            if outcome.is_none() {
+                *outcome = m.stalled().map(Err);
+            }
+        }
+        let cursor: Vec<usize> = self.devs.iter().map(Machine::cursor).collect();
+        match stuck(schedule, iterations, &cursor, |b, p| self.links.head(b, p)) {
+            Ok(deadlock) => deadlock.map(EmuError::Deadlock),
+            Err(mismatch) => Some(EmuError::Mismatch(mismatch)),
         }
     }
 }
@@ -175,52 +126,16 @@ pub(crate) fn run_event(
                 Machine::new(shared, device, &cfg, plan.for_device(device), startup_ns)
             })
             .collect(),
-        links: Links::new(&table, devices, cfg.channel_capacity, ready),
+        links: Links::new(&table, cfg.channel_capacity, ready),
+        outcomes: (0..devices).map(|_| None).collect(),
     };
-    loop {
-        sched.drain();
-        let Sched { devs, links } = &mut sched;
-        if !quiesce(links, devs) {
-            break;
-        }
-    }
+    sched.drain();
+    let stuck = sched.quiesce(schedule, cfg.iterations);
     let results = sched
-        .links
-        .results
+        .outcomes
         .into_iter()
-        .map(|r| r.expect("quiescence settles every device"))
+        .zip(&sched.devs)
+        .map(|(outcome, m)| (outcome, m.ckpt()))
         .collect();
-    settle_report(results, &cfg, plan, &table)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The chain over a table of who waits on whom.
-    fn chain(waits: &[Option<u32>], from: u32) -> Vec<DeviceId> {
-        let waits_on = |d: DeviceId| waits.get(d.index()).copied().flatten().map(DeviceId);
-        wait_chain(DeviceId(from), waits_on)
-    }
-
-    fn ids(ids: &[u32]) -> Vec<DeviceId> {
-        ids.iter().copied().map(DeviceId).collect()
-    }
-
-    #[test]
-    fn wait_chain_names_a_cycle() {
-        assert_eq!(chain(&[Some(1), Some(2), Some(0)], 0), ids(&[0, 1, 2, 0]));
-        // Device 2 no longer waits: the chain ends there.
-        assert_eq!(chain(&[Some(1), Some(2), None], 0), ids(&[0, 1, 2]));
-    }
-
-    #[test]
-    fn wait_chain_stops_at_self_loops() {
-        assert_eq!(chain(&[None, Some(1)], 1), ids(&[1, 1]));
-    }
-
-    #[test]
-    fn wait_chain_keeps_the_largest_peer_id() {
-        assert_eq!(chain(&[Some(u32::MAX)], 0), ids(&[0, u32::MAX]));
-    }
+    settle_report(results, stuck, &cfg, plan, &table)
 }

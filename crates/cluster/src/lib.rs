@@ -8,8 +8,9 @@
 //! telemetry, spans and the bounded-link send/recv clock rules. One
 //! single-threaded discrete-event driver ([`event`]) steps the machines
 //! over the run's [`link`]s and scales to thousands of devices. It
-//! detects deadlock by quiescence: when every unfinished device is parked
-//! on a link, none can ever move.
+//! detects deadlock by quiescence: when every unfinished device is
+//! parked, none can ever move, and [`mario_ir::exec::stuck`] reads where
+//! each stands, as it does for the makespan sweep and the deadlock check.
 //!
 //! Timing is *virtual*: per-instruction latencies come from a
 //! [`mario_ir::CostModel`] (optionally perturbed by seeded jitter), and all

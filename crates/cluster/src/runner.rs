@@ -245,7 +245,8 @@ pub fn run_with(
 
 /// Merges per-device outcomes into a [`RunReport`] (or the run's
 /// root-cause error): root-cause selection, critical-path arithmetic and
-/// telemetry assembly, once.
+/// telemetry assembly, once. `stuck` is the reading of the devices still
+/// parked, the answer when no device failed.
 ///
 /// Reports may carry *any* device ids — they need not be contiguous or
 /// dense (an elastic shrink's survivor set, for instance): everything
@@ -253,6 +254,7 @@ pub fn run_with(
 /// the vector.
 pub(crate) fn settle_report(
     results: Vec<Settled>,
+    stuck: Option<EmuError>,
     cfg: &EmulatorConfig,
     plan: &FaultPlan,
     table: &LinkTable,
@@ -260,27 +262,26 @@ pub(crate) fn settle_report(
     // A model checkpoint exists only once *every* shard of it was
     // written, like a real distributed snapshot: the cluster-durable one
     // is the minimum across devices. The write time is what every device
-    // paid, durable or not. Both come from the settlements alone, on the
-    // fault path and the success path.
+    // paid, durable or not. Both come from every device's progress, on
+    // the fault path and the success path.
     let saved = results.iter().map(|(_, c)| c.saved).min().unwrap_or(0);
     let paid_ns = results.iter().map(|(_, c)| c.paid_ns).sum();
     let mut reports = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
     for (r, _) in results {
         match r {
-            Ok(rep) => reports.push(rep),
-            Err(e) => errors.push(e),
+            Some(Ok(rep)) => reports.push(rep),
+            Some(Err(e)) => errors.push(e),
+            None => {}
         }
     }
-    // When several devices fail at once (a crash cascades into peer
-    // failures and deadlocks), report the root cause: lowest
+    // When several devices fail at once, report the root cause: lowest
     // priority rank wins, device order breaks ties — deterministic under
-    // any firing order.
-    if let Some(root) = errors
-        .iter()
-        .min_by_key(|e| (e.priority(), e.device().index()))
-    {
-        let mut root = root.clone();
+    // any firing order. The devices a failure leaves parked add nothing.
+    let root = errors
+        .into_iter()
+        .min_by_key(|e| (e.priority(), e.device().index()));
+    if let Some(mut root) = root.or(stuck) {
         // Stamp the recovery context on the attribution: where a resume
         // would restart, and which correlated group (if any) the fault
         // belongs to.
@@ -1006,8 +1007,8 @@ mod tests {
     fn stall_report_names_the_last_cluster_checkpoint() {
         // Dropping device 1's last activation to device 2 in iteration 3
         // leaves both parked on each other, so `quiesce`, not a driver,
-        // settles device 2 with the stall and reads its checkpoint
-        // progress off its machine.
+        // fails device 2 with the stall, and its checkpoint progress is
+        // read off its parked machine.
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 4, 8));
         let plan = FaultPlan::none()
             .with(FaultKind::LinkStall {
@@ -1326,7 +1327,7 @@ mod tests {
                 saved: 0,
                 paid_ns: ckpt,
             };
-            (Ok(report), progress)
+            (Some(Ok(report)), progress)
         };
         // Device 3 is critical (max clock) but sits at vector index 1;
         // a dense-id assumption would subtract device 6's paid time (or
@@ -1339,7 +1340,7 @@ mod tests {
         };
         let schedule = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 7, 1));
         let table = LinkTable::new(&schedule);
-        let report = settle_report(results, &cfg, &FaultPlan::none(), &table).unwrap();
+        let report = settle_report(results, None, &cfg, &FaultPlan::none(), &table).unwrap();
         assert_eq!(report.total_ns, 900);
         // (900 - the critical device 3's paid time) / 2 iterations,
         // rounded to nearest.

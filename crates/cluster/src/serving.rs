@@ -9,12 +9,13 @@
 //! attempt loop ([`serve_with`]) that re-dispatches the micro-batches a
 //! stage failure stranded.
 //!
-//! Error-sentinel recovery reuses the emulator's settlement machinery: when
-//! a stage crashes, its link ends are settled, which its peers observe
-//! only *behind* all genuine traffic, so every micro-batch already past
-//! the failed stage drains through to the last stage and completes — the
-//! [`ServeBoard`] survives the failed attempt and keeps those completions —
-//! while downstream devices observe the settlement instead of deadlocking.
+//! Error-sentinel recovery reuses the emulator's link rule: when a stage
+//! crashes, its peers go on with all the genuine traffic it sent and park
+//! only where they would wait on it for good, so every micro-batch
+//! already past the failed stage drains through to the last stage and
+//! completes — the [`ServeBoard`] survives the failed attempt and keeps
+//! those completions — and the crash, not a deadlock, is the run's
+//! answer.
 //! Only the micro-batches that never reached the end are retried, gated at
 //! `fault time + backoff` so wall-clock continuity holds across attempts.
 //!

@@ -2,7 +2,10 @@
 //! timeline consistency, straggler model.
 
 use mario_cluster::{run, EmuError, EmulatorConfig};
-use mario_ir::{ComputeKind, CostModel, DeviceId, Nanos, PartId, SchemeKind, UnitCost};
+use mario_ir::{
+    check_executable, Blocked, ComputeKind, CostModel, Deadlock, DeviceId, ExecError, Nanos,
+    PartId, SchemeKind, UnitCost,
+};
 use mario_schedules::{generate, ScheduleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -105,43 +108,40 @@ fn corrupted_schedule_reports_comm_mismatch_not_hang() {
     // Move the second receive in front of the first.
     d1.rotate_left(ra[0]..ra[1] + 1, ra[1] - ra[0]);
     let err = run(&s, &unit(), EmulatorConfig::default()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            mario_cluster::EmuError::CommMismatch { .. }
-                | mario_cluster::EmuError::DeadlockSuspected { .. }
-                | mario_cluster::EmuError::PeerFailed { .. }
-        ),
-        "{err}"
-    );
+    // The receive that meets the other micro-batch fails, and names it
+    // as the deadlock check does.
+    let Err(ExecError::MessageMismatch(mismatch)) = check_executable(&s, 1) else {
+        panic!("the deadlock check finds no mismatch");
+    };
+    assert_eq!(err, EmuError::Mismatch(mismatch), "{err}");
 }
 
 #[test]
 fn truncated_program_is_detected_without_hanging() {
     // Device 1 never sends its gradients: device 0 must not hang forever.
-    // With deterministic link settlement the diagnosis is precise and
-    // stable across interleavings: d1's sends were truncated away, so the
-    // gradient link was never declared and d0's recv has no route. (The
-    // old racy teardown reported DeadlockSuspected or PeerFailed
-    // depending on which thread unwound first.)
+    // d1's sends were truncated away, so the gradient link was never
+    // declared: d0's receive parks on a port with no link, and once d1
+    // finishes the run reads as the makespan sweep reads it, d0 the one
+    // device blocked.
     let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 2, 2));
     let mut kept = 0;
     s.program_mut(DeviceId(1)).retain(|_| {
         kept += 1;
         kept <= 2
     });
-    // Ports resolve through the run's link table, which names the
-    // device, pc and peer.
     let err = run(&s, &unit(), EmulatorConfig::default()).unwrap_err();
+    let instr = s.program(DeviceId(0)).instrs()[4];
     assert_eq!(
-        err,
-        EmuError::NoRoute {
-            device: DeviceId(0),
-            pc: 4,
-            peer: DeviceId(1),
-        },
-        "{err}"
+        instr.kind.p2p().map(|p| (p.dir, p.peer)),
+        Some((mario_ir::Dir::Recv, DeviceId(1)))
     );
+    let blocked = Blocked {
+        device: DeviceId(0),
+        pc: 4,
+        iteration: 0,
+        instr,
+    };
+    assert_eq!(err, EmuError::Deadlock(Deadlock(vec![blocked])), "{err}");
 }
 
 #[test]
@@ -167,14 +167,16 @@ fn deadlocked_64_device_ring_is_detected_within_budget() {
     let err = run(&s, &unit(), EmulatorConfig::default()).unwrap_err();
     let elapsed = t0.elapsed();
     assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
-    match &err {
-        EmuError::DeadlockSuspected { device, cycle, .. } => {
-            assert_eq!(*device, DeviceId(0));
-            // The chain walks the whole ring and closes on the start.
-            assert_eq!(cycle.len() as u32, D + 1);
-            assert_eq!(cycle.first(), cycle.last());
-        }
-        e => panic!("expected deadlock, got {e}"),
+    // Every device stands at its first instruction, a receive from its
+    // successor: the cycle reads off the blocked instructions.
+    let EmuError::Deadlock(Deadlock(blocked)) = &err else {
+        panic!("expected deadlock, got {err}");
+    };
+    assert_eq!(blocked.len() as u32, D);
+    for (j, b) in blocked.iter().enumerate() {
+        let next = DeviceId((j as u32 + 1) % D);
+        assert_eq!((b.device, b.pc, b.iteration), (DeviceId(j as u32), 0, 0));
+        assert_eq!(b.instr, Instr::recv_act(0u32, 0u32, next));
     }
 }
 

@@ -8,7 +8,7 @@ pub(crate) use timeline::{simulate_makespan, Observe, OnTheFly, Run, Sweep, Timi
 pub use timeline::{simulate, simulate_timeline, SimError, SimOptions, SimTimeline};
 #[cfg(feature = "test-order")]
 #[doc(hidden)]
-pub use timeline::simulate_shuffled;
+pub use timeline::{makespan_sweep, simulate_shuffled};
 
 #[cfg(test)]
 mod tests {

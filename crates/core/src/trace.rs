@@ -1,5 +1,5 @@
 //! Chrome-trace export: serialize a span graph — the DP simulator's or
-//! either emulator backend's — to the Trace Event Format consumed by
+//! the emulator's — to the Trace Event Format consumed by
 //! `chrome://tracing` / Perfetto, giving an interactive alternative to the
 //! ASCII/SVG Gantt charts. Every exporter takes the [`SpanGraph`] and the
 //! schedule it executed, and names each span through the schedule.

@@ -15,8 +15,8 @@
 //! and the channel capacity alone and is timing-independent, so it is
 //! deliberately not captured.
 //!
-//! Both emulator backends (`mario-cluster`) populate the graph through
-//! the one machine, and the simulator (`mario-core`) is a zero-jitter
+//! The emulator (`mario-cluster`) populates the graph through its one
+//! machine, and the simulator (`mario-core`) is a zero-jitter
 //! event-backend run, so the bit-for-bit parity invariant extends from
 //! clocks and telemetry down to every span field. The
 //! spans are numeric-only (no rendered instruction names): the `pc`

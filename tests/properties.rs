@@ -1581,7 +1581,7 @@ fn mutant(base: &Schedule, m: usize, rng: &mut Mix) -> Schedule {
 /// The order differential over `scheme` at `d`×`n`: the generated
 /// schedule and `mutants` mutants of it, each at capacities 1 and 2, run
 /// by the deadlock check and by the simulator — an event-backend run,
-/// whose errors the makespan sweep names — in first-in-first-out order
+/// which names its own errors — in first-in-first-out order
 /// and in a seeded random one. The deadlock check's answer, and the
 /// simulator's whole `SimTimeline` or `SimError` under random iterations,
 /// checkpoints, perturbation and serving release gates, must render
