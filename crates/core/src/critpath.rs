@@ -51,9 +51,21 @@
 //! sends and receives beforehand. Before the cut (next section) it only
 //! counts each link's sends and receives and keeps its last `capacity`
 //! receive ends in a ring. [`analyze`] groups sends and receives by link
-//! number over flattened node ids, reads the program only for the
-//! attribution class of local spans, and its slack pass runs Kahn over
-//! one CSR edge array.
+//! number over flattened node ids and reads the program only for the
+//! attribution class of local spans.
+//!
+//! # One backward pass for slack
+//!
+//! Slack comes from each span's *tail*: the longest path over the three
+//! edge families from its end to the end of the run, weighted by the next
+//! span's work (program order), the wire time plus any injected delay
+//! (wire) and 0 (ack window). The tail pass (`Tails`) runs each device
+//! backward from a `mario_ir::Ready` queue until it blocks, over one
+//! `mario_ir::Fifo` per link with the roles reversed: a receive reserves
+//! the window and pushes its wire time plus tail, and a send pops that
+//! and acks its own tail. Recorded times cannot order the graph instead:
+//! zero-length p2p spans tie at equal ends. Prepose's slack test
+//! (`passes::prepose_forward`) runs the same pass over its step table.
 //!
 //! # Re-timing from the cut
 //!
@@ -87,7 +99,7 @@
 //!
 //! # Validity domain
 //!
-//! The backward walk and the slack pass are exact for every recorded run.
+//! The backward walk and the tail pass are exact for every recorded run.
 //! [`whatif`] is exact — equal to a ground-truth re-simulation — when the
 //! counterfactual *adds* perturbations on top of the recorded run and the
 //! checkpoint policy is none/flat/sharded-sync (`free_checkpoint`
@@ -100,7 +112,7 @@
 
 use mario_ir::{
     DeviceId, DeviceProgram, Dir, Fifo, InstrKind, Nanos, OpSpan, PacketCounter,
-    PerturbationProfile, Schedule, SpanGraph, CKPT_PC,
+    PerturbationProfile, Ready, Schedule, SpanGraph, CKPT_PC,
 };
 use serde::Serialize;
 
@@ -291,8 +303,8 @@ enum NodeKind {
     /// A p2p send; `ack` is the receive whose arrival frees its buffer
     /// slot (None while the window is filling).
     Send { ack: Option<NodeId> },
-    /// A p2p recv on link `link`, paired with `send`.
-    Recv { link: u32, send: Option<NodeId> },
+    /// A p2p recv, paired with `send`.
+    Recv { send: Option<NodeId> },
 }
 
 /// The reconstructed structural graph over flattened node ids.
@@ -340,10 +352,7 @@ fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
                 }
                 Some((Dir::Recv, k)) => {
                     ends[k].1.push(v);
-                    NodeKind::Recv {
-                        link: k as u32,
-                        send: None,
-                    }
+                    NodeKind::Recv { send: None }
                 }
             });
         }
@@ -354,7 +363,7 @@ fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
     let capacity = g.channel_capacity.max(1);
     for (sends, recvs) in &ends {
         for (k, &r) in recvs.iter().enumerate() {
-            if let NodeKind::Recv { send, .. } = &mut kind[r as usize] {
+            if let NodeKind::Recv { send } = &mut kind[r as usize] {
                 *send = sends.get(k).copied();
             }
         }
@@ -369,8 +378,8 @@ fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
 
 /// Analyzes one recorded run: exact critical path, per-op slack,
 /// per-link slack. The spans must come from the run's schedule (the `pc`
-/// fields index its device programs) — all three executors produce them
-/// via `record_spans` / the simulator's `SimTimeline::spans`.
+/// fields index its device programs) — both executors produce them, via
+/// `record_spans` and the simulator's `SimTimeline::spans`.
 pub fn analyze(schedule: &Schedule, g: &SpanGraph) -> CritReport {
     let st = build_structure(schedule, g);
     let (slack, link_slack) = compute_slack(g, &st);
@@ -427,7 +436,7 @@ fn walk_path(g: &SpanGraph, st: &Structure) -> (Vec<PathSegment>, Vec<Vec<bool>>
         let kind = st.kind[st.id(d, i)];
         if gated_by_wait(&s) {
             match kind {
-                NodeKind::Recv { send: Some(v), .. } => {
+                NodeKind::Recv { send: Some(v) } => {
                     let (sd, sj) = st.pos(v);
                     // The wire gated: s.end == sent_at + wire.
                     on_path[d][i] = true;
@@ -536,123 +545,150 @@ fn local_class(kind: NodeKind) -> SegClass {
 /// Per-op slack table plus per-link minimum headroom.
 type SlackTables = (Vec<Vec<Nanos>>, Vec<((DeviceId, DeviceId), Nanos)>);
 
-/// CPM slack: latest-completion times by a backward pass over the
-/// structural DAG in reverse topological order (Kahn over a CSR edge
-/// array), then `slack = L − end`. Per-link slack is the minimum message
-/// headroom `L(recv) − (sent_at + wire)` per directed pair.
+/// CPM slack: each span's latest completion is the makespan less its
+/// tail (see [`Tails`]), and `slack = latest − end`. Per-link slack is the
+/// minimum message headroom `latest(recv) − (sent_at + wire)` per directed
+/// pair.
 fn compute_slack(g: &SpanGraph, st: &Structure) -> SlackTables {
-    let n = st.kind.len();
-    // Forward edges `from -> (to, weight)` meaning L[from] <= L[to] - weight,
-    // grouped by `from`: row `u` is `edges[head[u]..head[u + 1]]`.
-    let each_edge = |f: &mut dyn FnMut(usize, usize, Nanos)| {
-        for (d, spans) in g.per_device.iter().enumerate() {
-            for (i, s) in spans.iter().enumerate() {
-                let v = st.id(d, i);
-                if i + 1 < spans.len() {
-                    // Program edge: the successor's end tracks our end
-                    // plus its intrinsic work (all executor arithmetic
-                    // reduces to end' = max(pred_end-or-floor, ...) + work
-                    // for the program dependency).
-                    f(v, v + 1, spans[i + 1].work_ns);
-                }
-                match st.kind[v] {
-                    NodeKind::Recv { send: Some(u), .. } => {
-                        // Wire edge: arrival >= send.end + delta + wire.
-                        let (sd, sj) = st.pos(u);
-                        let delta = s.sent_at.saturating_sub(g.per_device[sd][sj].end);
-                        f(u as usize, v, s.wire_ns + delta);
-                    }
-                    NodeKind::Send { ack: Some(u) } => {
-                        // Capacity edge: our end >= the ack recv's arrival.
-                        f(u as usize, v, 0);
-                    }
-                    _ => {}
-                }
+    let mut tails = Tails::default();
+    let (lens, capacity) = (g.per_device.iter().map(Vec::len), g.channel_capacity.max(1));
+    tails.run(lens, &g.links, capacity, |d, i| {
+        let s = &g.per_device[d][i];
+        // The wire edge: arrival >= send.end + delta + wire, where delta is
+        // the injected delay between the send's end and the departure.
+        let delta = match st.kind[st.id(d, i)] {
+            NodeKind::Recv { send: Some(u) } => {
+                let (sd, sj) = st.pos(u);
+                s.sent_at.saturating_sub(g.per_device[sd][sj].end)
             }
+            _ => 0,
+        };
+        Hop {
+            own: s.work_ns,
+            link: s.link.get(),
+            wire: s.wire_ns + delta,
         }
-    };
-    let mut head = vec![0u32; n + 1];
-    let mut indeg = vec![0u32; n];
-    each_edge(&mut |from, to, _| {
-        head[from + 1] += 1;
-        indeg[to] += 1;
     });
-    for u in 0..n {
-        head[u + 1] += head[u];
-    }
-    // Fill each row through a cursor that ends at the next row's start,
-    // then shift the cursors back to row starts.
-    let mut edges: Vec<(u32, Nanos)> = vec![(0, 0); head[n] as usize];
-    each_edge(&mut |from, to, w| {
-        edges[head[from] as usize] = (to as u32, w);
-        head[from] += 1;
-    });
-    head.copy_within(0..n, 1);
-    head[0] = 0;
-    let row = |u: usize| &edges[head[u] as usize..head[u + 1] as usize];
-    // Kahn topological order.
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&u| indeg[u as usize] == 0).collect();
-    let mut topo: Vec<u32> = Vec::with_capacity(n);
-    while let Some(u) = queue.pop() {
-        topo.push(u);
-        for &(to, _) in row(u as usize) {
-            indeg[to as usize] -= 1;
-            if indeg[to as usize] == 0 {
-                queue.push(to);
-            }
-        }
-    }
-    debug_assert_eq!(topo.len(), n, "span graph has a structural cycle");
-    // Backward pass.
-    let mut latest = vec![g.makespan; n];
-    for &u in topo.iter().rev() {
-        let u = u as usize;
-        for &(to, w) in row(u) {
-            latest[u] = latest[u].min(latest[to as usize].saturating_sub(w));
-        }
-    }
-    // Slack per op, and the least wire headroom per link.
+    // Slack per op, in place over the tails, and the least wire headroom
+    // per link.
     let mut headroom: Vec<Option<Nanos>> = vec![None; g.links.len()];
-    let slack: Vec<Vec<Nanos>> = g
-        .per_device
-        .iter()
-        .enumerate()
-        .map(|(d, spans)| {
-            spans
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let v = st.id(d, i);
-                    if let NodeKind::Recv {
-                        link,
-                        send: Some(_),
-                    } = st.kind[v]
-                    {
-                        let h = latest[v].saturating_sub(s.sent_at + s.wire_ns);
-                        let least = &mut headroom[link as usize];
-                        *least = Some(least.map_or(h, |l| l.min(h)));
-                    }
-                    latest[v].saturating_sub(s.end)
-                })
-                .collect()
-        })
-        .collect();
-    // Per directed pair: the least headroom over its links.
-    let mut link_slack: Vec<_> = g
-        .links
-        .iter()
-        .zip(&headroom)
-        .filter_map(|(&pair, h)| h.map(|h| (pair, h)))
-        .collect();
-    link_slack.sort_by_key(|((s, r), _)| (s.0, r.0));
-    link_slack.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 = kept.1.min(next.1);
+    let mut slack = tails.tail;
+    for (tail, spans) in slack.iter_mut().zip(&g.per_device) {
+        for (t, s) in tail.iter_mut().zip(spans) {
+            let latest = g.makespan.saturating_sub(*t);
+            if let Some((Dir::Recv, k)) = s.link.get() {
+                let h = latest.saturating_sub(s.sent_at + s.wire_ns);
+                headroom[k] = Some(headroom[k].map_or(h, |l| l.min(h)));
+            }
+            *t = latest.saturating_sub(s.end);
         }
-        same
-    });
+    }
+    // Per directed pair, the least headroom over its links: the first
+    // after sorting.
+    let mut link_slack: Vec<_> = (g.links.iter().zip(headroom))
+        .filter_map(|(&pair, h)| Some((pair, h?)))
+        .collect();
+    link_slack.sort_unstable_by_key(|&((s, r), h)| (s.0, r.0, h));
+    link_slack.dedup_by_key(|&mut (pair, _)| pair);
     (slack, link_slack)
+}
+
+/// One step of a device's run, as [`Tails::run`] reads it.
+pub(crate) struct Hop {
+    /// The time the step adds to its program predecessor's finish.
+    pub(crate) own: Nanos,
+    /// The link end of a p2p step.
+    pub(crate) link: Option<(Dir, usize)>,
+    /// A receive's wire time, plus any injected link delay.
+    pub(crate) wire: Nanos,
+}
+
+/// The longest path from each step's finish to the end of a run — its
+/// *tail* — over the three edge families of the module docs, and the
+/// buffers that compute it, which a caller may keep from run to run.
+#[derive(Default)]
+pub(crate) struct Tails {
+    /// `tail[d][i]`: the tail of step `i` of device `d`.
+    pub(crate) tail: Vec<Vec<Nanos>>,
+    /// Per link, the link rule with the roles reversed: a receive pushes
+    /// its wire time plus tail for its send to pop, and a send acks its
+    /// tail to the receive `capacity` messages before it.
+    fifos: Vec<Fifo<Nanos>>,
+    /// Per device, how many of its steps have no tail yet, and the first
+    /// step with one's own time plus tail (0 past the last step).
+    left: Vec<(usize, Nanos)>,
+}
+
+impl Tails {
+    /// Computes the tails of devices with `lens` steps each, joined by
+    /// `links` (each link's sender and receiver) at `capacity`; `hop(d, i)`
+    /// reads step `i` of device `d`. Every link carries as many receives
+    /// as sends, as in a run that finished.
+    ///
+    /// Each device runs backward from a [`Ready`] queue until it blocks:
+    /// a send on an empty link (its receive has no tail yet), a receive
+    /// on a full window (the send `capacity` messages later has none).
+    /// Every push or ack wakes the other end of its link, and Kahn
+    /// determinacy makes the tails independent of the firing order.
+    pub(crate) fn run(
+        &mut self,
+        lens: impl ExactSizeIterator<Item = usize>,
+        links: &[(DeviceId, DeviceId)],
+        capacity: usize,
+        hop: impl Fn(usize, usize) -> Hop,
+    ) {
+        self.tail.resize_with(lens.len(), Vec::new);
+        self.left.clear();
+        for (tail, n) in self.tail.iter_mut().zip(lens) {
+            tail.clear();
+            tail.resize(n, 0);
+            self.left.push((n, 0));
+        }
+        self.fifos.clear();
+        self.fifos.resize_with(links.len(), Fifo::default);
+        let mut ready = Ready::fifo(self.tail.len());
+        while let Some(d) = ready.front() {
+            let (mut i, mut after) = self.left[d];
+            let tail = &mut self.tail[d];
+            let blocked = loop {
+                let Some(j) = i.checked_sub(1) else {
+                    break None;
+                };
+                let h = hop(d, j);
+                let mut t = after;
+                match h.link {
+                    None => {}
+                    Some((Dir::Send, k)) => {
+                        let fifo = &mut self.fifos[k];
+                        let Some(arrival) = fifo.pop() else {
+                            break Some(k);
+                        };
+                        t = t.max(arrival);
+                        fifo.ack(t);
+                        ready.wake(links[k].1.index(), k);
+                    }
+                    Some((Dir::Recv, k)) => {
+                        let fifo = &mut self.fifos[k];
+                        let Some(freed) = fifo.reserve(capacity) else {
+                            break Some(k);
+                        };
+                        t = t.max(freed);
+                        fifo.push(h.wire + t);
+                        ready.wake(links[k].0.index(), k);
+                    }
+                }
+                tail[j] = t;
+                after = h.own + t;
+                i = j;
+            };
+            self.left[d] = (i, after);
+            ready.block(blocked);
+        }
+        debug_assert!(
+            self.left.iter().all(|&(i, _)| i == 0),
+            "the tail pass blocked (a structural cycle, or an unpaired message?)"
+        );
+    }
 }
 
 /// A counterfactual to re-time the recorded graph under.
@@ -1407,7 +1443,7 @@ mod tests {
     #[test]
     fn nodes_stay_small() {
         // One node per recorded span: a class, a send's ack, or a
-        // receive's link and paired send.
+        // receive's paired send.
         assert!(std::mem::size_of::<NodeKind>() <= 16);
     }
 

@@ -12,9 +12,8 @@
 //! * [`plan_shrink`] picks the widest admissible shrunk pipeline, emits a
 //!   fresh *valid* schedule for it, re-partitions the model with
 //!   [`StagePartition`], and derives each survivor's startup offset from
-//!   the layer state it must fetch (bytes over link bandwidth — the same
-//!   `ceil(bytes·1000 / bytes_per_us)` arithmetic as
-//!   [`mario_ir::ShardedWrite::flush_ns`]).
+//!   the layer state it must fetch (bytes over link bandwidth,
+//!   [`mario_ir::transfer_ns`], as a checkpoint flush times its bytes).
 //! * [`compare_policies`] prices the tail of the run under both policies
 //!   and reports the crossover point where the replacement wait starts
 //!   paying for itself.
@@ -27,8 +26,8 @@
 
 use mario_cluster::{Reconfiguration, RecoveryPolicy};
 use mario_ir::{
-    min_channel_capacity, validate, ComputeKind, CostModel, DeviceId, Nanos, PartId, Schedule,
-    SchemeKind, Topology, UnitCost,
+    min_channel_capacity, transfer_ns, validate, ComputeKind, CostModel, DeviceId, Nanos, PartId,
+    Schedule, SchemeKind, Topology, UnitCost,
 };
 use mario_model::StagePartition;
 use mario_schedules::{generate, ScheduleConfig};
@@ -223,8 +222,7 @@ pub fn plan_shrink(setup: &ElasticSetup, lost: &[DeviceId]) -> Option<ElasticPla
         let needed = layers_of_device(&new_topo, &partition, DeviceId(i));
         let missing = needed.iter().filter(|l| !held.contains(l)).count() as u64;
         let bytes = missing * setup.state_bytes_per_layer;
-        // Same arithmetic as ShardedWrite::flush_ns: ns = ceil(B·1000 / (B/µs)).
-        let ns = (bytes * 1_000).div_ceil(setup.fetch_bytes_per_us.max(1));
+        let ns = transfer_ns(bytes, setup.fetch_bytes_per_us);
         moved_bytes += bytes;
         moved_bytes_per_device.push(bytes);
         startup_ns.push(ns);
@@ -338,7 +336,7 @@ mod tests {
         // (1 layer) — 4 layers move in total.
         assert_eq!(plan.moved_bytes_per_device, vec![1_000, 2_000, 1_000]);
         assert_eq!(plan.moved_bytes, 4_000);
-        // flush_ns arithmetic: ceil(bytes·1000 / 500 B/µs).
+        // transfer_ns: ceil(bytes·1000 / 500 B/µs).
         assert_eq!(plan.startup_ns, vec![2_000, 4_000, 2_000]);
     }
 

@@ -64,11 +64,12 @@
 //! path exactly when `finish(u) + own(v) + tail(v) == best`, where
 //! `tail(v)` is the longest path from v's finish to the end. `Slack`
 //! records the finish times from one sweep per schedule version (the
-//! first, then one after each accepted swap), and the tails from one pass
-//! backward over that sweep's firing order. The argument needs fixed
-//! weights, so it holds only for the pristine profile (a slowdown window
-//! indexed by pc re-times the instructions a swap moves) and one
-//! iteration, which is what prepose runs.
+//! first, then one after each accepted swap), and takes the tails from
+//! the backward pass `critpath::analyze` computes slack with, run over
+//! the step table. The argument needs fixed weights, so it holds only for
+//! the pristine profile (a slowdown window indexed by pc re-times the
+//! instructions a swap moves) and one iteration, which is what prepose
+//! runs.
 //!
 //! Known answers: a trial's outcome depends only on the schedule and the
 //! best makespan so far. The device of a round's last accepted swap, and
@@ -80,9 +81,10 @@
 //! such a round's trials but not all: on plan-8's V schedule (8x32,
 //! GPT3-13B) the fixpoint still saves 58 simulated trials per tuning.
 
+use crate::critpath::{Hop, Tails};
 use crate::simulator::{simulate_memory, Observe, OnTheFly, Run, SimError, Sweep, Timing};
 use mario_ir::{
-    CostModel, DeviceId, DeviceProgram, Dir, Fifo, Instr, InstrKind, LinkTable, Nanos, P2p,
+    CostModel, DeviceId, DeviceProgram, Dir, Instr, InstrKind, LinkTable, Nanos, P2p,
     PerturbationProfile, Schedule,
 };
 use std::ops::Range;
@@ -361,17 +363,15 @@ impl Trials {
 /// buffers are reused from one schedule version to the next.
 struct Slack {
     capacity: usize,
+    /// Each link's sender and receiver.
+    links: Vec<(DeviceId, DeviceId)>,
     /// The makespan.
     best: Nanos,
     /// Per device, when each instruction finished.
     finish: Vec<Vec<Nanos>>,
-    /// Per device, the longest path from each instruction's finish to the
-    /// end of the run.
-    tail: Vec<Vec<Nanos>>,
-    /// The device of every step, in firing order.
-    order: Vec<u32>,
-    /// The tail pass's channels, per link.
-    chans: Vec<Fifo<Nanos>>,
+    /// The longest path from each instruction's finish to the end of the
+    /// run.
+    tails: Tails,
 }
 
 impl Observe for Slack {
@@ -379,20 +379,23 @@ impl Observe for Slack {
     fn fired(&mut self, dev: usize, lpc: usize, finish: Nanos) {
         debug_assert_eq!(lpc, self.finish[dev].len());
         self.finish[dev].push(finish);
-        self.order.push(dev as u32);
     }
 }
 
 impl Slack {
-    /// Empty buffers for `devices` devices over `links` links at `capacity`.
-    fn new(devices: usize, links: usize, capacity: usize) -> Self {
+    /// Empty buffers for `devices` devices over `links` at `capacity`.
+    fn new(devices: usize, links: &LinkTable, capacity: usize) -> Self {
         Self {
             capacity,
+            links: (0..links.len())
+                .map(|k| {
+                    let (src, dst, ..) = links.key(k);
+                    (src, dst)
+                })
+                .collect(),
             best: 0,
             finish: vec![Vec::new(); devices],
-            tail: vec![Vec::new(); devices],
-            order: Vec::new(),
-            chans: vec![Fifo::default(); links],
+            tails: Tails::default(),
         }
     }
 
@@ -405,47 +408,21 @@ impl Slack {
         sweep: &mut Sweep,
     ) -> Result<Nanos, SimError> {
         self.finish.iter_mut().for_each(Vec::clear);
-        self.order.clear();
         let Run::Done(best) = sweep.run_observed(schedule, table, None, self)? else {
             unreachable!("a sweep without a stop point never pauses")
         };
         self.best = best;
-        // The tail pass walks the firing order backward, so every
-        // successor of an instruction comes before it, and runs the link
-        // rule backward: a receive, which the tail reaches before its
-        // send, enqueues its wire time plus tail for the send to dequeue,
-        // and a send hands its tail back to the receive `capacity`
-        // messages before it as that receive's window release.
-        let empty = Fifo::default();
-        self.chans.iter_mut().for_each(|ch| ch.clone_from(&empty));
-        let mut pc: Vec<usize> = self.finish.iter().map(Vec::len).collect();
-        for (tail, finish) in self.tail.iter_mut().zip(&self.finish) {
-            tail.clear();
-            tail.resize(finish.len(), 0);
-        }
-        for &d in self.order.iter().rev() {
-            let (d, dev) = (d as usize, DeviceId(d));
-            pc[d] -= 1;
-            let (lpc, prog) = (pc[d], schedule.program(dev).instrs());
-            let tail = &mut self.tail[d];
-            let mut t = match prog.get(lpc + 1) {
-                Some(next) => table.own(dev, lpc + 1, next) + tail[lpc + 1],
-                None => 0,
-            };
-            if let Some(p) = prog[lpc].kind.p2p() {
-                let step = table.step(dev, lpc);
-                let ch = &mut self.chans[step.link as usize];
-                if p.dir == Dir::Send {
-                    t = t.max(ch.pop().expect("the receive came first"));
-                    ch.ack(t);
-                } else {
-                    let released = ch.reserve(self.capacity);
-                    t = t.max(released.expect("the window's send came first"));
-                    ch.push(step.ns + t);
-                }
+        let lens = self.finish.iter().map(Vec::len);
+        self.tails.run(lens, &self.links, self.capacity, |d, lpc| {
+            let dev = DeviceId(d as u32);
+            let instr = &schedule.program(dev).instrs()[lpc];
+            let step = table.step(dev, lpc);
+            Hop {
+                own: table.own(dev, lpc, instr),
+                link: instr.kind.p2p().map(|p| (p.dir, step.link as usize)),
+                wire: step.ns,
             }
-            tail[lpc] = t;
-        }
+        });
         Ok(best)
     }
 
@@ -463,7 +440,7 @@ impl Slack {
             return false;
         };
         let arrive = v.checked_sub(1).map_or(0, |u| self.finish[dev.index()][u]);
-        arrive + table.own(dev, v, instr) + self.tail[dev.index()][v] >= self.best
+        arrive + table.own(dev, v, instr) + self.tails.tail[dev.index()][v] >= self.best
     }
 
     /// Whether `swap` keeps every link's message order and removes no
@@ -491,7 +468,10 @@ impl Slack {
 /// tries them, each paired with whether the slack test rejects it without
 /// simulating it, and the makespan the test reasons from; or why
 /// `schedule` cannot run at `channel_capacity`. A rejected swap ends in a
-/// makespan at least that long, or cannot run.
+/// makespan at least that long, or cannot run. For the tests that hold
+/// the slack test to full simulations.
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
 pub fn slack_verdicts(
     schedule: &Schedule,
     cost: &dyn CostModel,
@@ -500,7 +480,7 @@ pub fn slack_verdicts(
     let pristine = PerturbationProfile::identity();
     let links = LinkTable::new(schedule);
     let table = StepTable::lower(schedule, cost, &links);
-    let mut slack = Slack::new(schedule.devices() as usize, links.len(), channel_capacity);
+    let mut slack = Slack::new(schedule.devices() as usize, &links, channel_capacity);
     let mut sweep = Sweep::new(schedule, &links, channel_capacity, &pristine, 1);
     let best = slack.measure(schedule, &table, &mut sweep)?;
     let verdicts = schedule
@@ -539,7 +519,7 @@ pub(crate) fn prepose(
     let mut table = StepTable::lower(schedule, cost, &links);
     let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine, 1);
     let (mut base, mut trial) = (zero.clone(), zero.clone());
-    let mut slack = Slack::new(schedule.devices() as usize, links.len(), opts.channel_capacity);
+    let mut slack = Slack::new(schedule.devices() as usize, &links, opts.channel_capacity);
     let Ok(mut best) = slack.measure(schedule, &table, &mut trial) else {
         return (0, trials, true);
     };
@@ -1083,7 +1063,7 @@ mod tests {
                 for cost in costs {
                     for cap in [1, 2] {
                         let label = format!("{scheme:?} {d}x{n} at capacity {cap}");
-                        let mut slack = Slack::new(d as usize, links.len(), cap);
+                        let mut slack = Slack::new(d as usize, &links, cap);
                         for m in [&swapped, &s] {
                             let table = StepTable::lower(m, cost, &links);
                             let mut sweep = Sweep::new(m, &links, cap, &pristine, 1);
@@ -1104,7 +1084,7 @@ mod tests {
                         };
                         let report = analyze(&s, &simulate(&s, cost, &opts).unwrap().spans);
                         assert_eq!(report.makespan, best, "{label}");
-                        let ours: Vec<Vec<Nanos>> = (slack.finish.iter().zip(&slack.tail))
+                        let ours: Vec<Vec<Nanos>> = (slack.finish.iter().zip(&slack.tails.tail))
                             .map(|(f, t)| f.iter().zip(t).map(|(f, t)| best - f - t).collect())
                             .collect();
                         assert_eq!(ours, report.slack, "{label}");

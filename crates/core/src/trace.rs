@@ -25,9 +25,9 @@
 use crate::critpath::CritReport;
 use crate::simulator::memory_series;
 use mario_ir::{
-    CostModel, DeviceId, Dir, Instr, InstrKind, Msg, Nanos, OpSpan, PartId, Schedule, SpanGraph,
+    CostModel, DeviceId, Dir, Instr, InstrKind, Nanos, OpSpan, PartId, Schedule, SpanGraph,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The synthetic process id counter tracks are parented under, so memory
 /// and link-depth series render as one "counters" group instead of being
@@ -60,11 +60,6 @@ fn category(instr: Option<Instr>) -> &'static str {
         _ => "other",
     }
 }
-
-/// Identity of one logical transfer: the message and its `(src, dst)`.
-/// A send and its matching recv share it; repeated iterations repeat
-/// keys and are paired FIFO.
-type XferKey = (Msg, u32, u32);
 
 /// Incremental Trace Event Format writer.
 struct Writer {
@@ -204,15 +199,6 @@ impl Slice<'_> {
             _ => 0,
         }
     }
-
-    /// The transfer a send or recv slice takes part in, with its
-    /// direction.
-    fn xfer(&self) -> Option<(Dir, XferKey)> {
-        let instr = self.instr?;
-        let p = instr.kind.p2p()?;
-        let (src, dst, ..) = p.chan(self.span.device, instr.part);
-        Some((p.dir, (p.msg(&instr), src.0, dst.0)))
-    }
 }
 
 /// Every span in timeline order — stably sorted by `(start, device)`, so
@@ -277,13 +263,13 @@ pub fn chrome_trace(spans: &SpanGraph, schedule: &Schedule) -> String {
 /// The enriched export: slices and naming metadata (threads are
 /// `device N · stage S`, the stage resolved through the schedule's
 /// virtual-pipeline topology), flow arrows binding each send to the recv
-/// that consumes its payload (paired FIFO per logical transfer, so
-/// multi-iteration timelines pair correctly), a live-memory counter track
-/// per device (the schedule replayed through the shared `MemoryRules`
-/// ledger — the same arithmetic both executors charge), and a queue-depth
-/// counter track per directed link (+1 when a send completes, −1 when the
-/// matching recv drains it). Counter tracks live under the synthetic
-/// [`COUNTER_PID`] process.
+/// that consumes its payload (the `k`-th receive on a recorded link with
+/// its `k`-th send, so multi-iteration timelines pair correctly), a
+/// live-memory counter track per device (the schedule replayed through
+/// the shared `MemoryRules` ledger — the same arithmetic both executors
+/// charge), and a queue-depth counter track per directed device pair (+1
+/// when a send completes, −1 when the matching recv drains it). Counter
+/// tracks live under the synthetic [`COUNTER_PID`] process.
 ///
 /// Memory counters replay the fault-free program, so on a faulted
 /// emulator run they describe the schedule's intended footprint, not the
@@ -340,27 +326,31 @@ fn rich(
         }
     }
 
-    // Flow arrows: sends queue their slice under the transfer key, recvs
-    // consume FIFO. An `s` event anchors at the send slice start and the
-    // matching `f` at the recv slice end, so the arrow spans the whole
-    // transfer even when backpressure stretches the send.
+    // Flow arrows: the k-th recv on a link drains its k-th send. An `s`
+    // event anchors at the send slice start and the matching `f` at the
+    // recv slice end, so the arrow spans the whole transfer even when
+    // backpressure stretches the send.
     // Two passes because the slices are start-ordered and a recv slice can
     // *start* (begin waiting) before its send slice does: first queue every
-    // send under its key, then pair recvs FIFO — per key both sides come
-    // from a single device, so array order is program order.
-    let mut pending: HashMap<XferKey, VecDeque<&Slice>> = HashMap::new();
+    // send on its link, then pair recvs in order — each side of a link
+    // runs on one device, so array order is program order.
+    let mut sends: Vec<VecDeque<&Slice>> = vec![VecDeque::new(); spans.links.len()];
     let mut next_id = 0u64;
-    // Queue-depth deltas per directed link: +1 at send end, −1 at recv end.
+    // Queue-depth deltas per directed pair: +1 at send end, −1 at recv end.
     let mut depth: BTreeMap<(u32, u32), Vec<(Nanos, i64)>> = BTreeMap::new();
+    let mut delta = |k: usize, at: Nanos, by: i64| {
+        let (src, dst) = spans.links[k];
+        depth.entry((src.0, dst.0)).or_default().push((at, by));
+    };
     for s in &slices {
-        if let Some((Dir::Send, key)) = s.xfer() {
-            pending.entry(key).or_default().push_back(s);
-            depth.entry((key.1, key.2)).or_default().push((s.span.end, 1));
+        if let Some((Dir::Send, k)) = s.span.link.get() {
+            sends[k].push_back(s);
+            delta(k, s.span.end, 1);
         }
     }
     for r in &slices {
-        if let Some((Dir::Recv, key)) = r.xfer() {
-            if let Some(send) = pending.get_mut(&key).and_then(VecDeque::pop_front) {
+        if let Some((Dir::Recv, k)) = r.span.link.get() {
+            if let Some(send) = sends[k].pop_front() {
                 w.flow(
                     next_id,
                     (send.pid(), send.span.device.0, send.span.start),
@@ -368,7 +358,7 @@ fn rich(
                 );
                 next_id += 1;
             }
-            depth.entry((key.1, key.2)).or_default().push((r.span.end, -1));
+            delta(k, r.span.end, -1);
         }
     }
 

@@ -12,7 +12,7 @@
 //! checkpoint that completed on *every* device (a checkpoint is durable
 //! only when the whole cluster wrote it).
 
-use crate::cost::Nanos;
+use crate::cost::{transfer_ns, Nanos};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -57,10 +57,9 @@ impl ShardedWrite {
         self
     }
 
-    /// Time to flush `bytes`, ns (ceiling division: a partial microsecond
-    /// of bandwidth still costs a whole nanosecond tick).
+    /// Time to flush `bytes`, ns: [`transfer_ns`] at the flush bandwidth.
     pub fn flush_ns(&self, bytes: u64) -> Nanos {
-        (bytes * 1_000).div_ceil(self.flush_bytes_per_us.max(1))
+        transfer_ns(bytes, self.flush_bytes_per_us)
     }
 
     /// Per-chunk flush times for a `shard_bytes` shard: full chunks of
@@ -342,6 +341,13 @@ mod tests {
         // Zero bandwidth is clamped to 1 B/µs instead of dividing by zero.
         let z = ShardedWrite::new(0, 100);
         assert_eq!(z.flush_ns(5), 5_000);
+        // Every transfer time is the same arithmetic.
+        for (bytes, bw) in [(100, 3), (5, 0), (0, 7), (1, 1_000_000), (1 << 40, 12_345)] {
+            let flush = ShardedWrite::new(bw, 100).flush_ns(bytes);
+            assert_eq!(flush, transfer_ns(bytes, bw));
+        }
+        assert_eq!(transfer_ns(1, 1_000_000), 1);
+        assert_eq!(transfer_ns(0, 0), 0);
     }
 
     #[test]

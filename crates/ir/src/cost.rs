@@ -15,6 +15,13 @@ use serde::{Deserialize, Serialize};
 /// Virtual time, in nanoseconds.
 pub type Nanos = u64;
 
+/// Time to move `bytes` at `bytes_per_us`, ns: a ceiling division, so a
+/// partial microsecond of bandwidth still costs a whole nanosecond tick.
+/// Zero bandwidth is clamped to 1 B/µs instead of dividing by zero.
+pub fn transfer_ns(bytes: u64, bytes_per_us: u64) -> Nanos {
+    (bytes * 1_000).div_ceil(bytes_per_us.max(1))
+}
+
 /// The compute instruction classes with distinct latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ComputeKind {

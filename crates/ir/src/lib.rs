@@ -71,7 +71,7 @@ pub mod validate;
 
 pub use checkpoint::{CheckpointPolicy, PendingCheckpoint, ShardedWrite};
 pub use clock::{DeviceClock, PacketCounter};
-pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
+pub use cost::{transfer_ns, ComputeKind, CostModel, Nanos, UnitCost};
 pub use exec::{check_executable, min_channel_capacity, Blocked, Deadlock, ExecError, Mismatch};
 #[cfg(feature = "test-order")]
 #[doc(hidden)]

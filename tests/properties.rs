@@ -939,6 +939,175 @@ fn whatif_from_the_cut_matches_the_replay_from_zero_at_scale() {
     assert_eq!(ran, EVERY_SCHEME.len() * 4 * 2 * 4 * 150);
 }
 
+/// Per directed pair, the least headroom over its messages.
+type LinkSlacks = Vec<((DeviceId, DeviceId), u64)>;
+
+/// Per-op slack and per-pair link slack of a recorded run, from a naive
+/// oracle: every span's tail (the longest path from its end to the end of
+/// the run) relaxed over all three edge families until nothing changes.
+/// The edges are program order (weight: the next span's work), wire (the
+/// k-th send on a link to its k-th receive, weight: the injected delay
+/// plus the wire time) and ack window (the k-th receive to the
+/// (k + `cap`)-th send, weight 0).
+fn oracle_slack(g: &SpanGraph, cap: usize) -> (Vec<Vec<u64>>, LinkSlacks) {
+    type Node = (usize, usize);
+    let span = |(d, i): Node| g.per_device[d][i];
+    let mut edges: Vec<(Node, Node, u64)> = Vec::new();
+    let mut ends: Vec<(Vec<Node>, Vec<Node>)> = vec![Default::default(); g.links.len()];
+    for (d, spans) in g.per_device.iter().enumerate() {
+        for (i, s) in spans.iter().enumerate() {
+            if let Some(next) = spans.get(i + 1) {
+                edges.push(((d, i), (d, i + 1), next.work_ns));
+            }
+            match s.link.get() {
+                Some((Dir::Send, k)) => ends[k].0.push((d, i)),
+                Some((Dir::Recv, k)) => ends[k].1.push((d, i)),
+                None => {}
+            }
+        }
+    }
+    for (sends, recvs) in &ends {
+        assert_eq!(sends.len(), recvs.len(), "a finished run drains every link");
+        for (k, (&send, &recv)) in sends.iter().zip(recvs).enumerate() {
+            let r = span(recv);
+            edges.push((send, recv, r.sent_at - span(send).end + r.wire_ns));
+            if let Some(&later) = sends.get(k + cap) {
+                edges.push((recv, later, 0));
+            }
+        }
+    }
+    let mut tail: Vec<Vec<u64>> = g.per_device.iter().map(|v| vec![0; v.len()]).collect();
+    let mut rounds = 0;
+    loop {
+        let mut changed = false;
+        for &((fd, fi), (td, ti), w) in &edges {
+            if w + tail[td][ti] > tail[fd][fi] {
+                tail[fd][fi] = w + tail[td][ti];
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+        rounds += 1;
+        assert!(rounds <= g.len(), "the span graph has a cycle");
+    }
+    let latest = |(d, i): Node| g.makespan - tail[d][i];
+    let slack = (g.per_device.iter().enumerate())
+        .map(|(d, spans)| {
+            (0..spans.len())
+                .map(|i| latest((d, i)) - spans[i].end)
+                .collect()
+        })
+        .collect();
+    let mut pairs = std::collections::BTreeMap::new();
+    for (k, (_, recvs)) in ends.iter().enumerate() {
+        for &recv in recvs {
+            let r = span(recv);
+            let headroom = latest(recv) - (r.sent_at + r.wire_ns);
+            let (src, dst) = g.links[k];
+            let least = pairs.entry((src.0, dst.0)).or_insert(headroom);
+            *least = (*least).min(headroom);
+        }
+    }
+    let link_slack = (pairs.into_iter())
+        .map(|((src, dst), h)| ((DeviceId(src), DeviceId(dst)), h))
+        .collect();
+    (slack, link_slack)
+}
+
+/// `critpath::analyze`'s `slack` and `link_slack` against
+/// [`oracle_slack`] on `scheme` at `d`×`n`, at each capacity from the
+/// least the schedule runs at to 3, over one and two iterations, with and
+/// without a sharded checkpoint overlapped into the bubbles, with and
+/// without link delays, on the paper grid (whose zero-length p2p spans
+/// tie at equal ends) and on slow wires. Returns how many recordings were
+/// checked.
+fn slack_oracle(scheme: SchemeKind, d: u32, n: u32) -> usize {
+    use mario::core::critpath::analyze;
+    use mario::ir::{min_channel_capacity, LinkSlack};
+
+    let s = generate(ScheduleConfig::new(scheme, d, n));
+    let least = min_channel_capacity(&s).expect("generated schedules execute");
+    let (paper, slow) = (
+        PerDeviceShards(UnitCost::paper_grid()),
+        SlowWires(PerDeviceShards(UnitCost::paper_grid())),
+    );
+    let delays = PerturbationProfile::identity()
+        .with_link_slack(LinkSlack {
+            src: DeviceId(0),
+            dst: DeviceId(1),
+            nth: None,
+            extra_ns: 700,
+            iteration: None,
+        })
+        .with_link_slack(LinkSlack {
+            src: DeviceId(d - 1),
+            dst: DeviceId(d - 2),
+            nth: Some(1),
+            extra_ns: 1_300,
+            iteration: Some(0),
+        });
+    let pristine = PerturbationProfile::identity();
+    let overlap =
+        CheckpointPolicy::every(1).with_sharded(ShardedWrite::new(2_000, 600).with_async_overlap());
+    let mut checked = 0;
+    for cap in least..=3 {
+        for iters in 1..=2 {
+            for checkpoint in [None, Some(overlap)] {
+                for profile in [&pristine, &delays] {
+                    let costs: [&dyn CostModel; 2] = [&paper, &slow];
+                    for (on_paper, cost) in [true, false].into_iter().zip(costs) {
+                        let opts = SimOptions {
+                            channel_capacity: cap,
+                            iterations: iters,
+                            checkpoint,
+                            profile,
+                            ..SimOptions::default()
+                        };
+                        let g = simulate(&s, cost, &opts)
+                            .expect("simulation completes")
+                            .spans;
+                        let report = analyze(&s, &g);
+                        let (slack, link_slack) = oracle_slack(&g, cap);
+                        let label = format!(
+                            "{scheme:?} {d}x{n} cap {cap} iters {iters} {checkpoint:?} \
+                             delayed {} paper {on_paper}",
+                            profile.link_slack.len()
+                        );
+                        assert_eq!(report.slack, slack, "{label}");
+                        assert_eq!(report.link_slack, link_slack, "{label}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    checked
+}
+
+/// `critpath::analyze`'s slack equals the naive oracle's on every scheme
+/// at 2–4 devices × 2–8 micros, as far as the scheme takes them.
+#[test]
+fn critpath_slack_matches_a_naive_oracle() {
+    let mut checked = 0;
+    for scheme in EVERY_SCHEME {
+        for d in 2..=4 {
+            for n in [2, 3, 4, 8] {
+                let fits = match scheme {
+                    SchemeKind::Chimera => d % 2 == 0 && n % 2 == 0,
+                    SchemeKind::Interleave { .. } => n % d == 0,
+                    _ => true,
+                };
+                if fits {
+                    checked += slack_oracle(scheme, d, n);
+                }
+            }
+        }
+    }
+    assert!(checked > 3_000, "{checked} recordings");
+}
+
 // Flight-recorder parity: the full telemetry breakdown — per-device time
 // classes, peak memory, fault counters, and per-link transfer stats — is
 // populated by the DP simulator and the zero-jitter emulator with
