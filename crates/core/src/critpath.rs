@@ -14,7 +14,8 @@
 //! * [`whatif`] re-times the recorded graph under counterfactual costs
 //!   (a straggler profile, extra link latency, free checkpoint writes)
 //!   without re-running anything, by one forward max-plus replay over
-//!   the recorded spans.
+//!   the recorded spans from the first one the counterfactual re-times
+//!   to the point where the re-timed run rejoins the recording.
 //!
 //! # Structure, not timestamps
 //!
@@ -96,6 +97,41 @@
 //! below the answer is still the replay from time zero's, byte for byte
 //! (`tests/properties.rs` holds the two to each other on every scheme
 //! and checkpoint mode), not a re-simulation's.
+//!
+//! # Stopping at the rejoin
+//!
+//! A counterfactual the run absorbs, or one whose effect dies out, leaves
+//! the re-timed run back on the recording at some point, and from there
+//! the replay would only reproduce recorded times. [`whatif`] stops there
+//! and returns the recorded final clocks: each device's last span's end,
+//! 0 for a device without spans, and their maximum as the makespan. The
+//! run has rejoined when, after a device's turn in the round-robin:
+//!
+//! * each device's clock is the recorded end of its last replayed span;
+//! * each packet in flight departed at its send's recorded end (its
+//!   re-timed departure, delay included, before the recorded injected
+//!   delay its receiver adds);
+//! * each ack no send consumed is its receive's recorded end;
+//! * each device the profile names has passed the last span the profile
+//!   re-times on it (found in the same scan that finds the cut, now run
+//!   to the end of each named device's spans; under `free_checkpoint`
+//!   never).
+//!
+//! The replay's state is then the state an unperturbed replay passes
+//! through at the same point: it reads nothing else (clocks, packets,
+//! acks, and packet numbers that now number no delay), and what follows
+//! re-times no span. An unperturbed replay reproduces the recording from
+//! any state equal to it (the premise of the cut), and Kahn determinacy
+//! carries it to the replay from time zero's answer. The check is O(1)
+//! per device turn: one count of what is off the recording changes as
+//! each span is re-timed, with each link's acks flagged in a ring of
+//! `capacity` beside its ring of receive ends, so any channel capacity
+//! works. The same bound spares the profile: past a device's last
+//! re-timed span the replay charges recorded work and no link delay, and
+//! it numbers packets only on devices with a re-timed span ahead of
+//! their resume point. On whatif-64's query mix half the queries stop early, skipping
+//! about two thirds of their cut's suffix, and the spans re-timed per
+//! query fall from about 14 400 to 8 800.
 //!
 //! # Validity domain
 //!
@@ -728,19 +764,44 @@ pub struct WhatIfResult {
 /// the executors' exact arithmetic (same launch charges, same
 /// `arrival = max(ready, sent_at + wire)`, same ack-window blocking,
 /// same `round(ns × factor)` scaling, same packet numbering), resumed
-/// at the cut before the first span `w` re-times. See the module docs
-/// for why the cut is exact and for the domain on which this equals a
-/// ground-truth re-simulation.
+/// at the cut before the first span `w` re-times and stopped where the
+/// re-timed run rejoins the recording, whose final clocks it then
+/// returns. See the module docs for why the cut and the stop are exact
+/// and for the domain on which this equals a ground-truth re-simulation.
 pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResult {
-    replay(schedule, g, w, first_retimed(schedule, g, w))
+    replay(schedule, g, w, &reach(schedule, g, w)).0
 }
 
-/// [`whatif`] replayed from time zero, for the tests that hold the cut
-/// to it.
+/// [`whatif`] replayed from time zero to the end, with no stop at the
+/// rejoin, for the tests that hold the cut and the stop to it.
 #[cfg(feature = "test-order")]
 #[doc(hidden)]
 pub fn whatif_from_zero(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResult {
-    replay(schedule, g, w, 0)
+    replay(schedule, g, w, &Reach::everything(g)).0
+}
+
+/// [`whatif`], with how many spans its replay re-timed and how many
+/// follow its cut, for the tests that check the stop at the rejoin fires.
+#[cfg(feature = "test-order")]
+#[doc(hidden)]
+pub fn whatif_retimed(
+    schedule: &Schedule,
+    g: &SpanGraph,
+    w: &WhatIf<'_>,
+) -> (WhatIfResult, usize, usize) {
+    let reach = reach(schedule, g, w);
+    let (answer, retimed) = replay(schedule, g, w, &reach);
+    (answer, retimed, after_cut(g, reach.cut))
+}
+
+/// How many recorded spans end at or after `cut`: those a replay from
+/// that cut re-times unless it rejoins the recording first.
+#[cfg(any(test, feature = "test-order"))]
+fn after_cut(g: &SpanGraph, cut: Nanos) -> usize {
+    g.per_device
+        .iter()
+        .map(|spans| spans.len() - spans.partition_point(|s| s.end < cut))
+        .sum()
 }
 
 /// The busy time `w` charges local span `s` of `dev`. Slowdowns scale
@@ -763,13 +824,35 @@ fn busy(w: &WhatIf<'_>, program: &DeviceProgram, dev: DeviceId, s: &OpSpan) -> N
     }
 }
 
-/// The earliest recorded start of a span `w` re-times: a compute span
-/// whose charge a slowdown changes, or a send a link delay hits, found
-/// on the devices the profile names alone. 0 under `free_checkpoint`;
-/// `Nanos::MAX` when `w` re-times nothing.
-fn first_retimed(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> Nanos {
+/// Where a counterfactual touches the recording.
+struct Reach {
+    /// The earliest recorded start of a span it re-times.
+    cut: Nanos,
+    /// Per device, one past the last span it re-times there (0 for none):
+    /// the replay cannot have rejoined the recording before each device
+    /// has passed it.
+    until: Vec<usize>,
+}
+
+impl Reach {
+    /// Time zero, with no device ever past its last re-timed span: a
+    /// replay from it runs to the end.
+    fn everything(g: &SpanGraph) -> Self {
+        Self {
+            cut: 0,
+            until: vec![usize::MAX; g.per_device.len()],
+        }
+    }
+}
+
+/// The spans `w` re-times: a compute span whose charge a slowdown
+/// changes, or a send a link delay hits, found on the devices the
+/// profile names alone. Under `free_checkpoint` every device's checkpoint
+/// spans are, so the cut is 0 and the replay runs to the end; when `w`
+/// re-times nothing the cut is `Nanos::MAX`.
+fn reach(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> Reach {
     if w.free_checkpoint {
-        return 0;
+        return Reach::everything(g);
     }
     let p = w.profile;
     let slack = !p.link_slack.is_empty();
@@ -777,14 +860,17 @@ fn first_retimed(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> Nanos {
     named.extend(p.link_slack.iter().map(|l| l.src));
     named.sort_unstable();
     named.dedup();
-    let mut first = Nanos::MAX;
+    let mut reach = Reach {
+        cut: Nanos::MAX,
+        until: vec![0; g.per_device.len()],
+    };
     for dev in named {
         let Some(spans) = g.per_device.get(dev.index()) else {
             continue;
         };
         let program = schedule.program(dev);
         let mut packets = PacketCounter::default();
-        for s in spans.iter().take_while(|s| s.start < first) {
+        for (i, s) in spans.iter().enumerate() {
             let hit = match s.link.get() {
                 None => busy(w, program, dev, s) != s.work_ns,
                 // Numbered as the replay numbers them.
@@ -795,39 +881,50 @@ fn first_retimed(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> Nanos {
                 Some(_) => false,
             };
             if hit {
-                first = s.start;
-                break;
+                reach.cut = reach.cut.min(s.start);
+                reach.until[dev.index()] = i + 1;
             }
         }
     }
-    first
+    reach
 }
 
 /// One link's traffic before the cut: sends, receives, and the slot in
-/// the link's ring of receive ends that the next receive fills.
+/// the link's rings that the next receive fills. From the cut on, the
+/// replay moves the slot with each receive and `oldest`, the slot of the
+/// ack the next send consumes, with each send.
 #[derive(Clone, Copy, Default)]
-struct Prefix {
+struct Traffic {
     sent: usize,
     received: usize,
     slot: usize,
+    oldest: usize,
 }
 
-/// [`whatif`] from the cut at `cut`: every span that ended before it
-/// keeps its recorded times, and the replay re-times the rest.
-fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> WhatIfResult {
+/// [`whatif`] from `reach`'s cut: every span that ended before it keeps
+/// its recorded times, and the replay re-times the rest until the run
+/// rejoins the recording. Returns the answer and how many spans the
+/// replay re-timed.
+fn replay(
+    schedule: &Schedule,
+    g: &SpanGraph,
+    w: &WhatIf<'_>,
+    reach: &Reach,
+) -> (WhatIfResult, usize) {
     let devices = g.per_device.len();
     let capacity = g.channel_capacity.max(1);
     let slack = !w.profile.link_slack.is_empty();
+    let until = &reach.until[..];
     let mut clock = vec![0; devices];
     let mut next = vec![0usize; devices];
     let mut packets = vec![PacketCounter::default(); devices];
-    // Per link, its traffic before the cut and the ends of its last
-    // `capacity` receives there, which hold every ack no send consumed.
-    let mut prefix = vec![Prefix::default(); g.links.len()];
+    // Per link, its traffic and the ends of its last `capacity` receives
+    // before the cut, which hold every ack no send consumed.
+    let mut traffic = vec![Traffic::default(); g.links.len()];
     let mut ring: Vec<Nanos> = vec![0; g.links.len() * capacity];
     for (d, spans) in g.per_device.iter().enumerate() {
         // Spans tile the clock, so their ends ascend.
-        let resume = spans.partition_point(|s| s.end < cut);
+        let resume = spans.partition_point(|s| s.end < reach.cut);
         (clock[d], next[d]) = match resume {
             0 => (spans.first().map_or(0, |s| s.start), 0),
             i => (spans[i - 1].end, i),
@@ -836,13 +933,14 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
             match s.link.get() {
                 None => {}
                 Some((Dir::Send, k)) => {
-                    prefix[k].sent += 1;
-                    if slack {
+                    traffic[k].sent += 1;
+                    // Only a device with a re-timed span ahead delays a packet.
+                    if slack && resume < until[d] {
                         packets[d].next(g.links[k].1, s.iter);
                     }
                 }
                 Some((Dir::Recv, k)) => {
-                    let l = &mut prefix[k];
+                    let l = &mut traffic[k];
                     ring[k * capacity + l.slot] = s.end;
                     l.slot += 1;
                     if l.slot == capacity {
@@ -858,10 +956,13 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
     // which the receiver measures that delay. A packet sent before the
     // cut departed at its send's recorded end, so its receiver reads its
     // own recorded `sent_at`: `(0, 0)` stands for any such pair.
-    let mut fifos: Vec<Fifo<(Nanos, Nanos)>> = prefix
-        .iter()
+    let mut fifos: Vec<Fifo<(Nanos, Nanos)>> = traffic
+        .iter_mut()
         .enumerate()
         .map(|(k, l)| {
+            // Send `j` consumes receive `j − capacity`'s ack, whose slot
+            // is `j mod capacity`.
+            l.oldest = l.sent % capacity;
             let ring = &ring[k * capacity..(k + 1) * capacity];
             Fifo::after(
                 capacity,
@@ -873,6 +974,31 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
         })
         .collect();
 
+    // What keeps the run off the recording, counted as it changes: devices
+    // whose clock is not their last replayed span's recorded end, packets
+    // in flight that departed other than at their send's recorded end,
+    // unconsumed acks other than their receive's recorded end (flagged in
+    // a ring beside `ring`), and devices short of their last re-timed
+    // span. At 0 the run has rejoined the recording.
+    let mut off = until.iter().zip(&next).filter(|&(u, n)| n < u).count();
+    let mut drifted = vec![false; devices];
+    let mut late = vec![false; g.links.len() * capacity];
+    let mut retimed = 0;
+    // Rejoined, the rest of the replay reproduces the recording.
+    let recorded = || {
+        let clocks: Vec<Nanos> = g
+            .per_device
+            .iter()
+            .map(|spans| spans.last().map_or(0, |s| s.end))
+            .collect();
+        WhatIfResult {
+            makespan: clocks.iter().copied().max().unwrap_or(0),
+            device_clocks: clocks,
+        }
+    };
+    if off == 0 {
+        return (recorded(), retimed);
+    }
     loop {
         let mut progressed = false;
         for d in 0..devices {
@@ -880,25 +1006,45 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
             let program = schedule.program(dev);
             let spans = &g.per_device[d];
             let (mut t, mut i) = (clock[d], next[d]);
+            // Past its last re-timed span a device's spans keep their
+            // recorded charges, and its sends carry no delay.
+            let until_d = until[d];
             while let Some(s) = spans.get(i) {
                 match s.link.get() {
                     // The serving gate is exogenous: it holds under any
                     // counterfactual.
-                    None => t = t.max(s.gate_ns) + busy(w, program, dev, s),
+                    None => {
+                        t = t.max(s.gate_ns)
+                            + if i < until_d {
+                                busy(w, program, dev, s)
+                            } else {
+                                s.work_ns
+                            };
+                    }
                     Some((Dir::Send, k)) => {
                         let chan = &mut fifos[k];
                         // A full window waits for the oldest arrival.
                         let Some(freed) = chan.reserve(capacity) else {
                             break; // blocked: peer must advance
                         };
+                        // The ack this send consumed, if any: a send with
+                        // room in the window reads a slot no receive has
+                        // filled yet, never flagged.
+                        let l = &mut traffic[k];
+                        off -= usize::from(late[k * capacity + l.oldest]);
+                        l.oldest += 1;
+                        if l.oldest == capacity {
+                            l.oldest = 0;
+                        }
                         t = (t + s.work_ns).max(freed);
-                        let extra = if slack {
+                        let extra = if slack && i < until_d {
                             let peer = g.links[k].1;
                             let nth = packets[d].next(peer, s.iter);
                             w.profile.link_extra(dev, peer, s.iter, nth)
                         } else {
                             0
                         };
+                        off += usize::from(t + extra != s.end);
                         chan.push((t + extra, s.end));
                     }
                     Some((Dir::Recv, k)) => {
@@ -906,17 +1052,39 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
                         let Some((departed, send_end)) = chan.pop() else {
                             break; // blocked: sender must advance
                         };
+                        off -= usize::from(departed != send_end);
                         // The recorded departure minus the send's recorded
                         // completion: an injected link delay, 0 otherwise.
                         let sent = departed + s.sent_at.saturating_sub(send_end);
                         t = (t + s.work_ns).max(sent + s.wire_ns);
                         chan.ack(t);
+                        let l = &mut traffic[k];
+                        let is_late = t != s.end;
+                        late[k * capacity + l.slot] = is_late;
+                        off += usize::from(is_late);
+                        l.slot += 1;
+                        if l.slot == capacity {
+                            l.slot = 0;
+                        }
                     }
                 }
                 i += 1;
             }
-            progressed |= i != next[d];
+            if i == next[d] {
+                continue;
+            }
+            progressed = true;
+            retimed += i - next[d];
+            let drifts = t != spans[i - 1].end;
+            off = off + usize::from(drifts) - usize::from(drifted[d]);
+            drifted[d] = drifts;
+            if next[d] < until_d && i >= until_d {
+                off -= 1;
+            }
             (clock[d], next[d]) = (t, i);
+            if off == 0 {
+                return (recorded(), retimed);
+            }
         }
         if !progressed {
             break;
@@ -926,10 +1094,11 @@ fn replay(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>, cut: Nanos) -> Wha
         (0..devices).all(|d| next[d] == g.per_device[d].len()),
         "what-if replay did not quiesce (structural deadlock in recording?)"
     );
-    WhatIfResult {
+    let answer = WhatIfResult {
         makespan: clock.iter().copied().max().unwrap_or(0),
         device_clocks: clock,
-    }
+    };
+    (answer, retimed)
 }
 
 #[cfg(test)]
@@ -1172,7 +1341,10 @@ mod tests {
 
         let identity = WhatIf::perturb(PerturbationProfile::pristine());
         for (name, s, (g, clocks, makespan)) in &recordings {
-            for w in [replay(s, g, &identity, 0), whatif(s, g, &identity)] {
+            for w in [
+                replay(s, g, &identity, &Reach::everything(g)).0,
+                whatif(s, g, &identity),
+            ] {
                 assert_eq!(&w.device_clocks, clocks, "{name}");
                 assert_eq!(w.makespan, *makespan, "{name}");
             }
@@ -1185,8 +1357,11 @@ mod tests {
     /// synchronous checkpoint) under its query mix: a slowdown over a
     /// window of one device's program, or one late packet between
     /// neighbours, each scoped to one iteration. Asserts equal answers and
-    /// prints the median of the per-op ratios (16 queries an op) and the
-    /// mean share of spans that end before the cut. Release only:
+    /// prints the median of the per-op ratios (16 queries an op), the mean
+    /// share of spans that end before the cut, the share of queries that
+    /// rejoined the recording, the share of their cut's suffix they
+    /// skipped, and the spans re-timed per query with and without the stop
+    /// at the rejoin. Release only:
     /// `cargo test --release -p mario-core --lib whatif_cut -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -1215,7 +1390,12 @@ mod tests {
         let recording = run_with_faults(&s, &cost, cfg, &FaultPlan::none()).expect("1F1B runs");
         let g = recording.spans.as_ref().expect("spans recorded");
         let mut rng = StdRng::seed_from_u64(1);
-        let mut skipped = 0.0;
+        let total = g.len();
+        // Spans before the cut, the cut's suffix and the spans re-timed,
+        // summed over all queries; then queries that rejoined, and the
+        // suffix and the spans re-timed summed over those alone.
+        let (mut before, mut suffix, mut retimed) = (0, 0, 0);
+        let (mut rejoined, mut rejoined_suffix, mut rejoined_retimed) = (0, 0, 0);
         let mut ratios: Vec<f64> = (0..31)
             .map(|op| {
                 let profiles: Vec<_> = (0..16)
@@ -1258,21 +1438,25 @@ mod tests {
                             if cut {
                                 whatif(&s, g, &w)
                             } else {
-                                replay(&s, g, &w, 0)
+                                replay(&s, g, &w, &Reach::everything(g)).0
                             }
                         })
                         .collect();
                     (t.elapsed().as_secs_f64(), answers)
                 };
-                let total = g.len() as f64;
-                skipped += profiles
-                    .iter()
-                    .map(|p| {
-                        let cut = first_retimed(&s, g, &WhatIf::perturb(p));
-                        let before = |spans: &Vec<OpSpan>| spans.partition_point(|x| x.end < cut);
-                        g.per_device.iter().map(before).sum::<usize>() as f64 / total
-                    })
-                    .sum::<f64>();
+                for p in &profiles {
+                    let w = WhatIf::perturb(p);
+                    let reach = reach(&s, g, &w);
+                    let (after, (_, n)) = (after_cut(g, reach.cut), replay(&s, g, &w, &reach));
+                    before += total - after;
+                    suffix += after;
+                    retimed += n;
+                    if n < after {
+                        rejoined += 1;
+                        rejoined_suffix += after;
+                        rejoined_retimed += n;
+                    }
+                }
                 // Alternate which side runs first.
                 let ((cut_s, cut), (zero_s, zero)) = if op % 2 == 0 {
                     (time(true), time(false))
@@ -1285,10 +1469,20 @@ mod tests {
             })
             .collect();
         ratios.sort_by(f64::total_cmp);
+        let queries = 31 * 16;
+        let pct = |a: usize, b: usize| 100.0 * a as f64 / b.max(1) as f64;
         println!(
             "what-if cut / zero wall time: median {:.2}; {:.0}% of spans before the cut",
             ratios[ratios.len() / 2],
-            100.0 * skipped / (31.0 * 16.0)
+            pct(before, queries * total)
+        );
+        println!(
+            "{:.1}% of queries rejoined the recording, skipping {:.0}% of their cut's suffix; \
+             spans re-timed per query {:.0} -> {:.0}",
+            pct(rejoined, queries),
+            100.0 - pct(rejoined_retimed, rejoined_suffix),
+            suffix as f64 / queries as f64,
+            retimed as f64 / queries as f64
         );
     }
 

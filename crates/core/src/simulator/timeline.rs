@@ -525,8 +525,12 @@ impl<'a> Sweep<'a> {
                 if d == stop_dev && *gpc == stop_pc {
                     return Ok(Run::Paused);
                 }
-                let lpc = *gpc % len;
-                let iter = (*gpc / len) as u32;
+                // The tuner and prepose run one iteration: no division.
+                let (lpc, iter) = if *gpc < len {
+                    (*gpc, 0)
+                } else {
+                    (*gpc % len, (*gpc / len) as u32)
+                };
                 let instr = prog[lpc];
                 match instr.kind.p2p() {
                     None => {

@@ -838,10 +838,18 @@ proptest! {
 /// random what-ifs of each recording: slowdown windows with factors
 /// below and above 1, link delays and free checkpoint writes, each
 /// scoped to one iteration, every iteration or none. `whatif`, which
-/// resumes from the cut, must give what the replay from time zero gives.
-/// Returns how many queries ran.
-fn cut_differential(scheme: SchemeKind, d: u32, n: u32, queries: usize, rng: &mut Mix) -> usize {
-    use mario::core::critpath::{whatif, whatif_from_zero, WhatIf};
+/// resumes from the cut and stops where the run rejoins the recording,
+/// must give what the replay from time zero gives. Returns how many
+/// queries ran and how many of them stopped early: re-timed fewer spans
+/// than follow their cut.
+fn cut_differential(
+    scheme: SchemeKind,
+    d: u32,
+    n: u32,
+    queries: usize,
+    rng: &mut Mix,
+) -> (usize, usize) {
+    use mario::core::critpath::{whatif, whatif_from_zero, whatif_retimed, WhatIf};
     use mario::ir::{min_channel_capacity, LinkSlack, SlowdownWindow};
 
     let s = generate(ScheduleConfig::new(scheme, d, n));
@@ -851,7 +859,7 @@ fn cut_differential(scheme: SchemeKind, d: u32, n: u32, queries: usize, rng: &mu
         .map(|dev| s.program(DeviceId(dev)).len())
         .max()
         .unwrap_or(1);
-    let mut ran = 0;
+    let (mut ran, mut stopped) = (0, 0);
     for cap in [least, least + 1] {
         for mode in 0..4 {
             let checkpoint = match mode {
@@ -899,16 +907,19 @@ fn cut_differential(scheme: SchemeKind, d: u32, n: u32, queries: usize, rng: &mu
                     profile: &profile,
                     free_checkpoint: rng.below(4) == 0,
                 };
+                let (answer, retimed, after_cut) = whatif_retimed(&s, &recorded.spans, &w);
                 assert_eq!(
-                    whatif(&s, &recorded.spans, &w),
+                    answer,
                     whatif_from_zero(&s, &recorded.spans, &w),
                     "{scheme:?} {d}x{n} cap {cap} mode {mode} iters {iters} {w:?}"
                 );
+                assert_eq!(answer, whatif(&s, &recorded.spans, &w));
                 ran += 1;
+                stopped += usize::from(retimed < after_cut);
             }
         }
     }
-    ran
+    (ran, stopped)
 }
 
 /// Re-timing from the cut changes no what-if answer: on every scheme, in
@@ -916,11 +927,16 @@ fn cut_differential(scheme: SchemeKind, d: u32, n: u32, queries: usize, rng: &mu
 #[test]
 fn whatif_from_the_cut_matches_the_replay_from_zero() {
     let mut rng = Mix(0xc0_7c07);
-    let ran: usize = EVERY_SCHEME
-        .iter()
-        .map(|&scheme| cut_differential(scheme, 4, 8, 12, &mut rng))
-        .sum();
+    let (mut ran, mut stopped) = (0, 0);
+    for scheme in EVERY_SCHEME {
+        let (r, s) = cut_differential(scheme, 4, 8, 12, &mut rng);
+        (ran, stopped) = (ran + r, stopped + s);
+    }
     assert_eq!(ran, EVERY_SCHEME.len() * 2 * 4 * 12);
+    assert!(
+        stopped > 0,
+        "no query stopped where the run rejoined the recording"
+    );
 }
 
 /// The same differential at scale: every scheme at four sizes, 150
@@ -930,13 +946,132 @@ fn whatif_from_the_cut_matches_the_replay_from_zero() {
 #[ignore = "large; run in release"]
 fn whatif_from_the_cut_matches_the_replay_from_zero_at_scale() {
     let mut rng = Mix(0x0c07_0c07);
-    let mut ran = 0;
+    let (mut ran, mut stopped) = (0, 0);
     for scheme in EVERY_SCHEME {
         for (d, n) in [(2, 4), (4, 8), (6, 12), (8, 16)] {
-            ran += cut_differential(scheme, d, n, 150, &mut rng);
+            let (r, s) = cut_differential(scheme, d, n, 150, &mut rng);
+            (ran, stopped) = (ran + r, stopped + s);
         }
     }
     assert_eq!(ran, EVERY_SCHEME.len() * 4 * 2 * 4 * 150);
+    // 1300 of the 38 400 stop early; a replay that never stops fails.
+    assert!(
+        stopped * 100 >= ran * 3,
+        "only {stopped} of {ran} queries stopped where the run rejoined the recording"
+    );
+}
+
+/// The stop at the rejoin fires, on a 1F1B 8×16 recording: one small
+/// late packet that the run absorbs (a fresh simulation under it ends on
+/// the recorded clocks) answers with the recorded clocks and re-times
+/// fewer spans than follow its cut; a slowdown window that runs to the
+/// last instruction still answers as the replay from time zero.
+#[test]
+fn whatif_stops_where_the_run_rejoins_the_recording() {
+    use mario::core::critpath::{whatif_from_zero, whatif_retimed, WhatIf};
+    use mario::ir::{LinkSlack, SlowdownWindow};
+
+    let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 8, 16));
+    let cost = UnitCost::paper_grid();
+    let recorded = simulate(&s, &cost, &SimOptions::default()).expect("1F1B runs");
+    let g = &recorded.spans;
+
+    let late = PerturbationProfile::identity().with_link_slack(LinkSlack {
+        src: DeviceId(0),
+        dst: DeviceId(1),
+        nth: Some(4),
+        extra_ns: 100,
+        iteration: Some(0),
+    });
+    let opts = SimOptions {
+        profile: &late,
+        ..SimOptions::default()
+    };
+    let truth = simulate(&s, &cost, &opts).expect("1F1B runs");
+    assert_eq!(truth.device_clocks, recorded.device_clocks, "not absorbed");
+    let (answer, retimed, after_cut) = whatif_retimed(&s, g, &WhatIf::perturb(&late));
+    assert_eq!(answer.device_clocks, recorded.device_clocks);
+    assert_eq!(answer.makespan, recorded.total_ns);
+    assert!(
+        retimed < after_cut,
+        "re-timed {retimed} spans of the {after_cut} after the cut"
+    );
+
+    let last = s.program(DeviceId(3)).len();
+    let slow = PerturbationProfile::identity().with_slowdown(SlowdownWindow {
+        device: DeviceId(3),
+        factor: 1.5,
+        from_pc: last / 2,
+        until_pc: last,
+        iteration: None,
+    });
+    let w = WhatIf::perturb(&slow);
+    let (answer, _, _) = whatif_retimed(&s, g, &w);
+    assert_eq!(answer, whatif_from_zero(&s, g, &w));
+    assert_ne!(
+        answer.device_clocks, recorded.device_clocks,
+        "nothing re-timed"
+    );
+}
+
+/// An ack the re-timed run left late keeps the replay going even when
+/// every clock and every packet is back on the recording. On one-slot
+/// links, d1's first compute, three times slower, makes its receive of
+/// micro-batch 0 late; its next receive, from d0, waits past the delay
+/// and puts d1's clock back on the recording while d2 still waits to
+/// send micro-batch 1. That send consumes the late ack, so d2's last
+/// compute ends 2000 ns after its recorded end.
+#[test]
+fn whatif_does_not_stop_before_a_late_ack_is_consumed() {
+    use mario::core::critpath::{whatif, whatif_from_zero, WhatIf};
+    use mario::ir::{DeviceProgram, Instr, SlowdownWindow, Topology};
+
+    let (d0, d1, d2) = (DeviceId(0), DeviceId(1), DeviceId(2));
+    let mut s = Schedule::empty(Topology::new(SchemeKind::OneFOneB, 3), 8, vec![0; 8]);
+    let mut d0_program: Vec<Instr> = [2u32, 4, 5, 6, 7]
+        .into_iter()
+        .map(|m| Instr::forward(m, 0u32))
+        .collect();
+    d0_program.push(Instr::send_act(2u32, 0u32, d1));
+    *s.program_mut(d0) = DeviceProgram::from_instrs(d0, d0_program);
+    *s.program_mut(d1) = DeviceProgram::from_instrs(
+        d1,
+        vec![
+            Instr::forward(3u32, 0u32),
+            Instr::recv_act(0u32, 0u32, d2),
+            Instr::recv_act(2u32, 0u32, d0),
+            Instr::recv_act(1u32, 0u32, d2),
+        ],
+    );
+    *s.program_mut(d2) = DeviceProgram::from_instrs(
+        d2,
+        vec![
+            Instr::forward(0u32, 0u32),
+            Instr::send_act(0u32, 0u32, d1),
+            Instr::send_act(1u32, 0u32, d1),
+            Instr::forward(1u32, 0u32),
+        ],
+    );
+    let cost = UnitCost::paper_grid();
+    let recorded = simulate(&s, &cost, &SimOptions::default()).expect("the schedule runs");
+    assert_eq!(recorded.device_clocks, vec![5_000, 5_000, 2_000]);
+    let slow = PerturbationProfile::identity().with_slowdown(SlowdownWindow {
+        device: d1,
+        factor: 3.0,
+        from_pc: 0,
+        until_pc: 1,
+        iteration: None,
+    });
+    let opts = SimOptions {
+        profile: &slow,
+        ..SimOptions::default()
+    };
+    let truth = simulate(&s, &cost, &opts).expect("the schedule runs");
+    assert_eq!(truth.device_clocks, vec![5_000, 5_000, 4_000]);
+    let w = WhatIf::perturb(&slow);
+    let answer = whatif(&s, &recorded.spans, &w);
+    assert_eq!(answer.device_clocks, truth.device_clocks);
+    assert_eq!(answer, whatif_from_zero(&s, &recorded.spans, &w));
 }
 
 /// Per directed pair, the least headroom over its messages.
