@@ -48,7 +48,7 @@ pub use trace::{chrome_trace, chrome_trace_annotated, chrome_trace_rich, COUNTER
 pub use tuner::{
     admissible, daly_interval, effective_write_ns, evaluate, fit_fault_rate, fit_fault_rate_on,
     tune, tune_checkpoint_interval, Candidate, CandidateFailure, CheckpointTuning, Evaluation,
-    FaultHistory, RecoveryReport, RecoveryTuning, SchemeChoice, SearchStats, TuneError,
-    TuneResult, TunerConfig, MAX_DEGRADED_EVALS, MAX_VALIDATION_RUNS,
+    FaultHistory, SchemeChoice, SearchStats, TuneError, TuneResult, TunerConfig,
+    MAX_DEGRADED_EVALS,
 };
 pub use viz::{render_ascii, render_svg, VizOptions};

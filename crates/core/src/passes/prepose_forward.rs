@@ -481,7 +481,7 @@ pub fn slack_verdicts(
     let links = LinkTable::new(schedule);
     let table = StepTable::lower(schedule, cost, &links);
     let mut slack = Slack::new(schedule.devices() as usize, &links, channel_capacity);
-    let mut sweep = Sweep::new(schedule, &links, channel_capacity, &pristine, 1);
+    let mut sweep = Sweep::new(schedule, &links, channel_capacity, &pristine);
     let best = slack.measure(schedule, &table, &mut sweep)?;
     let verdicts = schedule
         .programs()
@@ -517,7 +517,7 @@ pub(crate) fn prepose(
     // every trial.
     let links = LinkTable::new(schedule);
     let mut table = StepTable::lower(schedule, cost, &links);
-    let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine, 1);
+    let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine);
     let (mut base, mut trial) = (zero.clone(), zero.clone());
     let mut slack = Slack::new(schedule.devices() as usize, &links, opts.channel_capacity);
     let Ok(mut best) = slack.measure(schedule, &table, &mut trial) else {
@@ -722,7 +722,7 @@ mod tests {
         let pristine = PerturbationProfile::identity();
         let links = LinkTable::new(schedule);
         let live = OnTheFly::new(cost, &links);
-        let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine, 1);
+        let zero = Sweep::new(schedule, &links, opts.channel_capacity, &pristine);
         let Ok(mut best) = zero.clone().run_to_end(schedule, &live) else {
             return (0, false);
         };
@@ -936,8 +936,8 @@ mod tests {
             let links = LinkTable::new(s);
             assert_eq!(*table, StepTable::lower(s, cost, &links));
             let live =
-                Sweep::new(s, &links, cap, profile, 1).run_to_end(s, &OnTheFly::new(cost, &links));
-            let tabled = Sweep::new(s, &links, cap, profile, 1).run_to_end(s, table);
+                Sweep::new(s, &links, cap, profile).run_to_end(s, &OnTheFly::new(cost, &links));
+            let tabled = Sweep::new(s, &links, cap, profile).run_to_end(s, table);
             assert_eq!(tabled, live, "{:?} at capacity {cap}", s.topology.scheme);
             live.is_ok()
         }
@@ -1066,7 +1066,7 @@ mod tests {
                         let mut slack = Slack::new(d as usize, &links, cap);
                         for m in [&swapped, &s] {
                             let table = StepTable::lower(m, cost, &links);
-                            let mut sweep = Sweep::new(m, &links, cap, &pristine, 1);
+                            let mut sweep = Sweep::new(m, &links, cap, &pristine);
                             let measured = slack.measure(m, &table, &mut sweep);
                             assert_eq!(
                                 measured,

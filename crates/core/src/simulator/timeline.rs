@@ -282,7 +282,7 @@ pub(crate) fn simulate_makespan(
     profile: &PerturbationProfile,
 ) -> Result<Nanos, SimError> {
     let links = LinkTable::new(schedule);
-    Sweep::new(schedule, &links, channel_capacity, profile, 1)
+    Sweep::new(schedule, &links, channel_capacity, profile)
         .run_to_end(schedule, &OnTheFly::new(cost, &links))
 }
 
@@ -398,10 +398,8 @@ pub(crate) struct Sweep<'a> {
     /// p2p buffer depth per channel.
     capacity: usize,
     profile: &'a PerturbationProfile,
-    iterations: u32,
-    /// Global instruction cursor per device: local pc = gpc % len,
-    /// iteration = gpc / len.
-    gpc: Vec<usize>,
+    /// Program position per device: the next instruction's pc.
+    pc: Vec<usize>,
     clocks: Vec<DeviceClock>,
     /// In-flight messages with their departure times, per link of the
     /// schedule's [`LinkTable`].
@@ -417,8 +415,7 @@ impl Clone for Sweep<'_> {
         Self {
             capacity: self.capacity,
             profile: self.profile,
-            iterations: self.iterations,
-            gpc: self.gpc.clone(),
+            pc: self.pc.clone(),
             clocks: self.clocks.clone(),
             chans: self.chans.clone(),
             ready: self.ready.clone(),
@@ -428,8 +425,7 @@ impl Clone for Sweep<'_> {
     fn clone_from(&mut self, source: &Self) {
         self.capacity = source.capacity;
         self.profile = source.profile;
-        self.iterations = source.iterations;
-        self.gpc.clone_from(&source.gpc);
+        self.pc.clone_from(&source.pc);
         self.clocks.clone_from(&source.clocks);
         self.chans.clone_from(&source.chans);
         self.ready.clone_from(&source.ready);
@@ -437,23 +433,20 @@ impl Clone for Sweep<'_> {
 }
 
 impl<'a> Sweep<'a> {
-    /// A sweep, at time zero, of `iterations` iterations of `schedule`
-    /// over its `links` at `capacity` on the cluster `profile` describes.
+    /// A sweep, at time zero, of one iteration of `schedule` over its
+    /// `links` at `capacity` on the cluster `profile` describes.
     pub(crate) fn new(
         schedule: &Schedule,
         links: &LinkTable,
         capacity: usize,
         profile: &'a PerturbationProfile,
-        iterations: u32,
     ) -> Self {
         assert!(capacity >= 1);
-        assert!(iterations >= 1);
         let devices = schedule.devices() as usize;
         Self {
             capacity,
             profile,
-            iterations,
-            gpc: vec![0; devices],
+            pc: vec![0; devices],
             clocks: (0..devices)
                 .map(|d| DeviceClock::new(DeviceId(d as u32), 0))
                 .collect(),
@@ -477,16 +470,15 @@ impl<'a> Sweep<'a> {
 
     /// Steps the sweep over `schedule`, timed by `timing`, until it
     /// completes, fails, or — given `stop = Some((d, p))` — device `d` is
-    /// about to read global pc `p`; a sweep already there pauses at once.
-    /// A sweep paused in its first iteration has read nothing of `d`'s
-    /// program from `p` on, so it may be resumed (or cloned and resumed)
-    /// over a schedule that differs from the one it ran on only in `d`'s
-    /// instructions at `p` and after, program length and send ports kept,
-    /// and ends exactly as a sweep of that schedule from time zero would;
-    /// `timing` must then answer for the schedule it resumes over.
-    /// `schedule` must otherwise be the one the sweep was built for. A
-    /// sweep that failed fails the same way when run again; one that
-    /// completed must not run again.
+    /// about to read pc `p`; a sweep already there pauses at once.
+    /// A paused sweep has read nothing of `d`'s program from `p` on, so
+    /// it may be resumed (or cloned and resumed) over a schedule that
+    /// differs from the one it ran on only in `d`'s instructions at `p`
+    /// and after, program length and send ports kept, and ends exactly as
+    /// a sweep of that schedule from time zero would; `timing` must then
+    /// answer for the schedule it resumes over. `schedule` must otherwise
+    /// be the one the sweep was built for. A sweep that failed fails the
+    /// same way when run again; one that completed must not run again.
     pub(crate) fn run(
         &mut self,
         schedule: &Schedule,
@@ -507,37 +499,30 @@ impl<'a> Sweep<'a> {
         let (capacity, profile, launch) = (self.capacity, self.profile, timing.launch());
         // The hot loop works on locals rather than through `self`
         // (measured: about 3% of tune-32 otherwise).
-        let (gpc, clocks) = (&mut self.gpc[..], &mut self.clocks[..]);
+        let (pcs, clocks) = (&mut self.pc[..], &mut self.clocks[..]);
         let (chans, ready) = (&mut self.chans[..], &mut self.ready);
         let (stop_dev, stop_pc) = stop.map_or((usize::MAX, 0), |(d, p)| (d.index(), p));
         while let Some(d) = ready.front() {
             let dev = DeviceId(d as u32);
             let prog = schedule.program(dev).instrs();
-            let len = prog.len();
-            let end = len * self.iterations as usize;
             let clock = &mut clocks[d];
-            let gpc = &mut gpc[d];
+            let pc = &mut pcs[d];
             loop {
-                if *gpc >= end {
+                let lpc = *pc;
+                if lpc >= prog.len() {
                     ready.block(None);
                     break;
                 }
-                if d == stop_dev && *gpc == stop_pc {
+                if d == stop_dev && lpc == stop_pc {
                     return Ok(Run::Paused);
                 }
-                // The tuner and prepose run one iteration: no division.
-                let (lpc, iter) = if *gpc < len {
-                    (*gpc, 0)
-                } else {
-                    (*gpc % len, (*gpc / len) as u32)
-                };
                 let instr = prog[lpc];
                 match instr.kind.p2p() {
                     None => {
                         let ns = timing.busy(dev, lpc, &instr);
                         let dur = match instr.kind {
                             InstrKind::AllReduce | InstrKind::OptimizerStep => ns,
-                            _ => profile.scaled_compute(dev, iter, lpc, ns),
+                            _ => profile.scaled_compute(dev, 0, lpc, ns),
                         };
                         clock.busy(instr.kind, dur);
                     }
@@ -561,8 +546,8 @@ impl<'a> Sweep<'a> {
                             clock.wait_until(freed, Dir::Send);
                             // A perturbed link delays the packet's departure
                             // while the sender's own clock is unaffected.
-                            let nth = clock.next_packet(p.peer, iter);
-                            let extra = profile.link_extra(dev, p.peer, iter, nth);
+                            let nth = clock.next_packet(p.peer, 0);
+                            let extra = profile.link_extra(dev, p.peer, 0, nth);
                             ch.push((p.msg(&instr), clock.now() + extra));
                         } else {
                             // The wrong message at the head blocks the
@@ -584,7 +569,7 @@ impl<'a> Sweep<'a> {
                     }
                 }
                 observe.fired(d, lpc, clock.now());
-                *gpc += 1;
+                *pc += 1;
                 if ready.preempt() {
                     break;
                 }
@@ -595,7 +580,7 @@ impl<'a> Sweep<'a> {
             let link = timing.link(b.device, b.pc, &b.instr, p)?;
             chans[link].front().map(|&(msg, _)| msg)
         };
-        let drained = stuck(schedule, self.iterations, &self.gpc, head);
+        let drained = stuck(schedule, 1, &self.pc, head);
         match drained.map_err(SimError::Mismatch)? {
             Some(deadlock) => Err(SimError::Deadlock(deadlock)),
             None => Ok(Run::Done(
@@ -673,7 +658,7 @@ mod tests {
     /// fails where it fails with the identical `SimError` (the blocked
     /// devices included — `SimError`'s equality compares them): on every
     /// scheme, tuned and untuned, on mutants with 1–3 swaps of adjacent
-    /// instructions, over one and two iterations, pristine and degraded.
+    /// instructions, pristine and degraded.
     #[test]
     fn the_makespan_sweep_matches_the_event_run() {
         use crate::passes::{run_graph_tuner, GraphTunerOptions};
@@ -685,26 +670,18 @@ mod tests {
             cost: &dyn CostModel,
             cap: usize,
             profile: &PerturbationProfile,
-            iterations: u32,
         ) -> bool {
             let opts = SimOptions {
                 channel_capacity: cap,
                 profile,
-                iterations,
                 ..SimOptions::default()
             };
             let full = simulate(s, cost, &opts).map(|t| t.total_ns);
             let links = LinkTable::new(s);
-            let fast = Sweep::new(s, &links, cap, profile, iterations)
-                .run_to_end(s, &OnTheFly::new(cost, &links));
-            assert_eq!(
-                fast, full,
-                "{:?} at capacity {cap}, {iterations} iterations",
-                s.topology.scheme
-            );
-            if iterations == 1 {
-                assert_eq!(simulate_makespan(s, cost, cap, profile), full);
-            }
+            let fast =
+                Sweep::new(s, &links, cap, profile).run_to_end(s, &OnTheFly::new(cost, &links));
+            assert_eq!(fast, full, "{:?} at capacity {cap}", s.topology.scheme);
+            assert_eq!(simulate_makespan(s, cost, cap, profile), full);
             full.is_ok()
         }
 
@@ -769,12 +746,10 @@ mod tests {
                 for s in [&untuned, &tuned].into_iter().chain(&mutants) {
                     for cap in [1, 2] {
                         for profile in &profiles {
-                            for iterations in [1, 2] {
-                                if check(s, cost, cap, profile, iterations) {
-                                    ok += 1;
-                                } else {
-                                    failed += 1;
-                                }
+                            if check(s, cost, cap, profile) {
+                                ok += 1;
+                            } else {
+                                failed += 1;
                             }
                         }
                     }
@@ -785,8 +760,9 @@ mod tests {
 
         // The `deadlock_is_reported` schedule, a receive that finds the
         // wrong micro-batch at the head of its channel, and a send nobody
-        // receives, which deadlocks only once a second iteration finds
-        // the window still full.
+        // receives, which completes in one iteration; the event run
+        // deadlocks on it only once a second iteration finds the window
+        // still full.
         let topo = Topology::new(SchemeKind::OneFOneB, 2);
         let mut deadlock = Schedule::empty(topo, 1, vec![0]);
         deadlock
@@ -812,10 +788,9 @@ mod tests {
             .push(Instr::send_act(0u32, 0u32, DeviceId(1)));
         let unit = UnitCost::paper_grid();
         for profile in &profiles {
-            assert!(!check(&deadlock, &unit, 1, profile, 1));
-            assert!(!check(&mismatch, &unit, 2, profile, 1));
-            assert!(check(&unreceived, &unit, 1, profile, 1));
-            assert!(!check(&unreceived, &unit, 1, profile, 2));
+            assert!(!check(&deadlock, &unit, 1, profile));
+            assert!(!check(&mismatch, &unit, 2, profile));
+            assert!(check(&unreceived, &unit, 1, profile));
         }
         let opts = SimOptions {
             iterations: 2,
@@ -852,7 +827,7 @@ mod tests {
         ) -> Result<Nanos, SimError> {
             let pristine = PerturbationProfile::identity();
             let sweep = |seed: Option<u64>| {
-                let mut sweep = Sweep::new(s, links, cap, &pristine, 1);
+                let mut sweep = Sweep::new(s, links, cap, &pristine);
                 if let Some(seed) = seed {
                     sweep.ready = Ready::shuffled(s.devices() as usize, seed);
                 }
